@@ -18,11 +18,30 @@ power-of-two-choices), autoscaling, failure injection, and
 prefill/decode disaggregation all couple the replicas, so the fleet
 runs as one discrete-event simulation on the
 :class:`~repro.sim.engine.Environment`: one arrival/dispatch process,
-one engine process per replica (the same vLLM-style iteration model as
-the single-replica scheduler), plus optional failure and autoscaler
+one engine process per replica, plus optional failure and autoscaler
 processes.  Everything stays deterministic: the DES queue breaks ties
 by sequence number, routers are seeded, and admission sorts carry the
 request id as final tiebreaker.
+
+Step kernel: each engine process drives a
+:class:`~repro.serve.scheduler.ReplicaCore`, the single-replica
+scheduler's admit/launch/retire.  A sequence's last step is known at
+admission, so the core files it in a completion map keyed by step and
+a step costs O(admitted + completed), not O(running).  Load signals are
+O(1) counters, and each pool's routable-candidate list is rebuilt only
+when a replica fails, recovers, scales, warms or enters probation.
+Under ``perf.disabled()`` (``fast_serve_loop`` off) the cores count
+every running sequence's token instead: the retained reference.
+
+Parity scope: on a scenario the decomposed path accepts, the forced
+co-simulation reproduces its reports and exports exactly for every
+system with ``timing_state_token() is None``.  Adaptive COMET is
+excluded: it records each power-of-two bucket's division point from the
+first workload that probes it, and the two paths probe buckets in
+different orders (replica after replica vs interleaved in time).  A
+2-replica round-robin fleet on Poisson 300 rps for 3 s (seed 3) differs
+on all 888 records; one 1096-token step prices 11.05 ms decomposed vs
+9.93 ms co-simulated.
 
 Modelling notes:
 
@@ -76,27 +95,20 @@ from repro.fleet.metrics import (
 )
 from repro.fleet.router import Router, make_router
 from repro.fleet.spec import FleetScenario, ReplicaSpec
+from repro.perf import CONFIG as PERF_CONFIG
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, TimelinePoint
 from repro.serve.scheduler import (
     POLICY_REGISTRY,
     ContinuousBatchingScheduler,
-    _price_step,
+    ReplicaCore,
+    _record,
     _Sequence,
 )
 from repro.serve.traffic import Request
 from repro.sim.engine import Environment, Event, Interrupt
 
 __all__ = ["FleetEngine"]
-
-
-def _discard(queue: list, seq: _Sequence) -> bool:
-    """Remove ``seq`` from ``queue`` by identity (never by equality)."""
-    for index, item in enumerate(queue):
-        if item is seq:
-            del queue[index]
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -114,13 +126,10 @@ class _StaticView:
     backlog_tokens: int = 0
 
 
-class _Replica:
-    """Live state of one engine replica inside the co-simulation.
-
-    Doubles as the router's candidate view: ``queue_depth`` /
-    ``running`` / ``backlog_tokens`` are computed from the real queues,
-    so state-dependent policies observe exactly what the engine does.
-    """
+class _Replica(ReplicaCore):
+    """One co-simulated replica: a :class:`ReplicaCore` (queues, step
+    kernel, and the router's view of its real load) plus fleet state —
+    health, activity window, stats, resilience."""
 
     def __init__(
         self,
@@ -128,14 +137,16 @@ class _Replica:
         spec: ReplicaSpec,
         cost_model: StepCostModel,
         active: bool,
+        scenario: FleetScenario,
     ):
+        super().__init__(
+            POLICY_REGISTRY.get(scenario.policy), cost_model,
+            scenario.slo_ttft_ms, scenario.max_batch_tokens,
+            scenario.max_batch_size, role=spec.role,
+            keyed=PERF_CONFIG.fast_serve_loop,
+        )
         self.index = index
         self.spec = spec
-        self.role = spec.role
-        self.cost_model = cost_model
-        self.waiting_q: list[_Sequence] = []
-        self.running_q: list[_Sequence] = []
-        self.current_admitted: list[_Sequence] = []
         self.healthy = True
         self.active = active
         self.activated_at: float | None = 0.0 if active else None
@@ -146,7 +157,6 @@ class _Replica:
         self.step_started = 0.0
         self.busy_ms = 0.0
         self.active_ms = 0.0
-        self.steps = 0
         self.requests = 0
         # Resilience state: probation hides the replica from the router
         # until the window passes; eviction is permanent.  TTFT samples
@@ -157,23 +167,6 @@ class _Replica:
         self.evicted = False
         self.last_step_ms = 0.0
         self.ttft_samples: list[tuple[float, float]] = []
-
-    # -- router-facing load signals ------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self.waiting_q)
-
-    @property
-    def running(self) -> int:
-        return len(self.running_q) + len(self.current_admitted)
-
-    @property
-    def backlog_tokens(self) -> int:
-        """Tokens of work still owed: waiting prompts (one token per
-        waiting decode resume) plus one token per running sequence."""
-        if self.role == "decode":
-            return len(self.waiting_q) + self.running
-        return sum(s.request.prompt_tokens for s in self.waiting_q) + self.running
 
     def routable(self, now: float) -> bool:
         return (
@@ -213,7 +206,6 @@ class FleetEngine:
                 f"need one cost model per replica instance: got "
                 f"{len(self.cost_models)} for {len(self._expanded)} replicas"
             )
-        self._policy = POLICY_REGISTRY.get(self.scenario.policy)
         # A request is *resolved* once it completed, timed out, or was
         # shed — the run terminates when every offered request resolves.
         self._resolved = 0
@@ -291,6 +283,12 @@ class FleetEngine:
         so the PR 3 fast loop and its shared timing caches do the work —
         and with one replica the partition is the whole trace, making
         the fleet run bit-identical to the bare serving engine.
+
+        The forced co-simulation reproduces this path exactly for every
+        system with ``timing_state_token() is None``.  Adaptive COMET is
+        excluded: its division points come from the first workload to
+        probe each bucket, and this path probes replica after replica
+        while the co-simulation interleaves them (see the module doc).
         """
         router = make_router(
             self.scenario.router, len(self._expanded),
@@ -371,17 +369,21 @@ class FleetEngine:
         self._replicas = [
             _Replica(
                 index=index, spec=spec, cost_model=self.cost_models[index],
-                active=index < initial_active,
+                active=index < initial_active, scenario=scenario,
             )
             for index, spec in enumerate(self._expanded)
         ]
+        self._pools = {
+            "entry": [r for r in self._replicas if r.role != "decode"],
+            "decode": [r for r in self._replicas if r.role == "decode"],
+        }
+        # pool -> (routable candidates, time the list expires); see
+        # _candidates.  Cleared whenever a replica's flags change.
+        self._routable: dict[str, tuple[list[_Replica], float]] = {}
         crashes = scenario.all_crashes
         self._recoveries_outstanding = sum(
             1 for event in crashes if event.recover_ms is not None
         )
-        self._timelines: list[list[TimelinePoint]] = [
-            [] for _ in self._replicas
-        ]
 
         # Process creation order mirrors the single-replica scheduler
         # (arrivals first, then engines), keeping the event-id
@@ -433,27 +435,45 @@ class FleetEngine:
             for rep in self._replicas
         )
         return self._report(
-            system_name, stats, tuple(tuple(t) for t in self._timelines)
+            system_name, stats, tuple(tuple(r.timeline) for r in self._replicas)
         )
 
     # -- dispatch -------------------------------------------------------------
-    def _pool(self, name: str) -> list[_Replica]:
-        if name == "decode":
-            return [r for r in self._replicas if r.role == "decode"]
-        return [r for r in self._replicas if r.role in ("unified", "prefill")]
+    def _candidates(self, pool: str, now: float) -> list[_Replica]:
+        """The routable replicas of ``pool`` at ``now``, in index order.
+
+        Shared (routers only read it) until routability can change: a
+        fail, recover, scale or probation clears the cache, and ``now``
+        reaching the earliest pending warm-up or probation end expires it.
+        """
+        cached = self._routable.get(pool)
+        if cached is None or now >= cached[1]:
+            members = self._pools[pool]
+            ends = [
+                until for r in members
+                for until in (r.warm_until, r.probation_until) if until > now
+            ]
+            routable = [r for r in members if r.routable(now)]
+            cached = self._routable[pool] = (routable, min(ends, default=float("inf")))
+        return cached[0]
+
+    def _route(self, seq: _Sequence, now: float, pool: str) -> _Replica | None:
+        """Pick a routable replica of ``pool``, or park ``seq`` (None)."""
+        candidates = self._candidates(pool, now)
+        if not candidates:
+            self._pending[pool].append(seq)
+            return None
+        return self._router.choose(seq.request, candidates, now)
 
     def _dispatch(self, seq: _Sequence, now: float, pool: str = "entry") -> None:
         """Route one sequence, or park it until a replica is routable."""
-        candidates = [r for r in self._pool(pool) if r.routable(now)]
-        if not candidates:
-            self._pending[pool].append(seq)
-            return
-        pick = self._router.choose(seq.request, candidates, now)
-        self._dispatches.append(
-            DispatchRecord(seq.request.rid, now, pick.index, pool)
-        )
-        pick.waiting_q.append(seq)
-        pick.wake()
+        pick = self._route(seq, now, pool)
+        if pick is not None:
+            self._dispatches.append(
+                DispatchRecord(seq.request.rid, now, pick.index, pool)
+            )
+            pick.enqueue(seq)
+            pick.wake()
 
     def _flush_pending(self, now: float) -> None:
         """Re-route parked sequences after a recovery or warm-up.
@@ -486,13 +506,13 @@ class FleetEngine:
             return
         groups: dict[int, list[_Sequence]] = {}
         for seq in seqs:
-            candidates = [r for r in self._pool(pool) if r.routable(now)]
-            if not candidates:
-                self._pending[pool].append(seq)
-                continue
-            pick = self._router.choose(seq.request, candidates, now)
-            groups.setdefault(pick.index, []).append(seq)
+            pick = self._route(seq, now, pool)
+            if pick is not None:
+                groups.setdefault(pick.index, []).append(seq)
         config = self.scenario.config
+        mult = (
+            self._faults.brownout_mult(now) if self._faults is not None else 1.0
+        )
         for index in sorted(groups):
             group = groups[index]
             if pool == "decode":
@@ -507,30 +527,17 @@ class FleetEngine:
                     sum(seq.request.prompt_tokens for seq in group)
                     * config.token_bytes
                 )
-            self._transfer(group, index, nbytes, now, pool)
-
-    def _transfer(
-        self,
-        seqs: list[_Sequence],
-        index: int,
-        nbytes: float,
-        now: float,
-        pool: str,
-    ) -> None:
-        for seq in seqs:
-            self._dispatches.append(
-                DispatchRecord(seq.request.rid, now, index, pool)
+            for seq in group:
+                self._dispatches.append(
+                    DispatchRecord(seq.request.rid, now, index, pool)
+                )
+            delay = self._migration.transfer_ms(nbytes, len(group), mult=mult)
+            # Tag each sequence with its attempt number: a front-door retry
+            # cancels in-flight copies, so stale deliveries must drop.
+            tagged = [(seq, seq.attempt) for seq in group]
+            self._env.process(
+                self._deliver(self._env, self._replicas[index], tagged, delay, pool)
             )
-        mult = (
-            self._faults.brownout_mult(now) if self._faults is not None else 1.0
-        )
-        delay = self._migration.transfer_ms(nbytes, len(seqs), mult=mult)
-        # Tag each sequence with its attempt number: a front-door retry
-        # cancels in-flight copies, so stale deliveries must drop.
-        tagged = [(seq, seq.attempt) for seq in seqs]
-        self._env.process(
-            self._deliver(self._env, self._replicas[index], tagged, delay, pool)
-        )
 
     def _deliver(
         self,
@@ -551,7 +558,8 @@ class FleetEngine:
         if not arrived:
             return
         if rep.routable(now):
-            rep.waiting_q.extend(arrived)
+            for seq in arrived:
+                rep.enqueue(seq)
             rep.wake()
             return
         # Destination crashed or was quarantined in flight: the payload
@@ -565,9 +573,6 @@ class FleetEngine:
             if delay > 0:
                 yield env.timeout(delay)
             seq = _Sequence(request)
-            seq.cancelled = False
-            seq.attempt = 0
-            seq.finished = False
             if (
                 res is not None
                 and res.wants_shed
@@ -591,7 +596,7 @@ class FleetEngine:
         configured, still bound its wait).
         """
         res = self._resilience
-        candidates = [r for r in self._pool("entry") if r.routable(now)]
+        candidates = self._candidates("entry", now)
         if not candidates:
             return False
         estimate = min(r.queue_depth * r.last_step_ms for r in candidates)
@@ -611,16 +616,16 @@ class FleetEngine:
         """Pull a sequence out of every queue it could occupy.
 
         Bumping ``attempt`` invalidates in-flight migration deliveries
-        even if the sequence is later re-dispatched.
+        and completion-map entries, even if the sequence is later
+        re-dispatched to the same replica.
         """
         seq.cancelled = True
         seq.attempt += 1
         for rep in self._replicas:
-            _discard(rep.waiting_q, seq)
-            _discard(rep.current_admitted, seq)
-            _discard(rep.running_q, seq)
+            rep.discard(seq)
         for queue in self._pending.values():
-            _discard(queue, seq)
+            if seq in queue:
+                queue.remove(seq)
 
     def _frontdoor(self, env: Environment, seq: _Sequence) -> Generator:
         """Per-request deadline loop: cancel, retry with backoff, give up.
@@ -654,48 +659,10 @@ class FleetEngine:
             self._dispatch(seq, env.now)
 
     # -- per-replica engine ---------------------------------------------------
-    def _admit(self, rep: _Replica, now: float) -> list[_Sequence]:
-        """Replica-local admission: the single-replica algorithm, with a
-        decode twist — a resuming decode costs one budget token, not its
-        prompt length (its KV is already resident)."""
-        if not rep.waiting_q:
-            return []
-        rep.waiting_q.sort(
-            key=lambda seq: (
-                self._policy(seq, now, rep.cost_model, self.scenario.slo_ttft_ms),
-                seq.request.rid,
-            )
-        )
-        decode_role = rep.role == "decode"
-        running_count = len(rep.running_q)
-        admitted: list[_Sequence] = []
-        used = running_count
-        slots = self.scenario.max_batch_size - running_count
-        remaining: list[_Sequence] = []
-        budget = self.scenario.max_batch_tokens
-        for index, seq in enumerate(rep.waiting_q):
-            cost = 1 if decode_role else seq.request.prompt_tokens
-            if (
-                not decode_role
-                and not admitted
-                and not running_count
-                and cost > budget
-            ):
-                admitted.append(seq)
-                remaining.extend(rep.waiting_q[index + 1:])
-                break
-            if len(admitted) < slots and used + cost <= budget:
-                admitted.append(seq)
-                used += cost
-            else:
-                remaining.append(seq)
-        rep.waiting_q = remaining
-        return admitted
-
     def _engine(self, env: Environment, rep: _Replica) -> Generator:
         total = len(self.trace)
         while True:
-            if not rep.waiting_q and not rep.running_q:
+            if not rep.waiting and not rep.resident:
                 if not rep.active:
                     # Drained after scale-down: stop the meter.
                     rep.close_window(env.now)
@@ -706,33 +673,10 @@ class FleetEngine:
                 rep.wakeup = None
                 continue
 
-            now = env.now
-            rep.current_admitted = self._admit(rep, now)
-            admitted = rep.current_admitted
-            if rep.role == "decode":
-                prefill_tokens = 0
-                decode_tokens = len(rep.running_q) + len(admitted)
-            else:
-                prefill_tokens = sum(
-                    s.request.prompt_tokens for s in admitted
-                )
-                decode_tokens = len(rep.running_q)
-            # Same post-admission sampling convention as the
-            # single-replica scheduler's timeline.
-            self._timelines[rep.index].append(
-                TimelinePoint(
-                    t_ms=now,
-                    queue_depth=len(rep.waiting_q),
-                    batch_tokens=prefill_tokens + decode_tokens,
-                    running=len(rep.running_q) + len(admitted),
-                )
-            )
-            step = _price_step(
-                rep.cost_model, now, prefill_tokens, decode_tokens
-            )
+            step = rep.launch(env.now)
             rep.last_step_ms = step
             rep.in_step = True
-            rep.step_started = now
+            rep.step_started = env.now
             try:
                 yield env.timeout(step)
             except Interrupt:
@@ -742,73 +686,29 @@ class FleetEngine:
                 continue
             rep.in_step = False
             rep.busy_ms += step
-            rep.steps += 1
             now = env.now
-            admitted = rep.current_admitted
-            rep.current_admitted = []
-
+            admitted, retired = rep.close(now)
+            if self._track_health and rep.role != "decode":
+                rep.ttft_samples.extend(
+                    (now, now - seq.request.arrival_ms) for seq in admitted
+                )
+            for seq in retired:
+                self._finish(seq, now, rep)
             if rep.role == "prefill":
                 # Prefill boundary: first token emitted here, the rest
                 # of the generation migrates to the decode pool (KV
                 # handoff batched over the inter-replica link when a
                 # MigrationSpec is set, free otherwise — see module doc).
-                handoff: list[_Sequence] = []
-                for seq in admitted:
-                    seq.first_token_ms = now
-                    seq.generated = 1
-                    if self._track_health:
-                        rep.ttft_samples.append(
-                            (now, now - seq.request.arrival_ms)
-                        )
-                    rep.requests += 1
-                    if seq.done:
-                        self._finish(seq, now, rep, count=False)
-                    else:
-                        handoff.append(seq)
+                rep.requests += len(admitted) - len(retired)
+                handoff = [seq for seq in admitted if not seq.done]
                 if handoff:
                     self._send(handoff, now, "decode")
-                continue
 
-            if rep.role == "decode":
-                for seq in rep.running_q:
-                    seq.generated += 1
-                for seq in admitted:
-                    seq.generated += 1
-            else:
-                for seq in admitted:
-                    seq.first_token_ms = now
-                    seq.generated = 1
-                    if self._track_health:
-                        rep.ttft_samples.append(
-                            (now, now - seq.request.arrival_ms)
-                        )
-                for seq in rep.running_q:
-                    seq.generated += 1
-            still_running: list[_Sequence] = []
-            for seq in rep.running_q + admitted:
-                if seq.done:
-                    self._finish(seq, now, rep)
-                else:
-                    still_running.append(seq)
-            rep.running_q = still_running
-
-    def _finish(
-        self, seq: _Sequence, now: float, rep: _Replica, count: bool = True
-    ) -> None:
-        self._records.append(
-            RequestRecord(
-                rid=seq.request.rid,
-                arrival_ms=seq.request.arrival_ms,
-                first_token_ms=seq.first_token_ms,
-                completion_ms=now,
-                prompt_tokens=seq.request.prompt_tokens,
-                output_tokens=seq.request.output_tokens,
-            )
-        )
+    def _finish(self, seq: _Sequence, now: float, rep: _Replica) -> None:
+        self._records.append(_record(seq, now))
         seq.finished = True
         self._resolved += 1
-        if count:
-            rep.requests += 1
+        rep.requests += 1
 
     # -- failure injection ----------------------------------------------------
     def _failure(self, env: Environment, event) -> Generator:
@@ -816,24 +716,20 @@ class FleetEngine:
         rep = self._replicas[event.replica]
         if rep.healthy:
             rep.healthy = False
+            self._routable.clear()
             self._events.append(FleetEvent(env.now, rep.index, "fail"))
             # Reclaim everything the replica held; its KV is gone, so
             # every sequence restarts from un-prefilled state.
-            reclaimed = rep.waiting_q + rep.current_admitted + rep.running_q
-            rep.waiting_q = []
-            rep.running_q = []
-            rep.current_admitted = []
+            reclaimed = rep.reclaim()
             if rep.in_step:
                 rep.process.interrupt("replica failure")
             reclaimed.sort(key=lambda s: s.request.rid)
-            for seq in reclaimed:
-                seq.first_token_ms = float("nan")
-                seq.generated = 0
             if reclaimed:
                 self._send(reclaimed, env.now, "entry")
         if event.recover_ms is not None:
             yield env.timeout(event.recover_ms - env.now)
             rep.healthy = True
+            self._routable.clear()
             self._events.append(FleetEvent(env.now, rep.index, "recover"))
             self._recoveries_outstanding -= 1
             self._flush_pending(env.now)
@@ -913,7 +809,7 @@ class FleetEngine:
             pool = "decode" if rep.role == "decode" else "entry"
             peers = [
                 r
-                for r in self._pool(pool)
+                for r in self._pools[pool]
                 if r is not rep and r.routable(now)
             ]
             if peers:
@@ -925,8 +821,7 @@ class FleetEngine:
         res = self._resilience
         rep.probations += 1
         rep.ttft_samples = []
-        drained = rep.waiting_q
-        rep.waiting_q = []
+        drained = rep.drain()
         if rep.probations > res.max_probations:
             rep.evicted = True
             self._events.append(FleetEvent(now, rep.index, "evict"))
@@ -934,6 +829,7 @@ class FleetEngine:
             rep.probation_until = now + res.probation_ms
             self._events.append(FleetEvent(now, rep.index, "probation"))
             self._env.process(self._readmit(self._env, rep))
+        self._routable.clear()
         if drained:
             # Running sequences finish in place (their KV is resident
             # and healthy); only queued work re-routes.
@@ -957,7 +853,7 @@ class FleetEngine:
         return not any(rep.healthy for rep in self._replicas)
 
     def _fleet_backlog(self) -> int:
-        waiting = sum(len(rep.waiting_q) for rep in self._replicas)
+        waiting = sum(rep.queue_depth for rep in self._replicas)
         return waiting + sum(len(q) for q in self._pending.values())
 
     def _warmup_flush(self, env: Environment, rep: _Replica) -> Generator:
@@ -989,6 +885,7 @@ class FleetEngine:
                     rep.activated_at = now
                     rep.warm_until = now + scaler.warmup_ms
                 # else: still draining, hence still warm — reuse as-is.
+                self._routable.clear()
                 self._events.append(FleetEvent(now, rep.index, "up"))
                 cooldown_until = now + scaler.cooldown_ms
                 if now >= rep.warm_until:
@@ -1006,7 +903,8 @@ class FleetEngine:
                     key=lambda r: (r.backlog_tokens, r.running, -r.index),
                 )
                 victim.active = False
+                self._routable.clear()
                 self._events.append(FleetEvent(now, victim.index, "down"))
-                if not victim.waiting_q and not victim.running_q:
+                if not victim.waiting and not victim.resident:
                     victim.close_window(now)
                 cooldown_until = now + scaler.cooldown_ms

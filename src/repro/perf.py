@@ -16,7 +16,11 @@ Six switchable fast paths (see :class:`PerfConfig`):
   ``LayerTiming`` by ``(system fingerprint, workload fingerprint)``
   across grids, training steps, and serving runs;
 * ``fast_serve_loop`` — the sequential transcription of the serving
-  DES in :mod:`repro.serve.scheduler`;
+  DES in :mod:`repro.serve.scheduler`, and the keyed
+  :class:`~repro.serve.scheduler.ReplicaCore` step kernel under it and
+  under every replica of the fleet co-simulation: sequences retire from
+  a completion map keyed by step instead of a per-token count over
+  every running sequence;
 * ``graph_symmetry`` — rank-blocked multi-rank graphs fold
   exchangeable ranks to one representative per equivalence class
   before scheduling (:func:`repro.graph.scheduler.reduce_symmetry`);

@@ -19,6 +19,11 @@ order is pluggable through :data:`POLICY_REGISTRY` — FCFS,
 shortest-prompt-first, and an SLO-aware least-slack policy ship
 built in.
 
+One replica's queues and step kernel (admit, launch, retire) live in
+:class:`ReplicaCore`; the DES, the fast sequential loop, and every
+replica of the fleet co-simulation (:mod:`repro.fleet.simulator`) are
+thin drivers over it.
+
 Everything is deterministic: the trace is fixed, the DES event queue
 breaks ties by sequence number, and admission sorts use stable keys with
 the request id as final tiebreaker.
@@ -39,17 +44,24 @@ from repro.sim.engine import Environment, Event
 __all__ = [
     "POLICY_REGISTRY",
     "ContinuousBatchingScheduler",
+    "ReplicaCore",
     "SchedulerPolicy",
 ]
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Sequence:
-    """Mutable in-flight state of one request."""
+    """Mutable in-flight state of one request, compared and hashed by
+    identity.  ``attempt`` counts front-door cancellations: completion-map
+    entries and in-flight KV migrations remember the attempt they were
+    made for and go stale once it moves on."""
 
     request: Request
     first_token_ms: float = float("nan")
     generated: int = 0
+    attempt: int = 0
+    cancelled: bool = False
+    finished: bool = False
 
     @property
     def done(self) -> bool:
@@ -98,18 +110,224 @@ def slo_aware(seq: _Sequence, now: float, cost: StepCostModel, slo: float) -> fl
     return deadline - now - cost.prefill_ms(seq.request.prompt_tokens)
 
 
-def _price_step(cost_model, now: float, prefill_tokens: int, decode_tokens: int) -> float:
-    """Price one engine step launched at ``now`` ms.
+def _record(seq: _Sequence, now: float) -> RequestRecord:
+    """The completion record of ``seq``, retired at ``now``."""
+    request = seq.request
+    return RequestRecord(
+        rid=request.rid,
+        arrival_ms=request.arrival_ms,
+        first_token_ms=seq.first_token_ms,
+        completion_ms=now,
+        prompt_tokens=request.prompt_tokens,
+        output_tokens=request.output_tokens,
+    )
 
-    Cost models expose :meth:`StepCostModel.step_ms_at` so a
-    :class:`~repro.faults.plan.TimeVaryingStepCost` can follow a fault
-    plan's degradation windows; duck-typed stand-ins that only implement
-    ``step_ms`` fall back to the time-invariant price.
+
+class ReplicaCore:
+    """One replica's queues and step kernel: admit, launch, retire.
+
+    ``waiting`` carries ``waiting_tokens``, the running total of its
+    admission cost; ``resident`` is the insertion-ordered set of
+    sequences that closed a step here; ``admitted`` is the launched
+    step's batch.  A ``"prefill"`` role hands every admission back at
+    the prefill boundary; a ``"decode"`` role admits resuming decodes
+    at one budget token each (their KV is resident).
+
+    Retirement: a sequence admitted at step ``k`` with generated count
+    ``g`` after that step retires when step ``k + output_tokens - g``
+    closes.  A ``keyed`` core files it there in a completion map, tagged
+    with its ``attempt`` so a front-door cancel stales the entry, and a
+    step costs O(admitted + completed); otherwise the reference
+    :meth:`retire_per_token` counts every running sequence's token.
     """
-    step_at = getattr(cost_model, "step_ms_at", None)
-    if step_at is not None:
-        return step_at(now, prefill_tokens, decode_tokens)
-    return cost_model.step_ms(prefill_tokens, decode_tokens)
+
+    def __init__(
+        self,
+        policy: SchedulerPolicy,
+        cost_model: StepCostModel,
+        slo_ttft_ms: float,
+        max_batch_tokens: int,
+        max_batch_size: int,
+        role: str = "unified",
+        keyed: bool = True,
+    ):
+        self.policy = policy
+        self.cost_model = cost_model
+        self.slo_ttft_ms = slo_ttft_ms
+        self.max_batch_tokens = max_batch_tokens
+        self.max_batch_size = max_batch_size
+        self.role = role
+        self._resuming = role == "decode"
+        self._hands_off = role == "prefill"
+        self.waiting: list[_Sequence] = []
+        self.waiting_tokens = 0
+        self.resident: dict[_Sequence, None] = {}
+        self.admitted: list[_Sequence] = []
+        self.steps = 0
+        self.timeline: list[TimelinePoint] = []
+        self._completes: dict[int, list[tuple[_Sequence, int]]] | None = (
+            {} if keyed else None
+        )
+
+    # -- router-facing load signals: O(1) reads of the queues ----------------
+    @property
+    def queue_depth(self) -> int:
+        return len(self.waiting)
+
+    @property
+    def running(self) -> int:
+        return len(self.resident) + len(self.admitted)
+
+    @property
+    def backlog_tokens(self) -> int:
+        """Tokens of work still owed: waiting prompts (one token per
+        waiting decode resume) plus one token per running sequence."""
+        return self.waiting_tokens + len(self.resident) + len(self.admitted)
+
+    # -- queue edits -----------------------------------------------------------
+    def enqueue(self, seq: _Sequence) -> None:
+        self.waiting.append(seq)
+        self.waiting_tokens += 1 if self._resuming else seq.request.prompt_tokens
+
+    def drain(self) -> list[_Sequence]:
+        """Empty the waiting queue and return what it held."""
+        drained, self.waiting, self.waiting_tokens = self.waiting, [], 0
+        return drained
+
+    def discard(self, seq: _Sequence) -> None:
+        """Drop ``seq`` wherever it sits here; the caller bumps
+        ``seq.attempt``, staling any completion-map entry it leaves."""
+        if seq in self.resident:
+            del self.resident[seq]
+        elif seq in self.admitted:
+            self.admitted.remove(seq)
+        elif seq in self.waiting:
+            self.waiting.remove(seq)
+            self.waiting_tokens -= 1 if self._resuming else seq.request.prompt_tokens
+
+    def reclaim(self) -> list[_Sequence]:
+        """Empty the replica (its KV is lost): every sequence it held,
+        reset to un-prefilled."""
+        reclaimed = [*self.drain(), *self.admitted, *self.resident]
+        self.admitted, self.resident = [], {}
+        if self._completes is not None:
+            self._completes.clear()
+        for seq in reclaimed:
+            seq.first_token_ms = float("nan")
+            seq.generated = 0
+        return reclaimed
+
+    # -- the step kernel -------------------------------------------------------
+    def launch(self, now: float) -> float:
+        """Admit, sample the timeline and price one step launched at
+        ``now`` (at the price in force then); returns its length in ms.
+
+        Admission is policy-ordered first fit under the token budget: one
+        token per resident sequence plus each admission's cost.  A prompt
+        longer than the whole budget is admitted alone on an otherwise
+        idle replica (it can never fit better), so no request can
+        deadlock the queue.
+        """
+        resident = len(self.resident)
+        resuming = self._resuming
+        admitted: list[_Sequence] = []
+        used = resident
+        waiting = self.waiting
+        if waiting:
+            policy, cost_model, slo = self.policy, self.cost_model, self.slo_ttft_ms
+            waiting.sort(
+                key=lambda seq: (policy(seq, now, cost_model, slo), seq.request.rid)
+            )
+            budget = self.max_batch_tokens
+            slots = self.max_batch_size - resident
+            remaining: list[_Sequence] = []
+            for index, seq in enumerate(waiting):
+                cost = 1 if resuming else seq.request.prompt_tokens
+                if not resuming and not admitted and not resident and cost > budget:
+                    admitted.append(seq)
+                    used += cost
+                    remaining.extend(waiting[index + 1:])
+                    break
+                if len(admitted) < slots and used + cost <= budget:
+                    admitted.append(seq)
+                    used += cost
+                else:
+                    remaining.append(seq)
+            self.waiting = remaining
+            self.waiting_tokens -= used - resident
+        if resuming:
+            prefill_tokens, decode_tokens = 0, used
+        else:
+            prefill_tokens, decode_tokens = used - resident, resident
+        completes = self._completes
+        if completes is not None and not self._hands_off:
+            step = self.steps
+            for seq in admitted:
+                left = seq.request.output_tokens - (seq.generated + 1 if resuming else 1)
+                key = step + left if left > 0 else step
+                completes.setdefault(key, []).append((seq, seq.attempt))
+        self.admitted = admitted
+        self.timeline.append(TimelinePoint(
+            t_ms=now, queue_depth=len(self.waiting),
+            batch_tokens=prefill_tokens + decode_tokens, running=resident + len(admitted),
+        ))
+        # StepCostModel.step_ms_at lets a TimeVaryingStepCost follow a
+        # fault plan's degradation windows; duck-typed stand-ins that only
+        # implement step_ms get the time-invariant price.
+        step_at = getattr(self.cost_model, "step_ms_at", None)
+        if step_at is not None:
+            return step_at(now, prefill_tokens, decode_tokens)
+        return self.cost_model.step_ms(prefill_tokens, decode_tokens)
+
+    # parity: repro.serve.scheduler.ReplicaCore.retire_per_token
+    def close(self, now: float) -> tuple[list[_Sequence], list[_Sequence]]:
+        """Close the launched step at ``now``; returns ``(admitted,
+        retired)``, the retired having left the replica.
+
+        Admissions emit a prefill's first token (its TTFT) or a resuming
+        decode's next.  Every admission leaves a prefill replica; those
+        with nothing left to generate retire.  Keyed, ``generated`` stays
+        exact only for waiting and just-admitted sequences.
+        """
+        step = self.steps
+        self.steps = step + 1
+        admitted, self.admitted = self.admitted, []
+        if self._resuming:
+            for seq in admitted:
+                seq.generated += 1
+        else:
+            for seq in admitted:
+                seq.first_token_ms = now
+                seq.generated = 1
+        if self._hands_off:
+            return admitted, [seq for seq in admitted if seq.done]
+        completes = self._completes
+        if completes is None:
+            return admitted, self.retire_per_token(admitted)
+        resident = self.resident
+        for seq in admitted:
+            resident[seq] = None
+        retired = []
+        for seq, attempt in completes.pop(step, ()):
+            if seq.attempt == attempt:
+                del resident[seq]
+                retired.append(seq)
+        return admitted, retired
+
+    def retire_per_token(self, admitted: list[_Sequence]) -> list[_Sequence]:
+        """The per-token reference retirement: every resident sequence
+        counts its new token, then the finished ones retire."""
+        for seq in self.resident:
+            seq.generated += 1
+        retired: list[_Sequence] = []
+        still_running: dict[_Sequence, None] = {}
+        for seq in [*self.resident, *admitted]:
+            if seq.done:
+                retired.append(seq)
+            else:
+                still_running[seq] = None
+        self.resident = still_running
+        return retired
 
 
 @dataclass
@@ -136,9 +354,8 @@ class ContinuousBatchingScheduler:
 
     records: list[RequestRecord] = field(default_factory=list, init=False)
     timeline: list[TimelinePoint] = field(default_factory=list, init=False)
-    #: Simulated time spent inside engine steps (the replica-utilization
-    #: numerator for fleet accounting). Both loops accumulate the exact
-    #: same step_ms sequence, so the value is loop-independent.
+    #: Simulated time spent inside engine steps (the fleet's utilization
+    #: numerator); both loops sum the same step_ms sequence.
     busy_ms: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
@@ -151,8 +368,6 @@ class ContinuousBatchingScheduler:
                 f"max_batch_size must be positive, got {self.max_batch_size}"
             )
         self._policy: SchedulerPolicy = POLICY_REGISTRY.get(self.policy)
-        self._waiting: list[_Sequence] = []
-        self._running: list[_Sequence] = []
         self._pending_arrivals = 0
         self._wakeup: Event | None = None
 
@@ -162,102 +377,25 @@ class ContinuousBatchingScheduler:
             delay = request.arrival_ms - env.now
             if delay > 0:
                 yield env.timeout(delay)
-            self._waiting.append(_Sequence(request))
+            self._core.enqueue(_Sequence(request))
             self._pending_arrivals -= 1
             if self._wakeup is not None and not self._wakeup.triggered:
                 self._wakeup.succeed()
 
-    def _admit(self, now: float, running_count: int) -> list[_Sequence]:
-        """Pop waiting sequences into this iteration, policy-ordered.
-
-        The budget covers one token per running decode plus each admitted
-        prompt.  A prompt longer than the whole budget is admitted alone
-        on an otherwise-empty engine (it can never fit better), so no
-        request can deadlock the queue.
-        """
-        if not self._waiting:
-            return []
-        self._waiting.sort(
-            key=lambda seq: (
-                self._policy(seq, now, self.cost_model, self.slo_ttft_ms),
-                seq.request.rid,
-            )
-        )
-        admitted: list[_Sequence] = []
-        used = running_count
-        slots = self.max_batch_size - running_count
-        remaining: list[_Sequence] = []
-        for index, seq in enumerate(self._waiting):
-            prompt = seq.request.prompt_tokens
-            if (
-                not admitted
-                and not running_count
-                and prompt > self.max_batch_tokens
-            ):
-                # A prompt longer than the whole budget on an idle engine:
-                # run it by itself; everything else waits a turn.
-                admitted.append(seq)
-                remaining.extend(self._waiting[index + 1:])
-                break
-            if len(admitted) < slots and used + prompt <= self.max_batch_tokens:
-                admitted.append(seq)
-                used += prompt
-            else:
-                remaining.append(seq)
-        self._waiting = remaining
-        return admitted
-
     def _engine(self, env: Environment) -> Generator:
-        while self._pending_arrivals or self._waiting or self._running:
-            if not self._waiting and not self._running:
+        core = self._core
+        while self._pending_arrivals or core.waiting or core.resident:
+            if not core.waiting and not core.resident:
                 # Idle: sleep until the arrival process releases work.
                 self._wakeup = env.event()
                 yield self._wakeup
                 self._wakeup = None
                 continue
-
-            now = env.now
-            admitted = self._admit(now, len(self._running))
-            prefill_tokens = sum(s.request.prompt_tokens for s in admitted)
-            decode_tokens = len(self._running)
-            self.timeline.append(
-                TimelinePoint(
-                    t_ms=now,
-                    queue_depth=len(self._waiting),
-                    batch_tokens=prefill_tokens + decode_tokens,
-                    running=len(self._running) + len(admitted),
-                )
-            )
-            step = _price_step(
-                self.cost_model, now, prefill_tokens, decode_tokens
-            )
+            step = core.launch(env.now)
             self.busy_ms += step
             yield env.timeout(step)
             now = env.now
-
-            for seq in admitted:
-                # Prefill completes and emits the first output token.
-                seq.first_token_ms = now
-                seq.generated = 1
-            for seq in self._running:
-                seq.generated += 1
-
-            still_running: list[_Sequence] = []
-            for seq in self._running + admitted:
-                if seq.done:
-                    self.records.append(
-                        RequestRecord(
-                            rid=seq.request.rid,
-                            arrival_ms=seq.request.arrival_ms,
-                            first_token_ms=seq.first_token_ms,
-                            completion_ms=now,
-                            prompt_tokens=seq.request.prompt_tokens,
-                            output_tokens=seq.request.output_tokens,
-                        )
-                    )
-                else:
-                    still_running.append(seq)
-            self._running = still_running
+            self.records.extend(_record(seq, now) for seq in core.close(now)[1])
 
     # -- fast sequential loop -------------------------------------------------
     # parity: repro.serve.scheduler.ContinuousBatchingScheduler._run_des
@@ -267,19 +405,15 @@ class ContinuousBatchingScheduler:
         The DES above only ever has two event streams in flight: the
         arrival process's next timeout (or its process-done event) and
         the engine's step timeout (or its wakeup).  This loop replays
-        exactly those events, including the environment's
-        ``(time, seq)`` tie-breaking (``seq`` counters are incremented at
-        the same points ``Environment._schedule`` would), so records and
-        timeline match the DES byte for byte — the equivalence tests
-        enforce it.  What it drops is the generator/event machinery and
-        the per-token bookkeeping: a sequence admitted at engine
-        iteration ``k`` with ``o`` output tokens deterministically
-        completes at iteration ``k + o - 1``, so completions come from a
-        per-iteration map instead of per-step counter increments over
-        every running sequence.
+        exactly those events, including the environment's ``(time,
+        seq)`` tie-breaking (``seq`` counters move where
+        ``Environment._schedule`` would move them), so records and
+        timeline match the DES byte for byte without its generators.
         """
         trace = self.trace
         n = len(trace)
+        core = self._core
+        records = self.records
         eid = 2  # the two process-Initialize events consumed eids 1 and 2
 
         # Arrival channel: ("timeout", fire_time, eid) or exhausted (None).
@@ -290,11 +424,6 @@ class ContinuousBatchingScheduler:
         e_event: tuple[float, int] | None = None
         w_event: tuple[float, int] | None = None
         engine_sleeping = False
-
-        running_count = 0
-        steps_launched = 0
-        completes_at: dict[int, list[_Sequence]] = {}
-        pending_admitted: list[_Sequence] = []
 
         def resume_arrivals(t: float) -> None:
             """The arrival generator's resume: append due requests, then
@@ -307,7 +436,7 @@ class ContinuousBatchingScheduler:
                     eid += 1
                     a_event = (t + delay, eid)
                     return
-                self._waiting.append(_Sequence(request))
+                core.enqueue(_Sequence(request))
                 a_index += 1
                 self._pending_arrivals -= 1
                 if engine_sleeping and w_event is None:
@@ -319,57 +448,21 @@ class ContinuousBatchingScheduler:
         def resume_engine(t: float, finish_step: bool) -> None:
             """The engine generator's resume: close the previous step (if
             any), then run the loop until it suspends again."""
-            nonlocal eid, e_event, engine_sleeping, running_count
-            nonlocal steps_launched
+            nonlocal eid, e_event, engine_sleeping
             if finish_step:
-                for seq in pending_admitted:
-                    seq.first_token_ms = t
-                    seq.generated = 1
-                completed = completes_at.pop(steps_launched - 1, [])
-                for seq in completed:
-                    self.records.append(
-                        RequestRecord(
-                            rid=seq.request.rid,
-                            arrival_ms=seq.request.arrival_ms,
-                            first_token_ms=seq.first_token_ms,
-                            completion_ms=t,
-                            prompt_tokens=seq.request.prompt_tokens,
-                            output_tokens=seq.request.output_tokens,
-                        )
-                    )
-                running_count += len(pending_admitted) - len(completed)
-                pending_admitted.clear()
-            if not (self._pending_arrivals or self._waiting or running_count):
+                for seq in core.close(t)[1]:
+                    records.append(_record(seq, t))
+            if not (self._pending_arrivals or core.waiting or core.resident):
                 eid += 1  # the engine Process event triggers; run() returns
                 e_event = None
                 return
-            if not self._waiting and not running_count:
+            if not core.waiting and not core.resident:
                 engine_sleeping = True  # wakeup Event created, not scheduled
                 e_event = None
                 return
-            admitted = self._admit(t, running_count)
-            prefill_tokens = sum(s.request.prompt_tokens for s in admitted)
-            decode_tokens = running_count
-            self.timeline.append(
-                TimelinePoint(
-                    t_ms=t,
-                    queue_depth=len(self._waiting),
-                    batch_tokens=prefill_tokens + decode_tokens,
-                    running=running_count + len(admitted),
-                )
-            )
-            step_index = steps_launched
-            steps_launched += 1
-            for seq in admitted:
-                completes_at.setdefault(
-                    step_index + seq.request.output_tokens - 1, []
-                ).append(seq)
-            pending_admitted.extend(admitted)
-            eid += 1
-            step = _price_step(
-                self.cost_model, t, prefill_tokens, decode_tokens
-            )
+            step = core.launch(t)
             self.busy_ms += step
+            eid += 1
             e_event = (t + step, eid)
 
         # Initialize events fire in creation order at t=0.
@@ -378,21 +471,19 @@ class ContinuousBatchingScheduler:
 
         while True:
             # Pop the earliest pending event; (time, eid) tie-breaking
-            # matches the DES queue ordering exactly.
-            candidates = []
-            if a_event is not None:
-                candidates.append((a_event, "arrival"))
-            if w_event is not None:
-                candidates.append((w_event, "wakeup"))
-            if e_event is not None:
-                candidates.append((e_event, "step"))
-            if not candidates:
+            # matches the DES queue ordering exactly (eids never tie).
+            event = a_event
+            if w_event is not None and (event is None or w_event < event):
+                event = w_event
+            if e_event is not None and (event is None or e_event < event):
+                event = e_event
+            if event is None:
                 return
-            (when, _), kind = min(candidates)
-            if kind == "arrival":
+            when = event[0]
+            if event is a_event:
                 a_event = None
                 resume_arrivals(when)
-            elif kind == "wakeup":
+            elif event is w_event:
                 w_event = None
                 engine_sleeping = False
                 resume_engine(when, finish_step=False)
@@ -414,17 +505,20 @@ class ContinuousBatchingScheduler:
         Every request is served (the scheduler never drops), so the run
         terminates once the backlog drains.  Records are sorted by
         request id, making the output order independent of completion
-        interleaving.  The fast sequential loop and the DES produce
-        byte-identical results; :data:`repro.perf.CONFIG` selects which
-        one runs.
+        interleaving.  The fast loop over a keyed core and the DES over
+        the per-token core produce byte-identical results;
+        :data:`repro.perf.CONFIG` selects which pair runs.
         """
+        fast = PERF_CONFIG.fast_serve_loop
+        self._core = ReplicaCore(
+            self._policy, self.cost_model, self.slo_ttft_ms,
+            self.max_batch_tokens, self.max_batch_size, keyed=fast,
+        )
         self.records.clear()
-        self.timeline.clear()
+        self.timeline = self._core.timeline
         self.busy_ms = 0.0
-        self._waiting.clear()
-        self._running.clear()
         self._pending_arrivals = len(self.trace)
-        if PERF_CONFIG.fast_serve_loop:
+        if fast:
             self._run_fast()
         else:
             self._run_des()

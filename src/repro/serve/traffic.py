@@ -23,7 +23,8 @@ LLM traffic), clipped to ``[1, max]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -95,6 +96,23 @@ class TraceSpec:
                 f"unknown trace kind {self.kind!r}; valid kinds: "
                 f"{', '.join(TRACE_REGISTRY.names())}"
             )
+        # Every number must be finite: NaN slips past each ordered
+        # comparison below, and an infinite rate or horizon never ends
+        # trace generation.
+        numbers = [
+            (spec_field.name, getattr(self, spec_field.name))
+            for spec_field in fields(self)
+            if spec_field.name not in ("kind", "arrivals_ms", "replay_lengths")
+        ]
+        numbers += [("arrivals_ms", value) for value in self.arrivals_ms]
+        numbers += [
+            ("replay_lengths", value)
+            for pair in self.replay_lengths
+            for value in pair
+        ]
+        for name, value in numbers:
+            if not (isinstance(value, int) or math.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind != "replay":
             if self.rps <= 0:
                 raise ValueError(f"rps must be positive, got {self.rps}")

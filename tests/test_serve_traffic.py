@@ -122,6 +122,36 @@ class TestValidation:
         assert trace
         assert all(r.arrival_ms < 30_000 for r in trace)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "rps", "duration_s", "prompt_mean", "prompt_sigma", "max_prompt",
+            "output_mean", "output_sigma", "max_output", "burst_factor",
+            "burst_fraction", "burst_dwell_s", "amplitude",
+        ],
+    )
+    def test_non_finite_number_rejected(self, name, value):
+        # Regression: rps=nan built 256 requests with NaN TTFTs,
+        # duration_s=nan an empty trace, and rps/duration_s=inf hung.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TraceSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_replay_arrival_rejected(self, value):
+        with pytest.raises(ValueError, match="arrivals_ms must be finite"):
+            TraceSpec(kind="replay", arrivals_ms=(1.0, value))
+
+    def test_non_finite_replay_length_rejected(self):
+        with pytest.raises(ValueError, match="replay_lengths must be finite"):
+            TraceSpec(
+                kind="replay", arrivals_ms=(1.0,),
+                replay_lengths=((float("nan"), 4),),
+            )
+
     def test_mismatched_replay_lengths_rejected(self):
         with pytest.raises(ValueError, match="replay_lengths"):
             TraceSpec(

@@ -35,7 +35,7 @@ from repro.api.registry import (
     resolve_model,
 )
 from repro.api.results import ResultRow, ResultSet, SkipRecord
-from repro.graph.straggler import StragglerSpec
+from repro.graph.straggler import StragglerSpec, check_multiplier
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.parallel.strategy import ParallelStrategy
@@ -192,11 +192,7 @@ def _as_straggler_axis(
         elif isinstance(entry, StragglerSpec):
             out.append(None if entry.is_uniform else entry)
         elif isinstance(entry, (int, float)):
-            mult = float(entry)
-            if mult <= 0:
-                raise ValueError(
-                    f"straggler multiplier must be positive, got {mult}"
-                )
+            mult = check_multiplier(entry)
             out.append(
                 None
                 if mult == 1.0

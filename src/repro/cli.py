@@ -916,15 +916,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     from repro.api.scenario import _as_straggler_axis
+    from repro.graph.straggler import check_multiplier
 
     policies = list(dict.fromkeys(args.overlap_policy or ["per_layer"]))
     straggler_mults = list(dict.fromkeys(args.straggler_mult or [1.0]))
-    if any(mult <= 0 for mult in straggler_mults):
-        print(
-            f"error: straggler multipliers must be positive, got "
-            f"{straggler_mults}",
-            file=sys.stderr,
-        )
+    try:
+        for mult in straggler_mults:
+            check_multiplier(mult)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     scenarios: list[Scenario] = []
     for model_name in args.models:

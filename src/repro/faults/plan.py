@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.graph.straggler import StragglerSpec
+from repro.graph.straggler import StragglerSpec, check_multiplier
 
 __all__ = [
     "BrownoutEvent",
@@ -106,8 +106,8 @@ class DegradeEvent:
                 f"t1_ms ({self.t1_ms}) must exceed t0_ms ({self.t0_ms})"
             )
         if self.stragglers is None:
-            if self.compute_mult <= 0 or self.comm_mult <= 0:
-                raise ValueError("degrade multipliers must be positive")
+            check_multiplier(self.compute_mult, "compute_mult")
+            check_multiplier(self.comm_mult, "comm_mult")
             if self.compute_mult == 1.0 and self.comm_mult == 1.0:
                 raise ValueError(
                     "a degrade event needs a straggler spec or a non-unit "

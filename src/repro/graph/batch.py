@@ -104,7 +104,7 @@ def compile_topology(
 
     stream_index = {stream: i for i, stream in enumerate(graph.streams())}
     num_streams = len(stream_index)
-    sidx = [stream_index[node.stream] for node in graph.nodes]
+    sidx = [stream_index[stream] for stream in graph.node_streams]
 
     prev_on_stream = [-1] * n
     last_seen = [-1] * num_streams

@@ -15,6 +15,19 @@ analytic list scheduler in :mod:`repro.graph.scheduler` and by the
 discrete-event reference executor in :mod:`repro.graph.des_ref` — and
 the test suite asserts both agree exactly on every graph.
 
+**Columnar storage.**  A :class:`ScheduleGraph` stores its nodes as
+parallel columns — kinds, per-node streams, layers, tags, dependency
+tuples and durations — and the hot readers (the list scheduler, the
+compiled recurrence, the symmetry fold) walk the columns directly.
+:attr:`ScheduleGraph.nodes` is a view: the :class:`GraphNode` objects
+are built on first use (critical paths, timelines, the DES reference)
+and memoised until the next :meth:`~ScheduleGraph.add`.  Graphs of one
+topology can share their structural columns
+(:meth:`~ScheduleGraph.with_durations`, which the lowering builders use
+so a topology is lowered once); shared columns are tuples, so they are
+read-only, and :meth:`~ScheduleGraph.add` copies them before its first
+append (copy-on-write).
+
 The IR is deliberately backend-agnostic: it knows nothing about MoE
 systems.  :mod:`repro.graph.lower` builds model-level graphs out of
 :meth:`repro.systems.base.MoESystem.lower_layer` phase lists.
@@ -23,9 +36,12 @@ systems.  :mod:`repro.graph.lower` builds model-level graphs out of
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "COMM",
@@ -35,6 +51,7 @@ __all__ = [
     "NodeKind",
     "ScheduleGraph",
     "Stream",
+    "check_duration",
 ]
 
 
@@ -59,6 +76,13 @@ class NodeKind(str, Enum):
 
 COMPUTE = "compute"
 COMM = "comm"
+
+
+def check_duration(value: float, name: str = "duration_us") -> None:
+    """Durations are finite and ``>= 0``: a NaN never matches the list
+    scheduler's same-timestamp drain and an infinity never finishes."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +122,7 @@ class LayerPhase:
     comm: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration_us < 0:
-            raise ValueError(f"duration_us must be >= 0, got {self.duration_us}")
+        check_duration(self.duration_us)
 
 
 @dataclass(frozen=True)
@@ -127,14 +150,21 @@ class ScheduleGraph:
     scheduling priority (among simultaneously-ready nodes on one stream,
     the lowest id runs first), so graph construction order is part of the
     schedule's semantics — both executors honour it identically.
+
+    Storage is columnar: node *i* is ``kinds[i]`` on ``node_streams[i]``
+    in ``layers[i]`` tagged ``tags[i]``, waits for ``preds[i]`` and runs
+    for ``durations[i]`` microseconds.  :attr:`nodes` is a memoised view
+    over the columns.  The five structural columns may be shared with
+    other graphs of the same topology (see :meth:`with_durations`); the
+    durations column always belongs to the graph.
     """
 
     def __init__(self) -> None:
-        self.nodes: list[GraphNode] = []
-        self.preds: list[tuple[int, ...]] = []
-        #: Node durations, parallel to ``nodes`` — kept as a plain list so
-        #: the batch scheduler can lift a graph's duration vector into
-        #: numpy in one C call instead of touching every node object.
+        self.kinds: Sequence[NodeKind] = []
+        self.node_streams: Sequence[Stream] = []
+        self.layers: Sequence[int] = []
+        self.tags: Sequence[str] = []
+        self.preds: Sequence[tuple[int, ...]] = []
         self.durations: list[float] = []
         #: Cheap structural identity set by the lowering builders (see
         #: :func:`repro.graph.lower.build_forward_graph`): two graphs with
@@ -143,12 +173,32 @@ class ScheduleGraph:
         #: post-build :meth:`add`), in which case
         #: :meth:`topology_fingerprint` is the identity.
         self.topology_token: tuple | None = None
+        self._nodes: list[GraphNode] | None = None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.durations)
 
     def __iter__(self) -> Iterator[GraphNode]:
         return iter(self.nodes)
+
+    @property
+    def nodes(self) -> list[GraphNode]:
+        """The nodes as :class:`GraphNode` objects, built from the
+        columns on first use and memoised until the next :meth:`add`."""
+        if self._nodes is None:
+            self._nodes = [
+                GraphNode(node_id, kind, duration, stream, layer, tag)
+                for node_id, (kind, duration, stream, layer, tag) in enumerate(
+                    zip(
+                        self.kinds,
+                        self.durations,
+                        self.node_streams,
+                        self.layers,
+                        self.tags,
+                    )
+                )
+            ]
+        return self._nodes
 
     def add(
         self,
@@ -160,37 +210,72 @@ class ScheduleGraph:
         tag: str = "",
     ) -> int:
         """Append a node and return its id (= scheduling priority)."""
-        if duration_us < 0:
-            raise ValueError(f"duration_us must be >= 0, got {duration_us}")
-        node_id = len(self.nodes)
+        check_duration(duration_us)
+        node_id = len(self.durations)
         dep_ids = tuple(dict.fromkeys(int(d) for d in deps))
         for dep in dep_ids:
             if not 0 <= dep < node_id:
                 raise ValueError(
                     f"node {node_id} depends on {dep}, which does not precede it"
                 )
-        self.nodes.append(
-            GraphNode(
-                id=node_id,
-                kind=kind,
-                duration_us=float(duration_us),
-                stream=stream,
-                layer=layer,
-                tag=tag,
-            )
-        )
+        if isinstance(self.preds, tuple):  # shared columns: copy on write
+            self.kinds = list(self.kinds)
+            self.node_streams = list(self.node_streams)
+            self.layers = list(self.layers)
+            self.tags = list(self.tags)
+            self.preds = list(self.preds)
+        self.kinds.append(kind)
+        self.node_streams.append(stream)
+        self.layers.append(layer)
+        self.tags.append(tag)
         self.preds.append(dep_ids)
-        self.durations.append(self.nodes[-1].duration_us)
+        self.durations.append(float(duration_us))
+        self._nodes = None
         self.topology_token = None  # builder tokens cover finished graphs only
         return node_id
 
+    def with_durations(
+        self, durations: np.ndarray, topology_token: tuple | None = None
+    ) -> "ScheduleGraph":
+        """A graph of this graph's topology running for ``durations``.
+
+        The new graph shares this graph's structural columns — both
+        graphs hold them as tuples from here on, and :meth:`add` on
+        either copies them first — so no per-node work happens beyond
+        one vectorised check and one ``tolist`` of ``durations`` (one
+        float64 per node, each finite and ``>= 0``).
+        """
+        durations = np.asarray(durations, dtype=np.float64)
+        if durations.shape != (len(self),):
+            raise ValueError(
+                f"need {len(self)} durations, got shape {durations.shape}"
+            )
+        if len(self) and not (
+            durations.min() >= 0.0 and durations.max() < math.inf
+        ):
+            raise ValueError("durations must be finite and >= 0")
+        self.kinds = tuple(self.kinds)
+        self.node_streams = tuple(self.node_streams)
+        self.layers = tuple(self.layers)
+        self.tags = tuple(self.tags)
+        self.preds = tuple(self.preds)
+        graph = ScheduleGraph()
+        graph.kinds = self.kinds
+        graph.node_streams = self.node_streams
+        graph.layers = self.layers
+        graph.tags = self.tags
+        graph.preds = self.preds
+        graph.durations = durations.tolist()
+        graph.topology_token = topology_token
+        return graph
+
     def streams(self) -> tuple[Stream, ...]:
         """Distinct streams, in first-use order."""
-        return tuple(dict.fromkeys(node.stream for node in self.nodes))
+        return tuple(dict.fromkeys(self.node_streams))
 
     def successors(self) -> list[list[int]]:
         """Adjacency list derived from ``preds`` (computed on demand)."""
-        succs: list[list[int]] = [[] for _ in self.nodes]
+        succs: list[list[int]] = [[] for _ in range(len(self))]
         for node_id, deps in enumerate(self.preds):
             for dep in deps:
                 succs[dep].append(node_id)
@@ -199,11 +284,11 @@ class ScheduleGraph:
     @property
     def total_work_us(self) -> float:
         """Sum of all node durations (the zero-overlap upper bound)."""
-        return sum(node.duration_us for node in self.nodes)
+        return sum(self.durations)
 
     def ranks(self) -> tuple[int, ...]:
         """Distinct stream ranks, ascending (single-rank graphs: ``(0,)``)."""
-        return tuple(sorted({node.stream.rank for node in self.nodes}))
+        return tuple(sorted({stream.rank for stream in self.node_streams}))
 
     def fingerprint(self) -> str:
         """Stable digest of the graph's structure and exact durations.
@@ -215,11 +300,18 @@ class ScheduleGraph:
         of every duration.
         """
         digest = hashlib.sha1()
-        for node, deps in zip(self.nodes, self.preds):
+        for kind, stream, layer, tag, duration, deps in zip(
+            self.kinds,
+            self.node_streams,
+            self.layers,
+            self.tags,
+            self.durations,
+            self.preds,
+        ):
             digest.update(
                 (
-                    f"{node.kind.value}|{node.stream}|{node.layer}|{node.tag}|"
-                    f"{node.duration_us.hex()}|{','.join(map(str, deps))};"
+                    f"{kind.value}|{stream}|{layer}|{tag}|"
+                    f"{duration.hex()}|{','.join(map(str, deps))};"
                 ).encode()
             )
         return digest.hexdigest()
@@ -235,10 +327,12 @@ class ScheduleGraph:
         once and replayed per duration vector.
         """
         digest = hashlib.sha1()
-        for node, deps in zip(self.nodes, self.preds):
+        for kind, stream, layer, tag, deps in zip(
+            self.kinds, self.node_streams, self.layers, self.tags, self.preds
+        ):
             digest.update(
                 (
-                    f"{node.kind.value}|{node.stream}|{node.layer}|{node.tag}|"
+                    f"{kind.value}|{stream}|{layer}|{tag}|"
                     f"{','.join(map(str, deps))};"
                 ).encode()
             )

@@ -45,6 +45,19 @@ intra-layer overlapping each system already performs, so cross-layer
 gains compound on top of COMET's fine-grained intra-layer gains — the
 compounding Lancet and ScMoE report over per-layer overlappers.
 
+**One skeleton per topology.**  A build first computes its
+``topology_token`` (policy, layer count, rank count, per-position phase
+shape with its zero/nonzero pattern) and one flat *source vector* of
+its per-rank durations — phases, attention, grad-sync, chunks,
+optimizer — checked once for finite, non-negative values.  The
+duration-free *skeleton* of the token — the graph's structural columns
+plus, per node, the index of its duration in the source vector — is
+lowered once per process (:func:`repro.perf.lowered_skeleton`, in
+:data:`repro.perf.GRAPH_BATCH_CACHE`); every later build of the
+topology only gathers its durations with one numpy take and shares the
+skeleton's columns read-only.  The gather does no arithmetic, so each
+graph equals a node-by-node build, float for float.
+
 All scheduling goes through :func:`repro.perf.cached_graph_schedule`
 (keyed by :meth:`ScheduleGraph.fingerprint`, whose stream inventory
 covers the per-rank streams), so repeated grid points and ``workers=N``
@@ -53,7 +66,10 @@ runs stay byte-identical while scheduling each distinct graph once.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.graph.ir import (
     COMM,
@@ -62,6 +78,7 @@ from repro.graph.ir import (
     NodeKind,
     ScheduleGraph,
     Stream,
+    check_duration,
 )
 from repro.graph.scheduler import GraphSchedule, list_schedule
 from repro.graph.straggler import StragglerSpec
@@ -183,6 +200,85 @@ def _attention_table(
     ]
 
 
+def _source_vector(
+    *segments: tuple[str, Sequence[float]]
+) -> tuple[np.ndarray, list[int]]:
+    """One build's node durations, concatenated: the source vector its
+    skeleton gathers from, and the offset of each segment in it.
+
+    The vector is checked once, here: every value must be finite and
+    ``>= 0``.  That covers the builder scalars (attention, grad-sync,
+    optimizer) too, whose nodes a ``> 0.0`` test would otherwise drop
+    silently for a NaN.
+    """
+    offsets = []
+    values: list[float] = []
+    for _, segment in segments:
+        offsets.append(len(values))
+        values.extend(segment)
+    source = np.array(values, dtype=np.float64)
+    if not (source.min() >= 0.0 and source.max() < math.inf):
+        for name, segment in segments:
+            for value in segment:
+                check_duration(value, name)
+    return source, offsets
+
+
+def _phase_durations(table: Sequence[Sequence[LayerPhase]]) -> list[float]:
+    """A phase table's durations, rank-major (rank *r*, position *i* at
+    ``r * width + i``)."""
+    return [phase.duration_us for phases in table for phase in phases]
+
+
+class _Skeleton:
+    """One topology's lowering with the durations left out.
+
+    ``graph`` holds the structural columns (its durations are zero
+    placeholders); ``sources[i]`` is the index of node *i*'s duration in
+    the builder's per-call source vector (:func:`_source_vector`), so a
+    build of a known topology is one gather.
+    """
+
+    __slots__ = ("graph", "sources")
+
+    def __init__(self) -> None:
+        self.graph = ScheduleGraph()
+        self.sources: list[int] | np.ndarray = []
+
+    def add(
+        self,
+        kind: NodeKind,
+        source: int,
+        stream: Stream,
+        deps: Sequence[int],
+        layer: int = -1,
+        tag: str = "",
+    ) -> int:
+        self.sources.append(source)
+        return self.graph.add(kind, 0.0, stream, deps, layer=layer, tag=tag)
+
+
+def _lowered(
+    token: tuple, lower: Callable[[_Skeleton], None], source: np.ndarray
+) -> ScheduleGraph:
+    """The graph of ``token`` running for this call's ``source`` vector.
+
+    The skeleton comes from :func:`repro.perf.lowered_skeleton` — lowered
+    by ``lower`` once per topology and process — and the durations are
+    one numpy take: no arithmetic, so every float is the source value.
+    """
+    from repro import perf
+
+    def build() -> _Skeleton:
+        skeleton = _Skeleton()
+        lower(skeleton)
+        skeleton.sources = np.array(skeleton.sources, dtype=np.intp)
+        return skeleton
+
+    skeleton = perf.lowered_skeleton(token, build)
+    return skeleton.graph.with_durations(source[skeleton.sources], token)
+
+
 class _LayerState:
     """Cross-layer context threaded through the per-layer builders."""
 
@@ -209,9 +305,10 @@ def _barrier_deps(dep_sets: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
 
 
 def _add_layer(
-    graph: ScheduleGraph,
-    phase_table: Sequence[Sequence[LayerPhase]],
-    attention_table: Sequence[float],
+    skeleton: _Skeleton,
+    shape: tuple,
+    phase_src: int,
+    attention_src: int,
     policy: str,
     layer: int,
     states: Sequence[_LayerState],
@@ -220,7 +317,14 @@ def _add_layer(
     attention_kind: NodeKind = NodeKind.ATTENTION,
     attention_first: bool = True,
 ) -> None:
-    """Append one transformer layer for every rank to ``graph``.
+    """Append one transformer layer for every rank to ``skeleton``.
+
+    ``shape`` is the phase table's :func:`_table_token` — rank count,
+    per-position (kind, comm side, active) and whether attention runs —
+    which is everything the node topology depends on.  Rank *r*'s phase
+    at position *i* takes its duration from source index
+    ``phase_src + r * width + i``, its attention from
+    ``attention_src + r``.
 
     Nodes are added phase-major, rank-minor: each structural position is
     emitted for all ranks before the next position, so cross-rank
@@ -234,7 +338,9 @@ def _add_layer(
     attention backward trails the expert backward and is what the
     detached combine overlaps with.
     """
-    ranks = range(len(states))
+    num_ranks, positions, attention_active = shape
+    width = len(positions)
+    ranks = range(num_ranks)
     # A position is active when ANY rank has nonzero duration there:
     # system-aware re-exposure can zero one rank's comm phase (fully
     # hidden) while another rank's stays exposed, so pruning by rank 0
@@ -243,20 +349,39 @@ def _add_layer(
     # node — timing-neutral (both executors handle zero nodes exactly)
     # and keeps the barrier structure aligned.  With one rank this is
     # the historical drop-if-zero rule, node for node.
-    active_idx = [
-        i
-        for i in range(len(phase_table[0]))
-        if any(phases[i].duration_us > 0.0 for phases in phase_table)
-    ]
-    actives = [
-        [phase_table[r][i] for i in active_idx] for r in ranks
-    ]
+    active_idx = [i for i, (_, _, active) in enumerate(positions) if active]
+    kinds = [NodeKind(positions[i][0]) for i in active_idx]
+    comms = [positions[i][1] for i in active_idx]
+
+    def add_position(pos: int, deps: Sequence[tuple[int, ...]]) -> list[int]:
+        side = 1 if comms[pos] else 0
+        return [
+            skeleton.add(
+                kinds[pos],
+                phase_src + r * width + active_idx[pos],
+                streams[r][side],
+                deps[r],
+                layer=layer,
+                tag=tag,
+            )
+            for r in ranks
+        ]
+
+    def add_attention(deps: Sequence[tuple[int, ...]]) -> list[int]:
+        return [
+            skeleton.add(
+                attention_kind, attention_src + r, streams[r][0], deps[r],
+                layer=layer, tag=tag,
+            )
+            for r in ranks
+        ]
+
     # The detachable boundary comm phase: the trailing combine, whose
     # output is only needed at the next layer's merge point.
     combine_pos = None
     if policy != "per_layer":
         for idx in range(len(active_idx) - 1, -1, -1):
-            if actives[0][idx].comm and actives[0][idx].kind is NodeKind.COMBINE:
+            if comms[idx] and kinds[idx] is NodeKind.COMBINE:
                 combine_pos = idx
                 break
 
@@ -267,7 +392,7 @@ def _add_layer(
     ]
     merge_deps = [(*entry_deps[r], *combine_dep[r]) for r in ranks]
 
-    has_attention = attention_first and attention_table[0] > 0.0
+    has_attention = attention_first and attention_active
     overlap_dense = policy == "shortcut" and has_attention and bool(active_idx)
 
     attn_id: list[int | None] = [None for _ in ranks]
@@ -280,26 +405,13 @@ def _add_layer(
         # wins the compute-stream tie) and the dispatch overlaps the
         # dense path; the paths merge again at the layer exit.
         first_pos = remaining.pop(0)
-        first_comm = actives[0][first_pos].comm
-        first_barrier = _barrier_deps(merge_deps) if first_comm else None
-        first_ids = []
-        for r in ranks:
-            phase = actives[r][first_pos]
-            first_ids.append(
-                graph.add(
-                    phase.kind,
-                    phase.duration_us,
-                    streams[r][1] if phase.comm else streams[r][0],
-                    deps=first_barrier if first_comm else merge_deps[r],
-                    layer=layer,
-                    tag=tag,
-                )
-            )
-        for r in ranks:
-            attn_id[r] = graph.add(
-                attention_kind, attention_table[r], streams[r][0],
-                deps=entry_deps[r], layer=layer, tag=tag,
-            )
+        first_ids = add_position(
+            first_pos,
+            [_barrier_deps(merge_deps)] * num_ranks
+            if comms[first_pos]
+            else merge_deps,
+        )
+        attn_id = add_attention(entry_deps)
         prev = [
             (first_ids[r],) if first_pos != combine_pos else merge_deps[r]
             for r in ranks
@@ -310,14 +422,9 @@ def _add_layer(
         # per_layer keeps the strict chain; cross_layer lets attention
         # skip the previous combine (Lancet's boundary overlap) while
         # the gate — which needs the merged output — waits for both.
-        for r in ranks:
-            attn_deps = (
-                entry_deps[r] if policy == "cross_layer" else merge_deps[r]
-            )
-            attn_id[r] = graph.add(
-                attention_kind, attention_table[r], streams[r][0],
-                deps=attn_deps, layer=layer, tag=tag,
-            )
+        attn_id = add_attention(
+            entry_deps if policy == "cross_layer" else merge_deps
+        )
         prev = [
             (attn_id[r], *combine_dep[r])
             if policy == "cross_layer"
@@ -328,32 +435,17 @@ def _add_layer(
         prev = list(merge_deps)
 
     for pos in remaining:
-        is_comm = actives[0][pos].comm
-        barrier = _barrier_deps(prev) if is_comm else None
-        ids = []
-        for r in ranks:
-            phase = actives[r][pos]
-            ids.append(
-                graph.add(
-                    phase.kind,
-                    phase.duration_us,
-                    streams[r][1] if phase.comm else streams[r][0],
-                    deps=barrier if is_comm else prev[r],
-                    layer=layer,
-                    tag=tag,
-                )
-            )
+        ids = add_position(
+            pos,
+            [_barrier_deps(prev)] * num_ranks if comms[pos] else prev,
+        )
         if pos == combine_pos:
             combine_id = ids  # detached: the chain continues without it
         else:
             prev = [(ids[r],) for r in ranks]
 
-    if not attention_first and attention_table[0] > 0.0:
-        for r in ranks:
-            attn_id[r] = graph.add(
-                attention_kind, attention_table[r], streams[r][0],
-                deps=prev[r], layer=layer, tag=tag,
-            )
+    if not attention_first and attention_active:
+        attn_id = add_attention(prev)
         prev = [(attn_id[r],) for r in ranks]
     elif overlap_dense:
         # Merge the dense path back in: the layer's serial exit requires
@@ -388,7 +480,8 @@ def _table_token(
     and skips attention when rank 0's attention is zero — so the token
     records per-position (kind, stream side, any-rank-active) plus the
     attention flag and the rank count.  Two builder calls with equal
-    tokens therefore produce identical topologies.
+    tokens therefore produce identical topologies, and ``_add_layer``
+    lowers from the token alone.
     """
     return (
         len(table),
@@ -422,18 +515,26 @@ def build_forward_graph(
     if num_layers <= 0:
         raise ValueError(f"num_layers must be positive, got {num_layers}")
     table = _phase_table(phases, stragglers)
-    attention = _attention_table(attention_us, len(table), stragglers)
-    graph = ScheduleGraph()
-    states = [_LayerState() for _ in table]
-    streams = _rank_streams(len(table))
-    for layer in range(num_layers):
-        _add_layer(graph, table, attention, policy, layer, states, streams)
-    # O(1) structural identity for the perf-layer caches (set last: any
-    # ``add`` resets it).
-    graph.topology_token = (
-        "fwd", policy, num_layers, _table_token(table, attention[0])
+    num_ranks = len(table)
+    attention = _attention_table(attention_us, num_ranks, stragglers)
+    source, (phase_src, attention_src) = _source_vector(
+        ("phase duration_us", _phase_durations(table)),
+        ("attention_us", attention),
     )
-    return graph
+    shape = _table_token(table, attention[0])
+
+    def lower(skeleton: _Skeleton) -> None:
+        states = [_LayerState() for _ in range(num_ranks)]
+        streams = _rank_streams(num_ranks)
+        for layer in range(num_layers):
+            _add_layer(
+                skeleton, shape, phase_src, attention_src, policy, layer,
+                states, streams,
+            )
+
+    # The token is the O(1) structural identity of the perf-layer caches
+    # and keys the skeleton: ``lower`` reads nothing it does not fix.
+    return _lowered(("fwd", policy, num_layers, shape), lower, source)
 
 
 def build_training_graph(
@@ -482,73 +583,90 @@ def build_training_graph(
         else stragglers.scale_compute(optimizer_us, rank)
         for rank in range(num_ranks)
     ]
-    graph = ScheduleGraph()
-    states = [_LayerState() for _ in range(num_ranks)]
-    streams = _rank_streams(num_ranks)
-    for layer in range(num_layers):
-        _add_layer(
-            graph, fwd_table, attention_fwd, policy, layer, states, streams,
-            tag="fwd",
-        )
-    sync_chunks: list[list[int]] = [[] for _ in range(num_ranks)]
-    bucketed = policy != "per_layer" and grad_sync_us > 0.0
+    has_sync = grad_sync_us > 0.0
+    has_optimizer = optimizer_us > 0.0
+    bucketed = policy != "per_layer" and has_sync
     chunk_us = [us / num_layers if bucketed else 0.0 for us in sync_us]
-    for layer in range(num_layers - 1, -1, -1):
-        _add_layer(
-            graph,
-            bwd_table,
-            attention_bwd,
-            policy,
-            layer,
-            states,
-            streams,
-            tag="bwd",
-            attention_kind=NodeKind.ATTENTION_BWD,
-            attention_first=False,
-        )
-        if bucketed:
-            barrier = _barrier_deps([state.exit_ids for state in states])
-            for rank in range(num_ranks):
-                sync_chunks[rank].append(
-                    graph.add(
-                        NodeKind.GRAD_SYNC,
-                        chunk_us[rank],
-                        streams[rank][1],
-                        deps=barrier,
-                        layer=layer,
-                        tag="bwd",
+    source, offsets = _source_vector(
+        ("forward phase duration_us", _phase_durations(fwd_table)),
+        ("backward phase duration_us", _phase_durations(bwd_table)),
+        ("attention_fwd_us", attention_fwd),
+        ("attention_bwd_us", attention_bwd),
+        ("grad_sync_us", sync_us),
+        ("grad_sync_us chunk", chunk_us),
+        ("optimizer_us", opt_us),
+    )
+    fwd_src, bwd_src, attn_fwd_src, attn_bwd_src, sync_src, chunk_src, opt_src = offsets
+    fwd_shape = _table_token(fwd_table, attention_fwd[0])
+    bwd_shape = _table_token(bwd_table, attention_bwd[0])
+
+    def lower(skeleton: _Skeleton) -> None:
+        states = [_LayerState() for _ in range(num_ranks)]
+        streams = _rank_streams(num_ranks)
+        for layer in range(num_layers):
+            _add_layer(
+                skeleton, fwd_shape, fwd_src, attn_fwd_src, policy, layer,
+                states, streams, tag="fwd",
+            )
+        sync_chunks: list[list[int]] = [[] for _ in range(num_ranks)]
+        for layer in range(num_layers - 1, -1, -1):
+            _add_layer(
+                skeleton,
+                bwd_shape,
+                bwd_src,
+                attn_bwd_src,
+                policy,
+                layer,
+                states,
+                streams,
+                tag="bwd",
+                attention_kind=NodeKind.ATTENTION_BWD,
+                attention_first=False,
+            )
+            if bucketed:
+                barrier = _barrier_deps([state.exit_ids for state in states])
+                for rank in range(num_ranks):
+                    sync_chunks[rank].append(
+                        skeleton.add(
+                            NodeKind.GRAD_SYNC,
+                            chunk_src + rank,
+                            streams[rank][1],
+                            barrier,
+                            layer=layer,
+                            tag="bwd",
+                        )
                     )
+        tail_deps = [state.exit_ids for state in states]
+        if not bucketed and has_sync:
+            barrier = _barrier_deps(tail_deps)
+            tail_deps = [
+                (
+                    skeleton.add(
+                        NodeKind.GRAD_SYNC, sync_src + rank,
+                        streams[rank][1], barrier,
+                    ),
                 )
-    tail_deps = [state.exit_ids for state in states]
-    if not bucketed and grad_sync_us > 0.0:
-        barrier = _barrier_deps(tail_deps)
-        tail_deps = [
-            (
-                graph.add(
-                    NodeKind.GRAD_SYNC, sync_us[rank], streams[rank][1],
-                    deps=barrier,
-                ),
-            )
-            for rank in range(num_ranks)
-        ]
-    if optimizer_us > 0.0:
-        for rank in range(num_ranks):
-            graph.add(
-                NodeKind.OPTIMIZER,
-                opt_us[rank],
-                streams[rank][0],
-                deps=(*tail_deps[rank], *sync_chunks[rank]),
-            )
-    graph.topology_token = (
+                for rank in range(num_ranks)
+            ]
+        if has_optimizer:
+            for rank in range(num_ranks):
+                skeleton.add(
+                    NodeKind.OPTIMIZER,
+                    opt_src + rank,
+                    streams[rank][0],
+                    (*tail_deps[rank], *sync_chunks[rank]),
+                )
+
+    token = (
         "train",
         policy,
         num_layers,
-        _table_token(fwd_table, attention_fwd[0]),
-        _table_token(bwd_table, attention_bwd[0]),
-        grad_sync_us > 0.0,
-        optimizer_us > 0.0,
+        fwd_shape,
+        bwd_shape,
+        has_sync,
+        has_optimizer,
     )
-    return graph
+    return _lowered(token, lower, source)
 
 
 def forward_schedule(
@@ -588,6 +706,7 @@ def forward_makespan(
         and stragglers is None
         and not _is_rank_table(phases)
     ):
+        check_duration(attention_us, "attention_us")
         moe_us = list_schedule(build_moe_chain(phases)).makespan_us
         return num_layers * (attention_us + moe_us)
     return forward_schedule(
@@ -647,6 +766,13 @@ def training_makespan(
         and not _is_rank_table(fwd_phases)
         and not _is_rank_table(bwd_phases)
     ):
+        for name, value in (
+            ("attention_fwd_us", attention_fwd_us),
+            ("attention_bwd_us", attention_bwd_us),
+            ("grad_sync_us", grad_sync_us),
+            ("optimizer_us", optimizer_us),
+        ):
+            check_duration(value, name)
         moe_fwd_us = list_schedule(build_moe_chain(fwd_phases)).makespan_us
         moe_bwd_us = list_schedule(build_moe_chain(bwd_phases)).makespan_us
         layer_us = attention_fwd_us + attention_bwd_us + moe_fwd_us + moe_bwd_us

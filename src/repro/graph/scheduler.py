@@ -46,8 +46,8 @@ def rank_makespans(
     latest finish over every node on one of *r*'s streams.
     """
     spans: dict[int, float] = {}
-    for node, finish in zip(graph.nodes, finish_us):
-        rank = node.stream.rank
+    for stream, finish in zip(graph.node_streams, finish_us):
+        rank = stream.rank
         if rank not in spans or finish > spans[rank]:
             spans[rank] = finish
     return dict(sorted(spans.items()))
@@ -73,8 +73,10 @@ class GraphSchedule:
     def stream_busy_us(self) -> dict[Stream, float]:
         """Total occupied time per stream (utilisation numerator)."""
         busy: dict[Stream, float] = {}
-        for node in self.graph.nodes:
-            busy[node.stream] = busy.get(node.stream, 0.0) + node.duration_us
+        for stream, duration in zip(
+            self.graph.node_streams, self.graph.durations
+        ):
+            busy[stream] = busy.get(stream, 0.0) + duration
         return busy
 
     def overlap_saved_us(self) -> float:
@@ -117,7 +119,7 @@ class GraphSchedule:
         stream (a resource wait).  Ties break toward the lowest id, so
         the path is deterministic.
         """
-        if not self.graph.nodes:
+        if len(self.graph) == 0:
             return []
         stream_prev = _stream_predecessors(self.graph, self.start_us)
         # Sink: latest finish, lowest id on ties.
@@ -152,8 +154,8 @@ def _stream_predecessors(
 ) -> list[int | None]:
     """For each node, the node that ran just before it on its stream."""
     order: dict[Stream, list[int]] = {}
-    for node in graph.nodes:
-        order.setdefault(node.stream, []).append(node.id)
+    for node_id, stream in enumerate(graph.node_streams):
+        order.setdefault(stream, []).append(node_id)
     for ids in order.values():
         ids.sort(key=lambda i: (start_us[i], i))
     prev: list[int | None] = [None] * len(graph)
@@ -192,22 +194,23 @@ def list_schedule(graph: ScheduleGraph) -> GraphSchedule:
         stream: _StreamState() for stream in graph.streams()
     }
 
+    node_streams = graph.node_streams
+    durations = graph.durations
     events: list[tuple[float, int, int]] = []  # (finish, dispatch seq, node)
     seq = 0
     scheduled = 0
 
     def make_ready(node_id: int) -> None:
-        heapq.heappush(streams[graph.nodes[node_id].stream].ready, node_id)
+        heapq.heappush(streams[node_streams[node_id]].ready, node_id)
 
     def dispatch(state: _StreamState) -> None:
         nonlocal seq, scheduled
         if state.busy or not state.ready:
             return
         node_id = heapq.heappop(state.ready)
-        node = graph.nodes[node_id]
         begin = state.free_at if state.free_at > ready_at[node_id] else ready_at[node_id]
         start[node_id] = begin
-        finish[node_id] = begin + node.duration_us
+        finish[node_id] = begin + durations[node_id]
         state.busy = True
         seq += 1
         scheduled += 1
@@ -226,20 +229,18 @@ def list_schedule(graph: ScheduleGraph) -> GraphSchedule:
         # mirroring the event ordering of the DES reference executor.
         while events and events[0][0] == now:
             _, _, node_id = heapq.heappop(events)
-            node = graph.nodes[node_id]
-            state = streams[node.stream]
+            stream = node_streams[node_id]
+            state = streams[stream]
             state.busy = False
             state.free_at = finish[node_id]
-            touched[node.stream] = state
+            touched[stream] = state
             for succ in succs[node_id]:
                 if finish[node_id] > ready_at[succ]:
                     ready_at[succ] = finish[node_id]
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     make_ready(succ)
-                    touched[graph.nodes[succ].stream] = streams[
-                        graph.nodes[succ].stream
-                    ]
+                    touched[node_streams[succ]] = streams[node_streams[succ]]
         for state in touched.values():
             dispatch(state)
 
@@ -321,24 +322,24 @@ def block_structure(graph: ScheduleGraph) -> BlockStructure | None:
     if world <= 1 or ranks != tuple(range(world)) or n % world:
         return None
     blocks = n // world
-    nodes = graph.nodes
-    preds = graph.preds
+    kinds, node_streams = graph.kinds, graph.node_streams
+    layers, tags, preds = graph.layers, graph.tags, graph.preds
 
     # Rank-blocked layout: block b holds ranks 0..world-1 in order, all
     # sharing kind/layer/tag and the compute-or-comm stream side.
     for b in range(blocks):
         base = b * world
-        first = nodes[base]
-        if first.stream.rank != 0:
+        stream0 = node_streams[base]
+        if stream0.rank != 0:
             return None
         for r in range(1, world):
-            node = nodes[base + r]
+            i = base + r
             if (
-                node.stream.rank != r
-                or node.stream.kind != first.stream.kind
-                or node.kind is not first.kind
-                or node.layer != first.layer
-                or node.tag != first.tag
+                node_streams[i].rank != r
+                or node_streams[i].kind != stream0.kind
+                or kinds[i] is not kinds[base]
+                or layers[i] != layers[base]
+                or tags[i] != tags[base]
             ):
                 return None
 
@@ -397,7 +398,7 @@ def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
         return None
     world = structure.world
     blocks = structure.blocks
-    nodes = graph.nodes
+    durations = graph.durations
     preds = graph.preds
     local_pattern = structure.local_pattern
 
@@ -407,7 +408,7 @@ def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
     rep_index = [0] * world
     for r in range(world):
         signature = tuple(
-            nodes[b * world + r].duration_us.hex() for b in range(blocks)
+            durations[b * world + r].hex() for b in range(blocks)
         )
         j = classes.get(signature)
         if j is None:
@@ -434,19 +435,19 @@ def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
                 )
             )
         for j, r in enumerate(reps):
-            node = nodes[base + r]
+            i = base + r
             deps = (
                 shared
                 if pattern is None
                 else tuple(pb * k + j for pb in pattern)
             )
             reduced.add(
-                node.kind,
-                node.duration_us,
-                node.stream,
+                graph.kinds[i],
+                durations[i],
+                graph.node_streams[i],
                 deps=deps,
-                layer=node.layer,
-                tag=node.tag,
+                layer=graph.layers[i],
+                tag=graph.tags[i],
             )
     return SymmetryReduction(
         reduced=reduced,

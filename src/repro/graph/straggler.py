@@ -8,8 +8,8 @@ degraded NIC) or a skewed expert placement drags every rank's timeline.
 Lancet (arXiv:2404.19429) schedules against per-device timelines for the
 same reason.
 
-A :class:`StragglerSpec` describes that heterogeneity as three positive
-multipliers per rank:
+A :class:`StragglerSpec` describes that heterogeneity as three finite,
+positive multipliers per rank:
 
 * ``compute_mult`` — scales every compute phase of the rank (attention,
   gate, expert GEMMs, activation, host epilogue, optimizer);
@@ -42,9 +42,24 @@ Constructors cover the three scenario families named in the roadmap:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
-__all__ = ["StragglerSpec"]
+__all__ = ["StragglerSpec", "check_multiplier"]
+
+
+def check_multiplier(value: float, name: str = "straggler multiplier") -> float:
+    """``value`` as a float, if it is a finite positive multiplier.
+
+    The one rule for every slowdown multiplier — spec fields, grid-axis
+    shorthands and CLI flags — so an infinite or NaN multiplier is
+    rejected where it is given instead of reaching an export as
+    ``Infinity`` or ``NaN``.
+    """
+    mult = float(value)
+    if not 0.0 < mult < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {mult}")
+    return mult
 
 
 def _validated(name: str, values: tuple[float, ...], num_ranks: int) -> None:
@@ -53,15 +68,13 @@ def _validated(name: str, values: tuple[float, ...], num_ranks: int) -> None:
             f"{name} has {len(values)} entries for {num_ranks} ranks"
         )
     for rank, value in enumerate(values):
-        if not value > 0.0:
-            raise ValueError(
-                f"{name}[{rank}] must be positive, got {value}"
-            )
+        check_multiplier(value, f"{name}[{rank}]")
 
 
 @dataclass(frozen=True)
 class StragglerSpec:
-    """Per-rank compute/comm/expert-load multipliers (all positive).
+    """Per-rank compute/comm/expert-load multipliers (all finite and
+    positive; a :meth:`compose` that overflows is rejected too).
 
     ``name`` is a display label used in scenario labels and export
     columns; it participates in equality so two differently named specs

@@ -30,9 +30,12 @@ Six switchable fast paths (see :class:`PerfConfig`):
   :func:`topology_key` cached in :data:`GRAPH_BATCH_CACHE` (with both
   flags on, the symmetry fold itself is vectorised: cached block
   structure + ``np.unique`` rank classification + cached reduced
-  recurrence).
+  recurrence); and the lowering builders of :mod:`repro.graph.lower`
+  lower each topology once into a duration-free skeleton
+  (:func:`lowered_skeleton`), so every later build only gathers its
+  durations.
 
-Two cache layers live here:
+Cache layers live here:
 
 * :data:`WORKLOAD_CACHE` — one :class:`~repro.runtime.workload.MoELayerWorkload`
   per (config, cluster, strategy, tokens, imbalance, seed), shared by
@@ -41,9 +44,17 @@ Two cache layers live here:
   which grew without bound);
 * :data:`TIMING_CACHE` — ``LayerTiming`` results keyed by fingerprints,
   so the same (system, workload) pair is simulated once no matter which
-  entry point (grid / training step / serving bucket) asks.
+  entry point (grid / training step / serving bucket) asks;
+* :data:`GRAPH_CACHE` — graph schedules keyed by topology and duration
+  bits;
+* :data:`GRAPH_BATCH_CACHE` — everything duration-free a graph
+  topology needs, keyed by :func:`topology_key` or the builder token:
+  lowered skeletons, compiled recurrences, block structures and reduced
+  recurrences;
+* :data:`STEP_COST_CACHE` — one serving step-cost model per system
+  state and scenario shape.
 
-Both are bounded LRU caches with hit/miss/eviction counters and an
+All are bounded LRU caches with hit/miss/eviction counters and an
 explicit ``clear()``; :func:`cache_stats` aggregates them for the CLI's
 ``--report`` flag.
 """
@@ -54,7 +65,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -79,6 +90,7 @@ __all__ = [
     "compiled_topology",
     "configure",
     "disabled",
+    "lowered_skeleton",
     "process_worker_init",
     "record_worker_stats",
     "shared_step_cost",
@@ -332,6 +344,24 @@ def compiled_topology(graph: Any) -> Any:
             ("topo", key), compile_topology(graph, key)
         )
     return topology
+
+
+def lowered_skeleton(token: tuple, lower: Callable[[], Any]) -> Any:
+    """The lowering skeleton of a builder ``topology_token``, through the
+    bounded :data:`GRAPH_BATCH_CACHE`.
+
+    :mod:`repro.graph.lower` lowers each topology once per process —
+    ``lower()`` runs on the first build only — and every later build of
+    it only gathers its durations.  With the ``graph_batch`` flag off
+    every build lowers a fresh, unrecorded skeleton.
+    """
+    if not CONFIG.graph_batch:
+        return lower()
+    key = ("skeleton", token)
+    skeleton = GRAPH_BATCH_CACHE.get(key)
+    if skeleton is None:
+        skeleton = GRAPH_BATCH_CACHE.put(key, lower())
+    return skeleton
 
 
 def _schedule_plain(graph: Any) -> Any:

@@ -7,6 +7,8 @@ resilience-spec validation and deterministic backoff, and the CLI fault
 grammar round-trip.
 """
 
+import math
+
 import pytest
 
 from repro.cli import _format_fault_specs, _parse_fault_specs
@@ -35,6 +37,13 @@ class TestDegradeEvent:
         # all-unit multipliers degrade nothing
         with pytest.raises(ValueError):
             DegradeEvent(replica=0, t0_ms=0.0, t1_ms=10.0)
+
+    @pytest.mark.parametrize("mult", [math.inf, math.nan])
+    def test_rejects_non_finite_multipliers(self, mult):
+        # Rejected where given, not when the fleet composes the spec.
+        for field in ("compute_mult", "comm_mult"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                DegradeEvent(replica=0, t0_ms=0.0, t1_ms=10.0, **{field: mult})
 
     def test_spec_materializes_uniform_multipliers(self):
         event = DegradeEvent(

@@ -12,7 +12,10 @@ list scheduler:
   :func:`~repro.graph.scheduler.expand_symmetry` — the rank-equivalence
   fold for rank-blocked multi-rank graphs;
 * :func:`repro.perf.cached_graph_schedule` — the integration point that
-  composes all of the above behind the perf flags.
+  composes all of the above behind the perf flags;
+* the lowering skeleton — a topology lowered once and reused by every
+  later build, which only gathers its durations — must give the graph a
+  fresh node-by-node build gives, edge for edge and float for float.
 """
 
 import pytest
@@ -21,6 +24,7 @@ from repro import perf
 from repro.graph import (
     COMM,
     COMPUTE,
+    OVERLAP_POLICIES,
     LayerPhase,
     NodeKind,
     ScheduleGraph,
@@ -36,6 +40,8 @@ from repro.graph import (
     reduce_symmetry,
     schedule_batch,
 )
+from repro.hw.multinode import IB_400G
+from repro.hw.presets import NVLINK_H800
 
 PHASES = (
     LayerPhase(NodeKind.GATE, 12.0),
@@ -270,8 +276,8 @@ class TestPerfIntegration:
         assert second["size"] == first["size"]
 
     def test_disabled_restores_list_schedule(self):
-        graph = _forward(stragglers=StragglerSpec.slow_rank(4, 1, 1.5))
         with perf.disabled():
+            graph = _forward(stragglers=StragglerSpec.slow_rank(4, 1, 1.5))
             schedule = perf.cached_graph_schedule(graph)
             assert len(perf.GRAPH_CACHE) == 0
             assert len(perf.GRAPH_BATCH_CACHE) == 0
@@ -288,3 +294,110 @@ class TestPerfIntegration:
             perf.clear_caches()
             with perf.configure(**flags):
                 _assert_identical(perf.cached_graph_schedule(graph), reference)
+
+
+# -- lowering skeleton ---------------------------------------------------------
+
+
+def _scaled(phases, scale):
+    return tuple(
+        LayerPhase(p.kind, p.duration_us * scale, p.comm) for p in phases
+    )
+
+
+def _zeroed_comm_table(scale):
+    """A per-rank table as ``lower_rank_phases`` emits it when one rank's
+    comm phase is fully hidden: rank 1's dispatch is zero, the others'
+    stay exposed, so the position stays active for every rank."""
+    table = [_scaled(PHASES, scale)] * 4
+    table[1] = tuple(
+        LayerPhase(p.kind, 0.0, p.comm) if p.kind is NodeKind.DISPATCH else p
+        for p in table[1]
+    )
+    return tuple(table)
+
+
+def _lowering_case(kind, policy, case, scale=1.0):
+    """One graph of the parity grid; ``scale`` changes every duration but
+    keeps the topology, so two scales share one skeleton."""
+    phases, spec = _scaled(PHASES, scale), None
+    if case == "slow_rank":
+        spec = StragglerSpec.slow_rank(4, rank=2, compute_mult=1.5 * scale)
+    elif case == "degraded_link":
+        spec = StragglerSpec.degraded_link(4, 3, IB_400G, NVLINK_H800)
+    elif case == "zeroed_comm":
+        phases = _zeroed_comm_table(scale)
+    if kind == "forward":
+        return build_forward_graph(phases, 25.0 * scale, 3, policy, spec)
+    return build_training_graph(
+        phases, phases, 25.0 * scale, 50.0 * scale, 3, 80.0 * scale,
+        20.0 * scale, policy, spec,
+    )
+
+
+LOWERING_CASES = ("single", "slow_rank", "degraded_link", "zeroed_comm")
+
+
+def _assert_same_graph(graph, reference):
+    assert graph.fingerprint() == reference.fingerprint()
+    assert graph.topology_token == reference.topology_token
+    assert list(graph.preds) == list(reference.preds)
+    assert graph.nodes == reference.nodes
+
+
+class TestLoweringSkeleton:
+    def setup_method(self):
+        perf.clear_caches()
+
+    def teardown_method(self):
+        perf.clear_caches()
+
+    @pytest.mark.parametrize("case", LOWERING_CASES)
+    @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
+    @pytest.mark.parametrize("kind", ["forward", "training"])
+    def test_reused_skeleton_equals_fresh_build(self, kind, policy, case):
+        first = _lowering_case(kind, policy, case, scale=2.0)
+        reused = _lowering_case(kind, policy, case)
+        stats = perf.cache_stats()["graph_batch"]
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+        assert reused.preds is first.preds  # one skeleton, shared
+        with perf.disabled():
+            fresh = _lowering_case(kind, policy, case)
+        # Disabled: a fresh skeleton, no cache lookup, nothing stored.
+        assert perf.cache_stats()["graph_batch"] == stats
+        _assert_same_graph(reused, fresh)
+        assert first.fingerprint() != reused.fingerprint()
+
+    # Digests of the node-by-node lowering: a change to lowering fails
+    # here even where every build still agrees with every other build.
+    PINNED = {
+        ("forward", "cross_layer", "slow_rank"): "df958ed35c3de25ddb0d46c1674561cfc70a432e",
+        ("forward", "shortcut", "zeroed_comm"): "a7f65747f183235eee22fa28f3d27d3341b24e1c",
+        ("training", "cross_layer", "degraded_link"): "f65d88a371d345f538f57dc239dc76f1dfbd0a6e",
+        ("training", "shortcut", "single"): "27319287691bac6b0580a12f344cae01f34d1778",
+        ("training", "per_layer", "zeroed_comm"): "9f439939e88f08810ec2f9dbf145cf046713d66d",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_fingerprint_pinned(self, key):
+        for _ in ("lowered", "reused"):
+            assert _lowering_case(*key).fingerprint() == self.PINNED[key]
+
+    def test_add_copies_shared_columns(self):
+        first = _lowering_case("forward", "cross_layer", "slow_rank")
+        second = _lowering_case("forward", "cross_layer", "slow_rank")
+        assert second.kinds is first.kinds
+        with pytest.raises(TypeError):  # shared columns are read-only
+            second.preds[0] = ()
+        n = len(second)
+        second.add(NodeKind.HOST, 1.0, Stream(COMPUTE, 0), deps=(n - 1,))
+        assert second.topology_token is None
+        assert second.kinds is not first.kinds
+        assert (len(first), len(second)) == (n, n + 1)
+        assert second.nodes[-1].kind is NodeKind.HOST
+        with perf.disabled():
+            fresh = _lowering_case("forward", "cross_layer", "slow_rank")
+        _assert_same_graph(first, fresh)
+        _assert_same_graph(
+            _lowering_case("forward", "cross_layer", "slow_rank"), fresh
+        )

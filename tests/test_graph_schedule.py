@@ -1,5 +1,8 @@
 """Unit tests for the schedule-graph IR, scheduler, and lowering."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.graph import (
@@ -9,12 +12,15 @@ from repro.graph import (
     LayerPhase,
     NodeKind,
     ScheduleGraph,
+    StragglerSpec,
     Stream,
     build_forward_graph,
     build_moe_chain,
     build_training_graph,
     check_policy,
+    forward_makespan,
     list_schedule,
+    training_makespan,
 )
 from repro.hw import h800_node
 from repro.moe import MIXTRAL_8X7B
@@ -47,6 +53,41 @@ class TestScheduleGraph:
         graph = ScheduleGraph()
         with pytest.raises(ValueError):
             graph.add(NodeKind.GATE, -1.0, COMPUTE0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        # A NaN node used to hang list_schedule (its finish never equals
+        # the drain loop's timestamp); an infinite one never finishes.
+        graph = ScheduleGraph()
+        with pytest.raises(ValueError, match="finite"):
+            graph.add(NodeKind.GATE, duration, COMPUTE0)
+        with pytest.raises(ValueError, match="finite"):
+            LayerPhase(NodeKind.EXPERT, duration)
+        assert len(graph) == 0
+
+    def test_with_durations_shares_topology(self):
+        graph = build_forward_graph(PHASES, 12.0, 2, "cross_layer")
+        n = len(graph)
+        other = graph.with_durations(np.full(n, 2.0), graph.topology_token)
+        assert other.durations == [2.0] * n
+        assert other.kinds is graph.kinds and other.preds is graph.preds
+        assert other.topology_token == graph.topology_token
+        assert other.topology_fingerprint() == graph.topology_fingerprint()
+        for bad in (np.full(n, math.nan), np.full(n, math.inf), -np.ones(n)):
+            with pytest.raises(ValueError, match="finite"):
+                graph.with_durations(bad)
+        with pytest.raises(ValueError, match="durations"):
+            graph.with_durations(np.ones(n - 1))
+
+    def test_nodes_view_follows_add(self):
+        graph = ScheduleGraph()
+        graph.add(NodeKind.GATE, 1.0, COMPUTE0)
+        assert [node.kind for node in graph.nodes] == [NodeKind.GATE]
+        graph.add(NodeKind.COMBINE, 2.0, COMM0, deps=(0,))
+        assert [(n.id, n.duration_us, n.stream) for n in graph] == [
+            (0, 1.0, COMPUTE0),
+            (1, 2.0, COMM0),
+        ]
 
     def test_bad_stream_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -206,6 +247,49 @@ class TestPolicies:
     def test_invalid_num_layers(self):
         with pytest.raises(ValueError):
             build_forward_graph(PHASES, 12.0, 0, "per_layer")
+
+
+class TestBuilderDurations:
+    """Builder scalars pass the same finite, non-negative rule as node
+    durations — also where a zero test would simply drop their nodes."""
+
+    @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
+    @pytest.mark.parametrize("attention_us", [math.nan, math.inf, -1.0])
+    def test_forward_attention(self, policy, attention_us):
+        with pytest.raises(ValueError, match="attention_us"):
+            forward_makespan(PHASES, attention_us, 4, policy)
+        with pytest.raises(ValueError, match="attention_us"):
+            build_forward_graph(PHASES, attention_us, 4, policy)
+
+    @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
+    @pytest.mark.parametrize(
+        "name, position",
+        [
+            ("attention_fwd_us", 2),
+            ("attention_bwd_us", 3),
+            ("grad_sync_us", 5),
+            ("optimizer_us", 6),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_training_scalars(self, policy, name, position, value):
+        args = [PHASES, PHASES, 12.0, 24.0, 4, 50.0, 30.0, policy]
+        args[position] = value
+        with pytest.raises(ValueError, match=name):
+            training_makespan(*args)
+        with pytest.raises(ValueError, match=name):
+            build_training_graph(*args)
+
+    def test_scaled_overflow_rejected(self):
+        # Finite inputs whose per-rank scaling overflows.
+        spec = StragglerSpec.slow_rank(2, rank=1, compute_mult=10.0)
+        with pytest.raises(ValueError, match="attention_us"):
+            build_forward_graph(PHASES, 1e308, 2, "cross_layer", spec)
+        with pytest.raises(ValueError, match="finite"):
+            build_forward_graph(
+                (LayerPhase(NodeKind.EXPERT, 1e308),), 1.0, 2, "cross_layer",
+                spec,
+            )
 
 
 class TestLowerLayer:

@@ -16,6 +16,8 @@ Acceptance contract:
   straggler-free paths.
 """
 
+import math
+
 import pytest
 
 from repro import (
@@ -30,6 +32,7 @@ from repro import (
     run_training_step,
 )
 from repro.api.registry import SYSTEM_REGISTRY
+from repro.cli import main
 from repro.graph import (
     OVERLAP_POLICIES,
     LayerPhase,
@@ -551,3 +554,47 @@ class TestDeclarativeAxis:
                 strategy=ParallelStrategy(1, 8),
                 stragglers=StragglerSpec.slow_rank(4, compute_mult=1.5),
             )
+
+
+class TestNonFiniteMultipliers:
+    """Multipliers are finite and positive wherever they are given: an
+    infinite one used to reach exports as ``Infinity`` and ``NaN``."""
+
+    @pytest.mark.parametrize("mult", [math.inf, math.nan, 0.0, -1.5])
+    def test_spec_rejects(self, mult):
+        with pytest.raises(ValueError, match="finite and positive"):
+            StragglerSpec(
+                compute_mult=(1.0, mult),
+                comm_mult=(1.0, 1.0),
+                expert_mult=(1.0, 1.0),
+            )
+        with pytest.raises(ValueError, match="finite and positive"):
+            StragglerSpec.slow_rank(4, rank=1, compute_mult=mult)
+
+    def test_compose_overflow_rejected(self):
+        huge = StragglerSpec.slow_rank(4, rank=0, compute_mult=1e200)
+        with pytest.raises(ValueError, match="finite and positive"):
+            huge.compose(huge)
+
+    def test_grid_axis_rejects_infinity(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExperimentSpec.grid(
+                strategies=(1, 8), tokens=2048, stragglers=(math.inf,)
+            )
+
+    def test_cli_rejects_infinity(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        sweep = [
+            "sweep", "--models", "mixtral", "--tokens", "2048", "--tp", "1",
+            "--ep", "8", "--systems", "comet", "--straggler-mult", "inf",
+            "--json", str(out),
+        ]
+        assert main(sweep) == 2
+        assert not out.exists()
+        assert "finite and positive" in capsys.readouterr().err
+        model = [
+            "model", "--tokens", "2048", "--systems", "comet",
+            "--stragglers", "inf",
+        ]
+        assert main(model) == 2
+        assert "finite and positive" in capsys.readouterr().err

@@ -7,7 +7,9 @@ Three layers:
   :data:`CLUSTER_REGISTRY`) and the :func:`register_system` decorator.
 * :mod:`repro.api.scenario` — :class:`Scenario` (one grid point) and
   :class:`ExperimentSpec` (cartesian grids + execution with per-scenario
-  workload/geometry caching).
+  workload/geometry caching), plus the sweep engine every spec kind
+  shares (:func:`~repro.api.scenario.expand`,
+  :func:`~repro.api.scenario.run_tasks`).
 * :mod:`repro.api.results` — :class:`ResultSet` of
   ``(Scenario, system, LayerTiming)`` rows with ``filter`` / ``best`` /
   ``speedup_over`` queries and skip-reason records.

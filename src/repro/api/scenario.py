@@ -11,6 +11,27 @@ caches) is constructed exactly once per scenario and shared across all
 systems timing it, no matter how many systems run — the deduplication the
 hand-written figure loops used to do ad hoc.
 
+This module is also the sweep engine of the serving and fleet specs
+(:class:`~repro.serve.scenario.ServeSpec`,
+:class:`~repro.fleet.spec.FleetSpec`):
+
+* :func:`expand` folds one ordered axis list, outer to inner, into grid
+  points in nested-loop order.  An axis may depend on outer axes — the
+  strategies and stragglers follow each cluster's world size — and is
+  evaluated once per combination of the values it names, so every
+  scenario of one cluster shares its straggler specs.
+* :func:`run_tasks` runs one module-level task per payload serially
+  (``workers`` unset or 1, or a single payload), on threads, or on
+  worker processes (``executor="process"``), and yields the results in
+  payload order, so every export is byte-identical across worker kinds.
+  Process workers start from :func:`repro.perf.process_worker_init` and
+  their cache counters merge into :func:`repro.perf.cache_stats`.  A
+  custom registry exists only in the calling process, so
+  ``executor="process"`` with ``workers > 1`` refuses one, whatever the
+  grid size.
+* :func:`check_point` holds the checks every scenario kind makes of its
+  grid point.
+
 Example::
 
     from repro import ExperimentSpec
@@ -25,8 +46,11 @@ Example::
 
 from __future__ import annotations
 
+import inspect
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.api.registry import (
     SYSTEM_REGISTRY,
@@ -35,23 +59,127 @@ from repro.api.registry import (
     resolve_model,
 )
 from repro.api.results import ResultRow, ResultSet, SkipRecord
+from repro.graph.lower import check_policy
 from repro.graph.straggler import StragglerSpec, check_multiplier
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.parallel.strategy import ParallelStrategy
-from repro.runtime.executor import compare_systems
 from repro.runtime.model_runner import run_model
 from repro.runtime.workload import MoELayerWorkload
 from repro.systems import ALL_SYSTEMS
 from repro.systems.base import UnsupportedWorkload
 
-__all__ = ["ExperimentSpec", "Scenario", "default_system_names"]
+__all__ = [
+    "ExperimentSpec",
+    "Scenario",
+    "check_finite",
+    "check_point",
+    "default_system_names",
+    "expand",
+    "run_tasks",
+]
 
 
 def default_system_names() -> tuple[str, ...]:
     """Registry slugs of the built-in systems, in the paper's plotting
     order (Megatron-TE first, Comet last)."""
     return tuple(cls.slug for cls in ALL_SYSTEMS)
+
+
+# -- the grid-point boundary ---------------------------------------------------
+def check_finite(name: str, value: float, positive: bool = False) -> None:
+    """``value`` must be finite and ``> 0`` (``positive``) or ``>= 0``.
+
+    A NaN passes every ``< 0`` check and reaches exports as ``NaN``.
+    """
+    low = 0 < value if positive else 0 <= value
+    if not (low and value < math.inf):
+        raise ValueError(
+            f"{name} must be finite and {'positive' if positive else '>= 0'}, "
+            f"got {value}"
+        )
+
+
+def check_point(
+    cluster: ClusterSpec,
+    strategy: ParallelStrategy,
+    *,
+    config: MoEConfig | None = None,
+    stragglers: StragglerSpec | None = None,
+    overlap_policy: str = "per_layer",
+    policy: str | None = None,
+    **slos: float,
+) -> None:
+    """The checks every scenario kind makes of one grid point.
+
+    The strategy spans the cluster, the model's experts and FFN divide
+    over it (when ``config`` is given), a straggler spec covers every
+    rank, and the overlap policy is known.  Serving scenarios also name
+    a registered scheduler ``policy`` and pass their SLO targets as
+    keywords, each of which must be finite and positive.
+    """
+    if strategy.world_size != cluster.world_size:
+        raise ValueError(
+            f"strategy {strategy} needs world size {strategy.world_size}, "
+            f"cluster {cluster.name} has {cluster.world_size}"
+        )
+    if config is not None:
+        strategy.validate_model(config.num_experts, config.ffn_size)
+    if stragglers is not None and stragglers.num_ranks != cluster.world_size:
+        raise ValueError(
+            f"straggler spec covers {stragglers.num_ranks} ranks, "
+            f"cluster {cluster.name} has {cluster.world_size}"
+        )
+    check_policy(overlap_policy)
+    if policy is not None:
+        from repro.serve.scheduler import POLICY_REGISTRY
+
+        if policy not in POLICY_REGISTRY:
+            raise ValueError(
+                f"unknown policy {policy!r}; valid policies: "
+                f"{', '.join(POLICY_REGISTRY.names())}"
+            )
+    for name, target in slos.items():
+        check_finite(name, target, positive=True)
+
+
+# -- the sweep engine ----------------------------------------------------------
+def expand(
+    axes: Sequence[tuple[str, Any]], make: Callable[..., Any]
+) -> Iterator[Any]:
+    """Yield ``make(**point)`` for every point of a cartesian grid.
+
+    ``axes`` holds ``(name, values)`` pairs, outer to inner: the last
+    axis varies fastest, as in nested ``for`` loops.  ``values`` is a
+    sequence, or a function whose parameters name outer axes
+    (``lambda cluster: ...``); the function is called once per
+    combination of those outer values and its result serves every
+    point inside them.
+    """
+    axes = tuple(axes)
+    depends = [
+        tuple(inspect.signature(values).parameters) if callable(values) else None
+        for _, values in axes
+    ]
+    resolved: dict[tuple, tuple] = {}
+    point: dict[str, Any] = {}
+
+    def fold(depth: int) -> Iterator[Any]:
+        if depth == len(axes):
+            yield make(**point)
+            return
+        name, values = axes[depth]
+        if depends[depth] is not None:
+            outer = [point[dep] for dep in depends[depth]]
+            key = (depth, *map(id, outer))
+            if key not in resolved:
+                resolved[key] = tuple(values(*outer))
+            values = resolved[key]
+        for value in values:
+            point[name] = value
+            yield from fold(depth + 1)
+
+    return fold(0)
 
 
 def _check_executor(executor: str) -> None:
@@ -61,22 +189,64 @@ def _check_executor(executor: str) -> None:
         )
 
 
-def _run_scenario_task(payload):
-    """Process-pool task: one grid point, executed in a worker process.
+def run_tasks(
+    task: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    workers: int | None = None,
+    executor: str = "thread",
+    registry: SystemRegistry | None = None,
+) -> Iterator[Any]:
+    """Yield ``task(payload)`` for every payload, in payload order.
 
-    Module-level (picklable by reference); rebuilds a single-scenario
-    spec against the worker's global registry and ships the rows back
-    with the worker's own cache counters, so the parent can merge them
-    into :func:`repro.perf.cache_stats`.
+    Serial unless ``workers`` > 1 and there are two or more payloads;
+    then the tasks run on that many threads, or worker processes with
+    ``executor="process"``.  ``task`` must be module-level (it pickles
+    by reference), and each process worker's cache counters merge into
+    :func:`repro.perf.cache_stats`.  ``registry`` is the spec's custom
+    system registry, which process workers cannot see, so process mode
+    refuses one.
     """
+    _check_executor(executor)
+    parallel = workers is not None and workers > 1
+    if parallel and executor == "process" and registry is not None:
+        raise ValueError(
+            "executor='process' requires the default registry "
+            "(a custom registry exists only in this process)"
+        )
+    if not parallel or len(payloads) < 2:
+        return map(task, payloads)
+    return _pooled(task, payloads, workers, executor)
+
+
+def _pooled(
+    task: Callable[[Any], Any], payloads: Sequence[Any], workers: int, executor: str
+) -> Iterator[Any]:
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    from repro import perf
+
+    if executor == "thread":
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(task, payloads)
+        return
+    jobs = [(task, payload) for payload in payloads]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=perf.process_worker_init
+    ) as pool:
+        for result, pid, stats in pool.map(_in_worker, jobs):
+            perf.record_worker_stats(pid, stats)
+            yield result
+
+
+def _in_worker(job: tuple[Callable[[Any], Any], Any]):
+    """Process-pool entry: one task, returned with this worker's pid and
+    own cache counters for :func:`repro.perf.record_worker_stats`."""
     import os
 
     from repro import perf
 
-    scenario, level, names = payload
-    spec = ExperimentSpec(scenarios=(scenario,), systems=names)
-    rows, skips = spec._run_scenario(scenario, level, names)
-    return rows, skips, os.getpid(), perf.cache_stats(include_workers=False)
+    task, payload = job
+    return task(payload), os.getpid(), perf.cache_stats(include_workers=False)
 
 
 @dataclass(frozen=True)
@@ -97,31 +267,19 @@ class Scenario:
     stragglers: StragglerSpec | None = None
 
     def __post_init__(self) -> None:
-        from repro.graph.lower import check_policy
-
-        check_policy(self.overlap_policy)
-        if (
-            self.stragglers is not None
-            and self.stragglers.num_ranks != self.cluster.world_size
-        ):
-            raise ValueError(
-                f"straggler spec covers {self.stragglers.num_ranks} ranks, "
-                f"cluster {self.cluster.name} has {self.cluster.world_size}"
-            )
-        if self.strategy.world_size != self.cluster.world_size:
-            raise ValueError(
-                f"strategy {self.strategy} needs world size "
-                f"{self.strategy.world_size}, cluster {self.cluster.name} "
-                f"has {self.cluster.world_size}"
-            )
-        self.strategy.validate_model(self.config.num_experts, self.config.ffn_size)
+        check_point(
+            self.cluster,
+            self.strategy,
+            config=self.config,
+            stragglers=self.stragglers,
+            overlap_policy=self.overlap_policy,
+        )
         if self.tokens <= 0 or self.tokens % self.cluster.world_size != 0:
             raise ValueError(
                 f"tokens {self.tokens} must be positive and divide evenly "
                 f"over {self.cluster.world_size} ranks"
             )
-        if self.imbalance_std < 0:
-            raise ValueError(f"imbalance_std must be >= 0, got {self.imbalance_std}")
+        check_finite("imbalance_std", self.imbalance_std)
 
     @property
     def label(self) -> str:
@@ -163,11 +321,32 @@ class Scenario:
         )
 
 
-def _as_sequence(value: Any, scalar_types: tuple[type, ...]) -> tuple:
-    """Treat ``value`` as one axis: scalars become 1-tuples."""
-    if isinstance(value, scalar_types) or not isinstance(value, Iterable):
+# -- grid axes -----------------------------------------------------------------
+def _as_axis(value: Any) -> tuple:
+    """One grid axis: a sequence is its values; anything else — a string
+    included — is a single value."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
         return (value,)
     return tuple(value)
+
+
+def _numeric_axis(name: str, value: Any, integral: bool = False) -> tuple:
+    """A numeric axis: floats, or ints where ``integral``.  A string or
+    a non-integral value for an integer axis is an error, never split
+    into characters or truncated."""
+    out = []
+    for entry in _as_axis(value):
+        if not isinstance(entry, numbers.Real):
+            raise ValueError(f"{name} entries must be numbers, got {entry!r}")
+        if not integral:
+            out.append(float(entry))
+        elif isinstance(entry, numbers.Integral) or (
+            math.isfinite(entry) and float(entry).is_integer()
+        ):
+            out.append(int(entry))
+        else:
+            raise ValueError(f"{name} entries must be integers, got {entry!r}")
+    return tuple(out)
 
 
 def _as_straggler_axis(
@@ -184,29 +363,23 @@ def _as_straggler_axis(
     ``(1.0, 1.5)`` sweep keeps its baseline point byte-identical to an
     unswept grid.
     """
-    entries = _as_sequence(value, (StragglerSpec, int, float, type(None)))
     out: list[StragglerSpec | None] = []
-    for entry in entries:
-        if entry is None:
-            out.append(None)
-        elif isinstance(entry, StragglerSpec):
-            out.append(None if entry.is_uniform else entry)
-        elif isinstance(entry, (int, float)):
+    for entry in _as_axis(value):
+        if isinstance(entry, (int, float)):
             mult = check_multiplier(entry)
-            out.append(
-                None
-                if mult == 1.0
-                else StragglerSpec.slow_rank(world_size, compute_mult=mult)
-            )
-        else:
+            entry = StragglerSpec.slow_rank(world_size, compute_mult=mult)
+        elif entry is not None and not isinstance(entry, StragglerSpec):
             raise ValueError(
                 f"straggler axis entries must be None, a StragglerSpec, or "
                 f"a slow-rank multiplier; got {entry!r}"
             )
+        out.append(None if entry is None or entry.is_uniform else entry)
     return tuple(out)
 
 
 def _as_strategies(value: Any, world_size: int) -> tuple[ParallelStrategy, ...]:
+    if value is None:
+        return (ParallelStrategy(tp_size=1, ep_size=world_size),)
     if isinstance(value, str):
         if value != "sweep":
             raise ValueError(
@@ -218,15 +391,92 @@ def _as_strategies(value: Any, world_size: int) -> tuple[ParallelStrategy, ...]:
         return (value,)
     items = tuple(value)
     if len(items) == 2 and all(isinstance(v, int) for v in items):
-        return (ParallelStrategy(tp_size=items[0], ep_size=items[1]),)
+        items = (items,)
     out = []
     for item in items:
-        if isinstance(item, ParallelStrategy):
-            out.append(item)
-        else:
+        if not isinstance(item, ParallelStrategy):
             tp, ep = item
-            out.append(ParallelStrategy(tp_size=tp, ep_size=ep))
+            item = ParallelStrategy(tp_size=tp, ep_size=ep)
+        out.append(item)
     return tuple(out)
+
+
+def _shape_axes(models: Any, clusters: Any, strategies: Any) -> tuple:
+    """The outer ``config``, ``cluster`` and ``strategy`` axes every
+    grid starts with; ``strategies=None`` is pure expert parallelism
+    (TP=1, EP=world) on each cluster."""
+    return (
+        ("config", tuple(resolve_model(m) for m in _as_axis(models))),
+        ("cluster", tuple(resolve_cluster(c) for c in _as_axis(clusters))),
+        ("strategy", lambda cluster: _as_strategies(strategies, cluster.world_size)),
+    )
+
+
+def _straggler_axis(stragglers: Any) -> tuple:
+    return (
+        "stragglers",
+        lambda cluster: _as_straggler_axis(stragglers, cluster.world_size),
+    )
+
+
+def _grid(
+    cls: type,
+    axes: Sequence[tuple[str, Any]],
+    make: Callable[..., Any],
+    systems: Any,
+    registry: SystemRegistry | None,
+):
+    """A ``cls`` spec over the expanded axes, its systems resolved
+    through ``registry`` (the global one by default)."""
+    scenarios = tuple(expand(axes, make))
+    reg = registry if registry is not None else SYSTEM_REGISTRY
+    names = () if systems is None else tuple(reg.resolve(n) for n in _as_axis(systems))
+    return cls(scenarios=scenarios, systems=names, registry=registry)
+
+
+def _run_point(payload) -> tuple[list[ResultRow], list[SkipRecord]]:
+    """Task: one grid point — its workload built once, every system run
+    on it in sequence (one layer, or the whole forward pass at
+    ``level="model"``)."""
+    from repro import perf
+
+    scenario, level, names, registry = payload
+    registry = registry if registry is not None else SYSTEM_REGISTRY
+    workload = scenario.build_workload()
+    rows: list[ResultRow] = []
+    skips: list[SkipRecord] = []
+    for system in [registry.create(name) for name in names]:
+        model_timing = None
+        try:
+            if level == "layer":
+                timing = perf.cached_time_layer(system, workload)
+            else:
+                model_timing = run_model(
+                    system,
+                    scenario.config,
+                    scenario.cluster,
+                    scenario.strategy,
+                    total_tokens=scenario.tokens,
+                    workload=workload,
+                    overlap_policy=scenario.overlap_policy,
+                    stragglers=scenario.stragglers,
+                )
+                timing = model_timing.moe
+        except UnsupportedWorkload as exc:
+            skips.append(
+                SkipRecord(scenario=scenario, system=system.name, reason=str(exc))
+            )
+            continue
+        rows.append(
+            ResultRow(
+                scenario=scenario,
+                system=system.name,
+                timing=timing,
+                model_timing=model_timing,
+                workload=workload,
+            )
+        )
+    return rows, skips
 
 
 @dataclass(frozen=True)
@@ -276,50 +526,15 @@ class ExperimentSpec:
         stragglers (outer to inner) — the row order of the paper's
         figure tables.
         """
-        reg = registry if registry is not None else SYSTEM_REGISTRY
-        model_list = [
-            resolve_model(m) for m in _as_sequence(models, (MoEConfig, str))
-        ]
-        cluster_list = [
-            resolve_cluster(c)
-            for c in _as_sequence(clusters, (ClusterSpec, str))
-        ]
-        token_list = [int(t) for t in _as_sequence(tokens, (int,))]
-        std_list = [float(s) for s in _as_sequence(imbalance_stds, (int, float))]
-        seed_list = [int(s) for s in _as_sequence(seeds, (int,))]
-        overlap_list = list(_as_sequence(overlap_policies, (str,)))
-
-        scenarios = []
-        for config in model_list:
-            for cluster in cluster_list:
-                straggler_list = _as_straggler_axis(
-                    stragglers, cluster.world_size
-                )
-                for strategy in _as_strategies(strategies, cluster.world_size):
-                    for token_count in token_list:
-                        for std in std_list:
-                            for seed in seed_list:
-                                for overlap in overlap_list:
-                                    for spec in straggler_list:
-                                        scenarios.append(
-                                            Scenario(
-                                                config=config,
-                                                cluster=cluster,
-                                                strategy=strategy,
-                                                tokens=token_count,
-                                                imbalance_std=std,
-                                                seed=seed,
-                                                overlap_policy=overlap,
-                                                stragglers=spec,
-                                            )
-                                        )
-        if systems is None:
-            names: tuple[str, ...] = ()
-        else:
-            names = tuple(
-                reg.resolve(n) for n in _as_sequence(systems, (str,))
-            )
-        return cls(scenarios=tuple(scenarios), systems=names, registry=registry)
+        axes = (
+            *_shape_axes(models, clusters, strategies),
+            ("tokens", _numeric_axis("tokens", tokens, integral=True)),
+            ("imbalance_std", _numeric_axis("imbalance_stds", imbalance_stds)),
+            ("seed", _numeric_axis("seeds", seeds, integral=True)),
+            ("overlap_policy", _as_axis(overlap_policies)),
+            _straggler_axis(stragglers),
+        )
+        return _grid(cls, axes, Scenario, systems, registry)
 
     # -- execution -------------------------------------------------------------
     def system_names(self) -> tuple[str, ...]:
@@ -335,86 +550,6 @@ class ExperimentSpec:
         for scenario in dict.fromkeys(self.scenarios):
             yield scenario, scenario.build_workload()
 
-    def _run_scenario(
-        self,
-        scenario: Scenario,
-        level: str,
-        names: tuple[str, ...],
-        on_skip: Callable[[SkipRecord], None] | None = None,
-    ) -> tuple[list[ResultRow], list[SkipRecord]]:
-        """Execute one grid point: build its workload, run every system.
-
-        Self-contained (no shared mutable state beyond the thread-safe
-        perf caches), so scenarios can execute on worker threads; the
-        caller reassembles results in grid order either way.  ``on_skip``
-        fires live as each pair is skipped (serial runs pass it through;
-        parallel runs defer to the ordered reassembly instead).
-        """
-        from repro import perf
-
-        registry = self.registry if self.registry is not None else SYSTEM_REGISTRY
-        workload = scenario.build_workload()
-        systems = [registry.create(name) for name in names]
-        rows: list[ResultRow] = []
-        skips: list[SkipRecord] = []
-
-        def record_skip(record: SkipRecord) -> None:
-            skips.append(record)
-            if on_skip is not None:
-                on_skip(record)
-
-        if level == "layer":
-            timings = compare_systems(
-                systems,
-                workload,
-                on_skip=lambda system, reason: record_skip(
-                    SkipRecord(scenario=scenario, system=system.name, reason=reason)
-                ),
-                timer=perf.cached_time_layer,
-            )
-            for system in systems:
-                timing = timings.get(system.name)
-                if timing is None:
-                    continue
-                rows.append(
-                    ResultRow(
-                        scenario=scenario,
-                        system=system.name,
-                        timing=timing,
-                        workload=workload,
-                    )
-                )
-        else:
-            for system in systems:
-                try:
-                    model_timing = run_model(
-                        system,
-                        scenario.config,
-                        scenario.cluster,
-                        scenario.strategy,
-                        total_tokens=scenario.tokens,
-                        workload=workload,
-                        overlap_policy=scenario.overlap_policy,
-                        stragglers=scenario.stragglers,
-                    )
-                except UnsupportedWorkload as exc:
-                    record_skip(
-                        SkipRecord(
-                            scenario=scenario, system=system.name, reason=str(exc)
-                        )
-                    )
-                    continue
-                rows.append(
-                    ResultRow(
-                        scenario=scenario,
-                        system=system.name,
-                        timing=model_timing.moe,
-                        model_timing=model_timing,
-                        workload=workload,
-                    )
-                )
-        return rows, skips
-
     def run(
         self,
         level: str = "layer",
@@ -427,25 +562,19 @@ class ExperimentSpec:
         ``level="layer"`` times one MoE layer per pair; ``level="model"``
         times the full forward pass (Figure 9's convention) and fills
         ``model_timing`` on each row.  Unsupported pairs become
-        :class:`SkipRecord` entries instead of vanishing; ``on_skip`` is
-        additionally invoked per skip, for live annotation.
+        :class:`SkipRecord` entries instead of vanishing.
 
-        ``workers`` > 1 executes grid points on that many workers —
-        threads by default, or worker *processes* with
-        ``executor="process"`` (sidestepping the GIL; every spec object
-        is pickle-stable, the round-trip tests enforce it).  Row and
-        skip ordering (and therefore every export) is identical to the
-        serial run: results are reassembled in grid order, and each
-        scenario's systems still run in sequence on one worker.  In
-        parallel mode ``on_skip`` fires during reassembly (grid order)
-        rather than live.  Process mode requires the default registry
-        (a custom ``registry`` lives only in this process) and merges
-        each worker's cache counters into
-        :func:`repro.perf.cache_stats`.
+        Each unique scenario is one task — its workload built once, its
+        systems run in sequence — handed to :func:`run_tasks`:
+        ``workers`` > 1 runs scenarios on that many threads, or worker
+        processes with ``executor="process"`` (which requires the
+        default registry).  Rows and skips (and so every export) come
+        out in grid order whatever the worker kind, and ``on_skip``
+        fires for each skip in that same order, as each scenario's
+        outcome arrives.
         """
         if level not in ("layer", "model"):
             raise ValueError(f"level must be 'layer' or 'model', got {level!r}")
-        _check_executor(executor)
         if level == "layer" and any(
             s.stragglers is not None and not s.stragglers.is_uniform
             for s in self.scenarios
@@ -460,56 +589,23 @@ class ExperimentSpec:
                 "layer timings are straggler-independent)"
             )
         names = self.system_names()
-        scenarios = list(dict.fromkeys(self.scenarios))
-        parallel = workers is not None and workers > 1 and len(scenarios) > 1
-        if parallel and executor == "process":
-            if self.registry is not None:
-                raise ValueError(
-                    "executor='process' requires the default registry "
-                    "(a custom registry exists only in this process)"
-                )
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro import perf
-
-            payloads = [(s, level, names) for s in scenarios]
-            outcomes = []
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=perf.process_worker_init
-            ) as pool:
-                for rows_, skips_, pid, stats in pool.map(
-                    _run_scenario_task, payloads
-                ):
-                    perf.record_worker_stats(pid, stats)
-                    outcomes.append((rows_, skips_))
-        elif parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(
-                    pool.map(
-                        lambda s: self._run_scenario(s, level, names), scenarios
-                    )
-                )
-        else:
-            outcomes = [
-                self._run_scenario(s, level, names, on_skip=on_skip)
-                for s in scenarios
-            ]
-
+        scenarios = tuple(dict.fromkeys(self.scenarios))
+        payloads = [(s, level, names, self.registry) for s in scenarios]
         rows: list[ResultRow] = []
         skips: list[SkipRecord] = []
-        for scenario_rows, scenario_skips in outcomes:
-            rows.extend(scenario_rows)
-            skips.extend(scenario_skips)
-            if parallel and on_skip is not None:
-                for record in scenario_skips:
+        for point_rows, point_skips in run_tasks(
+            _run_point, payloads, workers, executor, self.registry
+        ):
+            rows.extend(point_rows)
+            skips.extend(point_skips)
+            if on_skip is not None:
+                for record in point_skips:
                     on_skip(record)
         from repro.obs import capture
 
         return ResultSet(
             rows=tuple(rows),
             skips=tuple(skips),
-            grid=tuple(scenarios),
+            grid=scenarios,
             manifest=capture("experiment", scenarios, names),
         )

@@ -9,28 +9,35 @@ with distinct straggler specs), a front-door router from
 :data:`~repro.fleet.router.ROUTER_REGISTRY`, optional queue-driven
 autoscaling, optional replica failure/recovery injection, and optional
 prefill/decode-disaggregated pools.  :meth:`FleetSpec.grid` expands
-cartesian sweeps over every one of those axes and
-:meth:`FleetSpec.run` serves each registered system on each point,
-returning a :class:`~repro.fleet.metrics.FleetResultSet`.
+cartesian sweeps over every one of those axes through
+:func:`repro.api.scenario.expand`, and :meth:`FleetSpec.run` serves
+each registered system on each point, returning a
+:class:`~repro.fleet.metrics.FleetResultSet`.
 
-The request trace is built once per scenario and replayed verbatim for
-every system (the same one-trace-per-grid-point sharing as
-:class:`~repro.serve.scenario.ServeSpec`), and identical replicas share
-one step-cost model through :func:`repro.perf.shared_step_cost`, so an
-8-replica homogeneous fleet prices its iterations exactly once.
+:meth:`FleetSpec.run` is :class:`~repro.serve.scenario.ServeSpec`'s run
+path (:func:`repro.serve.scenario.serve_grid`): the request trace is
+built once per unique scenario, in the calling process, and replayed
+verbatim for every system; process workers receive it pickled.
+Identical replicas share one step-cost model through
+:func:`repro.perf.shared_step_cost`, so an 8-replica homogeneous fleet
+prices its iterations exactly once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
-from repro.api.registry import (
-    SYSTEM_REGISTRY,
-    SystemRegistry,
-    resolve_cluster,
-    resolve_model,
+from repro.api.registry import SystemRegistry
+from repro.api.scenario import (
+    _as_axis,
+    _grid,
+    _numeric_axis,
+    _shape_axes,
+    _straggler_axis,
+    check_finite,
+    check_point,
 )
 from repro.faults.migration import MigrationSpec
 from repro.faults.plan import FailureEvent, FaultPlan, TimeVaryingStepCost
@@ -41,9 +48,9 @@ from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.parallel.strategy import ParallelStrategy
-from repro.serve.scheduler import POLICY_REGISTRY
+from repro.serve.scenario import ServeSpec, serve_grid
 from repro.serve.traffic import Request, TraceSpec
-from repro.systems.base import MoESystem, UnsupportedWorkload
+from repro.systems.base import MoESystem
 
 __all__ = [
     "AutoscalerSpec",
@@ -87,20 +94,7 @@ class ReplicaSpec:
                 f"unknown replica role {self.role!r}; valid roles: "
                 f"{', '.join(REPLICA_ROLES)}"
             )
-        if self.strategy.world_size != self.cluster.world_size:
-            raise ValueError(
-                f"strategy {self.strategy} needs world size "
-                f"{self.strategy.world_size}, cluster {self.cluster.name} "
-                f"has {self.cluster.world_size}"
-            )
-        if (
-            self.stragglers is not None
-            and self.stragglers.num_ranks != self.cluster.world_size
-        ):
-            raise ValueError(
-                f"straggler spec covers {self.stragglers.num_ranks} ranks, "
-                f"cluster {self.cluster.name} has {self.cluster.world_size}"
-            )
+        check_point(self.cluster, self.strategy, stragglers=self.stragglers)
 
     @property
     def gpus(self) -> int:
@@ -138,12 +132,9 @@ class AutoscalerSpec:
                 f"need 0 <= scale_down_queue < scale_up_queue, got "
                 f"{self.scale_down_queue} / {self.scale_up_queue}"
             )
-        if self.interval_ms <= 0:
-            raise ValueError(
-                f"interval_ms must be positive, got {self.interval_ms}"
-            )
-        if self.warmup_ms < 0 or self.cooldown_ms < 0:
-            raise ValueError("warmup_ms and cooldown_ms must be >= 0")
+        check_finite("interval_ms", self.interval_ms, positive=True)
+        check_finite("warmup_ms", self.warmup_ms)
+        check_finite("cooldown_ms", self.cooldown_ms)
 
     @property
     def label(self) -> str:
@@ -191,8 +182,6 @@ class FleetScenario:
     migration: MigrationSpec | None = None
 
     def __post_init__(self) -> None:
-        from repro.graph.lower import check_policy
-
         if not self.replicas:
             raise ValueError("a fleet needs at least one ReplicaSpec")
         object.__setattr__(self, "replicas", tuple(self.replicas))
@@ -213,14 +202,17 @@ class FleetScenario:
                 f"unknown router {self.router!r}; valid routers: "
                 f"{', '.join(ROUTER_REGISTRY.names())}"
             )
-        if self.policy not in POLICY_REGISTRY:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; valid policies: "
-                f"{', '.join(POLICY_REGISTRY.names())}"
+        for replica in self.replicas:
+            check_point(
+                replica.cluster,
+                replica.strategy,
+                config=self.config,
+                stragglers=replica.stragglers,
+                overlap_policy=self.overlap_policy,
+                policy=self.policy,
+                slo_ttft_ms=self.slo_ttft_ms,
+                slo_tpot_ms=self.slo_tpot_ms,
             )
-        if self.slo_ttft_ms <= 0 or self.slo_tpot_ms <= 0:
-            raise ValueError("SLO targets must be positive")
-        check_policy(self.overlap_policy)
         if self.autoscaler is not None:
             if roles != {"unified"}:
                 raise ValueError(
@@ -332,6 +324,16 @@ class FleetScenario:
     def build_trace(self) -> tuple[Request, ...]:
         return self.trace.build()
 
+    def skip_record(self, system: str, reason: str) -> FleetSkip:
+        """The record of ``system`` being unable to serve this scenario."""
+        return FleetSkip(
+            scenario_label=self.label,
+            system=system,
+            reason=reason,
+            router=self.router,
+            num_replicas=self.num_replicas,
+        )
+
     def run_system(
         self,
         system: MoESystem,
@@ -404,11 +406,7 @@ def _as_replica_axis(value: Any) -> tuple[Any, ...]:
     :class:`ReplicaSpec` (a heterogeneous fleet).  A bare sequence of
     ReplicaSpecs is one entry, not an axis.
     """
-    if value is None:
-        return (1,)
-    if isinstance(value, (int, str, ReplicaSpec)):
-        return (value,)
-    items = tuple(value)
+    items = _as_axis(1 if value is None else value)
     if items and all(isinstance(v, ReplicaSpec) for v in items):
         return (items,)
     return items
@@ -422,8 +420,6 @@ def _expand_replica_entry(
 ) -> tuple[ReplicaSpec, ...]:
     """Resolve one replica-axis entry against a grid point's shape."""
     if isinstance(entry, int):
-        if entry < 1:
-            raise ValueError(f"replica count must be >= 1, got {entry}")
         return (
             ReplicaSpec(
                 cluster=cluster, strategy=strategy, count=entry,
@@ -458,38 +454,22 @@ def _expand_replica_entry(
     return tuple(entry)
 
 
-def _as_optional_axis(value: Any, scalar: type) -> tuple[Any, ...]:
-    """Axis of ``scalar`` instances where ``None`` is a valid entry."""
-    if value is None or isinstance(value, scalar):
-        return (value,)
-    return tuple(value)
-
-
 def _as_failure_axis(value: Any) -> tuple[tuple[FailureEvent, ...], ...]:
     """Normalise the ``failures`` axis: each entry is one failure plan.
 
     ``None`` is the no-failure plan; a :class:`FailureEvent` or a
     sequence of them is a single plan; a sequence of plans (containing
-    ``None`` / events / event sequences) is an axis.
+    ``None`` / events / event sequences) is an axis.  An empty sequence
+    is the empty plan, not an empty axis.
     """
-    if value is None:
-        return ((),)
-    if isinstance(value, FailureEvent):
-        return ((value,),)
-    items = tuple(value)
-    if not items:
-        return ((),)  # an empty plan, not an empty axis
+    items = _as_axis(value)
     if all(isinstance(v, FailureEvent) for v in items):
         return (items,)
-    out: list[tuple[FailureEvent, ...]] = []
-    for item in items:
-        if item is None:
-            out.append(())
-        elif isinstance(item, FailureEvent):
-            out.append((item,))
-        else:
-            out.append(tuple(item))
-    return tuple(out)
+    return tuple(
+        () if item is None else (item,) if isinstance(item, FailureEvent)
+        else tuple(item)
+        for item in items
+    )
 
 
 @dataclass(frozen=True)
@@ -548,210 +528,56 @@ class FleetSpec:
         ``migrations`` sweeps
         :class:`~repro.faults.migration.MigrationSpec` KV-transfer
         cost models.
+
+        Expansion order is models, clusters, strategies, stragglers,
+        replicas, traces, policies, routers, autoscalers, failures, TTFT
+        SLOs, TPOT SLOs, batch budgets, overlap policies, faults,
+        resilience, migrations (outer to inner).
         """
-        from repro.api.scenario import (
-            _as_sequence,
-            _as_straggler_axis,
-            _as_strategies,
-        )
-
-        reg = registry if registry is not None else SYSTEM_REGISTRY
-        model_list = [
-            resolve_model(m) for m in _as_sequence(models, (MoEConfig, str))
-        ]
-        cluster_list = [
-            resolve_cluster(c) for c in _as_sequence(clusters, (ClusterSpec, str))
-        ]
-        trace_list = list(_as_sequence(
-            traces if traces is not None else TraceSpec(), (TraceSpec,)
-        ))
-        policy_list = list(_as_sequence(policies, (str,)))
-        router_list = [
-            ROUTER_REGISTRY.resolve(r) for r in _as_sequence(routers, (str,))
-        ]
         replica_axis = _as_replica_axis(replicas)
-        autoscaler_list = _as_optional_axis(autoscalers, AutoscalerSpec)
-        failure_list = _as_failure_axis(failures)
-        fault_list = _as_optional_axis(faults, FaultPlan)
-        resilience_list = _as_optional_axis(resilience, ResilienceSpec)
-        migration_list = _as_optional_axis(migrations, MigrationSpec)
-        ttft_list = [float(v) for v in _as_sequence(slo_ttft_ms, (int, float))]
-        tpot_list = [float(v) for v in _as_sequence(slo_tpot_ms, (int, float))]
-        budget_list = [int(v) for v in _as_sequence(max_batch_tokens, (int,))]
-        overlap_list = list(_as_sequence(overlap_policies, (str,)))
 
-        scenarios: list[FleetScenario] = []
-        for config in model_list:
-            for cluster in cluster_list:
-                if strategies is None:
-                    strategy_list = (
-                        ParallelStrategy(tp_size=1, ep_size=cluster.world_size),
-                    )
-                else:
-                    strategy_list = _as_strategies(strategies, cluster.world_size)
-                straggler_list = _as_straggler_axis(stragglers, cluster.world_size)
-                for strategy in strategy_list:
-                    for spec in straggler_list:
-                        pools = [
-                            _expand_replica_entry(entry, cluster, strategy, spec)
-                            for entry in replica_axis
-                        ]
-                        for pool in pools:
-                            for trace in trace_list:
-                                for policy in policy_list:
-                                    for router in router_list:
-                                        for scaler in autoscaler_list:
-                                            for plan in failure_list:
-                                                for ttft in ttft_list:
-                                                    for tpot in tpot_list:
-                                                        for budget in budget_list:
-                                                            for overlap in overlap_list:
-                                                                for fault_plan in fault_list:
-                                                                    for res in resilience_list:
-                                                                        for migration in migration_list:
-                                                                            scenarios.append(
-                                                                                FleetScenario(
-                                                                                    config=config,
-                                                                                    replicas=pool,
-                                                                                    trace=trace,
-                                                                                    router=router,
-                                                                                    router_seed=router_seed,
-                                                                                    autoscaler=scaler,
-                                                                                    failures=plan,
-                                                                                    policy=policy,
-                                                                                    slo_ttft_ms=ttft,
-                                                                                    slo_tpot_ms=tpot,
-                                                                                    max_batch_tokens=budget,
-                                                                                    overlap_policy=overlap,
-                                                                                    faults=fault_plan,
-                                                                                    resilience=res,
-                                                                                    migration=migration,
-                                                                                )
-                                                                            )
-        if systems is None:
-            names: tuple[str, ...] = ()
-        else:
-            names = tuple(reg.resolve(n) for n in _as_sequence(systems, (str,)))
-        return cls(scenarios=tuple(scenarios), systems=names, registry=registry)
-
-    def system_names(self) -> tuple[str, ...]:
-        """Requested systems, deduplicated, defaulting to all built-ins."""
-        if self.systems:
-            return tuple(dict.fromkeys(self.systems))
-        from repro.api.scenario import default_system_names
-
-        return default_system_names()
-
-    def traces(self) -> Iterator[tuple[FleetScenario, tuple[Request, ...]]]:
-        """One (scenario, trace) pair per unique grid point."""
-        for scenario in dict.fromkeys(self.scenarios):
-            yield scenario, scenario.build_trace()
-
-    def _serve_one(
-        self, scenario: FleetScenario, trace: tuple[Request, ...], name: str
-    ) -> FleetReport | FleetSkip:
-        """Serve one (scenario, system) pair — self-contained per thread."""
-        registry = self.registry if self.registry is not None else SYSTEM_REGISTRY
-        system = registry.create(name)
-        try:
-            return scenario.run_system(system, trace=trace)
-        except UnsupportedWorkload as exc:
-            return FleetSkip(
-                scenario_label=scenario.label,
-                system=system.name,
-                reason=str(exc),
-                router=scenario.router,
-                num_replicas=scenario.num_replicas,
+        def pools(cluster, strategy, stragglers):
+            return tuple(
+                _expand_replica_entry(entry, cluster, strategy, stragglers)
+                for entry in replica_axis
             )
+
+        def make(cluster, strategy, stragglers, **fields):
+            return FleetScenario(router_seed=router_seed, **fields)
+
+        axes = (
+            *_shape_axes(models, clusters, strategies),
+            _straggler_axis(stragglers),
+            ("replicas", pools),
+            ("trace", _as_axis(traces if traces is not None else TraceSpec())),
+            ("policy", _as_axis(policies)),
+            ("router", tuple(ROUTER_REGISTRY.resolve(r) for r in _as_axis(routers))),
+            ("autoscaler", _as_axis(autoscalers)),
+            ("failures", _as_failure_axis(failures)),
+            ("slo_ttft_ms", _numeric_axis("slo_ttft_ms", slo_ttft_ms)),
+            ("slo_tpot_ms", _numeric_axis("slo_tpot_ms", slo_tpot_ms)),
+            (
+                "max_batch_tokens",
+                _numeric_axis("max_batch_tokens", max_batch_tokens, integral=True),
+            ),
+            ("overlap_policy", _as_axis(overlap_policies)),
+            ("faults", _as_axis(faults)),
+            ("resilience", _as_axis(resilience)),
+            ("migration", _as_axis(migrations)),
+        )
+        return _grid(cls, axes, make, systems, registry)
+
+    system_names = ServeSpec.system_names
+    traces = ServeSpec.traces
 
     def run(
         self, workers: int | None = None, executor: str = "thread"
     ) -> FleetResultSet:
         """Serve every (scenario, system) pair and collect the reports.
 
-        ``workers`` > 1 serves pairs on that many workers — threads by
-        default, or worker processes with ``executor="process"`` (traces
-        rebuilt deterministically per worker, worker cache counters
-        merged into :func:`repro.perf.cache_stats`); report and skip
-        ordering is reassembled to match the serial run exactly, so
-        every export is byte-identical either way.  Process mode
-        requires the default registry.
+        The run path of :meth:`ServeSpec.run`: each unique scenario's
+        trace is built once, here in the calling process, and process
+        workers receive it pickled; every export is byte-identical to
+        the serial run whatever the worker kind.
         """
-        from repro.api.scenario import _check_executor
-
-        _check_executor(executor)
-        parallel = workers is not None and workers > 1
-        if parallel and executor == "process":
-            if self.registry is not None:
-                raise ValueError(
-                    "executor='process' requires the default registry "
-                    "(a custom registry exists only in this process)"
-                )
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro import perf
-
-            payloads = [
-                (scenario, name)
-                for scenario in dict.fromkeys(self.scenarios)
-                for name in self.system_names()
-            ]
-            if len(payloads) > 1:
-                outcomes = []
-                with ProcessPoolExecutor(
-                    max_workers=workers, initializer=perf.process_worker_init
-                ) as pool:
-                    for outcome, pid, stats in pool.map(
-                        _fleet_one_task, payloads
-                    ):
-                        perf.record_worker_stats(pid, stats)
-                        outcomes.append(outcome)
-            else:
-                outcomes = [
-                    self._serve_one(s, s.build_trace(), n) for s, n in payloads
-                ]
-            return self._collect(outcomes)
-        tasks = [
-            (scenario, trace, name)
-            for scenario, trace in self.traces()
-            for name in self.system_names()
-        ]
-        if parallel and len(tasks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(lambda t: self._serve_one(*t), tasks))
-        else:
-            outcomes = [self._serve_one(*task) for task in tasks]
-        return self._collect(outcomes)
-
-    def _collect(
-        self, outcomes: list[FleetReport | FleetSkip]
-    ) -> FleetResultSet:
-        reports = tuple(o for o in outcomes if isinstance(o, FleetReport))
-        skips = tuple(o for o in outcomes if isinstance(o, FleetSkip))
-        from repro.obs import capture
-
-        return FleetResultSet(
-            reports=reports,
-            skips=skips,
-            manifest=capture("fleet", self.scenarios, self.system_names()),
-        )
-
-
-def _fleet_one_task(payload):
-    """Process-pool task: serve one fleet (scenario, system) pair.
-
-    Module-level (picklable by reference); the trace is rebuilt inside
-    the worker from the seeded :class:`~repro.serve.traffic.TraceSpec`,
-    and the worker's cache counters ride back for
-    :func:`repro.perf.record_worker_stats`.
-    """
-    import os
-
-    from repro import perf
-
-    scenario, name = payload
-    spec = FleetSpec(scenarios=(scenario,), systems=(name,))
-    outcome = spec._serve_one(scenario, scenario.build_trace(), name)
-    return outcome, os.getpid(), perf.cache_stats(include_workers=False)
+        return serve_grid(self, "fleet", FleetResultSet, workers, executor)

@@ -3,14 +3,19 @@
 Mirrors :mod:`repro.api.scenario` for the serving workload class: a
 :class:`ServeScenario` is one grid point (model x cluster x parallelism
 x traffic x scheduler policy x SLO), :class:`ServeSpec.grid` expands
-cartesian sweeps, and :meth:`ServeSpec.run` serves every registered
-system on each point, returning a
-:class:`~repro.serve.metrics.ServeResultSet`.
+cartesian sweeps through :func:`repro.api.scenario.expand`, and
+:meth:`ServeSpec.run` serves every registered system on each point,
+returning a :class:`~repro.serve.metrics.ServeResultSet`.
 
-The request trace is built exactly once per scenario and replayed
+:func:`serve_grid` is the run path :class:`ServeSpec` and
+:class:`~repro.fleet.spec.FleetSpec` share.  It builds the request
+trace once per unique scenario, in the calling process, and replays it
 verbatim for every system (the serving analogue of the one-workload-
 per-grid-point sharing in the offline API), so goodput differences are
-attributable to the execution mechanism alone.
+attributable to the execution mechanism alone.  Each (scenario, system)
+pair is one :func:`repro.api.scenario.run_tasks` task carrying its
+trace; process workers receive the trace pickled rather than rebuilding
+it.
 """
 
 from __future__ import annotations
@@ -18,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.api.registry import (
-    SYSTEM_REGISTRY,
-    SystemRegistry,
-    resolve_cluster,
-    resolve_model,
+from repro.api.registry import SYSTEM_REGISTRY, SystemRegistry
+from repro.api.scenario import (
+    ExperimentSpec,
+    _as_axis,
+    _grid,
+    _numeric_axis,
+    _shape_axes,
+    _straggler_axis,
+    check_point,
+    run_tasks,
 )
 from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
@@ -30,11 +40,11 @@ from repro.moe.config import MoEConfig
 from repro.parallel.strategy import ParallelStrategy
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import ServeReport, ServeResultSet, ServeSkip
-from repro.serve.scheduler import POLICY_REGISTRY, ContinuousBatchingScheduler
+from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.serve.traffic import Request, TraceSpec
 from repro.systems.base import MoESystem, UnsupportedWorkload
 
-__all__ = ["ServeScenario", "ServeSpec"]
+__all__ = ["ServeScenario", "ServeSpec", "serve_grid"]
 
 
 @dataclass(frozen=True)
@@ -55,31 +65,16 @@ class ServeScenario:
     stragglers: StragglerSpec | None = None
 
     def __post_init__(self) -> None:
-        from repro.graph.lower import check_policy
-
-        if self.strategy.world_size != self.cluster.world_size:
-            raise ValueError(
-                f"strategy {self.strategy} needs world size "
-                f"{self.strategy.world_size}, cluster {self.cluster.name} "
-                f"has {self.cluster.world_size}"
-            )
-        self.strategy.validate_model(self.config.num_experts, self.config.ffn_size)
-        if self.policy not in POLICY_REGISTRY:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; valid policies: "
-                f"{', '.join(POLICY_REGISTRY.names())}"
-            )
-        if self.slo_ttft_ms <= 0 or self.slo_tpot_ms <= 0:
-            raise ValueError("SLO targets must be positive")
-        check_policy(self.overlap_policy)
-        if (
-            self.stragglers is not None
-            and self.stragglers.num_ranks != self.cluster.world_size
-        ):
-            raise ValueError(
-                f"straggler spec covers {self.stragglers.num_ranks} ranks, "
-                f"cluster {self.cluster.name} has {self.cluster.world_size}"
-            )
+        check_point(
+            self.cluster,
+            self.strategy,
+            config=self.config,
+            stragglers=self.stragglers,
+            overlap_policy=self.overlap_policy,
+            policy=self.policy,
+            slo_ttft_ms=self.slo_ttft_ms,
+            slo_tpot_ms=self.slo_tpot_ms,
+        )
 
     @property
     def label(self) -> str:
@@ -98,6 +93,10 @@ class ServeScenario:
 
     def build_trace(self) -> tuple[Request, ...]:
         return self.trace.build()
+
+    def skip_record(self, system: str, reason: str) -> ServeSkip:
+        """The record of ``system`` being unable to serve this scenario."""
+        return ServeSkip(scenario_label=self.label, system=system, reason=reason)
 
     def run_system(
         self,
@@ -179,188 +178,98 @@ class ServeSpec:
         shorthand for a rank-0 slow-rank preset at that compute
         multiplier (built against each cluster's world size; ``1.0``
         means no spec).  Every axis accepts a single value or a
-        sequence.
+        sequence.  Expansion order is models, clusters, strategies,
+        traces, policies, TTFT SLOs, TPOT SLOs, batch budgets, overlap
+        policies, stragglers (outer to inner).
         """
-        from repro.api.scenario import (
-            _as_sequence,
-            _as_straggler_axis,
-            _as_strategies,
+        axes = (
+            *_shape_axes(models, clusters, strategies),
+            ("trace", _as_axis(traces if traces is not None else TraceSpec())),
+            ("policy", _as_axis(policies)),
+            ("slo_ttft_ms", _numeric_axis("slo_ttft_ms", slo_ttft_ms)),
+            ("slo_tpot_ms", _numeric_axis("slo_tpot_ms", slo_tpot_ms)),
+            (
+                "max_batch_tokens",
+                _numeric_axis("max_batch_tokens", max_batch_tokens, integral=True),
+            ),
+            ("overlap_policy", _as_axis(overlap_policies)),
+            _straggler_axis(stragglers),
         )
+        return _grid(cls, axes, ServeScenario, systems, registry)
 
-        reg = registry if registry is not None else SYSTEM_REGISTRY
-        model_list = [
-            resolve_model(m) for m in _as_sequence(models, (MoEConfig, str))
-        ]
-        cluster_list = [
-            resolve_cluster(c) for c in _as_sequence(clusters, (ClusterSpec, str))
-        ]
-        trace_list = list(_as_sequence(
-            traces if traces is not None else TraceSpec(), (TraceSpec,)
-        ))
-        policy_list = list(_as_sequence(policies, (str,)))
-        ttft_list = [float(v) for v in _as_sequence(slo_ttft_ms, (int, float))]
-        tpot_list = [float(v) for v in _as_sequence(slo_tpot_ms, (int, float))]
-        budget_list = [int(v) for v in _as_sequence(max_batch_tokens, (int,))]
-        overlap_list = list(_as_sequence(overlap_policies, (str,)))
-
-        scenarios: list[ServeScenario] = []
-        for config in model_list:
-            for cluster in cluster_list:
-                if strategies is None:
-                    strategy_list = (
-                        ParallelStrategy(tp_size=1, ep_size=cluster.world_size),
-                    )
-                else:
-                    strategy_list = _as_strategies(
-                        strategies, cluster.world_size
-                    )
-                straggler_list = _as_straggler_axis(
-                    stragglers, cluster.world_size
-                )
-                for strategy in strategy_list:
-                    for trace in trace_list:
-                        for policy in policy_list:
-                            for ttft in ttft_list:
-                                for tpot in tpot_list:
-                                    for budget in budget_list:
-                                        for overlap in overlap_list:
-                                            for spec in straggler_list:
-                                                scenarios.append(
-                                                    ServeScenario(
-                                                        config=config,
-                                                        cluster=cluster,
-                                                        strategy=strategy,
-                                                        trace=trace,
-                                                        policy=policy,
-                                                        slo_ttft_ms=ttft,
-                                                        slo_tpot_ms=tpot,
-                                                        max_batch_tokens=budget,
-                                                        overlap_policy=overlap,
-                                                        stragglers=spec,
-                                                    )
-                                                )
-        if systems is None:
-            names: tuple[str, ...] = ()
-        else:
-            names = tuple(reg.resolve(n) for n in _as_sequence(systems, (str,)))
-        return cls(scenarios=tuple(scenarios), systems=names, registry=registry)
-
-    def system_names(self) -> tuple[str, ...]:
-        """Requested systems, deduplicated, defaulting to all built-ins."""
-        if self.systems:
-            return tuple(dict.fromkeys(self.systems))
-        from repro.api.scenario import default_system_names
-
-        return default_system_names()
+    system_names = ExperimentSpec.system_names
 
     def traces(self) -> Iterator[tuple[ServeScenario, tuple[Request, ...]]]:
         """One (scenario, trace) pair per unique grid point."""
         for scenario in dict.fromkeys(self.scenarios):
             yield scenario, scenario.build_trace()
 
-    def _serve_one(
-        self, scenario: ServeScenario, trace: tuple[Request, ...], name: str
-    ) -> ServeReport | ServeSkip:
-        """Serve one (scenario, system) pair — self-contained per thread."""
-        registry = self.registry if self.registry is not None else SYSTEM_REGISTRY
-        system = registry.create(name)
-        try:
-            return scenario.run_system(system, trace=trace)
-        except UnsupportedWorkload as exc:
-            return ServeSkip(
-                scenario_label=scenario.label,
-                system=system.name,
-                reason=str(exc),
-            )
-
     def run(
         self, workers: int | None = None, executor: str = "thread"
     ) -> ServeResultSet:
         """Serve every (scenario, system) pair and collect the reports.
 
-        ``workers`` > 1 serves pairs on that many workers — threads by
-        default, or worker processes with ``executor="process"`` (the
-        traces are rebuilt deterministically inside each worker, and
-        worker cache counters merge into :func:`repro.perf.cache_stats`);
-        report and skip ordering is reassembled to match the serial run
-        exactly, so every export is byte-identical either way.  Process
-        mode requires the default registry.
+        Each unique scenario's trace is built once, here in the calling
+        process, and served on every system.  ``workers`` > 1 serves
+        pairs on that many threads, or worker processes with
+        ``executor="process"`` (they receive the trace pickled; worker
+        cache counters merge into :func:`repro.perf.cache_stats`).
+        Reports and skips come out in grid order whatever the worker
+        kind, so every export is byte-identical to the serial run.
+        Process mode requires the default registry.
         """
-        from repro.api.scenario import _check_executor
-
-        _check_executor(executor)
-        parallel = workers is not None and workers > 1
-        if parallel and executor == "process":
-            if self.registry is not None:
-                raise ValueError(
-                    "executor='process' requires the default registry "
-                    "(a custom registry exists only in this process)"
-                )
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro import perf
-
-            payloads = [
-                (scenario, name)
-                for scenario in dict.fromkeys(self.scenarios)
-                for name in self.system_names()
-            ]
-            if len(payloads) > 1:
-                outcomes = []
-                with ProcessPoolExecutor(
-                    max_workers=workers, initializer=perf.process_worker_init
-                ) as pool:
-                    for outcome, pid, stats in pool.map(
-                        _serve_one_task, payloads
-                    ):
-                        perf.record_worker_stats(pid, stats)
-                        outcomes.append(outcome)
-            else:
-                outcomes = [
-                    self._serve_one(s, s.build_trace(), n) for s, n in payloads
-                ]
-            return self._collect(outcomes)
-        tasks = [
-            (scenario, trace, name)
-            for scenario, trace in self.traces()
-            for name in self.system_names()
-        ]
-        if parallel and len(tasks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(lambda t: self._serve_one(*t), tasks))
-        else:
-            outcomes = [self._serve_one(*task) for task in tasks]
-        return self._collect(outcomes)
-
-    def _collect(
-        self, outcomes: list[ServeReport | ServeSkip]
-    ) -> ServeResultSet:
-        reports = tuple(o for o in outcomes if isinstance(o, ServeReport))
-        skips = tuple(o for o in outcomes if isinstance(o, ServeSkip))
-        from repro.obs import capture
-
-        return ServeResultSet(
-            reports=reports,
-            skips=skips,
-            manifest=capture("serve", self.scenarios, self.system_names()),
-        )
+        return serve_grid(self, "serve", ServeResultSet, workers, executor)
 
 
-def _serve_one_task(payload):
-    """Process-pool task: serve one (scenario, system) pair in a worker.
+def _serve_pair(payload):
+    """Task: serve one (scenario, system) pair on its prebuilt trace.
 
-    Module-level (picklable by reference).  The trace is rebuilt inside
-    the worker — :meth:`ServeScenario.build_trace` is seeded and pure,
-    so the rebuilt trace equals the parent's — and the worker's own
-    cache counters ride back for :func:`repro.perf.record_worker_stats`.
+    Returns ``(report, None)``, or ``(None, skip)`` when the system
+    cannot run the scenario's replica shape.
     """
-    import os
+    scenario, trace, name, registry = payload
+    system = (registry if registry is not None else SYSTEM_REGISTRY).create(name)
+    try:
+        return scenario.run_system(system, trace=trace), None
+    except UnsupportedWorkload as exc:
+        return None, scenario.skip_record(system.name, str(exc))
 
-    from repro import perf
 
-    scenario, name = payload
-    spec = ServeSpec(scenarios=(scenario,), systems=(name,))
-    outcome = spec._serve_one(scenario, scenario.build_trace(), name)
-    return outcome, os.getpid(), perf.cache_stats(include_workers=False)
+def serve_grid(
+    spec: Any,
+    kind: str,
+    results: type,
+    workers: int | None = None,
+    executor: str = "thread",
+) -> Any:
+    """Serve every unique (scenario, system) pair of a serving ``spec``.
+
+    The run path of :class:`ServeSpec` and
+    :class:`~repro.fleet.spec.FleetSpec`: traces come from
+    ``spec.traces()`` in the calling process, the pairs go through
+    :func:`~repro.api.scenario.run_tasks`, and the outcomes are
+    collected into ``results`` (the spec's result-set class) with a
+    ``kind`` manifest over the unique scenarios.
+    """
+    from repro.obs import capture
+
+    names = spec.system_names()
+    points = list(spec.traces())
+    payloads = [
+        (scenario, trace, name, spec.registry)
+        for scenario, trace in points
+        for name in names
+    ]
+    reports, skips = [], []
+    for report, skip in run_tasks(
+        _serve_pair, payloads, workers, executor, spec.registry
+    ):
+        if skip is None:
+            reports.append(report)
+        else:
+            skips.append(skip)
+    return results(
+        reports=tuple(reports),
+        skips=tuple(skips),
+        manifest=capture(kind, [scenario for scenario, _ in points], names),
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.runtime.model_runner import ModelTiming
 from repro.runtime.workload import MoELayerWorkload
@@ -21,7 +21,40 @@ from repro.systems.base import LayerTiming
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.scenario import Scenario
 
-__all__ = ["ResultRow", "ResultSet", "SkipRecord", "rows_to_csv"]
+__all__ = ["Column", "ResultRow", "ResultSet", "SkipRecord", "rows_to_csv"]
+
+
+@dataclass(frozen=True)
+class Column:
+    """One optional export column of a result set.
+
+    ``header`` names the column in ``to_rows``/``to_table`` (and so in
+    CSV), ``key`` names it in ``to_json``, and ``value`` reads its cell
+    from a row's source (a scenario, report or skip).  A set carries the
+    column in every format exactly when some source departs from
+    ``default``, and then every row has a cell, default rows included;
+    a set at every default exports as if the column did not exist.
+
+    A column group (the fleet's resilience counters) names a tuple of
+    headers and keys; its ``value`` is only what the rule compares, and
+    the set's exporters read its cells.
+    """
+
+    header: str | tuple[str, ...]
+    key: str | tuple[str, ...]
+    value: Callable[[Any], Any]
+    default: Any
+
+    @staticmethod
+    def present(
+        table: tuple["Column", ...], sources: Iterable[Any]
+    ) -> tuple["Column", ...]:
+        """The columns of ``table`` that some source departs from the
+        default on, in table order."""
+        sources = tuple(sources)
+        return tuple(
+            c for c in table if any(c.value(s) != c.default for s in sources)
+        )
 
 
 def rows_to_csv(
@@ -172,6 +205,9 @@ def _straggler_label(scenario: "Scenario") -> str:
     return spec.label
 
 
+_STRAGGLERS = Column("stragglers", "stragglers", _straggler_label, "uniform")
+
+
 @dataclass(frozen=True)
 class ResultSet:
     """Rows of ``(Scenario, system, LayerTiming)`` plus skip records.
@@ -188,6 +224,13 @@ class ResultSet:
     skips: tuple[SkipRecord, ...] = ()
     grid: tuple["Scenario", ...] = ()
     manifest: Any = None
+
+    # The optional export columns, read from the set's scenarios
+    # (all-skipped grid points included).
+    COLUMNS = (
+        Column("policy", "overlap_policy", lambda s: s.overlap_policy, "per_layer"),
+        _STRAGGLERS,
+    )
 
     def __iter__(self) -> Iterator[ResultRow]:
         return iter(self.rows)
@@ -328,66 +371,32 @@ class ResultSet:
             )
         return sum(speedups.values()) / len(speedups)
 
-    def _has_overlap_axis(self) -> bool:
-        """Whether any scenario uses a non-default overlap policy.
-
-        Gates the extra ``policy`` export column so legacy (per-layer
-        only) exports stay byte-identical.  **Every** export —
-        :meth:`to_rows` (and therefore :meth:`to_csv`),
-        :meth:`to_table`, and :meth:`to_json` — applies this one
-        predicate, so a single-policy set and a swept set can never
-        disagree across formats, and the column carries a cell on every
-        row (default policies included) whenever it is present at all.
-        """
-        return any(s.overlap_policy != "per_layer" for s in self.scenarios())
-
-    def _has_straggler_axis(self) -> bool:
-        """Whether any scenario carries a non-uniform straggler spec.
-
-        Same gating rule (and the same every-export consistency
-        guarantee) as :meth:`_has_overlap_axis`: baseline-only sets stay
-        byte-identical, swept sets label every row — ``uniform`` for
-        the baseline points."""
-        return any(
-            s.stragglers is not None and not s.stragglers.is_uniform
-            for s in self.scenarios()
-        )
+    def _columns(self) -> tuple[Column, ...]:
+        return Column.present(self.COLUMNS, self.scenarios())
 
     # -- export ---------------------------------------------------------------
     def to_rows(self) -> tuple[list[str], list[list[Any]]]:
-        """Flat ``(headers, rows)`` — one row per (scenario, system).
-
-        A ``policy`` column is appended when the set sweeps the
-        overlap-policy axis, and a ``stragglers`` column when it sweeps
-        the straggler axis (same rule in :meth:`to_table` and
-        :meth:`to_json`)."""
-        with_policy = self._has_overlap_axis()
-        with_stragglers = self._has_straggler_axis()
+        """Flat ``(headers, rows)`` — one row per (scenario, system), with
+        the set's :attr:`COLUMNS` after ``seed``."""
+        columns = self._columns()
         headers = [
             "model", "cluster", "strategy", "M", "imbalance", "seed",
-            "system", "ms",
+            *(c.header for c in columns), "system", "ms",
         ]
-        if with_stragglers:
-            headers.insert(6, "stragglers")
-        if with_policy:
-            headers.insert(6, "policy")
-        table = []
-        for r in self.rows:
-            cells: list[Any] = [
+        table = [
+            [
                 r.scenario.config.name,
                 r.scenario.cluster.name,
                 str(r.scenario.strategy),
                 r.scenario.tokens,
                 r.scenario.imbalance_std,
                 r.scenario.seed,
+                *(c.value(r.scenario) for c in columns),
                 r.system,
                 r.value_ms,
             ]
-            if with_stragglers:
-                cells.insert(6, _straggler_label(r.scenario))
-            if with_policy:
-                cells.insert(6, r.scenario.overlap_policy)
-            table.append(cells)
+            for r in self.rows
+        ]
         return headers, table
 
     def to_table(
@@ -396,14 +405,11 @@ class ResultSet:
         """Pivoted ``(headers, rows)``: one row per scenario, one column
         per system (``nan`` marks skipped pairs)."""
         order = tuple(systems) if systems is not None else self.systems()
-        with_policy = self._has_overlap_axis()
-        with_stragglers = self._has_straggler_axis()
-        headers = ["model", "cluster", "strategy", "M", "imbalance"]
-        if with_policy:
-            headers.append("policy")
-        if with_stragglers:
-            headers.append("stragglers")
-        headers += list(order)
+        columns = self._columns()
+        headers = [
+            "model", "cluster", "strategy", "M", "imbalance",
+            *(c.header for c in columns), *order,
+        ]
         table = []
         for scenario in self.scenarios():
             by_system = {r.system: r.value_ms for r in self.rows_for(scenario)}
@@ -413,11 +419,8 @@ class ResultSet:
                 str(scenario.strategy),
                 scenario.tokens,
                 scenario.imbalance_std,
+                *(c.value(scenario) for c in columns),
             ]
-            if with_policy:
-                cells.append(scenario.overlap_policy)
-            if with_stragglers:
-                cells.append(_straggler_label(scenario))
             for name in order:
                 value = by_system.get(name)
                 if value is None:
@@ -438,17 +441,14 @@ class ResultSet:
     def to_json(self, indent: int = 2) -> str:
         """Compact machine-readable dump of rows and skip reasons.
 
-        The ``overlap_policy`` and ``stragglers`` fields follow exactly
-        the :meth:`to_rows` column rule — present on *every* row when
-        the respective axis is swept, absent everywhere otherwise — so
-        CSV headers and JSON keys can never disagree (they used to:
-        layer-level swept sets emitted the CSV column but no JSON
-        field).
+        Each of the set's :attr:`COLUMNS` is a field on every row or on
+        none, by the same rule as :meth:`to_rows`.  Model-level rows add
+        ``model_makespan_ms`` when any column is present, and the
+        per-rank makespans when ``stragglers`` is.
         """
         import dataclasses
 
-        with_policy = self._has_overlap_axis()
-        with_stragglers = self._has_straggler_axis()
+        columns = self._columns()
 
         def row_doc(row: ResultRow) -> dict[str, Any]:
             doc: dict[str, Any] = {
@@ -462,20 +462,14 @@ class ResultSet:
                 "system": row.system,
                 "timing_us": dataclasses.asdict(row.timing),
                 "layer_ms": row.layer_ms,
+                **{c.key: c.value(row.scenario) for c in columns},
             }
-            # Swept-axis fields come from the scenario, so layer-level
-            # and model-level rows export them identically (per_layer /
-            # uniform rows included — consumers can group by axis).
-            if with_policy:
-                doc["overlap_policy"] = row.scenario.overlap_policy
-            if with_stragglers:
-                doc["stragglers"] = _straggler_label(row.scenario)
             if row.model_timing is not None:
                 doc["model_total_ms"] = row.model_timing.total_ms
                 doc["attention_us"] = row.model_timing.attention_us
-                if with_policy or with_stragglers:
+                if columns:
                     doc["model_makespan_ms"] = row.model_timing.makespan_ms
-                if with_stragglers and row.model_timing.rank_makespans_us:
+                if _STRAGGLERS in columns and row.model_timing.rank_makespans_us:
                     doc["rank_makespans_ms"] = [
                         span / 1000.0
                         for span in row.model_timing.rank_makespans_us

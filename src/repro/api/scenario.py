@@ -63,6 +63,7 @@ from repro.graph.lower import check_policy
 from repro.graph.straggler import StragglerSpec, check_multiplier
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
+from repro.moe.routing import max_imbalance_std
 from repro.parallel.strategy import ParallelStrategy
 from repro.runtime.model_runner import run_model
 from repro.runtime.workload import MoELayerWorkload
@@ -108,15 +109,15 @@ def check_point(
     stragglers: StragglerSpec | None = None,
     overlap_policy: str = "per_layer",
     policy: str | None = None,
-    **slos: float,
+    **positive: float,
 ) -> None:
     """The checks every scenario kind makes of one grid point.
 
     The strategy spans the cluster, the model's experts and FFN divide
     over it (when ``config`` is given), a straggler spec covers every
     rank, and the overlap policy is known.  Serving scenarios also name
-    a registered scheduler ``policy`` and pass their SLO targets as
-    keywords, each of which must be finite and positive.
+    a registered scheduler ``policy`` and pass their SLO targets and
+    batch sizes as keywords, each of which must be finite and positive.
     """
     if strategy.world_size != cluster.world_size:
         raise ValueError(
@@ -139,8 +140,8 @@ def check_point(
                 f"unknown policy {policy!r}; valid policies: "
                 f"{', '.join(POLICY_REGISTRY.names())}"
             )
-    for name, target in slos.items():
-        check_finite(name, target, positive=True)
+    for name, value in positive.items():
+        check_finite(name, value, positive=True)
 
 
 # -- the sweep engine ----------------------------------------------------------
@@ -280,6 +281,12 @@ class Scenario:
                 f"over {self.cluster.world_size} ranks"
             )
         check_finite("imbalance_std", self.imbalance_std)
+        bound = max_imbalance_std(self.config.num_experts)
+        if self.imbalance_std and self.imbalance_std >= bound:
+            raise ValueError(
+                f"imbalance_std {self.imbalance_std} unreachable for "
+                f"E={self.config.num_experts} (max {bound:.4f})"
+            )
 
     @property
     def label(self) -> str:

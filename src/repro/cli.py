@@ -108,8 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     layer = sub.add_parser("layer", help="time one MoE layer under the systems")
     layer.add_argument("--model", choices=sorted(MODEL_REGISTRY.names()), default="mixtral")
     layer.add_argument("--cluster", choices=sorted(CLUSTER_REGISTRY.names()), default="h800")
-    layer.add_argument("--tp", type=int, default=1)
-    layer.add_argument("--ep", type=int, default=8)
+    _add_strategy_flags(layer)
     layer.add_argument("--tokens", type=int, default=16384)
     layer.add_argument("--imbalance-std", type=float, default=0.0)
     layer.add_argument("--seed", type=int, default=0)
@@ -132,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument(
         "--cluster", choices=sorted(CLUSTER_REGISTRY.names()), default="h800"
     )
-    model.add_argument("--tp", type=int, default=1)
-    model.add_argument("--ep", type=int, default=8)
+    _add_strategy_flags(model)
     model.add_argument("--tokens", type=int, default=16384)
     model.add_argument("--imbalance-std", type=float, default=0.0)
     model.add_argument("--seed", type=int, default=0)
@@ -232,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_nc.add_argument(
         "--cluster", choices=sorted(CLUSTER_REGISTRY.names()), default="h800"
     )
-    sweep_nc.add_argument("--tp", type=int, default=1)
-    sweep_nc.add_argument("--ep", type=int, default=8)
+    _add_strategy_flags(sweep_nc)
     sweep_nc.add_argument("--tokens", type=int, default=16384)
 
     serve = sub.add_parser(
@@ -256,9 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cluster", choices=sorted(CLUSTER_REGISTRY.names()), default="h800"
     )
-    serve.add_argument("--tp", type=int, default=1)
-    serve.add_argument("--ep", type=int, default=None,
-                       help="expert-parallel size (default: world size / tp)")
+    _add_strategy_flags(serve)
     serve.add_argument(
         "--systems",
         help="comma-separated registry names (default: all registered systems)",
@@ -397,9 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--cluster", choices=sorted(CLUSTER_REGISTRY.names()), default="h800"
     )
-    fleet.add_argument("--tp", type=int, default=1)
-    fleet.add_argument("--ep", type=int, default=None,
-                       help="expert-parallel size (default: world size / tp)")
+    _add_strategy_flags(fleet)
     fleet.add_argument(
         "--systems",
         help="comma-separated registry names (default: all registered systems)",
@@ -472,9 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--cluster", choices=sorted(CLUSTER_REGISTRY.names()), default="h800"
     )
-    trace.add_argument("--tp", type=int, default=1)
-    trace.add_argument("--ep", type=int, default=None,
-                       help="expert-parallel size (default: world size / tp)")
+    _add_strategy_flags(trace)
     trace.add_argument("--tokens", type=int, default=16384)
     trace.add_argument(
         "--system", default="comet",
@@ -518,6 +509,21 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default="comet_timeline.json")
 
     return parser
+
+
+def _add_strategy_flags(parser: argparse.ArgumentParser) -> None:
+    """``--tp``/``--ep`` of a single-strategy subcommand (see :func:`_strategy`)."""
+    parser.add_argument("--tp", type=int, default=1)
+    parser.add_argument("--ep", type=int, default=None,
+                        help="expert-parallel size (default: world size / tp)")
+
+
+def _strategy(args: argparse.Namespace, cluster) -> ParallelStrategy:
+    """The ``--tp``/``--ep`` strategy, EP defaulting to world size / TP."""
+    if args.tp <= 0:
+        raise ValueError(f"tp must be positive, got {args.tp}")
+    ep = args.ep if args.ep is not None else cluster.world_size // args.tp
+    return ParallelStrategy(tp_size=args.tp, ep_size=ep)
 
 
 def _resolve_systems(values: Sequence[str] | str | None) -> tuple[str, ...]:
@@ -645,7 +651,7 @@ def _cmd_layer(args: argparse.Namespace) -> int:
         scenario = Scenario(
             config=config,
             cluster=cluster,
-            strategy=ParallelStrategy(tp_size=args.tp, ep_size=args.ep),
+            strategy=_strategy(args, cluster),
             tokens=args.tokens,
             imbalance_std=args.imbalance_std,
             seed=args.seed,
@@ -744,7 +750,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         scenario = Scenario(
             config=config,
             cluster=cluster,
-            strategy=ParallelStrategy(tp_size=args.tp, ep_size=args.ep),
+            strategy=_strategy(args, cluster),
             tokens=args.tokens,
             imbalance_std=args.imbalance_std,
             seed=args.seed,
@@ -1005,18 +1011,16 @@ def _cmd_sweep_nc(args: argparse.Namespace) -> int:
         scenario = Scenario(
             config=config,
             cluster=cluster,
-            strategy=ParallelStrategy(tp_size=args.tp, ep_size=args.ep),
+            strategy=_strategy(args, cluster),
             tokens=args.tokens,
         )
-    except ValueError:
-        print(
-            f"no curve for TP={args.tp}, EP={args.ep} on this cluster",
-            file=sys.stderr,
-        )
+    except ValueError as exc:
+        print(f"no curve on this cluster: {exc}", file=sys.stderr)
         return 1
+    strategy = scenario.strategy
     workload = scenario.build_workload()
     sweep = Comet().sweep_division_points(workload, layer=1, variant_step=2)
-    print(f"TP={args.tp}, EP={args.ep}, M={args.tokens}:")
+    print(f"TP={strategy.tp_size}, EP={strategy.ep_size}, M={args.tokens}:")
     worst = max(sweep.durations_us.values())
     for nc, duration in sweep.curve():
         bar = "#" * max(1, int(40 * duration / worst))
@@ -1036,9 +1040,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cluster = CLUSTER_REGISTRY.get(args.cluster)()
     config = MODEL_REGISTRY.get(args.model)
     try:
-        if args.tp <= 0:
-            raise ValueError(f"tp must be positive, got {args.tp}")
-        ep = args.ep if args.ep is not None else cluster.world_size // args.tp
+        strategy = _strategy(args, cluster)
         stragglers = None
         if args.straggler_mult is not None:
             from repro.api.scenario import _as_straggler_axis
@@ -1049,7 +1051,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scenario = ServeScenario(
             config=config,
             cluster=cluster,
-            strategy=ParallelStrategy(tp_size=args.tp, ep_size=ep),
+            strategy=strategy,
             trace=TraceSpec(
                 kind=args.trace,
                 rps=args.rps,
@@ -1232,9 +1234,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     cluster = CLUSTER_REGISTRY.get(args.cluster)()
     config = MODEL_REGISTRY.get(args.model)
     try:
-        if args.tp <= 0:
-            raise ValueError(f"tp must be positive, got {args.tp}")
-        ep = args.ep if args.ep is not None else cluster.world_size // args.tp
+        strategy = _strategy(args, cluster)
         replicas = (
             int(args.replicas) if args.replicas.isdigit() else args.replicas
         )
@@ -1278,7 +1278,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spec = FleetSpec.grid(
             models=config,
             clusters=cluster,
-            strategies=ParallelStrategy(tp_size=args.tp, ep_size=ep),
+            strategies=strategy,
             replicas=replicas,
             routers=routers,
             traces=TraceSpec(
@@ -1511,10 +1511,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         cluster = CLUSTER_REGISTRY.get(args.cluster)()
         config = MODEL_REGISTRY.get(args.model)
-        if args.tp <= 0:
-            raise ValueError(f"tp must be positive, got {args.tp}")
-        ep = args.ep if args.ep is not None else cluster.world_size // args.tp
-        strategy = ParallelStrategy(tp_size=args.tp, ep_size=ep)
+        strategy = _strategy(args, cluster)
         if args.graph:
             return _trace_graph(args, config, cluster, strategy)
         if args.serve:

@@ -7,30 +7,29 @@ same TTFT/TPOT/E2E percentile and SLO-goodput definitions, extended with
 the quantities that only exist at fleet scale — goodput *per GPU* (the
 cost-efficiency metric autoscaling optimises), per-replica utilization
 (:class:`ReplicaStats`), autoscaler churn, and the failure/recovery
-event log (:class:`FleetEvent`).  :class:`FleetResultSet` mirrors
-:class:`~repro.serve.metrics.ServeResultSet` with the same flat-row
-export conventions.
+event log (:class:`FleetEvent`).  :class:`FleetResultSet` is a
+:class:`~repro.serve.metrics.ServeResultSet` of fleet reports with the
+fleet's own queries.
 
-Export-schema rule (the PR 5 one-predicate contract): the ``router`` and
-``replicas`` columns appear in CSV/JSON/table exports only when the set
-actually sweeps those axes — any non-default router, or any fleet larger
-than one replica — and the *same* predicate gates every export format,
-so a single-replica round-robin set exports byte-compatibly with the
-bare serving exports and formats can never disagree about the schema.
-The resilience columns (``timed_out``/``shed``/``retries``/
-``probations``/``evictions``) follow the identical rule through
-:meth:`FleetResultSet._has_resilience_axis`: they appear only when some
+Export schema: :attr:`FleetResultSet.COLUMNS` is the one table of
+optional columns — ``router`` (default ``round_robin``), ``replicas``
+(default 1), and the resilience group: the ``timed_out``/``shed``/
+``retries``/``probations``/``evictions`` counters, plus the
+``resilience`` label and the ``outcomes`` log in JSON.  Every exporter
+reads it, so a set carries a column in CSV and JSON exactly when some
+report or skip departs from the column's default (for the group: some
 report configured a :class:`~repro.faults.resilience.ResilienceSpec` or
-produced terminal outcomes, keeping zero-resilience exports bit-stable.
+produced terminal outcomes), and the formats cannot disagree.  A
+single-replica round-robin set without resilience carries none of them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.serve.metrics import PERCENTILES, RequestRecord, percentiles
+from repro.api.results import Column
+from repro.serve.metrics import ReportCore, RequestRecord, ServeResultSet, _cell
 
 __all__ = [
     "DispatchRecord",
@@ -102,7 +101,7 @@ class DispatchRecord:
 
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(ReportCore):
     """Serving outcome of one system on one fleet scenario.
 
     ``offered`` counts every request in the trace; ``records`` holds only
@@ -112,7 +111,8 @@ class FleetReport:
     unserved — ``unserved`` is the remainder that never resolved
     (nonzero only when replicas fail without recovery and no deadline
     policy bounds the wait).  ``horizon_ms`` is the trace's arrival
-    window, the goodput denominator — identical semantics to
+    window, the goodput denominator.  The latency and SLO metrics come
+    from :class:`~repro.serve.metrics.ReportCore`, as for
     :class:`~repro.serve.metrics.ServeReport`.
     """
 
@@ -143,60 +143,9 @@ class FleetReport:
     outcomes: tuple = ()
     resilience_label: str = ""
 
-    # -- latency ------------------------------------------------------------
-    def ttft_percentiles(self) -> dict[str, float]:
-        return percentiles([r.ttft_ms for r in self.records])
-
-    def tpot_percentiles(self) -> dict[str, float]:
-        return percentiles([r.tpot_ms for r in self.records])
-
-    def e2e_percentiles(self) -> dict[str, float]:
-        return percentiles([r.e2e_ms for r in self.records])
-
-    # -- throughput ----------------------------------------------------------
-    @property
-    def num_requests(self) -> int:
-        return len(self.records)
-
     @property
     def unserved(self) -> int:
         return self.offered - len(self.records) - self.timed_out - self.shed
-
-    @property
-    def makespan_ms(self) -> float:
-        if not self.records:
-            return 0.0
-        start = min(r.arrival_ms for r in self.records)
-        end = max(r.completion_ms for r in self.records)
-        return end - start
-
-    @property
-    def output_tokens_per_s(self) -> float:
-        span = self.makespan_ms
-        if span <= 0:
-            return 0.0
-        return sum(r.output_tokens for r in self.records) / (span / 1000.0)
-
-    # -- SLO ------------------------------------------------------------------
-    @property
-    def good_requests(self) -> int:
-        return sum(
-            1
-            for r in self.records
-            if r.meets_slo(self.slo_ttft_ms, self.slo_tpot_ms)
-        )
-
-    @property
-    def slo_attainment(self) -> float:
-        if not self.records:
-            return 0.0
-        return self.good_requests / len(self.records)
-
-    @property
-    def goodput_rps(self) -> float:
-        if self.horizon_ms <= 0:
-            return 0.0
-        return self.good_requests / (self.horizon_ms / 1000.0)
 
     # -- fleet economics -------------------------------------------------------
     @property
@@ -279,22 +228,8 @@ class FleetReport:
 
     # -- export ---------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
-        """Flat metric dict; empty-fleet percentiles are ``None``.
-
-        Same ``count == 0`` guard as
-        :meth:`~repro.serve.metrics.ServeReport.summary`: a fleet that
-        completed nothing (zero-arrival trace, every replica dead) has
-        no latency distribution, so percentile entries export as
-        ``None`` — never NaN — while every counting metric stays a
-        well-defined zero.
-        """
-        if not self.records:
-            empty = {f"p{q}": None for q in PERCENTILES}
-            ttft, tpot, e2e = empty, dict(empty), dict(empty)
-        else:
-            ttft = self.ttft_percentiles()
-            tpot = self.tpot_percentiles()
-            e2e = self.e2e_percentiles()
+        """Flat metric dict; empty-fleet percentiles are ``None``."""
+        ttft, tpot, e2e = self._latency()
         return {
             "system": self.system,
             "scenario": self.scenario_label,
@@ -339,38 +274,41 @@ class FleetSkip:
     num_replicas: int = 1
 
 
-@dataclass(frozen=True)
-class FleetResultSet:
-    """Fleet reports across systems/scenarios, with ResultSet-style exports.
+# The resilience group: five counter columns, plus the ``resilience``
+# label and the ``outcomes`` log in JSON.  Skips carry neither, so the
+# group is present when some report configured a ResilienceSpec or
+# produced terminal outcomes.
+_RESILIENCE = Column(
+    ("timed_out", "shed", "retries", "probations", "evictions"),
+    ("resilience", "timed_out", "shed", "retries", "probations", "evictions",
+     "outcomes"),
+    lambda d: bool(getattr(d, "resilience_label", "") or getattr(d, "outcomes", ())),
+    False,
+)
 
-    ``manifest`` is the run-provenance record
-    (:class:`repro.obs.RunManifest`) attached by :meth:`FleetSpec.run`;
-    it is deterministic (no wall-clock unless explicitly stamped) so
-    identical specs export identical JSON.
+
+@dataclass(frozen=True)
+class FleetResultSet(ServeResultSet):
+    """Fleet reports across systems/scenarios: a
+    :class:`~repro.serve.metrics.ServeResultSet` of :class:`FleetReport`
+    and :class:`FleetSkip` records, with the fleet's own queries and
+    optional export columns.
     """
 
-    reports: tuple[FleetReport, ...]
-    skips: tuple[FleetSkip, ...] = ()
-    manifest: Any = None
+    # The optional export columns, read from reports and skips.
+    COLUMNS = (
+        Column("router", "router", lambda d: d.router, "round_robin"),
+        Column("replicas", "replicas", lambda d: d.num_replicas, 1),
+        _RESILIENCE,
+    )
 
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def __bool__(self) -> bool:
-        return bool(self.reports)
-
-    def systems(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(r.system for r in self.reports)
-        seen.update(dict.fromkeys(s.system for s in self.skips))
-        return tuple(seen)
-
-    def scenario_labels(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(r.scenario_label for r in self.reports)
-        seen.update(dict.fromkeys(s.scenario_label for s in self.skips))
-        return tuple(seen)
+    _METRIC_KEYS = (
+        "requests", "unserved",
+        "ttft_p50_ms", "ttft_p95_ms", "ttft_p99_ms",
+        "tpot_p50_ms", "tpot_p99_ms", "e2e_p99_ms",
+        "slo_attainment", "goodput_rps", "goodput_per_gpu",
+        "output_tokens_per_s", "mean_utilization", "autoscaler_churn",
+    )
 
     def routers(self) -> tuple[str, ...]:
         seen = dict.fromkeys(r.router for r in self.reports)
@@ -422,19 +360,6 @@ class FleetResultSet:
             manifest=self.manifest,
         )
 
-    def best_goodput(self) -> FleetReport:
-        if not self.reports:
-            raise ValueError("best_goodput() on an empty FleetResultSet")
-        return max(self.reports, key=lambda r: r.goodput_rps)
-
-    def goodput_by_system(self, scenario_label: str | None = None) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for report in self.reports:
-            if scenario_label is not None and report.scenario_label != scenario_label:
-                continue
-            out[report.system] = report.goodput_rps
-        return out
-
     def goodput_by_router(self, system: str | None = None) -> dict[str, float]:
         out: dict[str, float] = {}
         for report in self.reports:
@@ -444,127 +369,48 @@ class FleetResultSet:
         return out
 
     # -- export ---------------------------------------------------------------
-    def _has_router_axis(self) -> bool:
-        """Whether any report/skip uses a non-default router.
-
-        Gates the ``router`` export column.  **Every** export —
-        :meth:`to_rows` (and therefore :meth:`to_csv`) and
-        :meth:`to_json` — applies this one predicate, so a
-        round-robin-only set and a router sweep can never disagree
-        across formats, and the column carries a cell on every row
-        (round-robin rows included) whenever it is present at all.
-        """
-        return any(r.router != "round_robin" for r in self.reports) or any(
-            s.router != "round_robin" for s in self.skips
-        )
-
-    def _has_replica_axis(self) -> bool:
-        """Whether any report/skip runs more than one replica.
-
-        Same gating rule (and the same every-export consistency
-        guarantee) as :meth:`_has_router_axis`: single-replica sets stay
-        byte-compatible with the bare serving exports, fleet sweeps
-        label every row.
-        """
-        return any(r.num_replicas != 1 for r in self.reports) or any(
-            s.num_replicas != 1 for s in self.skips
-        )
-
-    def _has_resilience_axis(self) -> bool:
-        """Whether any report configured resilience or produced outcomes.
-
-        Same one-predicate contract as :meth:`_has_router_axis`: the
-        resilience columns (:attr:`_RESILIENCE_KEYS` plus the per-report
-        ``resilience``/``outcomes`` JSON detail) appear in every export
-        format or in none, so zero-resilience sets export byte-stably.
-        """
-        return any(
-            r.resilience_label or r.outcomes for r in self.reports
-        )
-
-    _METRIC_KEYS = (
-        "requests", "unserved",
-        "ttft_p50_ms", "ttft_p95_ms", "ttft_p99_ms",
-        "tpot_p50_ms", "tpot_p99_ms", "e2e_p99_ms",
-        "slo_attainment", "goodput_rps", "goodput_per_gpu",
-        "output_tokens_per_s", "mean_utilization", "autoscaler_churn",
-    )
-
-    _RESILIENCE_KEYS = (
-        "timed_out", "shed", "retries", "probations", "evictions",
-    )
+    def _columns(self) -> tuple[Column, ...]:
+        return Column.present(self.COLUMNS, (*self.reports, *self.skips))
 
     def to_rows(self) -> tuple[list[str], list[list[Any]]]:
         """Flat ``(headers, rows)`` — one row per (scenario, system).
 
-        ``router`` and ``replicas`` columns are appended only when the
-        respective axis is swept (:meth:`_has_router_axis` /
-        :meth:`_has_replica_axis`); the CLI table and every other export
-        share these rows, so formats cannot drift.
+        The present ``router``/``replicas`` columns follow ``system``
+        and the resilience counters close the row.
         """
-        with_router = self._has_router_axis()
-        with_replicas = self._has_replica_axis()
-        with_resilience = self._has_resilience_axis()
-        headers = ["scenario", "system"]
-        if with_router:
-            headers.append("router")
-        if with_replicas:
-            headers.append("replicas")
-        headers += list(self._METRIC_KEYS)
-        if with_resilience:
-            headers += list(self._RESILIENCE_KEYS)
-
-        def cell(value: Any) -> Any:
-            # No NaN ever reaches rows_to_csv: empty cells (None)
-            # serialise as "" in CSV and null in JSON.
-            if isinstance(value, float) and value != value:
-                return None
-            return value
-
+        columns = self._columns()
+        axes = [c for c in columns if c is not _RESILIENCE]
+        counters = _RESILIENCE.header if _RESILIENCE in columns else ()
+        headers = [
+            "scenario", "system", *(c.header for c in axes),
+            *self._METRIC_KEYS, *counters,
+        ]
         table = []
         for r in self.reports:
             s = r.summary()
             s["autoscaler_churn"] = r.autoscaler_churn
-            cells: list[Any] = [s["scenario"], s["system"]]
-            if with_router:
-                cells.append(s["router"])
-            if with_replicas:
-                cells.append(s["replicas"])
-            cells += [cell(s[key]) for key in self._METRIC_KEYS]
-            if with_resilience:
-                cells += [
-                    r.timed_out, r.shed, r.retries,
-                    r.probations, r.evictions,
-                ]
-            table.append(cells)
+            table.append([
+                s["scenario"], s["system"], *(c.value(r) for c in axes),
+                *(_cell(s[key]) for key in self._METRIC_KEYS),
+                *(getattr(r, name) for name in counters),
+            ])
         return headers, table
 
-    def to_csv(self, path: str | None = None) -> str:
-        """CSV of :meth:`to_rows`, optionally written to ``path``."""
-        from repro.api.results import rows_to_csv
-
-        headers, table = self.to_rows()
-        return rows_to_csv(headers, table, path)
-
     def to_json(self, indent: int = 2) -> str:
-        """Machine-readable dump; router/replicas fields follow exactly
-        the :meth:`to_rows` column rule, so CSV headers and JSON keys
-        can never disagree.  NaN-free by construction (empty-fleet
-        percentiles serialise as null)."""
-        with_router = self._has_router_axis()
-        with_replicas = self._has_replica_axis()
-        with_resilience = self._has_resilience_axis()
-
-        def clean(r: FleetReport) -> dict[str, Any]:
+        """Machine-readable dump; every column of :attr:`COLUMNS` follows
+        the :meth:`to_rows` rule, and ``router``/``replicas`` also ride
+        on the skip entries."""
+        columns = self._columns()
+        axes = tuple(c for c in columns if c is not _RESILIENCE)
+        docs = []
+        for r in self.reports:
             doc = r.summary()
+            del doc["router"], doc["replicas"]
+            doc.update((c.key, c.value(r)) for c in axes)
             doc["autoscaler_churn"] = r.autoscaler_churn
-            if with_resilience:
+            if _RESILIENCE in columns:
                 doc["resilience"] = r.resilience_label
-                doc["timed_out"] = r.timed_out
-                doc["shed"] = r.shed
-                doc["retries"] = r.retries
-                doc["probations"] = r.probations
-                doc["evictions"] = r.evictions
+                doc.update((name, getattr(r, name)) for name in _RESILIENCE.header)
                 doc["outcomes"] = [
                     {
                         "rid": o.rid,
@@ -591,28 +437,5 @@ class FleetResultSet:
                 {"t_ms": e.t_ms, "replica": e.replica, "kind": e.kind}
                 for e in r.events
             ]
-            if not with_router:
-                doc.pop("router")
-            if not with_replicas:
-                doc.pop("replicas")
-            return {
-                k: None if isinstance(v, float) and v != v else v
-                for k, v in doc.items()
-            }
-
-        payload: dict[str, Any] = {
-            "reports": [clean(r) for r in self.reports],
-            "skipped": [
-                {
-                    "scenario": s.scenario_label,
-                    "system": s.system,
-                    "reason": s.reason,
-                    **({"router": s.router} if with_router else {}),
-                    **({"replicas": s.num_replicas} if with_replicas else {}),
-                }
-                for s in self.skips
-            ],
-        }
-        if self.manifest is not None:
-            payload["manifest"] = self.manifest.to_dict()
-        return json.dumps(payload, indent=indent, sort_keys=True)
+            docs.append(doc)
+        return self._json(docs, axes, indent)

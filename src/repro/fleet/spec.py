@@ -48,7 +48,7 @@ from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.parallel.strategy import ParallelStrategy
-from repro.serve.scenario import ServeSpec, serve_grid
+from repro.serve.scenario import ServeSpec, _budget_label_parts, serve_grid
 from repro.serve.traffic import Request, TraceSpec
 from repro.systems.base import MoESystem
 
@@ -212,6 +212,9 @@ class FleetScenario:
                 policy=self.policy,
                 slo_ttft_ms=self.slo_ttft_ms,
                 slo_tpot_ms=self.slo_tpot_ms,
+                max_batch_tokens=self.max_batch_tokens,
+                max_batch_size=self.max_batch_size,
+                bucket_tokens=self.bucket_tokens,
             )
         if self.autoscaler is not None:
             if roles != {"unified"}:
@@ -319,7 +322,7 @@ class FleetScenario:
             parts.append(self.resilience.label)
         if self.migration is not None:
             parts.append(self.migration.label)
-        return "/".join(parts)
+        return "/".join(parts + _budget_label_parts(self))
 
     def build_trace(self) -> tuple[Request, ...]:
         return self.trace.build()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.api.registry import Registry
 from repro.lint.rules.determinism import DeterminismRule
-from repro.lint.rules.exports import ExportGatingRule
 from repro.lint.rules.fingerprint import FingerprintCompletenessRule
 from repro.lint.rules.parity import FastSlowParityRule
 from repro.lint.rules.registry import RegistryConsistencyRule
@@ -24,7 +23,6 @@ for _rule_cls in (
     FingerprintCompletenessRule,
     SpecHygieneRule,
     DeterminismRule,
-    ExportGatingRule,
     RegistryConsistencyRule,
     FastSlowParityRule,
 ):

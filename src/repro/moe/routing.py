@@ -25,6 +25,7 @@ __all__ = [
     "RoutingPlan",
     "balanced_fractions",
     "imbalanced_fractions",
+    "max_imbalance_std",
     "routing_from_fractions",
     "token_owner_ranks",
 ]
@@ -146,6 +147,16 @@ def balanced_fractions(num_experts: int) -> np.ndarray:
     return np.full(num_experts, 1.0 / num_experts)
 
 
+def max_imbalance_std(num_experts: int) -> float:
+    """The supremum of expert-fraction std over ``num_experts`` experts.
+
+    ``sqrt(E-1)/E`` is the std of all mass on one expert, which the
+    softmax family of :func:`imbalanced_fractions` approaches but never
+    reaches, so every target std must stay strictly below it.
+    """
+    return float(np.sqrt(num_experts - 1) / num_experts)
+
+
 def imbalanced_fractions(
     num_experts: int,
     std: float,
@@ -166,7 +177,7 @@ def imbalanced_fractions(
         raise ValueError(f"std must be non-negative, got {std}")
     if std == 0:
         return balanced_fractions(num_experts)
-    max_std = np.sqrt(num_experts - 1) / num_experts  # all mass on one expert
+    max_std = max_imbalance_std(num_experts)
     if std >= max_std:
         raise ValueError(
             f"std {std} unreachable for E={num_experts} (max {max_std:.4f})"

@@ -7,9 +7,10 @@ met their SLO — rather than raw layer milliseconds.  A
 :class:`ServeReport` packages those for one (scenario, system) pair, and
 :class:`ServeResultSet` collects reports across systems/scenarios with
 the same flat-row export conventions as
-:class:`~repro.api.results.ResultSet` (``to_rows`` / ``to_table`` /
-``to_json`` / ``to_csv``), so serving results drop into the same
-spreadsheets and plotting pipelines.
+:class:`~repro.api.results.ResultSet` (``to_rows`` / ``to_json`` /
+``to_csv``), so serving results drop into the same spreadsheets and
+plotting pipelines.  :class:`ReportCore` holds the latency and SLO
+metrics every serving report shares, the fleet's included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.api.results import rows_to_csv
+
 __all__ = [
+    "ReportCore",
     "RequestRecord",
     "ServeReport",
     "ServeResultSet",
@@ -36,7 +40,7 @@ def percentiles(values: list[float] | tuple[float, ...]) -> dict[str, float]:
     """p50/p95/p99 with linear interpolation (NaN on empty input).
 
     The NaN marker is for *interactive* consumers who can render it;
-    exports must not leak it — :meth:`ServeReport.summary` guards the
+    exports must not leak it — :meth:`ReportCore._latency` guards the
     ``count == 0`` case explicitly (``None`` instead of NaN), which both
     the CSV and JSON paths serialise as an empty/null cell.
     """
@@ -90,23 +94,16 @@ class TimelinePoint:
     running: int
 
 
-@dataclass(frozen=True)
-class ServeReport:
-    """Serving outcome of one system on one scenario.
+class ReportCore:
+    """The latency and SLO core every serving report shares (a mixin
+    with no fields).
 
-    ``horizon_ms`` is the arrival window of the trace — goodput divides
-    SLO-attaining completions by it, so a system that drains an overload
-    backlog long after the trace ended is not credited extra time.
+    The host dataclass provides ``records``, ``slo_ttft_ms``,
+    ``slo_tpot_ms`` and ``horizon_ms`` — the arrival window of the
+    trace, which goodput divides SLO-attaining completions by, so a
+    system that drains an overload backlog long after the trace ended
+    is not credited extra time.
     """
-
-    system: str
-    scenario_label: str
-    records: tuple[RequestRecord, ...]
-    timeline: tuple[TimelinePoint, ...]
-    slo_ttft_ms: float
-    slo_tpot_ms: float
-    horizon_ms: float
-    max_batch_tokens: int
 
     # -- latency ------------------------------------------------------------
     def ttft_percentiles(self) -> dict[str, float]:
@@ -117,6 +114,21 @@ class ServeReport:
 
     def e2e_percentiles(self) -> dict[str, float]:
         return percentiles([r.e2e_ms for r in self.records])
+
+    def _latency(self) -> tuple[dict[str, Any], ...]:
+        """TTFT, TPOT and E2E percentiles for :meth:`summary`.
+
+        Explicit ``count == 0`` guard: a report with no completed
+        request (an idle replay window, a fleet whose replicas all died)
+        has no latency distribution, so its percentiles export as
+        ``None`` — never NaN, which would corrupt CSV cells and poison
+        any SLO-goodput arithmetic a consumer runs over the summary.
+        The counting metrics are all well-defined zeros on it.
+        """
+        if not self.records:
+            empty = {f"p{q}": None for q in PERCENTILES}
+            return empty, empty, empty
+        return self.ttft_percentiles(), self.tpot_percentiles(), self.e2e_percentiles()
 
     # -- throughput ----------------------------------------------------------
     @property
@@ -163,6 +175,20 @@ class ServeReport:
             return 0.0
         return self.good_requests / (self.horizon_ms / 1000.0)
 
+
+@dataclass(frozen=True)
+class ServeReport(ReportCore):
+    """Serving outcome of one system on one scenario."""
+
+    system: str
+    scenario_label: str
+    records: tuple[RequestRecord, ...]
+    timeline: tuple[TimelinePoint, ...]
+    slo_ttft_ms: float
+    slo_tpot_ms: float
+    horizon_ms: float
+    max_batch_tokens: int
+
     # -- occupancy ------------------------------------------------------------
     @property
     def mean_queue_depth(self) -> float:
@@ -185,23 +211,8 @@ class ServeReport:
 
     # -- export ---------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
-        """Flat metric dict; empty-trace percentiles are ``None``.
-
-        Explicit ``count == 0`` guard: a zero-arrival trace (an idle
-        replay window, a filtered-out scenario) has no latency
-        distribution, so its percentile entries export as ``None`` —
-        never NaN, which would corrupt CSV cells and poison any
-        SLO-goodput arithmetic a consumer runs over the summary.  The
-        counting metrics (requests, attainment, goodput, occupancy) are
-        all well-defined zeros on the empty trace.
-        """
-        if not self.records:
-            empty = {f"p{q}": None for q in PERCENTILES}
-            ttft, tpot, e2e = empty, dict(empty), dict(empty)
-        else:
-            ttft = self.ttft_percentiles()
-            tpot = self.tpot_percentiles()
-            e2e = self.e2e_percentiles()
+        """Flat metric dict; empty-trace percentiles are ``None``."""
+        ttft, tpot, e2e = self._latency()
         return {
             "system": self.system,
             "scenario": self.scenario_label,
@@ -232,6 +243,13 @@ class ServeSkip:
     reason: str
 
 
+def _cell(value: Any) -> Any:
+    """An export cell: NaN becomes ``None`` (an empty CSV cell, JSON null)."""
+    if isinstance(value, float) and value != value:
+        return None
+    return value
+
+
 @dataclass(frozen=True)
 class ServeResultSet:
     """Reports across systems/scenarios, with ResultSet-style exports.
@@ -239,12 +257,21 @@ class ServeResultSet:
     ``manifest`` is the run-provenance record
     (:class:`repro.obs.RunManifest`) attached by :meth:`ServeSpec.run`;
     it is deterministic (no wall-clock unless explicitly stamped) so
-    identical specs export identical JSON.
+    identical specs export identical JSON.  No export ever carries NaN.
     """
 
     reports: tuple[ServeReport, ...]
     skips: tuple[ServeSkip, ...] = ()
     manifest: Any = None
+
+    # Summary keys of the flat-row columns, in order.  The CSV header of
+    # ``output_tokens_per_s`` is ``output_tok_per_s``.
+    _KEYS = (
+        "scenario", "system", "requests",
+        "ttft_p50_ms", "ttft_p95_ms", "ttft_p99_ms",
+        "tpot_p50_ms", "tpot_p99_ms", "e2e_p99_ms",
+        "slo_attainment", "goodput_rps", "output_tokens_per_s",
+    )
 
     def __iter__(self):
         return iter(self.reports)
@@ -275,7 +302,7 @@ class ServeResultSet:
 
     def best_goodput(self) -> ServeReport:
         if not self.reports:
-            raise ValueError("best_goodput() on an empty ServeResultSet")
+            raise ValueError(f"best_goodput() on an empty {type(self).__name__}")
         return max(self.reports, key=lambda r: r.goodput_rps)
 
     def goodput_by_system(self, scenario_label: str | None = None) -> dict[str, float]:
@@ -289,56 +316,33 @@ class ServeResultSet:
     # -- export ---------------------------------------------------------------
     def to_rows(self) -> tuple[list[str], list[list[Any]]]:
         """Flat ``(headers, rows)`` — one row per (scenario, system)."""
-        headers = [
-            "scenario", "system", "requests",
-            "ttft_p50_ms", "ttft_p95_ms", "ttft_p99_ms",
-            "tpot_p50_ms", "tpot_p99_ms", "e2e_p99_ms",
-            "slo_attainment", "goodput_rps", "output_tok_per_s",
-        ]
-        def cell(value: Any) -> Any:
-            # Belt and braces: no NaN ever reaches rows_to_csv — empty
-            # cells (None) serialise as "" in CSV and null in JSON.
-            if isinstance(value, float) and value != value:
-                return None
-            return value
-
+        headers = [*self._KEYS[:-1], "output_tok_per_s"]
         table = []
         for r in self.reports:
             s = r.summary()
-            table.append([
-                cell(s[key])
-                for key in (
-                    "scenario", "system", "requests",
-                    "ttft_p50_ms", "ttft_p95_ms", "ttft_p99_ms",
-                    "tpot_p50_ms", "tpot_p99_ms", "e2e_p99_ms",
-                    "slo_attainment", "goodput_rps",
-                    "output_tokens_per_s",
-                )
-            ])
+            table.append([_cell(s[key]) for key in self._KEYS])
         return headers, table
 
     def to_csv(self, path: str | None = None) -> str:
         """CSV of :meth:`to_rows`, optionally written to ``path``."""
-        from repro.api.results import rows_to_csv
-
         headers, table = self.to_rows()
         return rows_to_csv(headers, table, path)
 
     def to_json(self, indent: int = 2) -> str:
-        def clean(doc: dict[str, Any]) -> dict[str, Any]:
-            # NaN percentiles (empty reports) are not valid JSON: emit null.
-            return {
-                k: None if isinstance(v, float) and v != v else v
-                for k, v in doc.items()
-            }
+        """Machine-readable dump of report summaries and skip reasons."""
+        return self._json([r.summary() for r in self.reports], (), indent)
 
+    def _json(self, docs: list[dict[str, Any]], columns: tuple, indent: int) -> str:
+        """The JSON payload of ``docs`` (one per report) and the skip
+        entries, which carry the cell of each of ``columns``."""
         payload: dict[str, Any] = {
-            "reports": [clean(r.summary()) for r in self.reports],
+            "reports": [{k: _cell(v) for k, v in doc.items()} for doc in docs],
             "skipped": [
                 {
                     "scenario": s.scenario_label,
                     "system": s.system,
                     "reason": s.reason,
+                    **{c.key: c.value(s) for c in columns},
                 }
                 for s in self.skips
             ],

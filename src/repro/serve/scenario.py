@@ -20,7 +20,7 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
 from repro.api.registry import SYSTEM_REGISTRY, SystemRegistry
@@ -45,6 +45,24 @@ from repro.serve.traffic import Request, TraceSpec
 from repro.systems.base import MoESystem, UnsupportedWorkload
 
 __all__ = ["ServeScenario", "ServeSpec", "serve_grid"]
+
+
+def _budget_label_parts(point: Any) -> list[str]:
+    """Label parts of a serving grid point's SLO and batch-budget axes.
+
+    One part for each of ``slo_ttft_ms``, ``slo_tpot_ms`` and
+    ``max_batch_tokens`` the point moves off its dataclass default
+    (``ttft300``, ``tpot50``, ``mbt4096``), so grid points that differ
+    only on those axes keep distinct labels, and so distinct export rows.
+    """
+    defaults = {f.name: f.default for f in fields(point)}
+    return [
+        prefix + str(getattr(point, name)).removesuffix(".0")
+        for prefix, name in (
+            ("ttft", "slo_ttft_ms"), ("tpot", "slo_tpot_ms"), ("mbt", "max_batch_tokens"),
+        )
+        if getattr(point, name) != defaults[name]
+    ]
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,9 @@ class ServeScenario:
             policy=self.policy,
             slo_ttft_ms=self.slo_ttft_ms,
             slo_tpot_ms=self.slo_tpot_ms,
+            max_batch_tokens=self.max_batch_tokens,
+            max_batch_size=self.max_batch_size,
+            bucket_tokens=self.bucket_tokens,
         )
 
     @property
@@ -89,7 +110,7 @@ class ServeScenario:
             parts.append(self.overlap_policy)
         if self.stragglers is not None and not self.stragglers.is_uniform:
             parts.append(self.stragglers.label)
-        return "/".join(parts)
+        return "/".join(parts + _budget_label_parts(self))
 
     def build_trace(self) -> tuple[Request, ...]:
         return self.trace.build()

@@ -16,7 +16,6 @@ EXPECTED_RULES = {
     "fingerprint-completeness",
     "spec-hygiene",
     "determinism",
-    "export-gating",
     "registry-consistency",
     "fast-slow-parity",
 }

@@ -24,7 +24,6 @@ RULE_FIXTURES = [
     ("fingerprint-completeness", "fingerprint"),
     ("spec-hygiene", "spec_hygiene"),
     ("determinism", "determinism"),
-    ("export-gating", "export_gating"),
     ("registry-consistency", "registry"),
     ("fast-slow-parity", "parity"),
 ]
@@ -78,15 +77,6 @@ def test_determinism_covers_every_ban_class():
     assert "numpy.random.rand()" in text
     assert text.count("without a seed") == 2
     assert "bare set" in text
-
-
-def test_export_gating_reports_drift_and_inline_any():
-    report = run_lint(
-        [FIXTURES / "export_gating_bad.py"], rules=["export-gating"]
-    )
-    text = "\n".join(f.message for f in report.findings)
-    assert "_has_extra" in text
-    assert "any(...)" in text
 
 
 def test_registry_rule_reports_missing_and_phantom_choices():

@@ -1,0 +1,117 @@
+"""Grid points that used to construct and then fail mid-run, and the one
+``--tp``/``--ep`` derivation of the single-strategy CLI subcommands.
+
+Every point is now rejected where it is built: an unreachable routing
+imbalance (``std >= sqrt(E-1)/E``) by :class:`~repro.api.scenario.Scenario`,
+and non-positive batch sizes by the serving scenarios.  The CLI reports
+them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
+"""
+
+import pytest
+
+from repro import ExperimentSpec, FleetSpec, Scenario, ServeSpec
+from repro.cli import main
+from repro.fleet.spec import FleetScenario, ReplicaSpec
+from repro.hw import h800_node
+from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE
+from repro.moe.routing import imbalanced_fractions, max_imbalance_std
+from repro.parallel.strategy import ParallelStrategy
+from repro.serve.scenario import ServeScenario
+
+EP8 = ParallelStrategy(tp_size=1, ep_size=8)
+
+
+# -- imbalance ----------------------------------------------------------------
+
+
+def test_unreachable_imbalance_fails_at_grid_construction():
+    with pytest.raises(ValueError, match=r"std 0.5 unreachable for E=8 \(max 0.3307\)"):
+        ExperimentSpec.grid(
+            tokens=2048, strategies=(1, 8), imbalance_stds=(0.0, 0.5),
+            systems="comet",
+        )
+
+
+def test_imbalance_bound_follows_the_expert_count():
+    assert f"{max_imbalance_std(QWEN2_MOE.num_experts):.4f}" == "0.1240"
+    with pytest.raises(ValueError, match="E=64"):
+        Scenario(QWEN2_MOE, h800_node(), EP8, tokens=2048, imbalance_std=0.125)
+    Scenario(QWEN2_MOE, h800_node(), EP8, tokens=2048, imbalance_std=0.12)
+
+
+def test_routing_and_scenario_share_the_bound():
+    bound = max_imbalance_std(MIXTRAL_8X7B.num_experts)
+    with pytest.raises(ValueError, match="unreachable"):
+        imbalanced_fractions(MIXTRAL_8X7B.num_experts, bound)
+    with pytest.raises(ValueError, match="unreachable"):
+        Scenario(MIXTRAL_8X7B, h800_node(), EP8, tokens=2048, imbalance_std=bound)
+
+
+def test_layer_cli_reports_unreachable_imbalance(capsys):
+    assert main(["layer", "--tokens", "2048", "--imbalance-std", "0.5"]) == 2
+    assert "error: imbalance_std 0.5 unreachable" in capsys.readouterr().err
+
+
+def test_sweep_cli_skips_unreachable_imbalance(capsys):
+    code = main([
+        "sweep", "--tokens", "2048", "--ep", "8", "--systems", "comet", "tutel",
+        "--imbalance-std", "0", "0.5",
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "skipping grid point: imbalance_std 0.5 unreachable" in captured.err
+    assert "1 grid points" in captured.out
+
+
+# -- batch sizes --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", (ServeSpec, FleetSpec), ids=lambda s: s.__name__)
+def test_zero_batch_budget_fails_at_grid_construction(spec):
+    with pytest.raises(ValueError, match="max_batch_tokens must be finite and positive"):
+        spec.grid(max_batch_tokens=(8192, 0))
+
+
+@pytest.mark.parametrize("field", ("max_batch_size", "bucket_tokens"))
+def test_serving_scenarios_reject_zero_sizes(field):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        ServeScenario(MIXTRAL_8X7B, h800_node(), EP8, **{field: 0})
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        FleetScenario(
+            MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
+            **{field: 0},
+        )
+
+
+@pytest.mark.parametrize("command", ("serve", "fleet"))
+def test_serving_cli_reports_zero_batch_budget(command, capsys):
+    code = main([
+        command, "--rps", "20", "--duration", "1", "--systems", "comet",
+        "--max-batch-tokens", "0",
+    ])
+    assert code == 2
+    assert "error: max_batch_tokens must be finite and positive" in capsys.readouterr().err
+
+
+# -- one --ep default -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,shown",
+    (
+        (["layer", "--tokens", "2048", "--systems", "comet"], "TP2xEP4"),
+        (["model", "--tokens", "2048", "--systems", "comet"], "TP2xEP4"),
+        (["sweep-nc", "--tokens", "4096"], "TP=2, EP=4"),
+    ),
+    ids=("layer", "model", "sweep-nc"),
+)
+def test_ep_defaults_to_world_size_over_tp(argv, shown, capsys):
+    assert main([*argv, "--tp", "2"]) == 0
+    assert shown in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ("layer", "model", "sweep-nc", "trace"))
+def test_nonpositive_tp_is_rejected(command, capsys):
+    code = main([command, "--tokens", "2048", "--tp", "0"])
+    assert code in (1, 2)
+    assert "tp must be positive, got 0" in capsys.readouterr().err

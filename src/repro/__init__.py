@@ -306,15 +306,14 @@ CLI: ``repro trace --graph|--serve|--fleet``, and ``--trace-out`` /
 Correctness tooling.  The guarantees above lean on conventions no type
 checker sees — every fingerprint hashes every field, specs stay frozen
 and pickle-stable, scoped simulators never read wall clocks or iterate
-bare sets, registries and CLI ``choices=`` agree, and every fast path
-names its cross-checked reference.  :mod:`repro.lint` turns each
-convention into an AST rule (``fingerprint-completeness``,
-``spec-hygiene``, ``determinism``, ``registry-consistency``,
+bare sets, and every fast path names its cross-checked reference.
+:mod:`repro.lint` turns each convention into an AST rule
+(``fingerprint-completeness``, ``spec-hygiene``, ``determinism``,
 ``fast-slow-parity``) and the tree ships lint-clean — CI runs it next to
 the test suite and fails on any unsuppressed finding::
 
     $ python -m repro lint src/repro --verbose   # or: --json findings.json
-    0 finding(s), 3 suppressed, 99 files checked
+    0 finding(s), 0 suppressed, 98 files checked
 
     from repro.lint import run_lint
     report = run_lint(["src/repro"])

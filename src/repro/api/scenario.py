@@ -281,6 +281,8 @@ class Scenario:
                 f"over {self.cluster.world_size} ranks"
             )
         check_finite("imbalance_std", self.imbalance_std)
+        # numpy's SeedSequence rejects a negative seed only mid-run.
+        check_finite("seed", self.seed)
         bound = max_imbalance_std(self.config.num_experts)
         if self.imbalance_std and self.imbalance_std >= bound:
             raise ValueError(

@@ -35,6 +35,7 @@ identity tests enforce it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -71,23 +72,30 @@ class ResilienceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be positive, got {self.timeout_ms}")
+        # The optional settings must be finite: NaN passes a plain `<= 0`.
+        if self.timeout_ms is not None and not 0 < self.timeout_ms < math.inf:
+            raise ValueError(
+                f"timeout_ms must be finite and positive, got {self.timeout_ms}"
+            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_retries > 0 and self.timeout_ms is None:
             raise ValueError("max_retries needs timeout_ms (retries fire on deadline expiry)")
         if self.backoff_ms < 0:
             raise ValueError(f"backoff_ms must be >= 0, got {self.backoff_ms}")
-        if self.shed_factor is not None and self.shed_factor <= 0:
-            raise ValueError(f"shed_factor must be positive, got {self.shed_factor}")
-        if self.slow_factor is not None and self.slow_factor <= 1.0:
+        if self.shed_factor is not None and not 0 < self.shed_factor < math.inf:
             raise ValueError(
-                f"slow_factor must exceed 1 (a replica at the median is not "
-                f"slow), got {self.slow_factor}"
+                f"shed_factor must be finite and positive, got {self.shed_factor}"
             )
-        if self.queue_factor is not None and self.queue_factor <= 1.0:
-            raise ValueError(f"queue_factor must exceed 1, got {self.queue_factor}")
+        if self.slow_factor is not None and not 1.0 < self.slow_factor < math.inf:
+            raise ValueError(
+                f"slow_factor must be finite and exceed 1 (a replica at the "
+                f"median is not slow), got {self.slow_factor}"
+            )
+        if self.queue_factor is not None and not 1.0 < self.queue_factor < math.inf:
+            raise ValueError(
+                f"queue_factor must be finite and exceed 1, got {self.queue_factor}"
+            )
         if self.health_window_ms <= 0 or self.check_interval_ms <= 0:
             raise ValueError("detector window and interval must be positive")
         if self.min_samples < 1:

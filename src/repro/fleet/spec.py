@@ -127,6 +127,7 @@ class AutoscalerSpec:
             raise ValueError(
                 f"min_replicas must be >= 1, got {self.min_replicas}"
             )
+        check_finite("scale_up_queue", self.scale_up_queue)
         if not 0 <= self.scale_down_queue < self.scale_up_queue:
             raise ValueError(
                 f"need 0 <= scale_down_queue < scale_up_queue, got "
@@ -197,6 +198,7 @@ class FleetScenario:
                 "a disaggregated fleet needs at least one prefill and one "
                 f"decode replica, got roles {sorted(roles)}"
             )
+        check_finite("router_seed", self.router_seed)
         if self.router not in ROUTER_REGISTRY:
             raise ValueError(
                 f"unknown router {self.router!r}; valid routers: "

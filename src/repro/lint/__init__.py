@@ -3,9 +3,8 @@
 Nine PRs of growth rest on a handful of conventions that plain tests
 only enforce where they happen to look: complete cache-key
 fingerprints, frozen pickle-stable specs, seed-determinism inside the
-simulators, registry/CLI agreement, and declared fast/slow parity
-pairs.  This package enforces them
-mechanically on every commit.
+simulators, and declared fast/slow parity pairs.  This package enforces
+them mechanically on every commit.
 
 Usage::
 

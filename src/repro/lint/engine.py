@@ -126,18 +126,12 @@ class Project:
                 f"{lint_file.module}.{name}" for name in locals_
             )
 
-    def has_repro_sources(self) -> bool:
-        """True when the scan covers the installed ``repro`` package
-        (fixture-only runs skip the live-registry checks)."""
-        return any(f.module.split(".")[0] == "repro" for f in self.files)
-
 
 class Rule:
     """Base class for analyzers.
 
     Per-file rules override :meth:`check_file`; whole-project rules
-    (cross-file indexes, live-registry probes) override
-    :meth:`check_project` instead.
+    (cross-file indexes) override :meth:`check_project` instead.
     """
 
     name: str = ""

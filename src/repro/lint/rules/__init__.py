@@ -12,7 +12,6 @@ from repro.api.registry import Registry
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.fingerprint import FingerprintCompletenessRule
 from repro.lint.rules.parity import FastSlowParityRule
-from repro.lint.rules.registry import RegistryConsistencyRule
 from repro.lint.rules.spec_hygiene import SpecHygieneRule
 
 __all__ = ["RULE_REGISTRY"]
@@ -23,7 +22,6 @@ for _rule_cls in (
     FingerprintCompletenessRule,
     SpecHygieneRule,
     DeterminismRule,
-    RegistryConsistencyRule,
     FastSlowParityRule,
 ):
     _rule = _rule_cls()

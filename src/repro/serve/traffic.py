@@ -113,6 +113,14 @@ class TraceSpec:
         for name, value in numbers:
             if not (isinstance(value, int) or math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        # A length mean <= 0 has no lognormal fit (numpy warns and every
+        # length clips to 1), and numpy rejects a negative seed mid-run.
+        for name in ("prompt_mean", "output_mean", "max_prompt", "max_output"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("prompt_sigma", "output_sigma", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.kind != "replay":
             if self.rps <= 0:
                 raise ValueError(f"rps must be positive, got {self.rps}")

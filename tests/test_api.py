@@ -19,7 +19,13 @@ from repro import (
 )
 from repro.api import CLUSTER_REGISTRY, MODEL_REGISTRY, SYSTEM_REGISTRY
 from repro.api.scenario import default_system_names
+from repro.fleet.router import ROUTER_REGISTRY
+from repro.hw.cluster import ClusterSpec
+from repro.moe.config import MoEConfig
+from repro.serve.scheduler import POLICY_REGISTRY
+from repro.serve.traffic import TRACE_REGISTRY
 from repro.systems import ALL_SYSTEMS
+from repro.systems.base import MoESystem
 
 
 def small_scenario(tp=1, ep=8, tokens=2048, **kwargs):
@@ -92,6 +98,35 @@ class TestSystemRegistry:
         assert MODEL_REGISTRY.get("mixtral") is MIXTRAL_8X7B
         assert MODEL_REGISTRY.get("Mixtral-8x7B") is MIXTRAL_8X7B
         assert CLUSTER_REGISTRY.get("h800")().world_size == 8
+
+
+class TestRegisteredEntriesConstruct:
+    """Every registered name builds the way its first use builds it, so a
+    CLI choice or grid name never fails on first use."""
+
+    @pytest.mark.parametrize("name", SYSTEM_REGISTRY.names())
+    def test_every_system_creates(self, name):
+        assert isinstance(SYSTEM_REGISTRY.create(name), MoESystem)
+
+    @pytest.mark.parametrize("name", MODEL_REGISTRY.names())
+    def test_every_model_is_a_config(self, name):
+        assert isinstance(MODEL_REGISTRY.get(name), MoEConfig)
+
+    @pytest.mark.parametrize("name", CLUSTER_REGISTRY.names())
+    def test_every_cluster_factory_builds(self, name):
+        assert isinstance(CLUSTER_REGISTRY.get(name)(), ClusterSpec)
+        assert CLUSTER_REGISTRY.get(name)(4).world_size == 4
+
+    @pytest.mark.parametrize("name", ROUTER_REGISTRY.names())
+    def test_every_router_constructs(self, name):
+        ROUTER_REGISTRY.get(name)(2)
+
+    @pytest.mark.parametrize(
+        "registry", (POLICY_REGISTRY, TRACE_REGISTRY), ids=lambda r: r.kind
+    )
+    def test_every_policy_and_trace_entry_is_callable(self, registry):
+        for name in registry.names():
+            assert callable(registry.get(name)), name
 
 
 class TestScenario:

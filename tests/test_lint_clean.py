@@ -16,7 +16,6 @@ EXPECTED_RULES = {
     "fingerprint-completeness",
     "spec-hygiene",
     "determinism",
-    "registry-consistency",
     "fast-slow-parity",
 }
 
@@ -34,7 +33,6 @@ def test_source_tree_is_lint_clean():
 
 def test_every_suppression_carries_a_justification():
     report = run_lint([PACKAGE_DIR])
-    assert report.suppressed, "the known intentional exclusions vanished"
     for finding in report.suppressed:
         assert finding.justification, finding.render()
 

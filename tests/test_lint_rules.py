@@ -24,7 +24,6 @@ RULE_FIXTURES = [
     ("fingerprint-completeness", "fingerprint"),
     ("spec-hygiene", "spec_hygiene"),
     ("determinism", "determinism"),
-    ("registry-consistency", "registry"),
     ("fast-slow-parity", "parity"),
 ]
 
@@ -77,15 +76,6 @@ def test_determinism_covers_every_ban_class():
     assert "numpy.random.rand()" in text
     assert text.count("without a seed") == 2
     assert "bare set" in text
-
-
-def test_registry_rule_reports_missing_and_phantom_choices():
-    report = run_lint(
-        [FIXTURES / "registry_bad.py"], rules=["registry-consistency"]
-    )
-    text = "\n".join(f.message for f in report.findings)
-    assert "'replay'" in text
-    assert "'wavelet'" in text
 
 
 def test_parity_reports_unmarked_and_orphaned():

@@ -3,15 +3,18 @@
 
 Every point is now rejected where it is built: an unreachable routing
 imbalance (``std >= sqrt(E-1)/E``) by :class:`~repro.api.scenario.Scenario`,
-and non-positive batch sizes by the serving scenarios.  The CLI reports
-them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
+non-positive batch sizes by the serving scenarios, negative seeds by
+every spec that carries one, and NaN, infinite or non-positive serving
+settings by the trace, resilience and autoscaler specs.  The CLI
+reports them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
 """
 
 import pytest
 
-from repro import ExperimentSpec, FleetSpec, Scenario, ServeSpec
+from repro import ExperimentSpec, FleetSpec, Scenario, ServeSpec, TraceSpec
 from repro.cli import main
-from repro.fleet.spec import FleetScenario, ReplicaSpec
+from repro.faults import ResilienceSpec
+from repro.fleet.spec import AutoscalerSpec, FleetScenario, ReplicaSpec
 from repro.hw import h800_node
 from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE
 from repro.moe.routing import imbalanced_fractions, max_imbalance_std
@@ -115,3 +118,107 @@ def test_nonpositive_tp_is_rejected(command, capsys):
     code = main([command, "--tokens", "2048", "--tp", "0"])
     assert code in (1, 2)
     assert "tp must be positive, got 0" in capsys.readouterr().err
+
+
+# -- seeds ----------------------------------------------------------------------
+# numpy's SeedSequence rejects a negative seed only once a run draws
+# from it, which used to end in a traceback and exit 1.
+
+FAST = ["--rps", "20", "--duration", "1", "--systems", "comet"]
+
+
+def test_specs_reject_negative_seeds():
+    with pytest.raises(ValueError, match="seed must be finite and >= 0, got -1"):
+        Scenario(MIXTRAL_8X7B, h800_node(), EP8, tokens=2048, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TraceSpec(seed=-1)
+    with pytest.raises(ValueError, match="router_seed must be finite and >= 0"):
+        FleetScenario(
+            MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
+            router_seed=-1,
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["layer", "--tokens", "2048", "--seed", "-1"],
+        ["model", "--tokens", "2048", "--systems", "comet", "--seed", "-1"],
+        ["serve", *FAST, "--seed", "-1"],
+        ["fleet", *FAST, "--seed", "-1"],
+        ["fleet", *FAST, "--router-seed", "-1"],
+    ),
+    ids=("layer", "model", "serve", "fleet", "fleet-router-seed"),
+)
+def test_cli_rejects_negative_seed(argv, capsys):
+    assert main(argv) == 2
+    assert "seed must be" in capsys.readouterr().err
+
+
+def test_sweep_skips_negative_seed(capsys):
+    code = main(["sweep", "--tokens", "2048", "--ep", "8", "--systems", "comet",
+                 "--seed", "0", "-1"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "skipping grid point: seed must be finite and >= 0, got -1" in captured.err
+    assert "1 grid points" in captured.out
+
+
+@pytest.mark.parametrize("tokens", ("0", "-8"))
+def test_kernel_trace_checks_its_scenario(tokens, tmp_path, capsys):
+    # The kernel trace built its workload directly: 0 tokens wrote an
+    # empty trace, -8 failed inside numpy.
+    out = tmp_path / "t.json"
+    assert main(["trace", "--tokens", tokens, "--out", str(out)]) == 2
+    assert f"error: tokens {tokens} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- serving settings -----------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field", ("timeout_ms", "shed_factor", "slow_factor", "queue_factor"))
+@pytest.mark.parametrize("value", (NAN, INF), ids=("nan", "inf"))
+def test_resilience_settings_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ResilienceSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field", ("prompt_mean", "output_mean", "max_prompt", "max_output"))
+@pytest.mark.parametrize("value", (0, -1))
+def test_trace_lengths_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        TraceSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field", ("prompt_sigma", "output_sigma"))
+def test_trace_sigmas_must_be_non_negative(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        TraceSpec(**{field: -0.1})
+
+
+def test_autoscaler_scale_up_queue_must_be_finite():
+    with pytest.raises(ValueError, match="scale_up_queue must be finite"):
+        AutoscalerSpec(scale_up_queue=INF)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--timeout-ms", "nan"],
+        ["--shed", "nan"],
+        ["--detect", "nan"],
+        ["--prompt-mean", "0"],
+        ["--output-mean", "-1"],
+        ["--autoscale", "1", "--scale-up-queue", "inf"],
+    ),
+    ids=lambda flags: " ".join(flags),
+)
+def test_fleet_cli_rejects_bad_serving_setting(flags, capsys):
+    # Each used to run: a NaN deadline timed out every request, NaN shed
+    # and detect factors did nothing, and a length mean <= 0 ran with
+    # numpy warnings and clipped every length to 1.
+    assert main(["fleet", *FAST, *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -12,7 +12,8 @@ equivalence contract while doing so:
   comparison isolates the simulator itself.  A warm repeat on a fresh
   COMET instance then shows the cross-instance
   :data:`repro.perf.TIMING_CACHE` sharing (``timing_key`` resolves the
-  adaptive division points instead of cold-missing per instance).
+  adaptive division points instead of cold-missing per instance, and
+  :data:`repro.perf.NC_SWEEP_CACHE` hands it the sweeps behind them).
   Reports must match byte for byte.
 * **grid** — a figure-sized scenario sweep (Figure 12 shape: one model,
   parallelism x token axes, all five systems) on the same pod, slow
@@ -55,6 +56,13 @@ def _cluster():
     return h800_pod(WORLD_SIZE // 8).effective_cluster()
 
 
+def _cold_timing() -> None:
+    """Empty the timing and division-point sweep caches, so the next arm
+    pays for its own ``time_layer`` calls and COMET sweeps."""
+    perf.TIMING_CACHE.clear()
+    perf.NC_SWEEP_CACHE.clear()
+
+
 def bench_serve(quick: bool = False) -> dict:
     """Time one balanced COMET serving run, slow path vs fast path."""
     scenario = ServeScenario(
@@ -80,14 +88,14 @@ def bench_serve(quick: bool = False) -> dict:
     # measurement isolates scheduler + kernel simulation.
     warm = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
 
-    perf.TIMING_CACHE.clear()
+    _cold_timing()
     t0 = time.perf_counter()
     with perf.disabled():
         slow = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
     slow_s = time.perf_counter() - t0
     slow_calls = perf.time_layer_calls()
 
-    perf.TIMING_CACHE.clear()
+    _cold_timing()
     t0 = time.perf_counter()
     fast = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
     fast_s = time.perf_counter() - t0
@@ -145,14 +153,14 @@ def bench_grid(quick: bool = False) -> dict:
     for _scenario, _workload in spec.workloads():  # shared workload warm-up
         pass
 
-    perf.TIMING_CACHE.clear()
+    _cold_timing()
     t0 = time.perf_counter()
     with perf.disabled():
         slow = spec.run()
     slow_s = time.perf_counter() - t0
     slow_calls = perf.time_layer_calls()
 
-    perf.TIMING_CACHE.clear()
+    _cold_timing()
     t0 = time.perf_counter()
     fast = spec.run()
     fast_s = time.perf_counter() - t0

@@ -238,7 +238,13 @@ and ``benchmarks/bench_sim_speed.py`` measures the speedup):
 * **Fingerprints and caches** — ``MoESystem.fingerprint()`` +
   ``MoELayerWorkload.fingerprint()`` key the bounded, instrumented
   :data:`repro.perf.TIMING_CACHE`; workloads are shared process-wide
-  through :data:`repro.perf.WORKLOAD_CACHE`.  Both expose hit/miss
+  through :data:`repro.perf.WORKLOAD_CACHE`, and their read-only
+  routing plans through :data:`repro.perf.ROUTING_CACHE`, keyed by
+  (experts, top-k, tokens, imbalance, seed) alone, so every TP x EP
+  split of a model routes one plan.  COMET's division-point sweeps are
+  shared by (system, workload, layer) through
+  :data:`repro.perf.NC_SWEEP_CACHE`, while each instance still picks
+  which workload records a token bucket.  Every cache exposes hit/miss
   counters (``repro sweep/serve ... --report``) and ``clear()``.
 * **Fast serving loop** — the continuous-batching DES is replayed by a
   sequential transcription with identical event ordering.

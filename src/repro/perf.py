@@ -52,7 +52,19 @@ Cache layers live here:
   lowered skeletons, compiled recurrences, block structures and reduced
   recurrences;
 * :data:`STEP_COST_CACHE` — one serving step-cost model per system
-  state and scenario shape.
+  state and scenario shape;
+* :data:`ROUTING_CACHE` — one read-only
+  :class:`~repro.moe.routing.RoutingPlan` per (experts, top-k, tokens,
+  imbalance, seed).  ``make_workload`` draws a plan from
+  ``default_rng(seed)`` and reads nothing else of the model, the
+  cluster or the TP x EP split, so that key is complete: every split
+  of a model, and every model with the same (E, top-k), shares a plan;
+* :data:`NC_SWEEP_CACHE` — COMET's division-point sweeps
+  (:class:`~repro.kernels.assignment.SweepResult`) keyed by (system
+  fingerprint, workload fingerprint, layer).  A sweep times the default
+  variant library on the workload's bottleneck rank; the system
+  fingerprint covers every knob the fused kernels read, and the
+  workload fingerprint its shapes, hardware and routing realisation.
 
 All are bounded LRU caches with hit/miss/eviction counters and an
 explicit ``clear()``; :func:`cache_stats` aggregates them for the CLI's
@@ -70,13 +82,17 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.kernels.assignment import SweepResult
     from repro.runtime.workload import MoELayerWorkload
     from repro.systems.base import LayerTiming, MoESystem
+    from repro.systems.comet import Comet
 
 __all__ = [
     "CONFIG",
     "GRAPH_BATCH_CACHE",
     "GRAPH_CACHE",
+    "NC_SWEEP_CACHE",
+    "ROUTING_CACHE",
     "STEP_COST_CACHE",
     "TIMING_CACHE",
     "WORKLOAD_CACHE",
@@ -93,6 +109,7 @@ __all__ = [
     "lowered_skeleton",
     "process_worker_init",
     "record_worker_stats",
+    "shared_nc_sweep",
     "shared_step_cost",
     "shared_workload",
     "time_layer_calls",
@@ -305,6 +322,17 @@ WORKLOAD_CACHE = BoundedCache(maxsize=256, name="workload")
 GRAPH_CACHE = BoundedCache(maxsize=1024, name="graph")
 GRAPH_BATCH_CACHE = BoundedCache(maxsize=256, name="graph_batch")
 STEP_COST_CACHE = BoundedCache(maxsize=64, name="step-cost")
+ROUTING_CACHE = BoundedCache(maxsize=256, name="routing")
+NC_SWEEP_CACHE = BoundedCache(maxsize=1024, name="nc-sweep")
+_CACHES = (
+    TIMING_CACHE,
+    WORKLOAD_CACHE,
+    GRAPH_CACHE,
+    GRAPH_BATCH_CACHE,
+    STEP_COST_CACHE,
+    ROUTING_CACHE,
+    NC_SWEEP_CACHE,
+)
 
 
 def topology_key(graph: Any) -> tuple:
@@ -644,6 +672,28 @@ def shared_step_cost(
     return model
 
 
+def shared_nc_sweep(
+    system: "Comet", workload: "MoELayerWorkload", layer: int
+) -> "SweepResult":
+    """``system.sweep_division_points(workload, layer)``, process-wide.
+
+    The sweep is a pure function of the system's knobs, the workload and
+    the layer, so equal-config COMET instances share it; each instance
+    still decides for itself which workload records a token bucket.
+    Honours the ``timing_cache`` perf flag: when disabled, every sweep
+    runs.
+    """
+    if not CONFIG.timing_cache:
+        return system.sweep_division_points(workload, layer)
+    key = (system.fingerprint(), workload.fingerprint(), layer)
+    sweep = NC_SWEEP_CACHE.get(key)
+    if sweep is None:
+        sweep = NC_SWEEP_CACHE.put(
+            key, system.sweep_division_points(workload, layer)
+        )
+    return sweep
+
+
 # -- process-worker statistics -------------------------------------------------
 #
 # ``executor="process"`` grids run scenarios in forked workers whose
@@ -667,13 +717,7 @@ def process_worker_init() -> None:
     starts) but also its counters; reset only the counters so the
     returned snapshots count the worker's own activity.
     """
-    for cache in (
-        TIMING_CACHE,
-        WORKLOAD_CACHE,
-        GRAPH_CACHE,
-        GRAPH_BATCH_CACHE,
-        STEP_COST_CACHE,
-    ):
+    for cache in _CACHES:
         with cache._lock:
             cache.hits = 0
             cache.misses = 0
@@ -711,11 +755,8 @@ def worker_process_count() -> int:
 
 def clear_caches() -> None:
     """Empty the global caches and reset their counters."""
-    TIMING_CACHE.clear()
-    WORKLOAD_CACHE.clear()
-    GRAPH_CACHE.clear()
-    GRAPH_BATCH_CACHE.clear()
-    STEP_COST_CACHE.clear()
+    for cache in _CACHES:
+        cache.clear()
     with _WORKER_LOCK:
         _WORKER_STATS.clear()
 
@@ -731,13 +772,7 @@ def cache_stats(include_workers: bool = True) -> dict[str, dict[str, Any]]:
     snapshot with ``include_workers=False`` to return only their own
     counters.
     """
-    stats = {
-        TIMING_CACHE.name: TIMING_CACHE.stats(),
-        WORKLOAD_CACHE.name: WORKLOAD_CACHE.stats(),
-        GRAPH_CACHE.name: GRAPH_CACHE.stats(),
-        GRAPH_BATCH_CACHE.name: GRAPH_BATCH_CACHE.stats(),
-        STEP_COST_CACHE.name: STEP_COST_CACHE.stats(),
-    }
+    stats = {cache.name: cache.stats() for cache in _CACHES}
     if not include_workers:
         return stats
     with _WORKER_LOCK:

@@ -10,11 +10,13 @@ decisions.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from repro import perf
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.moe.routing import (
@@ -270,18 +272,24 @@ def make_workload(
     ``imbalance_std`` is the paper's Figure 14 knob: the standard
     deviation of per-expert token fractions (0 = uniform; their production
     average is 0.032).
+
+    The routing plan depends only on ``(E, topk, total_tokens,
+    imbalance_std, seed)``, so workloads that differ only in cluster or
+    split share one read-only plan through :data:`repro.perf.ROUTING_CACHE`.
+    A seed that is not an integer synthesises a fresh plan on every call.
     """
     if total_tokens % cluster.world_size != 0:
         raise ValueError(
             f"total_tokens {total_tokens} must divide evenly over "
             f"{cluster.world_size} ranks"
         )
-    rng = np.random.default_rng(seed)
-    if imbalance_std > 0:
-        fractions = imbalanced_fractions(config.num_experts, imbalance_std, rng)
-    else:
-        fractions = balanced_fractions(config.num_experts)
-    plan = routing_from_fractions(total_tokens, config.topk, fractions, rng)
+    key = (config.num_experts, config.topk, total_tokens, imbalance_std, seed)
+    if isinstance(seed, numbers.Integral):
+        plan = perf.ROUTING_CACHE.get(key)
+        if plan is None:
+            plan = perf.ROUTING_CACHE.put(key, _synthesise_routing(*key))
+    else:  # e.g. None, which draws fresh entropy: nothing to share
+        plan = _synthesise_routing(*key)
     owner = token_owner_ranks(total_tokens, cluster.world_size)
     return MoELayerWorkload(
         config=config,
@@ -290,3 +298,23 @@ def make_workload(
         plan=plan,
         owner=owner,
     )
+
+
+def _synthesise_routing(
+    num_experts: int,
+    topk: int,
+    total_tokens: int,
+    imbalance_std: float,
+    seed: int | None,
+) -> RoutingPlan:
+    """Draw one routing plan; its arrays are read-only, because a cached
+    plan backs every workload with the same key."""
+    rng = np.random.default_rng(seed)
+    if imbalance_std > 0:
+        fractions = imbalanced_fractions(num_experts, imbalance_std, rng)
+    else:
+        fractions = balanced_fractions(num_experts)
+    plan = routing_from_fractions(total_tokens, topk, fractions, rng)
+    plan.experts.setflags(write=False)
+    plan.weights.setflags(write=False)
+    return plan

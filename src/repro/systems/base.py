@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -138,8 +139,10 @@ class MoESystem(ABC):
     straggler_rehide: float = 1.0
 
     def __init__(self, gemm_scale: float = 1.0):
-        if gemm_scale <= 0:
-            raise ValueError(f"gemm_scale must be positive, got {gemm_scale}")
+        if not 0 < gemm_scale < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"gemm_scale must be finite and positive, got {gemm_scale}"
+            )
         self.gemm_scale = gemm_scale
 
     def backward_variant(self) -> "MoESystem":

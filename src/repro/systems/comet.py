@@ -27,6 +27,7 @@ the GEMM prologue/epilogue); ``fixed_nc`` disables adaptivity.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ from repro.kernels.fused import (
 )
 from repro.moe.experts import ExpertWeights
 from repro.perf import CONFIG as PERF_CONFIG
+from repro.perf import shared_nc_sweep
 from repro.runtime.workload import MoELayerWorkload
 from repro.systems.base import LayerTiming, MoESystem
 from repro.tensor.dependency import resolve_decomposition
@@ -106,6 +108,16 @@ class Comet(MoESystem):
         fabric_contention: bool = False,
     ):
         super().__init__(gemm_scale=gemm_scale)
+        # The upper bound depends on the GPU's SM count, so time_layer
+        # checks it against each workload's cluster.
+        if fixed_nc is not None and (
+            isinstance(fixed_nc, bool)
+            or not isinstance(fixed_nc, numbers.Integral)
+            or fixed_nc < 0
+        ):
+            raise ValueError(
+                f"fixed_nc must be None or a non-negative integer, got {fixed_nc!r}"
+            )
         self.reschedule = reschedule
         self.adaptive = adaptive
         self.fixed_nc = fixed_nc
@@ -115,10 +127,13 @@ class Comet(MoESystem):
         # independent per-rank ingress model.
         self.fabric_contention = fabric_contention
         # Profiled metadata per (cluster, model): ProfileKey -> SweepResult.
+        # Which workload records a power-of-two token bucket is this
+        # instance's own history (its first probe in that bucket); the
+        # sweep it records is a pure function of this system's knobs and
+        # that workload, so it is shared through perf.NC_SWEEP_CACHE.
         self._profiles: dict[tuple[str, str], AssignmentProfile] = {}
-        # Adaptive profiles are recorded from the first workload hitting a
-        # power-of-two token bucket, so timing results depend on this
-        # instance's probe history — scope timing-cache reuse to it.
+        # Timing results depend on that probe history — scope
+        # timing-cache reuse to this instance.
         self._timing_epoch = next(_COMET_EPOCH)
 
     def backward_variant(self) -> "Comet":
@@ -166,7 +181,9 @@ class Comet(MoESystem):
         moment an uncached ``time_layer`` call would have recorded them
         (``_adaptive_nc`` is idempotent once a bucket is warm), so
         instance history stays identical whether the lookup hits or
-        misses.
+        misses.  Bucket selection stays per instance; the sweep a
+        missing bucket records comes from :data:`repro.perf.NC_SWEEP_CACHE`,
+        so equal-config instances sweep each workload once.
         """
         if not (self.adaptive and self.fixed_nc is None):
             return None
@@ -420,7 +437,7 @@ class Comet(MoESystem):
             layer, strategy.tp_size, strategy.ep_size, workload.total_tokens
         )
         if key not in profile:
-            profile.record(key, self.sweep_division_points(workload, layer))
+            profile.record(key, shared_nc_sweep(self, workload, layer))
         return select_division_point(profile, key)
 
     def sweep_division_points(

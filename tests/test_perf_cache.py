@@ -163,9 +163,115 @@ class TestStepCostModelCache:
             "graph",
             "graph_batch",
             "step-cost",
+            "routing",
+            "nc-sweep",
         }
         for doc in stats.values():
             assert {"hits", "misses", "evictions", "size", "maxsize"} <= set(doc)
+
+
+class TestRoutingCache:
+    """One routing plan per (E, top-k, tokens, imbalance, seed)."""
+
+    # Mixtral's four TP x EP splits, then a Fig. 13 variant with
+    # Mixtral's (E, top-k), then a second seed: two distinct keys.
+    POINTS = [
+        (MIXTRAL_8X7B, ParallelStrategy(tp, 8 // tp), 0) for tp in (1, 2, 4, 8)
+    ] + [(MIXTRAL_8X7B.with_experts(8, 2), STRATEGY, 0), (MIXTRAL_8X7B, STRATEGY, 1)]
+
+    def _build(self):
+        return [
+            make_workload(config, CLUSTER, strategy, 2048, seed=seed)
+            for config, strategy, seed in self.POINTS
+        ]
+
+    def test_one_synthesis_per_distinct_key(self):
+        perf.clear_caches()
+        workloads = self._build()
+        stats = perf.cache_stats()["routing"]
+        assert (stats["misses"], stats["hits"]) == (2, 4)
+        assert all(w.plan is workloads[0].plan for w in workloads[:5])
+        assert workloads[5].plan is not workloads[0].plan
+
+    def test_cached_plans_match_fresh_synthesis(self):
+        perf.clear_caches()
+        workloads = self._build()
+        fingerprints = [w.fingerprint() for w in workloads]
+        perf.clear_caches()
+        rebuilt = self._build()
+        assert rebuilt[0].plan is not workloads[0].plan
+        assert [w.fingerprint() for w in rebuilt] == fingerprints
+
+    def test_unseeded_plans_are_not_shared(self):
+        perf.clear_caches()
+        first = make_workload(MIXTRAL_8X7B, CLUSTER, STRATEGY, 1024, seed=None)
+        second = make_workload(MIXTRAL_8X7B, CLUSTER, STRATEGY, 1024, seed=None)
+        assert first.fingerprint() != second.fingerprint()
+        assert len(perf.ROUTING_CACHE) == 0
+
+    def test_shared_plan_is_read_only(self):
+        plan = _workload().plan
+        with pytest.raises(ValueError):
+            plan.experts[0, 0] = 0
+        with pytest.raises(ValueError):
+            plan.weights[0, 0] = 0.0
+
+
+class TestNcSweepCache:
+    """Division-point sweeps shared across equal-config COMET instances."""
+
+    @staticmethod
+    def _division_points(system, workload):
+        return system.division_point(workload, 0), system.division_point(workload, 1)
+
+    @pytest.mark.parametrize("timing_cache", (True, False))
+    def test_bucket_stays_recorded_by_the_first_probe(self, timing_cache):
+        # 3072 and 4096 tokens share the 4096 bucket: whichever workload
+        # an instance probes first records it.
+        perf.clear_caches()
+        with perf.configure(timing_cache=timing_cache):
+            probed = Comet()
+            self._division_points(probed, _workload(tokens=3072))
+            assert self._division_points(probed, _workload(tokens=4096)) == (18, 22)
+            assert self._division_points(Comet(), _workload(tokens=4096)) == (10, 34)
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The layers of every sweep that actually runs."""
+        ran = []
+        original = Comet.sweep_division_points
+
+        def counted(system, workload, layer, *args, **kwargs):
+            ran.append(layer)
+            return original(system, workload, layer, *args, **kwargs)
+
+        monkeypatch.setattr(Comet, "sweep_division_points", counted)
+        return ran
+
+    def test_fresh_instance_reuses_the_sweep(self, sweeps):
+        perf.clear_caches()
+        workload = _workload(tokens=4096)
+        first = self._division_points(Comet(), workload)
+        assert sweeps == [0, 1]
+        second = Comet()
+        assert self._division_points(second, workload) == first
+        assert sweeps == [0, 1]
+        stats = perf.cache_stats()["nc-sweep"]
+        assert (stats["misses"], stats["hits"]) == (2, 2)
+        # Still recorded in the instance's own profile.
+        assert len(second._profiles[(CLUSTER.name, MIXTRAL_8X7B.name)].entries) == 2
+
+    def test_disabled_runs_every_sweep_uncounted(self, sweeps):
+        perf.clear_caches()
+        workload = _workload(tokens=4096)
+        self._division_points(Comet(), workload)
+        before = perf.cache_stats()["nc-sweep"]
+        with perf.disabled():
+            self._division_points(Comet(), workload)
+            self._division_points(Comet(), workload)
+        after = perf.cache_stats()["nc-sweep"]
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+        assert sweeps == [0, 1] * 3
 
 
 class TestCacheConcurrencyHammer:

@@ -7,6 +7,8 @@ non-positive batch sizes by the serving scenarios, negative seeds by
 every spec that carries one, and NaN, infinite or non-positive serving
 settings by the trace, resilience and autoscaler specs.  The CLI
 reports them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
+A negative or non-integer fixed COMET division point is rejected by
+:class:`~repro.systems.comet.Comet` itself.
 """
 
 import pytest
@@ -19,7 +21,9 @@ from repro.hw import h800_node
 from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE
 from repro.moe.routing import imbalanced_fractions, max_imbalance_std
 from repro.parallel.strategy import ParallelStrategy
+from repro.runtime.workload import make_workload
 from repro.serve.scenario import ServeScenario
+from repro.systems import Comet
 
 EP8 = ParallelStrategy(tp_size=1, ep_size=8)
 
@@ -222,3 +226,22 @@ def test_fleet_cli_rejects_bad_serving_setting(flags, capsys):
     # numpy warnings and clipped every length to 1.
     assert main(["fleet", *FAST, *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- COMET division point --------------------------------------------------------
+
+
+@pytest.mark.parametrize("nc", (-1, 2.5, 8.0, True), ids=repr)
+def test_fixed_division_point_must_be_a_non_negative_integer(nc):
+    # Each used to construct: -1 then failed inside time_layer's range
+    # check, 2.5 and 8.0 inside numpy, and True ran as nc=1.
+    with pytest.raises(ValueError, match="fixed_nc must be None or a non-negative integer"):
+        Comet(fixed_nc=nc)
+
+
+def test_fixed_division_point_upper_bound_follows_the_gpu():
+    # The SM count belongs to the workload's cluster, so a too-large
+    # division point constructs and is rejected when a layer is timed.
+    workload = make_workload(MIXTRAL_8X7B, h800_node(), EP8, 2048)
+    with pytest.raises(ValueError, match=r"nc must lie in \[0, 131\]"):
+        Comet(fixed_nc=500).time_layer(workload)

@@ -44,8 +44,11 @@ class TestBackwardVariant:
             assert bwd > fwd * 1.2
 
     def test_invalid_gemm_scale(self):
-        with pytest.raises(ValueError):
-            MegatronCutlass(gemm_scale=0.0)
+        # NaN and inf used to construct and time every layer as nan/inf.
+        for system in (MegatronCutlass, Tutel, Comet):
+            for scale in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    system(gemm_scale=scale)
 
 
 class TestTrainingStep:

@@ -27,11 +27,11 @@ from repro import MIXTRAL_8X7B, ParallelStrategy, SYSTEM_REGISTRY, run_model
 from repro.graph import (
     OVERLAP_POLICIES,
     build_forward_graph,
-    des_schedule,
     forward_makespan,
     list_schedule,
 )
 from repro.hw.multinode import h800_pod
+from repro.oracles.graph_des import des_schedule
 
 STRATEGY = ParallelStrategy(tp_size=2, ep_size=8)
 SYSTEMS = ("megatron-cutlass", "tutel", "comet")

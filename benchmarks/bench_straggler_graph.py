@@ -39,9 +39,9 @@ from repro import (
 from repro.graph import (
     OVERLAP_POLICIES,
     build_forward_graph,
-    des_schedule,
     list_schedule,
 )
+from repro.oracles.graph_des import des_schedule
 
 STRATEGY = ParallelStrategy(tp_size=1, ep_size=8)
 SYSTEMS = ("megatron-cutlass", "tutel", "comet")

@@ -157,9 +157,9 @@ lifts the per-layer timings into a cross-layer IR: every layer lowers
 (via :meth:`MoESystem.lower_layer`) into typed nodes — attention, gate,
 dispatch, expert GEMM, combine, grad-sync, optimizer — tagged with
 compute/comm resource streams, and a deterministic list scheduler (with
-a discrete-event reference executor cross-checked to exact float
-equality) computes end-to-end makespans under three **overlap
-policies**, a new sweep axis::
+a discrete-event reference executor in :mod:`repro.oracles` checked to
+exact float equality) computes end-to-end makespans under three
+**overlap policies**, a new sweep axis::
 
     from repro import run_model, run_training_step
 
@@ -225,8 +225,8 @@ Performance architecture.  Simulation speed is a feature: the same
 ``MoESystem.time_layer`` core prices figure grids, training steps, and
 tens of thousands of serving iterations, so :mod:`repro.perf` layers
 fast paths over the whole stack — each one verified *bit-identical*
-against the slow path it replaces (the equivalence tests enforce it,
-and ``benchmarks/bench_sim_speed.py`` measures the speedup):
+against the slow path it replaces (the oracle table enforces it, and
+``benchmarks/bench_sim_speed.py`` measures the speedup):
 
 * **Analytic list scheduling** — the layer0 fused kernel's per-tile
   heapq loop collapses to a vectorised wave recurrence
@@ -309,17 +309,26 @@ CLI: ``repro trace --graph|--serve|--fleet``, and ``--trace-out`` /
 ``--metrics-out`` on ``model`` / ``serve`` / ``fleet``.  See
 ``examples/trace_timelines.py``.
 
-Correctness tooling.  The guarantees above lean on conventions no type
-checker sees — every fingerprint hashes every field, specs stay frozen
-and pickle-stable, scoped simulators never read wall clocks or iterate
-bare sets, and every fast path names its cross-checked reference.
-:mod:`repro.lint` turns each convention into an AST rule
-(``fingerprint-completeness``, ``spec-hygiene``, ``determinism``,
-``fast-slow-parity``) and the tree ships lint-clean — CI runs it next to
-the test suite and fails on any unsuppressed finding::
+Correctness tooling.  Every fast path and every cache above is trusted
+only because it equals an oracle exactly.  The pairs are declared once,
+as the rows of one table in ``tests/test_oracles.py``, and one
+hypothesis harness runs them: the analytic layer0 scheduler, rank
+dedup, the graph recurrences and symmetry fold, the serve fast loop,
+the fleet's keyed cores and decomposed path, and each cache in
+:mod:`repro.perf` (a cache row changes one input field at a time, so a
+field missing from a cache key fails it).  The oracles themselves live
+in :mod:`repro.oracles`, which nothing on the simulation path imports.
+Coverage tests tie the table to the code: every ``PerfConfig`` flag,
+every function named like a fast path, and every fingerprinted class
+must appear in some row.  Two conventions are properties of the source
+text instead — specs stay frozen and pickle-stable, and the simulators
+and oracles never read wall clocks or iterate bare sets — and
+:mod:`repro.lint` checks them as AST rules (``spec-hygiene``,
+``determinism``).  The tree ships lint-clean; CI runs it next to the
+test suite and fails on any unsuppressed finding::
 
     $ python -m repro lint src/repro --verbose   # or: --json findings.json
-    0 finding(s), 0 suppressed, 98 files checked
+    0 finding(s), 0 suppressed, 97 files checked
 
     from repro.lint import run_lint
     report = run_lint(["src/repro"])

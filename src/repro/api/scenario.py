@@ -73,6 +73,7 @@ from repro.systems.base import UnsupportedWorkload
 __all__ = [
     "ExperimentSpec",
     "Scenario",
+    "check_count",
     "check_finite",
     "check_point",
     "default_system_names",
@@ -99,6 +100,17 @@ def check_finite(name: str, value: float, positive: bool = False) -> None:
             f"{name} must be finite and {'positive' if positive else '>= 0'}, "
             f"got {value}"
         )
+
+
+def check_count(name: str, value: int, low: int | None = 0) -> None:
+    """``value`` must be an integer (not a bool) and ``>= low``, if set."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (low is not None and value < low)
+    ):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def check_point(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.scenario import check_count
 from repro.hw.link import LinkSpec
 from repro.hw.multinode import IB_400G
 
@@ -66,10 +67,7 @@ class MigrationSpec:
                 f"kv_bytes_per_token must be positive, got "
                 f"{self.kv_bytes_per_token}"
             )
-        if self.messages_per_seq < 1:
-            raise ValueError(
-                f"messages_per_seq must be >= 1, got {self.messages_per_seq}"
-            )
+        check_count("messages_per_seq", self.messages_per_seq, low=1)
 
     @property
     def label(self) -> str:

@@ -39,6 +39,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.api.scenario import check_count, check_finite
+
 __all__ = ["ResilienceSpec"]
 
 #: FleetEvent kinds emitted by faults + resilience machinery (on top of
@@ -77,12 +79,10 @@ class ResilienceSpec:
             raise ValueError(
                 f"timeout_ms must be finite and positive, got {self.timeout_ms}"
             )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_count("max_retries", self.max_retries)
         if self.max_retries > 0 and self.timeout_ms is None:
             raise ValueError("max_retries needs timeout_ms (retries fire on deadline expiry)")
-        if self.backoff_ms < 0:
-            raise ValueError(f"backoff_ms must be >= 0, got {self.backoff_ms}")
+        check_finite("backoff_ms", self.backoff_ms)
         if self.shed_factor is not None and not 0 < self.shed_factor < math.inf:
             raise ValueError(
                 f"shed_factor must be finite and positive, got {self.shed_factor}"
@@ -96,14 +96,11 @@ class ResilienceSpec:
             raise ValueError(
                 f"queue_factor must be finite and exceed 1, got {self.queue_factor}"
             )
-        if self.health_window_ms <= 0 or self.check_interval_ms <= 0:
-            raise ValueError("detector window and interval must be positive")
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.probation_ms <= 0:
-            raise ValueError(f"probation_ms must be positive, got {self.probation_ms}")
-        if self.max_probations < 0:
-            raise ValueError(f"max_probations must be >= 0, got {self.max_probations}")
+        for name in ("health_window_ms", "check_interval_ms", "probation_ms"):
+            check_finite(name, getattr(self, name), positive=True)
+        check_count("min_samples", self.min_samples, low=1)
+        check_count("max_probations", self.max_probations)
+        check_count("seed", self.seed, low=None)
 
     # -- which mechanisms are live -------------------------------------------
     @property

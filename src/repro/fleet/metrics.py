@@ -148,12 +148,19 @@ class FleetReport(ReportCore):
         return self.offered - len(self.records) - self.timed_out - self.shed
 
     # -- fleet economics -------------------------------------------------------
+    @staticmethod
+    def accounting_window(horizon_ms: float, records, outcomes) -> float:
+        """The arrival horizon extended to the last resolution — a
+        completion or a terminal outcome (overload backlogs keep burning
+        GPU-hours, and replicas keep stepping until the last deadline
+        fires).  The engine closes every replica's meter here."""
+        ends = [r.completion_ms for r in records] + [o.t_ms for o in outcomes]
+        return max(horizon_ms, max(ends, default=0.0))
+
     @property
     def window_ms(self) -> float:
-        """The accounting window: the arrival horizon extended to the
-        last completion (overload backlogs keep burning GPU-hours)."""
-        last = max((r.completion_ms for r in self.records), default=0.0)
-        return max(self.horizon_ms, last)
+        """The accounting window (:meth:`accounting_window`)."""
+        return self.accounting_window(self.horizon_ms, self.records, self.outcomes)
 
     @property
     def mean_active_gpus(self) -> float:

@@ -275,7 +275,6 @@ class FleetEngine:
         )
 
     # -- decomposed path ------------------------------------------------------
-    # parity: repro.fleet.simulator.FleetEngine._run_cosim
     def _run_decomposed(self, system_name: str) -> FleetReport:
         """Partition the trace statically, run replicas independently.
 
@@ -333,9 +332,8 @@ class FleetEngine:
             counts.append(len(records))
             timelines.append(tuple(timeline))
 
-        window = max(
-            self.scenario.trace.horizon_ms,
-            max((r.completion_ms for r in self._records), default=0.0),
+        window = FleetReport.accounting_window(
+            self.scenario.trace.horizon_ms, self._records, self._outcomes
         )
         stats = tuple(
             ReplicaStats(
@@ -416,9 +414,8 @@ class FleetEngine:
         ) and env.peek() != float("inf"):
             env.step()
 
-        window = max(
-            scenario.trace.horizon_ms,
-            max((r.completion_ms for r in self._records), default=0.0),
+        window = FleetReport.accounting_window(
+            scenario.trace.horizon_ms, self._records, self._outcomes
         )
         for rep in self._replicas:
             rep.close_window(window)

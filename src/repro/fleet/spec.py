@@ -36,6 +36,7 @@ from repro.api.scenario import (
     _numeric_axis,
     _shape_axes,
     _straggler_axis,
+    check_count,
     check_finite,
     check_point,
 )
@@ -123,10 +124,7 @@ class AutoscalerSpec:
     cooldown_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ValueError(
-                f"min_replicas must be >= 1, got {self.min_replicas}"
-            )
+        check_count("min_replicas", self.min_replicas, low=1)
         check_finite("scale_up_queue", self.scale_up_queue)
         if not 0 <= self.scale_down_queue < self.scale_up_queue:
             raise ValueError(

@@ -8,8 +8,6 @@ intra-layer overlapping the systems already model:
 
 * :mod:`repro.graph.ir` — typed nodes, resource streams, the DAG;
 * :mod:`repro.graph.scheduler` — deterministic analytic list scheduler;
-* :mod:`repro.graph.des_ref` — discrete-event reference executor
-  (cross-checked exactly equal to the analytic scheduler);
 * :mod:`repro.graph.lower` — policy-aware lowering of
   ``MoESystem.lower_layer`` phase lists into model / training graphs,
   single-rank or per-rank;
@@ -29,7 +27,6 @@ from repro.graph.batch import (
     fast_schedule,
     schedule_batch,
 )
-from repro.graph.des_ref import des_schedule
 from repro.graph.ir import (
     COMM,
     COMPUTE,
@@ -78,7 +75,6 @@ __all__ = [
     "build_training_graph",
     "check_policy",
     "compile_topology",
-    "des_schedule",
     "expand_symmetry",
     "fast_schedule",
     "forward_makespan",

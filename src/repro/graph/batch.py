@@ -141,7 +141,6 @@ def compile_topology(
     )
 
 
-# parity: repro.graph.scheduler.list_schedule
 def fast_schedule(
     graph: ScheduleGraph, topology: CompiledTopology | None = None
 ) -> GraphSchedule:

@@ -12,8 +12,8 @@ device engine); nodes on different streams overlap freely once their
 dependencies allow it.  The deterministic semantics of "which ready node
 runs next on a stream" (lowest node id) are implemented twice — by the
 analytic list scheduler in :mod:`repro.graph.scheduler` and by the
-discrete-event reference executor in :mod:`repro.graph.des_ref` — and
-the test suite asserts both agree exactly on every graph.
+discrete-event reference executor in :mod:`repro.oracles.graph_des` —
+and the oracle table asserts both agree exactly on every graph.
 
 **Columnar storage.**  A :class:`ScheduleGraph` stores its nodes as
 parallel columns — kinds, per-node streams, layers, tags, dependency

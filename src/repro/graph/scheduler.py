@@ -14,7 +14,7 @@ ready queues, no per-tick stepping.  All completions sharing one
 timestamp are drained before any stream dispatches again, which makes
 the dispatch order — and therefore every start/finish float — exactly
 equal to the discrete-event reference executor in
-:mod:`repro.graph.des_ref` (the cross-check tests assert ``==``, not
+:mod:`repro.oracles.graph_des` (the oracle table asserts ``==``, not
 approximate agreement).
 """
 
@@ -382,7 +382,6 @@ def block_structure(graph: ScheduleGraph) -> BlockStructure | None:
     )
 
 
-# parity: repro.graph.scheduler.list_schedule
 def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
     """Fold exchangeable ranks of a rank-blocked multi-rank graph.
 
@@ -458,7 +457,6 @@ def reduce_symmetry(graph: ScheduleGraph) -> SymmetryReduction | None:
     )
 
 
-# parity: repro.graph.scheduler.list_schedule
 def expand_symmetry(
     graph: ScheduleGraph,
     symmetry: SymmetryReduction,

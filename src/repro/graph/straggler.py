@@ -86,12 +86,6 @@ class StragglerSpec:
     expert_mult: tuple[float, ...]
     name: str = ""
 
-    #: ``name`` is a display label only: it keeps identically-shaped
-    #: grid points distinct through ``==`` but never changes a lowered
-    #: duration, so it stays out of the timing fingerprint by design —
-    #: two specs differing only in name share cached schedules.
-    _fingerprint_exclude = ("name",)
-
     def __post_init__(self) -> None:
         if not self.compute_mult:
             raise ValueError("StragglerSpec needs at least one rank")
@@ -309,7 +303,11 @@ class StragglerSpec:
         """Stable digest over the exact IEEE-754 multiplier bits.
 
         Composes into graph-cache keys: two specs with equal
-        fingerprints scale every lowered duration identically.
+        fingerprints scale every lowered duration identically.  ``name``
+        is a display label only: it keeps identically-shaped grid points
+        distinct through ``==`` but never changes a lowered duration, so
+        it stays out of the digest by design — two specs differing only
+        in name share cached schedules.
         """
         digest = hashlib.sha1()
         for mults in (self.compute_mult, self.comm_mult, self.expert_mult):

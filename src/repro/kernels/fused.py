@@ -126,8 +126,9 @@ def layer0_makespan_reference(
     ``np_blocks`` identical servers start free at :data:`KERNEL_RAMP_US`;
     row blocks are visited in ``order`` (ready-time sorted) and each of
     their ``col_tiles`` tiles grabs the earliest-free server.  The
-    analytic wave scheduler must reproduce this exactly (bit-identical);
-    ``tests/test_perf_equivalence.py`` enforces it.
+    analytic wave scheduler must reproduce this exactly (bit-identical),
+    and this path must match :mod:`repro.oracles.layer0_des` to within
+    one tile; the oracle table in ``tests/test_oracles.py`` checks both.
     """
     servers = [KERNEL_RAMP_US] * np_blocks
     heapq.heapify(servers)
@@ -153,7 +154,6 @@ def layer0_makespan_reference(
     return makespan
 
 
-# parity: repro.kernels.fused.layer0_makespan_reference
 def layer0_makespan_analytic(
     ready_sorted: np.ndarray,
     col_tiles: int,

@@ -1,10 +1,13 @@
 """repro.lint — AST invariant checks for the repo's correctness contracts.
 
-Nine PRs of growth rest on a handful of conventions that plain tests
-only enforce where they happen to look: complete cache-key
-fingerprints, frozen pickle-stable specs, seed-determinism inside the
-simulators, and declared fast/slow parity pairs.  This package enforces
-them mechanically on every commit.
+Two conventions are properties of the source text rather than of any
+run, so no test sees them: specs stay frozen and pickle-stable
+(``spec-hygiene``), and the simulators and their oracles never read a
+wall clock, draw ambient entropy or iterate a bare set
+(``determinism``).  This package enforces both on every commit.  The
+runtime contracts — every fast path and cache equals its oracle, and
+every cache key covers every input — are checked by the oracle table in
+``tests/test_oracles.py`` instead.
 
 Usage::
 

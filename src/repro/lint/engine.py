@@ -1,10 +1,10 @@
 """Rule engine for :mod:`repro.lint` — files, suppressions, findings.
 
 The engine is deliberately small: it parses every target file once into
-an :class:`LintFile` (source, AST, comment map, suppression map), builds
-a :class:`Project` index of qualified definitions, runs each registered
-:class:`Rule`, and splits the produced :class:`Finding` stream into
-active and suppressed halves.
+an :class:`LintFile` (source, AST, comment map, suppression map), runs
+each registered :class:`Rule` over the :class:`Project` of all files,
+and splits the produced :class:`Finding` stream into active and
+suppressed halves.
 
 Suppression grammar (one comment, same line as the finding or a
 standalone comment on the line directly above)::
@@ -108,30 +108,17 @@ class LintFile:
 
 
 class Project:
-    """All files under lint plus the cross-file definition index."""
+    """All files under lint."""
 
     def __init__(self, files: Sequence[LintFile]):
         self.files = tuple(files)
-        #: fully qualified dotted names (``repro.graph.scheduler.list_schedule``,
-        #: ``repro.fleet.simulator.FleetEngine._run_cosim``) of every
-        #: module, class, function, and method in the scanned set.
-        self.definitions: set[str] = set()
-        #: per-file unqualified names, for intra-file references.
-        self.local_definitions: dict[str, set[str]] = {}
-        for lint_file in self.files:
-            locals_ = _collect_definitions(lint_file.tree)
-            self.local_definitions[lint_file.display_path] = locals_
-            self.definitions.add(lint_file.module)
-            self.definitions.update(
-                f"{lint_file.module}.{name}" for name in locals_
-            )
 
 
 class Rule:
     """Base class for analyzers.
 
     Per-file rules override :meth:`check_file`; whole-project rules
-    (cross-file indexes) override :meth:`check_project` instead.
+    override :meth:`check_project` instead.
     """
 
     name: str = ""
@@ -235,33 +222,6 @@ def _next_code_line(lines: list[str], after: int) -> int:
         if stripped and not stripped.startswith("#"):
             return lineno
     return after
-
-
-class _DefinitionCollector(ast.NodeVisitor):
-    def __init__(self) -> None:
-        self.names: set[str] = set()
-        self._stack: list[str] = []
-
-    def _enter(self, name: str, node: ast.AST) -> None:
-        self._stack.append(name)
-        self.names.add(".".join(self._stack))
-        self.generic_visit(node)
-        self._stack.pop()
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._enter(node.name, node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._enter(node.name, node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._enter(node.name, node)
-
-
-def _collect_definitions(tree: ast.AST) -> set[str]:
-    collector = _DefinitionCollector()
-    collector.visit(tree)
-    return collector.names
 
 
 def _iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 from repro.api.registry import Registry
 from repro.lint.rules.determinism import DeterminismRule
-from repro.lint.rules.fingerprint import FingerprintCompletenessRule
-from repro.lint.rules.parity import FastSlowParityRule
 from repro.lint.rules.spec_hygiene import SpecHygieneRule
 
 __all__ = ["RULE_REGISTRY"]
 
 RULE_REGISTRY = Registry("lint rule")
 
-for _rule_cls in (
-    FingerprintCompletenessRule,
-    SpecHygieneRule,
-    DeterminismRule,
-    FastSlowParityRule,
-):
+for _rule_cls in (SpecHygieneRule, DeterminismRule):
     _rule = _rule_cls()
     RULE_REGISTRY.register(_rule.name, _rule)

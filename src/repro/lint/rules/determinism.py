@@ -5,7 +5,8 @@ Every simulator tier promises bit-identical reruns for equal specs and
 seeds; the fast paths are arbitrated ``==`` against slow paths on that
 assumption, and the caches key on fingerprints that do not include "when
 did this run".  Inside the simulation packages (``kernels/``, ``graph/``,
-``serve/``, ``fleet/``, ``faults/``, ``sim/``) this rule therefore bans
+``serve/``, ``fleet/``, ``faults/``, ``sim/``) and the reference oracles
+they are checked against (``oracles/``) this rule therefore bans
 
 * wall-clock reads: ``time.time``/``monotonic``/``perf_counter`` (and
   ``_ns`` variants), ``datetime.now``/``utcnow``/``today``;
@@ -34,7 +35,9 @@ from repro.lint.engine import Finding, LintFile, Project, Rule
 
 __all__ = ["DeterminismRule", "SCOPED_PACKAGES"]
 
-SCOPED_PACKAGES = {"kernels", "graph", "serve", "fleet", "faults", "sim"}
+SCOPED_PACKAGES = {
+    "kernels", "graph", "serve", "fleet", "faults", "sim", "oracles",
+}
 
 _WALL_CLOCK = {
     "time": {

@@ -7,7 +7,7 @@ stream.  The two implementations are developed independently and the
 test suite asserts they agree *exactly* (same floats, not just
 approximately), which guards the analytic scheduler against silent
 modelling drift — the same gold-standard-vs-optimised pattern as
-:mod:`repro.kernels.fused_des` for the fused kernel.
+:mod:`repro.oracles.layer0_des` for the fused kernel.
 
 Scheduling semantics (the analytic scheduler's *pass* structure, which
 both implementations must honour):

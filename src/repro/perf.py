@@ -1,10 +1,12 @@
 """Cross-stack performance layer: fast paths, fingerprints, bounded caches.
 
 Everything in this module is an *accelerator*, never a semantics change:
-each fast path is verified bit-identical against the slow path it
-replaces (the test suite enforces it), and :func:`disabled` restores the
-original serial behaviour wholesale — which is also how
-``benchmarks/bench_sim_speed.py`` measures the speedup honestly.
+each fast path and each cache is verified bit-identical against the
+slow path it replaces — the oracle table in ``tests/test_oracles.py``
+holds one row per flag and per cache, and fails if a flag or a cache has
+no row — and :func:`disabled` restores the original serial behaviour
+wholesale, which is also how ``benchmarks/bench_sim_speed.py`` measures
+the speedup honestly.
 
 Six switchable fast paths (see :class:`PerfConfig`):
 
@@ -450,7 +452,6 @@ def _reduced_recurrence(graph: Any, key: tuple, k: int) -> Any:
     return None if entry is _NOT_CHAIN else entry
 
 
-# parity: repro.graph.scheduler.list_schedule
 def _fast_symmetric_schedule(
     graph: Any, key: tuple, structure: Any, durations: Any = None
 ) -> Any:

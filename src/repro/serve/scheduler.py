@@ -279,7 +279,6 @@ class ReplicaCore:
             return step_at(now, prefill_tokens, decode_tokens)
         return self.cost_model.step_ms(prefill_tokens, decode_tokens)
 
-    # parity: repro.serve.scheduler.ReplicaCore.retire_per_token
     def close(self, now: float) -> tuple[list[_Sequence], list[_Sequence]]:
         """Close the launched step at ``now``; returns ``(admitted,
         retired)``, the retired having left the replica.
@@ -398,7 +397,6 @@ class ContinuousBatchingScheduler:
             self.records.extend(_record(seq, now) for seq in core.close(now)[1])
 
     # -- fast sequential loop -------------------------------------------------
-    # parity: repro.serve.scheduler.ContinuousBatchingScheduler._run_des
     def _run_fast(self) -> None:
         """Sequential transcription of the DES run — bit-identical output.
 

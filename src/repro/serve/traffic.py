@@ -114,11 +114,15 @@ class TraceSpec:
             if not (isinstance(value, int) or math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         # A length mean <= 0 has no lognormal fit (numpy warns and every
-        # length clips to 1), and numpy rejects a negative seed mid-run.
-        for name in ("prompt_mean", "output_mean", "max_prompt", "max_output"):
+        # length clips to 1), numpy rejects a negative seed mid-run, a zero
+        # burst dwell never advances the bursty clock, and a negative
+        # burst factor inflates the calm rate past the mean.
+        for name in (
+            "prompt_mean", "output_mean", "max_prompt", "max_output", "burst_dwell_s",
+        ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("prompt_sigma", "output_sigma", "seed"):
+        for name in ("prompt_sigma", "output_sigma", "seed", "burst_factor"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.kind != "replay":

@@ -3,34 +3,21 @@
 The anchor guarantees of `repro.fleet`: a 1-replica round-robin fleet is
 *bit-identical* (``==``) to the bare serving engine (the decomposed path
 delegates to it), a 1-replica co-simulation reproduces the same records
-(the DES path is a faithful multi-replica generalisation), a forced
-co-simulation equals the decomposed path for every pure-timing system,
-every co-sim feature equals its per-token reference under
-``perf.disabled()``, every router is seeded-deterministic across runs,
-and the degenerate fleets —
+(the DES path is a faithful multi-replica generalisation), every router
+is seeded-deterministic across runs, and the degenerate fleets —
 zero-arrival traces and fully-failed fleets — export None-not-NaN
-metrics per the serve-layer guards.
+metrics per the serve-layer guards.  The forced co-simulation vs the
+decomposed path, and every co-sim feature vs its per-token reference,
+are rows of the oracle table in ``tests/test_oracles.py``.
 """
 
 import json
 
 import pytest
 
-from repro import (
-    SYSTEM_REGISTRY,
-    BrownoutEvent,
-    DegradeEvent,
-    FaultPlan,
-    FleetSpec,
-    MigrationSpec,
-    ResilienceSpec,
-    ServeSpec,
-    TraceSpec,
-    perf,
-)
-from repro.fleet import AutoscalerSpec, FailureEvent, FleetScenario, ReplicaSpec
+from repro import FleetSpec, ServeSpec, TraceSpec
+from repro.fleet import FailureEvent, FleetScenario, ReplicaSpec
 from repro.fleet.router import ROUTER_REGISTRY
-from repro.fleet.simulator import FleetEngine
 from repro.hw.presets import h800_node
 from repro.moe.config import MIXTRAL_8X7B
 from repro.parallel.strategy import ParallelStrategy
@@ -51,15 +38,6 @@ class TestSingleReplicaBitIdentity:
         fleet = fleet_run()
         assert fleet.reports[0].records == serve.reports[0].records
 
-    def test_round_robin_fleet_uses_fast_serve_loop(self):
-        # The decomposed path must go through ContinuousBatchingScheduler,
-        # so disabling the fast loop changes the code path but not one
-        # byte of output.
-        fast = fleet_run()
-        with perf.configure(fast_serve_loop=False):
-            slow = fleet_run()
-        assert fast.reports == slow.reports
-
     @pytest.mark.parametrize("router", ["least_queue", "power_of_two"])
     @pytest.mark.parametrize("policy", ["fcfs", "spf", "slo"])
     @pytest.mark.parametrize("trace", [SMALL_TRACE, BURSTY], ids=["poisson", "bursty"])
@@ -78,143 +56,6 @@ class TestSingleReplicaBitIdentity:
         fleet = fleet_run()
         assert fleet.reports[0].goodput_rps == serve.reports[0].goodput_rps
         assert fleet.reports[0].slo_attainment == serve.reports[0].slo_attainment
-
-
-#: Systems whose timing is a pure function of the workload: the scope of
-#: the decomposed/co-sim parity claim.  Adaptive COMET records each
-#: bucket's division point from the first workload that probes it, and
-#: the two paths probe buckets in different orders.
-PURE_SYSTEMS = tuple(
-    name
-    for name in SYSTEM_REGISTRY.names()
-    if SYSTEM_REGISTRY.create(name).timing_state_token() is None
-)
-
-
-class TestDecomposedCosimParity:
-    @pytest.mark.parametrize("trace", [SMALL_TRACE, BURSTY], ids=["poisson", "bursty"])
-    @pytest.mark.parametrize("system", PURE_SYSTEMS)
-    def test_forced_cosim_equals_decomposed(self, system, trace, monkeypatch):
-        spec = FleetSpec.grid(
-            traces=trace,
-            systems=system,
-            replicas=(1, 2, 4, 8),
-            routers=("round_robin", "session_affinity"),
-        )
-        decomposed = spec.run()
-        monkeypatch.setattr(FleetEngine, "_decomposable", lambda engine: False)
-        cosim = spec.run()
-        assert len(cosim.reports) == 8
-        assert cosim.reports == decomposed.reports
-        assert cosim.to_json() == decomposed.to_json()
-
-    def test_pure_systems_cover_the_baselines(self):
-        assert {"megatron-cutlass", "tutel", "fastermoe"} <= set(PURE_SYSTEMS)
-        assert "comet" not in PURE_SYSTEMS
-
-
-ORACLE_TRACE = TraceSpec(kind="poisson", rps=60, duration_s=2, seed=5)
-BUSY_TRACE = TraceSpec(kind="poisson", rps=400, duration_s=2, seed=5)
-
-#: The co-sim feature matrix: grid kwargs, plus a check that the
-#: feature really acted in the run.
-COSIM_FEATURES = {
-    "autoscaler": (
-        dict(
-            traces=BUSY_TRACE,
-            replicas=3,
-            autoscalers=AutoscalerSpec(
-                min_replicas=1, interval_ms=250.0, warmup_ms=300.0,
-                scale_up_queue=2.0,
-            ),
-        ),
-        lambda report: any(e.kind == "up" for e in report.events),
-    ),
-    "crash_recover": (
-        dict(
-            replicas=3,
-            failures=(FailureEvent(replica=0, fail_ms=400.0, recover_ms=1200.0),),
-        ),
-        lambda report: report.failures == report.recoveries == 1,
-    ),
-    "disaggregated": (
-        dict(replicas="2p+2d"),
-        lambda report: any(d.pool == "decode" for d in report.dispatches),
-    ),
-    "disaggregated_migration": (
-        dict(replicas="2p+2d", migrations=MigrationSpec()),
-        lambda report: any(d.pool == "decode" for d in report.dispatches),
-    ),
-    "degrade_brownout": (
-        dict(
-            replicas="2p+2d",
-            migrations=MigrationSpec(),
-            faults=FaultPlan(
-                degrades=(
-                    DegradeEvent(
-                        replica=2, t0_ms=300.0, t1_ms=1200.0,
-                        compute_mult=3.0, comm_mult=3.0,
-                    ),
-                ),
-                brownouts=(BrownoutEvent(t0_ms=200.0, t1_ms=1500.0, mult=4.0),),
-            ),
-        ),
-        lambda report: any(e.kind == "degrade" for e in report.events),
-    ),
-    "resilience": (
-        # Deadlines cancel hundreds of running sequences here, so stale
-        # completion-map entries are skipped and re-admissions re-filed.
-        dict(
-            traces=BUSY_TRACE,
-            replicas=3,
-            faults=FaultPlan(
-                crashes=(FailureEvent(replica=0, fail_ms=300.0, recover_ms=900.0),),
-                degrades=(
-                    DegradeEvent(
-                        replica=1, t0_ms=200.0, t1_ms=1500.0,
-                        compute_mult=4.0, comm_mult=4.0,
-                    ),
-                ),
-            ),
-            resilience=ResilienceSpec(
-                timeout_ms=1500.0, max_retries=2, shed_factor=2.0,
-                slow_factor=1.5, queue_factor=2.0,
-                check_interval_ms=250.0, health_window_ms=750.0,
-            ),
-            slo_ttft_ms=300.0,
-        ),
-        lambda report: (
-            report.retries > 0 and report.timed_out > 0
-            and report.shed > 0 and report.probations > 0
-        ),
-    ),
-    "overloaded": (
-        dict(traces=TraceSpec(kind="poisson", rps=1500, duration_s=1, seed=5), replicas=2),
-        lambda report: max(
-            p.queue_depth for timeline in report.replica_timelines for p in timeline
-        ) > 100,
-    ),
-}
-
-
-class TestRetainedPathOracle:
-    @pytest.mark.parametrize("feature", sorted(COSIM_FEATURES))
-    @pytest.mark.parametrize("router", ["least_queue", "power_of_two"])
-    def test_cosim_equals_per_token_reference(self, router, feature):
-        # perf.disabled() turns fast_serve_loop off, so every replica
-        # core counts tokens per running sequence instead of retiring
-        # from its completion map.
-        kwargs, acted = COSIM_FEATURES[feature]
-        spec = FleetSpec.grid(
-            **{"traces": ORACLE_TRACE, **kwargs}, routers=router, systems="comet"
-        )
-        fast = spec.run()
-        with perf.disabled():
-            slow = spec.run()
-        report = fast.reports[0]
-        assert report.records and acted(report)
-        assert fast.reports == slow.reports
-        assert fast.to_json() == slow.to_json()
 
 
 class TestDeterminism:

@@ -5,7 +5,8 @@ the fleet's request lifecycle.  The invariant under *any* mix of
 crashes, degradations, deadlines, retries, and shedding:
 
 - every offered request resolves exactly once, as exactly one of
-  completed / timed-out / shed — none lost, none double-counted;
+  completed / timed-out / shed — none lost, none double-counted — and
+  no replica is busy for longer than its metered window;
 - a fleet with an empty :class:`FaultPlan` and an all-off
   :class:`ResilienceSpec` is bit-identical to one configured with
   neither (the zero-config path must not perturb a single float);
@@ -47,6 +48,7 @@ def assert_conserved(report):
     assert report.shed == sum(1 for o in report.outcomes if o.kind == "shed")
     for record in report.records:
         assert record.arrival_ms <= record.first_token_ms <= record.completion_ms
+    assert report.mean_utilization <= 1
 
 
 class TestZeroConfigBitIdentity:
@@ -100,6 +102,21 @@ class TestConservation:
                 timeout_ms=1500.0, max_retries=2, shed_factor=2.0
             ),
         )
+        assert_conserved(report)
+
+    def test_window_covers_timeouts_after_the_horizon(self):
+        # The last timeout lands at 4377.6 ms, well past the 3000 ms
+        # horizon; the replicas were metered only to the horizon and
+        # mean_utilization read 1.43.
+        report = run_fleet(
+            trace=TraceSpec(kind="poisson", rps=40, duration_s=3, seed=1),
+            systems="tutel", routers="least_queue",
+            resilience=ResilienceSpec(timeout_ms=400, max_retries=2),
+        )
+        last = max(o.t_ms for o in report.outcomes)
+        assert last > report.horizon_ms
+        assert report.window_ms == last
+        assert all(s.active_ms == last for s in report.replica_stats)
         assert_conserved(report)
 
     def test_frontdoor_events_carry_router_replica(self):

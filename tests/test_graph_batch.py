@@ -1,21 +1,17 @@
 """Unit tests: compiled-topology scheduling and graph symmetry reduction.
 
-Every fast path introduced by the raw-speed round-2 work must be *bit*
-identical (``==`` on every float, never approximate) to the retained
-list scheduler:
-
-* :func:`repro.graph.batch.fast_schedule` — the compiled max/add
-  recurrence on chain topologies, with an exact-verification fallback;
-* :func:`repro.graph.batch.schedule_batch` — the numpy batch form over
-  same-topology duration vectors;
-* :func:`repro.graph.scheduler.reduce_symmetry` /
-  :func:`~repro.graph.scheduler.expand_symmetry` — the rank-equivalence
-  fold for rank-blocked multi-rank graphs;
-* :func:`repro.perf.cached_graph_schedule` — the integration point that
-  composes all of the above behind the perf flags;
-* the lowering skeleton — a topology lowered once and reused by every
-  later build, which only gathers its durations — must give the graph a
-  fresh node-by-node build gives, edge for edge and float for float.
+That each fast path — :func:`repro.graph.batch.fast_schedule`,
+:func:`~repro.graph.batch.schedule_batch`, the symmetry fold
+(:func:`~repro.graph.scheduler.reduce_symmetry` /
+:func:`~repro.graph.scheduler.expand_symmetry`) and
+:func:`repro.perf.cached_graph_schedule` — equals the list scheduler
+bit for bit is a row of the oracle table in ``tests/test_oracles.py``.
+This file checks what the table does not: which topologies compile as
+chains, what the fold finds, the fallback routing, the perf flags and
+cache counters, and the lowering skeleton — a topology lowered once and
+reused by every later build, which only gathers its durations, must
+give the graph a fresh node-by-node build gives, edge for edge and float
+for float.
 """
 
 import pytest
@@ -33,8 +29,6 @@ from repro.graph import (
     build_forward_graph,
     build_training_graph,
     compile_topology,
-    des_schedule,
-    expand_symmetry,
     fast_schedule,
     list_schedule,
     reduce_symmetry,
@@ -96,6 +90,11 @@ class TestCompiledTopology:
         graph = _forward("shortcut")
         _assert_identical(fast_schedule(graph), list_schedule(graph))
 
+    @pytest.mark.parametrize("policy", ["per_layer", "cross_layer"])
+    def test_straggler_forward_is_chain(self, policy):
+        spec = StragglerSpec.slow_rank(8, rank=3, compute_mult=1.7, comm_mult=1.2)
+        assert compile_topology(_forward(policy, stragglers=spec)).chain_ok
+
     def test_topology_fingerprint_ignores_durations(self):
         slow = StragglerSpec.slow_rank(4, rank=1, compute_mult=1.5)
         slower = StragglerSpec.slow_rank(4, rank=1, compute_mult=2.5)
@@ -108,31 +107,6 @@ class TestCompiledTopology:
         topo = compile_topology(_forward(num_layers=2))
         with pytest.raises(ValueError):
             fast_schedule(_forward(num_layers=3), topo)
-
-
-class TestFastSchedule:
-    @pytest.mark.parametrize("policy", ["per_layer", "cross_layer", "shortcut"])
-    def test_single_rank_identical(self, policy):
-        graph = _forward(policy)
-        _assert_identical(fast_schedule(graph), list_schedule(graph))
-
-    @pytest.mark.parametrize("policy", ["per_layer", "cross_layer"])
-    def test_straggler_graph_identical(self, policy):
-        spec = StragglerSpec.slow_rank(8, rank=3, compute_mult=1.7, comm_mult=1.2)
-        graph = _forward(policy, stragglers=spec)
-        assert compile_topology(graph).chain_ok
-        reference = list_schedule(graph)
-        _assert_identical(fast_schedule(graph), reference)
-        finish, makespan = des_schedule(graph)
-        assert finish == reference.finish_us
-        assert makespan == reference.makespan_us
-
-    def test_training_per_layer_identical(self):
-        spec = StragglerSpec.slow_rank(4, rank=0, compute_mult=1.5)
-        graph = build_training_graph(
-            PHASES, PHASES, 25.0, 50.0, 3, 80.0, 20.0, "per_layer", spec
-        )
-        _assert_identical(fast_schedule(graph), list_schedule(graph))
 
 
 class TestScheduleBatch:
@@ -148,7 +122,6 @@ class TestScheduleBatch:
         assert len(schedules) == len(graphs)
         for graph, schedule in zip(graphs, schedules):
             assert schedule.graph is graph
-            _assert_identical(schedule, list_schedule(graph))
 
     def test_mixed_topologies_preserve_order(self):
         graphs = [
@@ -160,8 +133,6 @@ class TestScheduleBatch:
         ]
         schedules = schedule_batch(graphs)
         assert [s.graph for s in schedules] == graphs
-        for graph, schedule in zip(graphs, schedules):
-            _assert_identical(schedule, list_schedule(graph))
 
     def test_empty_batch(self):
         assert schedule_batch([]) == []
@@ -190,37 +161,20 @@ class TestSymmetryReduction:
         assert symmetry is not None
         assert symmetry.reps == (0, 1)
         assert symmetry.rep_index == (0, 1, 0, 1, 0, 1, 0, 1)
-        expanded = expand_symmetry(
-            graph, symmetry, list_schedule(symmetry.reduced)
-        )
-        _assert_identical(expanded, list_schedule(graph))
 
     @pytest.mark.parametrize("policy", ["per_layer", "cross_layer", "shortcut"])
-    def test_expansion_identical_across_policies(self, policy):
+    def test_slow_rank_folds_to_two_classes(self, policy):
         spec = StragglerSpec.slow_rank(6, rank=4, compute_mult=1.9)
-        graph = _forward(policy, stragglers=spec)
-        symmetry = reduce_symmetry(graph)
+        symmetry = reduce_symmetry(_forward(policy, stragglers=spec))
         assert symmetry is not None
         assert symmetry.reps == (0, 4)
-        expanded = expand_symmetry(
-            graph, symmetry, list_schedule(symmetry.reduced)
-        )
-        reference = list_schedule(graph)
-        _assert_identical(expanded, reference)
-        finish, _ = des_schedule(graph)
-        assert expanded.finish_us == finish
 
     def test_training_graph_reduces(self):
         spec = StragglerSpec.slow_rank(4, rank=1, compute_mult=1.4)
         graph = build_training_graph(
             PHASES, PHASES, 25.0, 50.0, 2, 80.0, 20.0, "per_layer", spec
         )
-        symmetry = reduce_symmetry(graph)
-        assert symmetry is not None
-        expanded = expand_symmetry(
-            graph, symmetry, list_schedule(symmetry.reduced)
-        )
-        _assert_identical(expanded, list_schedule(graph))
+        assert reduce_symmetry(graph) is not None
 
     def test_all_distinct_ranks_returns_none(self):
         spec = StragglerSpec(
@@ -249,15 +203,6 @@ class TestPerfIntegration:
 
     def teardown_method(self):
         perf.clear_caches()
-
-    @pytest.mark.parametrize("policy", ["per_layer", "cross_layer", "shortcut"])
-    def test_cached_graph_schedule_identical(self, policy):
-        spec = StragglerSpec.slow_rank(8, rank=5, compute_mult=1.6)
-        graph = _forward(policy, stragglers=spec)
-        with perf.disabled():
-            reference = list_schedule(graph)
-        fast = perf.cached_graph_schedule(graph)
-        _assert_identical(fast, reference)
 
     def test_graph_batch_cache_counts(self):
         spec_a = StragglerSpec.slow_rank(4, rank=0, compute_mult=1.5)

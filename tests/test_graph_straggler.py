@@ -10,7 +10,8 @@ Acceptance contract:
 * a 1.5x slow-rank preset strictly increases the makespan, and the slow
   rank appears on the reported critical path;
 * the analytic list scheduler and the DES reference executor agree
-  exactly on per-rank graphs (cross-rank barrier edges included);
+  exactly on per-rank graphs (cross-rank barrier edges included) — a
+  row of the oracle table in ``tests/test_oracles.py``;
 * the axis threads through ``run_model`` / ``run_training_step`` /
   ``StepCostModel`` / the declarative grids without perturbing the
   straggler-free paths.
@@ -39,9 +40,7 @@ from repro.graph import (
     NodeKind,
     build_forward_graph,
     build_training_graph,
-    des_schedule,
     list_schedule,
-    rank_makespans,
 )
 from repro.hw.multinode import IB_400G, h800_pod
 from repro.hw.presets import NVLINK_H800
@@ -152,20 +151,6 @@ class TestHandBuiltGraphs:
         assert any(n.stream.rank == 2 for n in schedule.critical_path())
 
     @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
-    def test_des_agrees_exactly_on_per_rank_graphs(self, policy):
-        for spec in (
-            StragglerSpec.uniform(4),
-            StragglerSpec.slow_rank(4, rank=1, compute_mult=1.7),
-            StragglerSpec.degraded_link(4, 3, IB_400G, NVLINK_H800),
-        ):
-            graph = build_forward_graph(PHASES, 50.0, 4, policy, spec)
-            analytic = list_schedule(graph)
-            finish, makespan = des_schedule(graph)
-            assert finish == analytic.finish_us
-            assert makespan == analytic.makespan_us
-            assert rank_makespans(graph, finish) == analytic.rank_makespans()
-
-    @pytest.mark.parametrize("policy", OVERLAP_POLICIES)
     def test_training_uniform_and_slow(self, policy):
         args = (PHASES, PHASES, 50.0, 100.0, 4, 80.0, 30.0, policy)
         single = list_schedule(build_training_graph(*args))
@@ -179,12 +164,6 @@ class TestHandBuiltGraphs:
             )
         )
         assert slow.makespan_us > single.makespan_us
-        finish, makespan = des_schedule(
-            build_training_graph(
-                *args, StragglerSpec.slow_rank(4, rank=0, compute_mult=1.5)
-            )
-        )
-        assert finish == slow.finish_us and makespan == slow.makespan_us
 
     def test_comm_degradation_only(self):
         """A degraded link alone must also stretch the makespan."""
@@ -232,8 +211,6 @@ class TestHandBuiltGraphs:
                 for n in degraded.graph
             ), policy
             assert degraded.makespan_us > baseline.makespan_us, policy
-            finish, makespan = des_schedule(degraded.graph)
-            assert finish == degraded.finish_us
 
     def test_misaligned_rank_table_rejected(self):
         short = (LayerPhase(NodeKind.GATE, 10.0),)

@@ -12,16 +12,11 @@ from repro.lint import RULE_REGISTRY, run_lint
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
-EXPECTED_RULES = {
-    "fingerprint-completeness",
-    "spec-hygiene",
-    "determinism",
-    "fast-slow-parity",
-}
+EXPECTED_RULES = {"spec-hygiene", "determinism"}
 
 
-def test_all_six_rules_registered():
-    assert EXPECTED_RULES <= set(RULE_REGISTRY.names())
+def test_registry_is_exactly_the_expected_rules():
+    assert set(RULE_REGISTRY.names()) == EXPECTED_RULES
 
 
 def test_source_tree_is_lint_clean():

@@ -1,144 +1,29 @@
-"""Equivalence contract of the perf layer (repro.perf fast paths).
+"""Equivalence contract of the perf layer beyond the oracle table.
 
-Every fast path must be *bit-identical* to the slow path it replaces:
+``tests/test_oracles.py`` checks every fast path against its oracle.
+This file keeps the checks that are not one fast path/oracle pair:
 
-* the analytic wave scheduler vs the retained heapq reference
-  (property-based over random shapes, nc values, and arrival functions);
-* rank-deduplicated COMET layer timing vs the undeduplicated loop on
-  imbalanced workloads;
 * the vectorised geometry (baseline_dispatch_route,
   unique_tokens_per_rank) vs loop references;
-* the fast serving loop vs the DES, and cached/parallel grid execution
-  vs the serial slow path — byte-identical exports.
+* cached/parallel grid execution vs the serial slow path — byte-identical
+  exports.
 """
-
-import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import (
     MIXTRAL_8X7B,
     QWEN2_MOE,
-    SYSTEM_REGISTRY,
     ExperimentSpec,
     ParallelStrategy,
     h800_node,
     perf,
 )
-from repro.kernels.fused import (
-    layer0_makespan_analytic,
-    layer0_makespan_reference,
-    simulate_layer0_fused,
-)
 from repro.runtime.workload import make_workload
-from repro.serve import ServeScenario, ServeSpec, TraceSpec
-from repro.systems import Comet
-from repro.tensor import build_layer0_schedule
+from repro.serve import ServeSpec, TraceSpec
 
 CLUSTER = h800_node()
-
-
-# ---------------------------------------------------------------------------
-# Analytic layer0 scheduler vs heapq reference
-# ---------------------------------------------------------------------------
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    nc=st.integers(min_value=1, max_value=64),
-    world=st.sampled_from([1, 2, 4, 8]),
-    experts=st.integers(min_value=1, max_value=6),
-    scale=st.integers(min_value=1, max_value=8),
-    cols=st.sampled_from([128, 1024, 4096]),
-    use_arrival_fn=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_analytic_scheduler_bit_identical(
-    seed, nc, world, experts, scale, cols, use_arrival_fn
-):
-    """Random shapes, nc values, and arrival functions: the analytic
-    scheduler's FusedKernelResult equals the heapq reference's exactly."""
-    rng = np.random.default_rng(seed)
-    pairs = rng.integers(0, 150 * scale, size=(world, experts)).astype(np.int64)
-    schedule = build_layer0_schedule(pairs, rank=0)
-    arrival_fn = None
-    if use_arrival_fn and schedule.num_remote:
-        base = float(rng.uniform(1, 10))
-        step = float(rng.uniform(0.001, 0.5))
-        arrival_fn = lambda i: base + (i + 1) * step  # noqa: E731
-    kwargs = dict(
-        token_bytes=4096,
-        k=2048,
-        cols=cols,
-        nc=nc if schedule.num_remote else 0,
-        arrival_fn=arrival_fn,
-    )
-    with perf.configure(analytic_layer0=False):
-        slow = simulate_layer0_fused(CLUSTER.gpu, CLUSTER.link, schedule, **kwargs)
-    with perf.configure(analytic_layer0=True):
-        fast = simulate_layer0_fused(CLUSTER.gpu, CLUSTER.link, schedule, **kwargs)
-    assert slow == fast  # bit-identical, not approx
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    np_blocks=st.integers(min_value=1, max_value=140),
-    col_tiles=st.integers(min_value=1, max_value=40),
-    blocks=st.integers(min_value=0, max_value=80),
-)
-@settings(max_examples=60, deadline=None)
-def test_wave_recurrence_bit_identical(seed, np_blocks, col_tiles, blocks):
-    """The raw makespan functions agree on arbitrary ready vectors."""
-    rng = np.random.default_rng(seed)
-    ready = np.sort(rng.uniform(0.0, 50.0, size=blocks))
-    per_tile = float(rng.uniform(0.01, 2.0))
-    order = np.arange(blocks)
-    reference = layer0_makespan_reference(
-        ready, order, col_tiles, np_blocks, per_tile
-    )
-    analytic = layer0_makespan_analytic(ready, col_tiles, np_blocks, per_tile)
-    assert reference == analytic
-
-
-# ---------------------------------------------------------------------------
-# Rank deduplication
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("tp,ep", [(1, 8), (2, 4), (4, 2)])
-@pytest.mark.parametrize("imbalance_std", [0.0, 0.02, 0.04])
-def test_rank_dedup_identical_layer_timing(tp, ep, imbalance_std):
-    """Deduplicated rank loops return the same LayerTiming as the full
-    loop, including on imbalanced workloads where few ranks collapse."""
-    workload = make_workload(
-        MIXTRAL_8X7B,
-        CLUSTER,
-        ParallelStrategy(tp_size=tp, ep_size=ep),
-        total_tokens=4096,
-        imbalance_std=imbalance_std,
-        seed=3,
-    )
-    with perf.configure(rank_dedup=False, timing_cache=False):
-        slow = Comet().time_layer(workload)
-    with perf.configure(rank_dedup=True, timing_cache=False):
-        fast = Comet().time_layer(workload)
-    assert slow == fast
-
-
-def test_rank_dedup_fabric_mode_unaffected():
-    """Fabric contention gives each rank its own arrival curve; dedup must
-    leave that path alone."""
-    workload = make_workload(
-        MIXTRAL_8X7B, CLUSTER, ParallelStrategy(1, 8), total_tokens=2048
-    )
-    with perf.configure(rank_dedup=False, timing_cache=False):
-        slow = Comet(fabric_contention=True).time_layer(workload)
-    with perf.configure(rank_dedup=True, timing_cache=False):
-        fast = Comet(fabric_contention=True).time_layer(workload)
-    assert slow == fast
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +92,8 @@ def test_vectorized_geometry_matches_loops(config, tp, ep, imbalance_std):
 
 
 # ---------------------------------------------------------------------------
-# Fast serving loop vs DES, grids vs serial
+# Grids vs serial
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("policy", ["fcfs", "spf", "slo"])
-@pytest.mark.parametrize(
-    "kind,rps,seed", [("poisson", 60, 0), ("bursty", 150, 1), ("diurnal", 90, 2)]
-)
-def test_fast_serve_loop_byte_identical(policy, kind, rps, seed):
-    """Records and timeline from the sequential loop equal the DES's."""
-    scenario = ServeScenario(
-        config=MIXTRAL_8X7B,
-        cluster=CLUSTER,
-        strategy=ParallelStrategy(1, 8),
-        trace=TraceSpec(kind=kind, rps=rps, duration_s=3, seed=seed),
-        policy=policy,
-    )
-    trace = scenario.build_trace()
-    with perf.disabled():
-        slow = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
-    fast = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
-    assert slow.records == fast.records
-    assert slow.timeline == fast.timeline
-    assert json.dumps(slow.summary(), sort_keys=True) == json.dumps(
-        fast.summary(), sort_keys=True
-    )
 
 
 def test_serve_spec_workers_byte_identical():

@@ -15,7 +15,7 @@ import pytest
 
 from repro import ExperimentSpec, FleetSpec, Scenario, ServeSpec, TraceSpec
 from repro.cli import main
-from repro.faults import ResilienceSpec
+from repro.faults import MigrationSpec, ResilienceSpec
 from repro.fleet.spec import AutoscalerSpec, FleetScenario, ReplicaSpec
 from repro.hw import h800_node
 from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE
@@ -183,11 +183,42 @@ def test_kernel_trace_checks_its_scenario(tokens, tmp_path, capsys):
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("field", ("timeout_ms", "shed_factor", "slow_factor", "queue_factor"))
+@pytest.mark.parametrize(
+    "field",
+    (
+        "timeout_ms", "shed_factor", "slow_factor", "queue_factor", "backoff_ms",
+        "health_window_ms", "check_interval_ms", "probation_ms",
+    ),
+)
 @pytest.mark.parametrize("value", (NAN, INF), ids=("nan", "inf"))
 def test_resilience_settings_must_be_finite(field, value):
+    # An infinite backoff left requests neither completed, timed out nor
+    # shed; a NaN detector window ran silently.
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         ResilienceSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "spec,kwargs",
+    (
+        (ResilienceSpec, dict(timeout_ms=400, max_retries=1.5)),  # ran as 2
+        (ResilienceSpec, dict(min_samples=2.5)),
+        (ResilienceSpec, dict(min_samples=NAN)),
+        (ResilienceSpec, dict(max_probations=INF)),
+        (ResilienceSpec, dict(seed=2.5)),  # crashed mid-run in the backoff
+        (MigrationSpec, dict(messages_per_seq=NAN)),  # priced as one message
+        (MigrationSpec, dict(messages_per_seq=INF)),  # served nothing
+        (MigrationSpec, dict(messages_per_seq=1.5)),
+        (AutoscalerSpec, dict(min_replicas=NAN)),  # labelled autoscale[minnan]
+        (AutoscalerSpec, dict(min_replicas=2.5)),
+        (AutoscalerSpec, dict(min_replicas=INF)),  # failed only at fleet build
+    ),
+    ids=lambda value: value.__name__ if isinstance(value, type) else repr(value),
+)
+def test_fleet_counts_must_be_integers(spec, kwargs):
+    (field,) = set(kwargs) - {"timeout_ms"}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        spec(**kwargs)
 
 
 @pytest.mark.parametrize("field", ("prompt_mean", "output_mean", "max_prompt", "max_output"))

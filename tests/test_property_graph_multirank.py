@@ -1,62 +1,19 @@
-"""Property test: analytic scheduler == DES executor on random graphs.
+"""Property test: list-scheduler invariants on random multi-rank graphs.
 
 Hypothesis-driven seeded generation of multi-rank :class:`ScheduleGraph`
 instances — random node kinds, compute/comm streams across several
 ranks, random dependency edges (cross-rank edges included), zero-duration
-nodes, and single-rank degenerate graphs — asserting the analytic list
-scheduler and the discrete-event reference executor agree **exactly**
-(``==`` on every finish float, never approximately) and report identical
-per-rank makespans.  This is the multi-rank extension of the
-hand-enumerated cross-checks in ``test_graph_des_crosscheck.py``.
+nodes, and single-rank degenerate graphs — asserting the schedule's own
+invariants.  That the analytic scheduler equals the discrete-event
+reference executor exactly is a row of the oracle table in
+``tests/test_oracles.py``, over the same generator.
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    COMM,
-    COMPUTE,
-    NodeKind,
-    ScheduleGraph,
-    Stream,
-    des_schedule,
-    list_schedule,
-    rank_makespans,
-)
-
-KINDS = tuple(NodeKind)
-
-
-def _random_graph(
-    seed: int, num_nodes: int, num_ranks: int, zero_fraction: float
-) -> ScheduleGraph:
-    """A seeded random DAG over ``num_ranks`` stream pairs.
-
-    Edges only point backwards (the IR's construction invariant), are
-    sampled across ranks as often as within them, and a configurable
-    fraction of nodes carries a zero duration — the degenerate case that
-    exercises the same-timestamp cascade draining in both executors.
-    """
-    rng = random.Random(seed)
-    graph = ScheduleGraph()
-    for node_id in range(num_nodes):
-        rank = rng.randrange(num_ranks)
-        stream = Stream(COMM if rng.random() < 0.4 else COMPUTE, rank)
-        if rng.random() < zero_fraction:
-            duration = 0.0
-        else:
-            # A mix of magnitudes, including ties, to provoke identical
-            # timestamps on different streams.
-            duration = rng.choice((1.0, 1.0, 2.5, 7.0, rng.uniform(0.1, 50.0)))
-        num_deps = rng.randint(0, min(3, node_id))
-        deps = rng.sample(range(node_id), num_deps) if num_deps else ()
-        graph.add(
-            rng.choice(KINDS), duration, stream, deps=deps,
-            layer=node_id % 4,
-        )
-    return graph
+from repro.graph import list_schedule
+from test_oracles import random_graph
 
 
 @given(
@@ -66,14 +23,8 @@ def _random_graph(
     zero_fraction=st.sampled_from((0.0, 0.2, 0.5)),
 )
 @settings(max_examples=120, deadline=None)
-def test_analytic_equals_des_exactly(seed, num_nodes, num_ranks, zero_fraction):
-    graph = _random_graph(seed, num_nodes, num_ranks, zero_fraction)
-    analytic = list_schedule(graph)
-    finish, makespan = des_schedule(graph)
-    assert finish == analytic.finish_us
-    assert makespan == analytic.makespan_us
-    assert rank_makespans(graph, finish) == analytic.rank_makespans()
-    # Sanity invariants of the schedule itself.
+def test_schedule_invariants(seed, num_nodes, num_ranks, zero_fraction):
+    analytic = list_schedule(random_graph(seed, num_nodes, num_ranks, zero_fraction))
     assert all(f >= s for s, f in zip(analytic.start_us, analytic.finish_us))
     assert analytic.imbalance_us() >= 0.0
     spans = analytic.rank_makespans()
@@ -83,14 +34,12 @@ def test_analytic_equals_des_exactly(seed, num_nodes, num_ranks, zero_fraction):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_all_zero_duration_graphs(seed):
-    """Graphs made entirely of zero-duration nodes finish at t=0 in both
-    executors (pure cascade settling, no wall clock)."""
-    graph = _random_graph(seed, 30, 4, 1.0)
+    """Graphs made entirely of zero-duration nodes finish at t=0 (pure
+    cascade settling, no wall clock)."""
+    graph = random_graph(seed, 30, 4, 1.0)
     assert all(node.duration_us == 0.0 for node in graph)
     analytic = list_schedule(graph)
-    finish, makespan = des_schedule(graph)
-    assert finish == analytic.finish_us
-    assert makespan == 0.0 == analytic.makespan_us
+    assert analytic.makespan_us == 0.0
     assert analytic.imbalance_us() == 0.0
 
 
@@ -101,11 +50,7 @@ def test_all_zero_duration_graphs(seed):
 @settings(max_examples=40, deadline=None)
 def test_single_rank_degenerate(seed, num_nodes):
     """Single-rank random graphs: the multi-rank machinery reduces to the
-    historical two-stream case and still matches the DES exactly."""
-    graph = _random_graph(seed, num_nodes, 1, 0.25)
+    historical two-stream case."""
+    graph = random_graph(seed, num_nodes, 1, 0.25)
     assert graph.ranks() == (0,)
-    analytic = list_schedule(graph)
-    finish, makespan = des_schedule(graph)
-    assert finish == analytic.finish_us
-    assert makespan == analytic.makespan_us
-    assert set(analytic.rank_makespans()) <= {0}
+    assert set(list_schedule(graph).rank_makespans()) <= {0}

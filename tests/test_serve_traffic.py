@@ -122,6 +122,19 @@ class TestValidation:
         assert trace
         assert all(r.arrival_ms < 30_000 for r in trace)
 
+    @pytest.mark.parametrize("dwell", (0.0, -1.0))
+    def test_nonpositive_burst_dwell_rejected(self, dwell):
+        # A zero mean dwell never advanced the bursty clock (build() hung);
+        # a negative one failed inside numpy at build time.
+        with pytest.raises(ValueError, match="burst_dwell_s must be positive"):
+            TraceSpec(kind="bursty", burst_dwell_s=dwell)
+
+    def test_negative_burst_factor_rejected(self):
+        # -1 made a 50 rps spec generate 66.4 rps: the calm rate absorbed
+        # the negative burst rate.
+        with pytest.raises(ValueError, match="burst_factor must be >= 0"):
+            TraceSpec(kind="bursty", rps=50, burst_factor=-1.0)
+
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf")],
         ids=["nan", "inf", "-inf"],

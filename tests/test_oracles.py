@@ -1,11 +1,13 @@
 """The oracle table: every fast path and every cache against its oracle.
 
 Each row of :data:`PAIRS` pairs one fast path (or a cache's entry point)
-with the computation it must reproduce exactly, and one hypothesis
-harness runs every row.  ``fast`` and ``oracle`` are the imported
-objects themselves, so a rename fails at import.  A row with a ``flag``
-runs ``case.fast`` with that :class:`~repro.perf.PerfConfig` flag on and
-``case.oracle`` with it off.
+with the computation it must reproduce exactly, and one harness,
+:func:`_check`, runs every row: on the hypothesis draws of its ``cases``,
+and on each of its fixed ``examples`` as a test of its own, so a broken
+regression case shows up under its own name.  ``fast`` and ``oracle``
+are the imported objects themselves, so a rename fails at import.  A
+row with a ``flag`` runs ``case.fast`` with that
+:class:`~repro.perf.PerfConfig` flag on and ``case.oracle`` with it off.
 
 Cache rows draw a base input and a copy with exactly one field changed.
 They start from empty caches, warm the cache with the base, then
@@ -40,7 +42,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -138,8 +140,9 @@ class Pair:
     """One row: ``fast`` (one object or a tuple) must equal ``oracle``.
 
     ``cases`` draws :class:`Case` objects; ``examples`` are fixed
-    regression cases run on every test run.  Cache rows name their
-    ``cache`` and the fingerprinted classes their changed fields reach.
+    regression cases, each run as a test of its own.  Cache rows name
+    their ``cache`` and the fingerprinted classes their changed fields
+    reach.
     """
 
     fast: Any
@@ -1108,7 +1111,7 @@ def _cache_case(base: Inputs, field: str, value, probe, oracle=None) -> Case:
 
     return Case(
         f"{base.system}/{base.overlap_policy} seed={base.seed} "
-        f"M{base.total_tokens} {field}={value!r}",
+        f"M{base.total_tokens} {field}={getattr(value, 'name', value)!r}",
         lambda: run(probe),
         lambda: run(probe) if oracle is None else oracle(changed),
     )
@@ -1379,27 +1382,37 @@ def _flagged(flag: str | None, value: bool):
     return perf.configure(**{flag: value}) if flag else nullcontext()
 
 
-@pytest.mark.parametrize(
-    "pair", PAIRS, ids=[f"{_name(p.fast)}=={_name(p.oracle)}" for p in PAIRS]
-)
-def test_fast_path_equals_oracle(pair):
-    def check(case):
-        if pair.cache is not None:
-            perf.clear_caches()
-        with _flagged(pair.flag, True):
-            fast = case.fast()
-        if pair.cache is not None:
-            stats = pair.cache.stats()
-            assert stats["hits"] + stats["misses"], "the case never reached the cache"
-        with _flagged(pair.flag, False):
-            oracle = case.oracle()
-        assert fast == oracle, case.label
+def _row_id(pair: Pair) -> str:
+    return f"{_name(pair.fast)}=={_name(pair.oracle)}"
 
-    for case in reversed(pair.examples):
-        check = example(case=case)(check)
+
+def _check(pair: Pair, case: Case) -> None:
+    if pair.cache is not None:
+        perf.clear_caches()
+    with _flagged(pair.flag, True):
+        fast = case.fast()
+    if pair.cache is not None:
+        stats = pair.cache.stats()
+        assert stats["hits"] + stats["misses"], "the case never reached the cache"
+    with _flagged(pair.flag, False):
+        oracle = case.oracle()
+    assert fast == oracle, case.label
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=map(_row_id, PAIRS))
+def test_fast_path_equals_oracle(pair):
     settings(max_examples=pair.max_examples, deadline=None, database=None)(
-        given(case=pair.cases)(check)
+        given(case=pair.cases)(lambda case: _check(pair, case))
     )()
+
+
+@pytest.mark.parametrize(
+    "pair, case",
+    [(pair, case) for pair in PAIRS for case in pair.examples],
+    ids=[f"{_row_id(pair)}-{case.label}" for pair in PAIRS for case in pair.examples],
+)
+def test_fixed_case_equals_oracle(pair, case):
+    _check(pair, case)
 
 
 # -- coverage: the table against the code --------------------------------------

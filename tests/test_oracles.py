@@ -7,20 +7,25 @@ and on each of its fixed ``examples`` as a test of its own, so a broken
 regression case shows up under its own name.  ``fast`` and ``oracle``
 are the imported objects themselves, so a rename fails at import.  A
 row with a ``flag`` runs ``case.fast`` with that
-:class:`~repro.perf.PerfConfig` flag on and ``case.oracle`` with it off.
+:class:`~repro.perf.PerfConfig` flag on and ``case.oracle`` with it off;
+the single-scenario serving cases and the fleet co-sim cases run their
+oracle side with every fast path and cache off (:func:`all_off`).
 
-Cache rows draw a base input and a copy with exactly one field changed.
-They start from empty caches, warm the cache with the base, then
-require the cached entry point
-on the changed input to equal the uncached computation, so a field that
-never reaches the cache key fails its row.  History-dependent systems
+Cache rows draw a base input and a copy with exactly one field changed:
+one change per parameter of the cached entry point, looked up by name
+in :func:`_input_changes`, so a new parameter fails its row until it
+gets a value.  They start from empty caches, warm the cache with the
+base, then require the cached entry point on the changed input to equal
+the uncached computation, so a field that never reaches the cache key
+fails its row.  History-dependent systems
 (``timing_state_token() is not None``) are checked against a twin
 instance given the same probe sequence.
 
 Three coverage tests walk the imported ``repro`` package and tie the
 table to the code: every ``PerfConfig`` flag has a row, every function
-named like a fast path is some row's ``fast``, and every fingerprinted
-class and every cache in ``perf._CACHES`` is perturbed by a cache row.
+named like a fast path is some row's ``fast``, every cache in
+``perf._CACHES`` has a row, and the package reads the fingerprint of
+every fingerprinted class while the cache rows run.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import random
 import re
 import subprocess
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -135,14 +140,22 @@ def same(label: str, run: Callable[[], Any]) -> Case:
     return Case(label, run, run)
 
 
+def all_off(run: Callable[[], Any]) -> Callable[[], Any]:
+    """``run`` with every fast path and cache off."""
+    def oracle():
+        with perf.disabled():
+            return run()
+
+    return oracle
+
+
 @dataclass(frozen=True)
 class Pair:
     """One row: ``fast`` (one object or a tuple) must equal ``oracle``.
 
     ``cases`` draws :class:`Case` objects; ``examples`` are fixed
-    regression cases, each run as a test of its own.  Cache rows name
-    their ``cache`` and the fingerprinted classes their changed fields
-    reach.
+    regression cases, each run as a test of its own.  A cache row names
+    its ``cache``, and every case of the row must reach it.
     """
 
     fast: Any
@@ -152,7 +165,6 @@ class Pair:
     examples: tuple[Case, ...] = ()
     max_examples: int = 10
     cache: perf.BoundedCache | None = None
-    perturbs: tuple[type, ...] = ()
 
     @property
     def fast_paths(self) -> tuple:
@@ -640,7 +652,7 @@ BATCH_EXAMPLES = tuple(
 
 SYMMETRY_EXAMPLES = tuple(
     _symmetry_case(
-        f"cached {p}",
+        f"slow rank 5 of 8 {p}",
         _forward(BATCH_PHASES, p, StragglerSpec.slow_rank(8, 5, 1.6)),
     )
     for p in ("per_layer", "cross_layer", "shortcut")
@@ -741,7 +753,9 @@ def _serve_case(policy, kind, rps, seed, duration_s=3):
             report.summary(), sort_keys=True
         )
 
-    return same(f"serve {kind} {rps} rps {duration_s} s seed {seed} {policy}", run)
+    return Case(
+        f"serve {kind} {rps} rps {duration_s} s seed {seed} {policy}", run, all_off(run)
+    )
 
 
 SERVE_EXAMPLES = tuple(
@@ -843,7 +857,7 @@ def _cosim_case(label, spec, acted=lambda report: True):
         assert reports[0].records and acted(reports[0]), "feature did not act"
         return reports, text
 
-    return Case(label, keyed, lambda: _fleet_run(spec))
+    return Case(label, keyed, all_off(lambda: _fleet_run(spec)))
 
 
 COSIM_EXAMPLES = tuple(
@@ -932,6 +946,7 @@ def test_pure_systems_cover_the_baselines():
 # -- payloads: the traffic the cost models price -------------------------------
 
 HIDDEN, FFN = 24, 32
+ROW_BYTES = HIDDEN * 4  # the executor ships float32 rows HIDDEN wide
 
 
 def _payload_case(label, strategy, plan, owner, weights, x):
@@ -945,16 +960,18 @@ def _payload_case(label, strategy, plan, owner, weights, x):
 
     def priced():
         geometry = WorkloadGeometry(workload)
-        return geometry.pair_matrix.tolist(), geometry.unique_tokens_per_rank.tolist()
+        return (
+            (geometry.pair_matrix * ROW_BYTES).tolist(),
+            geometry.unique_tokens_per_rank.tolist(),
+        )
 
     def moved():
-        # Rows moved: the executor ships float32 payloads of HIDDEN wide.
         system = DistributedMoE(strategy, weights)
         system.forward(x, plan, owner)
-        row_bytes = HIDDEN * system.dtype_bytes
         return (
-            (system.dispatch_matrix() // row_bytes).tolist(),
-            (system.combine_matrix().sum(axis=1) // row_bytes).tolist(),
+            system.dispatch_matrix().tolist(),
+            # Combine sends one partial row per (token, hosting rank).
+            (system.combine_matrix().sum(axis=1) // ROW_BYTES).tolist(),
         )
 
     return Case(label, priced, moved)
@@ -1020,10 +1037,13 @@ class Inputs:
     total_tokens: int = 1024
     imbalance_std: float = 0.0
     seed: int = 0
+    plan_seed: int | None = None  # the routing plan drawn from this seed
+    owner_shift: int = 0  # token owners rolled along the tokens
     layer: int = 0
     bucket_tokens: int = 256
     overlap_policy: str = "per_layer"
     stragglers: StragglerSpec | None = None
+    tokened: bool = True  # False: the graph drops its builder token
 
     def workload_args(self) -> tuple:
         return (
@@ -1032,22 +1052,20 @@ class Inputs:
         )
 
     def workload(self) -> MoELayerWorkload:
-        return make_workload(*self.workload_args())
+        workload = make_workload(*self.workload_args())
+        if self.plan_seed is not None:
+            args = self.workload_args()[:-1] + (self.plan_seed,)
+            workload = replace(workload, plan=make_workload(*args).plan)
+        if self.owner_shift:
+            workload = replace(
+                workload, owner=np.roll(workload.owner, self.owner_shift)
+            )
+        return workload
 
     def graph(self) -> ScheduleGraph:
-        return _forward(BATCH_PHASES, self.overlap_policy, self.stragglers, layers=3)
-
-
-def _workload_changes(base):
-    """One changed value per ``make_workload`` argument."""
-    return (
-        ("config", QWEN2_MOE),
-        ("cluster", l20_node()),
-        ("strategy", ParallelStrategy(2, 4)),
-        ("total_tokens", 2 * base.total_tokens),
-        ("imbalance_std", 0.03),
-        ("seed", base.seed + 1),
-    )
+        graph = _forward(BATCH_PHASES, self.overlap_policy, self.stragglers, layers=3)
+        # A graph without a token keys its caches by its sha1 topology.
+        return graph if self.tokened else graph.with_durations(graph.durations)
 
 
 #: One changed value per constructor knob of every registered system.
@@ -1057,10 +1075,21 @@ KNOB_VALUES = {
 }
 
 
-def _knob_changes(name):
+def _knobs(name) -> tuple[str, ...]:
     params = inspect.signature(type(SYSTEM_REGISTRY.create(name)).__init__).parameters
-    return tuple(
-        (knob, KNOB_VALUES[knob]) for knob in params if knob != "self"
+    return tuple(knob for knob in params if knob != "self")
+
+
+def _system_changes(name):
+    """The next registered system of another class with the same knobs
+    (when there is one), and one changed value per knob."""
+    names = SYSTEM_REGISTRY.names()
+    i = names.index(name)
+    siblings = [
+        other for other in names[i + 1:] + names[:i] if _knobs(other) == _knobs(name)
+    ]
+    return tuple(("system", other) for other in siblings[:1]) + tuple(
+        (knob, KNOB_VALUES[knob]) for knob in _knobs(name)
     )
 
 
@@ -1073,6 +1102,53 @@ def _straggler_changes(base: StragglerSpec):
         (f.name, bumped(getattr(base, f.name)) if f.name != "name" else "renamed")
         for f in dataclasses.fields(StragglerSpec)
     )
+
+
+def _input_changes(base: Inputs) -> dict[str, tuple]:
+    """The changed values for each input a cached entry point takes, by
+    parameter name.  A ``workload`` changes in every ``make_workload``
+    argument and every :class:`MoELayerWorkload` field, a ``graph`` in
+    its overlap policy and straggler spec."""
+    policies = OVERLAP_POLICIES
+    next_policy = policies[(policies.index(base.overlap_policy) + 1) % len(policies)]
+    half_a_rank = base.total_tokens // base.strategy.world_size // 2
+    changes = {
+        "system": _system_changes(base.system),
+        "config": (("config", QWEN2_MOE),),
+        "cluster": (("cluster", l20_node()),),
+        "strategy": (("strategy", ParallelStrategy(2, 4)),),
+        "total_tokens": (("total_tokens", 2 * base.total_tokens),),
+        "imbalance_std": (("imbalance_std", 0.03),),
+        "seed": (("seed", base.seed + 1),),
+        "plan": (("plan_seed", base.seed + 1),),
+        "owner": (("owner_shift", half_a_rank),),
+        "layer": (("layer", 1),),
+        "bucket_tokens": (("bucket_tokens", 512),),
+        "overlap_policy": (("overlap_policy", next_policy),),
+    }
+    if base.stragglers is not None:
+        changes["stragglers"] = _straggler_changes(base.stragglers)
+        changes["graph"] = changes["overlap_policy"] + changes["stragglers"]
+    workload_inputs = dict.fromkeys([
+        *inspect.signature(make_workload).parameters,
+        *(f.name for f in dataclasses.fields(MoELayerWorkload)),
+    ])
+    changes["workload"] = sum((changes[name] for name in workload_inputs), ())
+    return changes
+
+
+def _changes(entry_point):
+    """``changes(base)`` for a cache row: the changed values of every
+    parameter of ``entry_point``.  A parameter :func:`_input_changes`
+    has no value for raises KeyError, so a new input fails its row."""
+    def changes(base):
+        table = _input_changes(base)
+        return tuple(
+            change
+            for name in inspect.signature(entry_point).parameters
+            for change in table[name]
+        )
+    return changes
 
 
 def _changed(base: Inputs, field: str, value) -> Inputs:
@@ -1109,8 +1185,9 @@ def _cache_case(base: Inputs, field: str, value, probe, oracle=None) -> Case:
         except UnsupportedWorkload as exc:  # the cached path must raise too
             return "unsupported", str(exc)
 
+    untokened = "" if base.tokened else "/untokened"
     return Case(
-        f"{base.system}/{base.overlap_policy} seed={base.seed} "
+        f"{base.system}/{base.overlap_policy}{untokened} seed={base.seed} "
         f"M{base.total_tokens} {field}={getattr(value, 'name', value)!r}",
         lambda: run(probe),
         lambda: run(probe) if oracle is None else oracle(changed),
@@ -1139,10 +1216,6 @@ def _cache_cases(probe, changes, bases, oracle=None):
         return _cache_case(base, field, value, probe, oracle)
 
     return examples, cases()
-
-
-def _system_changes(base):
-    return _workload_changes(base) + _knob_changes(base.system)
 
 
 SYSTEM_BASES = tuple(Inputs(system=name) for name in SYSTEM_REGISTRY.names())
@@ -1186,9 +1259,9 @@ def _graph_schedule(inputs, systems):
 
 def _lowering(inputs, systems):
     graph = inputs.graph()
-    return (
+    return (  # scheduled through the compiled topology, past GRAPH_CACHE
         graph.fingerprint(), graph.topology_token, list(graph.preds),
-        graph.nodes, _obs(perf.cached_graph_schedule(graph)),
+        graph.nodes, _obs(perf._schedule_plain(graph)),
     )
 
 
@@ -1205,41 +1278,33 @@ def _nc_sweep(inputs, systems):
     return perf.shared_nc_sweep(systems(inputs), inputs.workload(), inputs.layer)
 
 
-TIMING_EXAMPLES, timing_cases = _cache_cases(_timing, _system_changes, SYSTEM_BASES)
+TIMING_EXAMPLES, timing_cases = _cache_cases(
+    _timing, _changes(perf.cached_time_layer), SYSTEM_BASES
+)
 WORKLOAD_EXAMPLES, workload_cases = _cache_cases(
-    _shared_workload, _workload_changes, (Inputs(),),
+    _shared_workload, _changes(perf.shared_workload), (Inputs(),),
     oracle=lambda inputs: _workload_obs(make_workload(*inputs.workload_args())),
 )
 ROUTING_EXAMPLES, routing_cases = _cache_cases(
-    _routing, _workload_changes, (Inputs(),),
+    _routing, _changes(make_workload), (Inputs(),),
     oracle=lambda inputs: _plan_obs(_synthesise_routing(*_routing_key(inputs))),
 )
 GRAPH_BASES = tuple(
     Inputs(overlap_policy=policy, stragglers=STRAGGLER_BASE)
     for policy in OVERLAP_POLICIES
-)
+) + (Inputs(stragglers=STRAGGLER_BASE, tokened=False),)
 GRAPH_EXAMPLES, graph_cases = _cache_cases(
-    _graph_schedule, lambda base: _straggler_changes(base.stragglers), GRAPH_BASES
+    _graph_schedule, _changes(perf.cached_graph_schedule), GRAPH_BASES
 )
 LOWERING_EXAMPLES, lowering_cases = _cache_cases(
-    _lowering, lambda base: _straggler_changes(base.stragglers), GRAPH_BASES
+    _lowering, _changes(perf.compiled_topology), GRAPH_BASES
 )
 STEP_COST_EXAMPLES, step_cost_cases = _cache_cases(
-    _step_cost,
-    lambda base: (
-        ("system", "tutel"),
-        ("config", QWEN2_MOE),
-        ("cluster", l20_node()),
-        ("strategy", ParallelStrategy(2, 4)),
-        ("bucket_tokens", 512),
-        ("overlap_policy", "cross_layer"),
-    ) + _straggler_changes(base.stragglers) + _knob_changes(base.system),
+    _step_cost, _changes(perf.shared_step_cost),
     (Inputs(system="comet", stragglers=STRAGGLER_BASE),),
 )
 NC_SWEEP_EXAMPLES, nc_sweep_cases = _cache_cases(
-    _nc_sweep,
-    lambda base: _system_changes(base) + (("layer", 1),),
-    (Inputs(),),
+    _nc_sweep, _changes(perf.shared_nc_sweep), (Inputs(),)
 )
 
 
@@ -1334,38 +1399,38 @@ PAIRS = (
     Pair(
         perf.cached_time_layer, MoESystem.time_layer, timing_cases,
         flag="timing_cache", examples=TIMING_EXAMPLES, max_examples=5,
-        cache=perf.TIMING_CACHE, perturbs=(MoESystem, Comet, MoELayerWorkload),
+        cache=perf.TIMING_CACHE,
     ),
     Pair(
         perf.shared_workload, make_workload, workload_cases,
         examples=WORKLOAD_EXAMPLES, max_examples=3,
-        cache=perf.WORKLOAD_CACHE, perturbs=(MoELayerWorkload,),
+        cache=perf.WORKLOAD_CACHE,
     ),
     Pair(
         make_workload, _synthesise_routing, routing_cases,
         examples=ROUTING_EXAMPLES, max_examples=3,
-        cache=perf.ROUTING_CACHE, perturbs=(MoELayerWorkload,),
+        cache=perf.ROUTING_CACHE,
     ),
     Pair(
-        perf.cached_graph_schedule, list_schedule, graph_cases,
+        perf.cached_graph_schedule, perf._schedule_graph, graph_cases,
         flag="timing_cache", examples=GRAPH_EXAMPLES, max_examples=3,
-        cache=perf.GRAPH_CACHE, perturbs=(ScheduleGraph, StragglerSpec),
+        cache=perf.GRAPH_CACHE,
     ),
     Pair(
         (perf.lowered_skeleton, perf.compiled_topology), build_forward_graph,
         lowering_cases,
         flag="graph_batch", examples=LOWERING_EXAMPLES, max_examples=3,
-        cache=perf.GRAPH_BATCH_CACHE, perturbs=(ScheduleGraph, StragglerSpec),
+        cache=perf.GRAPH_BATCH_CACHE,
     ),
     Pair(
         perf.shared_step_cost, StepCostModel, step_cost_cases,
         flag="timing_cache", examples=STEP_COST_EXAMPLES, max_examples=3,
-        cache=perf.STEP_COST_CACHE, perturbs=(MoESystem, Comet, StragglerSpec),
+        cache=perf.STEP_COST_CACHE,
     ),
     Pair(
         perf.shared_nc_sweep, Comet.sweep_division_points, nc_sweep_cases,
         flag="timing_cache", examples=NC_SWEEP_EXAMPLES, max_examples=3,
-        cache=perf.NC_SWEEP_CACHE, perturbs=(Comet, MoELayerWorkload),
+        cache=perf.NC_SWEEP_CACHE,
     ),
 )
 
@@ -1470,7 +1535,42 @@ def test_every_fast_path_is_some_rows_fast():
     assert not named, f"fast paths with no oracle row: {sorted(named)}"
 
 
+def _package_reads(classes, run) -> set[type]:
+    """The classes whose fingerprint methods the package itself calls
+    while ``run()`` runs (a call from this module does not count)."""
+    reached: set[type] = set()
+
+    def spy(cls, method):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("repro."):
+                reached.add(cls)
+            return method(*args, **kwargs)
+        return wrapper
+
+    with ExitStack() as stack:
+        for cls in classes:
+            for name in FINGERPRINT_METHODS & set(vars(cls)):
+                stack.enter_context(
+                    mock.patch.object(cls, name, spy(cls, vars(cls)[name]))
+                )
+        run()
+    return reached
+
+
+def _run_cached(pair: Pair, case: Case) -> None:
+    """``case.fast()`` from empty caches, with the row's flag on."""
+    perf.clear_caches()
+    with _flagged(pair.flag, True):
+        case.fast()
+
+
 def test_every_fingerprinted_class_and_cache_is_perturbed():
+    """Every cache has a row, and the package reads every fingerprinted
+    class's fingerprint while the cache rows' fixed cases run cached.
+
+    Every case first warms its cache with its base, so one case per base
+    makes every read of that base's path.
+    """
     fingerprinted = {
         obj
         for module in _product_modules()
@@ -1478,10 +1578,17 @@ def test_every_fingerprinted_class_and_cache_is_perturbed():
         if inspect.isclass(obj) and FINGERPRINT_METHODS & set(vars(obj))
     }
     assert fingerprinted >= {ScheduleGraph, StragglerSpec, MoELayerWorkload, MoESystem, Comet}
-    perturbed = {cls for pair in PAIRS for cls in pair.perturbs}
-    assert not fingerprinted - perturbed, fingerprinted - perturbed
-    cached = {id(pair.cache) for pair in PAIRS if pair.cache is not None}
+    rows = [pair for pair in PAIRS if pair.cache is not None]
+    cached = {id(pair.cache) for pair in rows}
     assert [c.name for c in perf._CACHES if id(c) not in cached] == []
+    one_per_base = {
+        (pair.cache.name, case.label.split(" seed=")[0]): (pair, case)
+        for pair in rows for case in pair.examples
+    }
+    reached = _package_reads(
+        fingerprinted, lambda: [_run_cached(*run) for run in one_per_base.values()]
+    )
+    assert not fingerprinted - reached, fingerprinted - reached
 
 
 # -- the oracles stay off the product import path ------------------------------

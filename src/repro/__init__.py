@@ -320,27 +320,13 @@ field missing from a cache key fails it).  The oracles themselves live
 in :mod:`repro.oracles`, which nothing on the simulation path imports.
 Coverage tests tie the table to the code: every ``PerfConfig`` flag,
 every function named like a fast path, and every fingerprinted class
-must appear in some row.  Two conventions are properties of the source
-text instead — specs stay frozen and pickle-stable, and the simulators
-and oracles never read wall clocks or iterate bare sets — and
-:mod:`repro.lint` checks them as AST rules (``spec-hygiene``,
-``determinism``).  The tree ships lint-clean; CI runs it next to the
-test suite and fails on any unsuppressed finding::
-
-    $ python -m repro lint src/repro --verbose   # or: --json findings.json
-    0 finding(s), 0 suppressed, 97 files checked
-
-    from repro.lint import run_lint
-    report = run_lint(["src/repro"])
-    assert report.ok, [f.render() for f in report.findings]
-
-Intentional exceptions are suppressed in place and must say why —
-``# repro-lint: disable=RULE -- justification`` — and a suppression
-without a justification is itself a finding.  ``repro lint
---list-rules`` prints the rule registry; ``--rule NAME`` narrows a run;
-``--fail-on none`` reports without gating.  Style is pinned separately
-by ruff (``pyproject.toml``: pycodestyle/pyflakes/isort subset) in the
-same CI job.
+must appear in some row.  ``tests/test_conventions.py`` checks the two
+conventions that equality rests on.  Every ``*Spec`` is a top-level
+frozen dataclass whose live instances hash and survive a pickle round
+trip.  The simulators and oracles never read a wall clock, draw ambient
+entropy or iterate a bare set, and their exports are identical under
+any hash seed.  Style is pinned separately by ruff (``pyproject.toml``:
+pycodestyle/pyflakes/isort subset).
 """
 
 from repro import obs, perf

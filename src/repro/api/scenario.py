@@ -293,8 +293,10 @@ class Scenario:
                 f"over {self.cluster.world_size} ranks"
             )
         check_finite("imbalance_std", self.imbalance_std)
-        # numpy's SeedSequence rejects a negative seed only mid-run.
+        # numpy's SeedSequence rejects a negative or fractional seed only
+        # mid-run, and a bool seed would run as 0 or 1 under its own label.
         check_finite("seed", self.seed)
+        check_count("seed", self.seed)
         bound = max_imbalance_std(self.config.num_experts)
         if self.imbalance_std and self.imbalance_std >= bound:
             raise ValueError(

@@ -94,17 +94,8 @@ def _arrivals() -> list[str]:
 
 #: Every flag's argparse keywords; a callable ``choices`` is read at build.
 _FLAGS: dict[str, dict[str, Any]] = {
-    # figure / lint
+    # figure
     "name": dict(choices=sorted(FIGURES), help="figure or table to regenerate"),
-    "paths": dict(nargs="*", metavar="PATH", help="files or directories to lint "
-                  "(default: the installed repro package)"),
-    "--rule": dict(action="append", dest="rules", metavar="NAME", help="run only "
-                   "this rule (repeatable; default: all registered rules)"),
-    "--list-rules": dict(action="store_true", help="print the registered rules and exit"),
-    "--fail-on": dict(choices=("any", "none"), default="any",
-                      help="exit 1 on any unsuppressed finding"),
-    "--verbose": dict(action="store_true",
-                      help="also print suppressed findings with their justifications"),
     # the grid point
     "--model": dict(choices=_models, default="mixtral", help="model registry name"),
     "--models": dict(nargs="+", choices=_models, default=["mixtral"], help="model names"),
@@ -206,10 +197,6 @@ _RAW_JSON = ("--json", dict(help="also export raw data"))
 #: overrides the table's keywords for that subcommand.
 _COMMANDS: dict[str, tuple[str, tuple]] = {
     "figure": ("regenerate a paper figure/table", ("name", _RAW_JSON)),
-    "lint": ("run the repo's AST invariant checks (repro.lint)", (
-        "paths", "--rule", "--list-rules", "--fail-on", "--verbose",
-        ("--json", dict(help="also write the findings report as JSON ('-' for stdout)")),
-    )),
     "layer": ("time one MoE layer under the systems", (
         *_SHAPE, "--tokens", "--imbalance-std", "--seed", "--systems",
         ("--report", dict(help="also print the overlap report (hidden-comm fractions)")),
@@ -586,29 +573,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.json:
         save_json(result, args.json)
         print(f"\nwrote raw data to {args.json}")
-    return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.lint import RULE_REGISTRY, render_text, run_lint, to_json
-
-    if args.list_rules:
-        for name in RULE_REGISTRY.names():
-            print(f"{name}: {RULE_REGISTRY.get(name).description}")
-        return 0
-    report = run_lint(args.paths or [Path(__file__).parent], rules=args.rules)
-    print(render_text(report, verbose=args.verbose))
-    if args.json:
-        payload = to_json(report)
-        if args.json == "-":
-            print(payload)
-        else:
-            Path(args.json).write_text(payload + "\n")
-            print(f"wrote findings JSON to {args.json}")
-    if report.findings and args.fail_on == "any":
-        return 1
     return 0
 
 
@@ -1106,7 +1070,6 @@ _HANDLERS = {
     "figure": _cmd_figure,
     "fleet": _cmd_fleet,
     "layer": _cmd_layer,
-    "lint": _cmd_lint,
     "model": _cmd_model,
     "serve": _cmd_serve,
     "sweep": _cmd_sweep,

@@ -197,6 +197,7 @@ class FleetScenario:
                 f"decode replica, got roles {sorted(roles)}"
             )
         check_finite("router_seed", self.router_seed)
+        check_count("router_seed", self.router_seed)
         if self.router not in ROUTER_REGISTRY:
             raise ValueError(
                 f"unknown router {self.router!r}; valid routers: "

@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from repro.api.registry import Registry
+from repro.api.scenario import check_count
 
 __all__ = ["Request", "TRACE_REGISTRY", "TraceSpec", "build_trace"]
 
@@ -96,6 +97,11 @@ class TraceSpec:
                 f"unknown trace kind {self.kind!r}; valid kinds: "
                 f"{', '.join(TRACE_REGISTRY.names())}"
             )
+        # Stored as tuples, so the spec hashes into grid points and caches.
+        object.__setattr__(self, "arrivals_ms", tuple(self.arrivals_ms))
+        object.__setattr__(
+            self, "replay_lengths", tuple(tuple(pair) for pair in self.replay_lengths)
+        )
         # Every number must be finite: NaN slips past each ordered
         # comparison below, and an infinite rate or horizon never ends
         # trace generation.
@@ -125,6 +131,12 @@ class TraceSpec:
         for name in ("prompt_sigma", "output_sigma", "seed", "burst_factor"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # A fractional length caps or fails only inside build(), a
+        # fractional seed fails only inside numpy, and a bool seed runs as
+        # 0 or 1 under its own label.
+        check_count("seed", self.seed)
+        for name in ("prompt_mean", "max_prompt", "output_mean", "max_output"):
+            check_count(name, getattr(self, name), low=1)
         if self.kind != "replay":
             if self.rps <= 0:
                 raise ValueError(f"rps must be positive, got {self.rps}")

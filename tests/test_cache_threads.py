@@ -1,15 +1,13 @@
-"""Dynamic side of the lint story: cache stats stay consistent under
-thread hammering.
+"""Cache stats stay consistent under thread hammering.
 
-The static rules promise cache *keys* are sound; this suite hammers the
+The oracle table checks cache *keys*; this suite hammers the
 cache *implementations* — 8 threads of mixed get/put/clear/stats over
 ``BoundedCache``/``TimingCache`` instances and the live
 ``GRAPH_CACHE``/``STEP_COST_CACHE`` singletons — under a 1 µs thread
 switch interval, and asserts the documented lock guarantees: counters
 account exactly (every ``get`` is one hit or one miss), ``size`` never
 exceeds ``maxsize``, and every ``stats()`` snapshot is internally
-consistent rather than a torn mix (extends PR 5's lock-consistency
-tests).
+consistent rather than a torn mix.
 """
 
 import sys
@@ -107,7 +105,7 @@ def test_live_caches_survive_mixed_clear_hammer(fine_switch_interval):
     def worker(tid):
         for i in range(OPS):
             cache = caches[i % len(caches)]
-            key = ("lint-hammer", tid, i % 24)
+            key = ("thread-hammer", tid, i % 24)
             op = i % 5
             if op in (0, 1):
                 cache.put(key, i + 1)

@@ -254,15 +254,6 @@ OPTIONS = {
         "--tp": ("tp", 1, None, "int", None, "_StoreAction"),
         "-h": ("help", "==SUPPRESS==", 0, None, None, "_HelpAction"),
     },
-    "lint": {
-        "--fail-on": ("fail_on", "any", None, None, ["any", "none"], "_StoreAction"),
-        "--json": ("json", None, None, None, None, "_StoreAction"),
-        "--list-rules": ("list_rules", False, 0, None, None, "_StoreTrueAction"),
-        "--rule": ("rules", None, None, None, None, "_AppendAction"),
-        "--verbose": ("verbose", False, 0, None, None, "_StoreTrueAction"),
-        "-h": ("help", "==SUPPRESS==", 0, None, None, "_HelpAction"),
-        "paths": ("paths", None, "*", None, None, "_StoreAction"),
-    },
     "model": {
         "--cluster": ("cluster", "h800", None, None, ["h800", "l20"], "_StoreAction"),
         "--ep": ("ep", None, None, "int", None, "_StoreAction"),

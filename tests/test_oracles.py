@@ -1489,11 +1489,11 @@ FINGERPRINT_METHODS = {
 
 
 def _product_modules():
-    """Every module of the imported package outside the oracles and lint."""
+    """Every module of the imported package outside the oracles."""
     modules = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         name = info.name
-        if name.startswith(("repro.oracles", "repro.lint")) or name.endswith("__main__"):
+        if name.startswith("repro.oracles") or name.endswith("__main__"):
             continue
         modules.append(importlib.import_module(name))
     return modules

@@ -3,9 +3,10 @@
 
 Every point is now rejected where it is built: an unreachable routing
 imbalance (``std >= sqrt(E-1)/E``) by :class:`~repro.api.scenario.Scenario`,
-non-positive batch sizes by the serving scenarios, negative seeds by
-every spec that carries one, and NaN, infinite or non-positive serving
-settings by the trace, resilience and autoscaler specs.  The CLI
+non-positive batch sizes by the serving scenarios, negative, fractional
+or bool seeds by every spec that carries one, fractional trace lengths
+by the trace spec, and NaN, infinite or non-positive serving settings
+by the trace, resilience and autoscaler specs.  The CLI
 reports them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
 A negative or non-integer fixed COMET division point is rejected by
 :class:`~repro.systems.comet.Comet` itself.
@@ -212,6 +213,12 @@ def test_resilience_settings_must_be_finite(field, value):
         (AutoscalerSpec, dict(min_replicas=NAN)),  # labelled autoscale[minnan]
         (AutoscalerSpec, dict(min_replicas=2.5)),
         (AutoscalerSpec, dict(min_replicas=INF)),  # failed only at fleet build
+        (TraceSpec, dict(seed=2.5)),  # crashed mid-run inside numpy
+        (TraceSpec, dict(seed=True)),  # ran as seed 1 under a seedTrue label
+        (TraceSpec, dict(prompt_mean=2.5)),
+        (TraceSpec, dict(max_prompt=2.5)),  # capped every prompt at 2
+        (TraceSpec, dict(output_mean=1.5)),
+        (TraceSpec, dict(max_output=0.5)),  # failed in build()
     ),
     ids=lambda value: value.__name__ if isinstance(value, type) else repr(value),
 )
@@ -219,6 +226,28 @@ def test_fleet_counts_must_be_integers(spec, kwargs):
     (field,) = set(kwargs) - {"timeout_ms"}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         spec(**kwargs)
+
+
+@pytest.mark.parametrize("seed", (2.5, True))
+@pytest.mark.parametrize(
+    "field,make",
+    (
+        ("seed", lambda seed: Scenario(MIXTRAL_8X7B, h800_node(), EP8, tokens=2048, seed=seed)),
+        (
+            "router_seed",
+            lambda seed: FleetScenario(
+                MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
+                router_seed=seed,
+            ),
+        ),
+    ),
+    ids=("Scenario", "FleetScenario"),
+)
+def test_seeds_must_be_integers(field, make, seed):
+    # 2.5 crashed mid-run inside numpy; True ran as seed 1 under its own
+    # label, and a power_of_two fleet exported another digest than seed 1.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0"):
+        make(seed)
 
 
 @pytest.mark.parametrize("field", ("prompt_mean", "output_mean", "max_prompt", "max_output"))

@@ -82,6 +82,22 @@ class TestServeDeterminism:
         assert first.reports == second.reports
         assert first.to_json() == second.to_json()
 
+    def test_replay_trace_built_from_lists_serves_like_tuples(self):
+        # A list-built replay trace used to construct, then fail in run()
+        # on an unhashable scenario.
+        arrivals, lengths = [0.0, 5.0, 9.0], [[64, 8], [32, 4], [16, 2]]
+        listed = TraceSpec(kind="replay", arrivals_ms=arrivals, replay_lengths=lengths)
+        tupled = TraceSpec(
+            kind="replay", arrivals_ms=tuple(arrivals),
+            replay_lengths=tuple(map(tuple, lengths)),
+        )
+        runs = [
+            ServeSpec.grid(traces=trace, systems="comet").run()
+            for trace in (listed, tupled)
+        ]
+        assert len(runs[0].get("comet").records) == 3
+        assert runs[0].to_json() == runs[1].to_json()
+
 
 class TestServeReportMetrics:
     def make_report(self, records, slo_ttft=100.0, slo_tpot=10.0, horizon=1000.0):

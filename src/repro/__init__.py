@@ -229,7 +229,7 @@ against the slow path it replaces (the oracle table enforces it, and
 ``benchmarks/bench_sim_speed.py`` measures the speedup):
 
 * **Analytic list scheduling** — the layer0 fused kernel's per-tile
-  heapq loop collapses to a vectorised wave recurrence
+  heapq loop collapses to a scan of the one server that finishes last
   (:func:`repro.kernels.fused.layer0_makespan_analytic`); the heapq
   version stays as the cross-checked reference.
 * **Rank deduplication** — COMET fingerprints each rank's schedule

@@ -9,10 +9,21 @@ against the fused-kernel simulator: :func:`profile_division_points` is
 the offline profiler, :class:`AssignmentProfile` the metadata store, and
 :func:`select_division_point` the runtime lookup (with nearest-bucket
 fallback for shapes never profiled).
+
+:meth:`repro.systems.comet.Comet.sweep_division_points` prices one
+workload's sweep on its bottleneck rank.  Layer0 times each variant with
+its own fused-kernel simulation, through :func:`profile_division_points`.
+Layer1 prices the whole library in one call of
+:func:`repro.kernels.fused.simulate_layer1_fused_variants`, which
+computes every variant's per-column ready and work times as one array.
+Both keep the fastest variant, lowest ``nc`` on ties, through
+:meth:`SweepResult.from_durations`, and both leave out a variant the
+kernel cannot launch.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -42,10 +53,12 @@ def default_variants(num_sms: int, step: int = 4, min_nc: int = 2) -> list[Kerne
     """The variant library: division points from ``min_nc`` up to ~60% of SMs.
 
     Compiling one kernel per possible ``nc`` would be wasteful; like the
-    real system, the library quantises the division point.
+    real system, the library quantises the division point with ``step``.
     """
     if num_sms <= 2:
         raise ValueError(f"num_sms too small to split, got {num_sms}")
+    if isinstance(step, bool) or not isinstance(step, numbers.Integral) or step <= 0:
+        raise ValueError(f"step must be a positive integer, got {step!r}")
     max_nc = max(min_nc, int(num_sms * 0.6))
     return [KernelVariant(nc) for nc in range(min_nc, max_nc + 1, step)]
 
@@ -73,10 +86,15 @@ class ProfileKey:
             bucket *= 2
         return bucket
 
-    @classmethod
-    def make(cls, layer: int, tp_size: int, ep_size: int, tokens: int) -> "ProfileKey":
+    @staticmethod
+    def check_layer(layer: int) -> None:
+        """Reject a layer other than COMET's two fused kernels, 0 and 1."""
         if layer not in (0, 1):
             raise ValueError(f"layer must be 0 or 1, got {layer}")
+
+    @classmethod
+    def make(cls, layer: int, tp_size: int, ep_size: int, tokens: int) -> "ProfileKey":
+        cls.check_layer(layer)
         return cls(
             layer=layer,
             tp_size=tp_size,
@@ -91,6 +109,14 @@ class SweepResult:
 
     durations_us: dict[int, float]  # nc -> duration
     best_nc: int
+
+    @classmethod
+    def from_durations(cls, durations_us: dict[int, float]) -> "SweepResult":
+        """Keep the fastest variant, the lowest ``nc`` among equally fast ones."""
+        if not durations_us:
+            raise ValueError("no viable division point among the variants")
+        best_nc = min(durations_us, key=lambda nc: (durations_us[nc], nc))
+        return cls(durations_us=durations_us, best_nc=best_nc)
 
     @property
     def best_duration_us(self) -> float:
@@ -117,10 +143,7 @@ def profile_division_points(
             durations[variant.nc] = float(simulate(variant.nc))
         except ValueError:
             continue
-    if not durations:
-        raise ValueError("no viable division point among the variants")
-    best_nc = min(durations, key=lambda nc: (durations[nc], nc))
-    return SweepResult(durations_us=durations, best_nc=best_nc)
+    return SweepResult.from_durations(durations)
 
 
 @dataclass

@@ -23,6 +23,7 @@ does.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "layer0_makespan_reference",
     "simulate_layer0_fused",
     "simulate_layer1_fused",
+    "simulate_layer1_fused_variants",
     "simulate_layer0_vertical",
     "simulate_layer1_vertical",
 ]
@@ -87,14 +89,20 @@ class FusedKernelResult:
         return max(0.0, 1.0 - self.bubble_us / self.comm_standalone_us)
 
 
+def _division_error(gpu: GpuSpec, nc: int, needs_comm: bool) -> str | None:
+    """Why the fused kernel cannot launch with ``nc`` comm blocks, if it cannot."""
+    if not 0 <= nc < gpu.num_sms:
+        return f"nc must lie in [0, {gpu.num_sms - 1}] (at least one compute block), got {nc}"
+    if needs_comm and nc == 0:
+        return "nc must be positive when remote communication exists"
+    return None
+
+
 def _split_blocks(gpu: GpuSpec, nc: int, needs_comm: bool) -> int:
     """Validate the nc/np division and return np."""
-    if not 0 <= nc < gpu.num_sms:
-        raise ValueError(
-            f"nc must lie in [0, {gpu.num_sms - 1}] (at least one compute block), got {nc}"
-        )
-    if needs_comm and nc == 0:
-        raise ValueError("nc must be positive when remote communication exists")
+    error = _division_error(gpu, nc, needs_comm)
+    if error is not None:
+        raise ValueError(error)
     return gpu.num_sms - nc
 
 
@@ -126,7 +134,7 @@ def layer0_makespan_reference(
     ``np_blocks`` identical servers start free at :data:`KERNEL_RAMP_US`;
     row blocks are visited in ``order`` (ready-time sorted) and each of
     their ``col_tiles`` tiles grabs the earliest-free server.  The
-    analytic wave scheduler must reproduce this exactly (bit-identical),
+    analytic scan must reproduce this exactly (bit-identical),
     and this path must match :mod:`repro.oracles.layer0_des` to within
     one tile; the oracle table in ``tests/test_oracles.py`` checks both.
     """
@@ -160,7 +168,7 @@ def layer0_makespan_analytic(
     np_blocks: int,
     per_tile: float,
 ) -> float:
-    """Vectorised wave scheduler, bit-identical to the heapq reference.
+    """Scan of the server that finishes last, bit-identical to the heapq reference.
 
     With identical servers, a uniform tile time, and tiles visited in
     ready order, the heapq pool degenerates to a FIFO: tile ``i`` always
@@ -170,22 +178,33 @@ def layer0_makespan_analytic(
 
         finish[i] = max(ready[i], finish[i - np_blocks]) + per_tile
 
-    with ``finish[j] = KERNEL_RAMP_US`` for ``j < 0``.  Evaluating it
-    wave by wave (one numpy ``maximum`` + add per wave of ``np_blocks``
-    tiles) performs the *same* IEEE operations per element as the heapq
-    loop's ``max(free, ready) + per_tile``, which is what makes the two
-    paths bit-identical rather than merely close.
+    with ``finish[j] = KERNEL_RAMP_US`` for ``j < 0``: the same IEEE
+    operations per tile as the heapq loop's ``max(free, ready) +
+    per_tile``, which is what makes the two paths bit-identical rather
+    than merely close.
+
+    ``finish`` is non-decreasing in ``i``, bit for bit: by induction on
+    ``i``, because ``ready`` is sorted, ``max`` is exact and IEEE
+    ``x + per_tile`` is monotone in ``x``.  So no server finishes after
+    the one that runs the last tile, and the makespan is the end of that
+    server's chain, tiles ``(tiles - 1) % np_blocks``, ``+ np_blocks``,
+    ..., ``tiles - 1``.  Scanning that one chain with scalar floats takes
+    ``ceil(tiles / np_blocks)`` steps instead of work on every tile.  In
+    particular the last server, ``np_blocks - 1``, which can lead after
+    every full wave, never outlasts it.
+
+    Preconditions: ``ready_sorted`` is sorted ascending and finite, and
+    ``per_tile > 0``.
     """
     if col_tiles <= 0 or ready_sorted.size == 0:
         return KERNEL_RAMP_US
-    tile_ready = np.repeat(ready_sorted, col_tiles)
-    finish = np.full(np_blocks, KERNEL_RAMP_US, dtype=np.float64)
-    total = tile_ready.size
-    for start in range(0, total, np_blocks):
-        wave = tile_ready[start : start + np_blocks]
-        m = wave.size
-        finish[:m] = np.maximum(finish[:m], wave) + per_tile
-    return float(finish.max())
+    ready = ready_sorted.tolist()
+    total = len(ready) * col_tiles
+    finish = KERNEL_RAMP_US
+    for tile in range((total - 1) % np_blocks, total, np_blocks):
+        block_ready = ready[tile // col_tiles]
+        finish = (block_ready if block_ready > finish else finish) + per_tile
+    return float(finish)
 
 
 def simulate_layer0_fused(
@@ -254,8 +273,8 @@ def simulate_layer0_fused(
     order = np.argsort(ready, kind="stable")
 
     # List scheduling: np identical servers, uniform tile time, tiles of a
-    # row-block all ready at the block's ready time.  The vectorised wave
-    # scheduler is the default; the heapq loop is kept as the reference
+    # row-block all ready at the block's ready time.  The analytic scan is
+    # the default; the heapq loop is kept as the reference
     # (and carries the tracer, which needs per-block completion times).
     if tracer is None and PERF_CONFIG.analytic_layer0:
         makespan = layer0_makespan_analytic(
@@ -340,6 +359,10 @@ def simulate_layer1_fused(
 ) -> FusedKernelResult:
     """Simulate the layer1 fused kernel (GroupGEMM + top-k reduce + combine).
 
+    The one-division-point case of :func:`simulate_layer1_fused_variants`,
+    except that an ``nc`` the kernel cannot launch with raises
+    ``ValueError``.
+
     Args:
         schedule: tile iteration order from
             :func:`repro.tensor.reschedule.build_layer1_schedule`.
@@ -348,94 +371,120 @@ def simulate_layer1_fused(
         cols: GEMM output width (N).
         nc: communication thread blocks.
     """
+    _split_blocks(gpu, nc, comm.remote_bulk_rows + comm.remote_fine_rows > 0)
+    return simulate_layer1_fused_variants(
+        gpu, link, schedule, comm, k, cols, (nc,), tile=tile,
+        dtype_bytes=dtype_bytes, compute_scale=compute_scale,
+        tracer=tracer, lane=lane,
+    )[nc]
+
+
+def simulate_layer1_fused_variants(
+    gpu: GpuSpec,
+    link: LinkSpec,
+    schedule: Layer1Schedule,
+    comm: Layer1CommWork,
+    k: int,
+    cols: int,
+    ncs: Iterable[int],
+    tile: TileShape = DEFAULT_TILE,
+    dtype_bytes: int = 2,
+    compute_scale: float = 1.0,
+    tracer: Tracer | None = None,
+    lane: str = "rank",
+) -> dict[int, FusedKernelResult]:
+    """The layer1 fused kernel at every division point of ``ncs`` at once.
+
+    Returns ``{nc: result}`` for each ``nc`` the kernel can launch with;
+    the others are left out, like a variant that fails to launch.  The
+    per-column ready and work times of all division points are computed
+    as one ``(len(ncs), col_tiles)`` array; then each division point
+    drains its columns in production order.  Every element goes through
+    the same IEEE operations, in the same order, as a kernel priced
+    alone.  ``tracer`` records every priced kernel: pass one ``nc`` to
+    trace one.
+    """
     needs_comm = comm.remote_bulk_rows + comm.remote_fine_rows > 0
-    np_blocks = _split_blocks(gpu, nc, needs_comm)
+    ncs = [nc for nc in ncs if _division_error(gpu, nc, needs_comm) is None]
     per_tile = compute_scale * tile_time_us(gpu, k, tile, dtype_bytes)
     total_tiles = schedule.total_tiles
     if total_tiles == 0:
-        return FusedKernelResult(0.0, nc, np_blocks, 0.0, 0.0, 0.0, 0)
+        return {nc: FusedKernelResult(0.0, nc, gpu.num_sms - nc, 0.0, 0.0, 0.0, 0) for nc in ncs}
 
+    def per_variant(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64)[:, None]
+
+    # Column j is complete once its last tile in the stream is; column
+    # ordinals strictly increase, so the last column ends the GEMM.
     ordinals = schedule.column_completion_ordinals()
-    col_ready = KERNEL_RAMP_US + np.ceil(ordinals / np_blocks) * per_tile
+    compute_blocks = np.array([gpu.num_sms - nc for nc in ncs], dtype=np.int64)
+    col_ready = KERNEL_RAMP_US + np.ceil(ordinals / compute_blocks[:, None]) * per_tile
 
     # Per-column communication work.  Column width varies only at the tail.
-    # A comm block doing pure streaming reads/writes pulls more than the
-    # fair 1/num_sms HBM share (compute blocks leave bandwidth on the
-    # table while tensor cores run).
-    hbm_per_block = _COMM_BLOCK_HBM_SHARE * gpu.hbm_bytes_per_us / gpu.num_sms
-    hbm_rate = nc * hbm_per_block if nc else 0.0
-
     col_widths = np.full(schedule.col_tiles, tile.tn, dtype=np.float64)
     rem = cols - (schedule.col_tiles - 1) * tile.tn
     if rem > 0:
         col_widths[-1] = rem
     frac = col_widths / float(cols)
 
-    col_time = np.zeros(schedule.col_tiles, dtype=np.float64)
-    if nc > 0:
-        # Read every resident pair row + write reduced rows: HBM traffic.
-        reduce_bytes = (comm.reduce_rows + comm.local_rows) * comm.row_bytes * frac
-        col_time += reduce_bytes / hbm_rate
-        # TP-direction traffic: large contiguous reduce-scatter chunks.
-        if comm.remote_bulk_rows:
-            chunk = comm.remote_bulk_rows * comm.row_bytes * frac
-            bulk_rate = _comm_rate(link, nc, message_bytes=float(np.mean(chunk)))
-            col_time += chunk / bulk_rate
-        # EP-direction traffic: token-granular column-block messages.
-        if comm.remote_fine_rows:
-            message = float(tile.tn * dtype_bytes)
-            fine_rate = _comm_rate(link, nc, message_bytes=message)
-            col_time += comm.remote_fine_rows * comm.row_bytes * frac / fine_rate
-    elif comm.reduce_rows or comm.local_rows:
-        # No comm blocks: reduction falls back onto the compute epilogue
-        # (callers should avoid this; modelled as HBM time on all SMs).
-        col_time += (
-            (comm.reduce_rows + comm.local_rows)
-            * comm.row_bytes
-            * frac
-            / gpu.hbm_bytes_per_us
-        )
+    # A comm block doing pure streaming reads/writes pulls more than the
+    # fair 1/num_sms HBM share (compute blocks leave bandwidth on the
+    # table while tensor cores run).  With no comm blocks (no remote
+    # traffic) the reduction falls back onto the compute epilogue
+    # (callers should avoid this; modelled as HBM time on all SMs).
+    hbm_per_block = _COMM_BLOCK_HBM_SHARE * gpu.hbm_bytes_per_us / gpu.num_sms
+    hbm_rate = per_variant(
+        [nc * hbm_per_block if nc else gpu.hbm_bytes_per_us for nc in ncs]
+    )
+    col_time = np.zeros((len(ncs), schedule.col_tiles), dtype=np.float64)
+    # Read every resident pair row + write reduced rows: HBM traffic.
+    col_time += (comm.reduce_rows + comm.local_rows) * comm.row_bytes * frac / hbm_rate
+    # TP-direction traffic: large contiguous reduce-scatter chunks.
+    if comm.remote_bulk_rows:
+        chunk = comm.remote_bulk_rows * comm.row_bytes * frac
+        message = float(np.mean(chunk))
+        col_time += chunk / per_variant([_comm_rate(link, nc, message) for nc in ncs])
+    # EP-direction traffic: token-granular column-block messages.
+    if comm.remote_fine_rows:
+        message = float(tile.tn * dtype_bytes)
+        fine_rate = per_variant([_comm_rate(link, nc, message) for nc in ncs])
+        col_time += comm.remote_fine_rows * comm.row_bytes * frac / fine_rate
 
-    # The comm engine drains columns in production order.
-    busy_until = link.latency_us if needs_comm else 0.0
-    comm_busy = 0.0
-    for j in range(schedule.col_tiles):
-        start = max(busy_until, float(col_ready[j]))
-        busy_until = start + float(col_time[j])
-        comm_busy += float(col_time[j])
+    latency = link.latency_us if needs_comm else 0.0
+    results = {}
+    for nc, ready, work, row in zip(ncs, col_ready.tolist(), col_time.tolist(), col_time):
+        # The comm engine drains columns in production order.
+        busy_until = latency
+        comm_busy = 0.0
+        for j, (column_ready, column_work) in enumerate(zip(ready, work)):
+            start = column_ready if column_ready > busy_until else busy_until
+            busy_until = start + column_work
+            comm_busy += column_work
+            if tracer is not None:
+                tracer.record(
+                    f"reduce+send col{j}", "comm", f"{lane}/comm", start, busy_until
+                )
+        comp_end = ready[-1]
+        np_blocks = gpu.num_sms - nc
         if tracer is not None:
             tracer.record(
-                f"reduce+send col{j}",
-                "comm",
-                f"{lane}/comm",
-                start,
-                busy_until,
+                "group-gemm (column-wise)",
+                "comp",
+                f"{lane}/comp",
+                KERNEL_RAMP_US,
+                comp_end,
+                tiles=total_tiles,
             )
-
-    comp_end = float(col_ready[-1]) if schedule.policy else float(col_ready.max())
-    comp_standalone = KERNEL_RAMP_US + (-(-total_tiles // np_blocks)) * per_tile
-    comm_standalone = (
-        (link.latency_us if needs_comm else 0.0) + float(col_time.sum())
-    )
-    duration = max(comp_end, busy_until)
-    if tracer is not None:
-        tracer.record(
-            "group-gemm (column-wise)",
-            "comp",
-            f"{lane}/comp",
-            KERNEL_RAMP_US,
-            comp_end,
+        results[nc] = FusedKernelResult(
+            duration_us=max(comp_end, busy_until),
+            nc=nc,
+            np_blocks=np_blocks,
+            comm_standalone_us=latency + float(row.sum()),
+            comp_standalone_us=KERNEL_RAMP_US + (-(-total_tiles // np_blocks)) * per_tile,
+            comm_busy_us=comm_busy,
             tiles=total_tiles,
         )
-    return FusedKernelResult(
-        duration_us=float(duration),
-        nc=nc,
-        np_blocks=np_blocks,
-        comm_standalone_us=float(comm_standalone),
-        comp_standalone_us=float(comp_standalone),
-        comm_busy_us=float(comm_busy),
-        tiles=total_tiles,
-    )
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,9 @@ class RoutingPlan:
                 f"owner must have shape ({self.num_tokens},), got {owner.shape}"
             )
         world = int(owner.max()) + 1 if owner.size else 0
-        counts = np.zeros((world, self.num_experts), dtype=np.int64)
-        flat_experts = self.experts.ravel()
-        flat_owner = np.repeat(owner, self.topk)
-        np.add.at(counts, (flat_owner, flat_experts), 1)
-        return counts
+        pair_ids = np.repeat(owner, self.topk) * self.num_experts + self.experts.ravel()
+        counts = np.bincount(pair_ids, minlength=world * self.num_experts)
+        return counts.astype(np.int64, copy=False).reshape(world, self.num_experts)
 
     def fractions(self) -> np.ndarray:
         """Fraction of routed tokens landing on each expert."""

@@ -6,6 +6,9 @@ cache with the oracle it is checked against.
 
 * :mod:`repro.oracles.layer0_des` — the layer0 fused kernel as explicit
   DES processes (checks :func:`repro.kernels.fused.layer0_makespan_reference`);
+* :mod:`repro.oracles.layer0_schedule` — the sorted layer0 row-block
+  schedule walked token by token (checks
+  :func:`repro.tensor.reschedule.build_layer0_schedule`);
 * :mod:`repro.oracles.graph_des` — a DES executor for schedule graphs
   (checks :func:`repro.graph.scheduler.list_schedule`);
 * :mod:`repro.oracles.distributed` — the MoE layer run on real payloads

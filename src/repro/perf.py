@@ -10,8 +10,9 @@ the speedup honestly.
 
 Six switchable fast paths (see :class:`PerfConfig`):
 
-* ``analytic_layer0`` — the vectorised wave scheduler in
-  :mod:`repro.kernels.fused` replacing the per-tile heapq loop;
+* ``analytic_layer0`` — the analytic scan in :mod:`repro.kernels.fused`
+  replacing the per-tile heapq loop: it walks only the chain of the
+  server that runs the last tile, which finishes last;
 * ``rank_dedup`` — :class:`~repro.systems.comet.Comet` simulates each
   *distinct* per-rank schedule once instead of looping all ranks;
 * ``timing_cache`` — the global :data:`TIMING_CACHE` memoising

@@ -47,6 +47,7 @@ from repro.kernels.fused import (
     simulate_layer0_fused,
     simulate_layer0_vertical,
     simulate_layer1_fused,
+    simulate_layer1_fused_variants,
     simulate_layer1_vertical,
 )
 from repro.moe.experts import ExpertWeights
@@ -388,10 +389,15 @@ class Comet(MoESystem):
     # Backwards-compatible alias for pre-1.1 callers.
     _layer1_comm_work = layer1_comm_work
 
+    @staticmethod
+    def _layer1_nc(comm: Layer1CommWork, nc: int) -> int:
+        """The comm blocks layer1 runs with: the top-k reduce keeps one
+        even when no reduced row leaves the rank."""
+        return nc if comm.remote_bulk_rows + comm.remote_fine_rows > 0 else max(1, nc)
+
     def _run_layer1_kernel(self, workload, schedule, comm, k, nc) -> FusedKernelResult:
         config = workload.config
         cluster = workload.cluster
-        needs_comm = comm.remote_bulk_rows + comm.remote_fine_rows > 0
         if self.specialized:
             return simulate_layer1_fused(
                 cluster.gpu,
@@ -400,7 +406,7 @@ class Comet(MoESystem):
                 comm,
                 k=k,
                 cols=config.hidden_size,
-                nc=nc if needs_comm else max(1, nc),
+                nc=self._layer1_nc(comm, nc),
                 dtype_bytes=config.dtype_bytes,
                 compute_scale=self.gemm_scale,
             )
@@ -414,6 +420,31 @@ class Comet(MoESystem):
             dtype_bytes=config.dtype_bytes,
             compute_scale=self.gemm_scale,
         )
+
+    def _run_layer1_kernels(
+        self, workload, schedule, comm, k, ncs
+    ) -> dict[int, FusedKernelResult]:
+        """:meth:`_run_layer1_kernel` at every division point of ``ncs``, in
+        one call; those the fused kernel cannot launch with are left out."""
+        if not self.specialized:
+            # Vertical fusion has no division point: one kernel for all.
+            vertical = self._run_layer1_kernel(workload, schedule, comm, k, 0)
+            return dict.fromkeys(ncs, vertical)
+        config = workload.config
+        cluster = workload.cluster
+        kernel_nc = {nc: self._layer1_nc(comm, nc) for nc in ncs}
+        results = simulate_layer1_fused_variants(
+            cluster.gpu,
+            cluster.link,
+            schedule,
+            comm,
+            k=k,
+            cols=config.hidden_size,
+            ncs=kernel_nc.values(),
+            dtype_bytes=config.dtype_bytes,
+            compute_scale=self.gemm_scale,
+        )
+        return {nc: results[knc] for nc, knc in kernel_nc.items() if knc in results}
 
     @staticmethod
     def _aggregate(results: list[FusedKernelResult], nc: int) -> _LayerSim:
@@ -449,7 +480,10 @@ class Comet(MoESystem):
         ``variant_step`` is the quantisation of the variant library
         (Figure 8 plots a denser ``step=2`` sweep than the deployed
         default).  Returns the per-``nc`` duration curve and its optimum.
+        Layer0 simulates each variant in turn; layer1 prices the whole
+        library in one vectorised kernel call.
         """
+        ProfileKey.check_layer(layer)
         config = workload.config
         geometry = workload.geometry
         rank = geometry.bottleneck_rank
@@ -467,19 +501,21 @@ class Comet(MoESystem):
             def simulate(nc: int) -> float:
                 return self._run_layer0_kernel(workload, schedule, cols, nc).duration_us
 
-        else:
-            schedule = build_layer1_schedule(
-                rank_workload.expert_rows,
-                cols=config.hidden_size,
-                policy=POLICY_COLUMN_MAJOR if self.reschedule else POLICY_EXPERT_MAJOR,
-            )
-            comm = self.layer1_comm_work(workload, rank)
-            k = config.ffn_size // workload.strategy.tp_size
+            return profile_division_points(simulate, variants)
 
-            def simulate(nc: int) -> float:
-                return self._run_layer1_kernel(workload, schedule, comm, k, nc).duration_us
-
-        return profile_division_points(simulate, variants)
+        schedule = build_layer1_schedule(
+            rank_workload.expert_rows,
+            cols=config.hidden_size,
+            policy=POLICY_COLUMN_MAJOR if self.reschedule else POLICY_EXPERT_MAJOR,
+        )
+        comm = self.layer1_comm_work(workload, rank)
+        k = config.ffn_size // workload.strategy.tp_size
+        results = self._run_layer1_kernels(
+            workload, schedule, comm, k, [variant.nc for variant in variants]
+        )
+        return SweepResult.from_durations(
+            {nc: result.duration_us for nc, result in results.items()}
+        )
 
     # -- numerics ------------------------------------------------------------------
     def execute(

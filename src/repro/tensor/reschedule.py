@@ -114,10 +114,13 @@ def build_layer0_schedule(
         raise ValueError(f"rank {rank} out of range for world {world}")
     if policy not in (POLICY_SORTED, POLICY_TOKEN_ORDER):
         raise ValueError(f"unknown layer0 policy {policy!r}")
+    if tile_tm <= 0:
+        raise ValueError(f"tile_tm must be positive, got {tile_tm}")
 
     # Ring order of remote sources: rank+1, rank+2, ..., rank-1 (mod W).
     remote_srcs = [(rank + d) % world for d in range(1, world)]
-    num_local = int(pairs[rank].sum())
+    local_rows = pairs[rank]
+    num_local = int(local_rows.sum())
     num_remote = int(pairs.sum() - num_local)
 
     # fetch_start[r, e] = fetch index of the *first* token of run
@@ -125,66 +128,61 @@ def build_layer0_schedule(
     # order), expert-minor, so starts are the exclusive prefix sum of
     # the remote count matrix in that order.
     remote_pairs = pairs[remote_srcs]  # (W - 1, E_local)
-    run_lengths = remote_pairs.reshape(-1)
-    if run_lengths.size:
-        run_starts = np.concatenate(([0], np.cumsum(run_lengths)[:-1]))
+    fetch_start = np.cumsum(remote_pairs).reshape(remote_pairs.shape) - remote_pairs
+    # Number each expert's remote tokens 0, 1, ... in ring order (their
+    # remote ordinal q).  Run (r, e) holds the ordinals below through[r, e]
+    # not held by earlier runs, and its fetch indices advance one per
+    # ordinal, so a token's fetch index is q + shift[r, e].
+    through = np.cumsum(remote_pairs, axis=0)
+    shift = fetch_start - (through - remote_pairs)
+
+    # Each expert's rows are its local tokens (fetch position -1) followed
+    # by each remote source's run in ring order, cut into blocks of
+    # tile_tm rows; only the last block of an expert may be partial.
+    expert_rows = pairs.sum(axis=0)
+    blocks = -(-expert_rows // tile_tm)
+    rb_expert = np.repeat(np.arange(num_local_experts, dtype=np.int64), blocks)
+    first_block = np.cumsum(blocks) - blocks
+    rb_start = (np.arange(rb_expert.size) - np.repeat(first_block, blocks)) * tile_tm
+    rb_end = np.minimum(rb_start + tile_tm, expert_rows[rb_expert])
+    rb_rows = rb_end - rb_start
+
+    if policy == POLICY_SORTED:
+        # Fetch indices are non-decreasing down an expert's rows, so a
+        # block's latest token is its last row: local (-1) below the
+        # expert's local count, else remote ordinal q in the first run
+        # whose ``through`` exceeds q.
+        rb_last = np.full(rb_expert.size, -1, dtype=np.int64)
+        ordinal = rb_end - 1 - local_rows[rb_expert]
+        remote = ordinal >= 0
+        if remote.any():
+            e, q = rb_expert[remote], ordinal[remote]
+            run = (through[:, e] <= q).sum(axis=0)
+            rb_last[remote] = q + shift[run, e]
     else:
-        run_starts = run_lengths
-    fetch_start = run_starts.reshape(remote_pairs.shape)
-
-    rb_expert_parts: list[np.ndarray] = []
-    rb_rows_parts: list[np.ndarray] = []
-    rb_last_parts: list[np.ndarray] = []
-
-    if rng is None:
-        rng = np.random.default_rng(1234)
-
-    for e in range(num_local_experts):
-        rows_e = int(pairs[:, e].sum())
-        if rows_e == 0:
-            continue
-        # Per-row fetch position within this expert: -1 for local rows,
-        # then each remote source's contiguous run of fetch indices, in
-        # ring order — a non-decreasing sequence assembled vectorised.
-        counts = remote_pairs[:, e]
-        total_remote = int(counts.sum())
-        if total_remote:
-            seg = np.repeat(np.arange(counts.size), counts)
-            offsets = np.arange(total_remote) - np.repeat(
-                np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+        # token_order ablation: each expert's rows randomly interleaved, so
+        # nearly every block touches a late-arriving token.
+        if rng is None:
+            rng = np.random.default_rng(1234)
+        rb_last_parts: list[np.ndarray] = []
+        for e in range(num_local_experts):
+            if expert_rows[e] == 0:
+                continue
+            counts = remote_pairs[:, e]
+            positions = np.concatenate(
+                (
+                    np.full(int(local_rows[e]), -1, dtype=np.int64),
+                    np.arange(int(counts.sum())) + np.repeat(shift[:, e], counts),
+                )
             )
-            remote_positions = fetch_start[:, e][seg] + offsets
-        else:
-            remote_positions = np.empty(0, dtype=np.int64)
-        positions = np.concatenate(
-            (np.full(int(pairs[rank, e]), -1, dtype=np.int64), remote_positions)
-        )
-        if policy != POLICY_SORTED:
-            # token_order ablation: the same rows, randomly interleaved, so
-            # nearly every block touches a late-arriving token.
-            positions = rng.permutation(positions)
-
-        num_blocks = -(-rows_e // tile_tm)
-        block_ends = np.minimum(
-            np.arange(1, num_blocks + 1, dtype=np.int64) * tile_tm, rows_e
-        )
-        block_starts = np.concatenate(([0], block_ends[:-1]))
-        rb_expert_parts.append(np.full(num_blocks, e, dtype=np.int64))
-        rb_rows_parts.append(block_ends - block_starts)
-        if policy == POLICY_SORTED:
-            # positions is non-decreasing: a block's max is its last row.
-            rb_last_parts.append(positions[block_ends - 1])
-        else:
             rb_last_parts.append(
-                np.maximum.reduceat(positions, block_starts)
+                np.maximum.reduceat(rng.permutation(positions), rb_start[rb_expert == e])
             )
-
-    if rb_expert_parts:
-        rb_expert = np.concatenate(rb_expert_parts)
-        rb_rows = np.concatenate(rb_rows_parts)
-        rb_last = np.concatenate(rb_last_parts)
-    else:
-        rb_expert = rb_rows = rb_last = np.empty(0, dtype=np.int64)
+        rb_last = (
+            np.concatenate(rb_last_parts)
+            if rb_last_parts
+            else np.empty(0, dtype=np.int64)
+        )
 
     return Layer0Schedule(
         rowblock_expert=rb_expert.astype(np.int64, copy=False),

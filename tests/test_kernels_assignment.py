@@ -28,6 +28,13 @@ class TestVariants:
         with pytest.raises(ValueError):
             default_variants(2)
 
+    @pytest.mark.parametrize("step", (0, 2.5, True, -4), ids=repr)
+    def test_step_must_be_a_positive_integer(self, step):
+        # 0 and 2.5 used to fail inside range(), True built the step-1
+        # library and -4 an empty one.
+        with pytest.raises(ValueError, match="step must be a positive integer"):
+            default_variants(132, step=step)
+
 
 class TestProfileKey:
     def test_bucket_rounds_up_to_power_of_two(self):

@@ -9,6 +9,7 @@ from repro.kernels.fused import (
     simulate_layer0_fused,
     simulate_layer0_vertical,
     simulate_layer1_fused,
+    simulate_layer1_fused_variants,
     simulate_layer1_vertical,
 )
 from repro.moe import MIXTRAL_8X7B, balanced_fractions, routing_from_fractions, token_owner_ranks
@@ -202,6 +203,23 @@ class TestLayer1Fused:
             tracer=tracer, lane="r0",
         )
         assert "r0/comm" in tracer.lanes() and "r0/comp" in tracer.lanes()
+
+    def test_variants_leave_out_what_the_kernel_rejects(self):
+        """One vectorised call equals the single-``nc`` kernel at every
+        division point it can launch with and drops the rest, as a
+        profiler drops a variant that fails to launch."""
+        schedule, comm = layer1_setup()
+        ncs = [0, 1, 16, 60, CLUSTER.gpu.num_sms - 1, CLUSTER.gpu.num_sms, 500]
+        results = simulate_layer1_fused_variants(
+            CLUSTER.gpu, CLUSTER.link, schedule, comm,
+            k=CFG.ffn_size, cols=CFG.hidden_size, ncs=ncs,
+        )
+        launched = [1, 16, 60, CLUSTER.gpu.num_sms - 1]
+        assert list(results) == launched
+        assert all(results[nc] == run_layer1(schedule, comm, nc) for nc in launched)
+        for nc in (0, CLUSTER.gpu.num_sms):
+            with pytest.raises(ValueError, match="nc must"):
+                run_layer1(schedule, comm, nc)
 
 
 class TestVerticalFusionAblation:

@@ -90,6 +90,7 @@ from repro.graph import (
 )
 from repro.hw.multinode import IB_400G
 from repro.hw.presets import NVLINK_H800, l20_node
+from repro.kernels.assignment import default_variants, profile_division_points
 from repro.kernels.fused import (
     layer0_makespan_analytic,
     layer0_makespan_reference,
@@ -107,6 +108,7 @@ from repro.moe.config import MoEConfig
 from repro.oracles.distributed import DistributedMoE
 from repro.oracles.graph_des import des_schedule
 from repro.oracles.layer0_des import des_layer0_makespan
+from repro.oracles.layer0_schedule import sorted_layer0_schedule
 from repro.runtime.workload import (
     MoELayerWorkload,
     WorkloadGeometry,
@@ -117,7 +119,8 @@ from repro.serve import ServeScenario
 from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
 from repro.systems import Comet
 from repro.systems.base import MoESystem, UnsupportedWorkload
-from repro.tensor import build_layer0_schedule
+from repro.tensor import build_layer0_schedule, build_layer1_schedule
+from repro.tensor.reschedule import POLICY_COLUMN_MAJOR, POLICY_EXPERT_MAJOR
 
 CLUSTER = h800_node()
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -195,17 +198,43 @@ def _layer0_fused_case(seed, nc, world, experts, scale, cols, use_arrival_fn):
     )
 
 
-def _wave_case(seed, np_blocks, col_tiles, blocks):
-    rng = np.random.default_rng(seed)
-    ready = np.sort(rng.uniform(0.0, 50.0, size=blocks))
-    per_tile = float(rng.uniform(0.01, 2.0))
+def _scan_case(label, ready, col_tiles, np_blocks, per_tile):
+    ready = np.asarray(ready, dtype=np.float64)
     return Case(
-        f"waves(seed={seed}, np={np_blocks}, col_tiles={col_tiles}, blocks={blocks})",
+        label,
         lambda: layer0_makespan_analytic(ready, col_tiles, np_blocks, per_tile),
         lambda: layer0_makespan_reference(
-            ready, np.arange(blocks), col_tiles, np_blocks, per_tile
+            ready, np.arange(ready.size), col_tiles, np_blocks, per_tile
         ),
     )
+
+
+def _wave_case(seed, np_blocks, col_tiles, blocks):
+    rng = np.random.default_rng(seed)
+    return _scan_case(
+        f"waves(seed={seed}, np={np_blocks}, col_tiles={col_tiles}, blocks={blocks})",
+        np.sort(rng.uniform(0.0, 50.0, size=blocks)), col_tiles, np_blocks,
+        float(rng.uniform(0.01, 2.0)),
+    )
+
+
+_SPREAD = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, size=12))
+#: The two-lane scan's edge cases: which servers can finish last.
+SCAN_EXAMPLES = (
+    _scan_case("final wave exactly full", _SPREAD, 6, 8, 0.7),
+    _scan_case("final wave one tile short", _SPREAD, 6, 7, 0.7),
+    _scan_case("np_blocks above the tile count", _SPREAD[:3], 2, 130, 1.1),
+    _scan_case("np_blocks equal to the tile count", _SPREAD[:4], 3, 12, 1.1),
+    _scan_case("np_blocks = 1", _SPREAD, 3, 1, 0.25),
+    _scan_case("all ready times equal", np.full(20, 7.5), 16, 54, 0.9),
+    _scan_case(
+        "heavily tied ready times",
+        np.repeat([0.0, 2.0, 2.5, 9.0], [7, 11, 5, 9]), 7, 13, 0.5,
+    ),
+    _scan_case("ready long after the ramp", _SPREAD + 100.0, 5, 9, 0.3),
+    _scan_case("zero blocks", np.empty(0), 16, 54, 1.0),
+    _scan_case("zero column tiles", _SPREAD, 0, 54, 1.0),
+)
 
 
 def _layer0_des_case(label, pairs, nc, cols=1024, k=2048):
@@ -267,6 +296,119 @@ LAYER0_DES_EXAMPLES = (
         np.random.default_rng(9).integers(100, 400, size=(4, 4)).astype(np.int64),
         nc=64, cols=4096, k=8192,
     ),
+)
+
+
+# -- sorted layer0 schedule ----------------------------------------------------
+
+
+def _schedule_obs(schedule):
+    arrays = (schedule.rowblock_expert, schedule.rowblock_rows, schedule.rowblock_last_fetch)
+    return (
+        tuple((str(a.dtype), a.tolist()) for a in arrays),
+        schedule.num_remote, schedule.num_local, schedule.tile_tm, schedule.policy,
+    )
+
+
+def _schedule_case(label, pairs, rank, tile_tm):
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return Case(
+        f"{label} (W={pairs.shape[0]}, E={pairs.shape[1]}, rank={rank}, tile_tm={tile_tm})",
+        lambda: _schedule_obs(build_layer0_schedule(pairs, rank, tile_tm=tile_tm)),
+        lambda: _schedule_obs(sorted_layer0_schedule(pairs, rank, tile_tm=tile_tm)),
+    )
+
+
+@st.composite
+def _schedule_cases(draw):
+    world = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    experts = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    high = draw(st.sampled_from([2, 40, 300]))
+    density = draw(st.sampled_from([0.3, 1.0]))
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, high, size=(world, experts)) * (
+        rng.random((world, experts)) < density
+    )
+    return _schedule_case(
+        f"seed={seed}, high={high}, density={density}", pairs,
+        draw(st.integers(0, world - 1)), draw(st.sampled_from([1, 7, 64, 128])),
+    )
+
+
+SCHEDULE_EXAMPLES = (
+    _schedule_case("one rank", [[300, 0, 129]], 0, 128),
+    _schedule_case("no pairs", np.zeros((4, 3)), 2, 128),
+    _schedule_case("all local", [[0, 0], [256, 5], [0, 0]], 1, 128),
+    _schedule_case("all remote", [[0, 0], [400, 400], [100, 700], [0, 3]], 0, 128),
+    _schedule_case(
+        "local count on a block boundary", [[128, 64], [200, 0], [0, 65]], 0, 64
+    ),
+    _schedule_case("one row per block", [[2, 0, 1], [1, 3, 0], [0, 2, 2]], 2, 1),
+    _schedule_case(
+        "runs spanning blocks",
+        np.random.default_rng(3).integers(0, 600, size=(8, 4)), 5, 128,
+    ),
+    _schedule_case(
+        "sparse experts",
+        [[0, 9, 0, 0], [0, 0, 0, 130], [7, 0, 0, 0], [0, 0, 0, 1]], 3, 7,
+    ),
+)
+
+
+# -- COMET layer1 division-point sweep -------------------------------------------
+
+
+def _layer1_sweep_per_nc(comet, workload, variant_step):
+    """The layer1 sweep as one single-``nc`` kernel simulation per variant."""
+    config = workload.config
+    rank = workload.geometry.bottleneck_rank
+    schedule = build_layer1_schedule(
+        workload.geometry.rank_workload(rank).expert_rows, cols=config.hidden_size,
+        policy=POLICY_COLUMN_MAJOR if comet.reschedule else POLICY_EXPERT_MAJOR,
+    )
+    comm = comet.layer1_comm_work(workload, rank)
+    k = config.ffn_size // workload.strategy.tp_size
+    return profile_division_points(
+        lambda nc: comet._run_layer1_kernel(workload, schedule, comm, k, nc).duration_us,
+        default_variants(workload.cluster.gpu.num_sms, step=variant_step),
+    )
+
+
+def _layer1_sweep_case(cluster, tp, tokens, std, seed, step, reschedule=True, specialized=True):
+    def curve(sweep):
+        comet = Comet(reschedule=reschedule, specialized=specialized)
+        workload = make_workload(
+            MIXTRAL_8X7B, cluster, ParallelStrategy(tp, cluster.world_size // tp),
+            tokens, std, seed,
+        )
+        result = sweep(comet, workload, step)
+        return list(result.durations_us.items()), result.best_nc
+
+    return Case(
+        f"layer1 sweep {cluster.name} TP{tp} M{tokens} std={std} seed={seed} "
+        f"step={step} reschedule={reschedule} specialized={specialized}",
+        lambda: curve(lambda comet, workload, step: comet.sweep_division_points(
+            workload, 1, variant_step=step
+        )),
+        lambda: curve(_layer1_sweep_per_nc),
+    )
+
+
+LAYER1_SWEEP_EXAMPLES = tuple(
+    _layer1_sweep_case(cluster, tp, 4096, 0.02, 1, step, reschedule, specialized)
+    for cluster in (CLUSTER, l20_node())
+    for tp, step, reschedule, specialized in [
+        (1, 2, True, True), (2, 4, True, True), (8, 8, True, True),
+        (1, 4, False, True), (4, 2, True, False), (1, 8, False, False),
+    ]
+) + (_layer1_sweep_case(h800_node(1), 1, 2048, 0.0, 0, 4),)
+
+layer1_sweep_cases = st.builds(
+    _layer1_sweep_case,
+    st.sampled_from((CLUSTER, l20_node(), h800_node(4))), st.sampled_from((1, 2, 4)),
+    st.sampled_from((1024, 4096, 8192)), st.sampled_from((0.0, 0.01, 0.04)),
+    st.integers(0, 50), st.sampled_from((2, 4, 8)), st.booleans(), st.booleans(),
 )
 
 
@@ -1325,7 +1467,15 @@ PAIRS = (
                 st.integers(1, 40), st.integers(0, 80),
             ),
         ),
-        flag="analytic_layer0", max_examples=120,
+        flag="analytic_layer0", examples=SCAN_EXAMPLES, max_examples=120,
+    ),
+    Pair(
+        build_layer0_schedule, sorted_layer0_schedule, _schedule_cases(),
+        examples=SCHEDULE_EXAMPLES, max_examples=60,
+    ),
+    Pair(
+        Comet.sweep_division_points, _layer1_sweep_per_nc, layer1_sweep_cases,
+        examples=LAYER1_SWEEP_EXAMPLES, max_examples=10,
     ),
     Pair(
         layer0_makespan_reference, des_layer0_makespan, _layer0_des_cases(),

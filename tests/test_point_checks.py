@@ -9,7 +9,8 @@ by the trace spec, and NaN, infinite or non-positive serving settings
 by the trace, resilience and autoscaler specs.  The CLI
 reports them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
 A negative or non-integer fixed COMET division point is rejected by
-:class:`~repro.systems.comet.Comet` itself.
+:class:`~repro.systems.comet.Comet` itself, and so is a division-point
+sweep of a layer other than the two fused kernels.
 """
 
 import pytest
@@ -305,3 +306,11 @@ def test_fixed_division_point_upper_bound_follows_the_gpu():
     workload = make_workload(MIXTRAL_8X7B, h800_node(), EP8, 2048)
     with pytest.raises(ValueError, match=r"nc must lie in \[0, 131\]"):
         Comet(fixed_nc=500).time_layer(workload)
+
+
+@pytest.mark.parametrize("layer", (2, -1))
+def test_division_point_sweep_covers_the_two_fused_kernels(layer):
+    # Every layer other than 0 used to return the layer1 curve.
+    workload = make_workload(MIXTRAL_8X7B, h800_node(), EP8, 2048)
+    with pytest.raises(ValueError, match=f"layer must be 0 or 1, got {layer}"):
+        Comet().sweep_division_points(workload, layer=layer)

@@ -5,7 +5,7 @@ any routing plan, any imbalance, any column block size, any local rank.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.moe import (
@@ -117,3 +117,21 @@ def test_layer1_schedules_same_work_different_order(rows, cols, tile):
         assert o_cm[-1] == o_em[-1] == cm.total_tiles
         assert o_cm[0] <= o_em[0]
         assert (o_cm >= 1).all() and (o_em >= 1).all()
+
+
+@given(
+    rows=st.lists(st.integers(min_value=0, max_value=2000), min_size=1, max_size=16),
+    cols=st.integers(min_value=1, max_value=8192),
+    tile=st.sampled_from([64, 128]),
+    policy=st.sampled_from(["column_major", "expert_major"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_column_completion_ordinals_strictly_increase(rows, cols, tile, policy):
+    """Under both orders each column completes after the one before, so
+    the last column is the last to complete (the layer1 kernel's GEMM
+    end)."""
+    schedule = build_layer1_schedule(np.array(rows), cols, tile_tn=tile, policy=policy)
+    assume(schedule.total_tiles > 0)
+    ordinals = schedule.column_completion_ordinals()
+    assert (np.diff(ordinals) > 0).all()
+    assert ordinals[-1] == schedule.total_tiles

@@ -102,6 +102,13 @@ class TestLayer0Schedule:
         with pytest.raises(ValueError):
             build_layer0_schedule(np.zeros((2, 2), dtype=int), 0, policy="bogus")
 
+    @pytest.mark.parametrize("tile_tm", (0, -64))
+    def test_non_positive_tile_rejected(self, tile_tm):
+        # 0 used to raise ZeroDivisionError and -64 to build an empty
+        # schedule that dropped every row.
+        with pytest.raises(ValueError, match="tile_tm must be positive"):
+            build_layer0_schedule(np.ones((2, 2), dtype=int), 0, tile_tm=tile_tm)
+
 
 class TestLayer1Schedule:
     def test_tile_counts(self):

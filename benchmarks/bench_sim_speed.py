@@ -11,10 +11,9 @@ equivalence contract while doing so:
   both runs (workload caching predates the perf layer), so the
   comparison isolates the simulator itself.  A warm repeat on a fresh
   COMET instance then shows the cross-instance
-  :data:`repro.perf.TIMING_CACHE` sharing (``timing_key`` resolves the
-  adaptive division points instead of cold-missing per instance, and
-  :data:`repro.perf.NC_SWEEP_CACHE` hands it the sweeps behind them).
-  Reports must match byte for byte.
+  :data:`repro.perf.TIMING_CACHE` sharing (every system's timing is a
+  pure function of its fingerprint and the workload).  Reports must
+  match byte for byte.
 * **grid** — a figure-sized scenario sweep (Figure 12 shape: one model,
   parallelism x token axes, all five systems) on the same pod, slow
   serial vs fast; plus a warm repeat of the fast run showing the
@@ -102,9 +101,9 @@ def bench_serve(quick: bool = False) -> dict:
     fast_calls = perf.time_layer_calls()
 
     # Warm repeat on a *fresh* COMET instance with the cache left hot:
-    # timing entries key on resolved per-workload state (the adaptive
-    # division points via ``timing_key``), not on instance identity, so
-    # the repeat prices every bucket from the cache.
+    # timing entries key on (system fingerprint, workload fingerprint),
+    # not on instance identity, so the repeat prices every bucket from
+    # the cache.
     t0 = time.perf_counter()
     repeat = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
     repeat_s = time.perf_counter() - t0
@@ -167,8 +166,7 @@ def bench_grid(quick: bool = False) -> dict:
     fast_calls = perf.time_layer_calls()
 
     # Warm repeat: the cross-run TimingCache prices repeated (system,
-    # workload) pairs from memory (history-free systems share across
-    # instances; COMET's adaptive profiles are instance-scoped).
+    # workload) pairs from memory, across system instances.
     t0 = time.perf_counter()
     repeat = spec.run()
     repeat_s = time.perf_counter() - t0

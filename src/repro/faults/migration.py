@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api.scenario import check_count
+from repro.api.scenario import check_count, check_finite
 from repro.hw.link import LinkSpec
 from repro.hw.multinode import IB_400G
 
@@ -62,11 +62,8 @@ class MigrationSpec:
     messages_per_seq: int = 1
 
     def __post_init__(self) -> None:
-        if self.kv_bytes_per_token is not None and self.kv_bytes_per_token <= 0:
-            raise ValueError(
-                f"kv_bytes_per_token must be positive, got "
-                f"{self.kv_bytes_per_token}"
-            )
+        if self.kv_bytes_per_token is not None:
+            check_finite("kv_bytes_per_token", self.kv_bytes_per_token, positive=True)
         check_count("messages_per_seq", self.messages_per_seq, low=1)
 
     @property

@@ -100,7 +100,7 @@ class ResilienceSpec:
             check_finite(name, getattr(self, name), positive=True)
         check_count("min_samples", self.min_samples, low=1)
         check_count("max_probations", self.max_probations)
-        check_count("seed", self.seed, low=None)
+        check_count("seed", self.seed)
 
     # -- which mechanisms are live -------------------------------------------
     @property

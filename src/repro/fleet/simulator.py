@@ -33,15 +33,12 @@ when a replica fails, recovers, scales, warms or enters probation.
 Under ``perf.disabled()`` (``fast_serve_loop`` off) the cores count
 every running sequence's token instead: the retained reference.
 
-Parity scope: on a scenario the decomposed path accepts, the forced
-co-simulation reproduces its reports and exports exactly for every
-system with ``timing_state_token() is None``.  Adaptive COMET is
-excluded: it records each power-of-two bucket's division point from the
-first workload that probes it, and the two paths probe buckets in
-different orders (replica after replica vs interleaved in time).  A
-2-replica round-robin fleet on Poisson 300 rps for 3 s (seed 3) differs
-on all 888 records; one 1096-token step prices 11.05 ms decomposed vs
-9.93 ms co-simulated.
+Parity: on a scenario the decomposed path accepts, the forced
+co-simulation reproduces its reports and exports exactly, for every
+system.  Every system's ``time_layer`` is a pure function of its
+fingerprint and the workload, so the order in which the two paths
+price steps (replica after replica vs interleaved in time) cannot move
+a number.
 
 Modelling notes:
 
@@ -283,11 +280,8 @@ class FleetEngine:
         and with one replica the partition is the whole trace, making
         the fleet run bit-identical to the bare serving engine.
 
-        The forced co-simulation reproduces this path exactly for every
-        system with ``timing_state_token() is None``.  Adaptive COMET is
-        excluded: its division points come from the first workload to
-        probe each bucket, and this path probes replica after replica
-        while the co-simulation interleaves them (see the module doc).
+        The forced co-simulation reproduces this path exactly (see the
+        module doc).
         """
         router = make_router(
             self.scenario.router, len(self._expanded),

@@ -10,6 +10,13 @@ the offline profiler, :class:`AssignmentProfile` the metadata store, and
 :func:`select_division_point` the runtime lookup (with nearest-bucket
 fallback for shapes never profiled).
 
+:class:`~repro.systems.comet.Comet` fills each missing power-of-two
+token bucket from that bucket's canonical workload: the bucket's token
+count rounded up to a multiple of the world size, balanced routing,
+seed 0.  The table is then a pure function of its key (system knobs,
+cluster, model, split, layer, bucket), as an offline profile is, and
+never of which workload probed a bucket first.
+
 :meth:`repro.systems.comet.Comet.sweep_division_points` prices one
 workload's sweep on its bottleneck rank.  Layer0 times each variant with
 its own fused-kernel simulation, through :func:`profile_division_points`.

@@ -55,7 +55,7 @@ Cache layers live here:
   lowered skeletons, compiled recurrences, block structures and reduced
   recurrences;
 * :data:`STEP_COST_CACHE` — one serving step-cost model per system
-  state and scenario shape;
+  and scenario shape;
 * :data:`ROUTING_CACHE` — one read-only
   :class:`~repro.moe.routing.RoutingPlan` per (experts, top-k, tokens,
   imbalance, seed).  ``make_workload`` draws a plan from
@@ -284,17 +284,7 @@ class TimingCache(BoundedCache):
             with self._lock:
                 self.computed += 1
             return system.time_layer(workload)
-        # timing_key (not timing_state_token): systems whose timing is a
-        # pure function of per-workload *resolved* state — e.g. COMET's
-        # adaptive division points — return that state so equal-config
-        # instances share entries across runs instead of cold-missing on
-        # a per-instance epoch (any probe side effects run during key
-        # resolution, exactly as an uncached call would run them).
-        key = (
-            system.fingerprint(),
-            system.timing_key(workload),
-            workload.fingerprint(),
-        )
+        key = (system.fingerprint(), workload.fingerprint())
         timing = self.get(key)
         if timing is None:
             with self._lock:
@@ -630,14 +620,14 @@ def shared_step_cost(
     stragglers: Any = None,
 ) -> Any:
     """One :class:`~repro.serve.engine_adapter.StepCostModel` per
-    distinct (system state, scenario shape), process-wide.
+    distinct (system, scenario shape), process-wide.
 
     A homogeneous N-replica fleet prices iterations against N identical
     cost models; sharing one instance means the per-bucket timing work
     (and the model's internal step cache) is paid once for the whole
     fleet instead of once per replica.  The key includes the system's
-    fingerprint *and* timing-state token, so a mutated system never hits
-    a stale entry.  Construction failures
+    fingerprint, so a mutated system never hits a stale entry.
+    Construction failures
     (:class:`~repro.systems.base.UnsupportedWorkload` from the eager
     support check) propagate and are never cached.  Honours the
     ``timing_cache`` perf flag: when disabled, every caller gets a fresh
@@ -660,7 +650,6 @@ def shared_step_cost(
         return build()
     key = (
         system.fingerprint(),
-        system.timing_state_token(),
         config,
         cluster,
         strategy,
@@ -680,10 +669,10 @@ def shared_nc_sweep(
     """``system.sweep_division_points(workload, layer)``, process-wide.
 
     The sweep is a pure function of the system's knobs, the workload and
-    the layer, so equal-config COMET instances share it; each instance
-    still decides for itself which workload records a token bucket.
-    Honours the ``timing_cache`` perf flag: when disabled, every sweep
-    runs.
+    the layer, so equal-config COMET instances share it.  COMET sweeps
+    each token bucket's canonical workload, so one sweep per bucket
+    serves every workload that falls in it.  Honours the
+    ``timing_cache`` perf flag: when disabled, every sweep runs.
     """
     if not CONFIG.timing_cache:
         return system.sweep_division_points(workload, layer)

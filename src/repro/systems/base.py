@@ -164,39 +164,6 @@ class MoESystem(ABC):
         """
         return (type(self).__qualname__, float(self.gemm_scale))
 
-    def timing_state_token(self) -> object | None:
-        """Instance token isolating history-dependent timing state.
-
-        ``None`` (the default) declares ``time_layer`` a pure function of
-        ``(fingerprint, workload)``, so cached timings may be shared
-        across instances.  Systems whose results depend on what the
-        *instance* timed before (e.g. COMET's adaptive assignment
-        profile, whose power-of-two token buckets are recorded from the
-        first workload that probes them) return a unique per-instance
-        token instead, scoping cache reuse to one instance's history.
-        """
-        return None
-
-    def timing_key(self, workload: MoELayerWorkload) -> object | None:
-        """Per-workload cache-key component for the timing cache.
-
-        The :data:`repro.perf.TIMING_CACHE` keys entries by
-        ``(fingerprint, timing_key(workload), workload fingerprint)``.
-        The default delegates to :meth:`timing_state_token`, preserving
-        its contract.  Systems whose history-dependence *resolves* to
-        per-workload state — COMET's adaptive assignment resolves to the
-        two division points actually used — override this to return that
-        resolved state instead of an opaque instance token: equal-config
-        instances that resolve identically then share cache entries
-        across runs (fixing the cold-cache serve path), while instances
-        whose probe history diverged key apart exactly where their
-        timings would differ.  Implementations may perform the same
-        probing side effects an uncached ``time_layer`` call would — the
-        key is computed on hits and misses alike, so instance history
-        evolves identically either way.
-        """
-        return self.timing_state_token()
-
     def supports(self, workload: MoELayerWorkload) -> bool:
         """Whether this system can execute the workload at all."""
         return True

@@ -16,7 +16,12 @@ gate:
 
 ``nc`` is chosen per (layer, parallelism, token bucket, hardware) by the
 adaptive workload assignment: an offline profile over the pre-compiled
-variant library, consulted at runtime (§3.2.2).
+variant library, consulted at runtime (§3.2.2).  Each power-of-two token
+bucket is profiled on its canonical workload — the bucket's token count
+rounded up to a multiple of the world size, balanced routing, seed 0 —
+not on whichever workload asks for it first, so a layer's timing is a
+pure function of (system knobs, workload), never of what the instance
+priced before.
 
 Constructor flags expose the paper's design choices for ablation:
 ``reschedule=False`` keeps shared tensors in token order / expert-major
@@ -26,13 +31,13 @@ the GEMM prologue/epilogue); ``fixed_nc`` disables adaptivity.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.api.registry import register_system
+from repro.hw.cluster import ClusterSpec
 from repro.kernels.assignment import (
     AssignmentProfile,
     ProfileKey,
@@ -50,9 +55,10 @@ from repro.kernels.fused import (
     simulate_layer1_fused_variants,
     simulate_layer1_vertical,
 )
+from repro.moe.config import MoEConfig
 from repro.moe.experts import ExpertWeights
 from repro.perf import CONFIG as PERF_CONFIG
-from repro.perf import shared_nc_sweep
+from repro.perf import shared_nc_sweep, shared_workload
 from repro.runtime.workload import MoELayerWorkload
 from repro.systems.base import LayerTiming, MoESystem
 from repro.tensor.dependency import resolve_decomposition
@@ -69,10 +75,6 @@ from repro.tensor.reschedule import (
 from repro.tensor.shared_tensor import layer0_shared_tensor, layer1_shared_tensor
 
 __all__ = ["Comet"]
-
-# Monotonic per-instance tokens for timing_state_token (id() could be
-# recycled by the allocator and alias two instances' cache entries).
-_COMET_EPOCH = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -128,14 +130,12 @@ class Comet(MoESystem):
         # independent per-rank ingress model.
         self.fabric_contention = fabric_contention
         # Profiled metadata per (cluster, model): ProfileKey -> SweepResult.
-        # Which workload records a power-of-two token bucket is this
-        # instance's own history (its first probe in that bucket); the
-        # sweep it records is a pure function of this system's knobs and
-        # that workload, so it is shared through perf.NC_SWEEP_CACHE.
-        self._profiles: dict[tuple[str, str], AssignmentProfile] = {}
-        # Timing results depend on that probe history — scope
-        # timing-cache reuse to this instance.
-        self._timing_epoch = next(_COMET_EPOCH)
+        # Keyed by the specs, not their names (a resized config keeps its
+        # base model's name).  Each entry is the sweep of its bucket's
+        # canonical workload (see _adaptive_nc): a pure function of this
+        # system's knobs and the key, shared across equal-config
+        # instances through perf.NC_SWEEP_CACHE.
+        self._profiles: dict[tuple[ClusterSpec, MoEConfig], AssignmentProfile] = {}
 
     def backward_variant(self) -> "Comet":
         """Backward copy: doubled GEMM work, fresh assignment metadata.
@@ -162,36 +162,6 @@ class Comet(MoESystem):
             self.fixed_nc,
             self.specialized,
             self.fabric_contention,
-        )
-
-    def timing_state_token(self) -> object | None:
-        """Adaptive profiling makes timing depend on instance history."""
-        if self.adaptive and self.fixed_nc is None:
-            return self._timing_epoch
-        return None
-
-    def timing_key(self, workload: MoELayerWorkload) -> object | None:
-        """Resolve the adaptive state this workload's timing depends on.
-
-        ``time_layer`` is a pure function of (constructor knobs, the two
-        division points, workload), so keying the timing cache by the
-        *resolved* ``(nc0, nc1)`` pair — instead of the per-instance
-        epoch of :meth:`timing_state_token` — lets equal-config COMET
-        instances share entries across runs.  Resolving the division
-        points here records any missing profile buckets at exactly the
-        moment an uncached ``time_layer`` call would have recorded them
-        (``_adaptive_nc`` is idempotent once a bucket is warm), so
-        instance history stays identical whether the lookup hits or
-        misses.  Bucket selection stays per instance; the sweep a
-        missing bucket records comes from :data:`repro.perf.NC_SWEEP_CACHE`,
-        so equal-config instances sweep each workload once.
-        """
-        if not (self.adaptive and self.fixed_nc is None):
-            return None
-        self.check_supported(workload)
-        return (
-            self.division_point(workload, layer=0),
-            self.division_point(workload, layer=1),
         )
 
     # -- timing ----------------------------------------------------------------
@@ -386,9 +356,6 @@ class Comet(MoESystem):
             row_bytes=workload.config.token_bytes,
         )
 
-    # Backwards-compatible alias for pre-1.1 callers.
-    _layer1_comm_work = layer1_comm_work
-
     @staticmethod
     def _layer1_nc(comm: Layer1CommWork, nc: int) -> int:
         """The comm blocks layer1 runs with: the top-k reduce keeps one
@@ -460,15 +427,21 @@ class Comet(MoESystem):
 
     # -- adaptive assignment -------------------------------------------------------
     def _adaptive_nc(self, workload: MoELayerWorkload, layer: int) -> int:
-        cluster = workload.cluster
-        strategy = workload.strategy
-        cache_key = (cluster.name, workload.config.name)
-        profile = self._profiles.setdefault(cache_key, AssignmentProfile())
+        """The profiled ``nc`` of the workload's token bucket.
+
+        A missing bucket is swept on its canonical workload, so the
+        answer never depends on which workload probed the bucket first.
+        """
+        cluster, config, strategy = workload.cluster, workload.config, workload.strategy
+        profile = self._profiles.setdefault((cluster, config), AssignmentProfile())
         key = ProfileKey.make(
             layer, strategy.tp_size, strategy.ep_size, workload.total_tokens
         )
         if key not in profile:
-            profile.record(key, shared_nc_sweep(self, workload, layer))
+            world = cluster.world_size
+            tokens = -(-key.m_bucket // world) * world
+            canonical = shared_workload(config, cluster, strategy, tokens)
+            profile.record(key, shared_nc_sweep(self, canonical, layer))
         return select_division_point(profile, key)
 
     def sweep_division_points(

@@ -349,18 +349,18 @@ OPTIONS = {
 
 RUNS = {
     "ci-figure": {"exit": 0, "stdout": "be1d453791aa453f", "stderr": "e3b0c44298fc1c14", "files": {}},
-    "ci-fleet-disaggregated": {"exit": 0, "stdout": "7a6d4be9cb6968ed", "stderr": "e3b0c44298fc1c14", "files": {}},
-    "ci-fleet-resilience": {"exit": 0, "stdout": "2428e2824133388f", "stderr": "e3b0c44298fc1c14", "files": {}},
-    "ci-fleet-routers": {"exit": 0, "stdout": "2c45dfa14a42649b", "stderr": "e3b0c44298fc1c14", "files": {"fleet-report.json": "5e8d475c252f60f5"}},
-    "ci-fleet-trace-out": {"exit": 0, "stdout": "61afbe4c12b7a996", "stderr": "e3b0c44298fc1c14", "files": {"fleet-trace.json": "e9112d678d64e8b2"}},
-    "ci-fleet-two-systems": {"exit": 0, "stdout": "ab6d619584ba73df", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "ci-fleet-disaggregated": {"exit": 0, "stdout": "fe154a348efd441f", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "ci-fleet-resilience": {"exit": 0, "stdout": "7e8b1a22936a6c3c", "stderr": "e3b0c44298fc1c14", "files": {}},
+    "ci-fleet-routers": {"exit": 0, "stdout": "d52f0dc7024269d7", "stderr": "e3b0c44298fc1c14", "files": {"fleet-report.json": "4901eb9c515a0022"}},
+    "ci-fleet-trace-out": {"exit": 0, "stdout": "3e5fa5c29ac1e05b", "stderr": "e3b0c44298fc1c14", "files": {"fleet-trace.json": "49ecb9fd8c8f5024"}},
+    "ci-fleet-two-systems": {"exit": 0, "stdout": "dc6d964f299a2d99", "stderr": "e3b0c44298fc1c14", "files": {}},
     "ci-model-report": {"exit": 0, "stdout": "a81a024f73669e08", "stderr": "e3b0c44298fc1c14", "files": {}},
     "ci-model-stragglers": {"exit": 0, "stdout": "9660b9cc4b515813", "stderr": "e3b0c44298fc1c14", "files": {}},
     "ci-model-trace-out": {"exit": 0, "stdout": "94fb66f0e51b4258", "stderr": "e3b0c44298fc1c14", "files": {"model-trace.json": "9a11702187d41f36"}},
-    "ci-serve": {"exit": 0, "stdout": "3459e2e2a01796df", "stderr": "e3b0c44298fc1c14", "files": {"serve-report.json": "401604fb4311f9f6"}},
+    "ci-serve": {"exit": 0, "stdout": "875ac083d9a1e721", "stderr": "e3b0c44298fc1c14", "files": {"serve-report.json": "4812bb0137927efa"}},
     "ci-sweep": {"exit": 0, "stdout": "eaed350a4ef8610f", "stderr": "e3b0c44298fc1c14", "files": {}},
     "ci-sweep-two-tokens": {"exit": 0, "stdout": "f87fb6b515ceaca4", "stderr": "e3b0c44298fc1c14", "files": {}},
-    "fleet-autoscale": {"exit": 0, "stdout": "96687983ac89d2de", "stderr": "e3b0c44298fc1c14", "files": {"fleet.csv": "632d091f61352172"}},
+    "fleet-autoscale": {"exit": 0, "stdout": "691e0edbd3e90e0d", "stderr": "e3b0c44298fc1c14", "files": {"fleet.csv": "1a3a970e55ad3dcd"}},
     "fleet-bad-failure-spec": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "6a305ee3492edd98", "files": {}},
     "fleet-bad-replica-shape": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "12f305571ea3bc86", "files": {}},
     "fleet-unknown-router": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "81300be5692c8fe7", "files": {}},
@@ -372,7 +372,7 @@ RUNS = {
     "layer-zero-tp": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "3565355762428af3", "files": {}},
     "model-training-report": {"exit": 0, "stdout": "43a96a9e3da372ce", "stderr": "e3b0c44298fc1c14", "files": {}},
     "model-zero-tp": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "3565355762428af3", "files": {}},
-    "serve-csv": {"exit": 0, "stdout": "5de599e7798c6ff2", "stderr": "e3b0c44298fc1c14", "files": {"serve-trace.json": "a9237701d5eb0d2d", "serve.csv": "7b866f403fb57188"}},
+    "serve-csv": {"exit": 0, "stdout": "5de599e7798c6ff2", "stderr": "e3b0c44298fc1c14", "files": {"serve-trace.json": "bd8118e042203473", "serve.csv": "6a9b21d07ce13002"}},
     "serve-unknown-system": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "9296476cc469dd6c", "files": {}},
     "serve-zero-batch-budget": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "d8111cafeeb2127e", "files": {}},
     "serve-zero-tp": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "3565355762428af3", "files": {}},
@@ -383,10 +383,10 @@ RUNS = {
     "sweep-overlap-policy": {"exit": 0, "stdout": "e97b3e417f6533a8", "stderr": "e3b0c44298fc1c14", "files": {"sweep.json": "ec60f39ef66d4946"}},
     "sweep-skips-unreachable-imbalance": {"exit": 0, "stdout": "17546383d0ef241c", "stderr": "fba1b5e9b21a0b42", "files": {}},
     "sweep-straggler-mult": {"exit": 0, "stdout": "7f2273f5d8f1c7a4", "stderr": "e3b0c44298fc1c14", "files": {}},
-    "trace-fleet": {"exit": 0, "stdout": "445fe2c294b46c34", "stderr": "e3b0c44298fc1c14", "files": {"fleet.json": "d2071aafbd8426a7"}},
+    "trace-fleet": {"exit": 0, "stdout": "8b61fdc60856af49", "stderr": "e3b0c44298fc1c14", "files": {"fleet.json": "e6d2685016077bbd"}},
     "trace-graph": {"exit": 0, "stdout": "3feab77b894db9be", "stderr": "e3b0c44298fc1c14", "files": {"graph.json": "1c193085f8165eb6"}},
     "trace-kernels": {"exit": 0, "stdout": "ed01a63cbf2627f8", "stderr": "e3b0c44298fc1c14", "files": {"kernels.json": "eff4853ac907579d"}},
-    "trace-serve": {"exit": 0, "stdout": "87b9f5e6a004260c", "stderr": "e3b0c44298fc1c14", "files": {"serve.json": "832f44cb120ad5e6"}},
+    "trace-serve": {"exit": 0, "stdout": "87b9f5e6a004260c", "stderr": "e3b0c44298fc1c14", "files": {"serve.json": "8efe6a30bdcf29e8"}},
     "trace-zero-tp": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "3565355762428af3", "files": {}},
 }
 

@@ -10,6 +10,9 @@ and empty experts must cost nothing.
 import dataclasses
 
 import numpy as np
+import pytest
+
+from repro import SYSTEM_REGISTRY
 from repro.hw import ClusterSpec, GpuSpec, LinkSpec, h800_node
 from repro.hw.presets import H800, NVLINK_H800
 from repro.moe import MIXTRAL_8X7B, RoutingPlan
@@ -172,13 +175,13 @@ class TestReplicaFailure:
     trace assigned.
     """
 
-    def run_fleet(self, failures):
+    def run_fleet(self, failures, system="comet"):
         from repro import FleetSpec, TraceSpec
 
         return (
             FleetSpec.grid(
                 traces=TraceSpec(kind="poisson", rps=30, duration_s=3, seed=7),
-                systems="comet",
+                systems=system,
                 replicas=2,
                 routers="least_queue",
                 failures=failures,
@@ -198,21 +201,34 @@ class TestReplicaFailure:
         assert report.unserved == 0
         assert report.num_requests == report.offered
 
-    def test_goodput_accounting_conserved_across_crash(self):
+    @pytest.mark.parametrize("system", SYSTEM_REGISTRY.names())
+    def test_goodput_accounting_conserved_across_crash(self, system):
         from repro.fleet import FailureEvent
 
-        clean = self.run_fleet(())
-        crashed = self.run_fleet(
-            (FailureEvent(replica=1, fail_ms=500.0, recover_ms=1500.0),)
-        )
+        crash = FailureEvent(replica=1, fail_ms=500.0, recover_ms=1500.0)
+        clean = self.run_fleet((), system)
+        crashed = self.run_fleet((crash,), system)
         clean_tokens = {r.rid: r.output_tokens for r in clean.records}
         crashed_tokens = {r.rid: r.output_tokens for r in crashed.records}
         assert crashed_tokens == clean_tokens
-        # The crash can only delay completions, never accelerate the
-        # aggregate: total span is at least as long as the clean run's.
-        assert max(r.completion_ms for r in crashed.records) >= max(
-            r.completion_ms for r in clean.records
-        )
+        # Continuous batching is list scheduling, where a crash can
+        # shorten the schedule, so the crash bounds causality, not the
+        # makespan: nothing lands on the replica while it is down, and a
+        # request it reclaimed (a second entry dispatch) re-dispatches
+        # no earlier than the crash and restarts its prefill from there.
+        assert not [
+            d for d in crashed.dispatches
+            if d.replica == crash.replica and crash.fail_ms <= d.t_ms < crash.recover_ms
+        ]
+        hops = {}
+        for d in crashed.dispatches:
+            hops.setdefault(d.rid, []).append(d)
+        reclaimed = {rid: rest for rid, (first, *rest) in hops.items() if rest}
+        assert reclaimed
+        first_token = {r.rid: r.first_token_ms for r in crashed.records}
+        for rid, rest in reclaimed.items():
+            assert all(d.t_ms >= crash.fail_ms for d in rest)
+            assert first_token[rid] >= rest[-1].t_ms
 
     def test_crash_degrades_latency_tail(self):
         from repro.fleet import FailureEvent

@@ -8,7 +8,11 @@ stretch transfers in flight.  The free path must remain a lower bound,
 and pricing must never break request conservation.
 """
 
+import pytest
+
 from repro import (
+    MIXTRAL_8X7B,
+    SYSTEM_REGISTRY,
     BrownoutEvent,
     FailureEvent,
     FaultPlan,
@@ -88,7 +92,8 @@ class TestBrownout:
 
 
 class TestCrashContextReship:
-    def test_reclaimed_requests_pay_context_shipping(self):
+    @pytest.mark.parametrize("system", SYSTEM_REGISTRY.names())
+    def test_reclaimed_requests_pay_context_shipping(self, system):
         trace = TraceSpec(kind="poisson", rps=40, duration_s=2, seed=5)
         plan = FaultPlan(crashes=(
             FailureEvent(replica=0, fail_ms=400.0, recover_ms=1200.0),
@@ -100,7 +105,7 @@ class TestCrashContextReship:
                     traces=trace,
                     replicas=3,
                     routers="least_queue",
-                    systems="comet",
+                    systems=system,
                     faults=plan,
                     migrations=migrations,
                 )
@@ -108,15 +113,29 @@ class TestCrashContextReship:
                 .reports[0]
             )
 
+        migration = MigrationSpec(link=SLOW_LINK)
         free = crash_run(None)
-        costed = crash_run(MigrationSpec(link=SLOW_LINK))
+        costed = crash_run(migration)
         assert free.failures == costed.failures == 1
         assert_conserved(free)
         assert_conserved(costed)
-        # re-dispatch over a starved link delays the bounced requests
-        assert (
-            costed.e2e_percentiles()["p99"] >= free.e2e_percentiles()["p99"]
-        )
+        # A request the crash reclaimed (a second entry dispatch) reaches
+        # its new replica only after its context crosses the starved
+        # link (its batch ships at least its own bytes), so its first
+        # token comes no earlier than that.  A p99 bound would not hold:
+        # continuous batching is list scheduling, where a slower link
+        # can shorten the schedule.
+        redispatched = {}
+        for d in costed.dispatches:
+            if d.pool == "entry":
+                redispatched.setdefault(d.rid, []).append(d.t_ms)
+        redispatched = {rid: ts[-1] for rid, ts in redispatched.items() if len(ts) > 1}
+        assert redispatched
+        for record in costed.records:
+            if record.rid in redispatched:
+                context = record.prompt_tokens * MIXTRAL_8X7B.token_bytes
+                arrival = redispatched[record.rid] + migration.transfer_ms(context, 1)
+                assert record.first_token_ms >= arrival
 
     def test_migration_label_lands_in_scenario_label(self):
         (report,) = run_disagg(MigrationSpec())

@@ -17,9 +17,9 @@ in :func:`_input_changes`, so a new parameter fails its row until it
 gets a value.  They start from empty caches, warm the cache with the
 base, then require the cached entry point on the changed input to equal
 the uncached computation, so a field that never reaches the cache key
-fails its row.  History-dependent systems
-(``timing_state_token() is not None``) are checked against a twin
-instance given the same probe sequence.
+fails its row.  Each probe builds its own system instances, so every
+cache row also checks that a fresh instance reads entries another
+instance wrote.
 
 Three coverage tests walk the imported ``repro`` package and tie the
 table to the code: every ``PerfConfig`` flag has a row, every function
@@ -1026,17 +1026,6 @@ cosim_cases = st.builds(
     st.integers(40, 160), st.integers(0, 20),
 )
 
-#: Systems whose timing is a pure function of the workload: the scope of
-#: the decomposed/co-sim parity claim.  Adaptive COMET records each
-#: bucket's division point from the first workload that probes it, and
-#: the two paths probe buckets in different orders.
-PURE_SYSTEMS = tuple(
-    name
-    for name in SYSTEM_REGISTRY.names()
-    if SYSTEM_REGISTRY.create(name).timing_state_token() is None
-)
-
-
 def _decomposed_only(engine, system_name):
     assert engine._decomposable(), "the case must be decomposable"
     return FleetEngine._run_decomposed(engine, system_name)
@@ -1063,7 +1052,7 @@ DECOMPOSED_EXAMPLES = tuple(
         ),
     )
     for trace in (SMALL_TRACE, BURSTY)
-    for system in PURE_SYSTEMS
+    for system in SYSTEM_REGISTRY.names()
 )
 
 decomposed_cases = st.builds(
@@ -1074,15 +1063,10 @@ decomposed_cases = st.builds(
             systems=system, replicas=replicas, routers=router,
         ),
     ),
-    st.sampled_from(PURE_SYSTEMS),
+    st.sampled_from(SYSTEM_REGISTRY.names()),
     st.sampled_from(("round_robin", "session_affinity")),
     st.integers(1, 3), st.integers(10, 80), st.integers(0, 20),
 )
-
-
-def test_pure_systems_cover_the_baselines():
-    assert {"megatron-cutlass", "tutel", "fastermoe"} <= set(PURE_SYSTEMS)
-    assert "comet" not in PURE_SYSTEMS
 
 
 # -- payloads: the traffic the cost models price -------------------------------
@@ -1304,26 +1288,16 @@ def _changed(base: Inputs, field: str, value) -> Inputs:
 def _cache_case(base: Inputs, field: str, value, probe, oracle=None) -> Case:
     """Warm with ``base``, then read ``base`` changed in ``field``.
 
-    ``probe(inputs, systems)`` runs the cached entry point; ``systems``
-    hands out one system instance per (name, knobs), so a history-
-    dependent system sees the whole probe sequence, and the oracle run
-    (the same sequence with the cache bypassed) gets a twin.  Caches no
-    flag bypasses pass an ``oracle(inputs)`` that skips them instead.
+    ``probe(inputs)`` runs the cached entry point on a system instance
+    of its own.  Caches no flag bypasses pass an ``oracle(inputs)`` that
+    skips them instead.
     """
     changed = _changed(base, field, value)
 
     def run(final):
-        instances: dict = {}
-
-        def systems(inputs):
-            key = (inputs.system, inputs.knobs)
-            if key not in instances:
-                instances[key] = SYSTEM_REGISTRY.create(inputs.system, **dict(inputs.knobs))
-            return instances[key]
-
-        probe(base, systems)
+        probe(base)
         try:
-            return final(changed, systems)
+            return final(changed)
         except UnsupportedWorkload as exc:  # the cached path must raise too
             return "unsupported", str(exc)
 
@@ -1364,8 +1338,12 @@ SYSTEM_BASES = tuple(Inputs(system=name) for name in SYSTEM_REGISTRY.names())
 STRAGGLER_BASE = StragglerSpec.slow_rank(8, rank=1, compute_mult=1.5, comm_mult=1.3)
 
 
-def _timing(inputs, systems):
-    return perf.cached_time_layer(systems(inputs), inputs.workload())
+def _system(inputs):
+    return SYSTEM_REGISTRY.create(inputs.system, **dict(inputs.knobs))
+
+
+def _timing(inputs):
+    return perf.cached_time_layer(_system(inputs), inputs.workload())
 
 
 def _workload_obs(workload):
@@ -1376,7 +1354,7 @@ def _workload_obs(workload):
     )
 
 
-def _shared_workload(inputs, systems):
+def _shared_workload(inputs):
     return _workload_obs(perf.shared_workload(*inputs.workload_args()))
 
 
@@ -1391,15 +1369,15 @@ def _plan_obs(plan):
     return plan.experts.tobytes(), plan.weights.tobytes()
 
 
-def _routing(inputs, systems):
+def _routing(inputs):
     return _plan_obs(inputs.workload().plan)
 
 
-def _graph_schedule(inputs, systems):
+def _graph_schedule(inputs):
     return _obs(perf.cached_graph_schedule(inputs.graph()))
 
 
-def _lowering(inputs, systems):
+def _lowering(inputs):
     graph = inputs.graph()
     return (  # scheduled through the compiled topology, past GRAPH_CACHE
         graph.fingerprint(), graph.topology_token, list(graph.preds),
@@ -1407,17 +1385,17 @@ def _lowering(inputs, systems):
     )
 
 
-def _step_cost(inputs, systems):
+def _step_cost(inputs):
     model = perf.shared_step_cost(
-        systems(inputs), inputs.config, inputs.cluster, inputs.strategy,
+        _system(inputs), inputs.config, inputs.cluster, inputs.strategy,
         bucket_tokens=inputs.bucket_tokens,
         overlap_policy=inputs.overlap_policy, stragglers=inputs.stragglers,
     )
     return model.step_us(300, 40)
 
 
-def _nc_sweep(inputs, systems):
-    return perf.shared_nc_sweep(systems(inputs), inputs.workload(), inputs.layer)
+def _nc_sweep(inputs):
+    return perf.shared_nc_sweep(_system(inputs), inputs.workload(), inputs.layer)
 
 
 TIMING_EXAMPLES, timing_cases = _cache_cases(
@@ -1633,9 +1611,7 @@ def test_fixed_case_equals_oracle(pair, case):
 # -- coverage: the table against the code --------------------------------------
 
 FAST_PATH_SEGMENTS = {"fast", "analytic", "decomposed", "symmetry", "symmetric"}
-FINGERPRINT_METHODS = {
-    "fingerprint", "timing_key", "timing_state_token", "topology_fingerprint",
-}
+FINGERPRINT_METHODS = {"fingerprint", "topology_fingerprint"}
 
 
 def _product_modules():

@@ -6,7 +6,9 @@ uses, so a change to the kernel models shows up here first.  Each pin is
 the sha256 of a result's fields as sorted-key JSON (floats as their
 shortest round-trip repr): Figure 8's default step-2 curves (every
 ``nc``'s duration and the optimum of all 12 curves), Figure 10's
-single-layer rows, Figure 9 at 4096 tokens, and the quick claim rows.
+single-layer rows, Figure 9 at 4096 tokens, the quick claim rows, and
+the default results of Figures 1, 11, 12, 13 and both panels of 14.
+Table 3 is left out: it prices no kernel.
 An intended change re-records the table with
 ``PYTHONPATH=src python tests/test_paper_pins.py``.
 """
@@ -17,7 +19,17 @@ import json
 
 import pytest
 
-from repro.bench import fig08_nc_sweep, fig09_end_to_end, fig10_single_layer
+from repro.bench import (
+    fig01_time_breakdown,
+    fig08_nc_sweep,
+    fig09_end_to_end,
+    fig10_single_layer,
+    fig11_breakdown,
+    fig12_parallelism,
+    fig13_moe_params,
+    fig14_imbalance,
+    fig14_l20,
+)
 from repro.bench.validation import validate_all
 
 
@@ -45,6 +57,30 @@ PINS = {
     "claims": (
         lambda: validate_all(quick=True),
         "294668467fd2f5098291f88d81f1ce7ba3be614330677c6b6bdca203aace991e",
+    ),
+    "fig01": (
+        fig01_time_breakdown,
+        "8f5ea19cf54857c42e7dcb2c45896851b56ed9042bba2fed1b7c9091633f2ace",
+    ),
+    "fig11": (
+        fig11_breakdown,
+        "b1c047f32a74f5dcb925f0f13580c379aab0f31338e12d62569c5a1badfe1925",
+    ),
+    "fig12": (
+        fig12_parallelism,
+        "be52eac71e2ee5f0ec8e21585ddb2b4e10f11a794b52582802f7f26a0b45b71a",
+    ),
+    "fig13": (
+        fig13_moe_params,
+        "c8b89225e6ebde4fba57474959f73296caf2a81e2983d9f91bdcc3ffc076c04e",
+    ),
+    "fig14_imbalance": (
+        fig14_imbalance,
+        "13a5898932ae3df181898e56e73809a6071f2755e0763922c051a190e5abcdd2",
+    ),
+    "fig14_l20": (
+        fig14_l20,
+        "02fe6af327324e7f94b03da5d24c7f7d01b2db2e220d2b0818c8fb42872d0edc",
     ),
 }
 

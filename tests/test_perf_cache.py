@@ -1,5 +1,7 @@
 """Unit behaviour of the perf layer: caches, fingerprints, config."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -15,6 +17,8 @@ from repro.systems import Comet, MegatronCutlass, Tutel
 
 CLUSTER = h800_node()
 STRATEGY = ParallelStrategy(1, 8)
+#: Mixtral resized to narrower experts; ``replace`` keeps its name.
+NARROW = dataclasses.replace(MIXTRAL_8X7B, hidden_size=1024, ffn_size=3584)
 
 
 def _workload(tokens=1024, seed=0):
@@ -75,14 +79,6 @@ class TestFingerprints:
     def test_backward_variant_fingerprint_differs(self):
         system = Tutel()
         assert system.fingerprint() != system.backward_variant().fingerprint()
-
-    def test_state_token_scopes_adaptive_comet(self):
-        # Adaptive COMET's timing depends on instance history: each
-        # instance gets its own token.  Non-adaptive variants are pure.
-        assert Comet().timing_state_token() != Comet().timing_state_token()
-        assert Comet(fixed_nc=8).timing_state_token() is None
-        assert Comet(adaptive=False).timing_state_token() is None
-        assert Tutel().timing_state_token() is None
 
 
 class TestTimingCache:
@@ -225,14 +221,14 @@ class TestNcSweepCache:
         return system.division_point(workload, 0), system.division_point(workload, 1)
 
     @pytest.mark.parametrize("timing_cache", (True, False))
-    def test_bucket_stays_recorded_by_the_first_probe(self, timing_cache):
-        # 3072 and 4096 tokens share the 4096 bucket: whichever workload
-        # an instance probes first records it.
+    def test_bucket_ignores_the_probe_order(self, timing_cache):
+        # 3072 and 4096 tokens share the 4096 bucket, which is profiled
+        # on its canonical 4096-token workload whichever comes first.
         perf.clear_caches()
         with perf.configure(timing_cache=timing_cache):
             probed = Comet()
             self._division_points(probed, _workload(tokens=3072))
-            assert self._division_points(probed, _workload(tokens=4096)) == (18, 22)
+            assert self._division_points(probed, _workload(tokens=4096)) == (10, 34)
             assert self._division_points(Comet(), _workload(tokens=4096)) == (10, 34)
 
     @pytest.fixture
@@ -259,7 +255,7 @@ class TestNcSweepCache:
         stats = perf.cache_stats()["nc-sweep"]
         assert (stats["misses"], stats["hits"]) == (2, 2)
         # Still recorded in the instance's own profile.
-        assert len(second._profiles[(CLUSTER.name, MIXTRAL_8X7B.name)].entries) == 2
+        assert len(second._profiles[(CLUSTER, MIXTRAL_8X7B)].entries) == 2
 
     def test_disabled_runs_every_sweep_uncounted(self, sweeps):
         perf.clear_caches()
@@ -272,6 +268,34 @@ class TestNcSweepCache:
         after = perf.cache_stats()["nc-sweep"]
         assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
         assert sweeps == [0, 1] * 3
+
+
+class TestHistoryIndependence:
+    """A COMET layer's timing is a function of the workload alone, not of
+    what the same instance priced before."""
+
+    @staticmethod
+    def _price(workload, probe=None):
+        perf.clear_caches()
+        system = Comet()
+        if probe is not None:
+            perf.cached_time_layer(system, probe)
+        return perf.cached_time_layer(system, workload)
+
+    @pytest.mark.parametrize("timing_cache", (True, False))
+    @pytest.mark.parametrize(
+        "probe, workload",
+        [
+            # 3072 tokens probe the 4096-token bucket first.
+            (_workload(tokens=3072), _workload(tokens=4096)),
+            # A resized config keeps Mixtral's name but not its optimum.
+            (_workload(tokens=4096), make_workload(NARROW, CLUSTER, STRATEGY, 4096)),
+        ],
+        ids=["shared-bucket", "same-name-config"],
+    )
+    def test_equal_timings_after_different_histories(self, timing_cache, probe, workload):
+        with perf.configure(timing_cache=timing_cache):
+            assert self._price(workload, probe) == self._price(workload)
 
 
 class TestCacheConcurrencyHammer:

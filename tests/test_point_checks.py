@@ -143,6 +143,8 @@ def test_specs_reject_negative_seeds():
             MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
             router_seed=-1,
         )
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        ResilienceSpec(seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -262,6 +264,14 @@ def test_trace_lengths_must_be_positive(field, value):
 def test_trace_sigmas_must_be_non_negative(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 0"):
         TraceSpec(**{field: -0.1})
+
+
+@pytest.mark.parametrize("value", (NAN, INF), ids=("nan", "inf"))
+def test_kv_bytes_per_token_must_be_finite(value):
+    # NaN exported a different document than None; inf left every
+    # request unserved.
+    with pytest.raises(ValueError, match="kv_bytes_per_token must be finite and positive"):
+        MigrationSpec(kv_bytes_per_token=value)
 
 
 def test_autoscaler_scale_up_queue_must_be_finite():

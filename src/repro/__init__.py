@@ -248,6 +248,12 @@ against the slow path it replaces (the oracle table enforces it, and
   counters (``repro sweep/serve ... --report``) and ``clear()``.
 * **Fast serving loop** — the continuous-batching DES is replayed by a
   sequential transcription with identical event ordering.
+* **Columnar request records** — completions, step samples and routing
+  decisions are appended as plain row tuples and become numpy columns
+  (:class:`repro.serve.metrics.Table`) once per run; every report
+  metric is one vectorised pass over them, and ``RequestRecord``/
+  ``TimelinePoint``/``DispatchRecord`` objects are built only when a
+  caller iterates a table.
 * **Graph symmetry reduction** — rank-blocked multi-rank graphs fold
   exchangeable ranks to one representative stream pair per straggler
   equivalence class before scheduling
@@ -369,7 +375,6 @@ from repro.runtime import (
     compare_systems,
     make_workload,
     overlap_report,
-    run_layer,
     run_model,
     run_training_step,
 )
@@ -490,7 +495,6 @@ __all__ = [
     "perf",
     "reference_moe_forward",
     "register_system",
-    "run_layer",
     "run_model",
     "run_training_step",
 ]

@@ -1,9 +1,10 @@
 """Fleet-level serving metrics: cluster goodput, churn, and utilization.
 
 A :class:`FleetReport` is the multi-replica analogue of
-:class:`~repro.serve.metrics.ServeReport`: the same
-:class:`~repro.serve.metrics.RequestRecord` lifecycle tuples and the
-same TTFT/TPOT/E2E percentile and SLO-goodput definitions, extended with
+:class:`~repro.serve.metrics.ServeReport`: the same column
+:class:`~repro.serve.metrics.Table` of
+:class:`~repro.serve.metrics.RequestRecord` rows and the same
+TTFT/TPOT/E2E percentile and SLO-goodput definitions, extended with
 the quantities that only exist at fleet scale — goodput *per GPU* (the
 cost-efficiency metric autoscaling optimises), per-replica utilization
 (:class:`ReplicaStats`), autoscaler churn, and the failure/recovery
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.api.results import Column
-from repro.serve.metrics import ReportCore, RequestRecord, ServeResultSet, _cell
+from repro.serve.metrics import ReportCore, ServeResultSet, Table, _cell
 
 __all__ = [
     "DispatchRecord",
@@ -84,7 +85,8 @@ class FleetEvent:
 
 @dataclass(frozen=True)
 class DispatchRecord:
-    """One routing decision: request ``rid`` sent to ``replica`` at ``t_ms``.
+    """One routing decision: request ``rid`` sent to ``replica`` at ``t_ms``
+    (a row view of the report's ``dispatches`` table).
 
     A request can dispatch more than once — the entry router and the
     decode router each record a hop in a disaggregated fleet, and a
@@ -104,8 +106,10 @@ class DispatchRecord:
 class FleetReport(ReportCore):
     """Serving outcome of one system on one fleet scenario.
 
-    ``offered`` counts every request in the trace; ``records`` holds only
-    the ones that completed.  With a resilience policy some requests end
+    ``offered`` counts every request in the trace; ``records``, a
+    :class:`~repro.serve.metrics.Table` of
+    :class:`~repro.serve.metrics.RequestRecord` rows, holds only the ones
+    that completed.  With a resilience policy some requests end
     as terminal ``outcomes`` (timed out or shed) instead, so every
     offered request is exactly one of completed / timed-out / shed /
     unserved — ``unserved`` is the remainder that never resolved
@@ -120,22 +124,22 @@ class FleetReport(ReportCore):
     scenario_label: str
     router: str
     num_replicas: int
-    records: tuple[RequestRecord, ...]
+    records: Table
     replica_stats: tuple[ReplicaStats, ...]
     events: tuple[FleetEvent, ...]
     slo_ttft_ms: float
     slo_tpot_ms: float
     horizon_ms: float
     offered: int
-    # Observability side-channels (PR 7).  Always collected — they are
-    # derived from bookkeeping the engine does anyway, so report
-    # equality across obs-on/obs-off runs (and fast/slow serve paths)
-    # includes them.  ``dispatches`` logs every router decision;
-    # ``replica_timelines`` holds one per-step TimelinePoint tuple per
-    # replica index (same sampling convention as the serving
+    # Observability side-channels.  Always collected — they are derived
+    # from bookkeeping the engine does anyway, so report equality across
+    # obs-on/obs-off runs (and fast/slow serve paths) includes them.
+    # ``dispatches`` is the Table of every router decision (DispatchRecord
+    # rows); ``replica_timelines`` holds one per-step TimelinePoint Table
+    # per replica index (same sampling convention as the serving
     # scheduler's timeline).
-    dispatches: tuple[DispatchRecord, ...] = ()
-    replica_timelines: tuple[tuple, ...] = ()
+    dispatches: Table
+    replica_timelines: tuple[Table, ...]
     # Terminal non-completion outcomes (timed-out / shed requests) and
     # the resilience configuration label that produced them; both stay
     # empty without a ResilienceSpec, keeping zero-config reports equal
@@ -149,12 +153,14 @@ class FleetReport(ReportCore):
 
     # -- fleet economics -------------------------------------------------------
     @staticmethod
-    def accounting_window(horizon_ms: float, records, outcomes) -> float:
+    def accounting_window(horizon_ms: float, records: Table, outcomes) -> float:
         """The arrival horizon extended to the last resolution — a
         completion or a terminal outcome (overload backlogs keep burning
         GPU-hours, and replicas keep stepping until the last deadline
         fires).  The engine closes every replica's meter here."""
-        ends = [r.completion_ms for r in records] + [o.t_ms for o in outcomes]
+        ends = [o.t_ms for o in outcomes]
+        if len(records):
+            ends.append(float(records["completion_ms"].max()))
         return max(horizon_ms, max(ends, default=0.0))
 
     @property
@@ -174,10 +180,13 @@ class FleetReport(ReportCore):
     def goodput_per_gpu(self) -> float:
         """SLO-attaining requests per second per provisioned GPU — the
         metric an autoscaler earns its keep on."""
+        return self._per_gpu(self.goodput_rps)
+
+    def _per_gpu(self, goodput_rps: float) -> float:
         gpus = self.mean_active_gpus
         if gpus <= 0:
             return 0.0
-        return self.goodput_rps / gpus
+        return goodput_rps / gpus
 
     @property
     def mean_utilization(self) -> float:
@@ -236,7 +245,7 @@ class FleetReport(ReportCore):
     # -- export ---------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
         """Flat metric dict; empty-fleet percentiles are ``None``."""
-        ttft, tpot, e2e = self._latency()
+        ttft, tpot, e2e, attainment, goodput = self._latency()
         return {
             "system": self.system,
             "scenario": self.scenario_label,
@@ -252,9 +261,9 @@ class FleetReport(ReportCore):
             "tpot_p99_ms": tpot["p99"],
             "e2e_p50_ms": e2e["p50"],
             "e2e_p99_ms": e2e["p99"],
-            "slo_attainment": self.slo_attainment,
-            "goodput_rps": self.goodput_rps,
-            "goodput_per_gpu": self.goodput_per_gpu,
+            "slo_attainment": attainment,
+            "goodput_rps": goodput,
+            "goodput_per_gpu": self._per_gpu(goodput),
             "output_tokens_per_s": self.output_tokens_per_s,
             "mean_utilization": self.mean_utilization,
             "mean_active_gpus": self.mean_active_gpus,

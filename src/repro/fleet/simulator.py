@@ -11,7 +11,7 @@ through the ordinary
 means the PR 3 fast serving loop (and its timing caches) is reused
 verbatim, and a 1-replica round-robin fleet is *bit-identical* to the
 bare serving engine (the equivalence tests enforce ``==`` on the record
-tuples).
+tables).
 
 **Co-simulated** — state-dependent routers (least-queue,
 power-of-two-choices), autoscaling, failure injection, and
@@ -94,7 +94,7 @@ from repro.fleet.router import Router, make_router
 from repro.fleet.spec import FleetScenario, ReplicaSpec
 from repro.perf import CONFIG as PERF_CONFIG
 from repro.serve.engine_adapter import StepCostModel
-from repro.serve.metrics import RequestRecord, TimelinePoint
+from repro.serve.metrics import RequestRecord, Table, TimelinePoint
 from repro.serve.scheduler import (
     POLICY_REGISTRY,
     ContinuousBatchingScheduler,
@@ -192,9 +192,10 @@ class FleetEngine:
     cost_models: list[StepCostModel]
     trace: tuple[Request, ...]
 
-    _records: list[RequestRecord] = field(default_factory=list, init=False)
+    # RequestRecord and DispatchRecord row tuples, tabled once per run.
+    _records: list[tuple] = field(default_factory=list, init=False)
     _events: list[FleetEvent] = field(default_factory=list, init=False)
-    _dispatches: list[DispatchRecord] = field(default_factory=list, init=False)
+    _dispatches: list[tuple] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self._expanded = self.scenario.expand_replicas()
@@ -245,23 +246,23 @@ class FleetEngine:
     def _report(
         self,
         system_name: str,
+        records: Table,
         stats: tuple[ReplicaStats, ...],
-        timelines: tuple[tuple[TimelinePoint, ...], ...] = (),
+        timelines: tuple[Table, ...],
     ) -> FleetReport:
-        self._records.sort(key=lambda r: r.rid)
         return FleetReport(
             system=system_name,
             scenario_label=self.scenario.label,
             router=self.scenario.router,
             num_replicas=len(self._expanded),
-            records=tuple(self._records),
+            records=records,
             replica_stats=stats,
             events=tuple(self._events),
             slo_ttft_ms=self.scenario.slo_ttft_ms,
             slo_tpot_ms=self.scenario.slo_tpot_ms,
             horizon_ms=self.scenario.trace.horizon_ms,
             offered=len(self.trace),
-            dispatches=tuple(self._dispatches),
+            dispatches=Table.from_tuples(DispatchRecord, self._dispatches),
             replica_timelines=timelines,
             outcomes=tuple(sorted(self._outcomes, key=lambda o: o.rid)),
             resilience_label=(
@@ -305,12 +306,12 @@ class FleetEngine:
             pick = router.choose(request, views, request.arrival_ms)
             assigned[pick.index].append(request)
             self._dispatches.append(
-                DispatchRecord(request.rid, request.arrival_ms, pick.index)
+                (request.rid, request.arrival_ms, pick.index, "entry")
             )
 
         per_replica: list[tuple[int, float]] = []  # (steps, busy_ms)
-        counts: list[int] = []
-        timelines: list[tuple[TimelinePoint, ...]] = []
+        tables: list[Table] = []
+        timelines: list[Table] = []
         for index, spec in enumerate(self._expanded):
             scheduler = ContinuousBatchingScheduler(
                 cost_model=self.cost_models[index],
@@ -321,19 +322,19 @@ class FleetEngine:
                 slo_ttft_ms=self.scenario.slo_ttft_ms,
             )
             records, timeline = scheduler.run()
-            self._records.extend(records)
+            tables.append(records)
             per_replica.append((len(timeline), scheduler.busy_ms))
-            counts.append(len(records))
-            timelines.append(tuple(timeline))
+            timelines.append(timeline)
 
+        records = Table.concat(tables).sorted_by("rid")
         window = FleetReport.accounting_window(
-            self.scenario.trace.horizon_ms, self._records, self._outcomes
+            self.scenario.trace.horizon_ms, records, self._outcomes
         )
         stats = tuple(
             ReplicaStats(
                 replica=index,
                 role="unified",
-                requests=counts[index],
+                requests=len(tables[index]),
                 steps=steps,
                 busy_ms=busy,
                 active_ms=window,
@@ -343,7 +344,7 @@ class FleetEngine:
                 zip(self._expanded, per_replica)
             )
         )
-        return self._report(system_name, stats, tuple(timelines))
+        return self._report(system_name, records, stats, tuple(timelines))
 
     # -- co-simulation --------------------------------------------------------
     def _run_cosim(self, system_name: str) -> FleetReport:
@@ -408,8 +409,9 @@ class FleetEngine:
         ) and env.peek() != float("inf"):
             env.step()
 
+        records = Table.from_tuples(RequestRecord, self._records).sorted_by("rid")
         window = FleetReport.accounting_window(
-            scenario.trace.horizon_ms, self._records, self._outcomes
+            scenario.trace.horizon_ms, records, self._outcomes
         )
         for rep in self._replicas:
             rep.close_window(window)
@@ -425,9 +427,10 @@ class FleetEngine:
             )
             for rep in self._replicas
         )
-        return self._report(
-            system_name, stats, tuple(tuple(r.timeline) for r in self._replicas)
+        timelines = tuple(
+            Table.from_tuples(TimelinePoint, rep.timeline) for rep in self._replicas
         )
+        return self._report(system_name, records, stats, timelines)
 
     # -- dispatch -------------------------------------------------------------
     def _candidates(self, pool: str, now: float) -> list[_Replica]:
@@ -460,9 +463,7 @@ class FleetEngine:
         """Route one sequence, or park it until a replica is routable."""
         pick = self._route(seq, now, pool)
         if pick is not None:
-            self._dispatches.append(
-                DispatchRecord(seq.request.rid, now, pick.index, pool)
-            )
+            self._dispatches.append((seq.request.rid, now, pick.index, pool))
             pick.enqueue(seq)
             pick.wake()
 
@@ -519,9 +520,7 @@ class FleetEngine:
                     * config.token_bytes
                 )
             for seq in group:
-                self._dispatches.append(
-                    DispatchRecord(seq.request.rid, now, index, pool)
-                )
+                self._dispatches.append((seq.request.rid, now, index, pool))
             delay = self._migration.transfer_ms(nbytes, len(group), mult=mult)
             # Tag each sequence with its attempt number: a front-door retry
             # cancels in-flight copies, so stale deliveries must drop.

@@ -64,6 +64,11 @@ class MetricsRegistry:
         if self.enabled:
             self._histograms.setdefault(name, []).append(value)
 
+    def observe_all(self, name: str, values: Any) -> None:
+        """:meth:`observe` each sample of a numpy column, in order."""
+        if self.enabled and len(values):
+            self._histograms.setdefault(name, []).extend(values.tolist())
+
     def merge(self, other: "MetricsRegistry") -> None:
         """Absorb another registry (counters add, gauges overwrite,
         histogram samples concatenate); no-op when disabled."""
@@ -132,9 +137,9 @@ def collect_serve(registry: MetricsRegistry, results: Any) -> None:
         registry.observe("serve.goodput_rps", report.goodput_rps)
         registry.observe("serve.slo_attainment", report.slo_attainment)
         registry.observe("serve.mean_batch_occupancy", report.mean_batch_occupancy)
-        for record in report.records:
-            registry.observe("serve.ttft_ms", record.ttft_ms)
-            registry.observe("serve.e2e_ms", record.e2e_ms)
+        ttft, _, e2e = report.latencies()
+        registry.observe_all("serve.ttft_ms", ttft)
+        registry.observe_all("serve.e2e_ms", e2e)
 
 
 def collect_fleet(registry: MetricsRegistry, results: Any) -> None:
@@ -155,9 +160,9 @@ def collect_fleet(registry: MetricsRegistry, results: Any) -> None:
         for stat in report.replica_stats:
             registry.observe("fleet.replica_busy_ms", stat.busy_ms)
             registry.observe("fleet.replica_utilization", stat.utilization)
-        for record in report.records:
-            registry.observe("fleet.ttft_ms", record.ttft_ms)
-            registry.observe("fleet.e2e_ms", record.e2e_ms)
+        ttft, _, e2e = report.latencies()
+        registry.observe_all("fleet.ttft_ms", ttft)
+        registry.observe_all("fleet.e2e_ms", e2e)
 
 
 def snapshot_for(results: Any, include_caches: bool = True) -> dict[str, Any]:

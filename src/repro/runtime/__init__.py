@@ -1,7 +1,7 @@
 """Runtime layer: workload definition, single-layer executor, e2e runner."""
 
 from repro.runtime.workload import MoELayerWorkload, WorkloadGeometry, make_workload
-from repro.runtime.executor import run_layer, compare_systems
+from repro.runtime.executor import compare_systems
 from repro.runtime.model_runner import ModelTiming, run_model
 from repro.runtime.profiler import OverlapReport, overlap_report
 from repro.runtime.timing_base import StepTimingMixin
@@ -20,7 +20,6 @@ __all__ = [
     "compare_systems",
     "make_workload",
     "overlap_report",
-    "run_layer",
     "run_model",
     "run_training_step",
 ]

@@ -7,12 +7,7 @@ from typing import Callable, Iterable, Mapping
 from repro.runtime.workload import MoELayerWorkload
 from repro.systems.base import LayerTiming, MoESystem, UnsupportedWorkload
 
-__all__ = ["compare_systems", "run_layer"]
-
-
-def run_layer(system: MoESystem, workload: MoELayerWorkload) -> LayerTiming:
-    """Simulate one MoE layer under ``system``."""
-    return system.time_layer(workload)
+__all__ = ["compare_systems"]
 
 
 def compare_systems(

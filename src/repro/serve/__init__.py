@@ -32,6 +32,7 @@ from repro.serve.metrics import (
     ServeReport,
     ServeResultSet,
     ServeSkip,
+    Table,
     TimelinePoint,
 )
 from repro.serve.scenario import ServeScenario, ServeSpec
@@ -50,6 +51,7 @@ __all__ = [
     "ServeSpec",
     "StepCostModel",
     "TRACE_REGISTRY",
+    "Table",
     "TimelinePoint",
     "TraceSpec",
     "build_trace",

@@ -11,12 +11,20 @@ the same flat-row export conventions as
 ``to_csv``), so serving results drop into the same spreadsheets and
 plotting pipelines.  :class:`ReportCore` holds the latency and SLO
 metrics every serving report shares, the fleet's included.
+
+Records are columns: the simulators append each completion and step
+sample as a plain row tuple and convert them once per run into a
+:class:`Table`, one numpy column per field, which every metric reads
+vectorised.  :class:`RequestRecord` and :class:`TimelinePoint` objects
+are row views, built only when a caller iterates or indexes a table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
+from itertools import starmap
 from typing import Any
 
 import numpy as np
@@ -29,6 +37,7 @@ __all__ = [
     "ServeReport",
     "ServeResultSet",
     "ServeSkip",
+    "Table",
     "TimelinePoint",
     "percentiles",
 ]
@@ -36,7 +45,7 @@ __all__ = [
 PERCENTILES = (50, 95, 99)
 
 
-def percentiles(values: list[float] | tuple[float, ...]) -> dict[str, float]:
+def percentiles(values: Sequence[float] | np.ndarray) -> dict[str, float]:
     """p50/p95/p99 with linear interpolation (NaN on empty input).
 
     The NaN marker is for *interactive* consumers who can render it;
@@ -44,18 +53,16 @@ def percentiles(values: list[float] | tuple[float, ...]) -> dict[str, float]:
     ``count == 0`` case explicitly (``None`` instead of NaN), which both
     the CSV and JSON paths serialise as an empty/null cell.
     """
-    if not values:
+    if not len(values):
         return {f"p{q}": float("nan") for q in PERCENTILES}
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        f"p{q}": float(np.percentile(arr, q, method="linear"))
-        for q in PERCENTILES
-    }
+    arr = np.percentile(np.asarray(values, dtype=np.float64), PERCENTILES, method="linear")
+    return {f"p{q}": float(value) for q, value in zip(PERCENTILES, arr)}
 
 
 @dataclass(frozen=True)
 class RequestRecord:
-    """Lifecycle of one served request (all times simulated ms)."""
+    """Lifecycle of one served request (all times simulated ms): a row
+    view of a :class:`Table`."""
 
     rid: int
     arrival_ms: float
@@ -86,7 +93,8 @@ class RequestRecord:
 
 @dataclass(frozen=True)
 class TimelinePoint:
-    """Scheduler state sampled at the start of one engine iteration."""
+    """Scheduler state sampled at the start of one engine iteration: a
+    row view of a :class:`Table`."""
 
     t_ms: float
     queue_depth: int
@@ -94,29 +102,114 @@ class TimelinePoint:
     running: int
 
 
+_DTYPES = {"int": np.int64, "float": np.float64, "str": object}
+
+
+class Table(Sequence):
+    """Rows of one record kind, held as one numpy structured array.
+
+    ``row`` is the frozen dataclass whose fields name the columns; their
+    annotations pick the dtypes (``int`` int64, ``float`` float64, ``str``
+    object).  ``table["field"]`` is a column.  Iterating or indexing
+    yields ``row`` objects, built on the first read and memoised, so a
+    run that only exports never builds one.  ``==`` compares the row
+    class and every column exactly.
+    """
+
+    __slots__ = ("row", "array", "_rows")
+
+    def __init__(self, row: type, array: np.ndarray):
+        self.row = row
+        self.array = array
+        self._rows: tuple | None = None
+
+    @classmethod
+    def from_tuples(cls, row: type, tuples: Sequence[tuple]) -> "Table":
+        """The table of plain row tuples, in ``row``'s field order."""
+        dtype = np.dtype([(f.name, _DTYPES[f.type]) for f in fields(row)])
+        return cls(row, np.fromiter(tuples, dtype, count=len(tuples)))
+
+    @classmethod
+    def of(cls, row: type, objects: Iterable[Any]) -> "Table":
+        """The table of ``row`` objects (a report built by hand)."""
+        names = [f.name for f in fields(row)]
+        return cls.from_tuples(
+            row, [tuple(getattr(obj, name) for name in names) for obj in objects]
+        )
+
+    @staticmethod
+    def concat(tables: Sequence["Table"]) -> "Table":
+        """The rows of every table in ``tables`` (one or more), in order."""
+        return Table(tables[0].row, np.concatenate([t.array for t in tables]))
+
+    def sorted_by(self, name: str) -> "Table":
+        """The rows in stable order of column ``name``."""
+        return Table(self.row, self.array[np.argsort(self.array[name], kind="stable")])
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(starmap(self.row, self.array.tolist()))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, key: Any) -> Any:
+        if isinstance(key, str):
+            return self.array[key]
+        return self.rows[key]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.row is other.row and bool(np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.row, len(self)))
+
+    def __repr__(self) -> str:
+        return f"Table({self.row.__name__}, {len(self)} rows)"
+
+
 class ReportCore:
     """The latency and SLO core every serving report shares (a mixin
     with no fields).
 
-    The host dataclass provides ``records``, ``slo_ttft_ms``,
-    ``slo_tpot_ms`` and ``horizon_ms`` — the arrival window of the
-    trace, which goodput divides SLO-attaining completions by, so a
-    system that drains an overload backlog long after the trace ended
-    is not credited extra time.
+    The host dataclass provides ``records`` (a :class:`Table` of
+    :class:`RequestRecord` rows), ``slo_ttft_ms``, ``slo_tpot_ms`` and
+    ``horizon_ms`` — the arrival window of the trace, which goodput
+    divides SLO-attaining completions by, so a system that drains an
+    overload backlog long after the trace ended is not credited extra
+    time.  Every metric is one vectorised pass over the columns, with
+    the float64 operations of the :class:`RequestRecord` properties.
     """
 
     # -- latency ------------------------------------------------------------
+    def latencies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-record TTFT, TPOT and E2E columns (ms), in record order."""
+        records = self.records
+        arrival, first = records["arrival_ms"], records["first_token_ms"]
+        completion, output = records["completion_ms"], records["output_tokens"]
+        tpot = np.zeros(len(records))
+        np.divide(completion - first, output - 1, out=tpot, where=output > 1)
+        return first - arrival, tpot, completion - arrival
+
     def ttft_percentiles(self) -> dict[str, float]:
-        return percentiles([r.ttft_ms for r in self.records])
+        return percentiles(self.latencies()[0])
 
     def tpot_percentiles(self) -> dict[str, float]:
-        return percentiles([r.tpot_ms for r in self.records])
+        return percentiles(self.latencies()[1])
 
     def e2e_percentiles(self) -> dict[str, float]:
-        return percentiles([r.e2e_ms for r in self.records])
+        return percentiles(self.latencies()[2])
 
-    def _latency(self) -> tuple[dict[str, Any], ...]:
-        """TTFT, TPOT and E2E percentiles for :meth:`summary`.
+    def _latency(self) -> tuple[Any, ...]:
+        """TTFT, TPOT and E2E percentiles, SLO attainment and goodput for
+        :meth:`summary`, from one pass over the columns.
 
         Explicit ``count == 0`` guard: a report with no completed
         request (an idle replay window, a fleet whose replicas all died)
@@ -127,8 +220,10 @@ class ReportCore:
         """
         if not self.records:
             empty = {f"p{q}": None for q in PERCENTILES}
-            return empty, empty, empty
-        return self.ttft_percentiles(), self.tpot_percentiles(), self.e2e_percentiles()
+            return empty, empty, empty, *self._rates(0)
+        ttft, tpot, e2e = self.latencies()
+        good = self._good(ttft, tpot)
+        return percentiles(ttft), percentiles(tpot), percentiles(e2e), *self._rates(good)
 
     # -- throughput ----------------------------------------------------------
     @property
@@ -140,9 +235,8 @@ class ReportCore:
         """First arrival to last completion."""
         if not self.records:
             return 0.0
-        start = min(r.arrival_ms for r in self.records)
-        end = max(r.completion_ms for r in self.records)
-        return end - start
+        start = float(self.records["arrival_ms"].min())
+        return float(self.records["completion_ms"].max()) - start
 
     @property
     def output_tokens_per_s(self) -> float:
@@ -150,40 +244,46 @@ class ReportCore:
         span = self.makespan_ms
         if span <= 0:
             return 0.0
-        return sum(r.output_tokens for r in self.records) / (span / 1000.0)
+        return int(self.records["output_tokens"].sum()) / (span / 1000.0)
 
     # -- SLO ------------------------------------------------------------------
+    def _good(self, ttft: np.ndarray, tpot: np.ndarray) -> int:
+        good = (ttft <= self.slo_ttft_ms) & (tpot <= self.slo_tpot_ms)
+        return int(np.count_nonzero(good))
+
+    def _rates(self, good: int) -> tuple[float, float]:
+        """:attr:`slo_attainment` and :attr:`goodput_rps` of ``good``
+        SLO-attaining requests."""
+        attainment = good / len(self.records) if self.records else 0.0
+        goodput = good / (self.horizon_ms / 1000.0) if self.horizon_ms > 0 else 0.0
+        return attainment, goodput
+
     @property
     def good_requests(self) -> int:
-        return sum(
-            1
-            for r in self.records
-            if r.meets_slo(self.slo_ttft_ms, self.slo_tpot_ms)
-        )
+        ttft, tpot, _ = self.latencies()
+        return self._good(ttft, tpot)
 
     @property
     def slo_attainment(self) -> float:
         """Fraction of requests meeting both TTFT and TPOT SLOs."""
-        if not self.records:
-            return 0.0
-        return self.good_requests / len(self.records)
+        return self._rates(self.good_requests)[0]
 
     @property
     def goodput_rps(self) -> float:
         """SLO-attaining completions per second of trace time."""
-        if self.horizon_ms <= 0:
-            return 0.0
-        return self.good_requests / (self.horizon_ms / 1000.0)
+        return self._rates(self.good_requests)[1]
 
 
 @dataclass(frozen=True)
 class ServeReport(ReportCore):
-    """Serving outcome of one system on one scenario."""
+    """Serving outcome of one system on one scenario; ``records`` and
+    ``timeline`` are :class:`Table`\\s of :class:`RequestRecord` and
+    :class:`TimelinePoint` rows."""
 
     system: str
     scenario_label: str
-    records: tuple[RequestRecord, ...]
-    timeline: tuple[TimelinePoint, ...]
+    records: Table
+    timeline: Table
     slo_ttft_ms: float
     slo_tpot_ms: float
     horizon_ms: float
@@ -194,25 +294,27 @@ class ServeReport(ReportCore):
     def mean_queue_depth(self) -> float:
         if not self.timeline:
             return 0.0
-        return sum(p.queue_depth for p in self.timeline) / len(self.timeline)
+        return int(self.timeline["queue_depth"].sum()) / len(self.timeline)
 
     @property
     def peak_queue_depth(self) -> int:
-        return max((p.queue_depth for p in self.timeline), default=0)
+        if not self.timeline:
+            return 0
+        return int(self.timeline["queue_depth"].max())
 
     @property
     def mean_batch_occupancy(self) -> float:
         """Mean iteration token fill as a fraction of the token budget."""
         if not self.timeline or self.max_batch_tokens <= 0:
             return 0.0
-        return sum(p.batch_tokens for p in self.timeline) / (
+        return int(self.timeline["batch_tokens"].sum()) / (
             len(self.timeline) * self.max_batch_tokens
         )
 
     # -- export ---------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
         """Flat metric dict; empty-trace percentiles are ``None``."""
-        ttft, tpot, e2e = self._latency()
+        ttft, tpot, e2e, attainment, goodput = self._latency()
         return {
             "system": self.system,
             "scenario": self.scenario_label,
@@ -225,8 +327,8 @@ class ServeReport(ReportCore):
             "tpot_p99_ms": tpot["p99"],
             "e2e_p50_ms": e2e["p50"],
             "e2e_p99_ms": e2e["p99"],
-            "slo_attainment": self.slo_attainment,
-            "goodput_rps": self.goodput_rps,
+            "slo_attainment": attainment,
+            "goodput_rps": goodput,
             "output_tokens_per_s": self.output_tokens_per_s,
             "mean_queue_depth": self.mean_queue_depth,
             "peak_queue_depth": self.peak_queue_depth,

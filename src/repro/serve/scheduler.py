@@ -24,6 +24,10 @@ One replica's queues and step kernel (admit, launch, retire) live in
 replica of the fleet co-simulation (:mod:`repro.fleet.simulator`) are
 thin drivers over it.
 
+Completions and step samples are appended as plain row tuples and
+become :class:`~repro.serve.metrics.Table` columns once, when a run
+returns.
+
 Everything is deterministic: the trace is fixed, the DES event queue
 breaks ties by sequence number, and admission sorts use stable keys with
 the request id as final tiebreaker.
@@ -37,7 +41,7 @@ from typing import Callable, Generator
 from repro.api.registry import Registry
 from repro.perf import CONFIG as PERF_CONFIG
 from repro.serve.engine_adapter import StepCostModel
-from repro.serve.metrics import RequestRecord, TimelinePoint
+from repro.serve.metrics import RequestRecord, Table, TimelinePoint
 from repro.serve.traffic import Request
 from repro.sim.engine import Environment, Event
 
@@ -110,16 +114,12 @@ def slo_aware(seq: _Sequence, now: float, cost: StepCostModel, slo: float) -> fl
     return deadline - now - cost.prefill_ms(seq.request.prompt_tokens)
 
 
-def _record(seq: _Sequence, now: float) -> RequestRecord:
-    """The completion record of ``seq``, retired at ``now``."""
+def _record(seq: _Sequence, now: float) -> tuple:
+    """The :class:`RequestRecord` row of ``seq``, retired at ``now``."""
     request = seq.request
-    return RequestRecord(
-        rid=request.rid,
-        arrival_ms=request.arrival_ms,
-        first_token_ms=seq.first_token_ms,
-        completion_ms=now,
-        prompt_tokens=request.prompt_tokens,
-        output_tokens=request.output_tokens,
+    return (
+        request.rid, request.arrival_ms, seq.first_token_ms, now,
+        request.prompt_tokens, request.output_tokens,
     )
 
 
@@ -129,9 +129,10 @@ class ReplicaCore:
     ``waiting`` carries ``waiting_tokens``, the running total of its
     admission cost; ``resident`` is the insertion-ordered set of
     sequences that closed a step here; ``admitted`` is the launched
-    step's batch.  A ``"prefill"`` role hands every admission back at
-    the prefill boundary; a ``"decode"`` role admits resuming decodes
-    at one budget token each (their KV is resident).
+    step's batch; ``timeline`` holds one :class:`TimelinePoint` row
+    tuple per launched step.  A ``"prefill"`` role hands every admission
+    back at the prefill boundary; a ``"decode"`` role admits resuming
+    decodes at one budget token each (their KV is resident).
 
     Retirement: a sequence admitted at step ``k`` with generated count
     ``g`` after that step retires when step ``k + output_tokens - g``
@@ -164,7 +165,7 @@ class ReplicaCore:
         self.resident: dict[_Sequence, None] = {}
         self.admitted: list[_Sequence] = []
         self.steps = 0
-        self.timeline: list[TimelinePoint] = []
+        self.timeline: list[tuple] = []
         self._completes: dict[int, list[tuple[_Sequence, int]]] | None = (
             {} if keyed else None
         )
@@ -267,17 +268,11 @@ class ReplicaCore:
                 key = step + left if left > 0 else step
                 completes.setdefault(key, []).append((seq, seq.attempt))
         self.admitted = admitted
-        self.timeline.append(TimelinePoint(
-            t_ms=now, queue_depth=len(self.waiting),
-            batch_tokens=prefill_tokens + decode_tokens, running=resident + len(admitted),
+        self.timeline.append((
+            now, len(self.waiting), prefill_tokens + decode_tokens,
+            resident + len(admitted),
         ))
-        # StepCostModel.step_ms_at lets a TimeVaryingStepCost follow a
-        # fault plan's degradation windows; duck-typed stand-ins that only
-        # implement step_ms get the time-invariant price.
-        step_at = getattr(self.cost_model, "step_ms_at", None)
-        if step_at is not None:
-            return step_at(now, prefill_tokens, decode_tokens)
-        return self.cost_model.step_ms(prefill_tokens, decode_tokens)
+        return self.cost_model.step_ms_at(now, prefill_tokens, decode_tokens)
 
     def close(self, now: float) -> tuple[list[_Sequence], list[_Sequence]]:
         """Close the launched step at ``now``; returns ``(admitted,
@@ -351,8 +346,9 @@ class ContinuousBatchingScheduler:
     policy: str = "fcfs"
     slo_ttft_ms: float = 2000.0
 
-    records: list[RequestRecord] = field(default_factory=list, init=False)
-    timeline: list[TimelinePoint] = field(default_factory=list, init=False)
+    #: RequestRecord and TimelinePoint row tuples of the current run.
+    records: list[tuple] = field(default_factory=list, init=False)
+    timeline: list[tuple] = field(default_factory=list, init=False)
     #: Simulated time spent inside engine steps (the fleet's utilization
     #: numerator); both loops sum the same step_ms sequence.
     busy_ms: float = field(default=0.0, init=False)
@@ -497,8 +493,9 @@ class ContinuousBatchingScheduler:
         engine = env.process(self._engine(env))
         env.run(until=engine)
 
-    def run(self) -> tuple[tuple[RequestRecord, ...], tuple[TimelinePoint, ...]]:
-        """Simulate the full trace to completion; returns (records, timeline).
+    def run(self) -> tuple[Table, Table]:
+        """Simulate the full trace to completion; returns the
+        :class:`RequestRecord` and :class:`TimelinePoint` tables.
 
         Every request is served (the scheduler never drops), so the run
         terminates once the backlog drains.  Records are sorted by
@@ -520,5 +517,5 @@ class ContinuousBatchingScheduler:
             self._run_fast()
         else:
             self._run_des()
-        self.records.sort(key=lambda r: r.rid)
-        return tuple(self.records), tuple(self.timeline)
+        records = Table.from_tuples(RequestRecord, self.records).sorted_by("rid")
+        return records, Table.from_tuples(TimelinePoint, self.timeline)

@@ -1,5 +1,6 @@
 """MetricsRegistry, snapshot_for dispatch, and RunManifest determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,37 @@ class TestSnapshotFor:
     def test_rejects_unknown_container(self):
         with pytest.raises(TypeError):
             snapshot_for(42)
+
+    def test_empty_run_has_no_latency_histograms(self):
+        results = ServeSpec.grid(
+            traces=TraceSpec(kind="replay", arrivals_ms=()), systems="comet"
+        ).run()
+        histograms = snapshot_for(results, include_caches=False)["histograms"]
+        assert "serve.ttft_ms" not in histograms and "serve.e2e_ms" not in histograms
+
+    # sha256 of the sorted-key JSON snapshot without cache counters: the
+    # TTFT/E2E histograms walk every record, which no CLI pin covers.
+    SNAPSHOT_PINS = {
+        "serve": "a6ad8f345ba180eb4ca7048057ce45473e2860d83984b3e0db13e983b3a0d584",
+        "fleet": "96b6e5e0cd8afd3f8d28524d8b5735e489aa4c09eb8d2f96cd9fb8563015761e",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SNAPSHOT_PINS))
+    def test_snapshot_is_byte_identical(self, kind):
+        if kind == "serve":
+            spec = ServeSpec.grid(
+                traces=TraceSpec(kind="poisson", rps=20, duration_s=3, seed=0),
+                systems=("comet", "tutel"),
+            )
+        else:
+            spec = FleetSpec.grid(
+                replicas=3,
+                routers="power_of_two",
+                traces=TraceSpec(kind="poisson", rps=60, duration_s=2, seed=5),
+                systems="comet",
+            )
+        text = json.dumps(snapshot_for(spec.run(), include_caches=False), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SNAPSHOT_PINS[kind]
 
 
 class TestFingerprint:

@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.hw.presets import h800_node
 from repro.moe.config import MIXTRAL_8X7B
 from repro.parallel.strategy import ParallelStrategy
-from repro.serve.metrics import RequestRecord, ServeReport
+from repro.serve.metrics import RequestRecord, ServeReport, Table, TimelinePoint
 
 SMALL_TRACE = TraceSpec(kind="poisson", rps=20, duration_s=3, seed=0)
 
@@ -104,8 +104,8 @@ class TestServeReportMetrics:
         return ServeReport(
             system="Test",
             scenario_label="test",
-            records=tuple(records),
-            timeline=(),
+            records=Table.of(RequestRecord, records),
+            timeline=Table.of(TimelinePoint, ()),
             slo_ttft_ms=slo_ttft,
             slo_tpot_ms=slo_tpot,
             horizon_ms=horizon,

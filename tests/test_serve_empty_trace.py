@@ -21,6 +21,8 @@ from repro.serve.metrics import (
     RequestRecord,
     ServeReport,
     ServeResultSet,
+    Table,
+    TimelinePoint,
     percentiles,
 )
 
@@ -120,8 +122,9 @@ class TestNanNeverReachesRows:
             completion_ms=10.0, prompt_tokens=8, output_tokens=1,
         )
         report = ServeReport(
-            system="X", scenario_label="synthetic", records=(record,),
-            timeline=(), slo_ttft_ms=500.0, slo_tpot_ms=75.0,
+            system="X", scenario_label="synthetic",
+            records=Table.of(RequestRecord, (record,)),
+            timeline=Table.of(TimelinePoint, ()), slo_ttft_ms=500.0, slo_tpot_ms=75.0,
             horizon_ms=1000.0, max_batch_tokens=1024,
         )
         results = ServeResultSet(reports=(report,))

@@ -26,6 +26,9 @@ class LinearCostModel:
     def step_ms(self, prefill_tokens, decode_tokens):
         return self.base_ms + self.per_token_ms * (prefill_tokens + decode_tokens)
 
+    def step_ms_at(self, now, prefill_tokens, decode_tokens):
+        return self.step_ms(prefill_tokens, decode_tokens)
+
     def prefill_ms(self, prompt_tokens):
         return self.step_ms(prompt_tokens, 0)
 

@@ -17,7 +17,8 @@ Three scenarios, each doubling as an acceptance check:
   byte-identical exports to the bare serving engine (the fleet layer's
   zero-overhead contract), and it must reuse the shared step-cost cache.
 
-Run directly (CI smoke step) to emit ``BENCH_fleet.json``::
+Run directly (CI smoke step); ``--out`` writes the record (the committed
+one is ``BENCH_fleet.json``)::
 
     python benchmarks/bench_fleet.py [--quick] [--out PATH]
 
@@ -226,11 +227,16 @@ def main() -> int:
         "--quick", action="store_true",
         help="smaller traces for CI smoke runs (acceptance still enforced)",
     )
-    parser.add_argument("--out", default="BENCH_fleet.json", metavar="PATH")
+    parser.add_argument(
+        "--out", metavar="PATH",
+        help="write the JSON record here (the committed baseline is BENCH_fleet.json); "
+        "without it nothing is written",
+    )
     args = parser.parse_args()
     payload = run_benchmark(quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
     routing = payload["routing"]["routers"]
     print(
         f"routing: rr p99 {routing['round_robin']['ttft_p99_ms']:.1f}ms vs "
@@ -254,7 +260,8 @@ def main() -> int:
     failures = _check(payload)
     for failure in failures:
         print(f"FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 1 if failures else 0
 
 

@@ -20,7 +20,8 @@ equivalence contract while doing so:
   cross-run :data:`repro.perf.TIMING_CACHE` at work.  ResultSets must
   match byte for byte.
 
-Run directly (CI smoke step) to emit ``BENCH_sim_speed.json``::
+Run directly (CI smoke step); ``--out`` writes the record (the committed
+one is ``BENCH_sim_speed.json``)::
 
     python benchmarks/bench_sim_speed.py [--quick] [--out PATH]
 
@@ -229,11 +230,16 @@ def main() -> int:
         "--quick", action="store_true",
         help="smaller trace/grid for CI smoke runs (equivalence still enforced)",
     )
-    parser.add_argument("--out", default="BENCH_sim_speed.json", metavar="PATH")
+    parser.add_argument(
+        "--out", metavar="PATH",
+        help="write the JSON record here (the committed baseline is BENCH_sim_speed.json); "
+        "without it nothing is written",
+    )
     args = parser.parse_args()
     payload = run_benchmark(quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
     serve, grid = payload["serve"], payload["grid"]
     print(
         f"serve: {serve['wall_s_slow']:.3f}s -> {serve['wall_s_fast']:.3f}s "
@@ -249,7 +255,8 @@ def main() -> int:
     failures = _check(payload)
     for failure in failures:
         print(f"FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 1 if failures else 0
 
 

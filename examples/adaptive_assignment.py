@@ -21,6 +21,7 @@ from repro.kernels.assignment import (
     profile_division_points,
     select_division_point,
 )
+from repro.kernels.fused import simulate_layer1_fused
 from repro.tensor import build_layer1_schedule
 
 
@@ -36,7 +37,11 @@ def sweep_curve(workload, comet: Comet):
     k = config.ffn_size // workload.strategy.tp_size
 
     def simulate(nc: int) -> float:
-        return comet._run_layer1_kernel(workload, schedule, comm, k, nc).duration_us
+        return simulate_layer1_fused(
+            workload.cluster.gpu, workload.cluster.link, schedule, comm,
+            k=k, cols=config.hidden_size, nc=nc, dtype_bytes=config.dtype_bytes,
+            compute_scale=comet.gemm_scale,
+        ).duration_us
 
     return profile_division_points(
         simulate, default_variants(workload.cluster.gpu.num_sms, step=8)

@@ -232,9 +232,15 @@ against the slow path it replaces (the oracle table enforces it, and
   heapq loop collapses to a scan of the one server that finishes last
   (:func:`repro.kernels.fused.layer0_makespan_analytic`); the heapq
   version stays as the cross-checked reference.
-* **Rank deduplication** — COMET fingerprints each rank's schedule
-  inputs and simulates every *distinct* schedule once (TP peers share
-  layer0 schedules; symmetric routings collapse further).
+* **Batched ranks and rank deduplication** — COMET prices all of a
+  layer's ranks in one call per fused kernel, one row per *distinct*
+  rank (TP peers share layer0 schedules; symmetric routings collapse
+  further), and a division-point sweep prices every variant the same
+  way, one row per ``nc``.
+* **Balanced routing from uniform draws** — a balanced plan takes each
+  token's top-k experts from the uniform draws under its Gumbel noise
+  (:mod:`repro.moe.routing`): the same plan and generator state for
+  less work.
 * **Fingerprints and caches** — ``MoESystem.fingerprint()`` +
   ``MoELayerWorkload.fingerprint()`` key the bounded, instrumented
   :data:`repro.perf.TIMING_CACHE`; workloads are shared process-wide

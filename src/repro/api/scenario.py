@@ -168,8 +168,16 @@ def expand(
     (``lambda cluster: ...``); the function is called once per
     combination of those outer values and its result serves every
     point inside them.
+
+    An empty sequence raises ``ValueError`` naming its axis: it would
+    expand to no point at all.  A function may return no values for
+    some outer points, which then drop out of the grid (a TP x EP split
+    that misses one cluster's world size).
     """
     axes = tuple(axes)
+    for name, values in axes:
+        if not callable(values) and not len(values):
+            raise ValueError(f"grid axis {name!r} has no values")
     depends = [
         tuple(inspect.signature(values).parameters) if callable(values) else None
         for _, values in axes

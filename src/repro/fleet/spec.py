@@ -538,21 +538,17 @@ class FleetSpec:
         SLOs, TPOT SLOs, batch budgets, overlap policies, faults,
         resilience, migrations (outer to inner).
         """
-        replica_axis = _as_replica_axis(replicas)
-
-        def pools(cluster, strategy, stragglers):
-            return tuple(
-                _expand_replica_entry(entry, cluster, strategy, stragglers)
-                for entry in replica_axis
+        def make(cluster, strategy, stragglers, replicas, **fields):
+            return FleetScenario(
+                replicas=_expand_replica_entry(replicas, cluster, strategy, stragglers),
+                router_seed=router_seed,
+                **fields,
             )
-
-        def make(cluster, strategy, stragglers, **fields):
-            return FleetScenario(router_seed=router_seed, **fields)
 
         axes = (
             *_shape_axes(models, clusters, strategies),
             _straggler_axis(stragglers),
-            ("replicas", pools),
+            ("replicas", _as_replica_axis(replicas)),
             ("trace", _as_axis(traces if traces is not None else TraceSpec())),
             ("policy", _as_axis(policies)),
             ("router", tuple(ROUTER_REGISTRY.resolve(r) for r in _as_axis(routers))),

@@ -18,14 +18,14 @@ cluster, model, split, layer, bucket), as an offline profile is, and
 never of which workload probed a bucket first.
 
 :meth:`repro.systems.comet.Comet.sweep_division_points` prices one
-workload's sweep on its bottleneck rank.  Layer0 times each variant with
-its own fused-kernel simulation, through :func:`profile_division_points`.
-Layer1 prices the whole library in one call of
-:func:`repro.kernels.fused.simulate_layer1_fused_variants`, which
-computes every variant's per-column ready and work times as one array.
+workload's sweep on its bottleneck rank.  Each layer prices the whole
+library in one call of its fused-kernel simulator, one row per variant:
+:func:`repro.kernels.fused.simulate_layer0_fused` with an iterable of
+``nc`` and :func:`repro.kernels.fused.simulate_layer1_fused_variants`.
 Both keep the fastest variant, lowest ``nc`` on ties, through
 :meth:`SweepResult.from_durations`, and both leave out a variant the
-kernel cannot launch.
+kernel cannot launch, as :func:`profile_division_points` does when it
+times one variant at a time.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ does.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,18 +211,18 @@ def layer0_makespan_analytic(
 def simulate_layer0_fused(
     gpu: GpuSpec,
     link: LinkSpec,
-    schedule: Layer0Schedule,
+    schedule: Layer0Schedule | Sequence[Layer0Schedule],
     token_bytes: int,
     k: int,
     cols: int,
-    nc: int,
+    nc: int | Iterable[int],
     tile: TileShape = DEFAULT_TILE,
     dtype_bytes: int = 2,
     tracer: Tracer | None = None,
     lane: str = "rank",
     compute_scale: float = 1.0,
     arrival_fn=None,
-) -> FusedKernelResult:
+) -> FusedKernelResult | dict[int, FusedKernelResult] | list[FusedKernelResult]:
     """Simulate the layer0 fused kernel (dispatch + GroupGEMM) on one rank.
 
     Args:
@@ -235,77 +236,133 @@ def simulate_layer0_fused(
             time — used by the fabric-contention mode
             (:mod:`repro.kernels.fabric`) to account for shared source
             egress; the default models this rank's ingress independently.
+
+    Returns one :class:`FusedKernelResult`, for one schedule and one
+    ``nc``.  Two batched forms price many kernels in one call:
+
+    * one schedule and an iterable of ``nc`` — the division-point
+      sweep — returns ``{nc: result}`` for each ``nc`` the kernel can
+      launch with, like :func:`simulate_layer1_fused_variants`;
+    * a sequence of schedules (a row axis: one rank per row) returns one
+      result per row.  ``nc`` and ``arrival_fn`` are then either one
+      value for every row or a sequence with one per row, and a row the
+      kernel cannot launch raises ``ValueError``.
+
+    Every row goes through the IEEE operations, in the order, of a kernel
+    priced alone; ``tracer`` records every priced kernel.
     """
-    needs_comm = schedule.num_remote > 0
-    np_blocks = _split_blocks(gpu, nc, needs_comm)
+    if isinstance(schedule, Layer0Schedule):
+        if isinstance(nc, numbers.Integral):
+            return _layer0_rows(
+                gpu, link, [(schedule, nc, arrival_fn)], token_bytes, k, cols,
+                tile, dtype_bytes, compute_scale, tracer, lane,
+            )[0]
+        needs_comm = schedule.num_remote > 0
+        ncs = [n for n in dict.fromkeys(nc) if _division_error(gpu, n, needs_comm) is None]
+        results = _layer0_rows(
+            gpu, link, [(schedule, n, arrival_fn) for n in ncs], token_bytes, k,
+            cols, tile, dtype_bytes, compute_scale, tracer, lane,
+        )
+        return dict(zip(ncs, results))
+    schedules = list(schedule)
+    ncs = [nc] * len(schedules) if isinstance(nc, numbers.Integral) else list(nc)
+    fns = [arrival_fn] * len(schedules) if arrival_fn is None or callable(arrival_fn) else list(arrival_fn)
+    if not len(ncs) == len(fns) == len(schedules):
+        raise ValueError("nc and arrival_fn need one value per schedule")
+    return _layer0_rows(
+        gpu, link, list(zip(schedules, ncs, fns)), token_bytes, k, cols, tile,
+        dtype_bytes, compute_scale, tracer, lane,
+    )
+
+
+def _layer0_rows(
+    gpu, link, rows, token_bytes, k, cols, tile, dtype_bytes, compute_scale, tracer, lane
+) -> list[FusedKernelResult]:
+    """One layer0 fused kernel per ``(schedule, nc, arrival_fn)`` row.
+
+    The scalars of each row are computed as for one kernel; the ready
+    times of every row's blocks are one array, sorted row by row with
+    one ``lexsort``, and each row's makespan scans its own slice.
+    """
+    if not rows:
+        return []
     per_tile = compute_scale * tile_time_us(gpu, k, tile, dtype_bytes)
     col_tiles = num_tiles_1d(cols, tile.tn)
-    total_tiles = schedule.num_rowblocks * col_tiles
-
-    # Remote tokens arrive in fetch order at the aggregate comm rate.
-    if needs_comm:
-        rate = _comm_rate(link, nc, token_bytes)
-        arrival_step = 1.0 / (rate / token_bytes)  # µs per token
-        if arrival_fn is None:
-            comm_standalone = link.latency_us + schedule.num_remote * arrival_step
+    np_blocks, steps, comm_standalone = [], [], []
+    for schedule, nc, arrival_fn in rows:
+        needs_comm = schedule.num_remote > 0
+        np_blocks.append(_split_blocks(gpu, nc, needs_comm))
+        # Remote tokens arrive in fetch order at the aggregate comm rate.
+        if needs_comm:
+            rate = _comm_rate(link, nc, token_bytes)
+            arrival_step = 1.0 / (rate / token_bytes)  # µs per token
+            if arrival_fn is None:
+                comm = link.latency_us + schedule.num_remote * arrival_step
+            else:
+                comm = float(arrival_fn(schedule.num_remote - 1))
         else:
-            comm_standalone = float(arrival_fn(schedule.num_remote - 1))
-    else:
-        arrival_step = 0.0
-        comm_standalone = 0.0
+            arrival_step = 0.0
+            comm = 0.0
+        steps.append(arrival_step)
+        comm_standalone.append(comm)
 
-    if arrival_fn is None:
-        last = schedule.rowblock_last_fetch
-        ready = np.where(
-            last < 0, 0.0, link.latency_us + (last + 1) * arrival_step
-        ).astype(np.float64, copy=False)
-    else:
-
-        def ready_time(last_fetch: int) -> float:
-            if last_fetch < 0:
-                return 0.0
-            return float(arrival_fn(last_fetch))
-
-        ready = np.array(
-            [ready_time(int(f)) for f in schedule.rowblock_last_fetch],
-            dtype=np.float64,
-        )
-    order = np.argsort(ready, kind="stable")
+    blocks = [schedule.num_rowblocks for schedule, _, _ in rows]
+    bounds = np.cumsum([0] + blocks).tolist()
+    last = np.concatenate([schedule.rowblock_last_fetch for schedule, _, _ in rows])
+    ready = np.where(
+        last < 0, 0.0, link.latency_us + (last + 1) * np.repeat(steps, blocks)
+    ).astype(np.float64, copy=False)
+    for (schedule, _, arrival_fn), start in zip(rows, bounds):
+        if arrival_fn is not None:
+            ready[start : start + schedule.num_rowblocks] = [
+                0.0 if fetch < 0 else float(arrival_fn(fetch))
+                for fetch in schedule.rowblock_last_fetch.tolist()
+            ]
 
     # List scheduling: np identical servers, uniform tile time, tiles of a
     # row-block all ready at the block's ready time.  The analytic scan is
     # the default; the heapq loop is kept as the reference
     # (and carries the tracer, which needs per-block completion times).
-    if tracer is None and PERF_CONFIG.analytic_layer0:
-        makespan = layer0_makespan_analytic(
-            ready[order], col_tiles, np_blocks, per_tile
+    analytic = tracer is None and PERF_CONFIG.analytic_layer0
+    if analytic:
+        ready_sorted = ready[np.lexsort((ready, np.repeat(np.arange(len(rows)), blocks)))]
+    results = []
+    for i, (schedule, nc, _) in enumerate(rows):
+        start, end = bounds[i], bounds[i + 1]
+        if analytic:
+            makespan = layer0_makespan_analytic(
+                ready_sorted[start:end], col_tiles, np_blocks[i], per_tile
+            )
+        else:
+            row_ready = ready[start:end]
+            makespan = layer0_makespan_reference(
+                row_ready, np.argsort(row_ready, kind="stable"), col_tiles,
+                np_blocks[i], per_tile, schedule=schedule, tracer=tracer, lane=lane,
+            )
+        total_tiles = schedule.num_rowblocks * col_tiles
+        comp_standalone = KERNEL_RAMP_US + (-(-total_tiles // np_blocks[i])) * per_tile
+        duration = max(makespan, comm_standalone[i])
+        if tracer is not None and schedule.num_remote > 0:
+            tracer.record(
+                "token fetch",
+                "comm",
+                f"{lane}/comm",
+                0.0,
+                comm_standalone[i],
+                tokens=schedule.num_remote,
+            )
+        results.append(
+            FusedKernelResult(
+                duration_us=float(duration),
+                nc=nc,
+                np_blocks=np_blocks[i],
+                comm_standalone_us=float(comm_standalone[i]),
+                comp_standalone_us=float(comp_standalone),
+                comm_busy_us=float(comm_standalone[i]),
+                tiles=total_tiles,
+            )
         )
-    else:
-        makespan = layer0_makespan_reference(
-            ready, order, col_tiles, np_blocks, per_tile,
-            schedule=schedule, tracer=tracer, lane=lane,
-        )
-
-    comp_standalone = KERNEL_RAMP_US + (-(-total_tiles // np_blocks)) * per_tile
-    duration = max(makespan, comm_standalone)
-    if tracer is not None and needs_comm:
-        tracer.record(
-            "token fetch",
-            "comm",
-            f"{lane}/comm",
-            0.0,
-            comm_standalone,
-            tokens=schedule.num_remote,
-        )
-    return FusedKernelResult(
-        duration_us=float(duration),
-        nc=nc,
-        np_blocks=np_blocks,
-        comm_standalone_us=float(comm_standalone),
-        comp_standalone_us=float(comp_standalone),
-        comm_busy_us=float(comm_standalone),
-        tiles=total_tiles,
-    )
+    return results
 
 
 @dataclass(frozen=True)
@@ -359,9 +416,8 @@ def simulate_layer1_fused(
 ) -> FusedKernelResult:
     """Simulate the layer1 fused kernel (GroupGEMM + top-k reduce + combine).
 
-    The one-division-point case of :func:`simulate_layer1_fused_variants`,
-    except that an ``nc`` the kernel cannot launch with raises
-    ``ValueError``.
+    The one-row case of :func:`simulate_layer1_fused_variants`: an ``nc``
+    the kernel cannot launch with raises ``ValueError``.
 
     Args:
         schedule: tile iteration order from
@@ -371,19 +427,18 @@ def simulate_layer1_fused(
         cols: GEMM output width (N).
         nc: communication thread blocks.
     """
-    _split_blocks(gpu, nc, comm.remote_bulk_rows + comm.remote_fine_rows > 0)
     return simulate_layer1_fused_variants(
-        gpu, link, schedule, comm, k, cols, (nc,), tile=tile,
+        gpu, link, [schedule], [comm], k, cols, [nc], tile=tile,
         dtype_bytes=dtype_bytes, compute_scale=compute_scale,
         tracer=tracer, lane=lane,
-    )[nc]
+    )[0]
 
 
 def simulate_layer1_fused_variants(
     gpu: GpuSpec,
     link: LinkSpec,
-    schedule: Layer1Schedule,
-    comm: Layer1CommWork,
+    schedule: Layer1Schedule | Sequence[Layer1Schedule],
+    comm: Layer1CommWork | Sequence[Layer1CommWork],
     k: int,
     cols: int,
     ncs: Iterable[int],
@@ -392,37 +447,69 @@ def simulate_layer1_fused_variants(
     compute_scale: float = 1.0,
     tracer: Tracer | None = None,
     lane: str = "rank",
-) -> dict[int, FusedKernelResult]:
+) -> dict[int, FusedKernelResult] | list[FusedKernelResult]:
     """The layer1 fused kernel at every division point of ``ncs`` at once.
 
     Returns ``{nc: result}`` for each ``nc`` the kernel can launch with;
-    the others are left out, like a variant that fails to launch.  The
-    per-column ready and work times of all division points are computed
-    as one ``(len(ncs), col_tiles)`` array; then each division point
-    drains its columns in production order.  Every element goes through
-    the same IEEE operations, in the same order, as a kernel priced
-    alone.  ``tracer`` records every priced kernel: pass one ``nc`` to
-    trace one.
-    """
-    needs_comm = comm.remote_bulk_rows + comm.remote_fine_rows > 0
-    ncs = [nc for nc in ncs if _division_error(gpu, nc, needs_comm) is None]
-    per_tile = compute_scale * tile_time_us(gpu, k, tile, dtype_bytes)
-    total_tiles = schedule.total_tiles
-    if total_tiles == 0:
-        return {nc: FusedKernelResult(0.0, nc, gpu.num_sms - nc, 0.0, 0.0, 0.0, 0) for nc in ncs}
+    the others are left out, like a variant that fails to launch.  With a
+    sequence of schedules and one of comms (a row axis: one rank per row),
+    ``ncs`` holds each row's division point instead, and the result is
+    one kernel per row; a row the kernel cannot launch raises
+    ``ValueError``.
 
-    def per_variant(values) -> np.ndarray:
-        return np.array(values, dtype=np.float64)[:, None]
+    The per-column ready and work times of all rows are computed as one
+    ``(rows, col_tiles)`` array; then each row drains its columns in
+    production order.  Every element goes through the same IEEE
+    operations, in the same order, as a kernel priced alone.  ``tracer``
+    records every priced kernel: pass one ``nc`` to trace one.
+    """
+    if isinstance(schedule, Layer1Schedule):
+        needs_comm = comm.remote_bulk_rows + comm.remote_fine_rows > 0
+        ncs = [nc for nc in ncs if _division_error(gpu, nc, needs_comm) is None]
+        results = _layer1_rows(
+            gpu, link, [schedule], [comm], ncs, k, cols, tile, dtype_bytes,
+            compute_scale, tracer, lane,
+        )
+        return dict(zip(ncs, results))
+    schedules, comms, ncs = list(schedule), list(comm), list(ncs)
+    if not len(schedules) == len(comms) == len(ncs):
+        raise ValueError("one comm and one nc per schedule")
+    for row_comm, nc in zip(comms, ncs):
+        _split_blocks(gpu, nc, row_comm.remote_bulk_rows + row_comm.remote_fine_rows > 0)
+    return _layer1_rows(
+        gpu, link, schedules, comms, ncs, k, cols, tile, dtype_bytes,
+        compute_scale, tracer, lane,
+    )
+
+
+def _layer1_rows(
+    gpu, link, schedules, comms, ncs, k, cols, tile, dtype_bytes, compute_scale,
+    tracer, lane,
+) -> list[FusedKernelResult]:
+    """One layer1 fused kernel per launchable ``nc``: row ``i`` prices
+    ``schedules[i]`` and ``comms[i]``, or the only schedule and comm
+    when one is given for every row."""
+    if not ncs:
+        return []
+    rows = len(ncs)
+    per_tile = compute_scale * tile_time_us(gpu, k, tile, dtype_bytes)
+    col_tiles = schedules[0].col_tiles
+
+    def per_row(values) -> np.ndarray:
+        return np.array(values)[:, None]
+
+    def priced(values: list, i: int):
+        return values[i if len(values) > 1 else 0]
 
     # Column j is complete once its last tile in the stream is; column
     # ordinals strictly increase, so the last column ends the GEMM.
-    ordinals = schedule.column_completion_ordinals()
-    compute_blocks = np.array([gpu.num_sms - nc for nc in ncs], dtype=np.int64)
-    col_ready = KERNEL_RAMP_US + np.ceil(ordinals / compute_blocks[:, None]) * per_tile
+    ordinals = np.array([schedule.column_completion_ordinals() for schedule in schedules])
+    compute_blocks = per_row([gpu.num_sms - nc for nc in ncs]).astype(np.int64)
+    col_ready = KERNEL_RAMP_US + np.ceil(ordinals / compute_blocks) * per_tile
 
     # Per-column communication work.  Column width varies only at the tail.
-    col_widths = np.full(schedule.col_tiles, tile.tn, dtype=np.float64)
-    rem = cols - (schedule.col_tiles - 1) * tile.tn
+    col_widths = np.full(col_tiles, tile.tn, dtype=np.float64)
+    rem = cols - (col_tiles - 1) * tile.tn
     if rem > 0:
         col_widths[-1] = rem
     frac = col_widths / float(cols)
@@ -433,26 +520,46 @@ def simulate_layer1_fused_variants(
     # traffic) the reduction falls back onto the compute epilogue
     # (callers should avoid this; modelled as HBM time on all SMs).
     hbm_per_block = _COMM_BLOCK_HBM_SHARE * gpu.hbm_bytes_per_us / gpu.num_sms
-    hbm_rate = per_variant(
+    hbm_rate = per_row(
         [nc * hbm_per_block if nc else gpu.hbm_bytes_per_us for nc in ncs]
-    )
-    col_time = np.zeros((len(ncs), schedule.col_tiles), dtype=np.float64)
+    ).astype(np.float64)
+    col_time = np.zeros((rows, col_tiles), dtype=np.float64)
     # Read every resident pair row + write reduced rows: HBM traffic.
-    col_time += (comm.reduce_rows + comm.local_rows) * comm.row_bytes * frac / hbm_rate
+    col_time += (
+        per_row([(c.reduce_rows + c.local_rows) * c.row_bytes for c in comms]) * frac
+        / hbm_rate
+    )
     # TP-direction traffic: large contiguous reduce-scatter chunks.
-    if comm.remote_bulk_rows:
-        chunk = comm.remote_bulk_rows * comm.row_bytes * frac
-        message = float(np.mean(chunk))
-        col_time += chunk / per_variant([_comm_rate(link, nc, message) for nc in ncs])
+    for i, c in enumerate(comms):
+        if c.remote_bulk_rows:
+            chunk = c.remote_bulk_rows * c.row_bytes * frac
+            message = float(np.mean(chunk))
+            priced_rows = [i] if len(comms) > 1 else list(range(rows))
+            col_time[priced_rows] += chunk / per_row(
+                [_comm_rate(link, ncs[r], message) for r in priced_rows]
+            )
     # EP-direction traffic: token-granular column-block messages.
-    if comm.remote_fine_rows:
+    fine = [r for r in range(rows) if priced(comms, r).remote_fine_rows]
+    if fine:
         message = float(tile.tn * dtype_bytes)
-        fine_rate = per_variant([_comm_rate(link, nc, message) for nc in ncs])
-        col_time += comm.remote_fine_rows * comm.row_bytes * frac / fine_rate
+        col_time[fine] += (
+            per_row([priced(comms, r).remote_fine_rows * priced(comms, r).row_bytes for r in fine])
+            * frac
+            / per_row([_comm_rate(link, ncs[r], message) for r in fine])
+        )
 
-    latency = link.latency_us if needs_comm else 0.0
-    results = {}
-    for nc, ready, work, row in zip(ncs, col_ready.tolist(), col_time.tolist(), col_time):
+    tiles = [schedule.total_tiles for schedule in schedules]
+    results = []
+    for i, (nc, ready, work, row) in enumerate(
+        zip(ncs, col_ready.tolist(), col_time.tolist(), col_time)
+    ):
+        total_tiles = priced(tiles, i)
+        np_blocks = gpu.num_sms - nc
+        if total_tiles == 0:
+            results.append(FusedKernelResult(0.0, nc, np_blocks, 0.0, 0.0, 0.0, 0))
+            continue
+        c = priced(comms, i)
+        latency = link.latency_us if c.remote_bulk_rows + c.remote_fine_rows > 0 else 0.0
         # The comm engine drains columns in production order.
         busy_until = latency
         comm_busy = 0.0
@@ -465,7 +572,6 @@ def simulate_layer1_fused_variants(
                     f"reduce+send col{j}", "comm", f"{lane}/comm", start, busy_until
                 )
         comp_end = ready[-1]
-        np_blocks = gpu.num_sms - nc
         if tracer is not None:
             tracer.record(
                 "group-gemm (column-wise)",
@@ -475,14 +581,16 @@ def simulate_layer1_fused_variants(
                 comp_end,
                 tiles=total_tiles,
             )
-        results[nc] = FusedKernelResult(
-            duration_us=max(comp_end, busy_until),
-            nc=nc,
-            np_blocks=np_blocks,
-            comm_standalone_us=latency + float(row.sum()),
-            comp_standalone_us=KERNEL_RAMP_US + (-(-total_tiles // np_blocks)) * per_tile,
-            comm_busy_us=comm_busy,
-            tiles=total_tiles,
+        results.append(
+            FusedKernelResult(
+                duration_us=max(comp_end, busy_until),
+                nc=nc,
+                np_blocks=np_blocks,
+                comm_standalone_us=latency + float(row.sum()),
+                comp_standalone_us=KERNEL_RAMP_US + (-(-total_tiles // np_blocks)) * per_tile,
+                comm_busy_us=comm_busy,
+                tiles=total_tiles,
+            )
         )
     return results
 

@@ -10,10 +10,22 @@ The generators below produce plans with controlled expert-load imbalance:
 the paper's Figure 14 sweeps the standard deviation of the token fraction
 received by each expert (``std = 0`` means perfectly uniform; their
 production training jobs average ``std = 0.032``).
+
+:func:`routing_from_fractions` samples top-k experts with the Gumbel-top-k
+trick.  A balanced plan (every fraction equal) reaches the same plan from
+the uniform draws under the Gumbel noise instead: numpy's
+``Generator.gumbel`` returns ``0.0 - 1.0 * log(-log(1.0 - u))`` over the
+stream ``Generator.random`` returns, a strictly decreasing function of
+``u``, so a token's top-k experts are its k smallest uniforms, smallest
+first.  The rows where that order could differ from the Gumbel keys' (a
+near-tie among the k+1 smallest uniforms) and the draws where the two
+streams part (a zero, which ``gumbel`` rejects and redraws) go the Gumbel
+way, so every plan and every later draw is the one the Gumbel path makes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,6 +183,8 @@ def imbalanced_fractions(
     """
     if num_experts <= 0:
         raise ValueError(f"num_experts must be positive, got {num_experts}")
+    if not math.isfinite(std):
+        raise ValueError(f"std must be finite, got {std}")
     if std < 0:
         raise ValueError(f"std must be non-negative, got {std}")
     if std == 0:
@@ -217,6 +231,13 @@ def imbalanced_fractions(
     return fractions
 
 
+#: Uniform draws closer than this may give equal Gumbel keys (the keys are
+#: rounded), whose order only the Gumbel path's own partition defines.
+#: The keys' slope is at least ``e`` in magnitude and their rounding error
+#: below 1e-14, so a wider gap always orders them as the uniforms.
+TIE_GAP = 1e-12
+
+
 def routing_from_fractions(
     num_tokens: int,
     topk: int,
@@ -228,23 +249,27 @@ def routing_from_fractions(
     Each token draws ``topk`` *distinct* experts via the Gumbel-top-k
     trick, which yields marginal selection frequencies proportional to the
     requested popularity while never assigning a token to the same expert
-    twice (the structural invariant of top-k gating).
+    twice (the structural invariant of top-k gating).  Balanced fractions
+    take the experts from the uniform draws under the Gumbel noise (see
+    the module docstring): the same plan and the same generator state
+    afterwards, for less work.
     """
     fractions = np.asarray(fractions, dtype=np.float64)
     num_experts = fractions.shape[0]
     if not 1 <= topk <= num_experts:
         raise ValueError(f"topk must lie in [1, {num_experts}], got {topk}")
+    if not np.isfinite(fractions).all():
+        raise ValueError(f"fractions must be finite, got {fractions}")
     if np.any(fractions < 0) or abs(fractions.sum() - 1.0) > 1e-6:
         raise ValueError("fractions must be non-negative and sum to 1")
     rng = rng or np.random.default_rng(0)
 
     log_p = np.where(fractions > 0, np.log(np.maximum(fractions, 1e-300)), -np.inf)
-    gumbel = rng.gumbel(size=(num_tokens, num_experts))
-    keys = log_p[None, :] + gumbel
-    top_unsorted = np.argpartition(-keys, topk - 1, axis=1)[:, :topk]
-    row_idx = np.arange(num_tokens)[:, None]
-    order = np.argsort(-keys[row_idx, top_unsorted], axis=1, kind="stable")
-    experts = np.take_along_axis(top_unsorted, order, axis=1)
+    experts = None
+    if (fractions == fractions[0]).all():
+        experts = _uniform_top_k(num_tokens, topk, log_p, rng)
+    if experts is None:
+        experts = _gumbel_top_k(log_p, rng.gumbel(size=(num_tokens, num_experts)), topk)
 
     # Combine weights: proportional to popularity of the chosen experts with
     # mild noise, renormalised per token — mimics a softmax gate's output.
@@ -252,3 +277,50 @@ def routing_from_fractions(
     raw = np.maximum(raw, 1e-9)
     weights = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
     return RoutingPlan(experts=experts, weights=weights, num_experts=num_experts)
+
+
+def _gumbel_top_k(log_p: np.ndarray, gumbel: np.ndarray, topk: int) -> np.ndarray:
+    """Each row's ``topk`` largest keys ``log_p + gumbel``, largest first."""
+    keys = log_p[None, :] + gumbel
+    top_unsorted = np.argpartition(-keys, topk - 1, axis=1)[:, :topk]
+    row_idx = np.arange(keys.shape[0])[:, None]
+    order = np.argsort(-keys[row_idx, top_unsorted], axis=1, kind="stable")
+    return np.take_along_axis(top_unsorted, order, axis=1)
+
+
+def _uniform_top_k(
+    num_tokens: int, topk: int, log_p: np.ndarray, rng: np.random.Generator
+) -> np.ndarray | None:
+    """The Gumbel-top-k experts of equal ``log_p`` from the uniform draws.
+
+    Returns ``None``, with ``rng`` back where it started, when a draw is
+    zero: ``gumbel`` would reject it and draw again, so the Gumbel path
+    must make the plan.  Rows whose ``topk + 1`` smallest uniforms lie
+    within :data:`TIE_GAP` of each other take their keys from the same
+    draws through numpy's own expression on libm's ``log``, and their
+    experts from :func:`_gumbel_top_k`.
+    """
+    state = rng.bit_generator.state
+    uniform = rng.random((num_tokens, log_p.size))
+    if uniform.size and not uniform.min() > 0.0:
+        rng.bit_generator.state = state
+        return None
+    rows = np.arange(num_tokens)[:, None]
+    if topk < log_p.size:
+        candidates = np.argpartition(uniform, topk, axis=1)[:, : topk + 1]
+    else:
+        candidates = np.broadcast_to(np.arange(log_p.size), uniform.shape)
+    order = np.argsort(uniform[rows, candidates], axis=1)
+    ranked = candidates[rows, order]
+    experts = np.ascontiguousarray(ranked[:, :topk])
+    gaps = np.diff(uniform[rows, ranked], axis=1)
+    near = np.flatnonzero((gaps <= TIE_GAP).any(axis=1))
+    if near.size:
+        gumbel = np.array(
+            [
+                [0.0 - 1.0 * math.log(-math.log(1.0 - u)) for u in row]
+                for row in uniform[near].tolist()
+            ]
+        ).reshape(near.size, log_p.size)
+        experts[near] = _gumbel_top_k(log_p, gumbel, topk)
+    return experts

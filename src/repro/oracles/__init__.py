@@ -12,5 +12,8 @@ cache with the oracle it is checked against.
 * :mod:`repro.oracles.graph_des` — a DES executor for schedule graphs
   (checks :func:`repro.graph.scheduler.list_schedule`);
 * :mod:`repro.oracles.distributed` — the MoE layer run on real payloads
-  (checks the per-rank traffic the cost models price).
+  (checks the per-rank traffic the cost models price);
+* :mod:`repro.oracles.routing` — Gumbel-top-k routing for every plan
+  (checks :func:`repro.moe.routing.routing_from_fractions`' balanced
+  plans, taken from the uniform draws).
 """

@@ -118,6 +118,16 @@ class ExpertPlacement:
         return self.strategy.experts_of_rank(rank, self.num_experts)
 
     # -- plan-dependent geometry ---------------------------------------------
+    def _src_expert(self, plan: RoutingPlan, owner: np.ndarray) -> np.ndarray:
+        """``(W, E)`` pairs per (source rank, expert), padded to the world."""
+        self._check_plan(plan, owner)
+        src_expert = plan.counts_by_rank(owner)
+        if src_expert.shape[0] < self.world_size:
+            padded = np.zeros((self.world_size, plan.num_experts), dtype=np.int64)
+            padded[: src_expert.shape[0]] = src_expert
+            src_expert = padded
+        return src_expert
+
     def pair_matrix(self, plan: RoutingPlan, owner: np.ndarray) -> np.ndarray:
         """``(W, W)`` routed-pair copies from source rank to destination rank.
 
@@ -125,13 +135,8 @@ class ExpertPlacement:
         rank ``s`` and whose expert has a shard on rank ``d``; under TP > 1
         each pair fans out to all TP ranks of the expert's group.
         """
-        self._check_plan(plan, owner)
         world = self.world_size
-        src_expert = plan.counts_by_rank(owner)  # (W, E)
-        if src_expert.shape[0] < world:
-            padded = np.zeros((world, plan.num_experts), dtype=np.int64)
-            padded[: src_expert.shape[0]] = src_expert
-            src_expert = padded
+        src_expert = self._src_expert(plan, owner)  # (W, E)
         # Vectorised scatter over the hosting matrix: every (expert, tp
         # shard) cell receives that expert's per-source counts.
         hosting = self.hosting_ranks
@@ -146,62 +151,51 @@ class ExpertPlacement:
         )
         return matrix
 
-    def rank_workload(
-        self,
-        plan: RoutingPlan,
-        owner: np.ndarray,
-        rank: int,
-        _src_expert: np.ndarray | None = None,
-    ) -> RankWorkload:
-        """Assemble the per-rank workload view (see :class:`RankWorkload`).
+    def rank_pairs(self, plan: RoutingPlan, owner: np.ndarray) -> np.ndarray:
+        """``(W, W, E_local)``: every rank's ``pairs_by_src_expert`` at once.
 
-        ``_src_expert`` lets :meth:`all_rank_workloads` compute the
-        (W, E) count matrix once instead of once per rank.
+        Entry ``[r, s, e]`` counts pairs from source rank ``s`` to rank
+        ``r``'s ``e``-th local expert.  Each EP group hosts a contiguous
+        block of experts, so row ``r`` is one column block of the
+        (source, expert) count matrix.
         """
-        self._check_plan(plan, owner)
-        self.strategy._validate_rank(rank)
         world = self.world_size
-        src_expert = (
-            _src_expert if _src_expert is not None else plan.counts_by_rank(owner)
+        ep_ranks = np.arange(world, dtype=np.int64) // self.strategy.tp_size
+        by_group = self._src_expert(plan, owner).reshape(
+            world, self.strategy.ep_size, self.experts_per_rank
         )
-        if src_expert.shape[0] < world:
-            padded = np.zeros((world, plan.num_experts), dtype=np.int64)
-            padded[: src_expert.shape[0]] = src_expert
-            src_expert = padded
+        return by_group.transpose(1, 0, 2)[ep_ranks]
 
-        local_experts = tuple(self.experts_of_rank(rank))
-        pairs_by_src_expert = src_expert[:, list(local_experts)]
-        expert_rows = pairs_by_src_expert.sum(axis=0)
-        recv_by_src = pairs_by_src_expert.sum(axis=1)
-
-        # One pair_matrix row, scattered over the same hosting matrix.
-        send_by_dst = np.zeros(world, dtype=np.int64)
-        np.add.at(
-            send_by_dst,
-            self.hosting_ranks.reshape(-1),
-            src_expert[rank][
-                np.repeat(
-                    np.arange(self.num_experts, dtype=np.int64),
-                    self.strategy.tp_size,
-                )
-            ],
-        )
-
-        return RankWorkload(
-            rank=rank,
-            expert_rows=expert_rows.astype(np.int64),
-            local_experts=local_experts,
-            recv_pairs_by_src=recv_by_src.astype(np.int64),
-            send_pairs_by_dst=send_by_dst,
-            pairs_by_src_expert=pairs_by_src_expert.astype(np.int64),
-        )
+    def rank_workload(
+        self, plan: RoutingPlan, owner: np.ndarray, rank: int
+    ) -> RankWorkload:
+        """Assemble the per-rank workload view (see :class:`RankWorkload`)."""
+        self.strategy._validate_rank(rank)
+        return self.all_rank_workloads(plan, owner)[rank]
 
     def all_rank_workloads(
         self, plan: RoutingPlan, owner: np.ndarray
     ) -> list[RankWorkload]:
-        src_expert = plan.counts_by_rank(owner)
+        """Every rank's view, from one :meth:`rank_pairs` and one
+        :meth:`pair_matrix` (whose row ``r`` is rank ``r``'s sends)."""
+        return self.rank_views(self.rank_pairs(plan, owner), self.pair_matrix(plan, owner))
+
+    def rank_views(
+        self, rank_pairs: np.ndarray, pair_matrix: np.ndarray
+    ) -> list[RankWorkload]:
+        """:class:`RankWorkload` views over a :meth:`rank_pairs` array and
+        the :meth:`pair_matrix` of the same plan."""
+        expert_rows = rank_pairs.sum(axis=1)
+        recv_by_src = rank_pairs.sum(axis=2)
         return [
-            self.rank_workload(plan, owner, rank, _src_expert=src_expert)
+            RankWorkload(
+                rank=rank,
+                expert_rows=expert_rows[rank],
+                local_experts=tuple(self.experts_of_rank(rank)),
+                recv_pairs_by_src=recv_by_src[rank],
+                send_pairs_by_dst=pair_matrix[rank],
+                pairs_by_src_expert=rank_pairs[rank],
+            )
             for rank in range(self.world_size)
         ]
 

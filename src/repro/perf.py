@@ -13,8 +13,10 @@ Six switchable fast paths (see :class:`PerfConfig`):
 * ``analytic_layer0`` — the analytic scan in :mod:`repro.kernels.fused`
   replacing the per-tile heapq loop: it walks only the chain of the
   server that runs the last tile, which finishes last;
-* ``rank_dedup`` — :class:`~repro.systems.comet.Comet` simulates each
-  *distinct* per-rank schedule once instead of looping all ranks;
+* ``rank_dedup`` — :class:`~repro.systems.comet.Comet` prices each
+  *distinct* rank once: its batched fused-kernel calls get one row per
+  distinct (ring-ordered) pair matrix or combine split, not one per
+  rank;
 * ``timing_cache`` — the global :data:`TIMING_CACHE` memoising
   ``LayerTiming`` by ``(system fingerprint, workload fingerprint)``
   across grids, training steps, and serving runs;
@@ -61,7 +63,10 @@ Cache layers live here:
   imbalance, seed).  ``make_workload`` draws a plan from
   ``default_rng(seed)`` and reads nothing else of the model, the
   cluster or the TP x EP split, so that key is complete: every split
-  of a model, and every model with the same (E, top-k), shares a plan;
+  of a model, and every model with the same (E, top-k), shares a plan.
+  A miss on a balanced key costs less than the Gumbel draw it equals:
+  the plan comes from the uniform draws under the Gumbel noise (see
+  :mod:`repro.moe.routing`);
 * :data:`NC_SWEEP_CACHE` — COMET's division-point sweeps
   (:class:`~repro.kernels.assignment.SweepResult`) keyed by (system
   fingerprint, workload fingerprint, layer).  A sweep times the default

@@ -107,25 +107,45 @@ class MoELayerWorkload:
 
 
 class WorkloadGeometry:
-    """Derived per-rank quantities shared by every scheduler."""
+    """Derived per-rank quantities shared by every scheduler.
+
+    Every rank's quantities come as one array with a leading rank axis
+    (:attr:`pairs_by_src_expert`, :attr:`expert_rows`,
+    :attr:`combine_split`), so a scheduler prices all ranks in one batch;
+    :meth:`rank_workload` is the per-rank view of the same arrays.
+    """
 
     def __init__(self, workload: MoELayerWorkload):
         self.workload = workload
         self.placement = ExpertPlacement(
             workload.strategy, workload.config.num_experts
         )
-        self._rank_workloads = self.placement.all_rank_workloads(
-            workload.plan, workload.owner
-        )
 
     # -- per-rank structure -------------------------------------------------
+    @cached_property
+    def pairs_by_src_expert(self) -> np.ndarray:
+        """``(W, W, E_local)`` pairs from each source rank to each rank's
+        local experts (see :meth:`ExpertPlacement.rank_pairs`); read-only."""
+        pairs = self.placement.rank_pairs(self.workload.plan, self.workload.owner)
+        pairs.setflags(write=False)
+        return pairs
+
+    @cached_property
+    def expert_rows(self) -> np.ndarray:
+        """``(W, E_local)`` GroupGEMM rows per local expert of each rank."""
+        return self.pairs_by_src_expert.sum(axis=1)
+
+    @cached_property
+    def _rank_workloads(self) -> list[RankWorkload]:
+        return self.placement.rank_views(self.pairs_by_src_expert, self.pair_matrix)
+
     def rank_workload(self, rank: int) -> RankWorkload:
         return self._rank_workloads[rank]
 
     @cached_property
     def rows_per_rank(self) -> np.ndarray:
         """GroupGEMM rows (routed pairs resident) per rank."""
-        return np.array([w.total_rows for w in self._rank_workloads], dtype=np.int64)
+        return self.expert_rows.sum(axis=1)
 
     @property
     def bottleneck_rank(self) -> int:
@@ -242,8 +262,10 @@ class WorkloadGeometry:
             np.int64, copy=False
         )
 
-    def combine_row_split(self, rank: int) -> tuple[int, int, int]:
-        """(local, remote_bulk, remote_fine) reduced-row counts sent by ``rank``.
+    @cached_property
+    def combine_split(self) -> np.ndarray:
+        """``(W, 3)`` (local, remote_bulk, remote_fine) reduced-row counts
+        each rank's combine sends.
 
         * local — token owners on this very rank (plain HBM writes);
         * remote_bulk — owners inside this rank's TP group (contiguous,
@@ -252,10 +274,23 @@ class WorkloadGeometry:
           scattered all-to-all messages).
         """
         strategy = self.workload.strategy
-        owner_counts = self._group_owner_counts[strategy.ep_rank(rank)]
-        local = int(owner_counts[rank])
-        bulk = int(owner_counts[strategy.tp_group_of(rank)].sum()) - local
-        fine = int(owner_counts.sum()) - local - bulk
+        ranks = np.arange(strategy.world_size)
+        ep_ranks = ranks // strategy.tp_size
+        # Row r: owner counts of the tokens present in r's EP group.
+        owner_counts = self._group_owner_counts[ep_ranks]
+        local = owner_counts[ranks, ranks]
+        # r's TP group is the EP group's block of tp_size ranks.
+        group = owner_counts.reshape(
+            strategy.world_size, strategy.ep_size, strategy.tp_size
+        )[ranks, ep_ranks].sum(axis=1)
+        bulk = group - local
+        fine = owner_counts.sum(axis=1) - local - bulk
+        return np.stack((local, bulk, fine), axis=1)
+
+    def combine_row_split(self, rank: int) -> tuple[int, int, int]:
+        """Row ``rank`` of :attr:`combine_split`."""
+        self.workload.strategy._validate_rank(rank)
+        local, bulk, fine = self.combine_split[rank].tolist()
         return local, bulk, fine
 
 
@@ -310,7 +345,7 @@ def _synthesise_routing(
     """Draw one routing plan; its arrays are read-only, because a cached
     plan backs every workload with the same key."""
     rng = np.random.default_rng(seed)
-    if imbalance_std > 0:
+    if imbalance_std != 0:  # a negative or NaN std raises there
         fractions = imbalanced_fractions(num_experts, imbalance_std, rng)
     else:
         fractions = balanced_fractions(num_experts)

@@ -241,10 +241,10 @@ class ReportCore:
     @property
     def output_tokens_per_s(self) -> float:
         """Generated-token throughput over the makespan."""
-        span = self.makespan_ms
-        if span <= 0:
+        seconds = self.makespan_ms / 1000.0
+        if seconds <= 0:  # also a span so short its seconds underflow to 0
             return 0.0
-        return int(self.records["output_tokens"].sum()) / (span / 1000.0)
+        return int(self.records["output_tokens"].sum()) / seconds
 
     # -- SLO ------------------------------------------------------------------
     def _good(self, ttft: np.ndarray, tpot: np.ndarray) -> int:
@@ -255,7 +255,8 @@ class ReportCore:
         """:attr:`slo_attainment` and :attr:`goodput_rps` of ``good``
         SLO-attaining requests."""
         attainment = good / len(self.records) if self.records else 0.0
-        goodput = good / (self.horizon_ms / 1000.0) if self.horizon_ms > 0 else 0.0
+        seconds = self.horizon_ms / 1000.0
+        goodput = good / seconds if seconds > 0 else 0.0
         return attainment, goodput
 
     @property

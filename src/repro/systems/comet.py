@@ -23,6 +23,15 @@ not on whichever workload asks for it first, so a layer's timing is a
 pure function of (system knobs, workload), never of what the instance
 priced before.
 
+Each fused kernel is priced for every rank of the layer in one batch:
+the workload geometry holds all ranks' pair counts as one
+``(W, W, E_local)`` array and the combine split as one ``(W, 3)`` array,
+:func:`~repro.tensor.reschedule.build_layer0_schedule` builds every
+rank's schedule in one call, and the fused-kernel simulators price one
+kernel per row, each row with the floating-point operations of a rank
+priced alone.  A division-point sweep prices its whole variant library
+the same way, one row per ``nc``.
+
 Constructor flags expose the paper's design choices for ablation:
 ``reschedule=False`` keeps shared tensors in token order / expert-major
 order; ``specialized=False`` emulates vertical fusion (communication in
@@ -43,7 +52,6 @@ from repro.kernels.assignment import (
     ProfileKey,
     SweepResult,
     default_variants,
-    profile_division_points,
     select_division_point,
 )
 from repro.kernels.fused import (
@@ -51,7 +59,6 @@ from repro.kernels.fused import (
     Layer1CommWork,
     simulate_layer0_fused,
     simulate_layer0_vertical,
-    simulate_layer1_fused,
     simulate_layer1_fused_variants,
     simulate_layer1_vertical,
 )
@@ -75,6 +82,20 @@ from repro.tensor.reschedule import (
 from repro.tensor.shared_tensor import layer0_shared_tensor, layer1_shared_tensor
 
 __all__ = ["Comet"]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """``(reps, index)``: the first row of each distinct value, in order,
+    and for every row the position of its value in ``reps``."""
+    first: dict[bytes, int] = {}
+    reps: list[int] = []
+    index = []
+    for i, row in enumerate(rows):
+        j = first.setdefault(row.tobytes(), len(reps))
+        if j == len(reps):
+            reps.append(i)
+        index.append(j)
+    return reps, index
 
 
 @dataclass(frozen=True)
@@ -196,7 +217,6 @@ class Comet(MoESystem):
     # -- layer simulations -------------------------------------------------------
     def _simulate_layer0(self, workload: MoELayerWorkload) -> _LayerSim:
         config = workload.config
-        geometry = workload.geometry
         # Dependency resolving: layer0 decomposes along M (tokens).
         tensor = layer0_shared_tensor(
             workload.plan.total_routed, config.hidden_size
@@ -204,57 +224,50 @@ class Comet(MoESystem):
         assert resolve_decomposition(tensor) == "M"
 
         nc = self.division_point(workload, layer=0)
-        cols = config.ffn_size // workload.strategy.tp_size
-        policy = POLICY_SORTED if self.reschedule else POLICY_TOKEN_ORDER
-        arrival_fns = (
-            self._fabric_arrivals(workload, nc)
-            if self.fabric_contention and workload.world_size > 1
-            else [None] * workload.world_size
-        )
+        world = workload.world_size
+        ranks = np.arange(world)
+        pairs = workload.geometry.pairs_by_src_expert
+        fabric = self.fabric_contention and world > 1
         # Rank dedup: the schedule is a pure function of the rank's pair
         # matrix *in ring order* (local row first), so ranks whose rolled
         # matrices coincide run identical fused kernels — simulate each
         # distinct one once.  Fabric mode gives every rank its own arrival
         # curve, so dedup only applies to the independent-ingress model.
-        dedup = PERF_CONFIG.rank_dedup and all(fn is None for fn in arrival_fns)
-        memo: dict[bytes, FusedKernelResult] = {}
-        results = []
-        for rank in range(workload.world_size):
-            rank_workload = geometry.rank_workload(rank)
-            key = (
-                np.roll(rank_workload.pairs_by_src_expert, -rank, axis=0).tobytes()
-                if dedup
-                else None
-            )
-            result = memo.get(key) if dedup else None
-            if result is None:
-                schedule = build_layer0_schedule(
-                    rank_workload.pairs_by_src_expert, rank, policy=policy
-                )
-                result = self._run_layer0_kernel(
-                    workload, schedule, cols, nc, arrival_fn=arrival_fns[rank]
-                )
-                if dedup:
-                    memo[key] = result
-            results.append(result)
-        return self._aggregate(results, nc)
+        if PERF_CONFIG.rank_dedup and not fabric:
+            reps, index = _distinct_rows(pairs[ranks[:, None], (ranks[:, None] + ranks) % world])
+        else:
+            reps, index = ranks.tolist(), ranks.tolist()
+        schedules = build_layer0_schedule(pairs[reps], reps, policy=self._layer0_policy)
+        arrival_fns = self._fabric_arrivals(workload, nc) if fabric else [None] * world
+        results = self._layer0_kernels(
+            workload, schedules, nc, [arrival_fns[rank] for rank in reps]
+        )
+        return self._aggregate([results[i] for i in index], nc)
+
+    @property
+    def _layer0_policy(self) -> str:
+        return POLICY_SORTED if self.reschedule else POLICY_TOKEN_ORDER
+
+    @property
+    def _layer1_policy(self) -> str:
+        return POLICY_COLUMN_MAJOR if self.reschedule else POLICY_EXPERT_MAJOR
 
     def _fabric_arrivals(self, workload: MoELayerWorkload, nc: int):
         """Joint fetch-fabric simulation: per-rank arrival curves."""
         from repro.kernels.fabric import FetchRun, simulate_fetch_fabric
         from repro.kernels.fused import _comm_rate
 
-        geometry = workload.geometry
         cluster = workload.cluster
         world = workload.world_size
         token_bytes = workload.config.token_bytes
-        runs = []
-        for rank in range(world):
-            pairs = geometry.rank_workload(rank).pairs_by_src_expert
-            ring = [(rank + d) % world for d in range(1, world)]
-            runs.append(
-                [FetchRun(src=src, tokens=int(pairs[src].sum())) for src in ring]
-            )
+        source_tokens = workload.geometry.pairs_by_src_expert.sum(axis=2).tolist()
+        runs = [
+            [
+                FetchRun(src=src, tokens=source_tokens[rank][src])
+                for src in ((rank + d) % world for d in range(1, world))
+            ]
+            for rank in range(world)
+        ]
         ingress = np.full(
             world, _comm_rate(cluster.link, nc, token_bytes), dtype=np.float64
         )
@@ -264,33 +277,40 @@ class Comet(MoESystem):
         )
         return [timeline.arrival_time for timeline in timelines]
 
-    def _run_layer0_kernel(
-        self, workload, schedule, cols, nc, arrival_fn=None
-    ) -> FusedKernelResult:
+    def _layer0_kernels(
+        self, workload, schedules, nc, arrival_fns
+    ) -> list[FusedKernelResult]:
+        """One layer0 fused kernel per schedule (and arrival curve),
+        priced in one call; a rank with nothing to fetch runs with no
+        comm blocks."""
         config = workload.config
         cluster = workload.cluster
-        if self.specialized:
-            return simulate_layer0_fused(
-                cluster.gpu,
-                cluster.link,
-                schedule,
-                token_bytes=config.token_bytes,
-                k=config.hidden_size,
-                cols=cols,
-                nc=nc if schedule.num_remote else 0,
-                dtype_bytes=config.dtype_bytes,
-                compute_scale=self.gemm_scale,
-                arrival_fn=arrival_fn if schedule.num_remote else None,
-            )
-        return simulate_layer0_vertical(
+        cols = config.ffn_size // workload.strategy.tp_size
+        if not self.specialized:
+            return [
+                simulate_layer0_vertical(
+                    cluster.gpu,
+                    cluster.link,
+                    schedule,
+                    token_bytes=config.token_bytes,
+                    k=config.hidden_size,
+                    cols=cols,
+                    dtype_bytes=config.dtype_bytes,
+                    compute_scale=self.gemm_scale,
+                )
+                for schedule in schedules
+            ]
+        return simulate_layer0_fused(
             cluster.gpu,
             cluster.link,
-            schedule,
+            schedules,
             token_bytes=config.token_bytes,
             k=config.hidden_size,
             cols=cols,
+            nc=[nc if s.num_remote else 0 for s in schedules],
             dtype_bytes=config.dtype_bytes,
             compute_scale=self.gemm_scale,
+            arrival_fn=[fn if s.num_remote else None for s, fn in zip(schedules, arrival_fns)],
         )
 
     def _simulate_layer1(self, workload: MoELayerWorkload) -> _LayerSim:
@@ -302,32 +322,21 @@ class Comet(MoESystem):
         assert resolve_decomposition(tensor) == "N"
 
         nc = self.division_point(workload, layer=1)
-        k = config.ffn_size // workload.strategy.tp_size
-        policy = POLICY_COLUMN_MAJOR if self.reschedule else POLICY_EXPERT_MAJOR
         # Rank dedup: the layer1 kernel is determined by the GroupGEMM row
-        # structure plus the combine traffic split, both hashable.
-        dedup = PERF_CONFIG.rank_dedup
-        memo: dict[tuple, FusedKernelResult] = {}
-        results = []
-        any_remote = False
-        for rank in range(workload.world_size):
-            rank_workload = geometry.rank_workload(rank)
-            comm = self.layer1_comm_work(workload, rank)
-            any_remote = any_remote or (
-                comm.remote_bulk_rows + comm.remote_fine_rows > 0
+        # structure plus the combine traffic split.
+        if PERF_CONFIG.rank_dedup:
+            reps, index = _distinct_rows(
+                np.concatenate((geometry.expert_rows, geometry.combine_split), axis=1)
             )
-            key = (rank_workload.expert_rows.tobytes(), comm) if dedup else None
-            result = memo.get(key) if dedup else None
-            if result is None:
-                schedule = build_layer1_schedule(
-                    rank_workload.expert_rows, cols=config.hidden_size, policy=policy
-                )
-                result = self._run_layer1_kernel(workload, schedule, comm, k, nc)
-                if dedup:
-                    memo[key] = result
-            results.append(result)
-        sim = self._aggregate(results, nc)
-        if not any_remote:
+        else:
+            reps = index = list(range(workload.world_size))
+        schedules = build_layer1_schedule(
+            geometry.expert_rows[reps], cols=config.hidden_size, policy=self._layer1_policy
+        )
+        comms = [self.layer1_comm_work(workload, rank) for rank in reps]
+        results = self._layer1_kernels(workload, schedules, comms, nc)
+        sim = self._aggregate([results[i] for i in index], nc)
+        if not geometry.combine_split[:, 1:].any():
             # Single-GPU (or fully local) layer: the top-k reduce is local
             # work; the paper's accounting charges it to computation, and
             # no GPU-to-GPU communication exists to expose or hide.
@@ -362,56 +371,37 @@ class Comet(MoESystem):
         even when no reduced row leaves the rank."""
         return nc if comm.remote_bulk_rows + comm.remote_fine_rows > 0 else max(1, nc)
 
-    def _run_layer1_kernel(self, workload, schedule, comm, k, nc) -> FusedKernelResult:
+    def _layer1_kernels(self, workload, schedules, comms, nc) -> list[FusedKernelResult]:
+        """One layer1 fused kernel per (schedule, comm) row, priced in one
+        call."""
         config = workload.config
         cluster = workload.cluster
-        if self.specialized:
-            return simulate_layer1_fused(
-                cluster.gpu,
-                cluster.link,
-                schedule,
-                comm,
-                k=k,
-                cols=config.hidden_size,
-                nc=self._layer1_nc(comm, nc),
-                dtype_bytes=config.dtype_bytes,
-                compute_scale=self.gemm_scale,
-            )
-        return simulate_layer1_vertical(
-            cluster.gpu,
-            cluster.link,
-            schedule,
-            comm,
-            k=k,
-            cols=config.hidden_size,
-            dtype_bytes=config.dtype_bytes,
-            compute_scale=self.gemm_scale,
-        )
-
-    def _run_layer1_kernels(
-        self, workload, schedule, comm, k, ncs
-    ) -> dict[int, FusedKernelResult]:
-        """:meth:`_run_layer1_kernel` at every division point of ``ncs``, in
-        one call; those the fused kernel cannot launch with are left out."""
+        k = config.ffn_size // workload.strategy.tp_size
         if not self.specialized:
-            # Vertical fusion has no division point: one kernel for all.
-            vertical = self._run_layer1_kernel(workload, schedule, comm, k, 0)
-            return dict.fromkeys(ncs, vertical)
-        config = workload.config
-        cluster = workload.cluster
-        kernel_nc = {nc: self._layer1_nc(comm, nc) for nc in ncs}
-        results = simulate_layer1_fused_variants(
+            return [
+                simulate_layer1_vertical(
+                    cluster.gpu,
+                    cluster.link,
+                    schedule,
+                    comm,
+                    k=k,
+                    cols=config.hidden_size,
+                    dtype_bytes=config.dtype_bytes,
+                    compute_scale=self.gemm_scale,
+                )
+                for schedule, comm in zip(schedules, comms)
+            ]
+        return simulate_layer1_fused_variants(
             cluster.gpu,
             cluster.link,
-            schedule,
-            comm,
+            schedules,
+            comms,
             k=k,
             cols=config.hidden_size,
-            ncs=kernel_nc.values(),
+            ncs=[self._layer1_nc(comm, nc) for comm in comms],
             dtype_bytes=config.dtype_bytes,
             compute_scale=self.gemm_scale,
         )
-        return {nc: results[knc] for nc, knc in kernel_nc.items() if knc in results}
 
     @staticmethod
     def _aggregate(results: list[FusedKernelResult], nc: int) -> _LayerSim:
@@ -453,41 +443,66 @@ class Comet(MoESystem):
         ``variant_step`` is the quantisation of the variant library
         (Figure 8 plots a denser ``step=2`` sweep than the deployed
         default).  Returns the per-``nc`` duration curve and its optimum.
-        Layer0 simulates each variant in turn; layer1 prices the whole
-        library in one vectorised kernel call.
+        Each layer prices the whole library in one call of its fused
+        kernel; variants the kernel cannot launch are left out.
         """
         ProfileKey.check_layer(layer)
         config = workload.config
+        cluster = workload.cluster
         geometry = workload.geometry
         rank = geometry.bottleneck_rank
-        rank_workload = geometry.rank_workload(rank)
-        variants = default_variants(workload.cluster.gpu.num_sms, step=variant_step)
+        ncs = [
+            variant.nc
+            for variant in default_variants(cluster.gpu.num_sms, step=variant_step)
+        ]
 
         if layer == 0:
             schedule = build_layer0_schedule(
-                rank_workload.pairs_by_src_expert,
-                rank,
-                policy=POLICY_SORTED if self.reschedule else POLICY_TOKEN_ORDER,
+                geometry.pairs_by_src_expert[rank], rank, policy=self._layer0_policy
             )
-            cols = config.ffn_size // workload.strategy.tp_size
-
-            def simulate(nc: int) -> float:
-                return self._run_layer0_kernel(workload, schedule, cols, nc).duration_us
-
-            return profile_division_points(simulate, variants)
-
-        schedule = build_layer1_schedule(
-            rank_workload.expert_rows,
-            cols=config.hidden_size,
-            policy=POLICY_COLUMN_MAJOR if self.reschedule else POLICY_EXPERT_MAJOR,
-        )
-        comm = self.layer1_comm_work(workload, rank)
-        k = config.ffn_size // workload.strategy.tp_size
-        results = self._run_layer1_kernels(
-            workload, schedule, comm, k, [variant.nc for variant in variants]
-        )
+            if not self.specialized:
+                # Vertical fusion has no division point: one kernel for all.
+                (vertical,) = self._layer0_kernels(workload, [schedule], 0, [None])
+                return SweepResult.from_durations(dict.fromkeys(ncs, vertical.duration_us))
+            kernel_nc = {nc: nc if schedule.num_remote else 0 for nc in ncs}
+            priced = simulate_layer0_fused(
+                cluster.gpu,
+                cluster.link,
+                schedule,
+                token_bytes=config.token_bytes,
+                k=config.hidden_size,
+                cols=config.ffn_size // workload.strategy.tp_size,
+                nc=kernel_nc.values(),
+                dtype_bytes=config.dtype_bytes,
+                compute_scale=self.gemm_scale,
+            )
+        else:
+            schedule = build_layer1_schedule(
+                geometry.expert_rows[rank], cols=config.hidden_size,
+                policy=self._layer1_policy,
+            )
+            comm = self.layer1_comm_work(workload, rank)
+            if not self.specialized:
+                (vertical,) = self._layer1_kernels(workload, [schedule], [comm], 0)
+                return SweepResult.from_durations(dict.fromkeys(ncs, vertical.duration_us))
+            kernel_nc = {nc: self._layer1_nc(comm, nc) for nc in ncs}
+            priced = simulate_layer1_fused_variants(
+                cluster.gpu,
+                cluster.link,
+                schedule,
+                comm,
+                k=config.ffn_size // workload.strategy.tp_size,
+                cols=config.hidden_size,
+                ncs=kernel_nc.values(),
+                dtype_bytes=config.dtype_bytes,
+                compute_scale=self.gemm_scale,
+            )
         return SweepResult.from_durations(
-            {nc: result.duration_us for nc, result in results.items()}
+            {
+                nc: priced[knc].duration_us
+                for nc, knc in kernel_nc.items()
+                if knc in priced
+            }
         )
 
     # -- numerics ------------------------------------------------------------------

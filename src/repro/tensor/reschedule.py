@@ -19,7 +19,7 @@ Two products live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,18 +82,20 @@ class Layer0Schedule:
 
 def build_layer0_schedule(
     pairs_by_src_expert: np.ndarray,
-    rank: int,
+    rank: int | Sequence[int],
     tile_tm: int = 128,
     policy: str = POLICY_SORTED,
     rng: np.random.Generator | None = None,
-) -> Layer0Schedule:
-    """Build the layer0 row-block schedule for one rank.
+) -> Layer0Schedule | tuple[Layer0Schedule, ...]:
+    """Build the layer0 row-block schedule for one rank, or for a row of ranks.
 
     Args:
         pairs_by_src_expert: ``(W, E_local)`` routed pairs from each source
             rank to each local expert (from
-            :meth:`repro.parallel.placement.ExpertPlacement.rank_workload`).
-        rank: this rank's id (identifies the local row of the matrix).
+            :meth:`repro.parallel.placement.ExpertPlacement.rank_workload`),
+            or ``(R, W, E_local)``: one such matrix per row.
+        rank: this rank's id (identifies the local row of the matrix), or
+            one id per row.
         tile_tm: GEMM row-tile extent.
         policy: ``"sorted_by_source"`` (COMET §3.1.2) or ``"token_order"``
             (the unsorted ablation, where each expert's rows interleave
@@ -101,97 +103,142 @@ def build_layer0_schedule(
         rng: used only by the ``token_order`` policy to realise one
             representative interleaving.
 
+    Returns one schedule, or a tuple with one schedule per row.  The
+    ``sorted_by_source`` rows are built together, each with the integer
+    operations of a row built alone.
+
     The remote-fetch sequence is source-major in ring order starting after
     ``rank`` (nearest sources first), expert-minor within a source — the
     order COMET's communication blocks pull tokens so that the earliest
     compute tiles unblock soonest.
     """
     pairs = np.asarray(pairs_by_src_expert, dtype=np.int64)
-    if pairs.ndim != 2:
+    one = pairs.ndim == 2
+    if one:
+        pairs, ranks = pairs[None], [rank]
+    elif pairs.ndim == 3:
+        ranks = list(rank)
+    else:
         raise ValueError(f"pairs_by_src_expert must be (W, E_local), got {pairs.shape}")
-    world, num_local_experts = pairs.shape
-    if not 0 <= rank < world:
-        raise ValueError(f"rank {rank} out of range for world {world}")
+    rows, world, num_local_experts = pairs.shape
+    if len(ranks) != rows:
+        raise ValueError(f"{len(ranks)} ranks for {rows} rows of pairs")
+    for r in ranks:
+        if not 0 <= r < world:
+            raise ValueError(f"rank {r} out of range for world {world}")
     if policy not in (POLICY_SORTED, POLICY_TOKEN_ORDER):
         raise ValueError(f"unknown layer0 policy {policy!r}")
     if tile_tm <= 0:
         raise ValueError(f"tile_tm must be positive, got {tile_tm}")
 
+    row_ids = np.arange(rows)
+    ranks = np.asarray(ranks, dtype=np.int64)
     # Ring order of remote sources: rank+1, rank+2, ..., rank-1 (mod W).
-    remote_srcs = [(rank + d) % world for d in range(1, world)]
-    local_rows = pairs[rank]
-    num_local = int(local_rows.sum())
-    num_remote = int(pairs.sum() - num_local)
+    remote_srcs = (ranks[:, None] + np.arange(1, world)) % world
+    local_rows = pairs[row_ids, ranks]  # (R, E_local)
+    num_local = local_rows.sum(axis=1)
+    num_remote = pairs.sum(axis=(1, 2)) - num_local
 
     # fetch_start[r, e] = fetch index of the *first* token of run
     # (remote_srcs[r], e): the fetch sequence is source-major (ring
     # order), expert-minor, so starts are the exclusive prefix sum of
     # the remote count matrix in that order.
-    remote_pairs = pairs[remote_srcs]  # (W - 1, E_local)
-    fetch_start = np.cumsum(remote_pairs).reshape(remote_pairs.shape) - remote_pairs
+    remote_pairs = pairs[row_ids[:, None], remote_srcs]  # (R, W - 1, E_local)
+    flat = remote_pairs.reshape(rows, -1)
+    fetch_start = (np.cumsum(flat, axis=1) - flat).reshape(remote_pairs.shape)
     # Number each expert's remote tokens 0, 1, ... in ring order (their
     # remote ordinal q).  Run (r, e) holds the ordinals below through[r, e]
     # not held by earlier runs, and its fetch indices advance one per
     # ordinal, so a token's fetch index is q + shift[r, e].
-    through = np.cumsum(remote_pairs, axis=0)
+    through = np.cumsum(remote_pairs, axis=1)
     shift = fetch_start - (through - remote_pairs)
 
     # Each expert's rows are its local tokens (fetch position -1) followed
     # by each remote source's run in ring order, cut into blocks of
     # tile_tm rows; only the last block of an expert may be partial.
-    expert_rows = pairs.sum(axis=0)
+    # ``cell`` numbers each block's (row, expert) as row * E_local + expert.
+    expert_rows = pairs.sum(axis=1).reshape(-1)
     blocks = -(-expert_rows // tile_tm)
-    rb_expert = np.repeat(np.arange(num_local_experts, dtype=np.int64), blocks)
+    cell = np.repeat(np.arange(expert_rows.size), blocks)
+    rb_expert = cell % num_local_experts
     first_block = np.cumsum(blocks) - blocks
-    rb_start = (np.arange(rb_expert.size) - np.repeat(first_block, blocks)) * tile_tm
-    rb_end = np.minimum(rb_start + tile_tm, expert_rows[rb_expert])
+    rb_start = (np.arange(cell.size) - first_block[cell]) * tile_tm
+    rb_end = np.minimum(rb_start + tile_tm, expert_rows[cell])
     rb_rows = rb_end - rb_start
+    cuts = np.cumsum(blocks.reshape(rows, -1).sum(axis=1))[:-1]
 
     if policy == POLICY_SORTED:
         # Fetch indices are non-decreasing down an expert's rows, so a
         # block's latest token is its last row: local (-1) below the
         # expert's local count, else remote ordinal q in the first run
         # whose ``through`` exceeds q.
-        rb_last = np.full(rb_expert.size, -1, dtype=np.int64)
-        ordinal = rb_end - 1 - local_rows[rb_expert]
+        rb_last = np.full(cell.size, -1, dtype=np.int64)
+        ordinal = rb_end - 1 - local_rows.reshape(-1)[cell]
         remote = ordinal >= 0
         if remote.any():
-            e, q = rb_expert[remote], ordinal[remote]
-            run = (through[:, e] <= q).sum(axis=0)
-            rb_last[remote] = q + shift[run, e]
+            row, e = np.divmod(cell[remote], num_local_experts)
+            q = ordinal[remote]
+            run = (through[row, :, e] <= q[:, None]).sum(axis=1)
+            rb_last[remote] = q + shift[row, run, e]
+        last_parts = np.split(rb_last, cuts)
     else:
-        # token_order ablation: each expert's rows randomly interleaved, so
-        # nearly every block touches a late-arriving token.
-        if rng is None:
-            rng = np.random.default_rng(1234)
-        rb_last_parts: list[np.ndarray] = []
-        for e in range(num_local_experts):
-            if expert_rows[e] == 0:
-                continue
-            counts = remote_pairs[:, e]
-            positions = np.concatenate(
-                (
-                    np.full(int(local_rows[e]), -1, dtype=np.int64),
-                    np.arange(int(counts.sum())) + np.repeat(shift[:, e], counts),
-                )
+        last_parts = [
+            _token_order_last_fetch(
+                local_rows[i], remote_pairs[i], shift[i], rb_start[cell_rows],
+                rb_expert[cell_rows], rng,
             )
-            rb_last_parts.append(
-                np.maximum.reduceat(rng.permutation(positions), rb_start[rb_expert == e])
-            )
-        rb_last = (
-            np.concatenate(rb_last_parts)
-            if rb_last_parts
-            else np.empty(0, dtype=np.int64)
-        )
+            for i, cell_rows in enumerate(np.split(np.arange(cell.size), cuts))
+        ]
 
-    return Layer0Schedule(
-        rowblock_expert=rb_expert.astype(np.int64, copy=False),
-        rowblock_rows=rb_rows.astype(np.int64, copy=False),
-        rowblock_last_fetch=rb_last.astype(np.int64, copy=False),
-        num_remote=num_remote,
-        num_local=num_local,
-        tile_tm=tile_tm,
-        policy=policy,
+    schedules = tuple(
+        Layer0Schedule(
+            rowblock_expert=expert_part,
+            rowblock_rows=rows_part,
+            rowblock_last_fetch=last_part,
+            num_remote=remote_count,
+            num_local=local_count,
+            tile_tm=tile_tm,
+            policy=policy,
+        )
+        for expert_part, rows_part, last_part, remote_count, local_count in zip(
+            np.split(rb_expert, cuts), np.split(rb_rows, cuts), last_parts,
+            num_remote.tolist(), num_local.tolist(),
+        )
+    )
+    return schedules[0] if one else schedules
+
+
+def _token_order_last_fetch(
+    local_rows: np.ndarray,
+    remote_pairs: np.ndarray,
+    shift: np.ndarray,
+    rb_start: np.ndarray,
+    rb_expert: np.ndarray,
+    rng: np.random.Generator | None,
+) -> np.ndarray:
+    """The ``token_order`` ablation's last fetch per block of one row: each
+    expert's rows randomly interleaved, so nearly every block touches a
+    late-arriving token."""
+    if rng is None:
+        rng = np.random.default_rng(1234)
+    rb_last_parts: list[np.ndarray] = []
+    for e in range(local_rows.size):
+        counts = remote_pairs[:, e]
+        if local_rows[e] + counts.sum() == 0:
+            continue
+        positions = np.concatenate(
+            (
+                np.full(int(local_rows[e]), -1, dtype=np.int64),
+                np.arange(int(counts.sum())) + np.repeat(shift[:, e], counts),
+            )
+        )
+        rb_last_parts.append(
+            np.maximum.reduceat(rng.permutation(positions), rb_start[rb_expert == e])
+        )
+    return (
+        np.concatenate(rb_last_parts)
+        if rb_last_parts
+        else np.empty(0, dtype=np.int64)
     )
 
 
@@ -244,18 +291,21 @@ def build_layer1_schedule(
     tile_tm: int = 128,
     tile_tn: int = 128,
     policy: str = POLICY_COLUMN_MAJOR,
-) -> Layer1Schedule:
-    """Tile schedule for a layer1 GroupGEMM of ``expert_rows`` x ``cols``."""
+) -> Layer1Schedule | tuple[Layer1Schedule, ...]:
+    """Tile schedule for a layer1 GroupGEMM of ``expert_rows`` x ``cols``;
+    ``(R, E_local)`` row counts give a tuple with one schedule per row."""
     expert_rows = np.asarray(expert_rows, dtype=np.int64)
     if np.any(expert_rows < 0):
         raise ValueError("expert row counts must be non-negative")
     if cols <= 0:
         raise ValueError(f"cols must be positive, got {cols}")
     row_tiles = -(-expert_rows // tile_tm)
-    col_tiles = -(-cols // tile_tn)
+    col_tiles = int(-(-cols // tile_tn))
+    if row_tiles.ndim == 2:
+        return tuple(Layer1Schedule(tiles, col_tiles, policy) for tiles in row_tiles)
     return Layer1Schedule(
         row_tiles_per_expert=row_tiles,
-        col_tiles=int(col_tiles),
+        col_tiles=col_tiles,
         policy=policy,
     )
 

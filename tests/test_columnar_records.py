@@ -96,12 +96,15 @@ def _loop_core(records, slo_ttft_ms, slo_tpot_ms, horizon_ms):
         start = min(r.arrival_ms for r in records)
         span = max(r.completion_ms for r in records) - start
     good = sum(1 for r in records if r.meets_slo(slo_ttft_ms, slo_tpot_ms))
+    # A rate over a window too short to last a nonzero number of seconds
+    # is 0, like one over no window.
+    horizon_s, span_s = horizon_ms / 1000.0, span / 1000.0
     doc = {
         "requests": len(records),
         "slo_attainment": good / len(records) if records else 0.0,
-        "goodput_rps": good / (horizon_ms / 1000.0) if horizon_ms > 0 else 0.0,
+        "goodput_rps": good / horizon_s if horizon_s > 0 else 0.0,
         "output_tokens_per_s": (
-            sum(r.output_tokens for r in records) / (span / 1000.0) if span > 0 else 0.0
+            sum(r.output_tokens for r in records) / span_s if span_s > 0 else 0.0
         ),
     }
     for name, values in (("ttft", ttft), ("tpot", tpot), ("e2e", e2e)):
@@ -250,6 +253,9 @@ FIXED = {
         [_rec(0, 0.0, 1.0, 2.0)], [TimelinePoint(0.0, 1, 10, 1)],
         horizon_ms=0.0, max_batch_tokens=0,
     ),
+    # Each used to raise ZeroDivisionError: the window in seconds is 0.
+    "subnormal horizon": _case([], horizon_ms=5e-324),
+    "subnormal span": _case([_rec(0, 0.0, 5e-324, 5e-324)]),
 }
 
 

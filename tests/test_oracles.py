@@ -34,6 +34,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import random
 import re
@@ -51,6 +52,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.moe.routing as routing_module
 from repro import (
     MIXTRAL_8X7B,
     QWEN2_MOE,
@@ -88,13 +90,19 @@ from repro.graph import (
     reduce_symmetry,
     schedule_batch,
 )
-from repro.hw.multinode import IB_400G
+from repro.hw.multinode import IB_400G, h800_pod
 from repro.hw.presets import NVLINK_H800, l20_node
 from repro.kernels.assignment import default_variants, profile_division_points
+from repro.kernels.fabric import FetchRun, simulate_fetch_fabric
 from repro.kernels.fused import (
+    Layer1CommWork,
+    _comm_rate,
     layer0_makespan_analytic,
     layer0_makespan_reference,
     simulate_layer0_fused,
+    simulate_layer0_vertical,
+    simulate_layer1_fused,
+    simulate_layer1_vertical,
 )
 from repro.kernels.gemm import tile_time_us
 from repro.moe import (
@@ -109,6 +117,7 @@ from repro.oracles.distributed import DistributedMoE
 from repro.oracles.graph_des import des_schedule
 from repro.oracles.layer0_des import des_layer0_makespan
 from repro.oracles.layer0_schedule import sorted_layer0_schedule
+from repro.oracles.routing import gumbel_routing_from_fractions
 from repro.runtime.workload import (
     MoELayerWorkload,
     WorkloadGeometry,
@@ -118,9 +127,14 @@ from repro.runtime.workload import (
 from repro.serve import ServeScenario
 from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
 from repro.systems import Comet
-from repro.systems.base import MoESystem, UnsupportedWorkload
+from repro.systems.base import LayerTiming, MoESystem, UnsupportedWorkload
 from repro.tensor import build_layer0_schedule, build_layer1_schedule
-from repro.tensor.reschedule import POLICY_COLUMN_MAJOR, POLICY_EXPERT_MAJOR
+from repro.tensor.reschedule import (
+    POLICY_COLUMN_MAJOR,
+    POLICY_EXPERT_MAJOR,
+    POLICY_SORTED,
+    POLICY_TOKEN_ORDER,
+)
 
 CLUSTER = h800_node()
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -359,6 +373,39 @@ SCHEDULE_EXAMPLES = (
 # -- COMET layer1 division-point sweep -------------------------------------------
 
 
+def _layer0_kernel(comet, workload, schedule, nc, arrival_fn=None):
+    """One of ``comet``'s layer0 kernels priced alone: a rank with nothing
+    to fetch runs with no comm blocks."""
+    config, cluster = workload.config, workload.cluster
+    kwargs = dict(
+        token_bytes=config.token_bytes, k=config.hidden_size,
+        cols=config.ffn_size // workload.strategy.tp_size,
+        dtype_bytes=config.dtype_bytes, compute_scale=comet.gemm_scale,
+    )
+    if not comet.specialized:
+        return simulate_layer0_vertical(cluster.gpu, cluster.link, schedule, **kwargs)
+    if not schedule.num_remote:
+        nc, arrival_fn = 0, None
+    return simulate_layer0_fused(
+        cluster.gpu, cluster.link, schedule, nc=nc, arrival_fn=arrival_fn, **kwargs
+    )
+
+
+def _layer1_kernel(comet, workload, schedule, comm, nc):
+    """One of ``comet``'s layer1 kernels priced alone: the top-k reduce
+    keeps one comm block when no reduced row leaves the rank."""
+    config, cluster = workload.config, workload.cluster
+    kwargs = dict(
+        k=config.ffn_size // workload.strategy.tp_size, cols=config.hidden_size,
+        dtype_bytes=config.dtype_bytes, compute_scale=comet.gemm_scale,
+    )
+    if not comet.specialized:
+        return simulate_layer1_vertical(cluster.gpu, cluster.link, schedule, comm, **kwargs)
+    if not comm.remote_bulk_rows + comm.remote_fine_rows:
+        nc = max(1, nc)
+    return simulate_layer1_fused(cluster.gpu, cluster.link, schedule, comm, nc=nc, **kwargs)
+
+
 def _layer1_sweep_per_nc(comet, workload, variant_step):
     """The layer1 sweep as one single-``nc`` kernel simulation per variant."""
     config = workload.config
@@ -368,9 +415,8 @@ def _layer1_sweep_per_nc(comet, workload, variant_step):
         policy=POLICY_COLUMN_MAJOR if comet.reschedule else POLICY_EXPERT_MAJOR,
     )
     comm = comet.layer1_comm_work(workload, rank)
-    k = config.ffn_size // workload.strategy.tp_size
     return profile_division_points(
-        lambda nc: comet._run_layer1_kernel(workload, schedule, comm, k, nc).duration_us,
+        lambda nc: _layer1_kernel(comet, workload, schedule, comm, nc).duration_us,
         default_variants(workload.cluster.gpu.num_sms, step=variant_step),
     )
 
@@ -436,6 +482,299 @@ DEDUP_EXAMPLES = tuple(
     for tp, ep in [(1, 8), (2, 4), (4, 2)]
     for std in [0.0, 0.02, 0.04]
 ) + (_dedup_case(1, 8, 0.0, seed=0, tokens=2048, fabric=True),)
+
+
+# -- COMET's batched layers ------------------------------------------------------
+
+
+def _rank_pairs(workload, rank):
+    """``rank``'s (source rank, local expert) pair counts, from the plan."""
+    experts = workload.strategy.experts_of_rank(rank, workload.config.num_experts)
+    return workload.plan.counts_by_rank(workload.owner)[:, experts]
+
+
+def _combine_split(workload, rank):
+    """(local, remote_bulk, remote_fine) owners of the tokens with an
+    expert in ``rank``'s EP group, counted token by token."""
+    strategy = workload.strategy
+    per_group = workload.config.num_experts // strategy.ep_size
+    present = (workload.plan.experts // per_group == strategy.ep_rank(rank)).any(axis=1)
+    owners = workload.owner[present]
+    local = int((owners == rank).sum())
+    bulk = int(np.isin(owners, strategy.tp_group_of(rank)).sum()) - local
+    return local, bulk, owners.size - local - bulk
+
+
+def _fabric_arrivals(workload, pairs, nc):
+    """Each rank's arrival curve from the joint fetch fabric."""
+    config, link, world = workload.config, workload.cluster.link, workload.world_size
+    runs = [
+        [FetchRun(src=(rank + d) % world, tokens=int(pairs[rank][(rank + d) % world].sum()))
+         for d in range(1, world)]
+        for rank in range(world)
+    ]
+    return [
+        timeline.arrival_time
+        for timeline in simulate_fetch_fabric(
+            runs, config.token_bytes,
+            np.full(world, _comm_rate(link, nc, config.token_bytes)),
+            np.full(world, link.bytes_per_us), latency_us=link.latency_us,
+        )
+    ]
+
+
+def _per_rank_comet(comet, workload):
+    """COMET's layer timing and layer0 division-point sweep as loops of
+    one-row calls: every rank's schedule and kernel on its own, then
+    every variant on its own."""
+    config, world = workload.config, workload.world_size
+    policy0 = POLICY_SORTED if comet.reschedule else POLICY_TOKEN_ORDER
+    policy1 = POLICY_COLUMN_MAJOR if comet.reschedule else POLICY_EXPERT_MAJOR
+    nc0, nc1 = comet.division_point(workload, 0), comet.division_point(workload, 1)
+    pairs = [_rank_pairs(workload, rank) for rank in range(world)]
+    arrivals = [None] * world
+    if comet.fabric_contention and world > 1:
+        arrivals = _fabric_arrivals(workload, pairs, nc0)
+    layer0 = [
+        _layer0_kernel(
+            comet, workload, build_layer0_schedule(pairs[rank], rank, policy=policy0),
+            nc0, arrivals[rank],
+        )
+        for rank in range(world)
+    ]
+    comms = [
+        Layer1CommWork(int(pairs[rank].sum()), *_combine_split(workload, rank), config.token_bytes)
+        for rank in range(world)
+    ]
+    layer1 = [
+        _layer1_kernel(
+            comet, workload,
+            build_layer1_schedule(pairs[rank].sum(axis=0), cols=config.hidden_size, policy=policy1),
+            comms[rank], nc1,
+        )
+        for rank in range(world)
+    ]
+    l0 = max(layer0, key=lambda result: result.duration_us)
+    l1 = max(layer1, key=lambda result: result.duration_us)
+    remote = any(comm.remote_bulk_rows + comm.remote_fine_rows for comm in comms)
+    timing = LayerTiming(
+        system=comet.name,
+        gate_us=comet.gate_time_us(workload),
+        layer0_comm_us=l0.comm_standalone_us,
+        layer0_comp_us=l0.comp_standalone_us,
+        activation_us=comet.activation_us(workload),
+        layer1_comp_us=l1.comp_standalone_us if remote else l1.duration_us,
+        layer1_comm_us=l1.comm_standalone_us if remote else 0.0,
+        host_us=comet.NUM_KERNELS * workload.cluster.gpu.kernel_launch_us,
+        exposed_layer0_comm_us=min(l0.bubble_us, l0.comm_standalone_us),
+        exposed_layer1_comm_us=min(l1.bubble_us, l1.comm_standalone_us) if remote else 0.0,
+    )
+    rank = int(np.argmax([p.sum() for p in pairs]))
+    schedule = build_layer0_schedule(pairs[rank], rank, policy=policy0)
+    sweep = profile_division_points(
+        lambda nc: _layer0_kernel(comet, workload, schedule, nc).duration_us,
+        default_variants(workload.cluster.gpu.num_sms),
+    )
+    return timing, list(sweep.durations_us.items()), sweep.best_nc
+
+
+def _batched_comet(comet, workload):
+    sweep = comet.sweep_division_points(workload, 0)
+    return comet.time_layer(workload), list(sweep.durations_us.items()), sweep.best_nc
+
+
+def _batched_case(cluster, tp, std, seed, tokens=2048, reschedule=True,
+                  specialized=True, fabric=False):
+    def run(price):
+        comet = Comet(reschedule=reschedule, specialized=specialized, fabric_contention=fabric)
+        workload = make_workload(
+            MIXTRAL_8X7B, cluster, ParallelStrategy(tp, cluster.world_size // tp),
+            tokens, std, seed,
+        )
+        return price(comet, workload)
+
+    return Case(
+        f"batched COMET {cluster.name} TP{tp} M{tokens} std={std} seed={seed} "
+        f"reschedule={reschedule} specialized={specialized} fabric={fabric}",
+        lambda: run(_batched_comet),
+        lambda: run(_per_rank_comet),
+    )
+
+
+TWO_NODES = h800_pod(2).effective_cluster()
+BATCHED_EXAMPLES = tuple(
+    _batched_case(CLUSTER, tp, std, 1) for tp in (1, 2, 4, 8) for std in (0.0, 0.05)
+) + (
+    _batched_case(CLUSTER, 1, 0.02, 2, reschedule=False),
+    _batched_case(CLUSTER, 2, 0.02, 3, specialized=False),
+    _batched_case(CLUSTER, 1, 0.03, 4, fabric=True),
+    _batched_case(CLUSTER, 4, 0.0, 5, tokens=1024, fabric=True),
+    _batched_case(l20_node(), 1, 0.02, 6),
+    _batched_case(l20_node(), 2, 0.05, 7, reschedule=False, specialized=False),
+    _batched_case(TWO_NODES, 2, 0.03, 8),
+    _batched_case(TWO_NODES, 4, 0.0, 9, tokens=4096, fabric=True),
+)
+
+
+@st.composite
+def _batched_cases(draw):
+    cluster = draw(st.sampled_from((CLUSTER, l20_node(), TWO_NODES)))
+    splits = (1, 2, 4, 8) if cluster.world_size == 8 else (2, 4, 8)
+    return _batched_case(
+        cluster, draw(st.sampled_from(splits)), draw(st.sampled_from((0.0, 0.01, 0.03, 0.05))),
+        draw(st.integers(0, 50)), draw(st.sampled_from((1024, 2048, 4096))),
+        draw(st.booleans()), draw(st.booleans()), draw(st.booleans()),
+    )
+
+
+# -- balanced routing from the uniform draws -------------------------------------
+
+
+class _EditedStream:
+    """``default_rng(seed)`` whose first block of uniform draws is edited.
+
+    The generator still advances by the real draws, so every later draw
+    is real.  ``random`` returns the edited block.  With ``keys=True``,
+    ``gumbel`` returns numpy's Gumbel expression over the edited block,
+    as a stream that really drew those uniforms would; otherwise it draws
+    real Gumbel noise, as numpy does after rejecting a zero.
+    """
+
+    def __init__(self, seed, edit, keys):
+        self._rng = np.random.default_rng(seed)
+        self._edit = edit
+        self._keys = keys
+
+    def _block(self, size):
+        edit, self._edit = self._edit, None
+        draws = self._rng.random(size)
+        return draws if edit is None else edit(draws)
+
+    def random(self, size=None):
+        return self._rng.random() if size is None else self._block(size)
+
+    def gumbel(self, size=None):
+        if not self._keys:
+            return self._rng.gumbel(size=size)
+        draws = self._block(size)
+        return np.array(
+            [0.0 - 1.0 * math.log(-math.log(1.0 - u)) for u in draws.ravel().tolist()]
+        ).reshape(draws.shape)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _tie(row, rank, offset=0.0):
+    """Edit: row ``row``'s ``rank + 1``-th smallest uniform becomes its
+    ``rank``-th smallest plus ``offset``."""
+    def edit(uniforms):
+        order = np.argsort(uniforms[row])
+        uniforms[row, order[rank + 1]] = uniforms[row, order[rank]] + offset
+        return uniforms
+    return edit
+
+
+def _zero(row, col):
+    def edit(uniforms):
+        uniforms[row, col] = 0.0
+        return uniforms
+    return edit
+
+
+def _edits(*edits):
+    def edit(uniforms):
+        for one in edits:
+            uniforms = one(uniforms)
+        return uniforms
+    return edit
+
+
+def _routing_case(label, tokens, experts, topk, seed, edit=None, keys=False, gap=None):
+    fractions = balanced_fractions(experts)
+
+    def run(route):
+        rng = np.random.default_rng(seed) if edit is None else _EditedStream(seed, edit, keys)
+        plan = route(tokens, topk, fractions, rng)
+        return (
+            str(plan.experts.dtype), plan.experts.shape, plan.experts.tobytes(),
+            str(plan.weights.dtype), plan.weights.tobytes(), rng.random(),
+        )
+
+    def fast():
+        if gap is None:
+            return run(routing_from_fractions)
+        with mock.patch.object(routing_module, "TIE_GAP", gap):
+            return run(routing_from_fractions)
+
+    return Case(
+        f"{label} (tokens={tokens}, E={experts}, topk={topk}, seed={seed})",
+        fast, lambda: run(gumbel_routing_from_fractions),
+    )
+
+
+@st.composite
+def _routing_cases(draw):
+    experts = draw(st.integers(1, 128))
+    return _routing_case(
+        "balanced", draw(st.integers(0, 400)), experts,
+        draw(st.integers(1, experts)), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+ROUTING_PATH_EXAMPLES = (
+    _routing_case("Mixtral's plan", 16384, 8, 2, 0),
+    _routing_case("64 experts", 4096, 64, 6, 1),
+    _routing_case("top-k of every expert", 300, 5, 5, 2),
+    _routing_case("one expert", 64, 1, 1, 3),
+    _routing_case("no tokens", 0, 16, 2, 4),
+    _routing_case("a zero draw", 512, 8, 2, 5, edit=_zero(3, 2)),
+    _routing_case("a zero draw in the last row", 512, 64, 4, 6, edit=_zero(511, 63)),
+    _routing_case(
+        "exact ties", 256, 16, 2, 7, keys=True,
+        edit=_edits(_tie(0, 0), _tie(1, 1), _tie(2, 2), _tie(200, 0), _tie(200, 1)),
+    ),
+    _routing_case(
+        "ties among all experts", 128, 4, 4, 8, keys=True,
+        edit=_edits(_tie(5, 0), _tie(6, 2), _tie(7, 1, 1e-15)),
+    ),
+    _routing_case(
+        "near ties within the gap", 256, 32, 3, 9, keys=True,
+        edit=_edits(_tie(0, 0, 1e-13), _tie(9, 3, 5e-13), _tie(10, 2, 1e-12)),
+    ),
+    _routing_case("every row a near tie", 512, 32, 3, 10, gap=1.0),
+    _routing_case("some rows near ties", 2048, 8, 2, 11, gap=0.01),
+)
+
+
+def test_tie_gap_bound_is_inclusive():
+    # Row 0's two smallest uniforms lie exactly TIE_GAP apart, row 1's
+    # twice that: only row 0 takes the Gumbel keys.
+    gap = routing_module.TIE_GAP
+
+    def edit(uniforms):
+        uniforms[0, :2] = gap, 2 * gap
+        uniforms[1, :2] = gap, 3 * gap
+        return uniforms
+
+    assert 2 * gap - gap == gap
+    with mock.patch.object(
+        routing_module, "_gumbel_top_k", wraps=routing_module._gumbel_top_k
+    ) as gumbel_top_k:
+        routing_from_fractions(4, 1, balanced_fractions(8), _EditedStream(0, edit, keys=False))
+    (call,) = gumbel_top_k.call_args_list
+    keys = call.args[1]
+    assert keys.shape == (1, 8)
+    assert keys[0, 0] == 0.0 - 1.0 * math.log(-math.log(1.0 - gap))
+
+
+def test_numpy_gumbel_is_its_expression_over_random():
+    """The identity the balanced routing path rests on: numpy's Gumbel
+    draws are ``0.0 - 1.0 * log(-log(1.0 - u))`` over the uniforms
+    ``random`` returns from the same stream, with libm's ``log``."""
+    gumbel = np.random.default_rng(2024).gumbel(size=20_000).tolist()
+    uniforms = np.random.default_rng(2024).random(20_000).tolist()
+    assert gumbel == [0.0 - 1.0 * math.log(-math.log(1.0 - u)) for u in uniforms]
 
 
 # -- schedule graphs -----------------------------------------------------------
@@ -1469,6 +1808,15 @@ PAIRS = (
             st.integers(0, 50), st.sampled_from((1024, 2048, 4096)), st.booleans(),
         ),
         flag="rank_dedup", examples=DEDUP_EXAMPLES, max_examples=8,
+    ),
+    Pair(
+        (Comet._simulate_layer0, Comet._simulate_layer1, simulate_layer0_fused),
+        _per_rank_comet, _batched_cases(),
+        examples=BATCHED_EXAMPLES, max_examples=10,
+    ),
+    Pair(
+        routing_from_fractions, gumbel_routing_from_fractions, _routing_cases(),
+        examples=ROUTING_PATH_EXAMPLES, max_examples=60,
     ),
     Pair(
         (fast_schedule, schedule_batch), list_schedule,

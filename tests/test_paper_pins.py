@@ -8,7 +8,9 @@ shortest round-trip repr): Figure 8's default step-2 curves (every
 ``nc``'s duration and the optimum of all 12 curves), Figure 10's
 single-layer rows, Figure 9 at 4096 tokens, the quick claim rows, and
 the default results of Figures 1, 11, 12, 13 and both panels of 14.
-Table 3 is left out: it prices no kernel.
+Table 3 is left out: it prices no kernel.  The seed-1 exports of the
+graph, serving and fleet benchmark workloads are pinned the same way,
+by the sha256 of their ``to_json()`` text.
 An intended change re-records the table with
 ``PYTHONPATH=src python tests/test_paper_pins.py``.
 """
@@ -19,6 +21,7 @@ import json
 
 import pytest
 
+from repro import ExperimentSpec, FleetSpec, ServeSpec, TraceSpec
 from repro.bench import (
     fig01_time_breakdown,
     fig08_nc_sweep,
@@ -85,12 +88,53 @@ PINS = {
 }
 
 
+#: The seed-1 exports of perfbench's other three workloads, each built
+#: through the public API as ``perfbench/workloads.py`` builds it.
+EXPORTS = {
+    "graph-sweep": (
+        lambda: ExperimentSpec.grid(
+            models="mixtral", clusters="h800", strategies="sweep", tokens=4096,
+            overlap_policies=("per_layer", "cross_layer"), stragglers=(None, 1.5),
+            seeds=1,
+        ).run(level="model").to_json(),
+        "5cff25d690ddd1cb841aa337c6b49d128adfc30d2af3a61e4a1e62712788ce2f",
+    ),
+    "serve-poisson": (
+        lambda: ServeSpec.grid(
+            traces=TraceSpec(kind="poisson", rps=100, duration_s=50, seed=1),
+            systems=("comet", "megatron"),
+        ).run().to_json(),
+        "a7a6a5e8cb4d047a77816d31e01592933df0a03b2e5a2b3b7e90c4d66398c297",
+    ),
+    "fleet-cosim": (
+        lambda: FleetSpec.grid(
+            replicas=8, routers="power_of_two",
+            traces=TraceSpec(kind="poisson", rps=1200, duration_s=5, seed=1),
+            router_seed=1, systems="comet",
+        ).run().to_json(),
+        "0e86248b08decdc4dee3ddf20e8560cf426b32dbddc8726ba9253e23398374b8",
+    ),
+}
+
+
+def _export_sha(export: str) -> str:
+    return hashlib.sha256(export.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(PINS))
 def test_paper_numbers_are_byte_identical(name):
     build, digest = PINS[name]
     assert _sha(build()) == digest
 
 
+@pytest.mark.parametrize("name", list(EXPORTS))
+def test_seed1_export_is_byte_identical(name):
+    build, digest = EXPORTS[name]
+    assert _export_sha(build()) == digest
+
+
 if __name__ == "__main__":
     for name, (build, _) in PINS.items():
         print(f'{name}: "{_sha(build())}"')
+    for name, (build, _) in EXPORTS.items():
+        print(f'{name}: "{_export_sha(build())}"')

@@ -21,7 +21,11 @@ from repro.faults import MigrationSpec, ResilienceSpec
 from repro.fleet.spec import AutoscalerSpec, FleetScenario, ReplicaSpec
 from repro.hw import h800_node
 from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE
-from repro.moe.routing import imbalanced_fractions, max_imbalance_std
+from repro.moe.routing import (
+    imbalanced_fractions,
+    max_imbalance_std,
+    routing_from_fractions,
+)
 from repro.parallel.strategy import ParallelStrategy
 from repro.runtime.workload import make_workload
 from repro.serve.scenario import ServeScenario
@@ -54,6 +58,35 @@ def test_routing_and_scenario_share_the_bound():
         imbalanced_fractions(MIXTRAL_8X7B.num_experts, bound)
     with pytest.raises(ValueError, match="unreachable"):
         Scenario(MIXTRAL_8X7B, h800_node(), EP8, tokens=2048, imbalance_std=bound)
+
+
+@pytest.mark.parametrize(
+    "fractions",
+    ([float("nan")] * 2, [0.5, float("nan"), 0.5], [float("inf"), 0.0], [1.0, float("-inf")]),
+    ids=("all nan", "one nan", "inf", "-inf"),
+)
+def test_routing_fractions_must_be_finite(fractions):
+    # [nan, nan] used to pass the sum check and send every token to
+    # expert 0.
+    with pytest.raises(ValueError, match="fractions must be finite"):
+        routing_from_fractions(6, 1, fractions)
+
+
+@pytest.mark.parametrize("std", (float("nan"), float("inf"), float("-inf")), ids=repr)
+def test_imbalance_std_must_be_finite(std):
+    # NaN used to fail every comparison and return uniform fractions.
+    with pytest.raises(ValueError, match=f"std must be finite, got {std}"):
+        imbalanced_fractions(8, std)
+
+
+@pytest.mark.parametrize(
+    "std, message", ((-0.01, "non-negative"), (float("nan"), "finite")),
+    ids=("negative", "nan"),
+)
+def test_workload_imbalance_must_be_finite_and_non_negative(std, message):
+    # Both used to synthesise the balanced plan.
+    with pytest.raises(ValueError, match=f"std must be {message}"):
+        make_workload(MIXTRAL_8X7B, h800_node(), EP8, 2048, imbalance_std=std)
 
 
 def test_layer_cli_reports_unreachable_imbalance(capsys):

@@ -241,6 +241,31 @@ class TestDuplicatePoints:
         assert dup.to_json() == single.to_json()
 
 
+class TestEmptyAxes:
+    """An empty axis expands to no grid point, so the grid raises naming
+    it; each of these used to build zero scenarios and export an empty
+    result.  No systems still means every registered system."""
+
+    @pytest.mark.parametrize("axis, name", (("tokens", "tokens"), ("seeds", "seed")))
+    def test_experiment(self, axis, name):
+        with pytest.raises(ValueError, match=f"grid axis '{name}' has no values"):
+            ExperimentSpec.grid(**{axis: ()})
+
+    def test_serve(self):
+        with pytest.raises(ValueError, match="grid axis 'trace' has no values"):
+            ServeSpec.grid(traces=())
+
+    @pytest.mark.parametrize("axis, name", (("routers", "router"), ("replicas", "replicas")))
+    def test_fleet(self, axis, name):
+        with pytest.raises(ValueError, match=f"grid axis '{name}' has no values"):
+            FleetSpec.grid(**{axis: ()})
+
+    def test_no_systems_means_every_system(self):
+        spec = ExperimentSpec.grid(tokens=2048, systems=())
+        assert spec.system_names() == ExperimentSpec.grid(tokens=2048).system_names()
+        assert spec.scenarios
+
+
 NUMERIC_AXES = [
     (ExperimentSpec, "tokens", "2048"),
     (ExperimentSpec, "tokens", 2048.9),

@@ -198,6 +198,8 @@ def _check(payload: dict) -> list[str]:
         failures.append("a routed fleet dropped requests")
     if not identity["identical_records"]:
         failures.append("1-replica fleet records differ from the bare engine")
+    if identity["step_cost_cache"]["hits"] < 1:
+        failures.append("1-replica fleet did not reuse the serving step-cost model")
     if autoscale["scale_ups"] < 1:
         failures.append("autoscaler never scaled up on the diurnal peak")
     if autoscale["ups_in_peak_half"] != autoscale["scale_ups"]:

@@ -6,8 +6,9 @@ and enforces the bit-identity contract while doing so:
 * **grid** — a world-64 straggler grid (slow-rank compute multipliers x
   slow-rank positions, the Figure 14-style skew axis at pod scale), each
   point lowered to a per-rank forward graph and scheduled.  Slow = the
-  original heapq list scheduler per graph (:func:`repro.perf.disabled`);
-  fast = :func:`repro.perf.cached_graph_schedule`, which folds the 64
+  heapq list scheduler per graph
+  (:func:`repro.graph.scheduler.list_schedule`); fast =
+  :func:`repro.perf.cached_graph_schedule`, which folds the 64
   ranks down to their straggler equivalence classes
   (:func:`repro.graph.scheduler.reduce_symmetry`) and replays the
   compiled chain recurrence (:mod:`repro.graph.batch`).  Every start,
@@ -17,7 +18,8 @@ and enforces the bit-identity contract while doing so:
   topology fingerprint, so the wave recurrence runs once over a
   ``(batch, nodes)`` duration matrix instead of per graph.
 
-Run directly (CI smoke step) to emit ``BENCH_graph_speed.json``::
+Run directly (CI smoke step); ``--out`` writes the record (the committed
+one is ``BENCH_graph_speed.json``)::
 
     python benchmarks/bench_graph_speed.py [--quick] [--out PATH]
 
@@ -92,8 +94,7 @@ def bench_grid(quick: bool = False) -> dict:
     graphs = _graphs(quick)
 
     t0 = time.perf_counter()
-    with perf.disabled():
-        slow = [list_schedule(graph) for graph in graphs]
+    slow = [list_schedule(graph) for graph in graphs]
     slow_s = time.perf_counter() - t0
 
     perf.clear_caches()
@@ -127,8 +128,7 @@ def bench_batch(quick: bool = False) -> dict:
     graphs = _graphs(quick)
 
     t0 = time.perf_counter()
-    with perf.disabled():
-        slow = [list_schedule(graph) for graph in graphs]
+    slow = [list_schedule(graph) for graph in graphs]
     slow_s = time.perf_counter() - t0
 
     perf.clear_caches()
@@ -184,11 +184,16 @@ def main() -> int:
         help="smaller grid and a lower floor for CI smoke runs "
         "(bit-identity still enforced)",
     )
-    parser.add_argument("--out", default="BENCH_graph_speed.json", metavar="PATH")
+    parser.add_argument(
+        "--out", metavar="PATH",
+        help="write the JSON record here (the committed baseline is "
+        "BENCH_graph_speed.json); without it nothing is written",
+    )
     args = parser.parse_args()
     payload = run_benchmark(quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
     grid, batch = payload["grid"], payload["batch"]
     print(
         f"grid:  {grid['wall_s_slow']:.3f}s -> {grid['wall_s_fast']:.3f}s "
@@ -203,7 +208,8 @@ def main() -> int:
     failures = _check(payload)
     for failure in failures:
         print(f"FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 1 if failures else 0
 
 

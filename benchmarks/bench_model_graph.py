@@ -10,7 +10,7 @@ graph IR's contracts while measuring:
 * the analytic list scheduler must agree exactly with the DES reference
   executor on the unrolled graphs it prices.
 
-Run directly (CI smoke step) to emit ``BENCH_model_graph.json``::
+Run directly (CI smoke step); ``--out`` writes the JSON record::
 
     python benchmarks/bench_model_graph.py [--quick] [--out PATH]
 
@@ -110,11 +110,15 @@ def main() -> int:
         "--quick", action="store_true",
         help="smaller token count for CI smoke runs (contracts still enforced)",
     )
-    parser.add_argument("--out", default="BENCH_model_graph.json", metavar="PATH")
+    parser.add_argument(
+        "--out", metavar="PATH",
+        help="write the JSON record here; without it nothing is written",
+    )
     args = parser.parse_args()
     payload = run_benchmark(quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
     for name, doc in payload["systems"].items():
         print(
             f"{name:18s} per_layer {doc['per_layer_ms']:8.2f} ms   "
@@ -125,7 +129,8 @@ def main() -> int:
         )
     for failure in payload["failures"]:
         print(f"FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 1 if payload["failures"] else 0
 
 

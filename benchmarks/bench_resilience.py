@@ -15,7 +15,7 @@ Two scenarios, each doubling as an acceptance check:
   letting every request queue through the outage, while conserving
   every offered request (completed + timed-out + shed).
 
-Run directly (CI smoke step) to emit ``BENCH_resilience.json``::
+Run directly (CI smoke step); ``--out`` writes the JSON record::
 
     python benchmarks/bench_resilience.py [--quick] [--out PATH]
 
@@ -208,11 +208,15 @@ def main() -> int:
         "--quick", action="store_true",
         help="smaller traces for CI smoke runs (acceptance still enforced)",
     )
-    parser.add_argument("--out", default="BENCH_resilience.json", metavar="PATH")
+    parser.add_argument(
+        "--out", metavar="PATH",
+        help="write the JSON record here; without it nothing is written",
+    )
     args = parser.parse_args()
     payload = run_benchmark(quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
     detect = payload["detect"]
     print(
         f"detect: p99 TTFT {detect['no_detector']['ttft_p99_ms']:.1f}ms -> "
@@ -232,7 +236,8 @@ def main() -> int:
     failures = _check(payload)
     for failure in failures:
         print(f"FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 1 if failures else 0
 
 

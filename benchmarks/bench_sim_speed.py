@@ -4,19 +4,21 @@ Measures the two workloads the perf layer was built for and enforces the
 equivalence contract while doing so:
 
 * **serve** — a world-16 balanced COMET serving run (2-node H800 pod,
-  TP2 x EP8, large continuous batches), timed with every fast path off
-  (:func:`repro.perf.disabled` — the original per-tile heapq loops, the
-  undeduplicated rank loops, and the event-machinery DES) and again with
-  the fast paths on.  Bucket workloads are pre-built once and shared by
-  both runs (workload caching predates the perf layer), so the
-  comparison isolates the simulator itself.  A warm repeat on a fresh
-  COMET instance then shows the cross-instance
-  :data:`repro.perf.TIMING_CACHE` sharing (every system's timing is a
-  pure function of its fingerprint and the workload).  Reports must
-  match byte for byte.
+  TP2 x EP8, large continuous batches), timed on the references
+  (:func:`repro.oracles.reference_paths` — the per-tile heapq loops,
+  one kernel per rank, the event-machinery DES and per-token
+  retirement, with the caches bypassed) and again on the fast paths.
+  Bucket workloads are pre-built once and shared by both runs (the
+  workload cache stays on under the references), so the comparison
+  isolates the simulator itself.  A warm repeat on a fresh COMET
+  instance then shows the cross-instance sharing of the
+  fingerprint-keyed :data:`repro.perf.STEP_COST_CACHE` and
+  :data:`repro.perf.TIMING_CACHE` (every system's timing is a pure
+  function of its fingerprint and the workload).  Reports must match
+  byte for byte.
 * **grid** — a figure-sized scenario sweep (Figure 12 shape: one model,
-  parallelism x token axes, all five systems) on the same pod, slow
-  serial vs fast; plus a warm repeat of the fast run showing the
+  parallelism x token axes, all five systems) on the same pod, the
+  references vs the fast paths; plus a warm repeat of the fast run showing the
   cross-run :data:`repro.perf.TIMING_CACHE` at work.  ResultSets must
   match byte for byte.
 
@@ -42,6 +44,7 @@ from repro import (
     perf,
 )
 from repro.hw.multinode import h800_pod
+from repro.oracles import reference_paths
 from repro.serve import ServeScenario, TraceSpec
 
 WORLD_SIZE = 16
@@ -57,10 +60,12 @@ def _cluster():
 
 
 def _cold_timing() -> None:
-    """Empty the timing and division-point sweep caches, so the next arm
-    pays for its own ``time_layer`` calls and COMET sweeps."""
+    """Empty the timing, division-point sweep and step-cost caches, so
+    the next arm pays for its own ``time_layer`` calls, COMET sweeps and
+    per-bucket step costs."""
     perf.TIMING_CACHE.clear()
     perf.NC_SWEEP_CACHE.clear()
+    perf.STEP_COST_CACHE.clear()
 
 
 def bench_serve(quick: bool = False) -> dict:
@@ -90,7 +95,7 @@ def bench_serve(quick: bool = False) -> dict:
 
     _cold_timing()
     t0 = time.perf_counter()
-    with perf.disabled():
+    with reference_paths():
         slow = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
     slow_s = time.perf_counter() - t0
     slow_calls = perf.time_layer_calls()
@@ -101,10 +106,10 @@ def bench_serve(quick: bool = False) -> dict:
     fast_s = time.perf_counter() - t0
     fast_calls = perf.time_layer_calls()
 
-    # Warm repeat on a *fresh* COMET instance with the cache left hot:
-    # timing entries key on (system fingerprint, workload fingerprint),
-    # not on instance identity, so the repeat prices every bucket from
-    # the cache.
+    # Warm repeat on a *fresh* COMET instance with the caches left hot:
+    # step-cost models and timings key on the system's fingerprint, not
+    # on instance identity, so the repeat prices every bucket from
+    # memory.
     t0 = time.perf_counter()
     repeat = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
     repeat_s = time.perf_counter() - t0
@@ -147,7 +152,8 @@ def _grid_spec(quick: bool) -> ExperimentSpec:
 
 
 def bench_grid(quick: bool = False) -> dict:
-    """Time a figure-sized sweep, slow serial vs fast, plus a warm repeat."""
+    """Time a figure-sized sweep, references vs fast paths, plus a warm
+    repeat."""
     spec = _grid_spec(quick)
     perf.clear_caches()
     for _scenario, _workload in spec.workloads():  # shared workload warm-up
@@ -155,7 +161,7 @@ def bench_grid(quick: bool = False) -> dict:
 
     _cold_timing()
     t0 = time.perf_counter()
-    with perf.disabled():
+    with reference_paths():
         slow = spec.run()
     slow_s = time.perf_counter() - t0
     slow_calls = perf.time_layer_calls()

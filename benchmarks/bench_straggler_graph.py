@@ -15,7 +15,7 @@ enforcing the straggler IR's contracts while measuring:
   graphs (8 stream pairs, cross-rank barrier edges) so regressions in
   the multi-rank path show up as a throughput drop.
 
-Run directly (CI smoke step) to emit ``BENCH_straggler_graph.json``::
+Run directly (CI smoke step); ``--out`` writes the JSON record::
 
     python benchmarks/bench_straggler_graph.py [--quick] [--out PATH]
 
@@ -146,12 +146,14 @@ def main() -> int:
         help="smaller token count for CI smoke runs (contracts still enforced)",
     )
     parser.add_argument(
-        "--out", default="BENCH_straggler_graph.json", metavar="PATH"
+        "--out", metavar="PATH",
+        help="write the JSON record here; without it nothing is written",
     )
     args = parser.parse_args()
     payload = run_benchmark(quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
     for name, doc in payload["systems"].items():
         for policy, row in doc["policies"].items():
             print(
@@ -162,7 +164,8 @@ def main() -> int:
             )
     for failure in payload["failures"]:
         print(f"FAIL: {failure}")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return 1 if payload["failures"] else 0
 
 

@@ -231,7 +231,7 @@ against the slow path it replaces (the oracle table enforces it, and
 * **Analytic list scheduling** — the layer0 fused kernel's per-tile
   heapq loop collapses to a scan of the one server that finishes last
   (:func:`repro.kernels.fused.layer0_makespan_analytic`); the heapq
-  version stays as the cross-checked reference.
+  version prices traced runs, which need per-block completion times.
 * **Batched ranks and rank deduplication** — COMET prices all of a
   layer's ranks in one call per fused kernel, one row per *distinct*
   rank (TP peers share layer0 schedules; symmetric routings collapse
@@ -253,7 +253,8 @@ against the slow path it replaces (the oracle table enforces it, and
   which workload records a token bucket.  Every cache exposes hit/miss
   counters (``repro sweep/serve ... --report``) and ``clear()``.
 * **Fast serving loop** — the continuous-batching DES is replayed by a
-  sequential transcription with identical event ordering.
+  sequential transcription with identical event ordering, and each
+  sequence retires from a completion map filed at admission.
 * **Columnar request records** — completions, step samples and routing
   decisions are appended as plain row tuples and become numpy columns
   (:class:`repro.serve.metrics.Table`) once per run; every report
@@ -281,12 +282,13 @@ against the slow path it replaces (the oracle table enforces it, and
   into :func:`repro.perf.cache_stats` (``--report`` shows the
   per-process totals).
 
-``repro.perf.disabled()`` restores the original serial behaviour
-wholesale::
+:func:`repro.oracles.reference_paths` swaps every fast path for its
+reference and bypasses the caches — a test and benchmark tool that
+nothing on the simulation path imports::
 
-    from repro import perf
+    from repro import oracles, perf
 
-    with perf.disabled():        # pre-optimisation reference behaviour
+    with oracles.reference_paths():   # the references, nothing cached
         slow = spec.run()
     fast = spec.run(workers=8)   # byte-identical ResultSet, much faster
     wide = spec.run(workers=8, executor="process")   # same bytes again
@@ -324,15 +326,16 @@ CLI: ``repro trace --graph|--serve|--fleet``, and ``--trace-out`` /
 Correctness tooling.  Every fast path and every cache above is trusted
 only because it equals an oracle exactly.  The pairs are declared once,
 as the rows of one table in ``tests/test_oracles.py``, and one
-hypothesis harness runs them: the analytic layer0 scheduler, rank
-dedup, the graph recurrences and symmetry fold, the serve fast loop,
-the fleet's keyed cores and decomposed path, and each cache in
+hypothesis harness runs them: the analytic layer0 scheduler, COMET's
+batched and deduplicated ranks, the graph recurrences and symmetry
+fold, the serve fast loop, the completion-map step kernel under the
+fleet's cores, the fleet's decomposed path, and each cache in
 :mod:`repro.perf` (a cache row changes one input field at a time, so a
 field missing from a cache key fails it).  The oracles themselves live
 in :mod:`repro.oracles`, which nothing on the simulation path imports.
-Coverage tests tie the table to the code: every ``PerfConfig`` flag,
-every function named like a fast path, and every fingerprinted class
-must appear in some row.  ``tests/test_conventions.py`` checks the two
+Coverage tests tie the table to the code: every function named like a
+fast path, every cache, and every fingerprinted class must appear in
+some row.  ``tests/test_conventions.py`` checks the two
 conventions that equality rests on.  Every ``*Spec`` is a top-level
 frozen dataclass whose live instances hash and survive a pickle round
 trip.  The simulators and oracles never read a wall clock, draw ambient

@@ -392,10 +392,14 @@ def _as_straggler_axis(
     an explicit uniform spec — normalises to ``None``, so the axis is
     canonical (no duplicate indistinguishable grid points) and a
     ``(1.0, 1.5)`` sweep keeps its baseline point byte-identical to an
-    unswept grid.
+    unswept grid.  An empty sequence raises: it would expand to no
+    grid point.
     """
+    entries = _as_axis(value)
+    if not entries:
+        raise ValueError("grid axis 'stragglers' has no values")
     out: list[StragglerSpec | None] = []
-    for entry in _as_axis(value):
+    for entry in entries:
         if isinstance(entry, (int, float)):
             mult = check_multiplier(entry)
             entry = StragglerSpec.slow_rank(world_size, compute_mult=mult)
@@ -421,6 +425,8 @@ def _as_strategies(value: Any, world_size: int) -> tuple[ParallelStrategy, ...]:
     if isinstance(value, ParallelStrategy):
         return (value,)
     items = tuple(value)
+    if not items:
+        raise ValueError("grid axis 'strategy' has no values")
     if len(items) == 2 and all(isinstance(v, int) for v in items):
         items = (items,)
     out = []

@@ -8,7 +8,7 @@ routing decision for every request is a pure function of the arrival
 sequence, so the trace is partitioned up front and each replica runs
 through the ordinary
 :class:`~repro.serve.scheduler.ContinuousBatchingScheduler` — which
-means the PR 3 fast serving loop (and its timing caches) is reused
+means the sequential serving loop (and its timing caches) is reused
 verbatim, and a 1-replica round-robin fleet is *bit-identical* to the
 bare serving engine (the equivalence tests enforce ``==`` on the record
 tables).
@@ -30,8 +30,6 @@ admission, so the core files it in a completion map keyed by step and
 a step costs O(admitted + completed), not O(running).  Load signals are
 O(1) counters, and each pool's routable-candidate list is rebuilt only
 when a replica fails, recovers, scales, warms or enters probation.
-Under ``perf.disabled()`` (``fast_serve_loop`` off) the cores count
-every running sequence's token instead: the retained reference.
 
 Parity: on a scenario the decomposed path accepts, the forced
 co-simulation reproduces its reports and exports exactly, for every
@@ -92,7 +90,6 @@ from repro.fleet.metrics import (
 )
 from repro.fleet.router import Router, make_router
 from repro.fleet.spec import FleetScenario, ReplicaSpec
-from repro.perf import CONFIG as PERF_CONFIG
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, Table, TimelinePoint
 from repro.serve.scheduler import (
@@ -140,7 +137,6 @@ class _Replica(ReplicaCore):
             POLICY_REGISTRY.get(scenario.policy), cost_model,
             scenario.slo_ttft_ms, scenario.max_batch_tokens,
             scenario.max_batch_size, role=spec.role,
-            keyed=PERF_CONFIG.fast_serve_loop,
         )
         self.index = index
         self.spec = spec
@@ -378,8 +374,9 @@ class FleetEngine:
             1 for event in crashes if event.recover_ms is not None
         )
 
-        # Process creation order mirrors the single-replica scheduler
-        # (arrivals first, then engines), keeping the event-id
+        # Process creation order mirrors the single-replica serving DES
+        # (repro.oracles.serve_des: arrivals first, then engines), which
+        # the bare engine's sequential loop replays, keeping the event-id
         # tie-breaking aligned so a 1-replica co-simulation reproduces
         # the bare engine's records exactly.
         env.process(self._arrivals(env))

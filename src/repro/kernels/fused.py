@@ -33,7 +33,6 @@ from repro.hw.gpu import GpuSpec
 from repro.hw.link import LinkSpec
 from repro.kernels.gemm import KERNEL_RAMP_US, tile_time_us
 from repro.kernels.tiling import DEFAULT_TILE, TileShape, num_tiles_1d
-from repro.perf import CONFIG as PERF_CONFIG
 from repro.sim.trace import Tracer
 from repro.tensor.reschedule import Layer0Schedule, Layer1Schedule
 
@@ -130,7 +129,8 @@ def layer0_makespan_reference(
     tracer: Tracer | None = None,
     lane: str = "rank",
 ) -> float:
-    """Per-tile heapq list scheduler — the retained reference path.
+    """Per-tile heapq list scheduler — the path traced runs take, since
+    it records each row block's completion.
 
     ``np_blocks`` identical servers start free at :data:`KERNEL_RAMP_US`;
     row blocks are visited in ``order`` (ready-time sorted) and each of
@@ -320,10 +320,10 @@ def _layer0_rows(
             ]
 
     # List scheduling: np identical servers, uniform tile time, tiles of a
-    # row-block all ready at the block's ready time.  The analytic scan is
-    # the default; the heapq loop is kept as the reference
-    # (and carries the tracer, which needs per-block completion times).
-    analytic = tracer is None and PERF_CONFIG.analytic_layer0
+    # row-block all ready at the block's ready time.  The analytic scan
+    # prices untraced runs; a tracer needs per-block completion times,
+    # which only the heapq loop has.
+    analytic = tracer is None
     if analytic:
         ready_sorted = ready[np.lexsort((ready, np.repeat(np.arange(len(rows)), blocks)))]
     results = []

@@ -1,10 +1,11 @@
 """Discrete-event reference implementation of the layer0 fused kernel.
 
-:func:`repro.kernels.fused.simulate_layer0_fused` computes the fused
-kernel's makespan with a fast heap-based list scheduler.  This module
+:func:`repro.kernels.fused.layer0_makespan_reference` computes the fused
+kernel's makespan with a heap-based list scheduler.  This module
 re-derives the same quantity with explicit simulation processes on the
 :mod:`repro.sim` engine — one producer process streaming remote tokens,
-``np`` compute-block processes pulling ready tiles from a store.  The two
+``np`` compute-block processes pulling ready tiles from a
+:class:`Store`, a FIFO channel between them.  The two
 implementations are developed independently and the test suite asserts
 they agree, which guards the scheduler against silent modelling drift
 (the gold-standard-vs-optimised pattern of the project's coding guide).
@@ -12,16 +13,67 @@ they agree, which guards the scheduler against silent modelling drift
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Any
+
 import numpy as np
 
 from repro.hw.gpu import GpuSpec
 from repro.hw.link import LinkSpec
 from repro.kernels.gemm import KERNEL_RAMP_US, tile_time_us
 from repro.kernels.tiling import DEFAULT_TILE, TileShape, num_tiles_1d
-from repro.sim import Environment, Store
+from repro.sim import Environment, Event, SimulationError
 from repro.tensor.reschedule import Layer0Schedule
 
-__all__ = ["des_layer0_makespan"]
+__all__ = ["Store", "des_layer0_makespan"]
+
+
+class Store:
+    """FIFO channel of Python objects with optional capacity bound."""
+
+    def __init__(self, env: Environment, capacity: float = float("inf")):
+        if capacity <= 0:
+            raise SimulationError(f"capacity must be positive, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.items: deque[Any] = deque()
+        self._getters: deque[Event] = deque()
+        self._putters: deque[tuple[Event, Any]] = deque()
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def put(self, item: Any) -> Event:
+        """Deposit ``item``; fires once accepted (immediately if not full)."""
+        event = Event(self.env)
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+            event.succeed()
+            self._serve_getters()
+        else:
+            self._putters.append((event, item))
+        return event
+
+    def get(self) -> Event:
+        """Take the oldest item; fires with the item once one is available."""
+        event = Event(self.env)
+        if self.items:
+            event.succeed(self.items.popleft())
+            self._serve_putters()
+        else:
+            self._getters.append(event)
+        return event
+
+    def _serve_getters(self) -> None:
+        while self._getters and self.items:
+            self._getters.popleft().succeed(self.items.popleft())
+
+    def _serve_putters(self) -> None:
+        while self._putters and len(self.items) < self.capacity:
+            event, item = self._putters.popleft()
+            self.items.append(item)
+            event.succeed()
+            self._serve_getters()
 
 
 def des_layer0_makespan(

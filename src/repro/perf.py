@@ -3,42 +3,40 @@
 Everything in this module is an *accelerator*, never a semantics change:
 each fast path and each cache is verified bit-identical against the
 slow path it replaces — the oracle table in ``tests/test_oracles.py``
-holds one row per flag and per cache, and fails if a flag or a cache has
-no row — and :func:`disabled` restores the original serial behaviour
-wholesale, which is also how ``benchmarks/bench_sim_speed.py`` measures
-the speedup honestly.
+holds one row per fast path and per cache, and fails if a cache has no
+row — and :func:`repro.oracles.reference_paths` swaps every fast path
+for its reference and bypasses the caches, which is also how
+``benchmarks/bench_sim_speed.py`` measures the speedup honestly.
 
-Six switchable fast paths (see :class:`PerfConfig`):
+The product runs one path per input; only the input picks another:
 
-* ``analytic_layer0`` — the analytic scan in :mod:`repro.kernels.fused`
-  replacing the per-tile heapq loop: it walks only the chain of the
-  server that runs the last tile, which finishes last;
-* ``rank_dedup`` — :class:`~repro.systems.comet.Comet` prices each
-  *distinct* rank once: its batched fused-kernel calls get one row per
-  distinct (ring-ordered) pair matrix or combine split, not one per
-  rank;
-* ``timing_cache`` — the global :data:`TIMING_CACHE` memoising
-  ``LayerTiming`` by ``(system fingerprint, workload fingerprint)``
-  across grids, training steps, and serving runs;
-* ``fast_serve_loop`` — the sequential transcription of the serving
-  DES in :mod:`repro.serve.scheduler`, and the keyed
-  :class:`~repro.serve.scheduler.ReplicaCore` step kernel under it and
-  under every replica of the fleet co-simulation: sequences retire from
-  a completion map keyed by step instead of a per-token count over
-  every running sequence;
-* ``graph_symmetry`` — rank-blocked multi-rank graphs fold
-  exchangeable ranks to one representative per equivalence class
-  before scheduling (:func:`repro.graph.scheduler.reduce_symmetry`);
-* ``graph_batch`` — chain-compatible topologies schedule through the
-  compiled max/add recurrence of :mod:`repro.graph.batch` instead of
-  the heapq list scheduler, one compiled topology per
-  :func:`topology_key` cached in :data:`GRAPH_BATCH_CACHE` (with both
-  flags on, the symmetry fold itself is vectorised: cached block
-  structure + ``np.unique`` rank classification + cached reduced
-  recurrence); and the lowering builders of :mod:`repro.graph.lower`
-  lower each topology once into a duration-free skeleton
-  (:func:`lowered_skeleton`), so every later build only gathers its
-  durations.
+* the analytic layer0 scan in :mod:`repro.kernels.fused` replaces the
+  per-tile heapq loop: it walks only the chain of the server that runs
+  the last tile, which finishes last.  A traced run takes the heapq
+  loop, which records per-block completion times;
+* :class:`~repro.systems.comet.Comet` prices each *distinct* rank once:
+  its batched fused-kernel calls get one row per distinct (ring-ordered)
+  pair matrix or combine split, not one per rank.  Under fabric
+  contention every rank has its own arrival curve, so every rank is
+  priced;
+* the serving loop of :mod:`repro.serve.scheduler` replays the serving
+  DES sequentially over the :class:`~repro.serve.scheduler.ReplicaCore`
+  step kernel, which also runs under every replica of the fleet
+  co-simulation: sequences retire from a completion map keyed by step
+  instead of a per-token count over every running sequence;
+* rank-blocked multi-rank graphs fold exchangeable ranks to one
+  representative per equivalence class before scheduling
+  (:func:`repro.graph.scheduler.reduce_symmetry`; the fold itself is
+  vectorised: cached block structure, rank classes from duration bits,
+  cached reduced recurrence);
+* chain-compatible topologies schedule through the compiled max/add
+  recurrence of :mod:`repro.graph.batch`, one compiled topology per
+  :func:`topology_key` cached in :data:`GRAPH_BATCH_CACHE`
+  (:func:`~repro.graph.batch.fast_schedule` falls back to the heapq list
+  scheduler on any other topology); and the lowering builders of
+  :mod:`repro.graph.lower` lower each topology once into a
+  duration-free skeleton (:func:`lowered_skeleton`), so every later
+  build only gathers its durations.
 
 Cache layers live here:
 
@@ -83,9 +81,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 import numpy as np
 
@@ -96,7 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.systems.comet import Comet
 
 __all__ = [
-    "CONFIG",
     "GRAPH_BATCH_CACHE",
     "GRAPH_CACHE",
     "NC_SWEEP_CACHE",
@@ -105,15 +100,12 @@ __all__ = [
     "TIMING_CACHE",
     "WORKLOAD_CACHE",
     "BoundedCache",
-    "PerfConfig",
     "TimingCache",
     "cache_stats",
     "cached_graph_schedule",
     "cached_time_layer",
     "clear_caches",
     "compiled_topology",
-    "configure",
-    "disabled",
     "lowered_skeleton",
     "process_worker_init",
     "record_worker_stats",
@@ -124,52 +116,6 @@ __all__ = [
     "topology_key",
     "worker_process_count",
 ]
-
-
-@dataclass
-class PerfConfig:
-    """Which fast paths are active.  All default on; tests and the
-    benchmark baseline flip them off to recover the original serial
-    behaviour exactly."""
-
-    analytic_layer0: bool = True
-    rank_dedup: bool = True
-    timing_cache: bool = True
-    fast_serve_loop: bool = True
-    graph_symmetry: bool = True
-    graph_batch: bool = True
-
-
-CONFIG = PerfConfig()
-
-
-@contextmanager
-def configure(**flags: bool) -> Iterator[PerfConfig]:
-    """Temporarily override :data:`CONFIG` flags (restored on exit)."""
-    previous = {name: getattr(CONFIG, name) for name in vars(CONFIG)}
-    for name, value in flags.items():
-        if name not in previous:
-            raise ValueError(f"unknown perf flag {name!r}")
-        setattr(CONFIG, name, value)
-    try:
-        yield CONFIG
-    finally:
-        for name, value in previous.items():
-            setattr(CONFIG, name, value)
-
-
-@contextmanager
-def disabled() -> Iterator[PerfConfig]:
-    """All fast paths off: the pre-optimisation serial behaviour."""
-    with configure(
-        analytic_layer0=False,
-        rank_dedup=False,
-        timing_cache=False,
-        fast_serve_loop=False,
-        graph_symmetry=False,
-        graph_batch=False,
-    ) as config:
-        yield config
 
 
 class BoundedCache:
@@ -272,47 +218,19 @@ class BoundedCache:
 class TimingCache(BoundedCache):
     """``LayerTiming`` memo keyed by (system, workload) fingerprints.
 
-    ``time_layer`` is the cached entry point; it also counts the
-    *actual* ``MoESystem.time_layer`` invocations (cache misses plus
-    every call made while the cache is disabled), which is the
-    simulator-throughput metric the speed benchmark reports.
+    ``time_layer`` is the cached entry point.  Every miss runs one real
+    ``MoESystem.time_layer``, so ``misses`` counts the simulations —
+    the simulator-throughput metric the speed benchmark reports.
     """
-
-    def __init__(self, maxsize: int = 4096, name: str = "timing"):
-        super().__init__(maxsize, name=name)
-        self.computed = 0  # real time_layer invocations (misses + bypasses)
 
     def time_layer(
         self, system: "MoESystem", workload: "MoELayerWorkload"
     ) -> "LayerTiming":
-        if not CONFIG.timing_cache:
-            with self._lock:
-                self.computed += 1
-            return system.time_layer(workload)
         key = (system.fingerprint(), workload.fingerprint())
         timing = self.get(key)
         if timing is None:
-            with self._lock:
-                self.computed += 1
-            timing = system.time_layer(workload)
-            self.put(key, timing)
+            timing = self.put(key, system.time_layer(workload))
         return timing
-
-    def clear(self) -> None:
-        with self._lock:
-            self._reset_locked()
-            self.computed = 0
-
-    def stats(self) -> dict[str, Any]:
-        # One lock hold for the whole snapshot, so time_layer_calls is
-        # read in the same critical section as the hit/miss counters.
-        # (computed and misses are still bumped in *separate* critical
-        # sections — a snapshot taken mid-miss can legitimately show
-        # them one apart, so don't assert equality between them.)
-        with self._lock:
-            doc = self._stats_locked()
-            doc["time_layer_calls"] = self.computed
-        return doc
 
 
 TIMING_CACHE = TimingCache(maxsize=4096, name="timing")
@@ -356,13 +274,10 @@ def compiled_topology(graph: Any) -> Any:
 
     Keyed by :func:`topology_key` (durations excluded), so every graph a
     sweep produces for one (model, policy, straggler-shape) point reuses
-    one compiled recurrence.  With the ``graph_batch`` flag off the
-    topology is compiled fresh and unrecorded.
+    one compiled recurrence.
     """
     from repro.graph.batch import compile_topology
 
-    if not CONFIG.graph_batch:
-        return compile_topology(graph)
     key = topology_key(graph)
     topology = GRAPH_BATCH_CACHE.get(("topo", key))
     if topology is None:
@@ -378,11 +293,8 @@ def lowered_skeleton(token: tuple, lower: Callable[[], Any]) -> Any:
 
     :mod:`repro.graph.lower` lowers each topology once per process —
     ``lower()`` runs on the first build only — and every later build of
-    it only gathers its durations.  With the ``graph_batch`` flag off
-    every build lowers a fresh, unrecorded skeleton.
+    it only gathers its durations.
     """
-    if not CONFIG.graph_batch:
-        return lower()
     key = ("skeleton", token)
     skeleton = GRAPH_BATCH_CACHE.get(key)
     if skeleton is None:
@@ -391,14 +303,10 @@ def lowered_skeleton(token: tuple, lower: Callable[[], Any]) -> Any:
 
 
 def _schedule_plain(graph: Any) -> Any:
-    """Schedule one graph via the fastest enabled per-graph path."""
-    from repro.graph.scheduler import list_schedule
+    """Schedule one graph through its compiled topology."""
+    from repro.graph.batch import fast_schedule
 
-    if CONFIG.graph_batch:
-        from repro.graph.batch import fast_schedule
-
-        return fast_schedule(graph, compiled_topology(graph))
-    return list_schedule(graph)
+    return fast_schedule(graph, compiled_topology(graph))
 
 
 # GRAPH_BATCH_CACHE sentinels (BoundedCache cannot store None).
@@ -519,25 +427,21 @@ def _schedule_graph(graph: Any, durations: Any = None) -> Any:
 
     Every branch returns floats bit-identical to
     :func:`repro.graph.scheduler.list_schedule` on the full graph (the
-    property suite enforces it); the flags only pick how much work that
+    oracle table enforces it); the graph only picks how much work that
     costs.
     """
-    if CONFIG.graph_symmetry:
-        if CONFIG.graph_batch:
-            key = topology_key(graph)
-            structure = _cached_block_structure(graph, key)
-            if structure is None:
-                return _schedule_plain(graph)  # known: not rank-blocked
-            schedule = _fast_symmetric_schedule(graph, key, structure, durations)
-            if schedule is not None:
-                return schedule
-        from repro.graph.scheduler import expand_symmetry, reduce_symmetry
+    from repro.graph.scheduler import expand_symmetry, reduce_symmetry
 
-        symmetry = reduce_symmetry(graph)
-        if symmetry is not None:
-            return expand_symmetry(
-                graph, symmetry, _schedule_plain(symmetry.reduced)
-            )
+    key = topology_key(graph)
+    structure = _cached_block_structure(graph, key)
+    if structure is None:
+        return _schedule_plain(graph)  # known: not rank-blocked
+    schedule = _fast_symmetric_schedule(graph, key, structure, durations)
+    if schedule is not None:
+        return schedule
+    symmetry = reduce_symmetry(graph)
+    if symmetry is not None:
+        return expand_symmetry(graph, symmetry, _schedule_plain(symmetry.reduced))
     return _schedule_plain(graph)
 
 
@@ -553,11 +457,8 @@ def cached_graph_schedule(graph: Any) -> Any:
     byte-identical to rescheduling — grids with ``workers=N`` and
     warm-cache reruns produce the same floats.  On a miss, scheduling
     runs through the symmetry-reduction and compiled-recurrence fast
-    paths (``graph_symmetry`` / ``graph_batch`` flags);
-    :func:`disabled` restores the plain list scheduler wholesale.
+    paths.
     """
-    if not CONFIG.timing_cache:
-        return _schedule_graph(graph)
     durations = np.asarray(graph.durations, dtype=np.float64)
     key = (topology_key(graph), durations.tobytes())
     schedule = GRAPH_CACHE.get(key)
@@ -582,8 +483,9 @@ def cached_time_layer(
 
 
 def time_layer_calls() -> int:
-    """Actual ``time_layer`` simulations performed since the last clear."""
-    return TIMING_CACHE.computed
+    """Actual ``time_layer`` simulations performed since the last clear:
+    one per timing-cache miss."""
+    return TIMING_CACHE.misses
 
 
 def shared_workload(
@@ -634,25 +536,10 @@ def shared_step_cost(
     fingerprint, so a mutated system never hits a stale entry.
     Construction failures
     (:class:`~repro.systems.base.UnsupportedWorkload` from the eager
-    support check) propagate and are never cached.  Honours the
-    ``timing_cache`` perf flag: when disabled, every caller gets a fresh
-    model.
+    support check) propagate and are never cached.
     """
     from repro.serve.engine_adapter import StepCostModel
 
-    def build() -> Any:
-        return StepCostModel(
-            system=system,
-            config=config,
-            cluster=cluster,
-            strategy=strategy,
-            bucket_tokens=bucket_tokens,
-            overlap_policy=overlap_policy,
-            stragglers=stragglers,
-        )
-
-    if not CONFIG.timing_cache:
-        return build()
     key = (
         system.fingerprint(),
         config,
@@ -664,7 +551,18 @@ def shared_step_cost(
     )
     model = STEP_COST_CACHE.get(key)
     if model is None:
-        model = STEP_COST_CACHE.put(key, build())
+        model = STEP_COST_CACHE.put(
+            key,
+            StepCostModel(
+                system=system,
+                config=config,
+                cluster=cluster,
+                strategy=strategy,
+                bucket_tokens=bucket_tokens,
+                overlap_policy=overlap_policy,
+                stragglers=stragglers,
+            ),
+        )
     return model
 
 
@@ -676,11 +574,8 @@ def shared_nc_sweep(
     The sweep is a pure function of the system's knobs, the workload and
     the layer, so equal-config COMET instances share it.  COMET sweeps
     each token bucket's canonical workload, so one sweep per bucket
-    serves every workload that falls in it.  Honours the
-    ``timing_cache`` perf flag: when disabled, every sweep runs.
+    serves every workload that falls in it.
     """
-    if not CONFIG.timing_cache:
-        return system.sweep_division_points(workload, layer)
     key = (system.fingerprint(), workload.fingerprint(), layer)
     sweep = NC_SWEEP_CACHE.get(key)
     if sweep is None:
@@ -718,8 +613,6 @@ def process_worker_init() -> None:
             cache.hits = 0
             cache.misses = 0
             cache.evictions = 0
-            if isinstance(cache, TimingCache):
-                cache.computed = 0
     with _WORKER_LOCK:
         _WORKER_STATS.clear()
 
@@ -769,6 +662,8 @@ def cache_stats(include_workers: bool = True) -> dict[str, dict[str, Any]]:
     counters.
     """
     stats = {cache.name: cache.stats() for cache in _CACHES}
+    timing = stats[TIMING_CACHE.name]
+    timing["time_layer_calls"] = timing["misses"]
     if not include_workers:
         return stats
     with _WORKER_LOCK:

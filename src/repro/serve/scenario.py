@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
+from repro import perf
 from repro.api.registry import SYSTEM_REGISTRY, SystemRegistry
 from repro.api.scenario import (
     ExperimentSpec,
@@ -38,7 +39,6 @@ from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.parallel.strategy import ParallelStrategy
-from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import ServeReport, ServeResultSet, ServeSkip
 from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.serve.traffic import Request, TraceSpec
@@ -129,7 +129,7 @@ class ServeScenario:
         Raises :class:`~repro.systems.base.UnsupportedWorkload` if the
         system cannot run this replica shape at all.
         """
-        cost_model = StepCostModel(
+        cost_model = perf.shared_step_cost(
             system,
             self.config,
             self.cluster,

@@ -1,7 +1,9 @@
-"""Continuous batching on the deterministic DES kernel.
+"""Continuous batching as a replay of a two-process event stream.
 
-The scheduler runs two simulation processes on a
-:class:`~repro.sim.engine.Environment`:
+The scheduler replays, in one sequential loop, the events of two
+simulation processes (:mod:`repro.oracles.serve_des` runs them as real
+processes on :class:`~repro.sim.engine.Environment`, the reference the
+loop must equal):
 
 * an *arrival* process that releases requests into the waiting queue at
   their trace timestamps, and
@@ -20,30 +22,27 @@ shortest-prompt-first, and an SLO-aware least-slack policy ship
 built in.
 
 One replica's queues and step kernel (admit, launch, retire) live in
-:class:`ReplicaCore`; the DES, the fast sequential loop, and every
-replica of the fleet co-simulation (:mod:`repro.fleet.simulator`) are
-thin drivers over it.
+:class:`ReplicaCore`; the sequential loop and every replica of the fleet
+co-simulation (:mod:`repro.fleet.simulator`) are thin drivers over it.
 
 Completions and step samples are appended as plain row tuples and
 become :class:`~repro.serve.metrics.Table` columns once, when a run
 returns.
 
-Everything is deterministic: the trace is fixed, the DES event queue
-breaks ties by sequence number, and admission sorts use stable keys with
-the request id as final tiebreaker.
+Everything is deterministic: the trace is fixed, simultaneous events
+fire in the order the DES queue would pop them (by sequence number), and
+admission sorts use stable keys with the request id as final tiebreaker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator
+from typing import Callable
 
 from repro.api.registry import Registry
-from repro.perf import CONFIG as PERF_CONFIG
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, Table, TimelinePoint
 from repro.serve.traffic import Request
-from repro.sim.engine import Environment, Event
 
 __all__ = [
     "POLICY_REGISTRY",
@@ -136,10 +135,10 @@ class ReplicaCore:
 
     Retirement: a sequence admitted at step ``k`` with generated count
     ``g`` after that step retires when step ``k + output_tokens - g``
-    closes.  A ``keyed`` core files it there in a completion map, tagged
-    with its ``attempt`` so a front-door cancel stales the entry, and a
-    step costs O(admitted + completed); otherwise the reference
-    :meth:`retire_per_token` counts every running sequence's token.
+    closes.  The core files it there in a completion map, tagged with
+    its ``attempt`` so a front-door cancel stales the entry, and a step
+    costs O(admitted + completed), not a count of every running
+    sequence's token (:func:`repro.oracles.serve_des.per_token_close`).
     """
 
     def __init__(
@@ -150,7 +149,6 @@ class ReplicaCore:
         max_batch_tokens: int,
         max_batch_size: int,
         role: str = "unified",
-        keyed: bool = True,
     ):
         self.policy = policy
         self.cost_model = cost_model
@@ -166,9 +164,7 @@ class ReplicaCore:
         self.admitted: list[_Sequence] = []
         self.steps = 0
         self.timeline: list[tuple] = []
-        self._completes: dict[int, list[tuple[_Sequence, int]]] | None = (
-            {} if keyed else None
-        )
+        self._completes: dict[int, list[tuple[_Sequence, int]]] = {}
 
     # -- router-facing load signals: O(1) reads of the queues ----------------
     @property
@@ -211,8 +207,7 @@ class ReplicaCore:
         reset to un-prefilled."""
         reclaimed = [*self.drain(), *self.admitted, *self.resident]
         self.admitted, self.resident = [], {}
-        if self._completes is not None:
-            self._completes.clear()
+        self._completes.clear()
         for seq in reclaimed:
             seq.first_token_ms = float("nan")
             seq.generated = 0
@@ -260,8 +255,8 @@ class ReplicaCore:
             prefill_tokens, decode_tokens = 0, used
         else:
             prefill_tokens, decode_tokens = used - resident, resident
-        completes = self._completes
-        if completes is not None and not self._hands_off:
+        if not self._hands_off:
+            completes = self._completes
             step = self.steps
             for seq in admitted:
                 left = seq.request.output_tokens - (seq.generated + 1 if resuming else 1)
@@ -280,8 +275,8 @@ class ReplicaCore:
 
         Admissions emit a prefill's first token (its TTFT) or a resuming
         decode's next.  Every admission leaves a prefill replica; those
-        with nothing left to generate retire.  Keyed, ``generated`` stays
-        exact only for waiting and just-admitted sequences.
+        with nothing left to generate retire.  ``generated`` stays exact
+        only for waiting and just-admitted sequences.
         """
         step = self.steps
         self.steps = step + 1
@@ -295,33 +290,15 @@ class ReplicaCore:
                 seq.generated = 1
         if self._hands_off:
             return admitted, [seq for seq in admitted if seq.done]
-        completes = self._completes
-        if completes is None:
-            return admitted, self.retire_per_token(admitted)
         resident = self.resident
         for seq in admitted:
             resident[seq] = None
         retired = []
-        for seq, attempt in completes.pop(step, ()):
+        for seq, attempt in self._completes.pop(step, ()):
             if seq.attempt == attempt:
                 del resident[seq]
                 retired.append(seq)
         return admitted, retired
-
-    def retire_per_token(self, admitted: list[_Sequence]) -> list[_Sequence]:
-        """The per-token reference retirement: every resident sequence
-        counts its new token, then the finished ones retire."""
-        for seq in self.resident:
-            seq.generated += 1
-        retired: list[_Sequence] = []
-        still_running: dict[_Sequence, None] = {}
-        for seq in [*self.resident, *admitted]:
-            if seq.done:
-                retired.append(seq)
-            else:
-                still_running[seq] = None
-        self.resident = still_running
-        return retired
 
 
 @dataclass
@@ -350,7 +327,7 @@ class ContinuousBatchingScheduler:
     records: list[tuple] = field(default_factory=list, init=False)
     timeline: list[tuple] = field(default_factory=list, init=False)
     #: Simulated time spent inside engine steps (the fleet's utilization
-    #: numerator); both loops sum the same step_ms sequence.
+    #: numerator).
     busy_ms: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
@@ -363,46 +340,19 @@ class ContinuousBatchingScheduler:
                 f"max_batch_size must be positive, got {self.max_batch_size}"
             )
         self._policy: SchedulerPolicy = POLICY_REGISTRY.get(self.policy)
-        self._pending_arrivals = 0
-        self._wakeup: Event | None = None
 
-    # -- simulation processes -------------------------------------------------
-    def _arrivals(self, env: Environment) -> Generator:
-        for request in self.trace:
-            delay = request.arrival_ms - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            self._core.enqueue(_Sequence(request))
-            self._pending_arrivals -= 1
-            if self._wakeup is not None and not self._wakeup.triggered:
-                self._wakeup.succeed()
-
-    def _engine(self, env: Environment) -> Generator:
-        core = self._core
-        while self._pending_arrivals or core.waiting or core.resident:
-            if not core.waiting and not core.resident:
-                # Idle: sleep until the arrival process releases work.
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            step = core.launch(env.now)
-            self.busy_ms += step
-            yield env.timeout(step)
-            now = env.now
-            self.records.extend(_record(seq, now) for seq in core.close(now)[1])
-
-    # -- fast sequential loop -------------------------------------------------
+    # -- the sequential loop --------------------------------------------------
     def _run_fast(self) -> None:
-        """Sequential transcription of the DES run — bit-identical output.
+        """Sequential transcription of the serving DES — bit-identical
+        output.
 
-        The DES above only ever has two event streams in flight: the
-        arrival process's next timeout (or its process-done event) and
-        the engine's step timeout (or its wakeup).  This loop replays
-        exactly those events, including the environment's ``(time,
-        seq)`` tie-breaking (``seq`` counters move where
-        ``Environment._schedule`` would move them), so records and
-        timeline match the DES byte for byte without its generators.
+        The DES (:func:`repro.oracles.serve_des.des_run`) only ever has
+        two event streams in flight: the arrival process's next timeout
+        (or its process-done event) and the engine's step timeout (or
+        its wakeup).  This loop replays exactly those events, including
+        the environment's ``(time, seq)`` tie-breaking (``seq`` counters
+        move where ``Environment._schedule`` would move them), so records
+        and timeline match the DES byte for byte without its generators.
         """
         trace = self.trace
         n = len(trace)
@@ -432,7 +382,6 @@ class ContinuousBatchingScheduler:
                     return
                 core.enqueue(_Sequence(request))
                 a_index += 1
-                self._pending_arrivals -= 1
                 if engine_sleeping and w_event is None:
                     eid += 1  # wakeup.succeed() schedules at the current time
                     w_event = (t, eid)
@@ -446,7 +395,7 @@ class ContinuousBatchingScheduler:
             if finish_step:
                 for seq in core.close(t)[1]:
                     records.append(_record(seq, t))
-            if not (self._pending_arrivals or core.waiting or core.resident):
+            if not (a_index < n or core.waiting or core.resident):
                 eid += 1  # the engine Process event triggers; run() returns
                 e_event = None
                 return
@@ -486,13 +435,6 @@ class ContinuousBatchingScheduler:
                 resume_engine(when, finish_step=True)
 
     # -- entry point ----------------------------------------------------------
-    def _run_des(self) -> None:
-        """The original discrete-event run (retained reference path)."""
-        env = Environment()
-        env.process(self._arrivals(env))
-        engine = env.process(self._engine(env))
-        env.run(until=engine)
-
     def run(self) -> tuple[Table, Table]:
         """Simulate the full trace to completion; returns the
         :class:`RequestRecord` and :class:`TimelinePoint` tables.
@@ -500,22 +442,15 @@ class ContinuousBatchingScheduler:
         Every request is served (the scheduler never drops), so the run
         terminates once the backlog drains.  Records are sorted by
         request id, making the output order independent of completion
-        interleaving.  The fast loop over a keyed core and the DES over
-        the per-token core produce byte-identical results;
-        :data:`repro.perf.CONFIG` selects which pair runs.
+        interleaving.
         """
-        fast = PERF_CONFIG.fast_serve_loop
         self._core = ReplicaCore(
             self._policy, self.cost_model, self.slo_ttft_ms,
-            self.max_batch_tokens, self.max_batch_size, keyed=fast,
+            self.max_batch_tokens, self.max_batch_size,
         )
         self.records.clear()
         self.timeline = self._core.timeline
         self.busy_ms = 0.0
-        self._pending_arrivals = len(self.trace)
-        if fast:
-            self._run_fast()
-        else:
-            self._run_des()
+        self._run_fast()
         records = Table.from_tuples(RequestRecord, self.records).sorted_by("rid")
         return records, Table.from_tuples(TimelinePoint, self.timeline)

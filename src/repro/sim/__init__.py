@@ -9,8 +9,6 @@ Public API:
 * :class:`Environment` — event loop with a virtual clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — the event algebra.
 * :class:`AllOf` / :class:`AnyOf` — condition events.
-* :class:`Resource`, :class:`Store` — capacity-limited resources and
-  producer/consumer channels.
 * :class:`Interrupt` — exception injected into interrupted processes.
 """
 
@@ -24,7 +22,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
 from repro.sim.trace import (
     CounterSample,
     FlowEvent,
@@ -43,9 +40,7 @@ __all__ = [
     "InstantEvent",
     "Interrupt",
     "Process",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "TraceEvent",
     "Tracer",

@@ -64,7 +64,6 @@ from repro.kernels.fused import (
 )
 from repro.moe.config import MoEConfig
 from repro.moe.experts import ExpertWeights
-from repro.perf import CONFIG as PERF_CONFIG
 from repro.perf import shared_nc_sweep, shared_workload
 from repro.runtime.workload import MoELayerWorkload
 from repro.systems.base import LayerTiming, MoESystem
@@ -233,10 +232,10 @@ class Comet(MoESystem):
         # matrices coincide run identical fused kernels — simulate each
         # distinct one once.  Fabric mode gives every rank its own arrival
         # curve, so dedup only applies to the independent-ingress model.
-        if PERF_CONFIG.rank_dedup and not fabric:
-            reps, index = _distinct_rows(pairs[ranks[:, None], (ranks[:, None] + ranks) % world])
+        if fabric:
+            reps = index = ranks.tolist()
         else:
-            reps, index = ranks.tolist(), ranks.tolist()
+            reps, index = _distinct_rows(pairs[ranks[:, None], (ranks[:, None] + ranks) % world])
         schedules = build_layer0_schedule(pairs[reps], reps, policy=self._layer0_policy)
         arrival_fns = self._fabric_arrivals(workload, nc) if fabric else [None] * world
         results = self._layer0_kernels(
@@ -324,12 +323,9 @@ class Comet(MoESystem):
         nc = self.division_point(workload, layer=1)
         # Rank dedup: the layer1 kernel is determined by the GroupGEMM row
         # structure plus the combine traffic split.
-        if PERF_CONFIG.rank_dedup:
-            reps, index = _distinct_rows(
-                np.concatenate((geometry.expert_rows, geometry.combine_split), axis=1)
-            )
-        else:
-            reps = index = list(range(workload.world_size))
+        reps, index = _distinct_rows(
+            np.concatenate((geometry.expert_rows, geometry.combine_split), axis=1)
+        )
         schedules = build_layer1_schedule(
             geometry.expert_rows[reps], cols=config.hidden_size, policy=self._layer1_policy
         )

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro import FleetSpec, ServeSpec, TraceSpec
+from repro import FleetSpec, ServeSpec, TraceSpec, perf
 from repro.fleet import FailureEvent, FleetScenario, ReplicaSpec
 from repro.fleet.router import ROUTER_REGISTRY
 from repro.hw.presets import h800_node
@@ -50,6 +50,15 @@ class TestSingleReplicaBitIdentity:
         serve = ServeSpec.grid(traces=trace, systems="comet", policies=policy).run()
         cosim = fleet_run(trace=trace, routers=router, policies=policy)
         assert cosim.reports[0].records == serve.reports[0].records
+
+    def test_reuses_the_serving_step_cost_model(self):
+        # Serving and a 1-replica fleet of one shape price steps with one
+        # shared cost model, its per-bucket memo included.
+        perf.clear_caches()
+        ServeSpec.grid(traces=SMALL_TRACE, systems="comet").run()
+        fleet_run()
+        stats = perf.cache_stats()["step-cost"]
+        assert (stats["misses"], stats["hits"]) == (1, 1)
 
     def test_goodput_matches_bare_serve(self):
         serve = ServeSpec.grid(traces=SMALL_TRACE, systems="comet").run()

@@ -7,8 +7,8 @@ That each fast path — :func:`repro.graph.batch.fast_schedule`,
 :func:`repro.perf.cached_graph_schedule` — equals the list scheduler
 bit for bit is a row of the oracle table in ``tests/test_oracles.py``.
 This file checks what the table does not: which topologies compile as
-chains, what the fold finds, the fallback routing, the perf flags and
-cache counters, and the lowering skeleton — a topology lowered once and
+chains, what the fold finds, the fallback routing, the cache counters,
+and the lowering skeleton — a topology lowered once and
 reused by every later build, which only gathers its durations, must
 give the graph a fresh node-by-node build gives, edge for edge and float
 for float.
@@ -36,6 +36,7 @@ from repro.graph import (
 )
 from repro.hw.multinode import IB_400G
 from repro.hw.presets import NVLINK_H800
+from repro.oracles import reference_paths
 
 PHASES = (
     LayerPhase(NodeKind.GATE, 12.0),
@@ -220,25 +221,14 @@ class TestPerfIntegration:
         assert second["misses"] == first["misses"]
         assert second["size"] == first["size"]
 
-    def test_disabled_restores_list_schedule(self):
-        with perf.disabled():
+    def test_reference_paths_store_nothing(self):
+        perf.clear_caches()
+        with reference_paths():
             graph = _forward(stragglers=StragglerSpec.slow_rank(4, 1, 1.5))
             schedule = perf.cached_graph_schedule(graph)
             assert len(perf.GRAPH_CACHE) == 0
             assert len(perf.GRAPH_BATCH_CACHE) == 0
         _assert_identical(schedule, list_schedule(graph))
-
-    def test_flags_individually_toggleable(self):
-        graph = _forward(stragglers=StragglerSpec.slow_rank(4, 1, 1.5))
-        reference = list_schedule(graph)
-        for flags in (
-            dict(graph_symmetry=False),
-            dict(graph_batch=False),
-            dict(graph_symmetry=False, graph_batch=False),
-        ):
-            perf.clear_caches()
-            with perf.configure(**flags):
-                _assert_identical(perf.cached_graph_schedule(graph), reference)
 
 
 # -- lowering skeleton ---------------------------------------------------------
@@ -306,10 +296,10 @@ class TestLoweringSkeleton:
         stats = perf.cache_stats()["graph_batch"]
         assert (stats["misses"], stats["hits"]) == (1, 1)
         assert reused.preds is first.preds  # one skeleton, shared
-        with perf.disabled():
+        with reference_paths(caches_only=True):
             fresh = _lowering_case(kind, policy, case)
-        # Disabled: a fresh skeleton, no cache lookup, nothing stored.
-        assert perf.cache_stats()["graph_batch"] == stats
+        # Bypassed: a fresh skeleton, one counted miss, nothing stored.
+        assert perf.cache_stats()["graph_batch"] == {**stats, "misses": 2, "hit_rate": 1 / 3}
         _assert_same_graph(reused, fresh)
         assert first.fingerprint() != reused.fingerprint()
 
@@ -340,7 +330,7 @@ class TestLoweringSkeleton:
         assert second.kinds is not first.kinds
         assert (len(first), len(second)) == (n, n + 1)
         assert second.nodes[-1].kind is NodeKind.HOST
-        with perf.disabled():
+        with reference_paths(caches_only=True):
             fresh = _lowering_case("forward", "cross_layer", "slow_rank")
         _assert_same_graph(first, fresh)
         _assert_same_graph(

@@ -37,6 +37,7 @@ from repro.graph import (
     training_makespan,
 )
 from repro.hw.multinode import h800_pod
+from repro.oracles import reference_paths
 from repro.runtime import make_workload
 from repro.serve import ServeScenario, ServeSpec, TraceSpec
 from repro.systems.base import UnsupportedWorkload
@@ -317,16 +318,15 @@ class TestGraphCache:
         assert second == first
         assert perf.GRAPH_CACHE.hits == hits_before + 1
 
-    def test_disabled_bypasses_graph_cache(self):
+    def test_reference_paths_bypass_graph_cache(self):
         system = SYSTEM_REGISTRY.create("comet")
         workload = _workload(POD, ParallelStrategy(2, 8), 4096, 0.0, 0)
         phases = system.lower_layer(system.time_layer(workload))
         perf.clear_caches()
-        with perf.disabled():
-            on = forward_makespan(phases, 100.0, 16, "shortcut")
+        with reference_paths():
+            reference = forward_makespan(phases, 100.0, 16, "shortcut")
             assert len(perf.GRAPH_CACHE) == 0
-        off = forward_makespan(phases, 100.0, 16, "shortcut")
-        assert on == off
+        assert forward_makespan(phases, 100.0, 16, "shortcut") == reference
 
     def test_other_model_config_distinct(self):
         """Different layer counts produce different fingerprints."""

@@ -5,27 +5,26 @@ with the computation it must reproduce exactly, and one harness,
 :func:`_check`, runs every row: on the hypothesis draws of its ``cases``,
 and on each of its fixed ``examples`` as a test of its own, so a broken
 regression case shows up under its own name.  ``fast`` and ``oracle``
-are the imported objects themselves, so a rename fails at import.  A
-row with a ``flag`` runs ``case.fast`` with that
-:class:`~repro.perf.PerfConfig` flag on and ``case.oracle`` with it off;
-the single-scenario serving cases and the fleet co-sim cases run their
-oracle side with every fast path and cache off (:func:`all_off`).
+are the imported objects themselves, so a rename fails at import.  The
+single-scenario serving cases and the fleet co-sim cases run their
+oracle side with every fast path swapped for its reference and the
+caches bypassed (:func:`repro.oracles.reference_paths`).
 
 Cache rows draw a base input and a copy with exactly one field changed:
 one change per parameter of the cached entry point, looked up by name
 in :func:`_input_changes`, so a new parameter fails its row until it
 gets a value.  They start from empty caches, warm the cache with the
 base, then require the cached entry point on the changed input to equal
-the uncached computation, so a field that never reaches the cache key
-fails its row.  Each probe builds its own system instances, so every
-cache row also checks that a fresh instance reads entries another
-instance wrote.
+the computation with the caches bypassed, so a field that never reaches
+the cache key fails its row.  Each probe builds its own system
+instances, so every cache row also checks that a fresh instance reads
+entries another instance wrote.
 
-Three coverage tests walk the imported ``repro`` package and tie the
-table to the code: every ``PerfConfig`` flag has a row, every function
-named like a fast path is some row's ``fast``, every cache in
-``perf._CACHES`` has a row, and the package reads the fingerprint of
-every fingerprinted class while the cache rows run.
+Two coverage tests walk the imported ``repro`` package and tie the
+table to the code: every function named like a fast path is some row's
+``fast``, every cache in ``perf._CACHES`` has a row, and the package
+reads the fingerprint of every fingerprinted class while the cache rows
+run.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import random
 import re
 import subprocess
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -113,11 +112,13 @@ from repro.moe import (
     token_owner_ranks,
 )
 from repro.moe.config import MoEConfig
+from repro.oracles import reference_paths
 from repro.oracles.distributed import DistributedMoE
 from repro.oracles.graph_des import des_schedule
 from repro.oracles.layer0_des import des_layer0_makespan
 from repro.oracles.layer0_schedule import sorted_layer0_schedule
 from repro.oracles.routing import gumbel_routing_from_fractions
+from repro.oracles.serve_des import des_run, per_token_close
 from repro.runtime.workload import (
     MoELayerWorkload,
     WorkloadGeometry,
@@ -126,6 +127,7 @@ from repro.runtime.workload import (
 )
 from repro.serve import ServeScenario
 from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
+from repro.sim import Tracer
 from repro.systems import Comet
 from repro.systems.base import LayerTiming, MoESystem, UnsupportedWorkload
 from repro.tensor import build_layer0_schedule, build_layer1_schedule
@@ -152,15 +154,10 @@ class Case:
         return self.label
 
 
-def same(label: str, run: Callable[[], Any]) -> Case:
-    """A case whose two paths differ only by the row's flag."""
-    return Case(label, run, run)
-
-
-def all_off(run: Callable[[], Any]) -> Callable[[], Any]:
-    """``run`` with every fast path and cache off."""
+def referenced(run: Callable[[], Any], caches_only: bool = False) -> Callable[[], Any]:
+    """``run`` under :func:`reference_paths`."""
     def oracle():
-        with perf.disabled():
+        with reference_paths(caches_only=caches_only):
             return run()
 
     return oracle
@@ -178,7 +175,6 @@ class Pair:
     fast: Any
     oracle: Any
     cases: st.SearchStrategy
-    flag: str | None = None
     examples: tuple[Case, ...] = ()
     max_examples: int = 10
     cache: perf.BoundedCache | None = None
@@ -204,11 +200,15 @@ def _layer0_fused_case(seed, nc, world, experts, scale, cols, use_arrival_fn):
         token_bytes=4096, k=2048, cols=cols,
         nc=nc if schedule.num_remote else 0, arrival_fn=arrival_fn,
     )
-    return same(
+    # A traced kernel runs the heapq reference.
+    return Case(
         f"simulate_layer0_fused(seed={seed}, nc={nc}, world={world}, "
         f"experts={experts}, scale={scale}, cols={cols}, "
         f"arrival_fn={use_arrival_fn})",
         lambda: simulate_layer0_fused(CLUSTER.gpu, CLUSTER.link, schedule, **kwargs),
+        lambda: simulate_layer0_fused(
+            CLUSTER.gpu, CLUSTER.link, schedule, tracer=Tracer(), **kwargs
+        ),
     )
 
 
@@ -257,11 +257,10 @@ def _layer0_des_case(label, pairs, nc, cols=1024, k=2048):
         token_bytes=4096, k=k, cols=cols, nc=nc if schedule.num_remote else 0
     )
 
-    def heapq_path():
-        with perf.configure(analytic_layer0=False):
-            return simulate_layer0_fused(
-                CLUSTER.gpu, CLUSTER.link, schedule, **kwargs
-            ).duration_us
+    def heapq_path():  # a traced kernel runs the heapq loop
+        return simulate_layer0_fused(
+            CLUSTER.gpu, CLUSTER.link, schedule, tracer=Tracer(), **kwargs
+        ).duration_us
 
     def des():
         # The two may assign tied tiles to different blocks: one tile.
@@ -458,32 +457,6 @@ layer1_sweep_cases = st.builds(
 )
 
 
-# -- COMET rank deduplication --------------------------------------------------
-
-
-def _dedup_case(tp, ep, imbalance_std, seed=3, tokens=4096, fabric=False):
-    def run():
-        workload = make_workload(
-            MIXTRAL_8X7B, CLUSTER, ParallelStrategy(tp, ep), tokens,
-            imbalance_std, seed,
-        )
-        with perf.configure(timing_cache=False):  # sweep under this flag too
-            return Comet(fabric_contention=fabric).time_layer(workload)
-
-    return same(
-        f"Comet(fabric_contention={fabric}) TP{tp}xEP{ep} M{tokens} "
-        f"std={imbalance_std} seed={seed}",
-        run,
-    )
-
-
-DEDUP_EXAMPLES = tuple(
-    _dedup_case(tp, ep, std)
-    for tp, ep in [(1, 8), (2, 4), (4, 2)]
-    for std in [0.0, 0.02, 0.04]
-) + (_dedup_case(1, 8, 0.0, seed=0, tokens=2048, fabric=True),)
-
-
 # -- COMET's batched layers ------------------------------------------------------
 
 
@@ -604,7 +577,11 @@ def _batched_case(cluster, tp, std, seed, tokens=2048, reschedule=True,
 TWO_NODES = h800_pod(2).effective_cluster()
 BATCHED_EXAMPLES = tuple(
     _batched_case(CLUSTER, tp, std, 1) for tp in (1, 2, 4, 8) for std in (0.0, 0.05)
+) + tuple(  # ranks deduplicated across TP x EP splits, then fabric mode
+    _batched_case(CLUSTER, tp, std, 3, tokens=4096)
+    for tp in (1, 2, 4) for std in (0.0, 0.02, 0.04)
 ) + (
+    _batched_case(CLUSTER, 1, 0.0, 0, fabric=True),
     _batched_case(CLUSTER, 1, 0.02, 2, reschedule=False),
     _batched_case(CLUSTER, 2, 0.02, 3, specialized=False),
     _batched_case(CLUSTER, 1, 0.03, 4, fabric=True),
@@ -1235,8 +1212,12 @@ def _serve_case(policy, kind, rps, seed, duration_s=3):
         )
 
     return Case(
-        f"serve {kind} {rps} rps {duration_s} s seed {seed} {policy}", run, all_off(run)
+        f"serve {kind} {rps} rps {duration_s} s seed {seed} {policy}", run, referenced(run)
     )
+
+
+def _single_replica_fleet():
+    return _fleet_run(FleetSpec.grid(traces=SMALL_TRACE, systems="comet"))
 
 
 SERVE_EXAMPLES = tuple(
@@ -1245,9 +1226,9 @@ SERVE_EXAMPLES = tuple(
     for policy in ("fcfs", "spf", "slo")
 ) + (
     # The decomposed fleet runs each replica through the serving loop.
-    same(
+    Case(
         "fleet round_robin x1 poisson 20 rps",
-        lambda: _fleet_run(FleetSpec.grid(traces=SMALL_TRACE, systems="comet")),
+        _single_replica_fleet, referenced(_single_replica_fleet),
     ),
 )
 
@@ -1333,12 +1314,12 @@ COSIM_FEATURES = {
 
 
 def _cosim_case(label, spec, acted=lambda report: True):
-    def keyed():
+    def fast():
         reports, text = _fleet_run(spec)
         assert reports[0].records and acted(reports[0]), "feature did not act"
         return reports, text
 
-    return Case(label, keyed, all_off(lambda: _fleet_run(spec)))
+    return Case(label, fast, referenced(lambda: _fleet_run(spec)))
 
 
 COSIM_EXAMPLES = tuple(
@@ -1628,8 +1609,9 @@ def _cache_case(base: Inputs, field: str, value, probe, oracle=None) -> Case:
     """Warm with ``base``, then read ``base`` changed in ``field``.
 
     ``probe(inputs)`` runs the cached entry point on a system instance
-    of its own.  Caches no flag bypasses pass an ``oracle(inputs)`` that
-    skips them instead.
+    of its own; the oracle side runs it with the caches bypassed.
+    Caches :func:`reference_paths` keeps on pass an ``oracle(inputs)``
+    that skips them instead.
     """
     changed = _changed(base, field, value)
 
@@ -1645,7 +1627,8 @@ def _cache_case(base: Inputs, field: str, value, probe, oracle=None) -> Case:
         f"{base.system}/{base.overlap_policy}{untokened} seed={base.seed} "
         f"M{base.total_tokens} {field}={getattr(value, 'name', value)!r}",
         lambda: run(probe),
-        lambda: run(probe) if oracle is None else oracle(changed),
+        referenced(lambda: run(probe), caches_only=True)
+        if oracle is None else lambda: oracle(changed),
     )
 
 
@@ -1784,7 +1767,7 @@ PAIRS = (
                 st.integers(1, 40), st.integers(0, 80),
             ),
         ),
-        flag="analytic_layer0", examples=SCAN_EXAMPLES, max_examples=120,
+        examples=SCAN_EXAMPLES, max_examples=120,
     ),
     Pair(
         build_layer0_schedule, sorted_layer0_schedule, _schedule_cases(),
@@ -1797,17 +1780,6 @@ PAIRS = (
     Pair(
         layer0_makespan_reference, des_layer0_makespan, _layer0_des_cases(),
         examples=LAYER0_DES_EXAMPLES, max_examples=30,
-    ),
-    Pair(
-        Comet.time_layer, Comet.time_layer,
-        st.builds(
-            lambda tp, std, seed, tokens, fabric: _dedup_case(
-                tp, 8 // tp, std, seed, tokens, fabric
-            ),
-            st.sampled_from((1, 2, 4, 8)), st.sampled_from((0.0, 0.01, 0.03, 0.05)),
-            st.integers(0, 50), st.sampled_from((1024, 2048, 4096)), st.booleans(),
-        ),
-        flag="rank_dedup", examples=DEDUP_EXAMPLES, max_examples=8,
     ),
     Pair(
         (Comet._simulate_layer0, Comet._simulate_layer1, simulate_layer0_fused),
@@ -1825,7 +1797,7 @@ PAIRS = (
             _cases(random_graphs, lambda label, g: _graph_case(label, g, fast_schedule), "random"),
             graph_batches.map(_batch_case),
         ),
-        flag="graph_batch", examples=BATCH_EXAMPLES, max_examples=230,
+        examples=BATCH_EXAMPLES, max_examples=230,
     ),
     Pair(
         (reduce_symmetry, expand_symmetry, perf._fast_symmetric_schedule),
@@ -1835,7 +1807,7 @@ PAIRS = (
             _cases(builder_graphs, _symmetry_case, "builder"),
             _cases(random_graphs, _symmetry_case, "random"),
         ),
-        flag="graph_symmetry", examples=SYMMETRY_EXAMPLES, max_examples=260,
+        examples=SYMMETRY_EXAMPLES, max_examples=260,
     ),
     Pair(
         list_schedule, des_schedule,
@@ -1851,17 +1823,17 @@ PAIRS = (
         examples=DES_EXAMPLES, max_examples=655,
     ),
     Pair(
-        ContinuousBatchingScheduler._run_fast, ContinuousBatchingScheduler._run_des,
+        ContinuousBatchingScheduler._run_fast, des_run,
         st.builds(
             _serve_case, st.sampled_from(("fcfs", "spf", "slo")),
             st.sampled_from(("poisson", "bursty", "diurnal")), st.integers(20, 150),
             st.integers(0, 20), st.integers(1, 2),
         ),
-        flag="fast_serve_loop", examples=SERVE_EXAMPLES, max_examples=2,
+        examples=SERVE_EXAMPLES, max_examples=2,
     ),
     Pair(
-        ReplicaCore.close, ReplicaCore.retire_per_token, cosim_cases,
-        flag="fast_serve_loop", examples=COSIM_EXAMPLES, max_examples=2,
+        ReplicaCore.close, per_token_close, cosim_cases,
+        examples=COSIM_EXAMPLES, max_examples=2,
     ),
     Pair(
         FleetEngine._run_decomposed, FleetEngine._run_cosim, decomposed_cases,
@@ -1874,7 +1846,7 @@ PAIRS = (
     ),
     Pair(
         perf.cached_time_layer, MoESystem.time_layer, timing_cases,
-        flag="timing_cache", examples=TIMING_EXAMPLES, max_examples=5,
+        examples=TIMING_EXAMPLES, max_examples=5,
         cache=perf.TIMING_CACHE,
     ),
     Pair(
@@ -1889,23 +1861,23 @@ PAIRS = (
     ),
     Pair(
         perf.cached_graph_schedule, perf._schedule_graph, graph_cases,
-        flag="timing_cache", examples=GRAPH_EXAMPLES, max_examples=3,
+        examples=GRAPH_EXAMPLES, max_examples=3,
         cache=perf.GRAPH_CACHE,
     ),
     Pair(
         (perf.lowered_skeleton, perf.compiled_topology), build_forward_graph,
         lowering_cases,
-        flag="graph_batch", examples=LOWERING_EXAMPLES, max_examples=3,
+        examples=LOWERING_EXAMPLES, max_examples=3,
         cache=perf.GRAPH_BATCH_CACHE,
     ),
     Pair(
         perf.shared_step_cost, StepCostModel, step_cost_cases,
-        flag="timing_cache", examples=STEP_COST_EXAMPLES, max_examples=3,
+        examples=STEP_COST_EXAMPLES, max_examples=3,
         cache=perf.STEP_COST_CACHE,
     ),
     Pair(
         perf.shared_nc_sweep, Comet.sweep_division_points, nc_sweep_cases,
-        flag="timing_cache", examples=NC_SWEEP_EXAMPLES, max_examples=3,
+        examples=NC_SWEEP_EXAMPLES, max_examples=3,
         cache=perf.NC_SWEEP_CACHE,
     ),
 )
@@ -1919,10 +1891,6 @@ def _name(obj) -> str:
     return getattr(obj, "__qualname__", repr(obj))
 
 
-def _flagged(flag: str | None, value: bool):
-    return perf.configure(**{flag: value}) if flag else nullcontext()
-
-
 def _row_id(pair: Pair) -> str:
     return f"{_name(pair.fast)}=={_name(pair.oracle)}"
 
@@ -1930,14 +1898,11 @@ def _row_id(pair: Pair) -> str:
 def _check(pair: Pair, case: Case) -> None:
     if pair.cache is not None:
         perf.clear_caches()
-    with _flagged(pair.flag, True):
-        fast = case.fast()
+    fast = case.fast()
     if pair.cache is not None:
         stats = pair.cache.stats()
         assert stats["hits"] + stats["misses"], "the case never reached the cache"
-    with _flagged(pair.flag, False):
-        oracle = case.oracle()
-    assert fast == oracle, case.label
+    assert fast == case.oracle(), case.label
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=map(_row_id, PAIRS))
@@ -1990,12 +1955,6 @@ def _defined(module):
                     yield attr, member
 
 
-def test_every_perf_flag_has_a_row():
-    flags = {pair.flag for pair in PAIRS}
-    missing = [f.name for f in dataclasses.fields(perf.PerfConfig) if f.name not in flags]
-    assert not missing, f"PerfConfig flags with no oracle row: {missing}"
-
-
 def test_every_fast_path_is_some_rows_fast():
     fast = {id(obj) for pair in PAIRS for obj in pair.fast_paths}
     named = {
@@ -2031,11 +1990,10 @@ def _package_reads(classes, run) -> set[type]:
     return reached
 
 
-def _run_cached(pair: Pair, case: Case) -> None:
-    """``case.fast()`` from empty caches, with the row's flag on."""
+def _run_cached(case: Case) -> None:
+    """``case.fast()`` from empty caches."""
     perf.clear_caches()
-    with _flagged(pair.flag, True):
-        case.fast()
+    case.fast()
 
 
 def test_every_fingerprinted_class_and_cache_is_perturbed():
@@ -2056,11 +2014,11 @@ def test_every_fingerprinted_class_and_cache_is_perturbed():
     cached = {id(pair.cache) for pair in rows}
     assert [c.name for c in perf._CACHES if id(c) not in cached] == []
     one_per_base = {
-        (pair.cache.name, case.label.split(" seed=")[0]): (pair, case)
+        (pair.cache.name, case.label.split(" seed=")[0]): case
         for pair in rows for case in pair.examples
     }
     reached = _package_reads(
-        fingerprinted, lambda: [_run_cached(*run) for run in one_per_base.values()]
+        fingerprinted, lambda: [_run_cached(case) for case in one_per_base.values()]
     )
     assert not fingerprinted - reached, fingerprinted - reached
 
@@ -2070,7 +2028,10 @@ def test_every_fingerprinted_class_and_cache_is_perturbed():
 
 def test_import_repro_loads_no_oracle():
     """No module ``import repro`` loads is an oracle or exposes one."""
-    names = [oracle.__name__ for oracle in (des_schedule, des_layer0_makespan, DistributedMoE)]
+    names = [
+        oracle.__name__
+        for oracle in (des_schedule, des_layer0_makespan, DistributedMoE, des_run, per_token_close)
+    ]
     code = (
         "import sys, repro\n"
         f"names = {names!r}\n"

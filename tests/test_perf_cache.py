@@ -1,6 +1,7 @@
-"""Unit behaviour of the perf layer: caches, fingerprints, config."""
+"""Unit behaviour of the perf layer: caches and fingerprints."""
 
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro import (
     h800_node,
     perf,
 )
+from repro.oracles import reference_paths
 from repro.runtime.workload import make_workload
 from repro.systems import Comet, MegatronCutlass, Tutel
 
@@ -23,6 +25,14 @@ NARROW = dataclasses.replace(MIXTRAL_8X7B, hidden_size=1024, ffn_size=3584)
 
 def _workload(tokens=1024, seed=0):
     return make_workload(MIXTRAL_8X7B, CLUSTER, STRATEGY, tokens, seed=seed)
+
+
+def _uncached():
+    return reference_paths(caches_only=True)
+
+
+#: Run with the caches on, then with them bypassed.
+CACHING = pytest.mark.parametrize("caching", (nullcontext, _uncached), ids=("cached", "uncached"))
 
 
 class TestBoundedCache:
@@ -92,23 +102,15 @@ class TestTimingCache:
         assert perf.TIMING_CACHE.hits >= 1
         assert perf.time_layer_calls() == 1
 
-    def test_disabled_config_bypasses_cache(self):
+    def test_bypassed_cache_still_counts_calls(self):
         perf.clear_caches()
         workload = _workload()
-        with perf.disabled():
+        with _uncached():
             perf.cached_time_layer(MegatronCutlass(), workload)
             perf.cached_time_layer(MegatronCutlass(), workload)
         assert len(perf.TIMING_CACHE) == 0
         assert perf.time_layer_calls() == 2
-
-    def test_configure_restores_flags(self):
-        assert perf.CONFIG.analytic_layer0
-        with perf.configure(analytic_layer0=False):
-            assert not perf.CONFIG.analytic_layer0
-        assert perf.CONFIG.analytic_layer0
-        with pytest.raises(ValueError):
-            with perf.configure(nonsense=True):
-                pass
+        assert perf.cache_stats()["timing"]["time_layer_calls"] == 2
 
     def test_shared_workload_returns_same_object(self):
         perf.clear_caches()
@@ -220,12 +222,12 @@ class TestNcSweepCache:
     def _division_points(system, workload):
         return system.division_point(workload, 0), system.division_point(workload, 1)
 
-    @pytest.mark.parametrize("timing_cache", (True, False))
-    def test_bucket_ignores_the_probe_order(self, timing_cache):
+    @CACHING
+    def test_bucket_ignores_the_probe_order(self, caching):
         # 3072 and 4096 tokens share the 4096 bucket, which is profiled
         # on its canonical 4096-token workload whichever comes first.
         perf.clear_caches()
-        with perf.configure(timing_cache=timing_cache):
+        with caching():
             probed = Comet()
             self._division_points(probed, _workload(tokens=3072))
             assert self._division_points(probed, _workload(tokens=4096)) == (10, 34)
@@ -257,16 +259,17 @@ class TestNcSweepCache:
         # Still recorded in the instance's own profile.
         assert len(second._profiles[(CLUSTER, MIXTRAL_8X7B)].entries) == 2
 
-    def test_disabled_runs_every_sweep_uncounted(self, sweeps):
+    def test_bypassed_cache_runs_every_sweep(self, sweeps):
         perf.clear_caches()
         workload = _workload(tokens=4096)
         self._division_points(Comet(), workload)
         before = perf.cache_stats()["nc-sweep"]
-        with perf.disabled():
+        with _uncached():
             self._division_points(Comet(), workload)
             self._division_points(Comet(), workload)
         after = perf.cache_stats()["nc-sweep"]
-        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+        assert (after["hits"], after["size"]) == (before["hits"], before["size"])
+        assert after["misses"] == before["misses"] + 4
         assert sweeps == [0, 1] * 3
 
 
@@ -282,7 +285,7 @@ class TestHistoryIndependence:
             perf.cached_time_layer(system, probe)
         return perf.cached_time_layer(system, workload)
 
-    @pytest.mark.parametrize("timing_cache", (True, False))
+    @CACHING
     @pytest.mark.parametrize(
         "probe, workload",
         [
@@ -293,8 +296,8 @@ class TestHistoryIndependence:
         ],
         ids=["shared-bucket", "same-name-config"],
     )
-    def test_equal_timings_after_different_histories(self, timing_cache, probe, workload):
-        with perf.configure(timing_cache=timing_cache):
+    def test_equal_timings_after_different_histories(self, caching, probe, workload):
+        with caching():
             assert self._price(workload, probe) == self._price(workload)
 
 
@@ -390,10 +393,7 @@ class TestCacheConcurrencyHammer:
         stats = cache.stats()
         assert stats["evictions"] >= 1  # the hammer really evicted
         assert stats["size"] <= 2
-        assert min(
-            stats["hits"], stats["misses"], stats["evictions"],
-            stats["time_layer_calls"],
-        ) >= 0
+        assert min(stats["hits"], stats["misses"], stats["evictions"]) >= 0
 
     def test_grid_byte_identical_with_8_workers(self):
         """The full ExperimentSpec path: 8 worker threads sharing the

@@ -5,8 +5,8 @@ This file keeps the checks that are not one fast path/oracle pair:
 
 * the vectorised geometry (baseline_dispatch_route,
   unique_tokens_per_rank) vs loop references;
-* cached/parallel grid execution vs the serial slow path — byte-identical
-  exports.
+* cached/parallel grid execution vs the serial reference paths
+  (:func:`repro.oracles.reference_paths`) — byte-identical exports.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ from repro import (
     ExperimentSpec,
     ParallelStrategy,
     h800_node,
-    perf,
 )
+from repro.oracles import reference_paths
 from repro.runtime.workload import make_workload
 from repro.serve import ServeSpec, TraceSpec
 
@@ -103,7 +103,7 @@ def test_serve_spec_workers_byte_identical():
         traces=TraceSpec(kind="poisson", rps=40, duration_s=2, seed=0),
         systems=("comet", "tutel", "fastermoe"),
     )
-    with perf.disabled():
+    with reference_paths():
         slow = spec.run()
     parallel = spec.run(workers=3)
     assert slow.to_json() == parallel.to_json()
@@ -116,7 +116,7 @@ def test_experiment_spec_workers_byte_identical():
         strategies="sweep",
         tokens=(2048,),
     )
-    with perf.disabled():
+    with reference_paths():
         slow = spec.run()
     fast = spec.run()
     parallel = spec.run(workers=4)
@@ -134,7 +134,7 @@ def test_model_level_workers_byte_identical():
         tokens=(2048,),
         systems=("comet", "megatron-cutlass"),
     )
-    with perf.disabled():
+    with reference_paths():
         slow = spec.run(level="model")
     parallel = spec.run(level="model", workers=2)
     assert slow.to_json() == parallel.to_json()

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Environment, Resource
+from repro.sim import AllOf, AnyOf, Environment
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))
@@ -51,33 +51,6 @@ def test_all_of_fires_at_max_any_of_at_min(delays):
     env.run()
     assert stamps["all"] == max(delays)
     assert stamps["any"] == min(delays)
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=8),
-    jobs=st.integers(min_value=1, max_value=40),
-    service=st.floats(min_value=0.1, max_value=10.0),
-)
-@settings(max_examples=60)
-def test_resource_throughput_law(capacity, jobs, service):
-    """With c servers and uniform service time s, n jobs finish at
-    ceil(n / c) * s — the resource must neither overbook nor idle."""
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    done = []
-
-    def worker():
-        with resource.request() as req:
-            yield req
-            yield env.timeout(service)
-            done.append(env.now)
-
-    for _ in range(jobs):
-        env.process(worker())
-    env.run()
-    waves = -(-jobs // capacity)
-    assert max(done) > (waves - 1) * service - 1e-9
-    assert abs(max(done) - waves * service) < 1e-6
 
 
 @given(

@@ -246,16 +246,24 @@ class TestEmptyAxes:
     it; each of these used to build zero scenarios and export an empty
     result.  No systems still means every registered system."""
 
-    @pytest.mark.parametrize("axis, name", (("tokens", "tokens"), ("seeds", "seed")))
+    @pytest.mark.parametrize(
+        "axis, name",
+        (("tokens", "tokens"), ("seeds", "seed"), ("strategies", "strategy"),
+         ("stragglers", "stragglers")),
+    )
     def test_experiment(self, axis, name):
         with pytest.raises(ValueError, match=f"grid axis '{name}' has no values"):
-            ExperimentSpec.grid(**{axis: ()})
+            ExperimentSpec.grid(**{"tokens": 2048, axis: ()})
 
-    def test_serve(self):
-        with pytest.raises(ValueError, match="grid axis 'trace' has no values"):
-            ServeSpec.grid(traces=())
+    @pytest.mark.parametrize("axis, name", (("traces", "trace"), ("strategies", "strategy")))
+    def test_serve(self, axis, name):
+        with pytest.raises(ValueError, match=f"grid axis '{name}' has no values"):
+            ServeSpec.grid(**{axis: ()})
 
-    @pytest.mark.parametrize("axis, name", (("routers", "router"), ("replicas", "replicas")))
+    @pytest.mark.parametrize(
+        "axis, name",
+        (("routers", "router"), ("replicas", "replicas"), ("stragglers", "stragglers")),
+    )
     def test_fleet(self, axis, name):
         with pytest.raises(ValueError, match=f"grid axis '{name}' has no values"):
             FleetSpec.grid(**{axis: ()})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw import h800_node
+from repro.kernels import fused
 from repro.kernels.fused import (
     Layer1CommWork,
     simulate_layer0_fused,
@@ -46,6 +47,10 @@ def run_layer0(schedule, nc, **kw):
         nc=nc,
         **kw,
     )
+
+
+def _not_this_path(*args, **kwargs):
+    raise AssertionError("the kernel took the other pricing path")
 
 
 def layer1_setup(tokens=8192, world=8):
@@ -138,6 +143,18 @@ class TestLayer0Fused:
         run_layer0(layer0_schedule(), nc=16, tracer=tracer, lane="rank0")
         assert "rank0/comp" in tracer.lanes()
         assert "rank0/comm" in tracer.lanes()
+
+    def test_untraced_kernel_runs_the_analytic_scan(self, monkeypatch):
+        monkeypatch.setattr(fused, "layer0_makespan_reference", _not_this_path)
+        assert run_layer0(layer0_schedule(), nc=16).duration_us > 0
+
+    def test_traced_kernel_runs_the_heapq_loop(self, monkeypatch):
+        # Only the heapq loop has per-block completion times to trace;
+        # it prices the kernel exactly as the analytic scan does.
+        schedule = layer0_schedule()
+        untraced = run_layer0(schedule, nc=16)
+        monkeypatch.setattr(fused, "layer0_makespan_analytic", _not_this_path)
+        assert run_layer0(schedule, nc=16, tracer=Tracer()) == untraced
 
 
 class TestLayer1Fused:

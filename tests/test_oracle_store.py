@@ -1,6 +1,8 @@
 """Unit tests for the FIFO store the layer0 DES oracle runs on."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.oracles.layer0_des import Store
 from repro.sim import Environment, SimulationError
@@ -91,3 +93,45 @@ class TestStore:
         env = Environment()
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
+
+
+@given(
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    gaps=st.lists(
+        st.tuples(st.floats(min_value=0, max_value=10), st.floats(min_value=0, max_value=10)),
+        min_size=1, max_size=25,
+    ),
+)
+@settings(max_examples=60)
+def test_fifo_timing_law(capacity, gaps):
+    """A producer puts items 0..n-1 and a consumer takes n, each waiting
+    its own gap before every request.  Item i is accepted once the
+    consumer has taken item i - capacity, and taken once it is accepted:
+    the times follow that recurrence exactly, the items leave in put
+    order and the store never holds more than its capacity."""
+    env = Environment()
+    store = Store(env) if capacity is None else Store(env, capacity=capacity)
+    accepted, taken, items = [], [], []
+
+    def producer():
+        for i, (gap, _) in enumerate(gaps):
+            yield env.timeout(gap)
+            yield store.put(i)
+            accepted.append(env.now)
+            assert len(store) <= store.capacity
+
+    def consumer():
+        for _, gap in gaps:
+            yield env.timeout(gap)
+            items.append((yield store.get()))
+            taken.append(env.now)
+
+    env.process(producer())
+    env.process(consumer())
+    env.run()
+    assert items == list(range(len(gaps)))
+    put_at = get_at = 0.0
+    for i, (put_gap, get_gap) in enumerate(gaps):
+        put_at = max(put_at + put_gap, taken[i - capacity] if capacity and i >= capacity else 0.0)
+        get_at = max(get_at + get_gap, put_at)
+        assert (accepted[i], taken[i]) == (put_at, get_at), i

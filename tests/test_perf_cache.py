@@ -112,6 +112,14 @@ class TestTimingCache:
         assert perf.time_layer_calls() == 2
         assert perf.cache_stats()["timing"]["time_layer_calls"] == 2
 
+    def test_time_layer_calls_are_the_timing_misses(self):
+        perf.clear_caches()
+        for tokens in (1024, 2048, 1024, 2048, 1024):
+            perf.cached_time_layer(MegatronCutlass(), _workload(tokens=tokens))
+        stats = perf.cache_stats()["timing"]
+        assert (stats["misses"], stats["hits"]) == (2, 3)
+        assert stats["time_layer_calls"] == perf.time_layer_calls() == 2
+
     def test_shared_workload_returns_same_object(self):
         perf.clear_caches()
         a = perf.shared_workload(MIXTRAL_8X7B, CLUSTER, STRATEGY, 1024)

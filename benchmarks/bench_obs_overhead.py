@@ -6,8 +6,9 @@ compute, and the global enable flag gates emission only.  This harness
 verifies the two consequences that make the layer safe to leave on:
 
 * **cost when off ≈ cost when on** — the simulation wall-clock with
-  observability disabled is within 5% of the wall-clock with it enabled
-  (medians over interleaved repeats), because neither arm does any
+  observability enabled is within 5% of the wall-clock with it disabled
+  (the median over :data:`PAIRS` off/on pairs of the on/off ratio, each
+  pair interleaving the two arms' runs), because neither arm does any
   observation work during simulation;
 * **results are bit-identical** — the exported JSON matches byte-for-
   byte across the two arms (the structural guarantee, re-checked here
@@ -27,6 +28,7 @@ or under pytest-benchmark like the other harnesses.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import time
@@ -41,6 +43,10 @@ from repro.obs import (
 )
 
 OVERHEAD_LIMIT_PCT = 5.0
+#: Off/on sample pairs per spec family, and the least wall time of one
+#: sample (one arm's runs within a pair).
+PAIRS = 10
+MIN_SAMPLE_S = 0.2
 
 
 def _serve_spec(quick: bool) -> ServeSpec:
@@ -75,47 +81,57 @@ def _timed(fn) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def bench_spec(make_spec, repeats: int, inner: int) -> dict:
-    """Interleaved obs-off / obs-on timings of one spec family.
+def _pair(make_spec, lead: str) -> tuple[dict[str, float], dict[str, object]]:
+    """One off/on pair: single runs of the two arms interleaved in ABBA
+    order (``lead`` first) until each arm has run :data:`MIN_SAMPLE_S`,
+    with the garbage collector paused.  Returns each arm's seconds per
+    run and last results.
 
-    Each sample times ``inner`` back-to-back runs so one sample is long
-    enough (hundreds of ms) for a 5% difference to dwarf scheduler
-    jitter; the best-of-N estimator is then the standard noise-robust
-    choice, since jitter only ever inflates a sample.
+    The arms share every stretch of the pair's wall time, so a host
+    slowdown that lasts a few runs slows both alike, and with the
+    collector paused no collection lands on one arm's run alone.
     """
+    order = [lead, "on" if lead == "off" else "off"]
+    contexts = {"off": obs.disabled, "on": obs.enabled}
+    seconds = {"off": 0.0, "on": 0.0}
+    results: dict[str, object] = {}
+    runs = 0
+    gc.collect()
+    gc.disable()
+    try:
+        while min(seconds.values()) < MIN_SAMPLE_S:
+            for label in order:
+                with contexts[label]():
+                    elapsed, results[label] = _timed(lambda: make_spec().run())
+                seconds[label] += elapsed
+            order.reverse()
+            runs += 1
+    finally:
+        gc.enable()
+    return {label: total / runs for label, total in seconds.items()}, results
 
-    def run_many():
-        for _ in range(inner):
-            results = make_spec().run()
-        return results
 
+def bench_spec(make_spec) -> dict:
+    """:data:`PAIRS` off/on pairs of one spec family, alternating which
+    arm leads.  The overhead is the median over pairs of the on/off
+    ratio."""
     make_spec().run()  # warm the shared timing caches for both arms
     off_s: list[float] = []
     on_s: list[float] = []
-    exports: dict[str, str] = {}
-    for repeat in range(repeats):
-        # Alternate which arm runs first so slow drift (allocator state,
-        # frequency scaling) cannot systematically favour either arm.
-        arms = [("off", obs.disabled, off_s), ("on", obs.enabled, on_s)]
-        if repeat % 2:
-            arms.reverse()
-        for label, context, samples in arms:
-            with context():
-                elapsed, results = _timed(run_many)
-                samples.append(elapsed)
-                exports[label] = results.to_json()
-    best_off = min(off_s)
-    best_on = min(on_s)
+    for pair in range(PAIRS):
+        per_run, results = _pair(make_spec, lead="on" if pair % 2 else "off")
+        off_s.append(per_run["off"])
+        on_s.append(per_run["on"])
+    ratio = statistics.median(on / off for on, off in zip(on_s, off_s))
     return {
-        "repeats": repeats,
-        "runs_per_sample": inner,
-        "best_off_s": best_off,
-        "best_on_s": best_on,
+        "pairs": PAIRS,
+        "min_sample_s": MIN_SAMPLE_S,
         "median_off_s": statistics.median(off_s),
         "median_on_s": statistics.median(on_s),
-        "overhead_pct": 100.0 * abs(best_on - best_off) / best_off,
-        "identical_exports": exports["off"] == exports["on"],
-        "last_results": results,
+        "median_on_off_ratio": ratio,
+        "overhead_pct": 100.0 * abs(ratio - 1.0),
+        "identical_exports": results["off"].to_json() == results["on"].to_json(),
+        "last_results": results["on"],
     }
 
 
@@ -145,11 +161,9 @@ def bench_trace_build(serve_results, fleet_results) -> dict:
 
 
 def run_benchmark(quick: bool = False) -> dict:
-    repeats = 5 if quick else 7
-    inner = 3 if quick else 5
     perf.clear_caches()
-    serve = bench_spec(lambda: _serve_spec(quick), repeats, inner)
-    fleet = bench_spec(lambda: _fleet_spec(quick), repeats, inner)
+    serve = bench_spec(lambda: _serve_spec(quick))
+    fleet = bench_spec(lambda: _fleet_spec(quick))
     serve_results = serve.pop("last_results")
     fleet_results = fleet.pop("last_results")
     return {
@@ -207,8 +221,9 @@ def main() -> int:
     for name in ("serve", "fleet"):
         arm = payload[name]
         print(
-            f"{name}: off {arm['best_off_s'] * 1000:.1f}ms / "
-            f"on {arm['best_on_s'] * 1000:.1f}ms "
+            f"{name}: off {arm['median_off_s'] * 1000:.2f}ms / "
+            f"on {arm['median_on_s'] * 1000:.2f}ms per run, median on/off "
+            f"ratio {arm['median_on_off_ratio']:.4f} over {arm['pairs']} pairs "
             f"({arm['overhead_pct']:.2f}% apart), "
             f"identical={arm['identical_exports']}"
         )

@@ -22,6 +22,11 @@ equivalence contract while doing so:
   cross-run :data:`repro.perf.TIMING_CACHE` at work.  ResultSets must
   match byte for byte.
 
+Each arm's time is the median of :data:`RUNS` cold runs (the timing,
+sweep and step-cost caches emptied before each), slow and fast runs
+alternating, so host drift spans both arms; the record keeps each
+arm's quartiles.
+
 Run directly (CI smoke step); ``--out`` writes the record (the committed
 one is ``BENCH_sim_speed.json``)::
 
@@ -34,7 +39,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
+from typing import Any, Callable
 
 from repro import (
     MIXTRAL_8X7B,
@@ -53,6 +60,8 @@ STRATEGY = ParallelStrategy(tp_size=2, ep_size=8)
 # Wall-clock floors the perf layer must clear (the PR's acceptance bar).
 SERVE_TARGET = 5.0
 GRID_TARGET = 2.0
+#: Cold runs timed per arm.
+RUNS = 5
 
 
 def _cluster():
@@ -66,6 +75,37 @@ def _cold_timing() -> None:
     perf.TIMING_CACHE.clear()
     perf.NC_SWEEP_CACHE.clear()
     perf.STEP_COST_CACHE.clear()
+
+
+def _on_references(run: Callable[[], Any]) -> Any:
+    with reference_paths():
+        return run()
+
+
+def _timed_arms(
+    slow: Callable[[], Any], fast: Callable[[], Any]
+) -> tuple[dict[str, Any], dict[str, list]]:
+    """:data:`RUNS` runs of each arm, each from cold caches, alternating
+    which arm goes first.  Returns the record's timing fields (each
+    arm's median seconds and quartiles, the ``time_layer`` calls of its
+    last run, the speedup of the medians) and every run's result."""
+    arms = {"slow": slow, "fast": fast}
+    seconds: dict[str, list[float]] = {name: [] for name in arms}
+    results: dict[str, list] = {name: [] for name in arms}
+    fields: dict[str, Any] = {"runs_per_arm": RUNS}
+    for round_ in range(RUNS):
+        for name in sorted(arms, reverse=bool(round_ % 2)):
+            _cold_timing()
+            t0 = time.perf_counter()
+            results[name].append(arms[name]())
+            seconds[name].append(time.perf_counter() - t0)
+            fields[f"time_layer_calls_{name}"] = perf.time_layer_calls()
+    for name, samples in seconds.items():
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+        fields[f"wall_s_{name}"] = median
+        fields[f"wall_s_{name}_quartiles"] = [q1, q3]
+    fields["speedup"] = fields["wall_s_slow"] / fields["wall_s_fast"]
+    return fields, results
 
 
 def bench_serve(quick: bool = False) -> dict:
@@ -88,53 +128,43 @@ def bench_serve(quick: bool = False) -> dict:
     trace = scenario.build_trace()
     perf.clear_caches()
 
+    def fast_run():
+        return scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
+
     # Warm the shared bucket workloads (and their geometry caches): both
-    # timed runs price identical pre-built batch geometry, so the
-    # measurement isolates scheduler + kernel simulation.
-    warm = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
-
-    _cold_timing()
-    t0 = time.perf_counter()
-    with reference_paths():
-        slow = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
-    slow_s = time.perf_counter() - t0
-    slow_calls = perf.time_layer_calls()
-
-    _cold_timing()
-    t0 = time.perf_counter()
-    fast = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
-    fast_s = time.perf_counter() - t0
-    fast_calls = perf.time_layer_calls()
+    # arms price identical pre-built batch geometry, so the measurement
+    # isolates scheduler + kernel simulation.
+    warm = fast_run()
+    timing, results = _timed_arms(lambda: _on_references(fast_run), fast_run)
+    fast = results["fast"][0]
 
     # Warm repeat on a *fresh* COMET instance with the caches left hot:
     # step-cost models and timings key on the system's fingerprint, not
     # on instance identity, so the repeat prices every bucket from
     # memory.
+    _cold_timing()
+    fast_run()
+    warm_calls = perf.time_layer_calls()
     t0 = time.perf_counter()
-    repeat = scenario.run_system(SYSTEM_REGISTRY.create("comet"), trace=trace)
+    repeat = fast_run()
     repeat_s = time.perf_counter() - t0
-    repeat_calls = perf.time_layer_calls() - fast_calls
+    repeat_calls = perf.time_layer_calls() - warm_calls
 
-    identical = (
-        slow.records == fast.records
-        and slow.timeline == fast.timeline
-        and warm.records == fast.records
-        and repeat.records == fast.records
-        and json.dumps(slow.summary(), sort_keys=True)
+    identical = all(
+        report.records == fast.records
+        and report.timeline == fast.timeline
+        and json.dumps(report.summary(), sort_keys=True)
         == json.dumps(fast.summary(), sort_keys=True)
+        for report in (warm, repeat, *results["slow"], *results["fast"])
     )
     return {
         "scenario": scenario.label,
         "world_size": scenario.cluster.world_size,
         "requests": fast.num_requests,
         "engine_steps": len(fast.timeline),
-        "wall_s_slow": slow_s,
-        "wall_s_fast": fast_s,
+        **timing,
         "wall_s_fast_repeat": repeat_s,
-        "speedup": slow_s / fast_s,
         "target_speedup": SERVE_TARGET,
-        "time_layer_calls_slow": slow_calls,
-        "time_layer_calls_fast": fast_calls,
         "time_layer_calls_repeat": repeat_calls,
         "identical_output": identical,
         "caches": perf.cache_stats(),
@@ -159,38 +189,27 @@ def bench_grid(quick: bool = False) -> dict:
     for _scenario, _workload in spec.workloads():  # shared workload warm-up
         pass
 
-    _cold_timing()
-    t0 = time.perf_counter()
-    with reference_paths():
-        slow = spec.run()
-    slow_s = time.perf_counter() - t0
-    slow_calls = perf.time_layer_calls()
-
-    _cold_timing()
-    t0 = time.perf_counter()
-    fast = spec.run()
-    fast_s = time.perf_counter() - t0
-    fast_calls = perf.time_layer_calls()
+    timing, results = _timed_arms(lambda: _on_references(spec.run), spec.run)
+    fast = results["fast"][0]
 
     # Warm repeat: the cross-run TimingCache prices repeated (system,
     # workload) pairs from memory, across system instances.
+    _cold_timing()
+    spec.run()
     t0 = time.perf_counter()
     repeat = spec.run()
     repeat_s = time.perf_counter() - t0
 
-    identical = (
-        slow.to_json() == fast.to_json() and fast.to_json() == repeat.to_json()
+    identical = all(
+        run.to_json() == fast.to_json()
+        for run in (repeat, *results["slow"], *results["fast"])
     )
     return {
         "scenarios": len(tuple(dict.fromkeys(spec.scenarios))),
         "rows": len(fast),
-        "wall_s_slow": slow_s,
-        "wall_s_fast": fast_s,
+        **timing,
         "wall_s_fast_repeat": repeat_s,
-        "speedup": slow_s / fast_s,
         "target_speedup": GRID_TARGET,
-        "time_layer_calls_slow": slow_calls,
-        "time_layer_calls_fast": fast_calls,
         "identical_output": identical,
         "caches": perf.cache_stats(),
     }

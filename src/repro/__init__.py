@@ -281,6 +281,15 @@ against the slow path it replaces (the oracle table enforces it, and
   come back in serial order, and each worker's cache counters merge
   into :func:`repro.perf.cache_stats` (``--report`` shows the
   per-process totals).
+* **Import on use** — every package ``__init__`` but
+  :mod:`repro.systems` is a PEP 562 name table (:mod:`repro._lazy`),
+  and each spec's ``run()``, each scenario's ``run_system()`` and each
+  CLI subcommand imports its engines, schedulers, report classes and
+  renderers where it runs.  ``import repro`` loads the pricing tier and
+  the five systems (their import order is :data:`SYSTEM_REGISTRY`'s),
+  a paper-figure run compiles none of the serving and fleet engines,
+  the DES kernel or the trace and metrics renderers, and the
+  module-level import graph has no cycle (``tests/test_import_graph.py``).
 
 :func:`repro.oracles.reference_paths` swaps every fast path for its
 reference and bypasses the caches — a test and benchmark tool that
@@ -344,166 +353,92 @@ any hash seed.  Style is pinned separately by ruff (``pyproject.toml``:
 pycodestyle/pyflakes/isort subset).
 """
 
-from repro import obs, perf
-from repro.graph import (
-    OVERLAP_POLICIES,
-    GraphSchedule,
-    LayerPhase,
-    NodeKind,
-    ScheduleGraph,
-    StragglerSpec,
-    list_schedule,
-)
-from repro.api import (
-    CLUSTER_REGISTRY,
-    MODEL_REGISTRY,
-    SYSTEM_REGISTRY,
-    SystemRegistry,
-    UnknownNameError,
-    register_system,
-)
-from repro.api.results import ResultRow, ResultSet, SkipRecord
-from repro.api.scenario import ExperimentSpec, Scenario
-from repro.hw import ClusterSpec, GpuSpec, LinkSpec, h800_node, l20_node
-from repro.moe import (
-    MIXTRAL_8X7B,
-    PAPER_MODELS,
-    PHI35_MOE,
-    QWEN2_MOE,
-    ExpertWeights,
-    MoEConfig,
-    RoutingPlan,
-    TopKGate,
-    reference_moe_forward,
-)
-from repro.parallel import ParallelStrategy
-from repro.runtime import (
-    ModelTiming,
-    MoELayerWorkload,
-    TrainStepTiming,
-    compare_systems,
-    make_workload,
-    overlap_report,
-    run_model,
-    run_training_step,
-)
-from repro.faults import (
-    BrownoutEvent,
-    DegradeEvent,
-    FaultPlan,
-    MigrationSpec,
-    OutcomeRecord,
-    ResilienceSpec,
-)
-from repro.fleet import (
-    ROUTER_REGISTRY,
-    AutoscalerSpec,
-    FailureEvent,
-    FleetReport,
-    FleetResultSet,
-    FleetScenario,
-    FleetSpec,
-    ReplicaSpec,
-)
-from repro.serve import (
-    ContinuousBatchingScheduler,
-    Request,
-    ServeReport,
-    ServeResultSet,
-    ServeScenario,
-    ServeSpec,
-    StepCostModel,
-    TraceSpec,
-)
-from repro.systems import (
-    ALL_SYSTEMS,
-    BASELINE_SYSTEMS,
-    Comet,
-    FasterMoE,
-    LayerTiming,
-    MegatronCutlass,
-    MegatronTE,
-    MoESystem,
-    Tutel,
-    UnsupportedWorkload,
-)
+# The systems register themselves in SYSTEM_REGISTRY as they are
+# imported, so this one eager import fills the registry, in
+# repro.systems' order, before any caller reads it.
+from repro import systems  # noqa: F401
+from repro._lazy import lazy_exports
 
 __version__ = "1.7.0"
 
-__all__ = [
-    "ALL_SYSTEMS",
-    "AutoscalerSpec",
-    "BASELINE_SYSTEMS",
-    "BrownoutEvent",
-    "CLUSTER_REGISTRY",
-    "ClusterSpec",
-    "Comet",
-    "DegradeEvent",
-    "ExperimentSpec",
-    "ExpertWeights",
-    "FailureEvent",
-    "FasterMoE",
-    "FaultPlan",
-    "FleetReport",
-    "FleetResultSet",
-    "FleetScenario",
-    "FleetSpec",
-    "GpuSpec",
-    "GraphSchedule",
-    "LayerPhase",
-    "LayerTiming",
-    "LinkSpec",
-    "MIXTRAL_8X7B",
-    "MODEL_REGISTRY",
-    "MegatronCutlass",
-    "MegatronTE",
-    "MigrationSpec",
-    "ModelTiming",
-    "MoEConfig",
-    "MoELayerWorkload",
-    "MoESystem",
-    "NodeKind",
-    "OVERLAP_POLICIES",
-    "OutcomeRecord",
-    "PAPER_MODELS",
-    "PHI35_MOE",
-    "ParallelStrategy",
-    "QWEN2_MOE",
-    "ROUTER_REGISTRY",
-    "ContinuousBatchingScheduler",
-    "ReplicaSpec",
-    "Request",
-    "ResilienceSpec",
-    "ResultRow",
-    "ResultSet",
-    "RoutingPlan",
-    "SYSTEM_REGISTRY",
-    "Scenario",
-    "ScheduleGraph",
-    "ServeReport",
-    "ServeResultSet",
-    "ServeScenario",
-    "ServeSpec",
-    "SkipRecord",
-    "StepCostModel",
-    "StragglerSpec",
-    "SystemRegistry",
-    "TopKGate",
-    "TraceSpec",
-    "TrainStepTiming",
-    "Tutel",
-    "UnknownNameError",
-    "UnsupportedWorkload",
-    "compare_systems",
-    "h800_node",
-    "l20_node",
-    "list_schedule",
-    "make_workload",
-    "obs",
-    "overlap_report",
-    "perf",
-    "reference_moe_forward",
-    "register_system",
-    "run_model",
-    "run_training_step",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "CLUSTER_REGISTRY": "repro.api.registry",
+    "MODEL_REGISTRY": "repro.api.registry",
+    "register_system": "repro.api.registry",
+    "SYSTEM_REGISTRY": "repro.api.registry",
+    "SystemRegistry": "repro.api.registry",
+    "UnknownNameError": "repro.api.registry",
+    "ResultRow": "repro.api.results",
+    "ResultSet": "repro.api.results",
+    "SkipRecord": "repro.api.results",
+    "ExperimentSpec": "repro.api.scenario",
+    "Scenario": "repro.api.scenario",
+    "MigrationSpec": "repro.faults.migration",
+    "OutcomeRecord": "repro.faults.migration",
+    "BrownoutEvent": "repro.faults.plan",
+    "DegradeEvent": "repro.faults.plan",
+    "FailureEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "ResilienceSpec": "repro.faults.resilience",
+    "FleetReport": "repro.fleet.metrics",
+    "FleetResultSet": "repro.fleet.metrics",
+    "ROUTER_REGISTRY": "repro.fleet.router",
+    "AutoscalerSpec": "repro.fleet.spec",
+    "FleetScenario": "repro.fleet.spec",
+    "FleetSpec": "repro.fleet.spec",
+    "ReplicaSpec": "repro.fleet.spec",
+    "LayerPhase": "repro.graph.ir",
+    "NodeKind": "repro.graph.ir",
+    "ScheduleGraph": "repro.graph.ir",
+    "OVERLAP_POLICIES": "repro.graph.lower",
+    "GraphSchedule": "repro.graph.scheduler",
+    "list_schedule": "repro.graph.scheduler",
+    "StragglerSpec": "repro.graph.straggler",
+    "ClusterSpec": "repro.hw.cluster",
+    "GpuSpec": "repro.hw.gpu",
+    "LinkSpec": "repro.hw.link",
+    "h800_node": "repro.hw.presets",
+    "l20_node": "repro.hw.presets",
+    "MIXTRAL_8X7B": "repro.moe.config",
+    "MoEConfig": "repro.moe.config",
+    "PAPER_MODELS": "repro.moe.config",
+    "PHI35_MOE": "repro.moe.config",
+    "QWEN2_MOE": "repro.moe.config",
+    "ExpertWeights": "repro.moe.experts",
+    "TopKGate": "repro.moe.gate",
+    "reference_moe_forward": "repro.moe.reference",
+    "RoutingPlan": "repro.moe.routing",
+    "obs": "repro.obs",
+    "ParallelStrategy": "repro.parallel.strategy",
+    "perf": "repro.perf",
+    "compare_systems": "repro.runtime.executor",
+    "ModelTiming": "repro.runtime.model_runner",
+    "run_model": "repro.runtime.model_runner",
+    "overlap_report": "repro.runtime.profiler",
+    "run_training_step": "repro.runtime.training",
+    "TrainStepTiming": "repro.runtime.training",
+    "make_workload": "repro.runtime.workload",
+    "MoELayerWorkload": "repro.runtime.workload",
+    "StepCostModel": "repro.serve.engine_adapter",
+    "ServeReport": "repro.serve.metrics",
+    "ServeResultSet": "repro.serve.metrics",
+    "ServeScenario": "repro.serve.scenario",
+    "ServeSpec": "repro.serve.scenario",
+    "ContinuousBatchingScheduler": "repro.serve.scheduler",
+    "Request": "repro.serve.traffic",
+    "TraceSpec": "repro.serve.traffic",
+    "ALL_SYSTEMS": "repro.systems",
+    "BASELINE_SYSTEMS": "repro.systems",
+    "LayerTiming": "repro.systems.base",
+    "MoESystem": "repro.systems.base",
+    "UnsupportedWorkload": "repro.systems.base",
+    "Comet": "repro.systems.comet",
+    "FasterMoE": "repro.systems.fastermoe",
+    "MegatronCutlass": "repro.systems.megatron",
+    "MegatronTE": "repro.systems.megatron",
+    "Tutel": "repro.systems.tutel",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

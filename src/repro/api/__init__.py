@@ -14,58 +14,35 @@ Three layers:
   ``(Scenario, system, LayerTiming)`` rows with ``filter`` / ``best`` /
   ``speedup_over`` queries and skip-reason records.
 
-``scenario`` and ``results`` are loaded lazily (PEP 562): system modules
-import :func:`register_system` from :mod:`repro.api.registry` at class
-definition time, and an eager import here would cycle back through
-:mod:`repro.runtime` while it is still initialising.
+Every name here resolves on first use (PEP 562), as in every package
+root but :mod:`repro.systems`, so importing :mod:`repro.api.registry`
+runs no other submodule.  Each system module imports
+:func:`register_system` from it while :mod:`repro.systems` is still
+loading, and an eager ``scenario`` import here would reach back into
+that half-loaded package.  ``tests/test_import_graph.py`` keeps the
+module-level import graph acyclic.
 """
 
-from repro.api.registry import (
-    CLUSTER_REGISTRY,
-    MODEL_REGISTRY,
-    SYSTEM_REGISTRY,
-    Registry,
-    SystemRegistry,
-    UnknownNameError,
-    register_system,
-    resolve_cluster,
-    resolve_model,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CLUSTER_REGISTRY",
-    "ExperimentSpec",
-    "MODEL_REGISTRY",
-    "Registry",
-    "ResultRow",
-    "ResultSet",
-    "SYSTEM_REGISTRY",
-    "Scenario",
-    "ServeReport",
-    "ServeResultSet",
-    "ServeScenario",
-    "ServeSpec",
-    "SkipRecord",
-    "SystemRegistry",
-    "TraceSpec",
-    "UnknownNameError",
-    "default_system_names",
-    "register_system",
-    "resolve_cluster",
-    "resolve_model",
-    "rows_to_csv",
-]
-
+#: Every public name, with the module that defines it (PEP 562).
 _LAZY = {
-    "ExperimentSpec": "repro.api.scenario",
-    "Scenario": "repro.api.scenario",
-    "default_system_names": "repro.api.scenario",
+    "CLUSTER_REGISTRY": "repro.api.registry",
+    "MODEL_REGISTRY": "repro.api.registry",
+    "register_system": "repro.api.registry",
+    "Registry": "repro.api.registry",
+    "resolve_cluster": "repro.api.registry",
+    "resolve_model": "repro.api.registry",
+    "SYSTEM_REGISTRY": "repro.api.registry",
+    "SystemRegistry": "repro.api.registry",
+    "UnknownNameError": "repro.api.registry",
     "ResultRow": "repro.api.results",
     "ResultSet": "repro.api.results",
-    "SkipRecord": "repro.api.results",
     "rows_to_csv": "repro.api.results",
-    # Online-serving layer (repro.serve) — addressable from the same
-    # declarative API namespace as the offline experiment grids.
+    "SkipRecord": "repro.api.results",
+    "default_system_names": "repro.api.scenario",
+    "ExperimentSpec": "repro.api.scenario",
+    "Scenario": "repro.api.scenario",
     "ServeReport": "repro.serve.metrics",
     "ServeResultSet": "repro.serve.metrics",
     "ServeScenario": "repro.serve.scenario",
@@ -73,15 +50,5 @@ _LAZY = {
     "TraceSpec": "repro.serve.traffic",
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

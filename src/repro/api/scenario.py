@@ -64,6 +64,7 @@ from repro.graph.straggler import StragglerSpec, check_multiplier
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.moe.routing import max_imbalance_std
+from repro.obs.manifest import capture
 from repro.parallel.strategy import ParallelStrategy
 from repro.runtime.model_runner import run_model
 from repro.runtime.workload import MoELayerWorkload
@@ -638,8 +639,6 @@ class ExperimentSpec:
             if on_skip is not None:
                 for record in point_skips:
                     on_skip(record)
-        from repro.obs import capture
-
         return ResultSet(
             rows=tuple(rows),
             skips=tuple(skips),

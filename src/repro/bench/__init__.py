@@ -7,33 +7,24 @@ the paper plots.  The ``benchmarks/`` directory wraps these runners in
 pytest-benchmark entries; EXPERIMENTS.md records paper-vs-measured.
 """
 
-from repro.bench.report import format_table
-from repro.bench.validation import Claim, validate_all
-from repro.bench.figures import (
-    fig01_time_breakdown,
-    fig08_nc_sweep,
-    fig09_end_to_end,
-    fig10_single_layer,
-    fig11_breakdown,
-    fig12_parallelism,
-    fig13_moe_params,
-    fig14_imbalance,
-    fig14_l20,
-    table3_memory,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Claim",
-    "validate_all",
-    "fig01_time_breakdown",
-    "fig08_nc_sweep",
-    "fig09_end_to_end",
-    "fig10_single_layer",
-    "fig11_breakdown",
-    "fig12_parallelism",
-    "fig13_moe_params",
-    "fig14_imbalance",
-    "fig14_l20",
-    "format_table",
-    "table3_memory",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "fig01_time_breakdown": "repro.bench.figures",
+    "fig08_nc_sweep": "repro.bench.figures",
+    "fig09_end_to_end": "repro.bench.figures",
+    "fig10_single_layer": "repro.bench.figures",
+    "fig11_breakdown": "repro.bench.figures",
+    "fig12_parallelism": "repro.bench.figures",
+    "fig13_moe_params": "repro.bench.figures",
+    "fig14_imbalance": "repro.bench.figures",
+    "fig14_l20": "repro.bench.figures",
+    "table3_memory": "repro.bench.figures",
+    "format_table": "repro.bench.report",
+    "Claim": "repro.bench.validation",
+    "validate_all": "repro.bench.validation",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -31,7 +31,9 @@ the table, and one loop builds the parsers.  A new flag goes into
 ``_FLAGS`` and into the flag list of every subcommand that takes it.
 Each command that runs a simulation builds its spec through that spec's
 ``grid()``, and a ``ValueError`` or unknown registry name raised below
-:func:`main` prints ``error: ...`` and exits 2.
+:func:`main` prints ``error: ...`` and exits 2.  Each handler imports
+the subsystem it runs, so building the parser loads no figure, serving,
+fleet or observability module.
 """
 
 from __future__ import annotations
@@ -41,38 +43,32 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.api import (
+from repro.api.registry import (
     CLUSTER_REGISTRY,
     MODEL_REGISTRY,
     SYSTEM_REGISTRY,
-    ExperimentSpec,
     UnknownNameError,
 )
-from repro.api.scenario import expand
-from repro.bench import figures as _figures
-from repro.bench.export import save_json
+from repro.api.scenario import ExperimentSpec, expand
 from repro.bench.report import format_table
-from repro.fleet import AutoscalerSpec, FleetSpec
-from repro.graph import OVERLAP_POLICIES
+from repro.graph.lower import OVERLAP_POLICIES
 from repro.parallel.strategy import ParallelStrategy
-from repro.runtime.visualize import render_breakdown_bars, render_overlap_lanes
-from repro.serve import ServeSpec, TraceSpec
-from repro.serve.traffic import TRACE_REGISTRY
-from repro.systems import Comet
+from repro.serve.traffic import TRACE_REGISTRY, TraceSpec
 
 __all__ = ["main"]
 
+#: Each figure name, with its runner in :mod:`repro.bench.figures`.
 FIGURES = {
-    "fig1a": _figures.fig01_time_breakdown,
-    "fig8": _figures.fig08_nc_sweep,
-    "fig9": _figures.fig09_end_to_end,
-    "fig10": _figures.fig10_single_layer,
-    "fig11": _figures.fig11_breakdown,
-    "fig12": _figures.fig12_parallelism,
-    "fig13": _figures.fig13_moe_params,
-    "fig14-imbalance": _figures.fig14_imbalance,
-    "fig14-l20": _figures.fig14_l20,
-    "table3": _figures.table3_memory,
+    "fig1a": "fig01_time_breakdown",
+    "fig8": "fig08_nc_sweep",
+    "fig9": "fig09_end_to_end",
+    "fig10": "fig10_single_layer",
+    "fig11": "fig11_breakdown",
+    "fig12": "fig12_parallelism",
+    "fig13": "fig13_moe_params",
+    "fig14-imbalance": "fig14_imbalance",
+    "fig14-l20": "fig14_l20",
+    "table3": "table3_memory",
 }
 
 
@@ -314,7 +310,8 @@ def _systems(values: Sequence[str] | str | None) -> tuple[str, ...]:
 
 def _serving(args: argparse.Namespace, spec_cls: type, **axes: Any):
     """``spec_cls.grid`` (ServeSpec or FleetSpec) on the shape flags and
-    one trace of the traffic flags; ``axes`` are its other arguments.
+    one trace of the traffic flags; ``axes`` are its other arguments,
+    a fleet's :func:`_fleet_shape` among them.
 
     ``trace --serve/--fleet`` take only the traffic flags and one
     ``--system``; every other serving setting keeps its default there.
@@ -336,18 +333,21 @@ def _serving(args: argparse.Namespace, spec_cls: type, **axes: Any):
             max_batch_tokens=args.max_batch_tokens,
             systems=_systems(args.systems),
         )
-    if spec_cls is FleetSpec:
-        axes.update(
-            replicas=int(args.replicas) if args.replicas.isdigit() else args.replicas,
-            routers=_names(args.router),
-        )
     return spec_cls.grid(**shape, traces=trace, **axes)
+
+
+def _fleet_shape(args: argparse.Namespace) -> dict[str, Any]:
+    """The ``--replicas`` and ``--router`` grid arguments of a fleet."""
+    return {
+        "replicas": int(args.replicas) if args.replicas.isdigit() else args.replicas,
+        "routers": _names(args.router),
+    }
 
 
 def _fault_axes(values: Sequence[str] | None) -> dict[str, Any]:
     """The ``failures`` and ``faults`` grid arguments of ``--failures``:
     its crashes as one failure plan, its degradations as a FaultPlan."""
-    from repro.faults import FaultPlan
+    from repro.faults.plan import FaultPlan
 
     crashes, degrades = _parse_fault_specs(values) if values else ((), ())
     return {
@@ -365,7 +365,7 @@ def _parse_fault_specs(values: Sequence[str]):
     ``MULT``x (compute and comm) over the ``[T0, T1)`` window.
     :func:`_format_fault_specs` is the exact inverse.
     """
-    from repro.faults import DegradeEvent, FailureEvent
+    from repro.faults.plan import DegradeEvent, FailureEvent
 
     crashes = []
     degrades = []
@@ -491,7 +491,7 @@ def _export_served(args: argparse.Namespace, results, render_trace) -> int:
     """The serve/fleet tail: skips, then ``--json``, ``--csv``,
     ``--report``, ``--trace-out`` (of the first report, drawn by
     ``render_trace``) and ``--metrics-out``."""
-    from repro.obs import snapshot_for
+    from repro.obs.metrics import snapshot_for
 
     for skip in results.skips:
         print(f"skipped {skip.system}: {skip.reason}")
@@ -568,7 +568,10 @@ def _format_critical_path(schedule, max_rows: int = 20) -> str:
 
 # -- commands --------------------------------------------------------------------
 def _cmd_figure(args: argparse.Namespace) -> int:
-    result = FIGURES[args.name]()
+    from repro.bench import figures
+    from repro.bench.export import save_json
+
+    result = getattr(figures, FIGURES[args.name])()
     print(result.format())
     if args.json:
         save_json(result, args.json)
@@ -577,6 +580,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_layer(args: argparse.Namespace) -> int:
+    from repro.runtime.visualize import render_breakdown_bars, render_overlap_lanes
+
     spec = ExperimentSpec.grid(
         **_shape(args),
         tokens=args.tokens,
@@ -719,11 +724,12 @@ def _cmd_model(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        from repro.obs import trace_graph_schedule
+        from repro.obs.timeline import trace_graph_schedule
 
         _save_trace(trace_graph_schedule(_schedule(*trace_target)), args.trace_out)
     if args.metrics_out:
-        from repro.obs import MetricsRegistry, capture, collect_cache_stats
+        from repro.obs.manifest import capture
+        from repro.obs.metrics import MetricsRegistry, collect_cache_stats
 
         registry = MetricsRegistry(enabled=True)
         for (sys_name, policy), value in makespans_ms.items():
@@ -827,6 +833,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_nc(args: argparse.Namespace) -> int:
+    from repro.systems.comet import Comet
+
     try:
         (scenario,) = ExperimentSpec.grid(**_shape(args), tokens=args.tokens).scenarios
     except ValueError as exc:
@@ -845,7 +853,8 @@ def _cmd_sweep_nc(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.obs import trace_serve_report
+    from repro.obs.timeline import trace_serve_report
+    from repro.serve.scenario import ServeSpec
 
     spec = _serving(
         args, ServeSpec,
@@ -903,8 +912,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.faults import MigrationSpec, ResilienceSpec
-    from repro.obs import trace_fleet_report
+    from repro.faults.migration import MigrationSpec
+    from repro.faults.resilience import ResilienceSpec
+    from repro.fleet.spec import AutoscalerSpec, FleetSpec
+    from repro.obs.timeline import trace_fleet_report
 
     autoscaler = resilience = None
     if args.autoscale is not None:
@@ -929,6 +940,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
     spec = _serving(
         args, FleetSpec,
+        **_fleet_shape(args),
         autoscalers=autoscaler,
         resilience=resilience,
         migrations=MigrationSpec() if args.kv_migration else None,
@@ -979,7 +991,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _trace_graph(args: argparse.Namespace) -> int:
     """--graph mode: the whole-model schedule graph, one pid per rank."""
-    from repro.obs import trace_graph_schedule
+    from repro.obs.timeline import trace_graph_schedule
     from repro.runtime.model_runner import run_model
     from repro.systems.base import UnsupportedWorkload
 
@@ -1013,7 +1025,9 @@ def _trace_served(args: argparse.Namespace) -> int:
     default, so it shows every record type (spans, counters, flows and
     instant markers); ``--failures none`` turns the injection off.
     """
-    from repro.obs import trace_fleet_report, trace_serve_report
+    from repro.fleet.spec import FleetSpec
+    from repro.obs.timeline import trace_fleet_report, trace_serve_report
+    from repro.serve.scenario import ServeSpec
 
     if args.serve:
         spec, render = _serving(args, ServeSpec), trace_serve_report
@@ -1021,7 +1035,7 @@ def _trace_served(args: argparse.Namespace) -> int:
         failures = args.failures or ["0@500:1500"]
         if [value.lower() for value in failures] == ["none"]:
             failures = None
-        spec = _serving(args, FleetSpec, **_fault_axes(failures))
+        spec = _serving(args, FleetSpec, **_fleet_shape(args), **_fault_axes(failures))
         render = trace_fleet_report
     results = spec.run()
     if not results.reports:
@@ -1035,8 +1049,9 @@ def _trace_served(args: argparse.Namespace) -> int:
 def _trace_kernels(args: argparse.Namespace) -> int:
     """Default trace mode: one rank's fused-kernel lanes."""
     from repro.kernels.fused import simulate_layer0_fused, simulate_layer1_fused
-    from repro.sim import Tracer
-    from repro.tensor import build_layer0_schedule, build_layer1_schedule
+    from repro.sim.trace import Tracer
+    from repro.systems.comet import Comet
+    from repro.tensor.reschedule import build_layer0_schedule, build_layer1_schedule
 
     (scenario,) = ExperimentSpec.grid(**_shape(args), tokens=args.tokens).scenarios
     config, cluster = scenario.config, scenario.cluster

@@ -10,21 +10,18 @@ Two tiers, matching the paper's §4:
   issue from communication thread blocks.
 """
 
-from repro.comm.primitives import (
-    CollectiveCost,
-    all_gather_cost,
-    all_to_all_cost,
-    hierarchical_all_to_all_cost,
-    reduce_scatter_cost,
-)
-from repro.comm.nvshmem import SymmetricHeap, NvshmemBuffer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CollectiveCost",
-    "NvshmemBuffer",
-    "SymmetricHeap",
-    "all_gather_cost",
-    "all_to_all_cost",
-    "hierarchical_all_to_all_cost",
-    "reduce_scatter_cost",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "NvshmemBuffer": "repro.comm.nvshmem",
+    "SymmetricHeap": "repro.comm.nvshmem",
+    "all_gather_cost": "repro.comm.primitives",
+    "all_to_all_cost": "repro.comm.primitives",
+    "CollectiveCost": "repro.comm.primitives",
+    "hierarchical_all_to_all_cost": "repro.comm.primitives",
+    "reduce_scatter_cost": "repro.comm.primitives",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

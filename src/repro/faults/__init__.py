@@ -24,24 +24,20 @@ under a seed, and degenerates bit-identically to PR-7 behaviour when
 nothing is configured.
 """
 
-from repro.faults.migration import MigrationSpec, OutcomeRecord
-from repro.faults.plan import (
-    BrownoutEvent,
-    DegradeEvent,
-    FailureEvent,
-    FaultPlan,
-    TimeVaryingStepCost,
-)
-from repro.faults.resilience import RESILIENCE_EVENT_KINDS, ResilienceSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BrownoutEvent",
-    "DegradeEvent",
-    "FailureEvent",
-    "FaultPlan",
-    "MigrationSpec",
-    "OutcomeRecord",
-    "RESILIENCE_EVENT_KINDS",
-    "ResilienceSpec",
-    "TimeVaryingStepCost",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "MigrationSpec": "repro.faults.migration",
+    "OutcomeRecord": "repro.faults.migration",
+    "BrownoutEvent": "repro.faults.plan",
+    "DegradeEvent": "repro.faults.plan",
+    "FailureEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "TimeVaryingStepCost": "repro.faults.plan",
+    "RESILIENCE_EVENT_KINDS": "repro.faults.resilience",
+    "ResilienceSpec": "repro.faults.resilience",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

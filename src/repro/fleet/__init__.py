@@ -16,64 +16,36 @@ the detect→drain→recover loop — all swept through
 the CLI entry point.
 """
 
-from repro.faults import (
-    BrownoutEvent,
-    DegradeEvent,
-    FaultPlan,
-    MigrationSpec,
-    OutcomeRecord,
-    ResilienceSpec,
-)
-from repro.fleet.metrics import (
-    DispatchRecord,
-    FleetEvent,
-    FleetReport,
-    FleetResultSet,
-    FleetSkip,
-    ReplicaStats,
-)
-from repro.fleet.router import (
-    ROUTER_REGISTRY,
-    LeastQueue,
-    PowerOfTwo,
-    RoundRobin,
-    Router,
-    SessionAffinity,
-    make_router,
-)
-from repro.fleet.simulator import FleetEngine
-from repro.fleet.spec import (
-    AutoscalerSpec,
-    FailureEvent,
-    FleetScenario,
-    FleetSpec,
-    ReplicaSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AutoscalerSpec",
-    "BrownoutEvent",
-    "DegradeEvent",
-    "DispatchRecord",
-    "FailureEvent",
-    "FaultPlan",
-    "FleetEngine",
-    "FleetEvent",
-    "FleetReport",
-    "FleetResultSet",
-    "FleetScenario",
-    "FleetSkip",
-    "FleetSpec",
-    "LeastQueue",
-    "MigrationSpec",
-    "OutcomeRecord",
-    "PowerOfTwo",
-    "ReplicaSpec",
-    "ReplicaStats",
-    "ResilienceSpec",
-    "ROUTER_REGISTRY",
-    "RoundRobin",
-    "Router",
-    "SessionAffinity",
-    "make_router",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "MigrationSpec": "repro.faults.migration",
+    "OutcomeRecord": "repro.faults.migration",
+    "BrownoutEvent": "repro.faults.plan",
+    "DegradeEvent": "repro.faults.plan",
+    "FailureEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "ResilienceSpec": "repro.faults.resilience",
+    "DispatchRecord": "repro.fleet.metrics",
+    "FleetEvent": "repro.fleet.metrics",
+    "FleetReport": "repro.fleet.metrics",
+    "FleetResultSet": "repro.fleet.metrics",
+    "FleetSkip": "repro.fleet.metrics",
+    "ReplicaStats": "repro.fleet.metrics",
+    "LeastQueue": "repro.fleet.router",
+    "make_router": "repro.fleet.router",
+    "PowerOfTwo": "repro.fleet.router",
+    "RoundRobin": "repro.fleet.router",
+    "Router": "repro.fleet.router",
+    "ROUTER_REGISTRY": "repro.fleet.router",
+    "SessionAffinity": "repro.fleet.router",
+    "FleetEngine": "repro.fleet.simulator",
+    "AutoscalerSpec": "repro.fleet.spec",
+    "FleetScenario": "repro.fleet.spec",
+    "FleetSpec": "repro.fleet.spec",
+    "ReplicaSpec": "repro.fleet.spec",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

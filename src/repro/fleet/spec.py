@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.api.registry import SystemRegistry
 from repro.api.scenario import (
@@ -40,10 +40,7 @@ from repro.api.scenario import (
     check_finite,
     check_point,
 )
-from repro.faults.migration import MigrationSpec
-from repro.faults.plan import FailureEvent, FaultPlan, TimeVaryingStepCost
-from repro.faults.resilience import ResilienceSpec
-from repro.fleet.metrics import FleetReport, FleetResultSet, FleetSkip
+from repro.faults.plan import FailureEvent, FaultPlan
 from repro.fleet.router import ROUTER_REGISTRY
 from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
@@ -52,6 +49,11 @@ from repro.parallel.strategy import ParallelStrategy
 from repro.serve.scenario import ServeSpec, _budget_label_parts, serve_grid
 from repro.serve.traffic import Request, TraceSpec
 from repro.systems.base import MoESystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported where it runs
+    from repro.faults.migration import MigrationSpec
+    from repro.faults.resilience import ResilienceSpec
+    from repro.fleet.metrics import FleetReport, FleetResultSet, FleetSkip
 
 __all__ = [
     "AutoscalerSpec",
@@ -330,6 +332,8 @@ class FleetScenario:
 
     def skip_record(self, system: str, reason: str) -> FleetSkip:
         """The record of ``system`` being unable to serve this scenario."""
+        from repro.fleet.metrics import FleetSkip
+
         return FleetSkip(
             scenario_label=self.label,
             system=system,
@@ -358,6 +362,7 @@ class FleetScenario:
         recomputation.
         """
         from repro import perf
+        from repro.faults.plan import TimeVaryingStepCost
         from repro.fleet.simulator import FleetEngine
 
         def shared(spec: ReplicaSpec, stragglers):
@@ -580,4 +585,6 @@ class FleetSpec:
         workers receive it pickled; every export is byte-identical to
         the serial run whatever the worker kind.
         """
+        from repro.fleet.metrics import FleetResultSet
+
         return serve_grid(self, "fleet", FleetResultSet, workers, executor)

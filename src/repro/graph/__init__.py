@@ -21,68 +21,38 @@ intra-layer overlapping the systems already model:
   against the list scheduler and gated by :mod:`repro.perf` flags.
 """
 
-from repro.graph.batch import (
-    CompiledTopology,
-    compile_topology,
-    fast_schedule,
-    schedule_batch,
-)
-from repro.graph.ir import (
-    COMM,
-    COMPUTE,
-    GraphNode,
-    LayerPhase,
-    NodeKind,
-    ScheduleGraph,
-    Stream,
-)
-from repro.graph.lower import (
-    OVERLAP_POLICIES,
-    build_forward_graph,
-    build_moe_chain,
-    build_training_graph,
-    check_policy,
-    forward_makespan,
-    forward_schedule,
-    training_makespan,
-    training_schedule,
-)
-from repro.graph.scheduler import (
-    GraphSchedule,
-    SymmetryReduction,
-    expand_symmetry,
-    list_schedule,
-    rank_makespans,
-    reduce_symmetry,
-)
-from repro.graph.straggler import StragglerSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COMM",
-    "COMPUTE",
-    "CompiledTopology",
-    "GraphNode",
-    "GraphSchedule",
-    "LayerPhase",
-    "NodeKind",
-    "OVERLAP_POLICIES",
-    "ScheduleGraph",
-    "StragglerSpec",
-    "Stream",
-    "SymmetryReduction",
-    "build_forward_graph",
-    "build_moe_chain",
-    "build_training_graph",
-    "check_policy",
-    "compile_topology",
-    "expand_symmetry",
-    "fast_schedule",
-    "forward_makespan",
-    "forward_schedule",
-    "list_schedule",
-    "rank_makespans",
-    "reduce_symmetry",
-    "schedule_batch",
-    "training_makespan",
-    "training_schedule",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "compile_topology": "repro.graph.batch",
+    "CompiledTopology": "repro.graph.batch",
+    "fast_schedule": "repro.graph.batch",
+    "schedule_batch": "repro.graph.batch",
+    "COMM": "repro.graph.ir",
+    "COMPUTE": "repro.graph.ir",
+    "GraphNode": "repro.graph.ir",
+    "LayerPhase": "repro.graph.ir",
+    "NodeKind": "repro.graph.ir",
+    "ScheduleGraph": "repro.graph.ir",
+    "Stream": "repro.graph.ir",
+    "build_forward_graph": "repro.graph.lower",
+    "build_moe_chain": "repro.graph.lower",
+    "build_training_graph": "repro.graph.lower",
+    "check_policy": "repro.graph.lower",
+    "forward_makespan": "repro.graph.lower",
+    "forward_schedule": "repro.graph.lower",
+    "OVERLAP_POLICIES": "repro.graph.lower",
+    "training_makespan": "repro.graph.lower",
+    "training_schedule": "repro.graph.lower",
+    "expand_symmetry": "repro.graph.scheduler",
+    "GraphSchedule": "repro.graph.scheduler",
+    "list_schedule": "repro.graph.scheduler",
+    "rank_makespans": "repro.graph.scheduler",
+    "reduce_symmetry": "repro.graph.scheduler",
+    "SymmetryReduction": "repro.graph.scheduler",
+    "StragglerSpec": "repro.graph.straggler",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

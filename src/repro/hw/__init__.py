@@ -7,26 +7,21 @@ mirror the two testbeds of the COMET paper: an 8xH800 NVLink node and an
 8xL20 PCIe node.
 """
 
-from repro.hw.gpu import GpuSpec
-from repro.hw.link import LinkSpec
-from repro.hw.cluster import ClusterSpec
-from repro.hw.multinode import IB_400G, TwoTierCluster, h800_pod
-from repro.hw.presets import (
-    H800,
-    L20,
-    h800_node,
-    l20_node,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSpec",
-    "GpuSpec",
-    "H800",
-    "IB_400G",
-    "L20",
-    "LinkSpec",
-    "TwoTierCluster",
-    "h800_node",
-    "h800_pod",
-    "l20_node",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "ClusterSpec": "repro.hw.cluster",
+    "GpuSpec": "repro.hw.gpu",
+    "LinkSpec": "repro.hw.link",
+    "h800_pod": "repro.hw.multinode",
+    "IB_400G": "repro.hw.multinode",
+    "TwoTierCluster": "repro.hw.multinode",
+    "H800": "repro.hw.presets",
+    "h800_node": "repro.hw.presets",
+    "L20": "repro.hw.presets",
+    "l20_node": "repro.hw.presets",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

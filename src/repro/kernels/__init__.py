@@ -7,41 +7,27 @@ COMET's thread-block-specialised fused kernels at tile granularity; and
 paper §3.2.2 (offline profile -> runtime lookup).
 """
 
-from repro.kernels.tiling import TileShape, num_tiles_1d, gemm_tile_count, group_gemm_tile_count
-from repro.kernels.gemm import (
-    GemmCost,
-    activation_time_us,
-    gemm_time_us,
-    group_gemm_time_us,
-    tile_time_us,
-)
-from repro.kernels.fused import (
-    FusedKernelResult,
-    simulate_layer0_fused,
-    simulate_layer1_fused,
-)
-from repro.kernels.assignment import (
-    AssignmentProfile,
-    KernelVariant,
-    profile_division_points,
-    select_division_point,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssignmentProfile",
-    "FusedKernelResult",
-    "GemmCost",
-    "KernelVariant",
-    "TileShape",
-    "activation_time_us",
-    "gemm_tile_count",
-    "gemm_time_us",
-    "group_gemm_tile_count",
-    "group_gemm_time_us",
-    "num_tiles_1d",
-    "profile_division_points",
-    "select_division_point",
-    "simulate_layer0_fused",
-    "simulate_layer1_fused",
-    "tile_time_us",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "AssignmentProfile": "repro.kernels.assignment",
+    "KernelVariant": "repro.kernels.assignment",
+    "profile_division_points": "repro.kernels.assignment",
+    "select_division_point": "repro.kernels.assignment",
+    "FusedKernelResult": "repro.kernels.fused",
+    "simulate_layer0_fused": "repro.kernels.fused",
+    "simulate_layer1_fused": "repro.kernels.fused",
+    "activation_time_us": "repro.kernels.gemm",
+    "gemm_time_us": "repro.kernels.gemm",
+    "GemmCost": "repro.kernels.gemm",
+    "group_gemm_time_us": "repro.kernels.gemm",
+    "tile_time_us": "repro.kernels.gemm",
+    "gemm_tile_count": "repro.kernels.tiling",
+    "group_gemm_tile_count": "repro.kernels.tiling",
+    "num_tiles_1d": "repro.kernels.tiling",
+    "TileShape": "repro.kernels.tiling",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

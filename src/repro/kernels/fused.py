@@ -26,6 +26,7 @@ import heapq
 import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from repro.hw.gpu import GpuSpec
 from repro.hw.link import LinkSpec
 from repro.kernels.gemm import KERNEL_RAMP_US, tile_time_us
 from repro.kernels.tiling import DEFAULT_TILE, TileShape, num_tiles_1d
-from repro.sim.trace import Tracer
 from repro.tensor.reschedule import Layer0Schedule, Layer1Schedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; traced runs pass one in
+    from repro.sim.trace import Tracer
 
 __all__ = [
     "FusedKernelResult",

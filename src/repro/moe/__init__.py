@@ -7,37 +7,30 @@ execution schedule of this computation takes.  The reference forward pass
 here is the gold standard every scheduled execution is checked against.
 """
 
-from repro.moe.config import MoEConfig, MIXTRAL_8X7B, QWEN2_MOE, PHI35_MOE, PAPER_MODELS
-from repro.moe.gate import TopKGate, GateOutput
-from repro.moe.routing import (
-    RoutingPlan,
-    balanced_fractions,
-    imbalanced_fractions,
-    routing_from_fractions,
-    token_owner_ranks,
-)
-from repro.moe.experts import ExpertWeights, silu
-from repro.moe.losses import LoadMetrics, load_balancing_loss, load_metrics, router_z_loss
-from repro.moe.reference import reference_moe_forward
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LoadMetrics",
-    "load_balancing_loss",
-    "load_metrics",
-    "router_z_loss",
-    "ExpertWeights",
-    "GateOutput",
-    "MIXTRAL_8X7B",
-    "MoEConfig",
-    "PAPER_MODELS",
-    "PHI35_MOE",
-    "QWEN2_MOE",
-    "RoutingPlan",
-    "TopKGate",
-    "balanced_fractions",
-    "imbalanced_fractions",
-    "reference_moe_forward",
-    "routing_from_fractions",
-    "silu",
-    "token_owner_ranks",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "MIXTRAL_8X7B": "repro.moe.config",
+    "MoEConfig": "repro.moe.config",
+    "PAPER_MODELS": "repro.moe.config",
+    "PHI35_MOE": "repro.moe.config",
+    "QWEN2_MOE": "repro.moe.config",
+    "ExpertWeights": "repro.moe.experts",
+    "silu": "repro.moe.experts",
+    "GateOutput": "repro.moe.gate",
+    "TopKGate": "repro.moe.gate",
+    "load_balancing_loss": "repro.moe.losses",
+    "load_metrics": "repro.moe.losses",
+    "LoadMetrics": "repro.moe.losses",
+    "router_z_loss": "repro.moe.losses",
+    "reference_moe_forward": "repro.moe.reference",
+    "balanced_fractions": "repro.moe.routing",
+    "imbalanced_fractions": "repro.moe.routing",
+    "routing_from_fractions": "repro.moe.routing",
+    "RoutingPlan": "repro.moe.routing",
+    "token_owner_ranks": "repro.moe.routing",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

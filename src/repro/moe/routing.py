@@ -28,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.moe.gate import GateOutput
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.moe.gate import GateOutput
 
 __all__ = [
     "RoutingPlan",

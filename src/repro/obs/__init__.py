@@ -34,43 +34,28 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.manifest import RunManifest, capture, fingerprint_obj
-from repro.obs.metrics import (
-    MetricsRegistry,
-    collect_cache_stats,
-    collect_experiment,
-    collect_fleet,
-    collect_serve,
-    snapshot_for,
-)
-from repro.obs.schema import validate_chrome_trace
-from repro.obs.timeline import (
-    FlowIdAllocator,
-    trace_fleet_report,
-    trace_graph_schedule,
-    trace_serve_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowIdAllocator",
-    "MetricsRegistry",
-    "RunManifest",
-    "capture",
-    "collect_cache_stats",
-    "collect_experiment",
-    "collect_fleet",
-    "collect_serve",
-    "disabled",
-    "enabled",
-    "fingerprint_obj",
-    "is_enabled",
-    "set_enabled",
-    "snapshot_for",
-    "trace_fleet_report",
-    "trace_graph_schedule",
-    "trace_serve_report",
-    "validate_chrome_trace",
-]
+#: Every public name defined outside this file, with its module (PEP 562).
+_LAZY = {
+    "RunManifest": "repro.obs.manifest",
+    "capture": "repro.obs.manifest",
+    "fingerprint_obj": "repro.obs.manifest",
+    "MetricsRegistry": "repro.obs.metrics",
+    "collect_cache_stats": "repro.obs.metrics",
+    "collect_experiment": "repro.obs.metrics",
+    "collect_fleet": "repro.obs.metrics",
+    "collect_serve": "repro.obs.metrics",
+    "snapshot_for": "repro.obs.metrics",
+    "validate_chrome_trace": "repro.obs.schema",
+    "FlowIdAllocator": "repro.obs.timeline",
+    "trace_fleet_report": "repro.obs.timeline",
+    "trace_graph_schedule": "repro.obs.timeline",
+    "trace_serve_report": "repro.obs.timeline",
+}
+
+__all__ = sorted([*_LAZY, "disabled", "enabled", "is_enabled", "set_enabled"])
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 _STATE = {"enabled": True}
 

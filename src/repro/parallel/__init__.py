@@ -7,7 +7,13 @@ shards every expert's FFN dimension over the ranks of a TP group.  A
 expert / token geometry every scheduler in :mod:`repro.systems` consumes.
 """
 
-from repro.parallel.strategy import ParallelStrategy
-from repro.parallel.placement import ExpertPlacement
+from repro._lazy import lazy_exports
 
-__all__ = ["ExpertPlacement", "ParallelStrategy"]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "ExpertPlacement": "repro.parallel.placement",
+    "ParallelStrategy": "repro.parallel.strategy",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

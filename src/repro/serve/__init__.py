@@ -26,33 +26,26 @@ See ``examples/online_serving.py`` for a full walkthrough and
 ``python -m repro serve --help`` for the CLI.
 """
 
-from repro.serve.engine_adapter import StepCostModel
-from repro.serve.metrics import (
-    RequestRecord,
-    ServeReport,
-    ServeResultSet,
-    ServeSkip,
-    Table,
-    TimelinePoint,
-)
-from repro.serve.scenario import ServeScenario, ServeSpec
-from repro.serve.scheduler import POLICY_REGISTRY, ContinuousBatchingScheduler
-from repro.serve.traffic import TRACE_REGISTRY, Request, TraceSpec, build_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "POLICY_REGISTRY",
-    "ContinuousBatchingScheduler",
-    "Request",
-    "RequestRecord",
-    "ServeReport",
-    "ServeResultSet",
-    "ServeScenario",
-    "ServeSkip",
-    "ServeSpec",
-    "StepCostModel",
-    "TRACE_REGISTRY",
-    "Table",
-    "TimelinePoint",
-    "TraceSpec",
-    "build_trace",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "StepCostModel": "repro.serve.engine_adapter",
+    "RequestRecord": "repro.serve.metrics",
+    "ServeReport": "repro.serve.metrics",
+    "ServeResultSet": "repro.serve.metrics",
+    "ServeSkip": "repro.serve.metrics",
+    "Table": "repro.serve.metrics",
+    "TimelinePoint": "repro.serve.metrics",
+    "ServeScenario": "repro.serve.scenario",
+    "ServeSpec": "repro.serve.scenario",
+    "ContinuousBatchingScheduler": "repro.serve.scheduler",
+    "POLICY_REGISTRY": "repro.serve.scheduler",
+    "build_trace": "repro.serve.traffic",
+    "Request": "repro.serve.traffic",
+    "TRACE_REGISTRY": "repro.serve.traffic",
+    "TraceSpec": "repro.serve.traffic",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

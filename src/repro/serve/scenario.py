@@ -21,7 +21,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro import perf
 from repro.api.registry import SYSTEM_REGISTRY, SystemRegistry
@@ -38,11 +38,13 @@ from repro.api.scenario import (
 from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
+from repro.obs.manifest import capture
 from repro.parallel.strategy import ParallelStrategy
-from repro.serve.metrics import ServeReport, ServeResultSet, ServeSkip
-from repro.serve.scheduler import ContinuousBatchingScheduler
 from repro.serve.traffic import Request, TraceSpec
 from repro.systems.base import MoESystem, UnsupportedWorkload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported where it runs
+    from repro.serve.metrics import ServeReport, ServeResultSet, ServeSkip
 
 __all__ = ["ServeScenario", "ServeSpec", "serve_grid"]
 
@@ -117,6 +119,8 @@ class ServeScenario:
 
     def skip_record(self, system: str, reason: str) -> ServeSkip:
         """The record of ``system`` being unable to serve this scenario."""
+        from repro.serve.metrics import ServeSkip
+
         return ServeSkip(scenario_label=self.label, system=system, reason=reason)
 
     def run_system(
@@ -129,6 +133,9 @@ class ServeScenario:
         Raises :class:`~repro.systems.base.UnsupportedWorkload` if the
         system cannot run this replica shape at all.
         """
+        from repro.serve.metrics import ServeReport
+        from repro.serve.scheduler import ContinuousBatchingScheduler
+
         cost_model = perf.shared_step_cost(
             system,
             self.config,
@@ -239,6 +246,8 @@ class ServeSpec:
         kind, so every export is byte-identical to the serial run.
         Process mode requires the default registry.
         """
+        from repro.serve.metrics import ServeResultSet
+
         return serve_grid(self, "serve", ServeResultSet, workers, executor)
 
 
@@ -272,8 +281,6 @@ def serve_grid(
     collected into ``results`` (the spec's result-set class) with a
     ``kind`` manifest over the unique scenarios.
     """
-    from repro.obs import capture
-
     names = spec.system_names()
     points = list(spec.traces())
     payloads = [

@@ -12,36 +12,24 @@ Public API:
 * :class:`Interrupt` — exception injected into interrupted processes.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.trace import (
-    CounterSample,
-    FlowEvent,
-    InstantEvent,
-    TraceEvent,
-    Tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "CounterSample",
-    "Environment",
-    "Event",
-    "FlowEvent",
-    "InstantEvent",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "TraceEvent",
-    "Tracer",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "AllOf": "repro.sim.engine",
+    "AnyOf": "repro.sim.engine",
+    "Environment": "repro.sim.engine",
+    "Event": "repro.sim.engine",
+    "Interrupt": "repro.sim.engine",
+    "Process": "repro.sim.engine",
+    "SimulationError": "repro.sim.engine",
+    "Timeout": "repro.sim.engine",
+    "CounterSample": "repro.sim.trace",
+    "FlowEvent": "repro.sim.trace",
+    "InstantEvent": "repro.sim.trace",
+    "TraceEvent": "repro.sim.trace",
+    "Tracer": "repro.sim.trace",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -15,7 +15,6 @@ from repro.comm.primitives import (
 )
 from repro.kernels.gemm import activation_time_us, group_gemm_time_us
 from repro.moe.experts import ExpertWeights
-from repro.moe.reference import reference_moe_forward
 from repro.runtime.workload import MoELayerWorkload
 
 __all__ = ["LayerTiming", "MoESystem", "UnsupportedWorkload"]
@@ -314,6 +313,8 @@ class MoESystem(ABC):
         that reorder computation override this so tests can verify their
         schedule is a pure reordering.
         """
+        from repro.moe.reference import reference_moe_forward
+
         self.check_supported(workload)
         return reference_moe_forward(x, workload.plan, weights)
 

@@ -16,39 +16,26 @@ provides:
   tests can prove schedule equivalence with the reference forward.
 """
 
-from repro.tensor.shared_tensor import (
-    AccessSpec,
-    OpKind,
-    SharedTensor,
-    all2all_dispatch,
-    group_gemm_consumer,
-    group_gemm_producer,
-    topk_combine_consumer,
-)
-from repro.tensor.dependency import DependencyError, resolve_decomposition
-from repro.tensor.reschedule import (
-    Layer0Schedule,
-    Layer1Schedule,
-    build_layer0_schedule,
-    build_layer1_schedule,
-    layer0_rescheduled_forward,
-    layer1_columnwise_forward,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessSpec",
-    "DependencyError",
-    "Layer0Schedule",
-    "Layer1Schedule",
-    "OpKind",
-    "SharedTensor",
-    "all2all_dispatch",
-    "build_layer0_schedule",
-    "build_layer1_schedule",
-    "group_gemm_consumer",
-    "group_gemm_producer",
-    "layer0_rescheduled_forward",
-    "layer1_columnwise_forward",
-    "resolve_decomposition",
-    "topk_combine_consumer",
-]
+#: Every public name, with the module that defines it (PEP 562).
+_LAZY = {
+    "DependencyError": "repro.tensor.dependency",
+    "resolve_decomposition": "repro.tensor.dependency",
+    "build_layer0_schedule": "repro.tensor.reschedule",
+    "build_layer1_schedule": "repro.tensor.reschedule",
+    "layer0_rescheduled_forward": "repro.tensor.reschedule",
+    "Layer0Schedule": "repro.tensor.reschedule",
+    "layer1_columnwise_forward": "repro.tensor.reschedule",
+    "Layer1Schedule": "repro.tensor.reschedule",
+    "AccessSpec": "repro.tensor.shared_tensor",
+    "all2all_dispatch": "repro.tensor.shared_tensor",
+    "group_gemm_consumer": "repro.tensor.shared_tensor",
+    "group_gemm_producer": "repro.tensor.shared_tensor",
+    "OpKind": "repro.tensor.shared_tensor",
+    "SharedTensor": "repro.tensor.shared_tensor",
+    "topk_combine_consumer": "repro.tensor.shared_tensor",
+}
+
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -29,6 +29,7 @@ run.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -36,7 +37,6 @@ import json
 import math
 import pkgutil
 import random
-import re
 import subprocess
 import sys
 from contextlib import ExitStack
@@ -2027,13 +2027,17 @@ def test_every_fingerprinted_class_and_cache_is_perturbed():
 
 
 def test_import_repro_loads_no_oracle():
-    """No module ``import repro`` loads is an oracle or exposes one."""
+    """No product module, with every one of them imported, loads an
+    oracle or exposes one."""
+    modules = [module.__name__ for module in _product_modules()]
     names = [
         oracle.__name__
         for oracle in (des_schedule, des_layer0_makespan, DistributedMoE, des_run, per_token_close)
     ]
     code = (
-        "import sys, repro\n"
+        "import importlib, sys\n"
+        f"for module in {modules!r}:\n"
+        "    importlib.import_module(module)\n"
         f"names = {names!r}\n"
         "print(sorted(name for name, module in list(sys.modules.items())\n"
         "    if name.startswith('repro.oracles') or (name.startswith('repro')\n"
@@ -2045,12 +2049,50 @@ def test_import_repro_loads_no_oracle():
     assert out.strip() == "[]"
 
 
+def _oracle_imports(source: str, package: str) -> list[str]:
+    """The ``repro.oracles`` modules that ``source`` imports, at any
+    depth and however spelled; ``package`` resolves relative imports.
+    Text in a docstring is not an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            targets = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found += [t for t in targets if t == "repro.oracles" or t.startswith("repro.oracles.")]
+    return found
+
+
+ORACLE_IMPORTS = (
+    "import repro.oracles",
+    "import repro.oracles.serve_des as des",
+    "from repro.oracles import reference_paths",
+    "from repro.oracles.routing import gumbel_routing_from_fractions",
+    "from repro import oracles",
+    "from repro import perf, oracles as refs",
+    "from .. import oracles",
+)
+
+
+@pytest.mark.parametrize("statement", ORACLE_IMPORTS)
+def test_oracle_import_scan_flags_every_spelling(statement):
+    nested = f"class Runner:\n    def run(self):\n        {statement}\n"
+    docstring = f'"""Example::\n\n    {statement}\n"""\n'
+    assert _oracle_imports(statement, "repro.serve")
+    assert _oracle_imports(nested, "repro.serve")
+    assert _oracle_imports(docstring, "repro.serve") == []
+
+
 def test_no_product_module_imports_an_oracle():
     package = Path(repro.__file__).parent
-    pattern = re.compile(r"^\s*(from|import)\s+repro\.oracles\b", re.MULTILINE)
     offenders = [
         str(path.relative_to(package))
         for path in sorted(package.rglob("*.py"))
-        if "oracles" not in path.parts and pattern.search(path.read_text())
+        if "oracles" not in path.parts
+        and _oracle_imports(path.read_text(), ".".join(path.relative_to(package.parent).parts[:-1]))
     ]
     assert offenders == []

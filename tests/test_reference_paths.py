@@ -1,27 +1,25 @@
 """Unit behaviour of :func:`repro.oracles.reference_paths`.
 
 The context manager swaps module and class attributes, so these tests
-walk every loaded ``repro`` module (the oracles excluded), every class
-defined in one, and every cache instance, and check what the block
+import and walk every ``repro`` module (the oracles excluded), every
+class defined in one, and every cache instance, and check what the block
 changes: exactly the documented fast paths and cache lookups, no
 binding of a swapped function left pointing at the fast path, and every
 attribute back as it was once the block exits, however it exits.
 """
 
-import sys
 from contextlib import nullcontext
 
 import pytest
 
-# The block imports these two; load them before any snapshot.
-import repro.graph.scheduler  # noqa: F401
-import repro.oracles.serve_des  # noqa: F401
+import repro
 from repro import MIXTRAL_8X7B, ParallelStrategy, h800_node, perf
 from repro.kernels import fused
 from repro.oracles import reference_paths
 from repro.runtime.workload import make_workload
 from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
 from repro.systems import comet
+from test_oracles import _product_modules
 
 CLUSTER = h800_node()
 STRATEGY = ParallelStrategy(1, 8)
@@ -38,15 +36,17 @@ FAST_PATHS = {
 BYPASSED = ("timing", "graph", "graph_batch", "step-cost", "nc-sweep")
 
 
+#: Every product module, all imported, so that the scans below cover the
+#: whole package whatever else the test process loaded.
+PRODUCT_MODULES = [repro, *_product_modules()]
+
+
 def _attributes() -> dict[tuple[str, str], object]:
-    """Every attribute of the loaded product modules, of the classes
-    they define and of the perf caches, keyed by (owner, name)."""
+    """Every attribute of the product modules, of the classes they
+    define and of the perf caches, keyed by (owner, name)."""
     seen = {}
-    for name, module in list(sys.modules.items()):
-        if name != "repro" and not name.startswith("repro."):
-            continue
-        if name.startswith("repro.oracles"):
-            continue
+    for module in PRODUCT_MODULES:
+        name = module.__name__
         for attr, value in vars(module).items():
             seen[(name, attr)] = value
             if isinstance(value, type) and value.__module__ == name:

@@ -22,10 +22,12 @@ equivalence contract while doing so:
   cross-run :data:`repro.perf.TIMING_CACHE` at work.  ResultSets must
   match byte for byte.
 
-Each arm's time is the median of :data:`RUNS` cold runs (the timing,
-sweep and step-cost caches emptied before each), slow and fast runs
-alternating, so host drift spans both arms; the record keeps each
-arm's quartiles.
+Each arm runs :data:`RUNS` times from cold caches (the timing, sweep
+and step-cost caches emptied before each), one slow and one fast run
+per round, alternating which goes first.  The speedup is the median
+over rounds of each round's slow/fast ratio, so host drift that spans a
+round cancels; the record also keeps each arm's median and quartiles
+and every round's ratio.
 
 Run directly (CI smoke step); ``--out`` writes the record (the committed
 one is ``BENCH_sim_speed.json``)::
@@ -85,10 +87,11 @@ def _on_references(run: Callable[[], Any]) -> Any:
 def _timed_arms(
     slow: Callable[[], Any], fast: Callable[[], Any]
 ) -> tuple[dict[str, Any], dict[str, list]]:
-    """:data:`RUNS` runs of each arm, each from cold caches, alternating
-    which arm goes first.  Returns the record's timing fields (each
-    arm's median seconds and quartiles, the ``time_layer`` calls of its
-    last run, the speedup of the medians) and every run's result."""
+    """:data:`RUNS` rounds of one run per arm, each from cold caches,
+    alternating which arm goes first.  Returns the record's timing
+    fields (each arm's median seconds and quartiles, the ``time_layer``
+    calls of its last run, every round's slow/fast ratio and their
+    median, the speedup) and every run's result."""
     arms = {"slow": slow, "fast": fast}
     seconds: dict[str, list[float]] = {name: [] for name in arms}
     results: dict[str, list] = {name: [] for name in arms}
@@ -104,7 +107,9 @@ def _timed_arms(
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         fields[f"wall_s_{name}"] = median
         fields[f"wall_s_{name}_quartiles"] = [q1, q3]
-    fields["speedup"] = fields["wall_s_slow"] / fields["wall_s_fast"]
+    ratios = [slow_s / fast_s for slow_s, fast_s in zip(seconds["slow"], seconds["fast"])]
+    fields["speedup_per_round"] = ratios
+    fields["speedup"] = statistics.median(ratios)
     return fields, results
 
 

@@ -63,7 +63,7 @@ above.  Every registered system is servable through the same names::
 
     spec = ServeSpec.grid(
         models="mixtral",
-        traces=TraceSpec(kind="poisson", rps=160, duration_s=30),
+        traces=TraceSpec(kind="poisson", rps=40, duration_s=10),
         policies="fcfs",                  # or "spf" / "slo"
         slo_ttft_ms=500,
         systems=("comet", "tutel", "megatron"),
@@ -90,7 +90,7 @@ and prefill/decode-disaggregated pools (``replicas="2p+2d"``)::
         models="mixtral",
         replicas=4,                        # or "2p+2d", or ReplicaSpec(...)
         routers=("round_robin", "power_of_two"),
-        traces=TraceSpec(kind="bursty", rps=300, duration_s=8),
+        traces=TraceSpec(kind="bursty", rps=150, duration_s=4),
         autoscalers=AutoscalerSpec(min_replicas=1),   # None = static fleet
         systems="comet",
     )
@@ -103,7 +103,7 @@ and prefill/decode-disaggregated pools (``replicas="2p+2d"``)::
 A 1-replica round-robin fleet decomposes to the bare serving engine and
 is *bit-identical* to it (``==`` on the record tuples — the equivalence
 tests assert it); state-dependent routers, autoscaling, failures, and
-disaggregation co-simulate all replicas on the DES kernel, still fully
+disaggregation co-simulate all replicas in one event loop, still fully
 deterministic.  ``router``/``replicas`` export columns appear only when
 those axes are swept, per the one-predicate schema rule shared with
 every other export.  See ``examples/fleet_serving.py`` and
@@ -161,16 +161,21 @@ a discrete-event reference executor in :mod:`repro.oracles` checked to
 exact float equality) computes end-to-end makespans under three
 **overlap policies**, a new sweep axis::
 
-    from repro import run_model, run_training_step
+    from repro import (
+        MIXTRAL_8X7B, Comet, ExperimentSpec, ParallelStrategy, h800_node,
+        run_model,
+    )
 
-    per_layer = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 16384)
-    cross = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 16384,
+    cluster, strategy = h800_node(), ParallelStrategy(tp_size=1, ep_size=8)
+    per_layer = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 4096)
+    cross = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 4096,
                       overlap_policy="cross_layer")   # Lancet-style
-    short = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 16384,
+    short = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 4096,
                       overlap_policy="shortcut")      # ScMoE-style
     print(per_layer.total_ms, cross.makespan_ms, short.makespan_ms)
 
     spec = ExperimentSpec.grid(
+        models="mixtral", strategies=[(1, 8)], tokens=4096,
         overlap_policies=("per_layer", "cross_layer", "shortcut"),
         systems=("comet", "megatron-cutlass"),
     )
@@ -197,11 +202,14 @@ lowered phase tuple::
     from repro import StragglerSpec, run_model
 
     slow = StragglerSpec.slow_rank(8, rank=0, compute_mult=1.5)
-    timing = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 16384,
+    timing = run_model(Comet(), MIXTRAL_8X7B, cluster, strategy, 4096,
                        stragglers=slow)
     print(timing.makespan_ms, timing.rank_makespans(), timing.imbalance_us)
 
-    spec = ExperimentSpec.grid(stragglers=(1.0, 1.5), systems="comet")
+    spec = ExperimentSpec.grid(
+        models="mixtral", strategies=[(1, 8)], tokens=4096,
+        stragglers=(1.0, 1.5), systems="comet",
+    )
     results = spec.run(level="model")   # 'stragglers' column when swept
 
 Scenario families: ``StragglerSpec.slow_rank`` (one throttled device),
@@ -255,6 +263,11 @@ against the slow path it replaces (the oracle table enforces it, and
 * **Fast serving loop** — the continuous-batching DES is replayed by a
   sequential transcription with identical event ordering, and each
   sequence retires from a completion map filed at admission.
+* **One fleet loop** — the fleet co-simulation pops a heap of typed
+  timers in the DES queue's own order instead of resuming generator
+  processes, and power-of-two routers draw their probes 256 pairs per
+  generator call (:mod:`repro.oracles.fleet_des` keeps the processes
+  and the scalar draws it must equal).
 * **Columnar request records** — completions, step samples and routing
   decisions are appended as plain row tuples and become numpy columns
   (:class:`repro.serve.metrics.Table`) once per run; every report
@@ -295,12 +308,17 @@ against the slow path it replaces (the oracle table enforces it, and
 reference and bypasses the caches — a test and benchmark tool that
 nothing on the simulation path imports::
 
-    from repro import oracles, perf
+    from repro import ExperimentSpec, oracles, perf
 
+    spec = ExperimentSpec.grid(
+        models="mixtral", strategies=[(1, 8)], tokens=(2048, 4096),
+        systems=("megatron-cutlass", "comet"),
+    )
     with oracles.reference_paths():   # the references, nothing cached
         slow = spec.run()
-    fast = spec.run(workers=8)   # byte-identical ResultSet, much faster
-    wide = spec.run(workers=8, executor="process")   # same bytes again
+    fast = spec.run(workers=2)   # byte-identical ResultSet, much faster
+    wide = spec.run(workers=2, executor="process")   # same bytes again
+    assert slow.to_json() == fast.to_json() == wide.to_json()
     print(perf.cache_stats())
 
 Observability.  :mod:`repro.obs` renders what the simulators already
@@ -314,9 +332,12 @@ byte equality of every export both ways).  Three pillars:
   per-rank / per-replica process grouping, and instant markers for
   autoscale / failure events::
 
-      from repro import FleetSpec, obs
+      from repro import FleetSpec, TraceSpec, obs
 
-      report = FleetSpec.grid(replicas=4, systems="comet").run().reports[0]
+      report = FleetSpec.grid(
+          replicas=4, systems="comet",
+          traces=TraceSpec(kind="poisson", rps=40, duration_s=5),
+      ).run().reports[0]
       tracer = obs.trace_fleet_report(report)
       tracer.save_chrome_trace("fleet.json")      # open in ui.perfetto.dev
       obs.validate_chrome_trace(tracer.to_chrome_trace())
@@ -338,7 +359,8 @@ as the rows of one table in ``tests/test_oracles.py``, and one
 hypothesis harness runs them: the analytic layer0 scheduler, COMET's
 batched and deduplicated ranks, the graph recurrences and symmetry
 fold, the serve fast loop, the completion-map step kernel under the
-fleet's cores, the fleet's decomposed path, and each cache in
+fleet's cores, the fleet's decomposed path, its timer loop and block
+probe draws, and each cache in
 :mod:`repro.perf` (a cache row changes one input field at a time, so a
 field missing from a cache key fails it).  The oracles themselves live
 in :mod:`repro.oracles`, which nothing on the simulation path imports.
@@ -374,6 +396,7 @@ _LAZY = {
     "SkipRecord": "repro.api.results",
     "ExperimentSpec": "repro.api.scenario",
     "Scenario": "repro.api.scenario",
+    "SimulationBudgetExceeded": "repro.api.scenario",
     "MigrationSpec": "repro.faults.migration",
     "OutcomeRecord": "repro.faults.migration",
     "BrownoutEvent": "repro.faults.plan",

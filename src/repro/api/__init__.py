@@ -43,6 +43,7 @@ _LAZY = {
     "default_system_names": "repro.api.scenario",
     "ExperimentSpec": "repro.api.scenario",
     "Scenario": "repro.api.scenario",
+    "SimulationBudgetExceeded": "repro.api.scenario",
     "ServeReport": "repro.serve.metrics",
     "ServeResultSet": "repro.serve.metrics",
     "ServeScenario": "repro.serve.scenario",

@@ -74,6 +74,7 @@ from repro.systems.base import UnsupportedWorkload
 __all__ = [
     "ExperimentSpec",
     "Scenario",
+    "SimulationBudgetExceeded",
     "check_count",
     "check_finite",
     "check_point",
@@ -87,6 +88,16 @@ def default_system_names() -> tuple[str, ...]:
     """Registry slugs of the built-in systems, in the paper's plotting
     order (Megatron-TE first, Comet last)."""
     return tuple(cls.slug for cls in ALL_SYSTEMS)
+
+
+class SimulationBudgetExceeded(RuntimeError):
+    """A run popped more events than its offered work allows.
+
+    Every accepted spec either runs to completion in work bounded by
+    what it offers or raises this, naming the scenario: a finite,
+    positive tick interval too small to advance the clock (``1e-300``
+    ms) would otherwise loop forever.
+    """
 
 
 # -- the grid-point boundary ---------------------------------------------------
@@ -146,7 +157,7 @@ def check_point(
         )
     check_policy(overlap_policy)
     if policy is not None:
-        from repro.serve.scheduler import POLICY_REGISTRY
+        from repro.serve.policies import POLICY_REGISTRY
 
         if policy not in POLICY_REGISTRY:
             raise ValueError(

@@ -22,7 +22,8 @@ Two classes of policy matter to the engine:
   PR 3 fast serving loop replica by replica.
 * **state-dependent** (``state_dependent = True``) — the decision reads
   live replica state (queue depths, token backlogs), so the fleet must
-  be co-simulated on the DES kernel.
+  be co-simulated: every replica advances in one event loop, and the
+  router decides at each arrival against the load of that instant.
 
 The candidate "views" expose three load signals, all maintained by the
 engine: ``queue_depth`` (waiting requests), ``running`` (sequences in
@@ -169,26 +170,61 @@ class PowerOfTwo(Router):
     SLO-aware rather than merely queue-length-aware.  The classic
     Mitzenmacher result: two random probes capture most of the benefit
     of the full JSQ scan at O(1) cost.
+
+    The probes are ``rng.integers(n)`` then ``rng.integers(n - 1)`` for
+    ``n`` candidates, drawn :data:`BLOCK` pairs at a time by one call
+    with per-element bounds, which gives the same values and leaves the
+    generator in the same state as the scalar calls
+    (:func:`repro.oracles.fleet_des.scalar_probes` is the reference).
     """
 
     state_dependent = True
+    #: Probe pairs drawn per generator call.
+    BLOCK = 256
 
     def __init__(self, num_replicas: int, seed: int = 0):
         super().__init__(num_replicas, seed)
         self._rng = np.random.default_rng(seed)
+        self._draws: list[int] = []  # the block: first, second, first, ...
+        self._used = 0  # draws taken from the block
+        self._count = 0  # the candidate count the block was drawn for
+        self._highs = np.zeros(0, dtype=np.int64)  # the block's bounds
+        self._state: dict = {}  # the generator's state before the block
 
     def choose(self, request: Request, candidates: Sequence, now: float):
         n = len(candidates)
         if n == 1:
             return candidates[0]
-        first = int(self._rng.integers(n))
-        second = int(self._rng.integers(n - 1))
+        first, second = self._probes(n)
         if second >= first:
             second += 1
         a, b = candidates[first], candidates[second]
         if (a.backlog_tokens, a.index) <= (b.backlog_tokens, b.index):
             return a
         return b
+
+    def _probes(self, n: int) -> tuple[int, int]:
+        """The next probe pair for ``n`` candidates.
+
+        When ``n`` differs from the block's candidate count, the
+        generator rewinds to the block's start and redraws only the
+        pairs already taken, so it stands where the scalar draws would
+        have left it.
+        """
+        used = self._used
+        if n != self._count or used == len(self._draws):
+            rng = self._rng
+            if used < len(self._draws):
+                rng.bit_generator.state = self._state
+                if used:
+                    rng.integers(0, self._highs[:used])
+            self._state = rng.bit_generator.state
+            self._highs = np.tile(np.array([n, n - 1], dtype=np.int64), self.BLOCK)
+            self._draws = rng.integers(0, self._highs).tolist()
+            self._count = n
+            used = 0
+        self._used = used + 2
+        return self._draws[used], self._draws[used + 1]
 
 
 def make_router(name: str, num_replicas: int, seed: int = 0) -> Router:

@@ -16,14 +16,27 @@ tables).
 **Co-simulated** — state-dependent routers (least-queue,
 power-of-two-choices), autoscaling, failure injection, and
 prefill/decode disaggregation all couple the replicas, so the fleet
-runs as one discrete-event simulation on the
-:class:`~repro.sim.engine.Environment`: one arrival/dispatch process,
-one engine process per replica, plus optional failure and autoscaler
-processes.  Everything stays deterministic: the DES queue breaks ties
-by sequence number, routers are seeded, and admission sorts carry the
-request id as final tiebreaker.
+runs as one loop over a heap of typed timers: arrivals, engine wake-ups
+and step ends, failures and recoveries, degrade and restore markers,
+detector and autoscaler ticks, front-door deadlines and retry backoffs,
+KV deliveries, readmissions and warm-up flushes.  A timer is a handler
+and its arguments, and timers pop in the order of the discrete-event
+kernel's queue, ``(time, priority, sequence)``: a process started at
+the current instant runs before any timer due then.  So the loop
+reproduces :mod:`repro.oracles.fleet_des`, the same fleet as generator
+processes on :class:`~repro.sim.engine.Environment`, byte for byte; the
+two share every helper and differ only in how they start processes,
+wake an engine and abort a step (:meth:`FleetEngine._start`,
+:meth:`FleetEngine._wake`, :meth:`FleetEngine._abort_step`).  A
+failure stales its replica's pending step end by a generation count.
+Everything stays deterministic: routers are seeded, and admission sorts
+carry the request id as final tiebreaker.  A run pops at most
+:data:`BUDGET_PER_UNIT` timers per unit of offered work; a scenario
+whose ticks cannot advance the clock (an interval of ``1e-300`` ms)
+raises :class:`~repro.api.scenario.SimulationBudgetExceeded` instead of
+hanging.
 
-Step kernel: each engine process drives a
+Step kernel: each replica's engine drives a
 :class:`~repro.serve.scheduler.ReplicaCore`, the single-replica
 scheduler's admit/launch/retire.  A sequence's last step is known at
 admission, so the core files it in a completion map keyed by step and
@@ -78,9 +91,12 @@ Modelling notes:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import Callable
 
+from repro.api.scenario import SimulationBudgetExceeded
 from repro.faults.migration import OutcomeRecord
 from repro.fleet.metrics import (
     DispatchRecord,
@@ -92,17 +108,25 @@ from repro.fleet.router import Router, make_router
 from repro.fleet.spec import FleetScenario, ReplicaSpec
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, Table, TimelinePoint
+from repro.serve.policies import POLICY_REGISTRY
 from repro.serve.scheduler import (
-    POLICY_REGISTRY,
     ContinuousBatchingScheduler,
     ReplicaCore,
     _record,
     _Sequence,
 )
 from repro.serve.traffic import Request
-from repro.sim.engine import Environment, Event, Interrupt
 
-__all__ = ["FleetEngine"]
+__all__ = ["BUDGET_PER_UNIT", "FleetEngine"]
+
+#: Timer priorities, the DES kernel's: a process started at the current
+#: instant runs before any timer due then.
+URGENT, NORMAL = 0, 1
+
+#: Timers a co-simulation may pop per unit of offered work
+#: (:meth:`FleetEngine._offered_units`).  The pinned exports, the
+#: examples and the CLI smokes stay under a tenth of it.
+BUDGET_PER_UNIT = 32
 
 
 @dataclass(frozen=True)
@@ -123,7 +147,9 @@ class _StaticView:
 class _Replica(ReplicaCore):
     """One co-simulated replica: a :class:`ReplicaCore` (queues, step
     kernel, and the router's view of its real load) plus fleet state —
-    health, activity window, stats, resilience."""
+    health, activity window, stats, resilience — and its engine's state:
+    asleep (idle until a dispatch wakes it) or in a step, whose end
+    timer carries ``step_gen``."""
 
     def __init__(
         self,
@@ -144,9 +170,9 @@ class _Replica(ReplicaCore):
         self.active = active
         self.activated_at: float | None = 0.0 if active else None
         self.warm_until = 0.0  # initial replicas start warm
-        self.wakeup: Event | None = None
-        self.process = None
+        self.asleep = False
         self.in_step = False
+        self.step_gen = 0
         self.step_started = 0.0
         self.busy_ms = 0.0
         self.active_ms = 0.0
@@ -169,10 +195,6 @@ class _Replica(ReplicaCore):
             and now >= self.warm_until
             and now >= self.probation_until
         )
-
-    def wake(self) -> None:
-        if self.wakeup is not None and not self.wakeup.triggered:
-            self.wakeup.succeed()
 
     def close_window(self, now: float) -> None:
         if self.activated_at is not None:
@@ -344,9 +366,59 @@ class FleetEngine:
 
     # -- co-simulation --------------------------------------------------------
     def _run_cosim(self, system_name: str) -> FleetReport:
+        """Co-simulate the coupled fleet as one loop over a heap of timers.
+
+        A timer is ``(time, priority, sequence, handler, args)``, so the
+        heap pops in the DES queue's order.  The loop pops while a
+        request is unresolved or a recovery is scheduled: the heap
+        legitimately drains with requests unserved when every replica is
+        dead and no recovery is coming, and a recovery a few ms past the
+        final completion still belongs in the event log (the report
+        counts ``recoveries``).  Past :data:`BUDGET_PER_UNIT` timers per
+        unit of offered work it raises :class:`SimulationBudgetExceeded`.
+        """
+        timers: list[tuple] = []
+        self._timers = timers
+        self._order = itertools.count()
+        self._now = 0.0
+        self._start_cosim()
+        total = len(self.trace)
+        units = self._offered_units()
+        budget = BUDGET_PER_UNIT * units
+        pop = heapq.heappop
+        popped = 0
+        while timers and (self._resolved < total or self._recoveries_outstanding):
+            popped += 1
+            if popped > budget:
+                raise SimulationBudgetExceeded(
+                    f"fleet scenario {self.scenario.label!r} popped {budget} "
+                    f"timers, its budget for {units} units of offered work, "
+                    f"with {total - self._resolved} of {total} requests "
+                    f"unresolved at t={self._now!r} ms"
+                )
+            self._now, _, _, handler, args = pop(timers)
+            handler(*args)
+        return self._cosim_report(system_name)
+
+    def _offered_units(self) -> int:
+        """The work a co-simulation's timer budget scales with: one unit
+        per request and per output token, times ``1 + max_retries``, and
+        one per replica and per scheduled fault, so a fault timeline
+        fits even with no requests."""
+        retries = self._resilience.max_retries if self._resilience is not None else 0
+        work = len(self.trace) + sum(request.output_tokens for request in self.trace)
+        faults = len(self.scenario.all_crashes) + (
+            len(self._faults.degrades) if self._faults is not None else 0
+        )
+        return work * (1 + retries) + len(self._expanded) + faults
+
+    def _start_cosim(self) -> None:
+        """Build the replicas, pools and router, and start the fleet's
+        processes in the DES's creation order: arrivals first, then one
+        engine per replica (as :mod:`repro.oracles.serve_des` does, so a
+        1-replica co-simulation reproduces the bare engine's records),
+        failures, degrade markers, the autoscaler and the detector."""
         scenario = self.scenario
-        env = Environment()
-        self._env = env
         self._router: Router = make_router(
             scenario.router, len(self._expanded), seed=scenario.router_seed
         )
@@ -369,46 +441,28 @@ class FleetEngine:
         # pool -> (routable candidates, time the list expires); see
         # _candidates.  Cleared whenever a replica's flags change.
         self._routable: dict[str, tuple[list[_Replica], float]] = {}
+        self._cooldown_until = 0.0
         crashes = scenario.all_crashes
         self._recoveries_outstanding = sum(
             1 for event in crashes if event.recover_ms is not None
         )
-
-        # Process creation order mirrors the single-replica serving DES
-        # (repro.oracles.serve_des: arrivals first, then engines), which
-        # the bare engine's sequential loop replays, keeping the event-id
-        # tie-breaking aligned so a 1-replica co-simulation reproduces
-        # the bare engine's records exactly.
-        env.process(self._arrivals(env))
+        self._start("arrivals")
         for rep in self._replicas:
-            rep.process = env.process(self._engine(env, rep))
+            self._start("engine", rep)
         for event in crashes:
-            env.process(self._failure(env, event))
+            self._start("failure", event)
         if self._faults is not None:
             for event in self._faults.degrades:
-                env.process(self._degrade_marker(env, event))
+                self._start("degrade_marker", event)
         if scenario.autoscaler is not None:
-            env.process(self._autoscaler(env))
+            self._start("autoscaler")
         if self._track_health:
-            env.process(self._detector(env))
+            self._start("detector")
 
-        total = len(self.trace)
-        # Manual stepping (not run(until=...)): the queue legitimately
-        # drains with requests still unserved when every replica is dead
-        # and no recovery is coming — peek() going +inf ends the run.
-        # Scheduled recoveries are part of the fault plan even when the
-        # last request resolves first, so drain them before closing the
-        # window: otherwise a recovery a few ms past the final
-        # completion never lands in the event log and the report
-        # undercounts `recoveries`.
-        while (
-            self._resolved < total or self._recoveries_outstanding
-        ) and env.peek() != float("inf"):
-            env.step()
-
+    def _cosim_report(self, system_name: str) -> FleetReport:
         records = Table.from_tuples(RequestRecord, self._records).sorted_by("rid")
         window = FleetReport.accounting_window(
-            scenario.trace.horizon_ms, records, self._outcomes
+            self.scenario.trace.horizon_ms, records, self._outcomes
         )
         for rep in self._replicas:
             rep.close_window(window)
@@ -428,6 +482,153 @@ class FleetEngine:
             Table.from_tuples(TimelinePoint, rep.timeline) for rep in self._replicas
         )
         return self._report(system_name, records, stats, timelines)
+
+    # -- the event mechanism: all the oracle overrides ----------------------
+    def _start(self, process: str, *args) -> None:
+        """Start one of the fleet's processes at the current instant.
+
+        ``process`` names its first handler, ``_begin_<process>``; a
+        start is an urgent timer, so it runs after the handler that
+        starts it and before any timer due at the same instant, as a
+        DES process's initialisation does.
+        """
+        heapq.heappush(self._timers, (
+            self._now, URGENT, next(self._order),
+            getattr(self, f"_begin_{process}"), args,
+        ))
+
+    def _after(self, delay: float, handler: Callable, *args) -> None:
+        """Fire ``handler(*args)`` ``delay`` ms from now."""
+        heapq.heappush(self._timers, (
+            self._now + delay, NORMAL, next(self._order), handler, args,
+        ))
+
+    def _wake(self, rep: _Replica) -> None:
+        """Resume an idle engine: work was just queued on it."""
+        if rep.asleep:
+            rep.asleep = False
+            self._after(0.0, self._begin_engine, rep)
+
+    def _abort_step(self, rep: _Replica) -> None:
+        """A failure cut the step in flight: its end timer goes stale,
+        the elapsed part still counts as busy (the GPUs did burn), and
+        the emptied engine idles."""
+        rep.step_gen += 1
+        rep.busy_ms += self._now - rep.step_started
+        rep.in_step = False
+        self._begin_engine(rep)
+
+    # -- timer handlers -------------------------------------------------------
+    def _begin_arrivals(self) -> None:
+        self._arrive_from(0)
+
+    def _on_arrival(self, index: int) -> None:
+        # The timer was due at this request's arrival: it arrives now,
+        # whatever rounding ``now + delay`` left.
+        self._arrive(self.trace[index], self._now)
+        self._arrive_from(index + 1)
+
+    def _arrive_from(self, start: int) -> None:
+        """Release the requests due by now from ``start`` on, then wait
+        for the next one."""
+        now, trace = self._now, self.trace
+        for index in range(start, len(trace)):
+            delay = trace[index].arrival_ms - now
+            if delay > 0:
+                self._after(delay, self._on_arrival, index)
+                return
+            self._arrive(trace[index], now)
+        self._arrivals_done = True
+
+    def _begin_engine(self, rep: _Replica) -> None:
+        """The replica's engine runs: launch a step, or idle until a
+        dispatch wakes it (for good once every request resolved)."""
+        now = self._now
+        if not rep.waiting and not rep.resident:
+            if not rep.active:
+                # Drained after scale-down: stop the meter.
+                rep.close_window(now)
+            rep.asleep = self._resolved < len(self.trace)
+            return
+        self._after(self._launch(rep, now), self._on_step_end, rep, rep.step_gen)
+
+    def _on_step_end(self, rep: _Replica, gen: int) -> None:
+        if gen == rep.step_gen:
+            self._step_done(rep, self._now)
+            self._begin_engine(rep)
+
+    def _begin_failure(self, event) -> None:
+        self._after(event.fail_ms, self._on_fail, event)
+
+    def _on_fail(self, event) -> None:
+        now = self._now
+        self._crash(self._replicas[event.replica], now)
+        if event.recover_ms is not None:
+            self._after(event.recover_ms - now, self._on_recover, event)
+
+    def _on_recover(self, event) -> None:
+        self._recover(self._replicas[event.replica], self._now)
+
+    def _begin_degrade_marker(self, event) -> None:
+        self._after(event.t0_ms - self._now, self._on_degrade, event)
+
+    def _on_degrade(self, event) -> None:
+        self._events.append(FleetEvent(self._now, event.replica, "degrade"))
+        self._after(event.t1_ms - self._now, self._on_restore, event)
+
+    def _on_restore(self, event) -> None:
+        self._events.append(FleetEvent(self._now, event.replica, "restore"))
+
+    def _begin_detector(self) -> None:
+        self._after(self._resilience.check_interval_ms, self._on_detect)
+
+    def _on_detect(self) -> None:
+        if self._detect(self._now):
+            self._begin_detector()
+
+    def _begin_autoscaler(self) -> None:
+        self._after(self.scenario.autoscaler.interval_ms, self._on_scale)
+
+    def _on_scale(self) -> None:
+        if self._autoscale(self._now):
+            self._begin_autoscaler()
+
+    def _begin_frontdoor(self, seq: _Sequence, retries: int = 0) -> None:
+        self._after(self._resilience.timeout_ms, self._on_deadline, seq, retries)
+
+    def _on_deadline(self, seq: _Sequence, retries: int) -> None:
+        backoff = self._deadline(seq, retries, self._now)
+        if backoff is None:
+            return
+        if backoff > 0:
+            self._after(backoff, self._on_backoff, seq, retries + 1)
+        else:
+            self._on_backoff(seq, retries + 1)
+
+    def _on_backoff(self, seq: _Sequence, retries: int) -> None:
+        self._retry(seq, self._now)
+        self._begin_frontdoor(seq, retries)
+
+    def _begin_deliver(self, rep: _Replica, tagged: list, delay: float, pool: str) -> None:
+        if delay > 0:
+            self._after(delay, self._on_deliver, rep, tagged, pool)
+        else:
+            self._on_deliver(rep, tagged, pool)
+
+    def _on_deliver(self, rep: _Replica, tagged: list, pool: str) -> None:
+        self._delivered(rep, tagged, pool, self._now)
+
+    def _begin_readmit(self, rep: _Replica) -> None:
+        self._after(rep.probation_until - self._now, self._on_readmit, rep)
+
+    def _on_readmit(self, rep: _Replica) -> None:
+        self._end_probation(rep, self._now)
+
+    def _begin_warmup_flush(self, rep: _Replica) -> None:
+        self._after(rep.warm_until - self._now, self._on_warm, rep)
+
+    def _on_warm(self, rep: _Replica) -> None:
+        self._warmed(rep, self._now)
 
     # -- dispatch -------------------------------------------------------------
     def _candidates(self, pool: str, now: float) -> list[_Replica]:
@@ -462,7 +663,7 @@ class FleetEngine:
         if pick is not None:
             self._dispatches.append((seq.request.rid, now, pick.index, pool))
             pick.enqueue(seq)
-            pick.wake()
+            self._wake(pick)
 
     def _flush_pending(self, now: float) -> None:
         """Re-route parked sequences after a recovery or warm-up.
@@ -522,21 +723,16 @@ class FleetEngine:
             # Tag each sequence with its attempt number: a front-door retry
             # cancels in-flight copies, so stale deliveries must drop.
             tagged = [(seq, seq.attempt) for seq in group]
-            self._env.process(
-                self._deliver(self._env, self._replicas[index], tagged, delay, pool)
-            )
+            self._start("deliver", self._replicas[index], tagged, delay, pool)
 
-    def _deliver(
+    def _delivered(
         self,
-        env: Environment,
         rep: _Replica,
         tagged: list[tuple[_Sequence, int]],
-        delay: float,
         pool: str,
-    ) -> Generator:
-        if delay > 0:
-            yield env.timeout(delay)
-        now = env.now
+        now: float,
+    ) -> None:
+        """A migration lands on ``rep``; stale copies drop."""
         arrived = [
             seq
             for seq, token in tagged
@@ -547,30 +743,23 @@ class FleetEngine:
         if rep.routable(now):
             for seq in arrived:
                 rep.enqueue(seq)
-            rep.wake()
+            self._wake(rep)
             return
         # Destination crashed or was quarantined in flight: the payload
         # re-ships to a new replica (or parks at the fleet door).
         self._send(arrived, now, pool)
 
-    def _arrivals(self, env: Environment) -> Generator:
+    def _arrive(self, request: Request, now: float) -> None:
+        """Admit one arrival at the front door: shed it, or dispatch it
+        and start its deadline."""
         res = self._resilience
-        for request in self.trace:
-            delay = request.arrival_ms - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            seq = _Sequence(request)
-            if (
-                res is not None
-                and res.wants_shed
-                and self._should_shed(env.now)
-            ):
-                self._resolve_outcome(seq, env.now, "shed", attempts=0)
-                continue
-            self._dispatch(seq, env.now)
-            if res is not None and res.wants_deadline:
-                env.process(self._frontdoor(env, seq))
-        self._arrivals_done = True
+        seq = _Sequence(request)
+        if res is not None and res.wants_shed and self._should_shed(now):
+            self._resolve_outcome(seq, now, "shed", attempts=0)
+            return
+        self._dispatch(seq, now)
+        if res is not None and res.wants_deadline:
+            self._start("frontdoor", seq)
 
     def _should_shed(self, now: float) -> bool:
         """Reject an arrival when its estimated wait blows the TTFT SLO.
@@ -614,82 +803,64 @@ class FleetEngine:
             if seq in queue:
                 queue.remove(seq)
 
-    def _frontdoor(self, env: Environment, seq: _Sequence) -> Generator:
-        """Per-request deadline loop: cancel, retry with backoff, give up.
+    def _deadline(self, seq: _Sequence, retries: int, now: float) -> float | None:
+        """A front-door deadline expires: cancel, then retry or give up.
 
         A sequence that times out mid-service is reclaimed wherever it
         sits (queued, admitted, running, in-flight) — work already spent
-        on it stays burned, the vLLM-style wasted-work model.  Retries
-        restart from un-prefilled state through the entry pool; backoff
-        is deterministic per (seed, rid, attempt).
+        on it stays burned, the vLLM-style wasted-work model.  Returns
+        the backoff before retry ``retries + 1`` (deterministic per
+        (seed, rid, attempt)), or None when the request finished or
+        timed out for good.
         """
+        if seq.finished:
+            return None
         res = self._resilience
-        retries = 0
-        while True:
-            yield env.timeout(res.timeout_ms)
-            if seq.finished:
-                return
-            self._cancel(seq)
-            if retries >= res.max_retries:
-                self._resolve_outcome(
-                    seq, env.now, "timeout", attempts=retries
-                )
-                return
-            self._events.append(FleetEvent(env.now, -1, "retry"))
-            backoff = res.retry_backoff_ms(seq.request.rid, retries)
-            retries += 1
-            if backoff > 0:
-                yield env.timeout(backoff)
-            seq.first_token_ms = float("nan")
-            seq.generated = 0
-            seq.cancelled = False
-            self._dispatch(seq, env.now)
+        self._cancel(seq)
+        if retries >= res.max_retries:
+            self._resolve_outcome(seq, now, "timeout", attempts=retries)
+            return None
+        self._events.append(FleetEvent(now, -1, "retry"))
+        return res.retry_backoff_ms(seq.request.rid, retries)
+
+    def _retry(self, seq: _Sequence, now: float) -> None:
+        """Re-dispatch a cancelled request from un-prefilled state
+        through the entry pool."""
+        seq.first_token_ms = float("nan")
+        seq.generated = 0
+        seq.cancelled = False
+        self._dispatch(seq, now)
 
     # -- per-replica engine ---------------------------------------------------
-    def _engine(self, env: Environment, rep: _Replica) -> Generator:
-        total = len(self.trace)
-        while True:
-            if not rep.waiting and not rep.resident:
-                if not rep.active:
-                    # Drained after scale-down: stop the meter.
-                    rep.close_window(env.now)
-                if self._resolved >= total:
-                    return
-                rep.wakeup = env.event()
-                yield rep.wakeup
-                rep.wakeup = None
-                continue
+    def _launch(self, rep: _Replica, now: float) -> float:
+        """Launch ``rep``'s next step at ``now``; returns its length."""
+        step = rep.launch(now)
+        rep.last_step_ms = step
+        rep.in_step = True
+        rep.step_started = now
+        return step
 
-            step = rep.launch(env.now)
-            rep.last_step_ms = step
-            rep.in_step = True
-            rep.step_started = env.now
-            try:
-                yield env.timeout(step)
-            except Interrupt:
-                # Failed mid-step: the work is lost but the GPUs burned.
-                rep.busy_ms += env.now - rep.step_started
-                rep.in_step = False
-                continue
-            rep.in_step = False
-            rep.busy_ms += step
-            now = env.now
-            admitted, retired = rep.close(now)
-            if self._track_health and rep.role != "decode":
-                rep.ttft_samples.extend(
-                    (now, now - seq.request.arrival_ms) for seq in admitted
-                )
-            for seq in retired:
-                self._finish(seq, now, rep)
-            if rep.role == "prefill":
-                # Prefill boundary: first token emitted here, the rest
-                # of the generation migrates to the decode pool (KV
-                # handoff batched over the inter-replica link when a
-                # MigrationSpec is set, free otherwise — see module doc).
-                rep.requests += len(admitted) - len(retired)
-                handoff = [seq for seq in admitted if not seq.done]
-                if handoff:
-                    self._send(handoff, now, "decode")
+    def _step_done(self, rep: _Replica, now: float) -> None:
+        """Close ``rep``'s step at ``now``: retire, sample TTFTs, and
+        hand prefilled sequences to the decode pool."""
+        rep.in_step = False
+        rep.busy_ms += rep.last_step_ms
+        admitted, retired = rep.close(now)
+        if self._track_health and rep.role != "decode":
+            rep.ttft_samples.extend(
+                (now, now - seq.request.arrival_ms) for seq in admitted
+            )
+        for seq in retired:
+            self._finish(seq, now, rep)
+        if rep.role == "prefill":
+            # Prefill boundary: first token emitted here, the rest
+            # of the generation migrates to the decode pool (KV
+            # handoff batched over the inter-replica link when a
+            # MigrationSpec is set, free otherwise — see module doc).
+            rep.requests += len(admitted) - len(retired)
+            handoff = [seq for seq in admitted if not seq.done]
+            if handoff:
+                self._send(handoff, now, "decode")
 
     def _finish(self, seq: _Sequence, now: float, rep: _Replica) -> None:
         self._records.append(_record(seq, now))
@@ -698,50 +869,37 @@ class FleetEngine:
         rep.requests += 1
 
     # -- failure injection ----------------------------------------------------
-    def _failure(self, env: Environment, event) -> Generator:
-        yield env.timeout(event.fail_ms)
-        rep = self._replicas[event.replica]
-        if rep.healthy:
-            rep.healthy = False
-            self._routable.clear()
-            self._events.append(FleetEvent(env.now, rep.index, "fail"))
-            # Reclaim everything the replica held; its KV is gone, so
-            # every sequence restarts from un-prefilled state.
-            reclaimed = rep.reclaim()
-            if rep.in_step:
-                rep.process.interrupt("replica failure")
-            reclaimed.sort(key=lambda s: s.request.rid)
-            if reclaimed:
-                self._send(reclaimed, env.now, "entry")
-        if event.recover_ms is not None:
-            yield env.timeout(event.recover_ms - env.now)
-            rep.healthy = True
-            self._routable.clear()
-            self._events.append(FleetEvent(env.now, rep.index, "recover"))
-            self._recoveries_outstanding -= 1
-            self._flush_pending(env.now)
+    def _crash(self, rep: _Replica, now: float) -> None:
+        """``rep`` fails (if up): it loses everything it held."""
+        if not rep.healthy:
+            return
+        rep.healthy = False
+        self._routable.clear()
+        self._events.append(FleetEvent(now, rep.index, "fail"))
+        # Reclaim everything the replica held; its KV is gone, so
+        # every sequence restarts from un-prefilled state.
+        reclaimed = rep.reclaim()
+        if rep.in_step:
+            self._abort_step(rep)
+        reclaimed.sort(key=lambda s: s.request.rid)
+        if reclaimed:
+            self._send(reclaimed, now, "entry")
 
-    def _degrade_marker(self, env: Environment, event) -> Generator:
-        """Emit degrade/restore markers for one scheduled degradation.
-
-        The pricing itself lives in the replica's
-        :class:`~repro.faults.plan.TimeVaryingStepCost`; these events
-        only make the window visible in reports and trace exports.
-        """
-        yield env.timeout(event.t0_ms - env.now)
-        self._events.append(FleetEvent(env.now, event.replica, "degrade"))
-        yield env.timeout(event.t1_ms - env.now)
-        self._events.append(FleetEvent(env.now, event.replica, "restore"))
+    def _recover(self, rep: _Replica, now: float) -> None:
+        rep.healthy = True
+        self._routable.clear()
+        self._events.append(FleetEvent(now, rep.index, "recover"))
+        self._recoveries_outstanding -= 1
+        self._flush_pending(now)
 
     # -- health detection / probation ----------------------------------------
-    def _detector(self, env: Environment) -> Generator:
-        res = self._resilience
-        total = len(self.trace)
-        while True:
-            yield env.timeout(res.check_interval_ms)
-            if self._resolved >= total or self._no_progress_possible():
-                return
-            self._health_check(env.now)
+    def _detect(self, now: float) -> bool:
+        """One detector tick; False once the detector has nothing left
+        to watch."""
+        if self._resolved >= len(self.trace) or self._no_progress_possible():
+            return False
+        self._health_check(now)
+        return True
 
     def _health_check(self, now: float) -> None:
         """Flag at most one replica per tick: the worst offender.
@@ -815,7 +973,7 @@ class FleetEngine:
         else:
             rep.probation_until = now + res.probation_ms
             self._events.append(FleetEvent(now, rep.index, "probation"))
-            self._env.process(self._readmit(self._env, rep))
+            self._start("readmit", rep)
         self._routable.clear()
         if drained:
             # Running sequences finish in place (their KV is resident
@@ -824,12 +982,12 @@ class FleetEngine:
             pool = "decode" if rep.role == "decode" else "entry"
             self._send(drained, now, pool)
 
-    def _readmit(self, env: Environment, rep: _Replica) -> Generator:
-        yield env.timeout(rep.probation_until - env.now)
+    def _end_probation(self, rep: _Replica, now: float) -> None:
+        """Probation ends: a replica still up rejoins the router."""
         if rep.evicted or not rep.healthy or not rep.active:
             return
-        self._events.append(FleetEvent(env.now, rep.index, "readmit"))
-        self._flush_pending(env.now)
+        self._events.append(FleetEvent(now, rep.index, "readmit"))
+        self._flush_pending(now)
 
     # -- autoscaling ----------------------------------------------------------
     def _no_progress_possible(self) -> bool:
@@ -843,55 +1001,51 @@ class FleetEngine:
         waiting = sum(rep.queue_depth for rep in self._replicas)
         return waiting + sum(len(q) for q in self._pending.values())
 
-    def _warmup_flush(self, env: Environment, rep: _Replica) -> Generator:
-        yield env.timeout(rep.warm_until - env.now)
-        if rep.routable(env.now):
-            self._flush_pending(env.now)
+    def _warmed(self, rep: _Replica, now: float) -> None:
+        if rep.routable(now):
+            self._flush_pending(now)
 
-    def _autoscaler(self, env: Environment) -> Generator:
+    def _autoscale(self, now: float) -> bool:
+        """One autoscaler tick; False once nothing is left to scale for."""
         scaler = self.scenario.autoscaler
-        total = len(self.trace)
-        cooldown_until = 0.0
-        while True:
-            yield env.timeout(scaler.interval_ms)
-            now = env.now
-            if self._resolved >= total or self._no_progress_possible():
-                return
-            active = [rep for rep in self._replicas if rep.active]
-            pressure = self._fleet_backlog() / max(1, len(active))
-            if now < cooldown_until:
-                continue
-            if (
-                pressure > scaler.scale_up_queue
-                and len(active) < len(self._replicas)
-            ):
-                rep = next(r for r in self._replicas if not r.active)
-                rep.active = True
-                if rep.activated_at is None:
-                    # Cold start: pays the warm-up delay.
-                    rep.activated_at = now
-                    rep.warm_until = now + scaler.warmup_ms
-                # else: still draining, hence still warm — reuse as-is.
-                self._routable.clear()
-                self._events.append(FleetEvent(now, rep.index, "up"))
-                cooldown_until = now + scaler.cooldown_ms
-                if now >= rep.warm_until:
-                    self._flush_pending(now)
-                else:
-                    env.process(self._warmup_flush(env, rep))
-            elif (
-                pressure < scaler.scale_down_queue
-                and len(active) > scaler.min_replicas
-            ):
-                # Drain the emptiest replica; ties prefer the highest
-                # index so the base replicas stay up.
-                victim = min(
-                    active,
-                    key=lambda r: (r.backlog_tokens, r.running, -r.index),
-                )
-                victim.active = False
-                self._routable.clear()
-                self._events.append(FleetEvent(now, victim.index, "down"))
-                if not victim.waiting and not victim.resident:
-                    victim.close_window(now)
-                cooldown_until = now + scaler.cooldown_ms
+        if self._resolved >= len(self.trace) or self._no_progress_possible():
+            return False
+        active = [rep for rep in self._replicas if rep.active]
+        pressure = self._fleet_backlog() / max(1, len(active))
+        if now < self._cooldown_until:
+            return True
+        if (
+            pressure > scaler.scale_up_queue
+            and len(active) < len(self._replicas)
+        ):
+            rep = next(r for r in self._replicas if not r.active)
+            rep.active = True
+            if rep.activated_at is None:
+                # Cold start: pays the warm-up delay.
+                rep.activated_at = now
+                rep.warm_until = now + scaler.warmup_ms
+            # else: still draining, hence still warm — reuse as-is.
+            self._routable.clear()
+            self._events.append(FleetEvent(now, rep.index, "up"))
+            self._cooldown_until = now + scaler.cooldown_ms
+            if now >= rep.warm_until:
+                self._flush_pending(now)
+            else:
+                self._start("warmup_flush", rep)
+        elif (
+            pressure < scaler.scale_down_queue
+            and len(active) > scaler.min_replicas
+        ):
+            # Drain the emptiest replica; ties prefer the highest
+            # index so the base replicas stay up.
+            victim = min(
+                active,
+                key=lambda r: (r.backlog_tokens, r.running, -r.index),
+            )
+            victim.active = False
+            self._routable.clear()
+            self._events.append(FleetEvent(now, victim.index, "down"))
+            if not victim.waiting and not victim.resident:
+                victim.close_window(now)
+            self._cooldown_until = now + scaler.cooldown_ms
+        return True

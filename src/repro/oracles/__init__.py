@@ -19,7 +19,11 @@ oracle it is checked against.
   plans, taken from the uniform draws);
 * :mod:`repro.oracles.serve_des` — the serving engine as explicit DES
   processes, and per-token retirement (checks the sequential serving
-  loop and the completion-map step kernel).
+  loop and the completion-map step kernel);
+* :mod:`repro.oracles.fleet_des` — the fleet co-simulation as generator
+  processes on the DES kernel, and power-of-two probes drawn one scalar
+  call at a time (checks the fleet's timer loop and the router's block
+  draws).
 
 :func:`reference_paths` runs whole scenarios on the references.
 """
@@ -60,8 +64,11 @@ def reference_paths(caches_only: bool = False) -> Iterator[None]:
 
     Inside the block the layer0 kernel prices with the heapq loop,
     COMET prices every rank, graphs schedule with the heapq list
-    scheduler, the serving engine runs as DES processes and every core
-    retires by per-token count.  A bypassed cache stores nothing and
+    scheduler, the serving engine and the fleet co-simulation run as DES
+    processes (:mod:`repro.oracles.serve_des`,
+    :mod:`repro.oracles.fleet_des`), power-of-two routers draw each
+    probe with a scalar call, and every core retires by per-token
+    count.  A bypassed cache stores nothing and
     counts every read as a miss, so ``perf.time_layer_calls()`` still
     counts the real simulations.  The workload and routing caches stay
     on: their oracles are ``make_workload`` and the routing synthesis
@@ -73,8 +80,11 @@ def reference_paths(caches_only: bool = False) -> Iterator[None]:
     product path.
     """
     from repro import perf
+    from repro.fleet.router import PowerOfTwo
+    from repro.fleet.simulator import FleetEngine
     from repro.graph.scheduler import list_schedule
     from repro.kernels import fused
+    from repro.oracles.fleet_des import des_cosim, scalar_probes
     from repro.oracles.serve_des import des_run, per_token_close
     from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
     from repro.systems import comet
@@ -95,4 +105,6 @@ def reference_paths(caches_only: bool = False) -> Iterator[None]:
             swap(perf, "_schedule_graph", lambda graph, durations=None: list_schedule(graph))
             swap(ContinuousBatchingScheduler, "_run_fast", des_run)
             swap(ReplicaCore, "close", per_token_close)
+            swap(FleetEngine, "_run_cosim", des_cosim)
+            swap(PowerOfTwo, "_probes", scalar_probes)
         yield

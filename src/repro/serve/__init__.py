@@ -40,7 +40,7 @@ _LAZY = {
     "ServeScenario": "repro.serve.scenario",
     "ServeSpec": "repro.serve.scenario",
     "ContinuousBatchingScheduler": "repro.serve.scheduler",
-    "POLICY_REGISTRY": "repro.serve.scheduler",
+    "POLICY_REGISTRY": "repro.serve.policies",
     "build_trace": "repro.serve.traffic",
     "Request": "repro.serve.traffic",
     "TRACE_REGISTRY": "repro.serve.traffic",

@@ -2,8 +2,7 @@
 
 The scheduler replays, in one sequential loop, the events of two
 simulation processes (:mod:`repro.oracles.serve_des` runs them as real
-processes on :class:`~repro.sim.engine.Environment`, the reference the
-loop must equal):
+processes on the DES kernel, the reference the loop must equal):
 
 * an *arrival* process that releases requests into the waiting queue at
   their trace timestamps, and
@@ -17,9 +16,9 @@ This is the vLLM-style continuous-batching iteration model: an admitted
 request's prefill and its first output token happen in its first
 iteration (that instant is its TTFT), and every later iteration the
 request is in the batch produces exactly one more token.  Admission
-order is pluggable through :data:`POLICY_REGISTRY` — FCFS,
-shortest-prompt-first, and an SLO-aware least-slack policy ship
-built in.
+order is pluggable through :data:`~repro.serve.policies.POLICY_REGISTRY`
+— FCFS, shortest-prompt-first, and an SLO-aware least-slack policy
+ship built in.
 
 One replica's queues and step kernel (admit, launch, retire) live in
 :class:`ReplicaCore`; the sequential loop and every replica of the fleet
@@ -37,11 +36,10 @@ admission sorts use stable keys with the request id as final tiebreaker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.api.registry import Registry
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, Table, TimelinePoint
+from repro.serve.policies import POLICY_REGISTRY, SchedulerPolicy
 from repro.serve.traffic import Request
 
 __all__ = [
@@ -69,48 +67,6 @@ class _Sequence:
     @property
     def done(self) -> bool:
         return self.generated >= self.request.output_tokens
-
-
-# A policy maps (waiting sequence, now_ms, cost_model, slo_ttft_ms) to a
-# sortable priority — lower runs first.  The request id is appended as a
-# final tiebreaker by the scheduler, keeping every policy deterministic.
-SchedulerPolicy = Callable[[_Sequence, float, StepCostModel, float], float]
-
-POLICY_REGISTRY = Registry("policy")
-
-
-def _register(name: str) -> Callable[[SchedulerPolicy], SchedulerPolicy]:
-    def decorate(fn: SchedulerPolicy) -> SchedulerPolicy:
-        POLICY_REGISTRY.register(name, fn)
-        return fn
-
-    return decorate
-
-
-@_register("fcfs")
-def fcfs(seq: _Sequence, now: float, cost: StepCostModel, slo: float) -> float:
-    """First come, first served: admit in arrival order."""
-    return seq.request.arrival_ms
-
-
-@_register("spf")
-def shortest_prompt_first(
-    seq: _Sequence, now: float, cost: StepCostModel, slo: float
-) -> float:
-    """Shortest prompt first: cheap prefills jump the queue (SJF)."""
-    return float(seq.request.prompt_tokens)
-
-
-@_register("slo")
-def slo_aware(seq: _Sequence, now: float, cost: StepCostModel, slo: float) -> float:
-    """Least TTFT slack first.
-
-    Slack is the time left before the request's TTFT deadline after
-    accounting for its estimated prefill cost — long prompts near their
-    deadline overtake short prompts with slack to spare.
-    """
-    deadline = seq.request.arrival_ms + slo
-    return deadline - now - cost.prefill_ms(seq.request.prompt_tokens)
 
 
 def _record(seq: _Sequence, now: float) -> tuple:

@@ -1,8 +1,10 @@
 """Discrete-event simulation engine.
 
-A small, dependency-free process-based DES kernel in the style of SimPy,
-used as the execution substrate for every simulated GPU kernel, thread
-block, and communication flow in this repository.
+A small, dependency-free process-based DES kernel in the style of SimPy.
+The reference oracles in :mod:`repro.oracles` run on it (the layer0
+kernel, schedule graphs, the serving engine and the fleet
+co-simulation as explicit processes); the simulators themselves replay
+its event order in explicit loops and never import it.
 
 Public API:
 

@@ -174,6 +174,47 @@ def test_paper_figures_loads_only_what_it_runs():
     assert [name for name in NEVER_LOADED if name in after_run] == []
 
 
+#: Builds a serving and a fleet grid, as perfbench's set-up does.
+_BUILD_GRIDS = """
+import json, sys
+from repro import FleetSpec, ServeSpec, TraceSpec
+trace = TraceSpec(kind="poisson", rps=100, duration_s=50, seed=1)
+ServeSpec.grid(traces=trace, systems=("comet", "megatron"), policies=("fcfs", "slo"))
+FleetSpec.grid(replicas=8, routers="power_of_two", traces=trace, systems="comet")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: The step loop and what it prices and records with.
+STEP_LOOP = ("repro.serve.scheduler", "repro.serve.engine_adapter", "repro.serve.metrics")
+
+
+def test_building_serving_specs_loads_no_step_loop():
+    loaded = json.loads(_fresh_process(_BUILD_GRIDS))
+    assert "repro.serve.policies" in loaded
+    assert [name for name in STEP_LOOP if name in loaded] == []
+
+
+#: perfbench's fleet-cosim workload, one run.
+_FLEET_COSIM = """
+import json, sys
+from repro import FleetSpec, TraceSpec
+FleetSpec.grid(
+    replicas=8, routers="power_of_two", router_seed=1, systems="comet",
+    traces=TraceSpec(kind="poisson", rps=1200, duration_s=1, seed=1),
+).run().to_json()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_fleet_cosim_loads_no_des_kernel_and_no_oracle():
+    loaded = json.loads(_fresh_process(_FLEET_COSIM))
+    assert "repro.fleet.simulator" in loaded
+    assert [
+        name for name in loaded
+        if name == "repro.sim.engine" or name.startswith("repro.oracles")
+    ] == []
+
+
 def test_import_repro_registers_the_systems_in_order():
     out = _fresh_process("import repro\nprint(*repro.SYSTEM_REGISTRY.names())")
     assert out.split() == ["megatron-cutlass", "megatron-te", "fastermoe", "tutel", "comet"]

@@ -69,6 +69,7 @@ from repro import (
     perf,
 )
 from repro.fleet import AutoscalerSpec, FailureEvent
+from repro.fleet.router import ROUTER_REGISTRY, PowerOfTwo
 from repro.fleet.simulator import FleetEngine
 from repro.graph import (
     COMM,
@@ -114,6 +115,7 @@ from repro.moe import (
 from repro.moe.config import MoEConfig
 from repro.oracles import reference_paths
 from repro.oracles.distributed import DistributedMoE
+from repro.oracles.fleet_des import des_cosim, scalar_probes
 from repro.oracles.graph_des import des_schedule
 from repro.oracles.layer0_des import des_layer0_makespan
 from repro.oracles.layer0_schedule import sorted_layer0_schedule
@@ -1351,15 +1353,17 @@ def _decomposed_only(engine, system_name):
     return FleetEngine._run_decomposed(engine, system_name)
 
 
-def _decomposed_case(label, spec):
-    def run_on(path):
-        with mock.patch.object(FleetEngine, "run", path):
-            return _fleet_run(spec)
+def _on_path(path, spec):
+    """``spec`` run with every fleet on ``path``."""
+    with mock.patch.object(FleetEngine, "run", path):
+        return _fleet_run(spec)
 
+
+def _decomposed_case(label, spec):
     return Case(
         label,
-        lambda: run_on(_decomposed_only),
-        lambda: run_on(FleetEngine._run_cosim),
+        lambda: _on_path(_decomposed_only, spec),
+        lambda: _on_path(FleetEngine._run_cosim, spec),
     )
 
 
@@ -1387,6 +1391,98 @@ decomposed_cases = st.builds(
     st.sampled_from(("round_robin", "session_affinity")),
     st.integers(1, 3), st.integers(10, 80), st.integers(0, 20),
 )
+
+
+def _loop_case(label, spec, acted=lambda report: True):
+    """The timer loop with block-drawn probes against the DES processes
+    with scalar probes, both forced off the decomposed path."""
+    def fast():
+        reports, text = _on_path(FleetEngine._run_cosim, spec)
+        assert reports[0].records and acted(reports[0]), "feature did not act"
+        return reports, text
+
+    def oracle():
+        with mock.patch.object(PowerOfTwo, "_probes", scalar_probes):
+            return _on_path(des_cosim, spec)
+
+    return Case(label, fast, oracle)
+
+
+LOOP_EXAMPLES = tuple(
+    _loop_case(
+        f"loop {feature} {router}",
+        FleetSpec.grid(
+            **{"traces": ORACLE_TRACE, **kwargs}, routers=router, systems="comet"
+        ),
+        acted,
+    )
+    for feature, (kwargs, acted) in sorted(COSIM_FEATURES.items())
+    for router in ROUTER_REGISTRY.names()
+)
+
+loop_cases = st.builds(
+    lambda router, replicas, rps, seed, fail_ms: _loop_case(
+        f"loop {router} x{replicas} {rps} rps seed {seed} fail {fail_ms}",
+        FleetSpec.grid(
+            traces=TraceSpec(kind="poisson", rps=rps, duration_s=1, seed=seed),
+            replicas=replicas, routers=router, systems="comet",
+            failures=() if fail_ms is None else (
+                FailureEvent(replica=0, fail_ms=fail_ms, recover_ms=fail_ms + 300.0),
+            ),
+        ),
+    ),
+    st.sampled_from(ROUTER_REGISTRY.names()), st.integers(2, 3),
+    st.integers(40, 160), st.integers(0, 20),
+    st.one_of(st.none(), st.floats(50.0, 900.0)),
+)
+
+
+def _probe_case(seed, runs):
+    """One router probing each ``(candidates, calls)`` run in turn:
+    the block draws against one scalar draw per probe."""
+    counts = [n for n, calls in runs for _ in range(calls)]
+
+    def probe(draw):
+        router = PowerOfTwo(8, seed=seed)
+        return [draw(router, n) for n in counts]
+
+    return Case(
+        f"probes seed={seed} runs={runs}",
+        lambda: probe(PowerOfTwo._probes), lambda: probe(scalar_probes),
+    )
+
+
+BLOCK = PowerOfTwo.BLOCK
+PROBE_EXAMPLES = (
+    # Whole blocks, then a count change exactly at a block boundary.
+    _probe_case(0, [(8, 2 * BLOCK), (7, BLOCK + 1)]),
+    # Changes mid-block, right after a refill, and back again.
+    _probe_case(1, [(8, 5), (7, 1), (8, BLOCK - 1), (2, 3), (8, 1)]),
+    # Bounds past 2**32 take numpy's 64-bit path.
+    _probe_case(2, [(2**33, 3), (2**32 + 1, BLOCK), (3, 2)]),
+)
+
+probe_cases = st.builds(
+    _probe_case,
+    st.integers(0, 2**32),
+    st.lists(
+        st.tuples(st.integers(2, 9), st.integers(1, 2 * BLOCK)), min_size=1, max_size=6
+    ),
+)
+
+
+def test_numpy_bounded_integers_match_scalar_draws():
+    """The identity the power-of-two block draws rest on: one
+    ``integers(0, highs)`` call with per-element bounds gives the values
+    of one scalar ``integers(high)`` call per bound, and leaves the
+    generator in the same state."""
+    bounds = [2, 3, 7, 8, 255, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**40]
+    bounds = (bounds + list(range(2, 300))) * 3
+    for seed in range(5):
+        block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        values = block.integers(0, np.array(bounds, dtype=np.int64)).tolist()
+        assert values == [int(scalar.integers(high)) for high in bounds], seed
+        assert block.bit_generator.state == scalar.bit_generator.state, seed
 
 
 # -- payloads: the traffic the cost models price -------------------------------
@@ -1840,6 +1936,14 @@ PAIRS = (
         examples=DECOMPOSED_EXAMPLES, max_examples=1,
     ),
     Pair(
+        (FleetEngine._run_cosim, PowerOfTwo._probes), des_cosim, loop_cases,
+        examples=LOOP_EXAMPLES, max_examples=3,
+    ),
+    Pair(
+        PowerOfTwo._probes, scalar_probes, probe_cases,
+        examples=PROBE_EXAMPLES, max_examples=40,
+    ),
+    Pair(
         (WorkloadGeometry.pair_matrix, WorkloadGeometry.unique_tokens_per_rank),
         DistributedMoE, payload_cases,
         examples=PAYLOAD_EXAMPLES, max_examples=20,
@@ -2032,7 +2136,10 @@ def test_import_repro_loads_no_oracle():
     modules = [module.__name__ for module in _product_modules()]
     names = [
         oracle.__name__
-        for oracle in (des_schedule, des_layer0_makespan, DistributedMoE, des_run, per_token_close)
+        for oracle in (
+            des_schedule, des_layer0_makespan, DistributedMoE, des_run,
+            per_token_close, des_cosim, scalar_probes,
+        )
     ]
     code = (
         "import importlib, sys\n"

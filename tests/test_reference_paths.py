@@ -14,6 +14,8 @@ import pytest
 
 import repro
 from repro import MIXTRAL_8X7B, ParallelStrategy, h800_node, perf
+from repro.fleet.router import PowerOfTwo
+from repro.fleet.simulator import FleetEngine
 from repro.kernels import fused
 from repro.oracles import reference_paths
 from repro.runtime.workload import make_workload
@@ -32,6 +34,8 @@ FAST_PATHS = {
     ("repro.serve.scheduler", "ContinuousBatchingScheduler._run_fast"):
         ContinuousBatchingScheduler._run_fast,
     ("repro.serve.scheduler", "ReplicaCore.close"): ReplicaCore.close,
+    ("repro.fleet.simulator", "FleetEngine._run_cosim"): FleetEngine._run_cosim,
+    ("repro.fleet.router", "PowerOfTwo._probes"): PowerOfTwo._probes,
 }
 BYPASSED = ("timing", "graph", "graph_batch", "step-cost", "nc-sweep")
 

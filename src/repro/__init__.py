@@ -248,7 +248,10 @@ against the slow path it replaces (the oracle table enforces it, and
 * **Balanced routing from uniform draws** — a balanced plan takes each
   token's top-k experts from the uniform draws under its Gumbel noise
   (:mod:`repro.moe.routing`): the same plan and generator state for
-  less work.
+  less work.  Those experts are a prefix of one stream per (experts,
+  top-k, seed), so every balanced plan of a seed is cut from the rows
+  drawn once (:class:`repro.moe.routing.ExpertStream`), with its
+  weights drawn at its own stream offset.
 * **Fingerprints and caches** — ``MoESystem.fingerprint()`` +
   ``MoELayerWorkload.fingerprint()`` key the bounded, instrumented
   :data:`repro.perf.TIMING_CACHE`; workloads are shared process-wide
@@ -259,7 +262,13 @@ against the slow path it replaces (the oracle table enforces it, and
   shared by (system, workload, layer) through
   :data:`repro.perf.NC_SWEEP_CACHE`, while each instance still picks
   which workload records a token bucket.  Every cache exposes hit/miss
-  counters (``repro sweep/serve ... --report``) and ``clear()``.
+  counters (``repro sweep/serve ... --report``) and ``clear()``, and
+  computes each key once even when thread workers miss it together,
+  so a threaded run's counters match a serial run's.
+* **One lookup per serving step** — a serving cost model prices each
+  batch-token bucket once and answers every later step in it with one
+  dict lookup by bucket number
+  (:meth:`repro.serve.engine_adapter.StepCostModel.step_ms_at`).
 * **Fast serving loop** — the continuous-batching DES is replayed by a
   sequential transcription with identical event ordering, and each
   sequence retires from a completion map filed at admission.

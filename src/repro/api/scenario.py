@@ -72,6 +72,7 @@ from repro.systems import ALL_SYSTEMS
 from repro.systems.base import UnsupportedWorkload
 
 __all__ = [
+    "BUDGET_PER_UNIT",
     "ExperimentSpec",
     "Scenario",
     "SimulationBudgetExceeded",
@@ -91,13 +92,22 @@ def default_system_names() -> tuple[str, ...]:
 
 
 class SimulationBudgetExceeded(RuntimeError):
-    """A run popped more events than its offered work allows.
+    """A run took more steps than its offered work allows.
 
     Every accepted spec either runs to completion in work bounded by
-    what it offers or raises this, naming the scenario: a finite,
-    positive tick interval too small to advance the clock (``1e-300``
-    ms) would otherwise loop forever.
+    what it offers or raises this, naming the scenario or trace: a
+    finite, positive tick interval or dwell too small to advance the
+    clock (``1e-300``) would otherwise loop forever.
     """
+
+
+#: Steps a run may take per unit of offered work before it raises
+#: :class:`SimulationBudgetExceeded`: the fleet co-simulation's timer pops
+#: (:meth:`repro.fleet.simulator.FleetEngine._offered_units`) and a trace
+#: generator's loop iterations (one unit per expected request, plus one).
+#: The pinned exports, the examples and the CLI smokes stay under a
+#: tenth of it.
+BUDGET_PER_UNIT = 32
 
 
 # -- the grid-point boundary ---------------------------------------------------

@@ -289,7 +289,7 @@ class TimeVaryingStepCost:
     def step_ms_at(
         self, now: float, prefill_tokens: int, decode_tokens: int
     ) -> float:
-        return self.model_at(now).step_ms(prefill_tokens, decode_tokens)
+        return self.model_at(now).step_ms_at(now, prefill_tokens, decode_tokens)
 
     def step_ms(self, prefill_tokens: int, decode_tokens: int) -> float:
         return self.models[0].step_ms(prefill_tokens, decode_tokens)

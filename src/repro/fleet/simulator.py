@@ -31,10 +31,10 @@ wake an engine and abort a step (:meth:`FleetEngine._start`,
 failure stales its replica's pending step end by a generation count.
 Everything stays deterministic: routers are seeded, and admission sorts
 carry the request id as final tiebreaker.  A run pops at most
-:data:`BUDGET_PER_UNIT` timers per unit of offered work; a scenario
-whose ticks cannot advance the clock (an interval of ``1e-300`` ms)
-raises :class:`~repro.api.scenario.SimulationBudgetExceeded` instead of
-hanging.
+:data:`~repro.api.scenario.BUDGET_PER_UNIT` timers per unit of offered
+work; a scenario whose ticks cannot advance the clock (an interval of
+``1e-300`` ms) raises :class:`~repro.api.scenario.SimulationBudgetExceeded`
+instead of hanging.
 
 Step kernel: each replica's engine drives a
 :class:`~repro.serve.scheduler.ReplicaCore`, the single-replica
@@ -96,7 +96,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.api.scenario import SimulationBudgetExceeded
+from repro.api.scenario import BUDGET_PER_UNIT, SimulationBudgetExceeded
 from repro.faults.migration import OutcomeRecord
 from repro.fleet.metrics import (
     DispatchRecord,
@@ -117,16 +117,11 @@ from repro.serve.scheduler import (
 )
 from repro.serve.traffic import Request
 
-__all__ = ["BUDGET_PER_UNIT", "FleetEngine"]
+__all__ = ["FleetEngine"]
 
 #: Timer priorities, the DES kernel's: a process started at the current
 #: instant runs before any timer due then.
 URGENT, NORMAL = 0, 1
-
-#: Timers a co-simulation may pop per unit of offered work
-#: (:meth:`FleetEngine._offered_units`).  The pinned exports, the
-#: examples and the CLI smokes stay under a tenth of it.
-BUDGET_PER_UNIT = 32
 
 
 @dataclass(frozen=True)
@@ -374,8 +369,9 @@ class FleetEngine:
         legitimately drains with requests unserved when every replica is
         dead and no recovery is coming, and a recovery a few ms past the
         final completion still belongs in the event log (the report
-        counts ``recoveries``).  Past :data:`BUDGET_PER_UNIT` timers per
-        unit of offered work it raises :class:`SimulationBudgetExceeded`.
+        counts ``recoveries``).  Past
+        :data:`~repro.api.scenario.BUDGET_PER_UNIT` timers per unit of
+        offered work it raises :class:`SimulationBudgetExceeded`.
         """
         timers: list[tuple] = []
         self._timers = timers

@@ -26,6 +26,7 @@ _LAZY = {
     "router_z_loss": "repro.moe.losses",
     "reference_moe_forward": "repro.moe.reference",
     "balanced_fractions": "repro.moe.routing",
+    "ExpertStream": "repro.moe.routing",
     "imbalanced_fractions": "repro.moe.routing",
     "routing_from_fractions": "repro.moe.routing",
     "RoutingPlan": "repro.moe.routing",

@@ -21,11 +21,19 @@ first.  The rows where that order could differ from the Gumbel keys' (a
 near-tie among the k+1 smallest uniforms) and the draws where the two
 streams part (a zero, which ``gumbel`` rejects and redraws) go the Gumbel
 way, so every plan and every later draw is the one the Gumbel path makes.
+
+A balanced plan's experts are therefore a prefix: row ``i`` comes from
+uniforms ``[i*E, (i+1)*E)`` of ``default_rng(seed)`` alone, so the plan
+of ``M`` tokens is rows ``[0, M)`` of one ``(E, top-k, seed)`` expert
+stream, and its combine weights are the ``M*top-k`` uniforms after the
+first ``M*E`` (``PCG64(seed).advance(M*E)``).  :class:`ExpertStream`
+draws that stream once and cuts every plan of the seed from it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -36,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.moe.gate import GateOutput
 
 __all__ = [
+    "ExpertStream",
     "RoutingPlan",
     "balanced_fractions",
     "imbalanced_fractions",
@@ -272,13 +281,22 @@ def routing_from_fractions(
         experts = _uniform_top_k(num_tokens, topk, log_p, rng)
     if experts is None:
         experts = _gumbel_top_k(log_p, rng.gumbel(size=(num_tokens, num_experts)), topk)
+    return RoutingPlan(
+        experts=experts,
+        weights=_combine_weights(fractions, experts, rng),
+        num_experts=num_experts,
+    )
 
-    # Combine weights: proportional to popularity of the chosen experts with
-    # mild noise, renormalised per token — mimics a softmax gate's output.
+
+def _combine_weights(
+    fractions: np.ndarray, experts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Combine weights: proportional to popularity of the chosen experts
+    with mild noise, renormalised per token — mimics a softmax gate's
+    output.  Takes ``experts.size`` uniforms from ``rng``."""
     raw = fractions[experts] * rng.uniform(0.5, 1.5, size=experts.shape)
     raw = np.maximum(raw, 1e-9)
-    weights = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
-    return RoutingPlan(experts=experts, weights=weights, num_experts=num_experts)
+    return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
 def _gumbel_top_k(log_p: np.ndarray, gumbel: np.ndarray, topk: int) -> np.ndarray:
@@ -297,17 +315,23 @@ def _uniform_top_k(
 
     Returns ``None``, with ``rng`` back where it started, when a draw is
     zero: ``gumbel`` would reject it and draw again, so the Gumbel path
-    must make the plan.  Rows whose ``topk + 1`` smallest uniforms lie
-    within :data:`TIE_GAP` of each other take their keys from the same
-    draws through numpy's own expression on libm's ``log``, and their
-    experts from :func:`_gumbel_top_k`.
+    must make the plan.
     """
     state = rng.bit_generator.state
     uniform = rng.random((num_tokens, log_p.size))
     if uniform.size and not uniform.min() > 0.0:
         rng.bit_generator.state = state
         return None
-    rows = np.arange(num_tokens)[:, None]
+    return _top_k_of_uniforms(uniform, topk, log_p)
+
+
+def _top_k_of_uniforms(uniform: np.ndarray, topk: int, log_p: np.ndarray) -> np.ndarray:
+    """Each row's experts from that row's uniforms alone: its ``topk``
+    smallest, smallest first.  Rows whose ``topk + 1`` smallest uniforms
+    lie within :data:`TIE_GAP` of each other take their keys from the
+    same draws through numpy's own expression on libm's ``log``, and
+    their experts from :func:`_gumbel_top_k`."""
+    rows = np.arange(uniform.shape[0])[:, None]
     if topk < log_p.size:
         candidates = np.argpartition(uniform, topk, axis=1)[:, : topk + 1]
     else:
@@ -326,3 +350,69 @@ def _uniform_top_k(
         ).reshape(near.size, log_p.size)
         experts[near] = _gumbel_top_k(log_p, gumbel, topk)
     return experts
+
+
+class ExpertStream:
+    """The balanced plans of one ``(E, top-k, seed)``, cut from one draw.
+
+    ``routing_from_fractions(M, topk, balanced_fractions(E),
+    default_rng(seed))`` takes row ``i`` of its experts from the uniforms
+    ``[i*E, (i+1)*E)`` of the seed's stream alone, and its weights from
+    the ``M*topk`` uniforms after the first ``M*E``.  So every plan's
+    experts are the first rows of one expert stream, which this object
+    draws only as far as a plan asks and keeps (read-only); each plan's
+    weights are drawn at its own offset.  Rows that hold a zero draw
+    make their plan on its own, the Gumbel way, and the stream never
+    grows past them.  Plans of any token count, asked in any order and
+    from any thread, equal the direct draw bit for bit.
+    """
+
+    def __init__(self, num_experts: int, topk: int, seed: int):
+        if not 1 <= topk <= num_experts:
+            raise ValueError(f"topk must lie in [1, {num_experts}], got {topk}")
+        np.random.default_rng(seed)  # a seed numpy rejects fails here
+        self.num_experts = num_experts
+        self.topk = topk
+        self.seed = seed
+        self._fractions = balanced_fractions(num_experts)
+        self._log_p = np.log(self._fractions)
+        self._rows = np.empty((0, topk), dtype=np.intp)
+        self._rows.setflags(write=False)
+        self._lock = threading.Lock()
+
+    def generator(self, offset: int) -> np.random.Generator:
+        """``default_rng(seed)`` advanced past its first ``offset`` draws."""
+        rng = np.random.default_rng(self.seed)
+        rng.bit_generator.advance(offset)
+        return rng
+
+    def plan(self, num_tokens: int) -> RoutingPlan:
+        """The balanced plan of ``num_tokens`` tokens."""
+        experts = self._experts(num_tokens)
+        if experts is None:
+            return routing_from_fractions(
+                num_tokens, self.topk, self._fractions, self.generator(0)
+            )
+        rng = self.generator(num_tokens * self.num_experts)
+        return RoutingPlan(
+            experts=experts,
+            weights=_combine_weights(self._fractions, experts, rng),
+            num_experts=self.num_experts,
+        )
+
+    def _experts(self, num_tokens: int) -> np.ndarray | None:
+        """Rows ``[0, num_tokens)`` of the stream, drawing the missing
+        ones; ``None`` when one of them holds a zero draw."""
+        with self._lock:
+            rows = self._rows
+            drawn = rows.shape[0]
+            if num_tokens > drawn:
+                width = self.num_experts
+                uniform = self.generator(drawn * width).random((num_tokens - drawn, width))
+                if not uniform.min() > 0.0:
+                    return None
+                new_rows = _top_k_of_uniforms(uniform, self.topk, self._log_p)
+                rows = np.concatenate((rows, new_rows)) if drawn else new_rows
+                rows.setflags(write=False)
+                self._rows = rows
+        return rows[:num_tokens]

@@ -57,6 +57,23 @@ def _heapq_scan(ready_sorted, col_tiles, np_blocks, per_tile) -> float:
     )
 
 
+def _bypassed(cache):
+    """A ``get_or_compute`` for ``cache`` that stores nothing and counts
+    every read as a miss."""
+    def get_or_compute(key, compute):
+        cache.get(_NEVER_STORED)
+        return compute()
+
+    return get_or_compute
+
+
+def _drawn_balanced_plan(num_experts, topk, total_tokens, seed):
+    """A balanced plan drawn on its own, not cut from an expert stream."""
+    from repro.runtime.workload import _synthesise_routing
+
+    return _synthesise_routing(num_experts, topk, total_tokens, 0.0, seed)
+
+
 @contextmanager
 def reference_paths(caches_only: bool = False) -> Iterator[None]:
     """Run every fast path's reference, with the timing, graph,
@@ -67,13 +84,15 @@ def reference_paths(caches_only: bool = False) -> Iterator[None]:
     scheduler, the serving engine and the fleet co-simulation run as DES
     processes (:mod:`repro.oracles.serve_des`,
     :mod:`repro.oracles.fleet_des`), power-of-two routers draw each
-    probe with a scalar call, and every core retires by per-token
-    count.  A bypassed cache stores nothing and
+    probe with a scalar call, every core retires by per-token count, and
+    each balanced routing plan is drawn on its own instead of cut from
+    its seed's expert stream.  A bypassed cache stores nothing and
     counts every read as a miss, so ``perf.time_layer_calls()`` still
     counts the real simulations.  The workload and routing caches stay
-    on: their oracles are ``make_workload`` and the routing synthesis
-    themselves.  With ``caches_only`` the fast paths keep running and
-    only the caches are bypassed.
+    on: their oracles are ``make_workload`` and the direct routing draw
+    (``_synthesise_routing``), which every cached plan must equal.  With
+    ``caches_only`` the fast paths keep running and only the caches are
+    bypassed.
 
     The swaps patch module and class attributes, so they reach every
     thread while the block runs: a test and benchmark tool, never a
@@ -86,6 +105,7 @@ def reference_paths(caches_only: bool = False) -> Iterator[None]:
     from repro.kernels import fused
     from repro.oracles.fleet_des import des_cosim, scalar_probes
     from repro.oracles.serve_des import des_run, per_token_close
+    from repro.runtime import workload
     from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
     from repro.systems import comet
 
@@ -97,9 +117,9 @@ def reference_paths(caches_only: bool = False) -> Iterator[None]:
             perf.TIMING_CACHE, perf.GRAPH_CACHE, perf.GRAPH_BATCH_CACHE,
             perf.STEP_COST_CACHE, perf.NC_SWEEP_CACHE,
         ):
-            swap(cache, "get", lambda key, get=cache.get: get(_NEVER_STORED))
-            swap(cache, "put", lambda key, value: value)
+            swap(cache, "get_or_compute", _bypassed(cache))
         if not caches_only:
+            swap(workload, "_balanced_plan", _drawn_balanced_plan)
             swap(fused, "layer0_makespan_analytic", _heapq_scan)
             swap(comet, "_distinct_rows", _every_row)
             swap(perf, "_schedule_graph", lambda graph, durations=None: list_schedule(graph))

@@ -62,8 +62,12 @@ Cache layers live here:
   ``default_rng(seed)`` and reads nothing else of the model, the
   cluster or the TP x EP split, so that key is complete: every split
   of a model, and every model with the same (E, top-k), shares a plan.
-  A miss on a balanced key costs less than the Gumbel draw it equals:
-  the plan comes from the uniform draws under the Gumbel noise (see
+  Beside the plans it keeps one :class:`~repro.moe.routing.ExpertStream`
+  per balanced (experts, top-k, seed), keyed ``("stream", E, top-k,
+  seed)``: a balanced plan's experts are the first rows of its seed's
+  uniform stream, so a miss on a balanced key cuts the plan from the
+  rows earlier plans drew, draws only the rows none of them reached,
+  and draws its weights at its own offset (see
   :mod:`repro.moe.routing`);
 * :data:`NC_SWEEP_CACHE` — COMET's division-point sweeps
   (:class:`~repro.kernels.assignment.SweepResult`) keyed by (system
@@ -74,7 +78,10 @@ Cache layers live here:
 
 All are bounded LRU caches with hit/miss/eviction counters and an
 explicit ``clear()``; :func:`cache_stats` aggregates them for the CLI's
-``--report`` flag.
+``--report`` flag.  Every entry point reads its cache through
+:meth:`BoundedCache.get_or_compute`, so thread workers that miss one key
+at once compute it once and the counters of a threaded run match a
+serial one.
 """
 
 from __future__ import annotations
@@ -118,6 +125,18 @@ __all__ = [
 ]
 
 
+class _Flight:
+    """One key's computation in progress: its owner computes, others wait."""
+
+    __slots__ = ("owner", "landed", "value", "error")
+
+    def __init__(self) -> None:
+        self.owner = threading.get_ident()
+        self.landed = False
+        self.value: Any = None
+        self.error: BaseException | None = None
+
+
 class BoundedCache:
     """Thread-safe LRU cache with hit/miss/eviction instrumentation.
 
@@ -132,7 +151,9 @@ class BoundedCache:
     ``maxsize``, counters never go backwards or negative, and a
     :meth:`stats` snapshot is internally consistent (its ``hit_rate``
     is computed from the same locked reads as its ``hits``/``misses``)
-    rather than a torn mix of before/after values.
+    rather than a torn mix of before/after values.  The cached entry
+    points go through :meth:`get_or_compute`, which computes each key
+    once however many threads miss it at once.
     """
 
     def __init__(self, maxsize: int, name: str = "cache"):
@@ -144,7 +165,9 @@ class BoundedCache:
         self.misses = 0
         self.evictions = 0
         self._lock = threading.Lock()
+        self._landed = threading.Condition(self._lock)
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
+        self._flights: dict[Hashable, _Flight] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -171,12 +194,72 @@ class BoundedCache:
         if value is None:
             raise ValueError("BoundedCache cannot store None")
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            self._insert_locked(key, value)
         return value
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The cached value of ``key``, or ``compute()`` stored under it.
+
+        A miss marks ``key`` in flight and computes outside the lock, so
+        ``compute`` may look up other keys of this cache.  A caller that
+        finds ``key`` in flight waits for it and counts a hit, so each key
+        is computed once however many threads miss it at once.  A
+        computation that raises stores nothing, and its error reaches
+        every caller waiting on it; a computation that asks for its own
+        key raises ``RuntimeError`` instead of waiting on itself.
+        """
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+                self.hits += 1
+                return value
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = _Flight()
+                self.misses += 1
+            else:
+                self.hits += 1
+                if flight.owner == threading.get_ident():
+                    raise RuntimeError(f"{self.name} cache: {key!r} depends on itself")
+                while not flight.landed:
+                    self._landed.wait()
+                if flight.error is None:
+                    return flight.value
+                try:
+                    raise flight.error
+                finally:
+                    del flight  # the traceback holds this frame: no cycle
+        try:
+            value = compute()
+            if value is None:
+                raise ValueError("BoundedCache cannot store None")
+        except BaseException as exc:
+            self._land(key, flight, None, exc)
+            del flight  # the traceback holds this frame: no cycle
+            raise
+        self._land(key, flight, value, None)
+        return value
+
+    def _land(
+        self, key: Hashable, flight: _Flight, value: Any, error: BaseException | None
+    ) -> None:
+        """End ``key``'s flight, storing ``value`` unless it raised, and
+        wake the callers waiting on it."""
+        with self._lock:
+            if error is None:
+                self._insert_locked(key, value)
+            flight.value, flight.error, flight.landed = value, error, True
+            del self._flights[key]
+            self._landed.notify_all()
+
+    def _insert_locked(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` and evict past ``maxsize``; caller holds ``_lock``."""
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self.evictions += 1
 
     def _reset_locked(self) -> None:
         """Drop entries and counters; caller must hold ``_lock``."""
@@ -227,10 +310,7 @@ class TimingCache(BoundedCache):
         self, system: "MoESystem", workload: "MoELayerWorkload"
     ) -> "LayerTiming":
         key = (system.fingerprint(), workload.fingerprint())
-        timing = self.get(key)
-        if timing is None:
-            timing = self.put(key, system.time_layer(workload))
-        return timing
+        return self.get_or_compute(key, lambda: system.time_layer(workload))
 
 
 TIMING_CACHE = TimingCache(maxsize=4096, name="timing")
@@ -279,12 +359,9 @@ def compiled_topology(graph: Any) -> Any:
     from repro.graph.batch import compile_topology
 
     key = topology_key(graph)
-    topology = GRAPH_BATCH_CACHE.get(("topo", key))
-    if topology is None:
-        topology = GRAPH_BATCH_CACHE.put(
-            ("topo", key), compile_topology(graph, key)
-        )
-    return topology
+    return GRAPH_BATCH_CACHE.get_or_compute(
+        ("topo", key), lambda: compile_topology(graph, key)
+    )
 
 
 def lowered_skeleton(token: tuple, lower: Callable[[], Any]) -> Any:
@@ -295,11 +372,7 @@ def lowered_skeleton(token: tuple, lower: Callable[[], Any]) -> Any:
     ``lower()`` runs on the first build only — and every later build of
     it only gathers its durations.
     """
-    key = ("skeleton", token)
-    skeleton = GRAPH_BATCH_CACHE.get(key)
-    if skeleton is None:
-        skeleton = GRAPH_BATCH_CACHE.put(key, lower())
-    return skeleton
+    return GRAPH_BATCH_CACHE.get_or_compute(("skeleton", token), lower)
 
 
 def _schedule_plain(graph: Any) -> Any:
@@ -318,11 +391,9 @@ def _cached_block_structure(graph: Any, key: tuple) -> Any:
     """:func:`repro.graph.scheduler.block_structure`, cached per topology."""
     from repro.graph.scheduler import block_structure
 
-    entry = GRAPH_BATCH_CACHE.get(("sym", key))
-    if entry is None:
-        entry = GRAPH_BATCH_CACHE.put(
-            ("sym", key), block_structure(graph) or _NO_STRUCTURE
-        )
+    entry = GRAPH_BATCH_CACHE.get_or_compute(
+        ("sym", key), lambda: block_structure(graph) or _NO_STRUCTURE
+    )
     return None if entry is _NO_STRUCTURE else entry
 
 
@@ -342,17 +413,14 @@ def _reduced_recurrence(graph: Any, key: tuple, k: int) -> Any:
     from repro.graph.batch import compile_topology
     from repro.graph.scheduler import reduce_symmetry
 
-    entry = GRAPH_BATCH_CACHE.get(("symred", key, k))
-    if entry is None:
+    def reduced_deps() -> Any:
         symmetry = reduce_symmetry(graph)
         if symmetry is None or len(symmetry.reps) != k:
-            payload = _NOT_CHAIN  # defensive: classification disagreed
-        else:
-            topology = compile_topology(
-                symmetry.reduced, key=("reduced", key, k)
-            )
-            payload = topology.deps if topology.chain_ok else _NOT_CHAIN
-        entry = GRAPH_BATCH_CACHE.put(("symred", key, k), payload)
+            return _NOT_CHAIN  # defensive: classification disagreed
+        topology = compile_topology(symmetry.reduced, key=("reduced", key, k))
+        return topology.deps if topology.chain_ok else _NOT_CHAIN
+
+    entry = GRAPH_BATCH_CACHE.get_or_compute(("symred", key, k), reduced_deps)
     return None if entry is _NOT_CHAIN else entry
 
 
@@ -461,10 +529,7 @@ def cached_graph_schedule(graph: Any) -> Any:
     """
     durations = np.asarray(graph.durations, dtype=np.float64)
     key = (topology_key(graph), durations.tobytes())
-    schedule = GRAPH_CACHE.get(key)
-    if schedule is None:
-        schedule = GRAPH_CACHE.put(key, _schedule_graph(graph, durations))
-    return schedule
+    return GRAPH_CACHE.get_or_compute(key, lambda: _schedule_graph(graph, durations))
 
 
 def cached_time_layer(
@@ -506,15 +571,7 @@ def shared_workload(
     from repro.runtime.workload import make_workload
 
     key = (config, cluster, strategy, total_tokens, imbalance_std, seed)
-    workload = WORKLOAD_CACHE.get(key)
-    if workload is None:
-        workload = WORKLOAD_CACHE.put(
-            key,
-            make_workload(
-                config, cluster, strategy, total_tokens, imbalance_std, seed
-            ),
-        )
-    return workload
+    return WORKLOAD_CACHE.get_or_compute(key, lambda: make_workload(*key))
 
 
 def shared_step_cost(
@@ -549,21 +606,18 @@ def shared_step_cost(
         overlap_policy,
         stragglers.fingerprint() if stragglers is not None else None,
     )
-    model = STEP_COST_CACHE.get(key)
-    if model is None:
-        model = STEP_COST_CACHE.put(
-            key,
-            StepCostModel(
-                system=system,
-                config=config,
-                cluster=cluster,
-                strategy=strategy,
-                bucket_tokens=bucket_tokens,
-                overlap_policy=overlap_policy,
-                stragglers=stragglers,
-            ),
-        )
-    return model
+    return STEP_COST_CACHE.get_or_compute(
+        key,
+        lambda: StepCostModel(
+            system=system,
+            config=config,
+            cluster=cluster,
+            strategy=strategy,
+            bucket_tokens=bucket_tokens,
+            overlap_policy=overlap_policy,
+            stragglers=stragglers,
+        ),
+    )
 
 
 def shared_nc_sweep(
@@ -577,12 +631,9 @@ def shared_nc_sweep(
     serves every workload that falls in it.
     """
     key = (system.fingerprint(), workload.fingerprint(), layer)
-    sweep = NC_SWEEP_CACHE.get(key)
-    if sweep is None:
-        sweep = NC_SWEEP_CACHE.put(
-            key, system.sweep_division_points(workload, layer)
-        )
-    return sweep
+    return NC_SWEEP_CACHE.get_or_compute(
+        key, lambda: system.sweep_division_points(workload, layer)
+    )
 
 
 # -- process-worker statistics -------------------------------------------------
@@ -613,6 +664,9 @@ def process_worker_init() -> None:
             cache.hits = 0
             cache.misses = 0
             cache.evictions = 0
+            # No thread but the forking one survives the fork, so no
+            # computation inherited in flight will ever finish here.
+            cache._flights.clear()
     with _WORKER_LOCK:
         _WORKER_STATS.clear()
 

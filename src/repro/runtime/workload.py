@@ -20,6 +20,7 @@ from repro import perf
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
 from repro.moe.routing import (
+    ExpertStream,
     RoutingPlan,
     balanced_fractions,
     imbalanced_fractions,
@@ -311,7 +312,9 @@ def make_workload(
     The routing plan depends only on ``(E, topk, total_tokens,
     imbalance_std, seed)``, so workloads that differ only in cluster or
     split share one read-only plan through :data:`repro.perf.ROUTING_CACHE`.
-    A seed that is not an integer synthesises a fresh plan on every call.
+    A balanced plan is cut from its seed's expert stream
+    (:func:`_balanced_plan`).  A seed that is not an integer synthesises
+    a fresh plan on every call.
     """
     if total_tokens % cluster.world_size != 0:
         raise ValueError(
@@ -319,12 +322,20 @@ def make_workload(
             f"{cluster.world_size} ranks"
         )
     key = (config.num_experts, config.topk, total_tokens, imbalance_std, seed)
-    if isinstance(seed, numbers.Integral):
-        plan = perf.ROUTING_CACHE.get(key)
-        if plan is None:
-            plan = perf.ROUTING_CACHE.put(key, _synthesise_routing(*key))
-    else:  # e.g. None, which draws fresh entropy: nothing to share
+    if not isinstance(seed, numbers.Integral):
+        # e.g. None, which draws fresh entropy: nothing to share
         plan = _synthesise_routing(*key)
+    elif imbalance_std == 0:
+        plan = perf.ROUTING_CACHE.get_or_compute(
+            key,
+            lambda: _balanced_plan(
+                config.num_experts, config.topk, total_tokens, seed
+            ),
+        )
+    else:
+        plan = perf.ROUTING_CACHE.get_or_compute(
+            key, lambda: _synthesise_routing(*key)
+        )
     owner = token_owner_ranks(total_tokens, cluster.world_size)
     return MoELayerWorkload(
         config=config,
@@ -342,14 +353,35 @@ def _synthesise_routing(
     imbalance_std: float,
     seed: int | None,
 ) -> RoutingPlan:
-    """Draw one routing plan; its arrays are read-only, because a cached
-    plan backs every workload with the same key."""
+    """Draw one routing plan on its own; its arrays are read-only,
+    because a cached plan backs every workload with the same key."""
     rng = np.random.default_rng(seed)
     if imbalance_std != 0:  # a negative or NaN std raises there
         fractions = imbalanced_fractions(num_experts, imbalance_std, rng)
     else:
         fractions = balanced_fractions(num_experts)
-    plan = routing_from_fractions(total_tokens, topk, fractions, rng)
+    return _read_only(routing_from_fractions(total_tokens, topk, fractions, rng))
+
+
+def _balanced_plan(
+    num_experts: int, topk: int, total_tokens: int, seed: int
+) -> RoutingPlan:
+    """The balanced plan of an integer ``seed``, cut from the seed's
+    :class:`~repro.moe.routing.ExpertStream`.
+
+    The stream lives in :data:`repro.perf.ROUTING_CACHE` beside the
+    plans, so every balanced plan of one ``(E, topk, seed)`` shares its
+    expert rows and draws only the rows no earlier plan drew.  Equal to
+    ``_synthesise_routing(num_experts, topk, total_tokens, 0.0, seed)``.
+    """
+    stream = perf.ROUTING_CACHE.get_or_compute(
+        ("stream", num_experts, topk, seed),
+        lambda: ExpertStream(num_experts, topk, seed),
+    )
+    return _read_only(stream.plan(total_tokens))
+
+
+def _read_only(plan: RoutingPlan) -> RoutingPlan:
     plan.experts.setflags(write=False)
     plan.weights.setflags(write=False)
     return plan

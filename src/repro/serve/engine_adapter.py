@@ -29,13 +29,23 @@ workload comes from the process-wide bounded
 :data:`~repro.perf.WORKLOAD_CACHE` (so every system prices the identical
 batch geometry), the MoE layer timing from the cross-stack
 :data:`~repro.perf.TIMING_CACHE` (shared with grids and training steps),
-and the composed per-bucket step cost lives in a bounded, instrumented
-per-instance cache with an explicit ``clear()`` — replacing the old
-module-level ``_WORKLOAD_CACHE`` dict that grew without bound across
-grids.
+and the composed step cost of each priced bucket lives in the model's
+own memo, keyed by bucket number ``(P + D - 1) // bucket``.  A step in a
+priced bucket costs one dict lookup, so the step loop's ten thousand
+steps pay for pricing only on each bucket's first use.  The memo is
+bounded (:attr:`StepCostModel.MEMO_SIZE`), counts every lookup in
+:meth:`StepCostModel.cache_stats` and empties with ``clear()``.  A
+bucket is priced under the model's lock, once, because
+:data:`~repro.perf.STEP_COST_CACHE` shares one model across thread
+workers.  A hit takes no lock: it reads the dict and counts itself with
+one ``next()`` on an :func:`itertools.count`, a single call into C that
+the interpreter lock keeps whole, so concurrent hits all count.
 """
 
 from __future__ import annotations
+
+import itertools
+import threading
 
 from repro import perf
 from repro.hw.cluster import ClusterSpec
@@ -83,6 +93,9 @@ class StepCostModel:
             instead of on the first scheduled batch.
     """
 
+    #: Priced buckets one model keeps; past it the first-priced goes.
+    MEMO_SIZE = 1024
+
     def __init__(
         self,
         system: MoESystem,
@@ -126,7 +139,11 @@ class StepCostModel:
         world = cluster.world_size
         self.bucket = max(world, (bucket_tokens + world - 1) // world * world)
         self.step_overhead_us = step_overhead_us
-        self._step_cache = perf.BoundedCache(maxsize=1024, name="serve-step")
+        #: Step cost in µs per priced bucket number ``(P + D - 1) // bucket``.
+        self._memo: dict[int, float] = {}
+        self._lock = threading.Lock()
+        self._hits = itertools.count()
+        self._hit_reads = self._misses = self._evictions = 0
         # Fail fast on fundamentally unsupported (system, strategy) pairs.
         system.check_supported(self._workload(self.bucket))
 
@@ -143,54 +160,88 @@ class StepCostModel:
 
     def clear(self) -> None:
         """Drop the per-bucket step memo (the shared caches stay)."""
-        self._step_cache.clear()
+        with self._lock:
+            self._memo.clear()
+            self._hits = itertools.count()
+            self._hit_reads = self._misses = self._evictions = 0
 
     def cache_stats(self) -> dict:
-        """Hit/miss statistics of the per-bucket step memo."""
-        return self._step_cache.stats()
+        """Hit/miss statistics of the per-bucket step memo, in the shape
+        of :meth:`repro.perf.BoundedCache.stats`."""
+        with self._lock:
+            # Reading the hit counter takes a value from it too; the
+            # reads so far are not hits.
+            hits = next(self._hits) - self._hit_reads
+            self._hit_reads += 1
+            total = hits + self._misses
+            return {
+                "name": "serve-step",
+                "size": len(self._memo),
+                "maxsize": self.MEMO_SIZE,
+                "hits": hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "hit_rate": hits / total if total else 0.0,
+            }
 
     def step_us(self, prefill_tokens: int, decode_tokens: int) -> float:
-        """One engine iteration over ``P`` prefill + ``D`` decode tokens."""
+        """One engine iteration over ``P`` prefill + ``D`` decode tokens.
+
+        Prices the bucket on its first use and memoises it.
+        """
         total = prefill_tokens + decode_tokens
         if total <= 0:
             raise ValueError("a step needs at least one token")
-        tokens = self.bucketed(total)
-        cached = self._step_cache.get(tokens)
-        if cached is None:
-            workload = self._workload(tokens)
-            moe = perf.cached_time_layer(self.system, workload)
-            tokens_per_dp = max(1, tokens // self.strategy.ep_size)
-            attention_us = attention_time_us(
-                self.config, self.cluster, self.strategy.tp_size, tokens_per_dp
+        number = (total - 1) // self.bucket
+        cost = self._memo.get(number)
+        if cost is not None:
+            next(self._hits)
+            return cost
+        with self._lock:
+            cost = self._memo.get(number)
+            if cost is not None:  # priced while this thread waited
+                next(self._hits)
+                return cost
+            self._misses += 1
+            tokens = (number + 1) * self.bucket
+            cost = self._iteration_us(tokens) + self.step_overhead_us
+            if len(self._memo) >= self.MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+                self._evictions += 1
+            self._memo[number] = cost
+        return cost
+
+    def _iteration_us(self, tokens: int) -> float:
+        """Price one iteration over a bucket of ``tokens`` tokens."""
+        workload = self._workload(tokens)
+        moe = perf.cached_time_layer(self.system, workload)
+        tokens_per_dp = max(1, tokens // self.strategy.ep_size)
+        attention_us = attention_time_us(
+            self.config, self.cluster, self.strategy.tp_size, tokens_per_dp
+        )
+        if self.stragglers is not None:
+            from repro.graph.lower import forward_makespan
+
+            # The slow rank paces the iteration: price the per-rank
+            # graph (every policy, per_layer included — the barrier
+            # edges are the model).
+            return forward_makespan(
+                self.system.lower_rank_phases(moe, self.stragglers),
+                attention_us,
+                self.config.num_layers,
+                self.overlap_policy,
+                self.stragglers,
             )
-            if self.stragglers is not None:
-                from repro.graph.lower import forward_makespan
+        if self.overlap_policy == "per_layer":
+            return self.config.num_layers * (attention_us + moe.total_us)
+        from repro.graph.lower import forward_makespan
 
-                # The slow rank paces the iteration: price the per-rank
-                # graph (every policy, per_layer included — the barrier
-                # edges are the model).
-                iteration_us = forward_makespan(
-                    self.system.lower_rank_phases(moe, self.stragglers),
-                    attention_us,
-                    self.config.num_layers,
-                    self.overlap_policy,
-                    self.stragglers,
-                )
-            elif self.overlap_policy == "per_layer":
-                iteration_us = self.config.num_layers * (
-                    attention_us + moe.total_us
-                )
-            else:
-                from repro.graph.lower import forward_makespan
-
-                iteration_us = forward_makespan(
-                    self.system.lower_layer(moe),
-                    attention_us,
-                    self.config.num_layers,
-                    self.overlap_policy,
-                )
-            cached = self._step_cache.put(tokens, iteration_us)
-        return cached + self.step_overhead_us
+        return forward_makespan(
+            self.system.lower_layer(moe),
+            attention_us,
+            self.config.num_layers,
+            self.overlap_policy,
+        )
 
     def step_ms(self, prefill_tokens: int, decode_tokens: int) -> float:
         return self.step_us(prefill_tokens, decode_tokens) / 1000.0
@@ -201,13 +252,18 @@ class StepCostModel:
         """Step cost for an iteration *launched at* ``now`` ms.
 
         The schedulers price every step through this entry point.  A
-        plain cost model is time-invariant, so this delegates to
-        :meth:`step_ms` untouched; the time-varying wrapper
-        (:class:`~repro.faults.plan.TimeVaryingStepCost`) overrides the
-        selection to follow a :class:`~repro.faults.plan.FaultPlan`'s
-        degradation step function.
+        plain cost model is time-invariant: a priced bucket is one memo
+        lookup by bucket number, and a bucket's first use prices it
+        through :meth:`step_us`.  The time-varying wrapper
+        (:class:`~repro.faults.plan.TimeVaryingStepCost`) picks the model
+        of a :class:`~repro.faults.plan.FaultPlan`'s degradation window
+        and asks it here.
         """
-        return self.step_ms(prefill_tokens, decode_tokens)
+        cost = self._memo.get((prefill_tokens + decode_tokens - 1) // self.bucket)
+        if cost is None:
+            return self.step_us(prefill_tokens, decode_tokens) / 1000.0
+        next(self._hits)
+        return cost / 1000.0
 
     def prefill_ms(self, prompt_tokens: int) -> float:
         """Estimated solo-prefill latency (used by the SLO-aware policy)."""

@@ -19,10 +19,19 @@ Four arrival processes are registered in :data:`TRACE_REGISTRY`:
 
 Prompt and output lengths are lognormal (the standard fit for production
 LLM traffic), clipped to ``[1, max]``.
+
+A generator's loop iterations (poisson's arrival chunks, bursty's dwell
+periods, diurnal's thinning candidates) are bounded by
+:data:`~repro.api.scenario.BUDGET_PER_UNIT` per expected request, plus
+one unit; past that the build raises
+:class:`~repro.api.scenario.SimulationBudgetExceeded` naming the trace.
+A dwell of ``1e-300`` s, finite and positive, cannot move the clock and
+would otherwise loop forever.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -30,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from repro.api.registry import Registry
-from repro.api.scenario import check_count
+from repro.api.scenario import BUDGET_PER_UNIT, SimulationBudgetExceeded, check_count
 
 __all__ = ["Request", "TRACE_REGISTRY", "TraceSpec", "build_trace"]
 
@@ -190,6 +199,24 @@ def _register(name: str) -> Callable:
     return decorate
 
 
+def _budget(spec: TraceSpec) -> Callable[[], None]:
+    """One call per loop iteration of ``spec``'s generator; raises
+    :class:`SimulationBudgetExceeded` past ``BUDGET_PER_UNIT`` iterations
+    per expected request, plus one unit."""
+    expected = spec.rps * spec.duration_s
+    budget = BUDGET_PER_UNIT * (expected + 1)
+    count = itertools.count(1)
+
+    def spend() -> None:
+        if next(count) > budget:
+            raise SimulationBudgetExceeded(
+                f"trace {spec.label!r} ran {budget:g} loop iterations, its "
+                f"budget for {expected:g} expected requests"
+            )
+
+    return spend
+
+
 def _sample_lengths(
     rng: np.random.Generator, n: int, mean: int, sigma: float, maximum: int
 ) -> np.ndarray:
@@ -234,8 +261,10 @@ def poisson_trace(spec: TraceSpec) -> tuple[Request, ...]:
     mean_gap_ms = 1000.0 / spec.rps
     # Draw in chunks until past the horizon; deterministic in the seed.
     arrivals: list[float] = []
+    spend = _budget(spec)
     t = 0.0
     while t < horizon:
+        spend()
         for gap in rng.exponential(mean_gap_ms, size=256):
             t += float(gap)
             if t >= horizon:
@@ -262,9 +291,11 @@ def bursty_trace(spec: TraceSpec) -> tuple[Request, ...]:
     dwell_burst = spec.burst_dwell_s * 1000.0
     dwell_calm = dwell_burst * (1.0 - spec.burst_fraction) / spec.burst_fraction
     arrivals: list[float] = []
+    spend = _budget(spec)
     t = 0.0
     in_burst = False
     while t < horizon:
+        spend()
         dwell = float(
             rng.exponential(dwell_burst if in_burst else dwell_calm)
         )
@@ -296,8 +327,10 @@ def diurnal_trace(spec: TraceSpec) -> tuple[Request, ...]:
     peak = spec.rps * (1.0 + spec.amplitude)
     gap_ms = 1000.0 / peak
     arrivals: list[float] = []
+    spend = _budget(spec)
     t = 0.0
     while True:
+        spend()
         t += float(rng.exponential(gap_ms))
         if t >= horizon:
             break

@@ -39,6 +39,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -113,6 +114,7 @@ from repro.moe import (
     token_owner_ranks,
 )
 from repro.moe.config import MoEConfig
+from repro.moe.routing import ExpertStream
 from repro.oracles import reference_paths
 from repro.oracles.distributed import DistributedMoE
 from repro.oracles.fleet_des import des_cosim, scalar_probes
@@ -124,6 +126,7 @@ from repro.oracles.serve_des import des_run, per_token_close
 from repro.runtime.workload import (
     MoELayerWorkload,
     WorkloadGeometry,
+    _balanced_plan,
     _synthesise_routing,
     make_workload,
 )
@@ -754,6 +757,212 @@ def test_numpy_gumbel_is_its_expression_over_random():
     gumbel = np.random.default_rng(2024).gumbel(size=20_000).tolist()
     uniforms = np.random.default_rng(2024).random(20_000).tolist()
     assert gumbel == [0.0 - 1.0 * math.log(-math.log(1.0 - u)) for u in uniforms]
+
+
+# -- balanced plans cut from one expert stream ------------------------------------
+
+
+class _EditedRows:
+    """``default_rng(seed)`` advanced past ``offset`` draws, whose first
+    block of uniform draws reads edited at absolute rows of the stream.
+
+    Stands in for :meth:`ExpertStream.generator` (``offset`` its argument)
+    and for the direct draw's ``default_rng(seed)`` (``offset`` 0), so a
+    row edited once reads the same down both paths.  Everything but that
+    block is real: a plan that meets a zero goes the Gumbel way on real
+    draws, as both paths do.
+    """
+
+    def __init__(self, seed, experts, offset, edits):
+        self._rng = np.random.default_rng(seed)
+        self._rng.bit_generator.advance(offset)
+        self._row = offset // experts
+        self._edits = edits
+
+    def random(self, size=None):
+        draws = self._rng.random(size)
+        edits, self._edits = self._edits, ()
+        for edit in edits:
+            edit(draws, self._row)
+        return draws
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _zero_at(row, col):
+    def edit(draws, first):
+        if first <= row < first + len(draws):
+            draws[row - first, col] = 0.0
+    return edit
+
+
+def _tie_at(row, rank, offset=0.0):
+    """Edit: stream row ``row``'s ``rank + 1``-th smallest uniform becomes
+    its ``rank``-th smallest plus ``offset``."""
+    def edit(draws, first):
+        if first <= row < first + len(draws):
+            uniforms = draws[row - first]
+            order = np.argsort(uniforms)
+            uniforms[order[rank + 1]] = uniforms[order[rank]] + offset
+    return edit
+
+
+def _plan_fields(plan):
+    return tuple(
+        (str(array.dtype), array.shape, array.tobytes(), array.flags.writeable)
+        for array in (plan.experts, plan.weights)
+    ) + (plan.num_experts,)
+
+
+def _edited_stream(edits):
+    return mock.patch.object(
+        ExpertStream, "generator",
+        lambda stream, offset: _EditedRows(stream.seed, stream.num_experts, offset, edits),
+    )
+
+
+def _prefix_case(label, experts, topk, seed, tokens, edits=()):
+    """Plans of each count in ``tokens``, asked in that order from one
+    fresh stream, against each plan drawn on its own."""
+    def fast():
+        perf.clear_caches()
+        with _edited_stream(edits):
+            return [_plan_fields(_balanced_plan(experts, topk, m, seed)) for m in tokens]
+
+    def oracle():
+        if not edits:
+            return [_plan_fields(_synthesise_routing(experts, topk, m, 0.0, seed)) for m in tokens]
+        plans = []
+        for m in tokens:
+            rng = _EditedRows(seed, experts, 0, edits)
+            plan = routing_from_fractions(m, topk, balanced_fractions(experts), rng)
+            plan.experts.setflags(write=False)
+            plan.weights.setflags(write=False)
+            plans.append(_plan_fields(plan))
+        return plans
+
+    return Case(f"{label} (E={experts}, topk={topk}, seed={seed}, tokens={tokens})", fast, oracle)
+
+
+@st.composite
+def _prefix_cases(draw):
+    experts = draw(st.integers(1, 64))
+    tokens = draw(st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    order = draw(st.sampled_from(("increasing", "decreasing", "drawn")))
+    if order != "drawn":
+        tokens = sorted(tokens, reverse=order == "decreasing")
+    return _prefix_case(
+        order, experts, draw(st.integers(1, experts)),
+        draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))), tokens,
+    )
+
+
+PREFIX_EXAMPLES = (
+    _prefix_case("serving buckets, increasing", 8, 2, 0, [256 * n for n in range(1, 9)]),
+    _prefix_case("decreasing to none", 8, 2, 0, [8192, 4096, 256, 0]),
+    _prefix_case("no tokens first", 16, 2, 4, [0, 10, 0]),
+    _prefix_case("64 experts, any order", 64, 6, 1, [100, 7, 300, 0, 55, 300]),
+    _prefix_case("top-k of every expert", 5, 5, 2, [40, 300, 3]),
+    _prefix_case("one expert", 1, 1, 3, [64, 1, 65]),
+    _prefix_case("a 64-bit seed", 8, 2, 2**32, [512, 1024, 256]),
+    _prefix_case("a seed past 64 bits", 32, 4, 2**64 + 5, [33, 200, 199]),
+    _prefix_case(
+        "a zero draw falls back for its plans only", 8, 2, 5,
+        [64, 128, 96, 200, 101, 100], edits=(_zero_at(100, 3),),
+    ),
+    _prefix_case("a zero in the first row", 8, 2, 6, [1, 0, 5], edits=(_zero_at(0, 0),)),
+    _prefix_case(
+        "near ties", 16, 2, 7, [32, 64, 48],
+        edits=(_tie_at(37, 0), _tie_at(40, 1, 1e-13), _tie_at(5, 0, 1e-12)),
+    ),
+)
+
+
+def test_a_zero_draw_falls_back_for_its_plan_only():
+    """Plans whose rows hold the zero are drawn on their own; the stream
+    stops short of the zero and keeps serving the plans before it."""
+    perf.clear_caches()
+    direct = mock.patch.object(
+        routing_module, "routing_from_fractions", wraps=routing_module.routing_from_fractions
+    )
+    with _edited_stream((_zero_at(100, 3),)), direct as drawn:
+        for tokens in (64, 128, 96, 200, 101, 100, 30):
+            _balanced_plan(8, 2, tokens, 0)
+    assert [call.args[0] for call in drawn.call_args_list] == [128, 200, 101]
+    stream = perf.ROUTING_CACHE.get(("stream", 8, 2, 0))
+    assert stream._rows.shape == (100, 2)
+
+
+def test_concurrent_plans_from_one_stream_equal_the_direct_draw():
+    threads = 8
+    counts = random.Random(3).sample(range(0, 4096, 8), 4 * threads)
+    barrier = threading.Barrier(threads)
+    plans = {}
+
+    def ask(index):
+        barrier.wait()
+        for tokens in counts[index::threads]:
+            plans[tokens] = _balanced_plan(8, 2, tokens, 7)
+
+    perf.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(plans) == sorted(counts)
+    for tokens, plan in plans.items():
+        direct = _synthesise_routing(8, 2, tokens, 0.0, 7)
+        assert _plan_fields(plan) == _plan_fields(direct), tokens
+
+
+SEEDS_PAST_32_BITS = (0, 1, 7, 2**32, 2**63 + 11, 2**80 + 3)
+
+
+def test_numpy_default_rng_is_pcg64_of_the_seed():
+    """``ExpertStream.generator`` is ``default_rng(seed)`` advanced; the
+    offsets count PCG64 draws."""
+    for seed in SEEDS_PAST_32_BITS:
+        rng = np.random.default_rng(seed)
+        assert isinstance(rng.bit_generator, np.random.PCG64), seed
+        assert rng.bit_generator.state == np.random.PCG64(seed).state, seed
+
+
+def test_numpy_advance_skips_the_draws_of_random():
+    """The identity the stream rows rest on: ``advance(n)`` then
+    ``random(m)`` gives the last ``m`` values of ``random(n + m)``, in
+    any block shape."""
+    for seed in SEEDS_PAST_32_BITS:
+        for n, shape in ((0, (3, 8)), (8, (5, 8)), (16 * 2048, (1024, 16)), (9, (7,))):
+            m = math.prod(shape)
+            whole = np.random.default_rng(seed).random(n + m)
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(n)
+            assert rng.random(shape).tobytes() == whole[n:].tobytes(), (seed, n, shape)
+
+
+def test_numpy_uniform_after_advance_is_the_streams():
+    """The identity a plan's weights rest on: ``uniform(0.5, 1.5)`` after
+    ``advance(n)`` equals the same draw taken after ``n`` uniforms
+    through the stream."""
+    for seed in SEEDS_PAST_32_BITS:
+        for n, shape in ((0, (4, 2)), (8 * 256, (256, 2)), (64 * 300, (300, 6))):
+            through = np.random.default_rng(seed)
+            through.random(n)
+            advanced = np.random.default_rng(seed)
+            advanced.bit_generator.advance(n)
+            assert (
+                advanced.uniform(0.5, 1.5, size=shape).tobytes()
+                == through.uniform(0.5, 1.5, size=shape).tobytes()
+            ), (seed, n, shape)
+            assert advanced.bit_generator.state == through.bit_generator.state
 
 
 # -- schedule graphs -----------------------------------------------------------
@@ -1885,6 +2094,10 @@ PAIRS = (
     Pair(
         routing_from_fractions, gumbel_routing_from_fractions, _routing_cases(),
         examples=ROUTING_PATH_EXAMPLES, max_examples=60,
+    ),
+    Pair(
+        (_balanced_plan, ExpertStream.plan), _synthesise_routing, _prefix_cases(),
+        examples=PREFIX_EXAMPLES, max_examples=40,
     ),
     Pair(
         (fast_schedule, schedule_batch), list_schedule,

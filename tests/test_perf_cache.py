@@ -1,6 +1,11 @@
 """Unit behaviour of the perf layer: caches and fingerprints."""
 
 import dataclasses
+import gc
+import sys
+import threading
+import time
+import weakref
 from contextlib import nullcontext
 
 import pytest
@@ -69,6 +74,115 @@ class TestBoundedCache:
             perf.BoundedCache(maxsize=0)
         with pytest.raises(ValueError):
             perf.BoundedCache(maxsize=1).put("k", None)
+
+
+class TestGetOrCompute:
+    """Each key is computed once, however many threads miss it at once."""
+
+    THREADS = 8
+
+    def _race(self, cache, compute):
+        """Release every thread on one key at once; returns what each
+        got back (a value or the exception it raised)."""
+        barrier = threading.Barrier(self.THREADS)
+        results = [None] * self.THREADS
+
+        def ask(index):
+            barrier.wait()
+            try:
+                results[index] = cache.get_or_compute("key", compute)
+            except Exception as exc:  # returned for the assert
+                results[index] = exc
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    def _until_all_wait(self, cache):
+        """Block the computing thread until the other threads found the
+        key in flight (each counts a hit before it waits)."""
+        deadline = time.monotonic() + 10
+        while cache.hits < self.THREADS - 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    def test_concurrent_misses_compute_once(self):
+        cache = perf.BoundedCache(maxsize=4, name="t")
+        computed = []
+
+        def compute():
+            computed.append(threading.get_ident())
+            self._until_all_wait(cache)
+            return "value"
+
+        assert self._race(cache, compute) == ["value"] * self.THREADS
+        assert len(computed) == 1
+        assert (cache.misses, cache.hits) == (1, self.THREADS - 1)
+        assert cache.get_or_compute("key", compute) == "value"
+        assert len(computed) == 1
+
+    def test_a_raising_computation_reaches_every_caller_and_stores_nothing(self):
+        cache = perf.BoundedCache(maxsize=4, name="t")
+        computed = []
+
+        def compute():
+            computed.append(None)
+            self._until_all_wait(cache)
+            raise KeyError("no such bucket")
+
+        results = self._race(cache, compute)
+        assert len(computed) == 1
+        assert all(isinstance(result, KeyError) for result in results)
+        assert len(cache) == 0 and cache._flights == {}
+        # The next caller computes again, and stores what it gets.
+        assert cache.get_or_compute("key", lambda: 7) == 7
+        assert cache.get("key") == 7
+
+    def test_a_raising_computation_leaves_no_reference_cycle(self):
+        """The stored error must not keep the failed call's frames alive
+        until the collector runs: perfbench collects once per iteration,
+        and the frames hold workloads."""
+
+        class Payload:
+            pass
+
+        payload = Payload()
+        alive = weakref.ref(payload)
+
+        def compute(payload=payload):
+            raise KeyError("unsupported")
+
+        cache = perf.BoundedCache(maxsize=4, name="t")
+        gc.disable()
+        try:
+            try:
+                cache.get_or_compute("key", compute)
+            except KeyError:
+                pass
+            del compute, payload
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_a_computation_may_read_other_keys_but_not_its_own(self):
+        cache = perf.BoundedCache(maxsize=4, name="t")
+        outer = cache.get_or_compute(
+            "plan", lambda: ("plan", cache.get_or_compute("stream", lambda: "rows"))
+        )
+        assert outer == ("plan", "rows")
+        assert (cache.misses, cache.hits) == (2, 0)
+        with pytest.raises(RuntimeError, match="depends on itself"):
+            cache.get_or_compute("loop", lambda: cache.get_or_compute("loop", lambda: 1))
+        assert cache._flights == {}
+
+    def test_none_is_not_stored(self):
+        cache = perf.BoundedCache(maxsize=4, name="t")
+        with pytest.raises(ValueError, match="cannot store None"):
+            cache.get_or_compute("key", lambda: None)
+        assert len(cache) == 0 and cache._flights == {}
 
 
 class TestFingerprints:
@@ -147,6 +261,82 @@ class TestStepCostModelCache:
         assert model.cache_stats()["hits"] == 0
         assert model.step_us(100, 20) == cost  # recomputed identically
 
+    def test_step_ms_at_is_a_fresh_models_step_ms_for_every_bucket(self):
+        """Every bucket a seeded serving run steps through, at both edges
+        and three prefill/decode splits each: on first use, warm, after
+        ``clear()``, and through the windows of a time-varying model."""
+        from repro import ServeSpec, TraceSpec
+        from repro.faults import TimeVaryingStepCost
+        from repro.graph.straggler import StragglerSpec
+
+        trace = TraceSpec(kind="bursty", rps=60, duration_s=3, seed=4)
+        (report,) = ServeSpec.grid(traces=trace, systems="comet").run().reports
+        totals = set(report.timeline["batch_tokens"].tolist())
+        bucket = 256
+        numbers = sorted({(total - 1) // bucket for total in totals})
+        assert len(numbers) > 3
+        totals |= {n * bucket + 1 for n in numbers} | {(n + 1) * bucket for n in numbers}
+        steps = [
+            split
+            for total in sorted(totals)
+            for split in ((total, 0), (0, total), (total // 2, total - total // 2))
+        ]
+        slow = StragglerSpec.slow_rank(8, rank=3, compute_mult=1.5, comm_mult=1.2)
+
+        def model(stragglers=None):
+            return StepCostModel(
+                SYSTEM_REGISTRY.create("comet"), MIXTRAL_8X7B, CLUSTER, STRATEGY,
+                bucket_tokens=bucket, stragglers=stragglers,
+            )
+
+        def fresh(stragglers=None):
+            return [model(stragglers).step_ms(*step) for step in steps]
+
+        expected, degraded = fresh(), fresh(slow)
+        assert expected != degraded
+        shared = model()
+        for _ in range(2):  # first use, then every bucket priced
+            assert [shared.step_ms_at(0.0, *step) for step in steps] == expected
+        assert shared.cache_stats()["misses"] == len(numbers)
+        shared.clear()
+        for _ in range(2):
+            assert [shared.step_ms_at(0.0, *step) for step in steps] == expected
+        varying = TimeVaryingStepCost((0.0, 100.0, 200.0), (shared, model(slow), shared))
+        for now, want in ((0.0, expected), (150.0, degraded), (250.0, expected)):
+            assert [varying.step_ms_at(now, *step) for step in steps] == want
+        with pytest.raises(ValueError, match="at least one token"):
+            shared.step_ms_at(0.0, 0, 0)
+
+    def test_threads_sharing_a_model_price_each_bucket_once_and_count_every_lookup(self):
+        perf.clear_caches()
+        model = StepCostModel(
+            SYSTEM_REGISTRY.create("megatron-cutlass"), MIXTRAL_8X7B, CLUSTER, STRATEGY
+        )
+        totals = [1 + (i * 97) % 2048 for i in range(3000)]
+        threads = 8
+        barrier = threading.Barrier(threads)
+
+        def step():
+            barrier.wait()
+            for total in totals:
+                model.step_ms_at(0.0, total, 0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=step) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        stats = model.cache_stats()
+        assert stats["misses"] == len({(total - 1) // model.bucket for total in totals})
+        assert stats["hits"] + stats["misses"] == threads * len(totals)
+        assert model.cache_stats()["hits"] == stats["hits"]  # reading counts no hit
+
     def test_workload_shared_across_systems(self):
         """Every system prices the identical bucket geometry (the old
         module-level workload cache contract, now bounded in repro.perf)."""
@@ -195,7 +385,8 @@ class TestRoutingCache:
         perf.clear_caches()
         workloads = self._build()
         stats = perf.cache_stats()["routing"]
-        assert (stats["misses"], stats["hits"]) == (2, 4)
+        # Two plans and the expert stream each of them is cut from.
+        assert (stats["misses"], stats["hits"]) == (4, 4)
         assert all(w.plan is workloads[0].plan for w in workloads[:5])
         assert workloads[5].plan is not workloads[0].plan
 

@@ -18,6 +18,7 @@ from repro.fleet.router import PowerOfTwo
 from repro.fleet.simulator import FleetEngine
 from repro.kernels import fused
 from repro.oracles import reference_paths
+from repro.runtime import workload
 from repro.runtime.workload import make_workload
 from repro.serve.scheduler import ContinuousBatchingScheduler, ReplicaCore
 from repro.systems import comet
@@ -36,6 +37,7 @@ FAST_PATHS = {
     ("repro.serve.scheduler", "ReplicaCore.close"): ReplicaCore.close,
     ("repro.fleet.simulator", "FleetEngine._run_cosim"): FleetEngine._run_cosim,
     ("repro.fleet.router", "PowerOfTwo._probes"): PowerOfTwo._probes,
+    ("repro.runtime.workload", "_balanced_plan"): workload._balanced_plan,
 }
 BYPASSED = ("timing", "graph", "graph_batch", "step-cost", "nc-sweep")
 
@@ -74,7 +76,7 @@ def test_swaps_exactly_the_documented_paths(caches_only):
     before = _attributes()
     with reference_paths(caches_only=caches_only):
         inside = _attributes()
-    lookups = {(f"cache {name}", method) for name in BYPASSED for method in ("get", "put")}
+    lookups = {(f"cache {name}", "get_or_compute") for name in BYPASSED}
     expected = lookups if caches_only else lookups | FAST_PATHS.keys()
     assert _changed(before, inside) == expected
     # A product module holding its own binding of a swapped fast path

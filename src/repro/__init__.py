@@ -358,8 +358,8 @@ byte equality of every export both ways).  Three pillars:
   :class:`~repro.obs.manifest.RunManifest` (spec fingerprint, seeds,
   version), embedded in ``to_json()`` exports.
 
-CLI: ``repro trace --graph|--serve|--fleet``, and ``--trace-out`` /
-``--metrics-out`` on ``model`` / ``serve`` / ``fleet``.  See
+CLI: ``--trace-out`` and ``--metrics-out`` on ``model`` / ``serve`` /
+``fleet``, and ``repro trace`` for one rank's fused kernels.  See
 ``examples/trace_timelines.py``.
 
 Correctness tooling.  Every fast path and every cache above is trusted
@@ -380,8 +380,14 @@ conventions that equality rests on.  Every ``*Spec`` is a top-level
 frozen dataclass whose live instances hash and survive a pickle round
 trip.  The simulators and oracles never read a wall clock, draw ambient
 entropy or iterate a bare set, and their exports are identical under
-any hash seed.  Style is pinned separately by ruff (``pyproject.toml``:
-pycodestyle/pyflakes/isort subset).
+any hash seed.  Every numeric spec field declares its domain once, on
+the field (:func:`repro.domains.knob`): construction rejects NaN,
+infinities, bools, fractional counts and out-of-bound values with an
+error that names the field, the CLI reads its numeric flags' types,
+defaults and help from the same declarations, and
+``tests/test_point_checks.py`` walks every declared field.  Style is
+pinned separately by ruff (``pyproject.toml``: pycodestyle/pyflakes/isort
+subset).
 """
 
 # The systems register themselves in SYSTEM_REGISTRY as they are

@@ -29,8 +29,9 @@ This module is also the sweep engine of the serving and fleet specs
   custom registry exists only in the calling process, so
   ``executor="process"`` with ``workers > 1`` refuses one, whatever the
   grid size.
-* :func:`check_point` holds the checks every scenario kind makes of its
-  grid point.
+* :func:`check_point` holds the cross-field checks every scenario kind
+  makes of its grid point; each numeric field checks its own declared
+  domain (:mod:`repro.domains`).
 
 Example::
 
@@ -59,6 +60,7 @@ from repro.api.registry import (
     resolve_model,
 )
 from repro.api.results import ResultRow, ResultSet, SkipRecord
+from repro.domains import knob, validate
 from repro.graph.lower import check_policy
 from repro.graph.straggler import StragglerSpec, check_multiplier
 from repro.hw.cluster import ClusterSpec
@@ -76,8 +78,6 @@ __all__ = [
     "ExperimentSpec",
     "Scenario",
     "SimulationBudgetExceeded",
-    "check_count",
-    "check_finite",
     "check_point",
     "default_system_names",
     "expand",
@@ -111,30 +111,6 @@ BUDGET_PER_UNIT = 32
 
 
 # -- the grid-point boundary ---------------------------------------------------
-def check_finite(name: str, value: float, positive: bool = False) -> None:
-    """``value`` must be finite and ``> 0`` (``positive``) or ``>= 0``.
-
-    A NaN passes every ``< 0`` check and reaches exports as ``NaN``.
-    """
-    low = 0 < value if positive else 0 <= value
-    if not (low and value < math.inf):
-        raise ValueError(
-            f"{name} must be finite and {'positive' if positive else '>= 0'}, "
-            f"got {value}"
-        )
-
-
-def check_count(name: str, value: int, low: int | None = 0) -> None:
-    """``value`` must be an integer (not a bool) and ``>= low``, if set."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or (low is not None and value < low)
-    ):
-        bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-
-
 def check_point(
     cluster: ClusterSpec,
     strategy: ParallelStrategy,
@@ -143,15 +119,13 @@ def check_point(
     stragglers: StragglerSpec | None = None,
     overlap_policy: str = "per_layer",
     policy: str | None = None,
-    **positive: float,
 ) -> None:
-    """The checks every scenario kind makes of one grid point.
+    """The cross-field checks every scenario kind makes of one grid point.
 
     The strategy spans the cluster, the model's experts and FFN divide
     over it (when ``config`` is given), a straggler spec covers every
     rank, and the overlap policy is known.  Serving scenarios also name
-    a registered scheduler ``policy`` and pass their SLO targets and
-    batch sizes as keywords, each of which must be finite and positive.
+    a registered scheduler ``policy``.
     """
     if strategy.world_size != cluster.world_size:
         raise ValueError(
@@ -174,8 +148,6 @@ def check_point(
                 f"unknown policy {policy!r}; valid policies: "
                 f"{', '.join(POLICY_REGISTRY.names())}"
             )
-    for name, value in positive.items():
-        check_finite(name, value, positive=True)
 
 
 # -- the sweep engine ----------------------------------------------------------
@@ -303,9 +275,11 @@ class Scenario:
     config: MoEConfig
     cluster: ClusterSpec
     strategy: ParallelStrategy
-    tokens: int
-    imbalance_std: float = 0.0
-    seed: int = 0
+    tokens: int = knob(gt=0, integral=True)
+    imbalance_std: float = knob(0.0, ge=0, help="expert-load imbalance std")
+    # numpy's SeedSequence rejects a negative or fractional seed only
+    # mid-run, and a bool seed would run as 0 or 1 under its own label.
+    seed: int = knob(0, ge=0, integral=True)
     overlap_policy: str = "per_layer"
     stragglers: StragglerSpec | None = None
 
@@ -317,16 +291,14 @@ class Scenario:
             stragglers=self.stragglers,
             overlap_policy=self.overlap_policy,
         )
+        # Checked before the domain, for the message: the token count
+        # must also divide over the ranks.
         if self.tokens <= 0 or self.tokens % self.cluster.world_size != 0:
             raise ValueError(
                 f"tokens {self.tokens} must be positive and divide evenly "
                 f"over {self.cluster.world_size} ranks"
             )
-        check_finite("imbalance_std", self.imbalance_std)
-        # numpy's SeedSequence rejects a negative or fractional seed only
-        # mid-run, and a bool seed would run as 0 or 1 under its own label.
-        check_finite("seed", self.seed)
-        check_count("seed", self.seed)
+        validate(self)
         bound = max_imbalance_std(self.config.num_experts)
         if self.imbalance_std and self.imbalance_std >= bound:
             raise ValueError(

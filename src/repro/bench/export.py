@@ -1,19 +1,18 @@
-"""Machine-readable export of benchmark results (JSON / CSV).
+"""Machine-readable export of benchmark results (JSON).
 
 Every harness result in :mod:`repro.bench.figures` is a plain dataclass
 tree; these helpers serialise any of them so downstream users can plot
-the regenerated figures with their own tooling.
+the regenerated figures with their own tooling.  Tables export as CSV
+through :func:`repro.api.results.rows_to_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-__all__ = ["result_to_json", "rows_to_csv", "save_json"]
+__all__ = ["result_to_json", "save_json"]
 
 
 def _plain(value: Any) -> Any:
@@ -58,16 +57,3 @@ def save_json(result: Any, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(result_to_json(result))
 
-
-def rows_to_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows (e.g. from a ``format()`` table) as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(list(headers))
-    for row in rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row width {len(row)} does not match {len(headers)} headers"
-            )
-        writer.writerow([_plain(cell) for cell in row])
-    return buffer.getvalue()

@@ -24,21 +24,29 @@ Models, clusters, and systems are resolved through the registries in
 :mod:`repro.api.registry`, so anything a plugin registers is addressable
 here without touching this module.
 
-Every flag is spelled once, in :data:`_FLAGS`: its type, default, help,
-and the registry its choices come from.  :data:`_COMMANDS` lists the
-flags each subcommand takes, with the keywords where one departs from
-the table, and one loop builds the parsers.  A new flag goes into
-``_FLAGS`` and into the flag list of every subcommand that takes it.
-Each command that runs a simulation builds its spec through that spec's
-``grid()``, and a ``ValueError`` or unknown registry name raised below
-:func:`main` prints ``error: ...`` and exits 2.  Each handler imports
-the subsystem it runs, so building the parser loads no figure, serving,
-fleet or observability module.
+A numeric flag that sets exactly one spec field is declared on that
+field (:func:`repro.domains.knob`): :data:`_FIELD_FLAGS` names the
+field, and the parser takes the flag's type, default and help from the
+field's declaration.  :data:`_FLAGS` spells every other flag once: its
+type, default, help, and the registry its choices come from.
+:data:`_COMMANDS` lists the flags each subcommand takes, with the
+keywords where one departs from the tables, and one loop builds the
+parsers.  A new flag goes into one of the two tables and into the flag
+list of every subcommand that takes it.
+
+Apart from ``--tp``'s sign, which the ``--ep`` default divides by, the
+CLI checks no value itself: each command that runs a simulation builds
+its spec through that spec's ``grid()``, and a ``ValueError`` or unknown
+registry name raised below :func:`main` prints ``error: ...`` and exits
+2.  Building the parser loads the spec modules whose fields back flags;
+each handler imports the engines it runs, so building the parser loads
+no figure, engine or observability module.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Sequence
@@ -49,10 +57,14 @@ from repro.api.registry import (
     SYSTEM_REGISTRY,
     UnknownNameError,
 )
-from repro.api.scenario import ExperimentSpec, expand
+from repro.api.scenario import ExperimentSpec, Scenario, expand
 from repro.bench.report import format_table
+from repro.domains import domains
+from repro.faults.resilience import ResilienceSpec
+from repro.fleet.spec import AutoscalerSpec, FleetScenario, FleetSpec
 from repro.graph.lower import OVERLAP_POLICIES
 from repro.parallel.strategy import ParallelStrategy
+from repro.serve.scenario import ServeScenario, ServeSpec
 from repro.serve.traffic import TRACE_REGISTRY, TraceSpec
 
 __all__ = ["main"]
@@ -88,23 +100,23 @@ def _arrivals() -> list[str]:
     return [name for name in TRACE_REGISTRY.names() if name != "replay"]
 
 
-#: Every flag's argparse keywords; a callable ``choices`` is read at build.
+#: The argparse keywords of every flag not in :data:`_FIELD_FLAGS`; a
+#: callable ``choices`` is read at build.
 _FLAGS: dict[str, dict[str, Any]] = {
-    # figure
+    # Flags with no single spec field behind them: registry choices,
+    # switches, execution and output settings, and values one handler
+    # spreads over several fields or specs (--seed is the routing seed of
+    # layer/model/sweep and the trace seed of serve/fleet; --tp/--ep make
+    # a strategy; --autoscale turns the autoscaler on and sets its floor).
     "name": dict(choices=sorted(FIGURES), help="figure or table to regenerate"),
-    # the grid point
     "--model": dict(choices=_models, default="mixtral", help="model registry name"),
     "--models": dict(nargs="+", choices=_models, default=["mixtral"], help="model names"),
     "--cluster": dict(choices=_clusters, default="h800", help="cluster registry name"),
     "--clusters": dict(nargs="+", choices=_clusters, default=["h800"], help="cluster names"),
     "--tp": dict(type=int, default=1, help="tensor-parallel size"),
     "--ep": dict(type=int, help="expert-parallel size (default: world size / tp)"),
-    "--tokens": dict(type=int, default=16384, help="total input tokens"),
-    "--imbalance-std": dict(type=float, default=0.0, help="expert-load imbalance std"),
     "--seed": dict(type=int, default=0, help="routing or trace seed"),
     "--systems": dict(help="comma-separated registry names (default: all registered systems)"),
-    "--system": dict(default="comet", help="system to trace in --graph/--serve/--fleet "
-                     "modes"),
     "--overlap-policy": dict(choices=OVERLAP_POLICIES, default="per_layer", metavar="POLICY",
                              help="cross-layer overlap policy: per_layer, cross_layer or "
                              "shortcut"),
@@ -116,51 +128,21 @@ _FLAGS: dict[str, dict[str, Any]] = {
                              "the per-rank schedule graph"),
     "--training": dict(action="store_true", help="time one training step (fwd + bwd + "
                        "grad sync + optimizer) instead of the forward pass"),
-    # traffic and serving
     "--trace": dict(choices=_arrivals, default="poisson", help="arrival process"),
-    "--arrivals": dict(choices=_arrivals, default="poisson",
-                       help="--serve/--fleet modes: arrival process"),
-    "--rps": dict(type=float, default=160.0, help="mean request arrival rate"),
-    "--duration": dict(type=float, default=30.0, help="trace seconds"),
-    "--prompt-mean": dict(type=int, default=512, help="mean prompt tokens"),
-    "--output-mean": dict(type=int, default=128, help="mean output tokens"),
     "--policy": dict(default="fcfs", help="admission policy: fcfs, spf, or slo"),
-    "--slo-ttft-ms": dict(type=float, default=500.0, help="time-to-first-token SLO"),
-    "--slo-tpot-ms": dict(type=float, default=75.0, help="time-per-output-token SLO"),
-    "--max-batch-tokens": dict(type=int, default=8192,
-                               help="continuous-batching token budget per iteration"),
-    # fleet
     "--replicas": dict(default="1", metavar="N|PpD", help="fleet shape: a replica count "
                        "(e.g. 4) or a disaggregated '2p+2d' prefill+decode split"),
     "--router": dict(nargs="+", default=["round_robin"], metavar="NAME",
                      help="routing policies to compare: round_robin, least_queue, "
                      "session_affinity, power_of_two"),
-    "--router-seed": dict(type=int, default=0, help="seed for randomized routers"),
     "--autoscale": dict(type=int, metavar="MIN", help="enable queue-driven autoscaling "
                         "with MIN always-on replicas (--replicas is the ceiling)"),
-    "--scale-up-queue": dict(type=float, default=8.0, help="waiting requests per active "
-                             "replica that trigger a scale-up"),
-    "--scale-down-queue": dict(type=float, default=1.0, help="waiting requests per active "
-                               "replica below which one replica drains out"),
-    "--warmup-ms": dict(type=float, default=2000.0,
-                        help="delay before a newly scaled-up replica is routable"),
-    "--autoscale-interval-ms": dict(type=float, default=1000.0,
-                                    help="autoscaler decision interval"),
     "--failures": dict(nargs="+", metavar="R@SPEC", help="inject replica faults: "
                        "'1@1000:3000' fails replica 1 at t=1000ms and recovers it at "
                        "t=3000ms (omit ':RECOVER' for a permanent failure); "
                        "'0@500:2500:x1.5' degrades replica 0 by 1.5x over [500, 2500) ms"),
-    "--timeout-ms": dict(type=float, metavar="MS", help="front-door request deadline: "
-                         "cancel (and retry, with --retry) requests unfinished after MS"),
-    "--retry": dict(type=int, default=0, metavar="N", help="retries per timed-out request "
-                    "(seeded exponential backoff; requires --timeout-ms)"),
-    "--shed": dict(type=float, metavar="FACTOR", help="shed arrivals whose estimated "
-                   "queue wait exceeds FACTOR x the TTFT SLO"),
-    "--detect": dict(type=float, metavar="SLOW", help="health detector: probation for "
-                     "replicas whose windowed mean TTFT exceeds SLOW x the fleet median"),
     "--kv-migration": dict(action="store_true", help="price KV handoffs and post-crash "
                            "re-dispatch over the inter-replica link (default: free)"),
-    # execution and output
     "--workers": dict(type=int, metavar="N",
                       help="run on N workers (output identical to serial)"),
     "--executor": dict(choices=("thread", "process"), default="thread",
@@ -172,12 +154,34 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--trace-out": dict(metavar="PATH", help="export a Chrome trace of the first result"),
     "--metrics-out": dict(metavar="PATH", help="export a metrics snapshot as JSON"),
     "--out": dict(default="comet_timeline.json", help="trace file to write"),
+    # Flags whose CLI default deliberately differs from the field's: a
+    # serving run offers 160 rps (TraceSpec.rps defaults to 8), and
+    # Scenario.tokens has no default at all.
+    "--rps": dict(type=float, default=160.0, help="mean request arrival rate"),
+    "--tokens": dict(type=int, default=16384, help="total input tokens"),
 }
 
-_TRACE_MODES = {
-    "--graph": "trace the whole-model schedule graph (one pid per rank)",
-    "--serve": "trace a serving run (request spans, flows, counter tracks)",
-    "--fleet": "trace a fleet run (one pid per replica, router flows, markers)",
+#: Numeric flags that set exactly one spec field, with that field: its
+#: declaration gives the flag's type, default and help
+#: (:func:`_flag_keywords`), and :func:`_fields_of` reads the flags back
+#: as the spec's keyword arguments.
+_FIELD_FLAGS: dict[str, tuple[type, str]] = {
+    "--imbalance-std": (Scenario, "imbalance_std"),
+    "--duration": (TraceSpec, "duration_s"),
+    "--prompt-mean": (TraceSpec, "prompt_mean"),
+    "--output-mean": (TraceSpec, "output_mean"),
+    "--slo-ttft-ms": (ServeScenario, "slo_ttft_ms"),
+    "--slo-tpot-ms": (ServeScenario, "slo_tpot_ms"),
+    "--max-batch-tokens": (ServeScenario, "max_batch_tokens"),
+    "--router-seed": (FleetScenario, "router_seed"),
+    "--scale-up-queue": (AutoscalerSpec, "scale_up_queue"),
+    "--scale-down-queue": (AutoscalerSpec, "scale_down_queue"),
+    "--warmup-ms": (AutoscalerSpec, "warmup_ms"),
+    "--autoscale-interval-ms": (AutoscalerSpec, "interval_ms"),
+    "--timeout-ms": (ResilienceSpec, "timeout_ms"),
+    "--retry": (ResilienceSpec, "max_retries"),
+    "--shed": (ResilienceSpec, "shed_factor"),
+    "--detect": (ResilienceSpec, "slow_factor"),
 }
 
 _SHAPE = ("--model", "--cluster", "--tp", "--ep")
@@ -228,20 +232,8 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         "--warmup-ms", "--autoscale-interval-ms", "--failures", "--timeout-ms", "--retry",
         "--shed", "--detect", "--kv-migration", *_SERVING, "--router-seed", *_SERVING_OUT,
     )),
-    "trace": ("export a Chrome/Perfetto trace of a simulated timeline (fused kernels "
-              "by default; --graph/--serve/--fleet for the higher tiers)", (
-        *_SHAPE, "--tokens", "--system", "--arrivals", "--out",
-        ("--overlap-policy", dict(help="--graph mode: overlap policy")),
-        ("--stragglers", dict(help="--graph mode: slow rank 0 by MULT (one pid per rank)")),
-        ("--rps", dict(default=40.0, help="--serve/--fleet modes: arrival rate")),
-        ("--duration", dict(default=3.0, help="--serve/--fleet modes: trace seconds")),
-        ("--seed", dict(help="--serve/--fleet modes: trace seed")),
-        ("--replicas", dict(default="2", help="--fleet mode: fleet shape")),
-        ("--router", dict(nargs=None, default="round_robin",
-                          help="--fleet mode: routing policy")),
-        ("--failures", dict(metavar="R@FAIL[:RECOVER]", help="--fleet mode: failure "
-                            "injections (default: 0@500:1500; 'none' disables)")),
-    )),
+    "trace": ("export a Chrome/Perfetto trace of one rank's fused kernels (model, serve "
+              "and fleet --trace-out trace the higher tiers)", (*_SHAPE, "--tokens", "--out")),
 }
 
 
@@ -263,17 +255,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, flags) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_line, formatter_class=_HelpFormatter)
-        if command == "trace":
-            mode = cmd.add_mutually_exclusive_group()
-            for flag, help_text in _TRACE_MODES.items():
-                mode.add_argument(flag, action="store_true", help=help_text)
         for entry in flags:
             flag, overrides = entry if isinstance(entry, tuple) else (entry, {})
-            kwargs = {**_FLAGS[flag], **overrides}
+            kwargs = {**_flag_keywords(flag), **overrides}
             if callable(kwargs.get("choices")):
                 kwargs["choices"] = kwargs["choices"]()
             cmd.add_argument(flag, **kwargs)
     return parser
+
+
+def _flag_keywords(flag: str) -> dict[str, Any]:
+    """A flag's argparse keywords: its :data:`_FLAGS` entry, or the type,
+    default and help declared on the field its :data:`_FIELD_FLAGS` entry
+    names."""
+    if flag not in _FIELD_FLAGS:
+        return _FLAGS[flag]
+    owner, name = _FIELD_FLAGS[flag]
+    (default,) = (f.default for f in dataclasses.fields(owner) if f.name == name)
+    domain = domains(owner)[name]
+    return dict(type=domain.type, default=default, help=domain.help)
+
+
+def _fields_of(owner: type, args: argparse.Namespace) -> dict[str, Any]:
+    """The parsed values of ``owner``'s :data:`_FIELD_FLAGS` flags, by
+    field name."""
+    return {
+        name: getattr(args, flag[2:].replace("-", "_"))
+        for flag, (cls, name) in _FIELD_FLAGS.items()
+        if cls is owner
+    }
 
 
 # -- flags into grid arguments ---------------------------------------------------
@@ -309,31 +319,21 @@ def _systems(values: Sequence[str] | str | None) -> tuple[str, ...]:
 
 
 def _serving(args: argparse.Namespace, spec_cls: type, **axes: Any):
-    """``spec_cls.grid`` (ServeSpec or FleetSpec) on the shape flags and
-    one trace of the traffic flags; ``axes`` are its other arguments,
-    a fleet's :func:`_fleet_shape` among them.
-
-    ``trace --serve/--fleet`` take only the traffic flags and one
-    ``--system``; every other serving setting keeps its default there.
-    """
+    """``spec_cls.grid`` (ServeSpec or FleetSpec) on the shape flags, one
+    trace of the traffic flags and the serving flags; ``axes`` are its
+    other arguments, a fleet's :func:`_fleet_shape` among them."""
     shape = _shape(args)
-    traffic = dict(rps=args.rps, duration_s=args.duration, seed=args.seed)
-    if args.command == "trace":
-        trace = TraceSpec(kind=args.arrivals, **traffic)
-        axes["systems"] = args.system
-    else:
-        trace = TraceSpec(
-            kind=args.trace, prompt_mean=args.prompt_mean,
-            output_mean=args.output_mean, **traffic,
-        )
-        axes.update(
-            policies=args.policy,
-            slo_ttft_ms=args.slo_ttft_ms,
-            slo_tpot_ms=args.slo_tpot_ms,
-            max_batch_tokens=args.max_batch_tokens,
-            systems=_systems(args.systems),
-        )
-    return spec_cls.grid(**shape, traces=trace, **axes)
+    trace = TraceSpec(
+        kind=args.trace, rps=args.rps, seed=args.seed, **_fields_of(TraceSpec, args)
+    )
+    return spec_cls.grid(
+        **shape,
+        traces=trace,
+        policies=args.policy,
+        systems=_systems(args.systems),
+        **_fields_of(ServeScenario, args),
+        **axes,
+    )
 
 
 def _fleet_shape(args: argparse.Namespace) -> dict[str, Any]:
@@ -854,7 +854,6 @@ def _cmd_sweep_nc(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.timeline import trace_serve_report
-    from repro.serve.scenario import ServeSpec
 
     spec = _serving(
         args, ServeSpec,
@@ -913,38 +912,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.faults.migration import MigrationSpec
-    from repro.faults.resilience import ResilienceSpec
-    from repro.fleet.spec import AutoscalerSpec, FleetSpec
     from repro.obs.timeline import trace_fleet_report
 
-    autoscaler = resilience = None
+    autoscaler = None
     if args.autoscale is not None:
         autoscaler = AutoscalerSpec(
-            min_replicas=args.autoscale,
-            scale_up_queue=args.scale_up_queue,
-            scale_down_queue=args.scale_down_queue,
-            interval_ms=args.autoscale_interval_ms,
-            warmup_ms=args.warmup_ms,
+            min_replicas=args.autoscale, **_fields_of(AutoscalerSpec, args)
         )
-    if (
-        args.timeout_ms is not None
-        or args.retry
-        or args.shed is not None
-        or args.detect is not None
-    ):
-        resilience = ResilienceSpec(
-            timeout_ms=args.timeout_ms,
-            max_retries=args.retry,
-            shed_factor=args.shed,
-            slow_factor=args.detect,
-        )
+    # With every resilience flag at its default the spec enables nothing,
+    # and an all-off spec is no policy at all.
+    resilience = ResilienceSpec(**_fields_of(ResilienceSpec, args)) or None
     spec = _serving(
         args, FleetSpec,
         **_fleet_shape(args),
         autoscalers=autoscaler,
         resilience=resilience,
         migrations=MigrationSpec() if args.kv_migration else None,
-        router_seed=args.router_seed,
+        **_fields_of(FleetScenario, args),
         **_fault_axes(args.failures),
     )
     results = spec.run(workers=args.workers, executor=args.executor)
@@ -982,72 +966,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.graph:
-        return _trace_graph(args)
-    if args.serve or args.fleet:
-        return _trace_served(args)
-    return _trace_kernels(args)
-
-
-def _trace_graph(args: argparse.Namespace) -> int:
-    """--graph mode: the whole-model schedule graph, one pid per rank."""
-    from repro.obs.timeline import trace_graph_schedule
-    from repro.runtime.model_runner import run_model
-    from repro.systems.base import UnsupportedWorkload
-
-    spec = ExperimentSpec.grid(
-        **_shape(args),
-        tokens=args.tokens,
-        overlap_policies=args.overlap_policy,
-        stragglers=args.stragglers,
-        systems=args.system,
-    )
-    (scenario,) = spec.scenarios
-    system = SYSTEM_REGISTRY.create(spec.systems[0])
-    try:
-        timing = run_model(
-            system, scenario.config, scenario.cluster, scenario.strategy,
-            total_tokens=scenario.tokens, workload=scenario.build_workload(),
-            overlap_policy=scenario.overlap_policy, stragglers=scenario.stragglers,
-        )
-    except UnsupportedWorkload as exc:
-        print(f"error: {system.name} skipped this workload: {exc}", file=sys.stderr)
-        return 1
-    _save_trace(trace_graph_schedule(_schedule(system, timing)), args.out)
-    return 0
-
-
-def _trace_served(args: argparse.Namespace) -> int:
-    """--serve/--fleet modes: one serving run's request timeline, or a
-    fleet run with per-replica pids and router flows.
-
-    The fleet trace injects one fail/recover cycle on replica 0 by
-    default, so it shows every record type (spans, counters, flows and
-    instant markers); ``--failures none`` turns the injection off.
-    """
-    from repro.fleet.spec import FleetSpec
-    from repro.obs.timeline import trace_fleet_report, trace_serve_report
-    from repro.serve.scenario import ServeSpec
-
-    if args.serve:
-        spec, render = _serving(args, ServeSpec), trace_serve_report
-    else:
-        failures = args.failures or ["0@500:1500"]
-        if [value.lower() for value in failures] == ["none"]:
-            failures = None
-        spec = _serving(args, FleetSpec, **_fleet_shape(args), **_fault_axes(failures))
-        render = trace_fleet_report
-    results = spec.run()
-    if not results.reports:
-        for skip in results.skips:
-            print(f"error: {skip.system} skipped: {skip.reason}", file=sys.stderr)
-        return 1
-    _save_trace(render(results.reports[0]), args.out)
-    return 0
-
-
-def _trace_kernels(args: argparse.Namespace) -> int:
-    """Default trace mode: one rank's fused-kernel lanes."""
+    """One rank's fused-kernel lanes."""
     from repro.kernels.fused import simulate_layer0_fused, simulate_layer1_fused
     from repro.sim.trace import Tracer
     from repro.systems.comet import Comet

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api.scenario import check_count, check_finite
+from repro.domains import knob, validate
 from repro.hw.link import LinkSpec
 from repro.hw.multinode import IB_400G
 
@@ -58,13 +58,11 @@ class MigrationSpec:
     """
 
     link: LinkSpec = IB_400G
-    kv_bytes_per_token: float | None = None
-    messages_per_seq: int = 1
+    kv_bytes_per_token: float | None = knob(None, gt=0)
+    messages_per_seq: int = knob(1, gt=0, integral=True)
 
     def __post_init__(self) -> None:
-        if self.kv_bytes_per_token is not None:
-            check_finite("kv_bytes_per_token", self.kv_bytes_per_token, positive=True)
-        check_count("messages_per_seq", self.messages_per_seq, low=1)
+        validate(self)
 
     @property
     def label(self) -> str:

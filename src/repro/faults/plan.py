@@ -38,7 +38,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.graph.straggler import StragglerSpec, check_multiplier
+from repro.domains import knob, validate
+from repro.graph.straggler import StragglerSpec
 
 __all__ = [
     "BrownoutEvent",
@@ -60,15 +61,12 @@ class FailureEvent:
     dead for the rest of the run.
     """
 
-    replica: int
-    fail_ms: float
-    recover_ms: float | None = None
+    replica: int = knob(ge=0, integral=True)
+    fail_ms: float = knob(ge=0)
+    recover_ms: float | None = knob(None, gt=0)
 
     def __post_init__(self) -> None:
-        if self.replica < 0:
-            raise ValueError(f"replica index must be >= 0, got {self.replica}")
-        if self.fail_ms < 0:
-            raise ValueError(f"fail_ms must be >= 0, got {self.fail_ms}")
+        validate(self)
         if self.recover_ms is not None and self.recover_ms <= self.fail_ms:
             raise ValueError(
                 f"recover_ms ({self.recover_ms}) must exceed fail_ms "
@@ -89,25 +87,20 @@ class DegradeEvent:
     any other degrade active in the same window.
     """
 
-    replica: int
-    t0_ms: float
-    t1_ms: float
-    compute_mult: float = 1.0
-    comm_mult: float = 1.0
+    replica: int = knob(ge=0, integral=True)
+    t0_ms: float = knob(ge=0)
+    t1_ms: float = knob(gt=0)
+    compute_mult: float = knob(1.0, gt=0)
+    comm_mult: float = knob(1.0, gt=0)
     stragglers: StragglerSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.replica < 0:
-            raise ValueError(f"replica index must be >= 0, got {self.replica}")
-        if self.t0_ms < 0:
-            raise ValueError(f"t0_ms must be >= 0, got {self.t0_ms}")
+        validate(self)
         if self.t1_ms <= self.t0_ms:
             raise ValueError(
                 f"t1_ms ({self.t1_ms}) must exceed t0_ms ({self.t0_ms})"
             )
         if self.stragglers is None:
-            check_multiplier(self.compute_mult, "compute_mult")
-            check_multiplier(self.comm_mult, "comm_mult")
             if self.compute_mult == 1.0 and self.comm_mult == 1.0:
                 raise ValueError(
                     "a degrade event needs a straggler spec or a non-unit "
@@ -150,20 +143,15 @@ class BrownoutEvent:
     those with a ``comm_mult`` :class:`DegradeEvent`).  Overlapping
     brownouts compose multiplicatively."""
 
-    t0_ms: float
-    t1_ms: float
-    mult: float = 2.0
+    t0_ms: float = knob(ge=0)
+    t1_ms: float = knob(gt=0)
+    mult: float = knob(2.0, gt=1)
 
     def __post_init__(self) -> None:
-        if self.t0_ms < 0:
-            raise ValueError(f"t0_ms must be >= 0, got {self.t0_ms}")
+        validate(self)
         if self.t1_ms <= self.t0_ms:
             raise ValueError(
                 f"t1_ms ({self.t1_ms}) must exceed t0_ms ({self.t0_ms})"
-            )
-        if self.mult <= 1.0:
-            raise ValueError(
-                f"a brownout must slow the link (mult > 1), got {self.mult}"
             )
 
 

@@ -35,11 +35,10 @@ identity tests enforce it.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
-from repro.api.scenario import check_count, check_finite
+from repro.domains import knob, validate
 
 __all__ = ["ResilienceSpec"]
 
@@ -57,50 +56,39 @@ class ResilienceSpec:
     """Fleet resilience policy; every mechanism defaults to *off*."""
 
     # -- deadline + retry -----------------------------------------------------
-    timeout_ms: float | None = None
-    max_retries: int = 0
-    backoff_ms: float = 50.0
+    timeout_ms: float | None = knob(
+        None, gt=0, help="front-door request deadline in ms: unfinished requests "
+        "are cancelled (and retried, up to the retry count)",
+    )
+    max_retries: int = knob(
+        0, ge=0, integral=True, help="retries per timed-out request (seeded "
+        "exponential backoff; needs a timeout)",
+    )
+    backoff_ms: float = knob(50.0, ge=0)
     # -- shedding -------------------------------------------------------------
-    shed_factor: float | None = None
+    shed_factor: float | None = knob(
+        None, gt=0, help="shed arrivals whose estimated queue wait exceeds this "
+        "factor x the TTFT SLO",
+    )
     # -- health detector ------------------------------------------------------
-    slow_factor: float | None = None
-    queue_factor: float | None = None
-    health_window_ms: float = 1000.0
-    check_interval_ms: float = 500.0
-    min_samples: int = 3
-    probation_ms: float = 1000.0
-    max_probations: int = 3
+    slow_factor: float | None = knob(
+        None, gt=1, why="a replica at the median is not slow",
+        help="health detector: probation for replicas whose windowed mean TTFT "
+        "exceeds this factor x the fleet median",
+    )
+    queue_factor: float | None = knob(None, gt=1)
+    health_window_ms: float = knob(1000.0, gt=0)
+    check_interval_ms: float = knob(500.0, gt=0)
+    min_samples: int = knob(3, gt=0, integral=True)
+    probation_ms: float = knob(1000.0, gt=0)
+    max_probations: int = knob(3, ge=0, integral=True)
     # -- determinism ----------------------------------------------------------
-    seed: int = 0
+    seed: int = knob(0, ge=0, integral=True)
 
     def __post_init__(self) -> None:
-        # The optional settings must be finite: NaN passes a plain `<= 0`.
-        if self.timeout_ms is not None and not 0 < self.timeout_ms < math.inf:
-            raise ValueError(
-                f"timeout_ms must be finite and positive, got {self.timeout_ms}"
-            )
-        check_count("max_retries", self.max_retries)
+        validate(self)
         if self.max_retries > 0 and self.timeout_ms is None:
             raise ValueError("max_retries needs timeout_ms (retries fire on deadline expiry)")
-        check_finite("backoff_ms", self.backoff_ms)
-        if self.shed_factor is not None and not 0 < self.shed_factor < math.inf:
-            raise ValueError(
-                f"shed_factor must be finite and positive, got {self.shed_factor}"
-            )
-        if self.slow_factor is not None and not 1.0 < self.slow_factor < math.inf:
-            raise ValueError(
-                f"slow_factor must be finite and exceed 1 (a replica at the "
-                f"median is not slow), got {self.slow_factor}"
-            )
-        if self.queue_factor is not None and not 1.0 < self.queue_factor < math.inf:
-            raise ValueError(
-                f"queue_factor must be finite and exceed 1, got {self.queue_factor}"
-            )
-        for name in ("health_window_ms", "check_interval_ms", "probation_ms"):
-            check_finite(name, getattr(self, name), positive=True)
-        check_count("min_samples", self.min_samples, low=1)
-        check_count("max_probations", self.max_probations)
-        check_count("seed", self.seed)
 
     # -- which mechanisms are live -------------------------------------------
     @property

@@ -36,10 +36,9 @@ from repro.api.scenario import (
     _numeric_axis,
     _shape_axes,
     _straggler_axis,
-    check_count,
-    check_finite,
     check_point,
 )
+from repro.domains import knob, validate
 from repro.faults.plan import FailureEvent, FaultPlan
 from repro.fleet.router import ROUTER_REGISTRY
 from repro.graph.straggler import StragglerSpec
@@ -85,13 +84,12 @@ class ReplicaSpec:
 
     cluster: ClusterSpec
     strategy: ParallelStrategy
-    count: int = 1
+    count: int = knob(1, gt=0, integral=True)
     role: str = "unified"
     stragglers: StragglerSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"replica count must be >= 1, got {self.count}")
+        validate(self)
         if self.role not in REPLICA_ROLES:
             raise ValueError(
                 f"unknown replica role {self.role!r}; valid roles: "
@@ -118,24 +116,27 @@ class AutoscalerSpec:
     pool is the capacity ceiling; ``min_replicas`` is the floor.
     """
 
-    min_replicas: int = 1
-    scale_up_queue: float = 8.0
-    scale_down_queue: float = 1.0
-    interval_ms: float = 1000.0
-    warmup_ms: float = 2000.0
-    cooldown_ms: float = 0.0
+    min_replicas: int = knob(1, gt=0, integral=True)
+    scale_up_queue: float = knob(
+        8.0, gt=0, help="waiting requests per active replica that trigger a scale-up"
+    )
+    scale_down_queue: float = knob(
+        1.0, ge=0, help="waiting requests per active replica below which one "
+        "replica drains out",
+    )
+    interval_ms: float = knob(1000.0, gt=0, help="autoscaler decision interval")
+    warmup_ms: float = knob(
+        2000.0, ge=0, help="delay before a newly scaled-up replica is routable"
+    )
+    cooldown_ms: float = knob(0.0, ge=0)
 
     def __post_init__(self) -> None:
-        check_count("min_replicas", self.min_replicas, low=1)
-        check_finite("scale_up_queue", self.scale_up_queue)
-        if not 0 <= self.scale_down_queue < self.scale_up_queue:
+        validate(self)
+        if not self.scale_down_queue < self.scale_up_queue:
             raise ValueError(
                 f"need 0 <= scale_down_queue < scale_up_queue, got "
                 f"{self.scale_down_queue} / {self.scale_up_queue}"
             )
-        check_finite("interval_ms", self.interval_ms, positive=True)
-        check_finite("warmup_ms", self.warmup_ms)
-        check_finite("cooldown_ms", self.cooldown_ms)
 
     @property
     def label(self) -> str:
@@ -168,21 +169,22 @@ class FleetScenario:
     replicas: tuple[ReplicaSpec, ...]
     trace: TraceSpec = TraceSpec()
     router: str = "round_robin"
-    router_seed: int = 0
+    router_seed: int = knob(0, ge=0, integral=True, help="seed for randomized routers")
     autoscaler: AutoscalerSpec | None = None
     failures: tuple[FailureEvent, ...] = ()
-    max_batch_tokens: int = 8192
-    max_batch_size: int = 256
+    max_batch_tokens: int = knob(8192, gt=0, integral=True)
+    max_batch_size: int = knob(256, gt=0, integral=True)
     policy: str = "fcfs"
-    slo_ttft_ms: float = 500.0
-    slo_tpot_ms: float = 75.0
-    bucket_tokens: int = 256
+    slo_ttft_ms: float = knob(500.0, gt=0)
+    slo_tpot_ms: float = knob(75.0, gt=0)
+    bucket_tokens: int = knob(256, gt=0, integral=True)
     overlap_policy: str = "per_layer"
     faults: FaultPlan | None = None
     resilience: ResilienceSpec | None = None
     migration: MigrationSpec | None = None
 
     def __post_init__(self) -> None:
+        validate(self)
         if not self.replicas:
             raise ValueError("a fleet needs at least one ReplicaSpec")
         object.__setattr__(self, "replicas", tuple(self.replicas))
@@ -198,8 +200,6 @@ class FleetScenario:
                 "a disaggregated fleet needs at least one prefill and one "
                 f"decode replica, got roles {sorted(roles)}"
             )
-        check_finite("router_seed", self.router_seed)
-        check_count("router_seed", self.router_seed)
         if self.router not in ROUTER_REGISTRY:
             raise ValueError(
                 f"unknown router {self.router!r}; valid routers: "
@@ -213,11 +213,6 @@ class FleetScenario:
                 stragglers=replica.stragglers,
                 overlap_policy=self.overlap_policy,
                 policy=self.policy,
-                slo_ttft_ms=self.slo_ttft_ms,
-                slo_tpot_ms=self.slo_tpot_ms,
-                max_batch_tokens=self.max_batch_tokens,
-                max_batch_size=self.max_batch_size,
-                bucket_tokens=self.bucket_tokens,
             )
         if self.autoscaler is not None:
             if roles != {"unified"}:

@@ -51,10 +51,11 @@ __all__ = ["StragglerSpec", "check_multiplier"]
 def check_multiplier(value: float, name: str = "straggler multiplier") -> float:
     """``value`` as a float, if it is a finite positive multiplier.
 
-    The one rule for every slowdown multiplier — spec fields, grid-axis
-    shorthands and CLI flags — so an infinite or NaN multiplier is
-    rejected where it is given instead of reaching an export as
-    ``Infinity`` or ``NaN``.
+    The rule for a :class:`StragglerSpec`'s per-rank multipliers, the
+    grid-axis shorthands and the CLI flags (a single multiplier field,
+    such as a degrade event's, declares the same domain), so an infinite
+    or NaN multiplier is rejected where it is given instead of reaching
+    an export as ``Infinity`` or ``NaN``.
     """
     mult = float(value)
     if not 0.0 < mult < math.inf:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.domains import knob, validate
 from repro.hw.gpu import GpuSpec
 from repro.hw.link import LinkSpec
 
@@ -30,11 +31,10 @@ class ClusterSpec:
     name: str
     gpu: GpuSpec
     link: LinkSpec
-    world_size: int
+    world_size: int = knob(gt=0, integral=True)
 
     def __post_init__(self) -> None:
-        if self.world_size <= 0:
-            raise ValueError(f"world_size must be positive, got {self.world_size}")
+        validate(self)
 
     @property
     def total_sms(self) -> int:

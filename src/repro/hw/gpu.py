@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.domains import knob, validate
+
 __all__ = ["GpuSpec"]
 
 
@@ -35,22 +37,15 @@ class GpuSpec:
     """
 
     name: str
-    num_sms: int
-    tensor_tflops: float
-    mma_efficiency: float = 0.80
-    hbm_gbps: float = 3000.0
-    kernel_launch_us: float = 6.0
-    smem_per_block_kb: int = 228
+    num_sms: int = knob(gt=0, integral=True)
+    tensor_tflops: float = knob(gt=0)
+    mma_efficiency: float = knob(0.80, gt=0, le=1)
+    hbm_gbps: float = knob(3000.0, gt=0)
+    kernel_launch_us: float = knob(6.0, ge=0)
+    smem_per_block_kb: int = knob(228, gt=0, integral=True)
 
     def __post_init__(self) -> None:
-        if self.num_sms <= 0:
-            raise ValueError(f"num_sms must be positive, got {self.num_sms}")
-        if not 0.0 < self.mma_efficiency <= 1.0:
-            raise ValueError(f"mma_efficiency must lie in (0, 1], got {self.mma_efficiency}")
-        if self.tensor_tflops <= 0:
-            raise ValueError(f"tensor_tflops must be positive, got {self.tensor_tflops}")
-        if self.hbm_gbps <= 0:
-            raise ValueError(f"hbm_gbps must be positive, got {self.hbm_gbps}")
+        validate(self)
 
     @property
     def flops_per_us(self) -> float:

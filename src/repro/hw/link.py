@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.domains import knob, validate
+
 __all__ = ["LinkSpec"]
 
 
@@ -43,22 +45,15 @@ class LinkSpec:
     """
 
     name: str
-    gbps: float
-    latency_us: float = 1.5
-    per_message_us: float = 0.05
-    per_block_gbps: float = 8.0
-    a2a_efficiency: float = 0.45
-    ring_efficiency: float = 0.85
+    gbps: float = knob(gt=0)
+    latency_us: float = knob(1.5, ge=0)
+    per_message_us: float = knob(0.05, ge=0)
+    per_block_gbps: float = knob(8.0, gt=0)
+    a2a_efficiency: float = knob(0.45, gt=0, le=1)
+    ring_efficiency: float = knob(0.85, gt=0, le=1)
 
     def __post_init__(self) -> None:
-        if self.gbps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.gbps}")
-        if self.latency_us < 0 or self.per_message_us < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.per_block_gbps <= 0:
-            raise ValueError(f"per_block_gbps must be positive, got {self.per_block_gbps}")
-        if not 0.0 < self.a2a_efficiency <= 1.0 or not 0.0 < self.ring_efficiency <= 1.0:
-            raise ValueError("collective efficiencies must lie in (0, 1]")
+        validate(self)
 
     @property
     def bytes_per_us(self) -> float:

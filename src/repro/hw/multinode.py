@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.domains import knob, validate
 from repro.hw.cluster import ClusterSpec
 from repro.hw.gpu import GpuSpec
 from repro.hw.link import LinkSpec
@@ -58,12 +59,11 @@ class TwoTierCluster:
     gpu: GpuSpec
     intra_link: LinkSpec
     inter_link: LinkSpec
-    nodes: int
-    gpus_per_node: int
+    nodes: int = knob(gt=0, integral=True)
+    gpus_per_node: int = knob(gt=0, integral=True)
 
     def __post_init__(self) -> None:
-        if self.nodes <= 0 or self.gpus_per_node <= 0:
-            raise ValueError("nodes and gpus_per_node must be positive")
+        validate(self)
         if self.inter_link.gbps > self.intra_link.gbps:
             raise ValueError(
                 "inter-node fabric faster than intra-node link — check presets"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.domains import knob, validate
+
 __all__ = [
     "MIXTRAL_8X7B",
     "MoEConfig",
@@ -29,25 +31,20 @@ class MoEConfig:
     """
 
     name: str
-    num_layers: int
-    num_experts: int
-    topk: int
-    hidden_size: int
-    ffn_size: int
-    dtype_bytes: int = 2  # BF16/FP16 as used throughout the paper
-    num_attention_heads: int = 32
+    num_layers: int = knob(gt=0, integral=True)
+    num_experts: int = knob(gt=0, integral=True)
+    topk: int = knob(gt=0, integral=True)
+    hidden_size: int = knob(gt=0, integral=True)
+    ffn_size: int = knob(gt=0, integral=True)
+    dtype_bytes: int = knob(2, gt=0, integral=True)  # BF16/FP16 as used throughout the paper
+    num_attention_heads: int = knob(32, gt=0, integral=True)
 
     def __post_init__(self) -> None:
-        if self.num_experts <= 0:
-            raise ValueError(f"num_experts must be positive, got {self.num_experts}")
-        if not 1 <= self.topk <= self.num_experts:
+        validate(self)
+        if self.topk > self.num_experts:
             raise ValueError(
                 f"topk must lie in [1, num_experts={self.num_experts}], got {self.topk}"
             )
-        if self.hidden_size <= 0 or self.ffn_size <= 0:
-            raise ValueError("hidden_size and ffn_size must be positive")
-        if self.num_layers <= 0:
-            raise ValueError(f"num_layers must be positive, got {self.num_layers}")
         if self.dtype_bytes not in (1, 2, 4, 8):
             raise ValueError(f"unsupported dtype_bytes {self.dtype_bytes}")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.domains import knob, validate
+
 __all__ = ["ParallelStrategy"]
 
 
@@ -22,14 +24,11 @@ class ParallelStrategy:
         ep_size: expert-parallel group size (experts divided over EP groups).
     """
 
-    tp_size: int
-    ep_size: int
+    tp_size: int = knob(gt=0, integral=True)
+    ep_size: int = knob(gt=0, integral=True)
 
     def __post_init__(self) -> None:
-        if self.tp_size <= 0 or self.ep_size <= 0:
-            raise ValueError(
-                f"tp_size and ep_size must be positive, got {self.tp_size}x{self.ep_size}"
-            )
+        validate(self)
 
     @property
     def world_size(self) -> int:

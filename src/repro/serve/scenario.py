@@ -35,6 +35,7 @@ from repro.api.scenario import (
     check_point,
     run_tasks,
 )
+from repro.domains import knob, validate
 from repro.graph.straggler import StragglerSpec
 from repro.hw.cluster import ClusterSpec
 from repro.moe.config import MoEConfig
@@ -75,16 +76,19 @@ class ServeScenario:
     cluster: ClusterSpec
     strategy: ParallelStrategy
     trace: TraceSpec = TraceSpec()
-    max_batch_tokens: int = 8192
-    max_batch_size: int = 256
+    max_batch_tokens: int = knob(
+        8192, gt=0, integral=True, help="continuous-batching token budget per iteration"
+    )
+    max_batch_size: int = knob(256, gt=0, integral=True)
     policy: str = "fcfs"
-    slo_ttft_ms: float = 500.0
-    slo_tpot_ms: float = 75.0
-    bucket_tokens: int = 256
+    slo_ttft_ms: float = knob(500.0, gt=0, help="time-to-first-token SLO")
+    slo_tpot_ms: float = knob(75.0, gt=0, help="time-per-output-token SLO")
+    bucket_tokens: int = knob(256, gt=0, integral=True)
     overlap_policy: str = "per_layer"
     stragglers: StragglerSpec | None = None
 
     def __post_init__(self) -> None:
+        validate(self)
         check_point(
             self.cluster,
             self.strategy,
@@ -92,11 +96,6 @@ class ServeScenario:
             stragglers=self.stragglers,
             overlap_policy=self.overlap_policy,
             policy=self.policy,
-            slo_ttft_ms=self.slo_ttft_ms,
-            slo_tpot_ms=self.slo_tpot_ms,
-            max_batch_tokens=self.max_batch_tokens,
-            max_batch_size=self.max_batch_size,
-            bucket_tokens=self.bucket_tokens,
         )
 
     @property

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.api.registry import Registry
-from repro.api.scenario import BUDGET_PER_UNIT, SimulationBudgetExceeded, check_count
+from repro.api.scenario import BUDGET_PER_UNIT, SimulationBudgetExceeded
+from repro.domains import knob, validate
 
 __all__ = ["Request", "TRACE_REGISTRY", "TraceSpec", "build_trace"]
 
@@ -78,23 +79,33 @@ class TraceSpec:
     """
 
     kind: str = "poisson"
-    rps: float = 8.0
-    duration_s: float = 30.0
-    seed: int = 0
-    prompt_mean: int = 512
-    prompt_sigma: float = 0.6
-    max_prompt: int = 4096
-    output_mean: int = 128
-    output_sigma: float = 0.6
-    max_output: int = 1024
+    # Every number is finite: an infinite rate or horizon never ends
+    # trace generation.  rps and duration_s must also be positive unless
+    # the kind is replay (checked below).
+    rps: float = knob(8.0)
+    duration_s: float = knob(30.0, help="trace seconds")
+    # numpy rejects a negative or fractional seed only mid-run, and a
+    # bool seed runs as 0 or 1 under its own label.
+    seed: int = knob(0, ge=0, integral=True)
+    # A length mean <= 0 has no lognormal fit (numpy warns and every
+    # length clips to 1); a fractional length caps or fails only inside
+    # build().
+    prompt_mean: int = knob(512, gt=0, integral=True, help="mean prompt tokens")
+    prompt_sigma: float = knob(0.6, ge=0)
+    max_prompt: int = knob(4096, gt=0, integral=True)
+    output_mean: int = knob(128, gt=0, integral=True, help="mean output tokens")
+    output_sigma: float = knob(0.6, ge=0)
+    max_output: int = knob(1024, gt=0, integral=True)
     # bursty (MMPP) knobs: the burst state runs at burst_factor * rps and
     # is occupied burst_fraction of the time; the calm state's rate is
-    # derived so the long-run mean stays rps.
-    burst_factor: float = 4.0
-    burst_fraction: float = 0.2
-    burst_dwell_s: float = 2.0
+    # derived so the long-run mean stays rps.  A negative burst factor
+    # would inflate the calm rate past the mean, and a zero dwell never
+    # advances the bursty clock.
+    burst_factor: float = knob(4.0, ge=0)
+    burst_fraction: float = knob(0.2, gt=0, lt=1)
+    burst_dwell_s: float = knob(2.0, gt=0)
     # diurnal knob: rate(t) = rps * (1 + amplitude * sin(2*pi*t/duration)).
-    amplitude: float = 0.8
+    amplitude: float = knob(0.8, ge=0, le=1)
     # replay: explicit arrival offsets (ms); lengths still sampled unless
     # prompt/output pairs are given too.
     arrivals_ms: tuple[float, ...] = field(default=())
@@ -111,41 +122,18 @@ class TraceSpec:
         object.__setattr__(
             self, "replay_lengths", tuple(tuple(pair) for pair in self.replay_lengths)
         )
-        # Every number must be finite: NaN slips past each ordered
-        # comparison below, and an infinite rate or horizon never ends
-        # trace generation.
-        numbers = [
-            (spec_field.name, getattr(self, spec_field.name))
-            for spec_field in fields(self)
-            if spec_field.name not in ("kind", "arrivals_ms", "replay_lengths")
-        ]
-        numbers += [("arrivals_ms", value) for value in self.arrivals_ms]
-        numbers += [
+        validate(self)
+        # The replay entries must be finite too: NaN slips past every
+        # ordered comparison.
+        entries = [("arrivals_ms", value) for value in self.arrivals_ms]
+        entries += [
             ("replay_lengths", value)
             for pair in self.replay_lengths
             for value in pair
         ]
-        for name, value in numbers:
+        for name, value in entries:
             if not (isinstance(value, int) or math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        # A length mean <= 0 has no lognormal fit (numpy warns and every
-        # length clips to 1), numpy rejects a negative seed mid-run, a zero
-        # burst dwell never advances the bursty clock, and a negative
-        # burst factor inflates the calm rate past the mean.
-        for name in (
-            "prompt_mean", "output_mean", "max_prompt", "max_output", "burst_dwell_s",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("prompt_sigma", "output_sigma", "seed", "burst_factor"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # A fractional length caps or fails only inside build(), a
-        # fractional seed fails only inside numpy, and a bool seed runs as
-        # 0 or 1 under its own label.
-        check_count("seed", self.seed)
-        for name in ("prompt_mean", "max_prompt", "output_mean", "max_output"):
-            check_count(name, getattr(self, name), low=1)
         if self.kind != "replay":
             if self.rps <= 0:
                 raise ValueError(f"rps must be positive, got {self.rps}")
@@ -153,18 +141,12 @@ class TraceSpec:
                 raise ValueError(
                     f"duration_s must be positive, got {self.duration_s}"
                 )
-        if not 0 < self.burst_fraction < 1:
-            raise ValueError(
-                f"burst_fraction must lie in (0, 1), got {self.burst_fraction}"
-            )
         if self.burst_factor * self.burst_fraction > 1:
             # Calm-state rate would go negative while preserving the mean.
             raise ValueError(
                 f"burst_factor {self.burst_factor} too large for "
                 f"burst_fraction {self.burst_fraction}"
             )
-        if not 0 <= self.amplitude <= 1:
-            raise ValueError(f"amplitude must lie in [0, 1], got {self.amplitude}")
         if self.replay_lengths and len(self.replay_lengths) != len(self.arrivals_ms):
             raise ValueError(
                 "replay_lengths must be empty or match arrivals_ms in length"

@@ -10,7 +10,7 @@ Public API:
 
 * :class:`Environment` — event loop with a virtual clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — the event algebra.
-* :class:`AllOf` / :class:`AnyOf` — condition events.
+* :class:`AllOf` — waits for every event of a set.
 * :class:`Interrupt` — exception injected into interrupted processes.
 """
 
@@ -19,7 +19,6 @@ from repro._lazy import lazy_exports
 #: Every public name, with the module that defines it (PEP 562).
 _LAZY = {
     "AllOf": "repro.sim.engine",
-    "AnyOf": "repro.sim.engine",
     "Environment": "repro.sim.engine",
     "Event": "repro.sim.engine",
     "Interrupt": "repro.sim.engine",

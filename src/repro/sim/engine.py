@@ -18,7 +18,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
@@ -83,13 +82,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only valid once triggered."""
-        if self._ok is None:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value (or failure exception), once triggered."""
         if self._value is _PENDING:
@@ -116,21 +108,6 @@ class Event:
         self._value = exception
         self.env._schedule(self, NORMAL)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
-    # -- composition ------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -179,14 +156,9 @@ class Process(Event):
         self._target: Optional[Event] = None  # event the process waits on
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the wrapped generator has not exited."""
-        return self._value is _PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
         if self is self.env.active_process:
             raise SimulationError("a process is not allowed to interrupt itself")
@@ -250,8 +222,9 @@ class Process(Event):
         self.env._active_process = None
 
 
-class Condition(Event):
-    """Waits on a set of events; concrete policy decides when it fires."""
+class AllOf(Event):
+    """Fires once every constituent event has succeeded, with a dict of
+    their values; fails with the first constituent that fails."""
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -263,7 +236,7 @@ class Condition(Event):
                 raise SimulationError("all events must share one environment")
 
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed({})
             return
 
         for event in self.events:
@@ -271,16 +244,6 @@ class Condition(Event):
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-
-    def _satisfied(self, count: int) -> bool:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self.events
-            if event.triggered and event._ok
-        }
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -292,22 +255,8 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._satisfied(self._count):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires once every constituent event has succeeded."""
-
-    def _satisfied(self, count: int) -> bool:
-        return count == len(self.events)
-
-
-class AnyOf(Condition):
-    """Fires as soon as any constituent event succeeds."""
-
-    def _satisfied(self, count: int) -> bool:
-        return count >= 1
+        if self._count == len(self.events):
+            self.succeed({event: event._value for event in self.events})
 
 
 class Environment:
@@ -341,9 +290,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling / stepping ----------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

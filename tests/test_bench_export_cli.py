@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import format_table, table3_memory
-from repro.bench.export import result_to_json, rows_to_csv, save_json
+from repro.bench.export import result_to_json, save_json
 from repro.cli import main
 
 
@@ -53,16 +53,6 @@ class TestExport:
     def test_tuple_keys_flattened(self):
         text = result_to_json({("a", 1): 2.0})
         assert json.loads(text) == {"a/1": 2.0}
-
-    def test_rows_to_csv(self):
-        csv_text = rows_to_csv(["m", "v"], [("x", 1), ("y", 2)])
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "m,v"
-        assert lines[1] == "x,1"
-
-    def test_rows_to_csv_validates_width(self):
-        with pytest.raises(ValueError):
-            rows_to_csv(["a"], [(1, 2)])
 
 
 class TestCli:

@@ -7,10 +7,10 @@ text are free to change.  ``RUNS`` records, for in-process invocations
 run in an empty directory, the sha256 (first 16 hex digits) of stdout,
 stderr and every file written, plus the exit code.
 
-The runs cover the CI CLI smokes, every subcommand and ``trace`` mode,
-and the CLI error paths.  They leave out ``--workers``/``--report``
-(the cache table depends on cache state and thread timing) and
-``--metrics-out`` (its manifest is wall-clock stamped).
+The runs cover the CI CLI smokes, every subcommand, and the CLI error
+paths.  They leave out ``--workers``/``--report`` (the cache table
+depends on cache state and thread timing) and ``--metrics-out`` (its
+manifest is wall-clock stamped).
 
 Re-record both tables only for an intended CLI change: run this module
 as a script (``PYTHONPATH=src python tests/test_cli_contract.py``) and
@@ -81,7 +81,7 @@ ARGVS = {
         "fleet", "--replicas", "2", "--failures", "0@500:1500", "--rps", "30",
         "--duration", "3", *FLEET, "--trace-out", "fleet-trace.json",
     ],
-    # -- every subcommand and trace mode ---------------------------------------
+    # -- every subcommand ------------------------------------------------------
     "layer-report": ["layer", "--tokens", "2048", "--report"],
     "model-training-report": [
         "model", "--tokens", "2048", "--systems", "comet", "--training",
@@ -107,22 +107,13 @@ ARGVS = {
         "--rps", "20", "--duration", "3", *FLEET, "--csv", "fleet.csv",
     ],
     "trace-kernels": ["trace", "--tokens", "2048", "--out", "kernels.json"],
-    "trace-graph": [
-        "trace", "--graph", "--tokens", "2048", "--stragglers", "1.5",
-        "--out", "graph.json",
-    ],
-    "trace-serve": [
-        "trace", "--serve", "--rps", "20", "--duration", "1",
-        "--out", "serve.json",
-    ],
-    "trace-fleet": [
-        "trace", "--fleet", "--rps", "20", "--duration", "1",
-        "--out", "fleet.json",
-    ],
     # -- error paths -----------------------------------------------------------
     "fleet-unknown-router": ["fleet", "--router", "random"],
     "fleet-unknown-system": ["fleet", "--systems", "nope"],
     "fleet-bad-failure-spec": ["fleet", "--failures", "bogus"],
+    "fleet-nan-failure": [
+        "fleet", "--failures", "0@nan", "--rps", "20", "--duration", "1", *FLEET,
+    ],
     "fleet-bad-replica-shape": ["fleet", "--replicas", "2x+3q"],
     "serve-unknown-system": ["serve", "--systems", "nope"],
     "serve-zero-tp": ["serve", "--tp", "0"],
@@ -324,23 +315,10 @@ OPTIONS = {
         "-h": ("help", "==SUPPRESS==", 0, None, None, "_HelpAction"),
     },
     "trace": {
-        "--arrivals": ("arrivals", "poisson", None, None, ["poisson", "bursty", "diurnal"], "_StoreAction"),
         "--cluster": ("cluster", "h800", None, None, ["h800", "l20"], "_StoreAction"),
-        "--duration": ("duration", 3.0, None, "float", None, "_StoreAction"),
         "--ep": ("ep", None, None, "int", None, "_StoreAction"),
-        "--failures": ("failures", None, "+", None, None, "_StoreAction"),
-        "--fleet": ("fleet", False, 0, None, None, "_StoreTrueAction"),
-        "--graph": ("graph", False, 0, None, None, "_StoreTrueAction"),
         "--model": ("model", "mixtral", None, None, ["mixtral", "phi3.5", "qwen2"], "_StoreAction"),
         "--out": ("out", "comet_timeline.json", None, None, None, "_StoreAction"),
-        "--overlap-policy": ("overlap_policy", "per_layer", None, None, ["per_layer", "cross_layer", "shortcut"], "_StoreAction"),
-        "--replicas": ("replicas", "2", None, None, None, "_StoreAction"),
-        "--router": ("router", "round_robin", None, None, None, "_StoreAction"),
-        "--rps": ("rps", 40.0, None, "float", None, "_StoreAction"),
-        "--seed": ("seed", 0, None, "int", None, "_StoreAction"),
-        "--serve": ("serve", False, 0, None, None, "_StoreTrueAction"),
-        "--stragglers": ("stragglers", None, None, "float", None, "_StoreAction"),
-        "--system": ("system", "comet", None, None, None, "_StoreAction"),
         "--tokens": ("tokens", 16384, None, "int", None, "_StoreAction"),
         "--tp": ("tp", 1, None, "int", None, "_StoreAction"),
         "-h": ("help", "==SUPPRESS==", 0, None, None, "_HelpAction"),
@@ -363,6 +341,7 @@ RUNS = {
     "fleet-autoscale": {"exit": 0, "stdout": "691e0edbd3e90e0d", "stderr": "e3b0c44298fc1c14", "files": {"fleet.csv": "1a3a970e55ad3dcd"}},
     "fleet-bad-failure-spec": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "6a305ee3492edd98", "files": {}},
     "fleet-bad-replica-shape": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "12f305571ea3bc86", "files": {}},
+    "fleet-nan-failure": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "5add285c6d3420ee", "files": {}},
     "fleet-unknown-router": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "81300be5692c8fe7", "files": {}},
     "fleet-unknown-system": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "9296476cc469dd6c", "files": {}},
     "fleet-zero-batch-budget": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "d8111cafeeb2127e", "files": {}},
@@ -383,10 +362,7 @@ RUNS = {
     "sweep-overlap-policy": {"exit": 0, "stdout": "e97b3e417f6533a8", "stderr": "e3b0c44298fc1c14", "files": {"sweep.json": "ec60f39ef66d4946"}},
     "sweep-skips-unreachable-imbalance": {"exit": 0, "stdout": "17546383d0ef241c", "stderr": "fba1b5e9b21a0b42", "files": {}},
     "sweep-straggler-mult": {"exit": 0, "stdout": "7f2273f5d8f1c7a4", "stderr": "e3b0c44298fc1c14", "files": {}},
-    "trace-fleet": {"exit": 0, "stdout": "8b61fdc60856af49", "stderr": "e3b0c44298fc1c14", "files": {"fleet.json": "e6d2685016077bbd"}},
-    "trace-graph": {"exit": 0, "stdout": "3feab77b894db9be", "stderr": "e3b0c44298fc1c14", "files": {"graph.json": "1c193085f8165eb6"}},
     "trace-kernels": {"exit": 0, "stdout": "ed01a63cbf2627f8", "stderr": "e3b0c44298fc1c14", "files": {"kernels.json": "eff4853ac907579d"}},
-    "trace-serve": {"exit": 0, "stdout": "87b9f5e6a004260c", "stderr": "e3b0c44298fc1c14", "files": {"serve.json": "8efe6a30bdcf29e8"}},
     "trace-zero-tp": {"exit": 2, "stdout": "e3b0c44298fc1c14", "stderr": "3565355762428af3", "files": {}},
 }
 

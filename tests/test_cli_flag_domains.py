@@ -3,9 +3,8 @@
 The walk reads each subcommand's ``int`` and ``float`` options from the
 parser itself, so a new flag is covered with no new test code.  Each
 option runs in-process on minimal arguments with ``nan``, ``inf`` and
-``-1`` (floats) or ``-1`` and ``0`` (ints).  A ``trace`` option whose
-help names its mode (``--fleet mode: ...``) runs under that mode, and
-``fleet`` runs with autoscaling on so its autoscaler options act.
+``-1`` (floats) or ``-1`` and ``0`` (ints).  ``fleet`` runs with
+autoscaling on so its autoscaler options act.
 
 A run must not raise or emit a ``RuntimeWarning``, and must exit 0 or
 2, or 1 through one of the explicit no-result paths (a ``sweep`` that
@@ -14,7 +13,6 @@ never accepted.
 """
 
 import math
-import re
 import warnings
 
 import pytest
@@ -26,7 +24,6 @@ MINIMAL = {"--tokens": "2048", "--rps": "20", "--duration": "1", "--systems": "c
 EXTRA = {"fleet": ["--autoscale", "1"]}
 BAD = {float: ("nan", "inf", "-1"), int: ("-1", "0")}
 NO_RESULT = ("error: no valid scenario", "no curve on this cluster:")
-MODE = re.compile(r"(--[\w-]+(?:/--[\w-]+)*) modes?:")
 
 
 def _cases():
@@ -39,13 +36,9 @@ def _cases():
         for action in parser._actions:
             if action.type not in BAD:
                 continue
-            match = MODE.match(action.help or "")
-            modes = match.group(1).split("/") if match else [None]
             flag = action.option_strings[0]
-            for mode in modes:
-                for value in BAD[action.type]:
-                    argv = base + ([mode] if mode else []) + [flag, value]
-                    yield pytest.param(argv, id=" ".join(filter(None, (command, mode, flag, value))))
+            for value in BAD[action.type]:
+                yield pytest.param(base + [flag, value], id=f"{command} {flag} {value}")
 
 
 CASES = list(_cases())

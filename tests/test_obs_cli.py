@@ -1,6 +1,7 @@
-"""`repro trace` modes and the --trace-out/--metrics-out flags.
+"""`repro trace` and the --trace-out/--metrics-out flags.
 
-Acceptance for the observability PR: ``repro trace --fleet`` emits a
+``repro trace`` exports one rank's fused kernels; ``model``, ``serve``
+and ``fleet --trace-out`` export the higher tiers.  A fleet trace is a
 valid Chrome trace with per-replica pids, request flow events, counter
 tracks, and autoscaler/failure instants.
 """
@@ -11,6 +12,8 @@ from repro.cli import main
 from repro.obs import validate_chrome_trace
 
 FAST_SERVE = ["--rps", "20", "--duration", "1"]
+GRAPH = ["model", "--systems", "comet", "--overlap-policy", "per_layer"]
+FLEET = ["fleet", *FAST_SERVE, "--systems", "comet"]
 
 
 def _load(path):
@@ -49,9 +52,7 @@ class TestTraceKernels:
 class TestTraceGraph:
     def test_graph_mode_emits_critical_path_instants(self, tmp_path, capsys):
         out = tmp_path / "g.json"
-        code = main([
-            "trace", "--graph", "--tokens", "4096", "--out", str(out),
-        ])
+        code = main([*GRAPH, "--tokens", "4096", "--trace-out", str(out)])
         assert code == 0
         doc, counts = _load(out)
         assert counts["i"] > 0  # critical-path markers
@@ -61,8 +62,7 @@ class TestTraceGraph:
     def test_graph_mode_multi_rank_with_stragglers(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         code = main([
-            "trace", "--graph", "--tokens", "4096",
-            "--stragglers", "1.5", "--out", str(out),
+            *GRAPH, "--tokens", "4096", "--stragglers", "1.5", "--trace-out", str(out),
         ])
         assert code == 0
         doc, _ = _load(out)
@@ -77,7 +77,9 @@ class TestTraceGraph:
 class TestTraceServe:
     def test_serve_mode_emits_flows_and_counters(self, tmp_path, capsys):
         out = tmp_path / "s.json"
-        code = main(["trace", "--serve", *FAST_SERVE, "--out", str(out)])
+        code = main([
+            "serve", *FAST_SERVE, "--systems", "comet", "--trace-out", str(out),
+        ])
         assert code == 0
         doc, counts = _load(out)
         assert counts["C"] > 0 and counts["s"] == counts["f"] > 0
@@ -89,7 +91,9 @@ class TestTraceFleet:
     def test_fleet_trace_acceptance(self, tmp_path, capsys):
         """The PR's acceptance criterion, end to end."""
         out = tmp_path / "f.json"
-        code = main(["trace", "--fleet", *FAST_SERVE, "--out", str(out)])
+        code = main([
+            *FLEET, "--replicas", "2", "--failures", "0@500:1500", "--trace-out", str(out),
+        ])
         assert code == 0
         doc, counts = _load(out)
         events = doc["traceEvents"]
@@ -104,18 +108,13 @@ class TestTraceFleet:
         assert counts["s"] == counts["f"] > 0
         # counter tracks
         assert counts["C"] > 0
-        # failure/recovery instants from the default injected failure
+        # failure/recovery instants from the injected failure
         instants = {e["name"] for e in events if e["ph"] == "i"}
         assert {"fail", "recover"} <= instants
 
-    def test_fleet_trace_failures_none_disables_injection(
-        self, tmp_path, capsys
-    ):
+    def test_fleet_trace_without_failures_has_no_instants(self, tmp_path, capsys):
         out = tmp_path / "f.json"
-        code = main([
-            "trace", "--fleet", *FAST_SERVE,
-            "--failures", "none", "--out", str(out),
-        ])
+        code = main([*FLEET, "--replicas", "2", "--trace-out", str(out)])
         assert code == 0
         doc, counts = _load(out)
         assert counts.get("i", 0) == 0
@@ -123,9 +122,7 @@ class TestTraceFleet:
     def test_fleet_trace_respects_router_choice(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         code = main([
-            "trace", "--fleet", *FAST_SERVE, "--replicas", "3",
-            "--router", "least_queue", "--failures", "none",
-            "--out", str(out),
+            *FLEET, "--replicas", "3", "--router", "least_queue", "--trace-out", str(out),
         ])
         assert code == 0
         assert validate_chrome_trace(json.loads(out.read_text()))["X"] > 0

@@ -1,26 +1,34 @@
-"""Grid points that used to construct and then fail mid-run, and the one
-``--tp``/``--ep`` derivation of the single-strategy CLI subcommands.
+"""Grid points that used to construct and then fail mid-run, the walk
+over every declared field domain, and the one ``--tp``/``--ep``
+derivation of the single-strategy CLI subcommands.
 
 Every point is now rejected where it is built: an unreachable routing
 imbalance (``std >= sqrt(E-1)/E``) by :class:`~repro.api.scenario.Scenario`,
-non-positive batch sizes by the serving scenarios, negative, fractional
-or bool seeds by every spec that carries one, fractional trace lengths
-by the trace spec, and NaN, infinite or non-positive serving settings
-by the trace, resilience and autoscaler specs.  The CLI
-reports them as ``error: ...`` (exit 2), and ``sweep`` skips the point.
+and every value outside a numeric field's declared domain
+(:mod:`repro.domains`) by the spec that carries the field.  The domain
+walk reaches each spec through the conventions roots
+(``tests/test_conventions.py``): every ``int`` or ``float`` field must
+declare a domain, reject NaN, infinities, a bool, the nearest value
+outside each bound and, if integral, a fraction with a ``ValueError``
+that names it, and accept the values at its bounds.  The CLI reports a
+rejection as ``error: ...`` (exit 2), and ``sweep`` skips the point.
 A negative or non-integer fixed COMET division point is rejected by
 :class:`~repro.systems.comet.Comet` itself, and so is a division-point
 sweep of a layer other than the two fused kernels.
 """
 
+import dataclasses
+import math
+
 import pytest
 
 from repro import ExperimentSpec, FleetSpec, Scenario, ServeSpec, TraceSpec
 from repro.cli import main
-from repro.faults import MigrationSpec, ResilienceSpec
-from repro.fleet.spec import AutoscalerSpec, FleetScenario, ReplicaSpec
-from repro.hw import h800_node
-from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE
+from repro.domains import domains
+from repro.faults import BrownoutEvent, DegradeEvent, FailureEvent, FaultPlan
+from repro.fleet.spec import AutoscalerSpec
+from repro.hw import h800_node, h800_pod
+from repro.moe.config import MIXTRAL_8X7B, QWEN2_MOE, MoEConfig
 from repro.moe.routing import (
     imbalanced_fractions,
     max_imbalance_std,
@@ -28,8 +36,8 @@ from repro.moe.routing import (
 )
 from repro.parallel.strategy import ParallelStrategy
 from repro.runtime.workload import make_workload
-from repro.serve.scenario import ServeScenario
 from repro.systems import Comet
+from test_conventions import _roots
 
 EP8 = ParallelStrategy(tp_size=1, ep_size=8)
 
@@ -114,17 +122,6 @@ def test_zero_batch_budget_fails_at_grid_construction(spec):
         spec.grid(max_batch_tokens=(8192, 0))
 
 
-@pytest.mark.parametrize("field", ("max_batch_size", "bucket_tokens"))
-def test_serving_scenarios_reject_zero_sizes(field):
-    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-        ServeScenario(MIXTRAL_8X7B, h800_node(), EP8, **{field: 0})
-    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-        FleetScenario(
-            MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
-            **{field: 0},
-        )
-
-
 @pytest.mark.parametrize("command", ("serve", "fleet"))
 def test_serving_cli_reports_zero_batch_budget(command, capsys):
     code = main([
@@ -166,20 +163,6 @@ def test_nonpositive_tp_is_rejected(command, capsys):
 FAST = ["--rps", "20", "--duration", "1", "--systems", "comet"]
 
 
-def test_specs_reject_negative_seeds():
-    with pytest.raises(ValueError, match="seed must be finite and >= 0, got -1"):
-        Scenario(MIXTRAL_8X7B, h800_node(), EP8, tokens=2048, seed=-1)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        TraceSpec(seed=-1)
-    with pytest.raises(ValueError, match="router_seed must be finite and >= 0"):
-        FleetScenario(
-            MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
-            router_seed=-1,
-        )
-    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
-        ResilienceSpec(seed=-1)
-
-
 @pytest.mark.parametrize(
     "argv",
     (
@@ -217,100 +200,6 @@ def test_kernel_trace_checks_its_scenario(tokens, tmp_path, capsys):
 
 # -- serving settings -----------------------------------------------------------
 
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize(
-    "field",
-    (
-        "timeout_ms", "shed_factor", "slow_factor", "queue_factor", "backoff_ms",
-        "health_window_ms", "check_interval_ms", "probation_ms",
-    ),
-)
-@pytest.mark.parametrize("value", (NAN, INF), ids=("nan", "inf"))
-def test_resilience_settings_must_be_finite(field, value):
-    # An infinite backoff left requests neither completed, timed out nor
-    # shed; a NaN detector window ran silently.
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        ResilienceSpec(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "spec,kwargs",
-    (
-        (ResilienceSpec, dict(timeout_ms=400, max_retries=1.5)),  # ran as 2
-        (ResilienceSpec, dict(min_samples=2.5)),
-        (ResilienceSpec, dict(min_samples=NAN)),
-        (ResilienceSpec, dict(max_probations=INF)),
-        (ResilienceSpec, dict(seed=2.5)),  # crashed mid-run in the backoff
-        (MigrationSpec, dict(messages_per_seq=NAN)),  # priced as one message
-        (MigrationSpec, dict(messages_per_seq=INF)),  # served nothing
-        (MigrationSpec, dict(messages_per_seq=1.5)),
-        (AutoscalerSpec, dict(min_replicas=NAN)),  # labelled autoscale[minnan]
-        (AutoscalerSpec, dict(min_replicas=2.5)),
-        (AutoscalerSpec, dict(min_replicas=INF)),  # failed only at fleet build
-        (TraceSpec, dict(seed=2.5)),  # crashed mid-run inside numpy
-        (TraceSpec, dict(seed=True)),  # ran as seed 1 under a seedTrue label
-        (TraceSpec, dict(prompt_mean=2.5)),
-        (TraceSpec, dict(max_prompt=2.5)),  # capped every prompt at 2
-        (TraceSpec, dict(output_mean=1.5)),
-        (TraceSpec, dict(max_output=0.5)),  # failed in build()
-    ),
-    ids=lambda value: value.__name__ if isinstance(value, type) else repr(value),
-)
-def test_fleet_counts_must_be_integers(spec, kwargs):
-    (field,) = set(kwargs) - {"timeout_ms"}
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        spec(**kwargs)
-
-
-@pytest.mark.parametrize("seed", (2.5, True))
-@pytest.mark.parametrize(
-    "field,make",
-    (
-        ("seed", lambda seed: Scenario(MIXTRAL_8X7B, h800_node(), EP8, tokens=2048, seed=seed)),
-        (
-            "router_seed",
-            lambda seed: FleetScenario(
-                MIXTRAL_8X7B, (ReplicaSpec(cluster=h800_node(), strategy=EP8),),
-                router_seed=seed,
-            ),
-        ),
-    ),
-    ids=("Scenario", "FleetScenario"),
-)
-def test_seeds_must_be_integers(field, make, seed):
-    # 2.5 crashed mid-run inside numpy; True ran as seed 1 under its own
-    # label, and a power_of_two fleet exported another digest than seed 1.
-    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0"):
-        make(seed)
-
-
-@pytest.mark.parametrize("field", ("prompt_mean", "output_mean", "max_prompt", "max_output"))
-@pytest.mark.parametrize("value", (0, -1))
-def test_trace_lengths_must_be_positive(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be positive"):
-        TraceSpec(**{field: value})
-
-
-@pytest.mark.parametrize("field", ("prompt_sigma", "output_sigma"))
-def test_trace_sigmas_must_be_non_negative(field):
-    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
-        TraceSpec(**{field: -0.1})
-
-
-@pytest.mark.parametrize("value", (NAN, INF), ids=("nan", "inf"))
-def test_kv_bytes_per_token_must_be_finite(value):
-    # NaN exported a different document than None; inf left every
-    # request unserved.
-    with pytest.raises(ValueError, match="kv_bytes_per_token must be finite and positive"):
-        MigrationSpec(kv_bytes_per_token=value)
-
-
-def test_autoscaler_scale_up_queue_must_be_finite():
-    with pytest.raises(ValueError, match="scale_up_queue must be finite"):
-        AutoscalerSpec(scale_up_queue=INF)
-
 
 @pytest.mark.parametrize(
     "flags",
@@ -330,6 +219,153 @@ def test_fleet_cli_rejects_bad_serving_setting(flags, capsys):
     # numpy warnings and clipped every length to 1.
     assert main(["fleet", *FAST, *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", ("0@nan", "0@500:inf", "0@100:nan:x2"))
+def test_fleet_cli_rejects_non_finite_fault_times(spec, tmp_path, capsys):
+    # Each used to run, serve nothing or fewer requests, and export NaN
+    # or Infinity.
+    out = tmp_path / "o.json"
+    assert main(["fleet", "--replicas", "2", "--failures", spec, *FAST, "--json", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad fault spec {spec!r}")
+    assert not out.exists()
+
+
+# -- field domains ----------------------------------------------------------------
+NAN, INF = float("nan"), float("inf")
+
+
+def _domain_roots() -> tuple:
+    """The conventions roots, a fleet carrying every fault family and a
+    legacy failure, and a two-tier cluster."""
+    plan = FaultPlan(
+        crashes=(FailureEvent(1, 0.0, 400.0),),
+        degrades=(DegradeEvent(0, 0.0, 800.0, compute_mult=2.0),),
+        brownouts=(BrownoutEvent(0.0, 600.0),),
+    )
+    faulted = FleetSpec.grid(
+        replicas=2, traces=TraceSpec(rps=10, duration_s=1), systems="comet",
+        failures=FailureEvent(0, 0.0, 300.0), faults=plan,
+    )
+    return (*_roots(), faulted, h800_pod(2))
+
+
+def _reached(roots) -> dict[type, object]:
+    """The first instance of each dataclass reached from ``roots``
+    through fields and containers."""
+    found: dict[type, object] = {}
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            found.setdefault(type(obj), obj)
+            stack.extend(getattr(obj, field.name) for field in dataclasses.fields(obj))
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return found
+
+
+def _numeric_type(annotation) -> str | None:
+    """``"int"`` or ``"float"`` for an int or float annotation, optionally
+    ``| None``; ``None`` for anything else."""
+    text = annotation if isinstance(annotation, str) else getattr(
+        annotation, "__name__", str(annotation)
+    )
+    parts = {part.strip() for part in text.split("|")} - {"None"}
+    return parts.pop() if parts in ({"int"}, {"float"}) else None
+
+
+REACHED = _reached(_domain_roots())
+
+#: Valid instances for the classes whose cross-field rules would reject
+#: a bound on the roots' instance: 1 token does not divide over 8 ranks,
+#: top-2 routing needs two experts, a burst factor of 4 caps the burst
+#: fraction at 0.25, and scale_down_queue=1 keeps scale_up_queue above 1.
+INSTANCES = {
+    **REACHED,
+    Scenario: Scenario(MIXTRAL_8X7B, h800_node(1), ParallelStrategy(1, 1), tokens=1),
+    MoEConfig: dataclasses.replace(MIXTRAL_8X7B, topk=1),
+    TraceSpec: TraceSpec(burst_factor=1.0),
+    AutoscalerSpec: AutoscalerSpec(scale_down_queue=0.0),
+}
+
+#: (class, field, annotated type) of every int or float field reached.
+NUMERIC_FIELDS = [
+    (cls, field.name, kind)
+    for cls in REACHED
+    for field in dataclasses.fields(cls)
+    if (kind := _numeric_type(field.type)) is not None
+]
+
+
+def _bounds(domain) -> tuple[list, list]:
+    """The nearest value outside each bound of ``domain``, and the
+    nearest value at or inside it."""
+    outside, inside = [], []
+    for bound, is_open, out in (
+        (domain.low, domain.low_open, -1), (domain.high, domain.high_open, 1),
+    ):
+        if bound is None:
+            continue
+        if domain.integral:
+            beyond, within = bound + out, bound - out
+        else:
+            bound = float(bound)
+            beyond = math.nextafter(bound, out * INF)
+            within = math.nextafter(bound, -out * INF)
+        outside.append(bound if is_open else beyond)
+        inside.append(within if is_open else bound)
+    return outside, inside
+
+
+def _cases(pick):
+    for cls, instance in INSTANCES.items():
+        for name, domain in domains(cls).items():
+            for value in pick(domain):
+                yield pytest.param(instance, name, value, id=f"{cls.__name__}.{name}={value!r}")
+
+
+BAD = [
+    *_cases(lambda d: [NAN, INF, -INF, True, *_bounds(d)[0], *([2.5] if d.integral else [])]),
+    # A fractional split below 2: ParallelStrategy(1.5, 2) used to construct.
+    pytest.param(INSTANCES[ParallelStrategy], "tp_size", 1.5, id="ParallelStrategy.tp_size=1.5"),
+]
+BOUNDS = list(_cases(lambda d: _bounds(d)[1]))
+
+
+def test_walk_reaches_every_class_with_numeric_fields():
+    assert {cls.__name__ for cls, _, _ in NUMERIC_FIELDS} == {
+        "Scenario", "ServeScenario", "FleetScenario", "ReplicaSpec",
+        "TraceSpec", "AutoscalerSpec", "ResilienceSpec", "MigrationSpec",
+        "FailureEvent", "DegradeEvent", "BrownoutEvent",
+        "GpuSpec", "LinkSpec", "ClusterSpec", "TwoTierCluster", "MoEConfig",
+        "ParallelStrategy",
+    }
+
+
+@pytest.mark.parametrize(
+    "cls,name,kind", NUMERIC_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in NUMERIC_FIELDS],
+)
+def test_numeric_field_declares_a_domain(cls, name, kind):
+    domain = domains(cls).get(name)
+    assert domain is not None, f"{cls.__name__}.{name} declares no domain"
+    assert domain.type.__name__ == kind, f"{cls.__name__}.{name} is {kind}"
+
+
+@pytest.mark.parametrize("instance,name,value", BAD)
+def test_domain_rejects_bad_value(instance, name, value):
+    with pytest.raises(ValueError) as caught:
+        dataclasses.replace(instance, **{name: value})
+    assert str(caught.value).startswith(f"{name} "), str(caught.value)
+
+
+@pytest.mark.parametrize("instance,name,value", BOUNDS)
+def test_domain_accepts_its_bounds(instance, name, value):
+    assert getattr(dataclasses.replace(instance, **{name: value}), name) == value
 
 
 # -- COMET division point --------------------------------------------------------

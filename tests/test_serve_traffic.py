@@ -126,13 +126,13 @@ class TestValidation:
     def test_nonpositive_burst_dwell_rejected(self, dwell):
         # A zero mean dwell never advanced the bursty clock (build() hung);
         # a negative one failed inside numpy at build time.
-        with pytest.raises(ValueError, match="burst_dwell_s must be positive"):
+        with pytest.raises(ValueError, match="burst_dwell_s must be finite and positive"):
             TraceSpec(kind="bursty", burst_dwell_s=dwell)
 
     def test_negative_burst_factor_rejected(self):
         # -1 made a 50 rps spec generate 66.4 rps: the calm rate absorbed
         # the negative burst rate.
-        with pytest.raises(ValueError, match="burst_factor must be >= 0"):
+        with pytest.raises(ValueError, match="burst_factor must be finite and >= 0"):
             TraceSpec(kind="bursty", rps=50, burst_factor=-1.0)
 
     @pytest.mark.parametrize(

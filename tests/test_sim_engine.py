@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     SimulationError,
@@ -238,18 +237,6 @@ class TestProcesses:
         env.run()
         assert stamps == [2.0, 4.0, 6.0]
 
-    def test_is_alive(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1.0)
-
-        p = env.process(proc())
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
-
-
 class TestInterrupts:
     def test_interrupt_delivers_cause(self):
         env = Environment()
@@ -316,41 +303,25 @@ class TestConditions:
         env.run()
         assert done == [5.0]
 
-    def test_any_of_fires_on_first(self):
+    def test_all_of_fails_with_its_first_failing_event(self):
         env = Environment()
-        done = []
+        broken = env.event()
+        caught = []
 
         def proc():
-            yield AnyOf(env, [env.timeout(4), env.timeout(2)])
-            done.append(env.now)
+            try:
+                yield AllOf(env, [env.timeout(5), broken])
+            except RuntimeError as exc:
+                caught.append((str(exc), env.now))
+
+        def breaker():
+            yield env.timeout(1)
+            broken.fail(RuntimeError("boom"))
 
         env.process(proc())
+        env.process(breaker())
         env.run()
-        assert done == [2.0]
-
-    def test_and_operator(self):
-        env = Environment()
-        done = []
-
-        def proc():
-            yield env.timeout(1) & env.timeout(2)
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [2.0]
-
-    def test_or_operator(self):
-        env = Environment()
-        done = []
-
-        def proc():
-            yield env.timeout(1) | env.timeout(2)
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [1.0]
+        assert caught == [("boom", 1.0)]
 
     def test_empty_all_of_fires_immediately(self):
         env = Environment()
@@ -380,7 +351,7 @@ class TestConditions:
 
 
 class TestInterruptWhileBlockedOnConditions:
-    """Interrupting a process that is waiting on AllOf / AnyOf."""
+    """Interrupting a process that is waiting on AllOf."""
 
     def test_interrupt_while_blocked_on_all_of(self):
         env = Environment()
@@ -403,26 +374,6 @@ class TestInterruptWhileBlockedOnConditions:
         env.process(attacker(proc))
         env.run()
         assert log == [("interrupted", "stop waiting", 5.0)]
-
-    def test_interrupt_while_blocked_on_any_of(self):
-        env = Environment()
-        log = []
-
-        def victim():
-            try:
-                yield AnyOf(env, [env.timeout(10), env.timeout(20)])
-                log.append("completed")
-            except Interrupt as exc:
-                log.append(("interrupted", exc.cause, env.now))
-
-        def attacker(proc):
-            yield env.timeout(3)
-            proc.interrupt()
-
-        proc = env.process(victim())
-        env.process(attacker(proc))
-        env.run()
-        assert log == [("interrupted", None, 3.0)]
 
     def test_condition_firing_after_interrupt_does_not_resume_victim(self):
         # The constituent timeouts still fire at t=10/t=20; the detached
@@ -459,7 +410,7 @@ class TestInterruptWhileBlockedOnConditions:
         def victim():
             t1 = env.timeout(10, value="late")
             try:
-                yield AnyOf(env, [t1, env.timeout(30)])
+                yield AllOf(env, [t1, env.timeout(30)])
             except Interrupt:
                 value = yield t1
                 log.append((value, env.now))

@@ -8,9 +8,10 @@ instants) — validates each against the Chrome Trace Event Format
 schema, prints the unified metrics snapshot, and shows the run manifest
 that ties the exports back to the spec that produced them.
 
-Everything here is derived *after* the simulations finish: tracing on
-or off never changes a simulated number (the identity tests assert byte
-equality both ways).
+Everything here is derived *after* the simulations finish, so
+observing a run never changes a simulated number: the last step renders
+a result set's traces and metrics snapshot and checks its export bytes
+are unchanged, exiting non-zero if they are not.
 
 Open any of the written JSON files in https://ui.perfetto.dev.
 
@@ -114,26 +115,29 @@ def fleet_timeline(out_dir: str) -> None:
           f"fail/recover instants -> {path}")
 
 
-def zero_perturbation_demo() -> None:
-    """Observation on vs. off: byte-identical exports."""
-    spec = ServeSpec.grid(
+def zero_perturbation_demo() -> bool:
+    """Rendering a result set's traces and metrics leaves its export
+    bytes unchanged."""
+    results = ServeSpec.grid(
         traces=TraceSpec(rps=20, duration_s=1.0), systems="comet"
-    )
-    with obs.enabled():
-        on = spec.run().to_json()
-    with obs.disabled():
-        off = spec.run().to_json()
-    print(f"\nzero-perturbation: exports identical with obs on/off -> "
-          f"{on == off}")
+    ).run()
+    before = results.to_json()
+    for report in results.reports:
+        obs.trace_serve_report(report).to_chrome_trace()
+    obs.snapshot_for(results)
+    unchanged = results.to_json() == before
+    print(f"\nzero-perturbation: export unchanged by tracing and metrics "
+          f"-> {unchanged}")
+    return unchanged
 
 
-def main(out_dir: str = ".") -> None:
+def main(out_dir: str = ".") -> int:
     os.makedirs(out_dir, exist_ok=True)
     graph_timeline(out_dir)
     serve_timeline(out_dir)
     fleet_timeline(out_dir)
-    zero_perturbation_demo()
+    return 0 if zero_perturbation_demo() else 1
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else ".")
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "."))

@@ -331,9 +331,10 @@ nothing on the simulation path imports::
     print(perf.cache_stats())
 
 Observability.  :mod:`repro.obs` renders what the simulators already
-computed — never instruments the computation itself, so results are
-*bit-identical* with observation on or off (the identity tests assert
-byte equality of every export both ways).  Three pillars:
+computed, after the run — it never instruments the computation itself,
+so observing a run cannot change it (the identity tests render every
+trace and a metrics snapshot, and assert the export bytes and the
+reports are unchanged).  Three pillars:
 
 * **Timelines** — post-hoc builders turn a schedule graph, a serving
   report, or a fleet report into a Chrome/Perfetto trace with counter

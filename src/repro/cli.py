@@ -731,7 +731,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         from repro.obs.manifest import capture
         from repro.obs.metrics import MetricsRegistry, collect_cache_stats
 
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         for (sys_name, policy), value in makespans_ms.items():
             registry.gauge(f"model.{sys_name}.{policy}.makespan_ms", value)
         collect_cache_stats(registry)

@@ -1,8 +1,10 @@
 """`repro.obs` — unified observability: traces, metrics, provenance.
 
-Three pillars, all with a **zero-perturbation guarantee** (observation
-never changes a simulated result — the identity tests assert byte
-equality of every export with observation on vs. off):
+Three pillars, all with a **zero-perturbation guarantee**: every one
+reads a finished result and never runs inside a simulation, so
+observing a run cannot change it (the identity tests render every
+trace and a metrics snapshot, and assert the result set's
+``to_json()`` bytes and its reports are unchanged):
 
 * **Timelines** (:mod:`repro.obs.timeline`): post-hoc builders that
   render a :class:`~repro.graph.scheduler.GraphSchedule`, a
@@ -22,21 +24,13 @@ equality of every export with observation on vs. off):
   version) attached to every ``*Spec.run()`` result set and embedded in
   its ``to_json()``; call :meth:`~repro.obs.manifest.RunManifest.stamp`
   to add wall-clock at an export boundary.
-
-The module-level flag (:func:`is_enabled`, with the :func:`enabled` /
-:func:`disabled` context managers) gates *emission only* — a disabled
-tracer or registry is a no-op — and is never consulted by the
-simulators, which is what makes the bit-identity guarantee structural
-rather than aspirational.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro._lazy import lazy_exports
 
-#: Every public name defined outside this file, with its module (PEP 562).
+#: Every public name, with the module that defines it (PEP 562).
 _LAZY = {
     "RunManifest": "repro.obs.manifest",
     "capture": "repro.obs.manifest",
@@ -48,45 +42,10 @@ _LAZY = {
     "collect_serve": "repro.obs.metrics",
     "snapshot_for": "repro.obs.metrics",
     "validate_chrome_trace": "repro.obs.schema",
-    "FlowIdAllocator": "repro.obs.timeline",
     "trace_fleet_report": "repro.obs.timeline",
     "trace_graph_schedule": "repro.obs.timeline",
     "trace_serve_report": "repro.obs.timeline",
 }
 
-__all__ = sorted([*_LAZY, "disabled", "enabled", "is_enabled", "set_enabled"])
+__all__ = sorted(_LAZY)
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY)
-
-_STATE = {"enabled": True}
-
-
-def is_enabled() -> bool:
-    """Whether observability emission is globally on (default: on)."""
-    return _STATE["enabled"]
-
-
-def set_enabled(flag: bool) -> bool:
-    """Set the global emission flag; returns the previous value."""
-    previous = _STATE["enabled"]
-    _STATE["enabled"] = bool(flag)
-    return previous
-
-
-@contextmanager
-def disabled():
-    """Context manager: suppress all observability emission inside."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
-
-
-@contextmanager
-def enabled():
-    """Context manager: force observability emission on inside."""
-    previous = set_enabled(True)
-    try:
-        yield
-    finally:
-        set_enabled(previous)

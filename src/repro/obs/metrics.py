@@ -14,12 +14,9 @@ at snapshot time), with dotted metric names namespacing the tier
 :class:`~repro.serve.metrics.ServeResultSet`, or
 :class:`~repro.fleet.metrics.FleetResultSet` — plus the process-wide
 cache stats into one JSON-ready snapshot, which the CLI writes next to
-reports via ``--metrics-out``.
-
-Registries respect the global :func:`repro.obs.is_enabled` flag at
-construction (overridable per instance): a disabled registry's
-``counter``/``gauge``/``observe`` are no-ops, so instrumented code costs
-one predicate when observation is off.
+reports via ``--metrics-out``.  A registry is filled after a run, from
+what the run returned, so collecting metrics cannot change a simulated
+number.
 """
 
 from __future__ import annotations
@@ -39,46 +36,27 @@ __all__ = [
 class MetricsRegistry:
     """Counters, gauges, and histograms keyed by dotted metric names."""
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        if enabled is None:
-            from repro.obs import is_enabled
-
-            enabled = is_enabled()
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, list[float]] = {}
 
     def counter(self, name: str, amount: float = 1.0) -> None:
-        """Increment a monotonic counter (no-op when disabled)."""
-        if self.enabled:
-            self._counters[name] = self._counters.get(name, 0.0) + amount
+        """Increment a monotonic counter."""
+        self._counters[name] = self._counters.get(name, 0.0) + amount
 
     def gauge(self, name: str, value: float) -> None:
-        """Set a last-write-wins gauge (no-op when disabled)."""
-        if self.enabled:
-            self._gauges[name] = value
+        """Set a last-write-wins gauge."""
+        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Add one sample to a histogram (no-op when disabled)."""
-        if self.enabled:
-            self._histograms.setdefault(name, []).append(value)
+        """Add one sample to a histogram."""
+        self._histograms.setdefault(name, []).append(value)
 
     def observe_all(self, name: str, values: Any) -> None:
         """:meth:`observe` each sample of a numpy column, in order."""
-        if self.enabled and len(values):
+        if len(values):
             self._histograms.setdefault(name, []).extend(values.tolist())
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Absorb another registry (counters add, gauges overwrite,
-        histogram samples concatenate); no-op when disabled."""
-        if not self.enabled:
-            return
-        for name, value in other._counters.items():
-            self._counters[name] = self._counters.get(name, 0.0) + value
-        self._gauges.update(other._gauges)
-        for name, samples in other._histograms.items():
-            self._histograms.setdefault(name, []).extend(samples)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready dump; histograms summarise to count/min/mean/max
@@ -173,7 +151,7 @@ def snapshot_for(results: Any, include_caches: bool = True) -> dict[str, Any]:
     ``rows`` — and folds in the process-wide timing-cache stats unless
     ``include_caches=False``.
     """
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     if hasattr(results, "rows"):
         collect_experiment(registry, results)
     elif hasattr(results, "reports"):

@@ -32,23 +32,10 @@ from typing import Any
 from repro.sim.trace import Tracer
 
 __all__ = [
-    "FlowIdAllocator",
     "trace_fleet_report",
     "trace_graph_schedule",
     "trace_serve_report",
 ]
-
-
-class FlowIdAllocator:
-    """Sequential unique ids for flow arrows (one ``s``/``f`` pair each)."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._next = start
-
-    def next(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
 
 
 class _SlotAllocator:
@@ -79,25 +66,16 @@ class _SlotAllocator:
         return slot
 
 
-def _new_tracer() -> Tracer:
-    from repro import obs
-
-    tracer = Tracer()
-    tracer.enabled = obs.is_enabled()
-    return tracer
-
-
 def _req_lane(slot: int) -> str:
     return f"req{slot:02d}"
 
 
 # -- graphs --------------------------------------------------------------------
-def trace_graph_schedule(schedule: Any, tracer: Tracer | None = None) -> Tracer:
+def trace_graph_schedule(schedule: Any) -> Tracer:
     """Render a :class:`GraphSchedule` — one process per rank, one lane
     per stream kind (``compute``/``comm``), critical-path nodes flagged
     in ``args`` and marked with an instant at their start."""
-    if tracer is None:
-        tracer = _new_tracer()
+    tracer = Tracer()
     critical = {node.id for node in schedule.critical_path()}
     multi_rank = len({n.stream.rank for n in schedule.graph.nodes}) > 1
     for node, start, finish in zip(
@@ -130,50 +108,36 @@ def trace_graph_schedule(schedule: Any, tracer: Tracer | None = None) -> Tracer:
 
 
 # -- serving -------------------------------------------------------------------
-def trace_serve_report(
-    report: Any,
-    tracer: Tracer | None = None,
-    process: str = "",
-    flow_ids: FlowIdAllocator | None = None,
-) -> Tracer:
+def trace_serve_report(report: Any) -> Tracer:
     """Render one :class:`ServeReport`: request-lifecycle spans
     (queue+prefill → decode) on collision-free ``req<slot>`` sub-lanes,
     flow arrows from the arrival lane into each request span, and
     counter tracks for queue depth, batch-token occupancy, and running
     sequences."""
-    if tracer is None:
-        tracer = _new_tracer()
-    if flow_ids is None:
-        flow_ids = FlowIdAllocator()
+    tracer = Tracer()
     slots = _SlotAllocator()
-    for record in sorted(report.records, key=lambda r: (r.arrival_ms, r.rid)):
+    ordered = sorted(report.records, key=lambda r: (r.arrival_ms, r.rid))
+    for flow, record in enumerate(ordered):
         arrival = record.arrival_ms * 1000.0
         first = record.first_token_ms * 1000.0
         done = record.completion_ms * 1000.0
         lane = _req_lane(slots.allocate(arrival, done))
-        flow = flow_ids.next()
         tracer.record(
             f"arrive r{record.rid}",
             "arrival",
             "arrivals",
             arrival,
             arrival,
-            process=process,
             rid=record.rid,
         )
-        tracer.flow_begin(
-            f"r{record.rid}", arrival, flow, lane="arrivals", process=process
-        )
-        tracer.flow_end(
-            f"r{record.rid}", arrival, flow, lane=lane, process=process
-        )
+        tracer.flow_begin(f"r{record.rid}", arrival, flow, lane="arrivals")
+        tracer.flow_end(f"r{record.rid}", arrival, flow, lane=lane)
         tracer.record(
             f"queue+prefill r{record.rid}",
             "queue",
             lane,
             arrival,
             first,
-            process=process,
             rid=record.rid,
             prompt_tokens=record.prompt_tokens,
         )
@@ -183,24 +147,23 @@ def trace_serve_report(
             lane,
             first,
             done,
-            process=process,
             rid=record.rid,
             output_tokens=record.output_tokens,
         )
     budget = getattr(report, "max_batch_tokens", None)
     for point in report.timeline:
         t = point.t_ms * 1000.0
-        tracer.counter("queue depth", t, process=process, waiting=point.queue_depth)
+        tracer.counter("queue depth", t, waiting=point.queue_depth)
         values = {"tokens": point.batch_tokens}
         if budget is not None:
             values["budget"] = budget
-        tracer.counter("batch tokens", t, process=process, **values)
-        tracer.counter("running", t, process=process, sequences=point.running)
+        tracer.counter("batch tokens", t, **values)
+        tracer.counter("running", t, sequences=point.running)
     return tracer
 
 
 # -- fleets --------------------------------------------------------------------
-def trace_fleet_report(report: Any, tracer: Tracer | None = None) -> Tracer:
+def trace_fleet_report(report: Any) -> Tracer:
     """Render one :class:`FleetReport`: one process per replica, router
     dispatch flows, per-replica counter tracks, and instant markers for
     every autoscaler/failure/fault/resilience event.
@@ -219,9 +182,7 @@ def trace_fleet_report(report: Any, tracer: Tracer | None = None) -> Tracer:
     ``resilience`` counter track on the router plots the running
     retry/timeout/shed totals over the trace.
     """
-    if tracer is None:
-        tracer = _new_tracer()
-    flow_ids = FlowIdAllocator()
+    tracer = Tracer()
     records = {r.rid: r for r in report.records}
     by_rid: dict[int, list[Any]] = {}
     for index, dispatch in enumerate(report.dispatches):
@@ -245,13 +206,12 @@ def trace_fleet_report(report: Any, tracer: Tracer | None = None) -> Tracer:
     segments.sort(key=lambda seg: (seg[0], seg[1], seg[2]))
 
     slots: dict[int, _SlotAllocator] = {}
-    for start_ms, rid, hop, dispatch, end_ms in segments:
+    for flow, (start_ms, rid, hop, dispatch, end_ms) in enumerate(segments):
         start = start_ms * 1000.0
         end = end_ms * 1000.0
         replica = f"replica{dispatch.replica}"
         allocator = slots.setdefault(dispatch.replica, _SlotAllocator())
         lane = _req_lane(allocator.allocate(start, end))
-        flow = flow_ids.next()
         tracer.record(
             f"r{rid}→{dispatch.replica}",
             "dispatch",

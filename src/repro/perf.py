@@ -144,16 +144,16 @@ class BoundedCache:
     least recently used entry, so long-running processes (sweep servers,
     notebook sessions) cannot grow caches without bound.
 
-    Every operation — lookups, the insert-plus-eviction loop of
-    :meth:`put`, counter resets, and the :meth:`stats` snapshot — runs
-    under one lock, so ``workers=N`` grids can hammer a cache from many
-    threads and still observe a coherent state: ``size`` never exceeds
-    ``maxsize``, counters never go backwards or negative, and a
-    :meth:`stats` snapshot is internally consistent (its ``hit_rate``
-    is computed from the same locked reads as its ``hits``/``misses``)
-    rather than a torn mix of before/after values.  The cached entry
-    points go through :meth:`get_or_compute`, which computes each key
-    once however many threads miss it at once.
+    Every operation — lookups, the insert-plus-eviction loop that ends
+    a :meth:`get_or_compute` miss, counter resets, and the :meth:`stats`
+    snapshot — runs under one lock, so ``workers=N`` grids can hammer a
+    cache from many threads and still observe a coherent state: ``size``
+    never exceeds ``maxsize``, counters never go backwards or negative,
+    and a :meth:`stats` snapshot is internally consistent (its
+    ``hit_rate`` is computed from the same locked reads as its
+    ``hits``/``misses``) rather than a torn mix of before/after values.
+    :meth:`get_or_compute` is the only way to store a value; it computes
+    each key once however many threads miss it at once.
     """
 
     def __init__(self, maxsize: int, name: str = "cache"):
@@ -183,19 +183,6 @@ class BoundedCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
-
-    def put(self, key: Hashable, value: Any) -> Any:
-        """Insert (evicting LRU entries past ``maxsize``); returns ``value``.
-
-        The insert and the eviction loop are one atomic operation: no
-        concurrent reader can observe the cache above ``maxsize`` or an
-        eviction count mid-update.
-        """
-        if value is None:
-            raise ValueError("BoundedCache cannot store None")
-        with self._lock:
-            self._insert_locked(key, value)
-        return value
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The cached value of ``key``, or ``compute()`` stored under it.
@@ -248,18 +235,15 @@ class BoundedCache:
         wake the callers waiting on it."""
         with self._lock:
             if error is None:
-                self._insert_locked(key, value)
+                # Only a flight's owner stores its key, so the key is new
+                # and lands most recently used.
+                self._data[key] = value
+                while len(self._data) > self.maxsize:
+                    self._data.popitem(last=False)
+                    self.evictions += 1
             flight.value, flight.error, flight.landed = value, error, True
             del self._flights[key]
             self._landed.notify_all()
-
-    def _insert_locked(self, key: Hashable, value: Any) -> None:
-        """Store ``value`` and evict past ``maxsize``; caller holds ``_lock``."""
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
 
     def _reset_locked(self) -> None:
         """Drop entries and counters; caller must hold ``_lock``."""

@@ -55,12 +55,23 @@ class Request:
     output_tokens: int
 
     def __post_init__(self) -> None:
-        if self.arrival_ms < 0:
-            raise ValueError(f"arrival_ms must be >= 0, got {self.arrival_ms}")
-        if self.prompt_tokens < 1 or self.output_tokens < 1:
+        # Plain comparisons, not a domain walk: one Request is built per
+        # simulated request.  NaN fails every comparison; a fractional
+        # token count would never finish decoding.
+        if not 0 <= self.arrival_ms < math.inf:
             raise ValueError(
-                f"request {self.rid} needs >= 1 prompt and output token, got "
-                f"prompt={self.prompt_tokens}, output={self.output_tokens}"
+                f"arrival_ms must be finite and >= 0, got {self.arrival_ms} "
+                f"(request {self.rid})"
+            )
+        if type(self.prompt_tokens) is not int or self.prompt_tokens < 1:
+            raise ValueError(
+                f"prompt_tokens must be an integer >= 1, got {self.prompt_tokens!r} "
+                f"(request {self.rid})"
+            )
+        if type(self.output_tokens) is not int or self.output_tokens < 1:
+            raise ValueError(
+                f"output_tokens must be an integer >= 1, got {self.output_tokens!r} "
+                f"(request {self.rid})"
             )
 
     @property

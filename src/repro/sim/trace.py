@@ -139,7 +139,6 @@ class Tracer:
         self.counters: list[CounterSample] = []
         self.instants: list[InstantEvent] = []
         self.flows: list[FlowEvent] = []
-        self.enabled = True
 
     def record(
         self,
@@ -152,18 +151,14 @@ class Tracer:
         process: str = "",
         **args,
     ) -> None:
-        """Append one interval to the trace (no-op when disabled)."""
-        if self.enabled:
-            self.events.append(
-                TraceEvent(name, category, lane, start, end, args, process)
-            )
+        """Append one interval to the trace."""
+        self.events.append(TraceEvent(name, category, lane, start, end, args, process))
 
     def counter(
         self, track: str, t: float, *, process: str = "", **values
     ) -> None:
-        """Append one counter sample (no-op when disabled)."""
-        if self.enabled:
-            self.counters.append(CounterSample(track, t, values, process))
+        """Append one counter sample."""
+        self.counters.append(CounterSample(track, t, values, process))
 
     def instant(
         self,
@@ -176,11 +171,10 @@ class Tracer:
         process: str = "",
         **args,
     ) -> None:
-        """Append one instant marker (no-op when disabled)."""
-        if self.enabled:
-            self.instants.append(
-                InstantEvent(name, category, lane, t, scope, args, process)
-            )
+        """Append one instant marker."""
+        self.instants.append(
+            InstantEvent(name, category, lane, t, scope, args, process)
+        )
 
     def flow_begin(
         self,
@@ -193,11 +187,10 @@ class Tracer:
         process: str = "",
         **args,
     ) -> None:
-        """Append the start end of a flow arrow (no-op when disabled)."""
-        if self.enabled:
-            self.flows.append(
-                FlowEvent(name, category, lane, t, flow_id, "s", args, process)
-            )
+        """Append the start end of a flow arrow."""
+        self.flows.append(
+            FlowEvent(name, category, lane, t, flow_id, "s", args, process)
+        )
 
     def flow_end(
         self,
@@ -210,11 +203,10 @@ class Tracer:
         process: str = "",
         **args,
     ) -> None:
-        """Append the finish end of a flow arrow (no-op when disabled)."""
-        if self.enabled:
-            self.flows.append(
-                FlowEvent(name, category, lane, t, flow_id, "f", args, process)
-            )
+        """Append the finish end of a flow arrow."""
+        self.flows.append(
+            FlowEvent(name, category, lane, t, flow_id, "f", args, process)
+        )
 
     def lanes(self) -> list[str]:
         """Sorted list of distinct lanes observed (span events only)."""
@@ -232,15 +224,6 @@ class Tracer:
             for r in (*self.events, *self.counters, *self.instants, *self.flows)
         )
         return ([""] if default else []) + sorted(named)
-
-    def span(self) -> tuple[float, float]:
-        """(earliest start, latest end) over all span events; (0, 0) if empty."""
-        if not self.events:
-            return (0.0, 0.0)
-        return (
-            min(e.start for e in self.events),
-            max(e.end for e in self.events),
-        )
 
     def busy_time(
         self,
@@ -385,64 +368,6 @@ class Tracer:
         """Write the Chrome trace JSON to ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_chrome_trace(), fh)
-
-    def merge(
-        self,
-        other: "Tracer",
-        lane_prefix: str = "",
-        process_prefix: str = "",
-    ) -> None:
-        """Absorb another tracer's records, optionally prefixing lanes
-        and process names.
-
-        Respects ``self.enabled`` (a disabled tracer absorbs nothing)
-        and copies every ``args``/``values`` dict defensively, so later
-        mutations in the source tracer can never leak into this one (or
-        vice versa).
-        """
-        if not self.enabled:
-            return
-        for e in other.events:
-            self.events.append(
-                TraceEvent(
-                    e.name,
-                    e.category,
-                    lane_prefix + e.lane,
-                    e.start,
-                    e.end,
-                    dict(e.args),
-                    process_prefix + e.process,
-                )
-            )
-        for c in other.counters:
-            self.counters.append(
-                CounterSample(c.track, c.t, dict(c.values), process_prefix + c.process)
-            )
-        for i in other.instants:
-            self.instants.append(
-                InstantEvent(
-                    i.name,
-                    i.category,
-                    lane_prefix + i.lane,
-                    i.t,
-                    i.scope,
-                    dict(i.args),
-                    process_prefix + i.process,
-                )
-            )
-        for f in other.flows:
-            self.flows.append(
-                FlowEvent(
-                    f.name,
-                    f.category,
-                    lane_prefix + f.lane,
-                    f.t,
-                    f.flow_id,
-                    f.phase,
-                    dict(f.args),
-                    process_prefix + f.process,
-                )
-            )
 
 
 def _union_length(intervals: Iterable[tuple[float, float]]) -> float:

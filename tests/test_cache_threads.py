@@ -1,13 +1,13 @@
 """Cache stats stay consistent under thread hammering.
 
 The oracle table checks cache *keys*; this suite hammers the
-cache *implementations* — 8 threads of mixed get/put/clear/stats over
-``BoundedCache``/``TimingCache`` instances and the live
+cache *implementations* — 8 threads of mixed get/get_or_compute/clear/
+stats over ``BoundedCache``/``TimingCache`` instances and the live
 ``GRAPH_CACHE``/``STEP_COST_CACHE`` singletons — under a 1 µs thread
 switch interval, and asserts the documented lock guarantees: counters
-account exactly (every ``get`` is one hit or one miss), ``size`` never
-exceeds ``maxsize``, and every ``stats()`` snapshot is internally
-consistent rather than a torn mix.
+account exactly (every ``get`` and ``get_or_compute`` is one hit or one
+miss), ``size`` never exceeds ``maxsize``, and every ``stats()``
+snapshot is internally consistent rather than a torn mix.
 """
 
 import sys
@@ -80,13 +80,13 @@ def test_counters_account_exactly_without_clears(
         for i in range(OPS):
             key = (tid * 7 + i) % 96
             if i % 2 == 0:
-                cache.put(key, key + 1)
+                cache.get_or_compute(key, lambda: key + 1)
             cache.get(key)
-        # Each thread issued OPS gets and OPS/2 puts in total.
+        # Each thread issued OPS gets and OPS/2 get_or_computes in total.
 
     _run_threads(worker)
     doc = cache.stats()
-    assert doc["hits"] + doc["misses"] == THREADS * gets_per_thread
+    assert doc["hits"] + doc["misses"] == THREADS * (gets_per_thread + puts_per_thread)
     assert doc["size"] <= 32
     assert doc["size"] + doc["evictions"] <= THREADS * puts_per_thread
     _assert_snapshot_consistent(doc)
@@ -108,7 +108,7 @@ def test_live_caches_survive_mixed_clear_hammer(fine_switch_interval):
             key = ("thread-hammer", tid, i % 24)
             op = i % 5
             if op in (0, 1):
-                cache.put(key, i + 1)
+                cache.get_or_compute(key, lambda: i + 1)
             elif op in (2, 3):
                 value = cache.get(key)
                 assert value is None or value >= 1

@@ -1,14 +1,20 @@
-"""Zero-perturbation guarantee: observation never changes a result.
+"""Zero-perturbation guarantee: observing a run never changes it.
 
-The tentpole acceptance test of the observability layer — seeded model,
-serve, and fleet grids export byte-identical JSON with observability
-enabled vs. disabled, and the trace builders never mutate the reports
-they render.
+Every :mod:`repro.obs` builder reads a finished result after its run.
+Rendering a graph, a serve and a fleet trace plus a metrics snapshot
+from seeded result sets must leave each result set's ``to_json()``
+bytes and its reports unchanged.  With no switch to turn them off, each
+builder renders exactly what its result holds.
 """
 
-from repro import ExperimentSpec, obs
+import copy
+
+import pytest
+
+from repro import ExperimentSpec
 from repro.fleet import FailureEvent, FleetSpec
 from repro.obs import (
+    snapshot_for,
     trace_fleet_report,
     trace_graph_schedule,
     trace_serve_report,
@@ -17,9 +23,7 @@ from repro.serve import ServeSpec, TraceSpec
 
 
 def _experiment():
-    return ExperimentSpec.grid(
-        tokens=4096, systems=("comet", "megatron-cutlass")
-    )
+    return ExperimentSpec.grid(tokens=4096, strategies=(1, 8), systems="comet")
 
 
 def _serve():
@@ -38,86 +42,77 @@ def _fleet():
     )
 
 
+def _schedule(row):
+    """The forward schedule ``run_model`` priced a COMET row on."""
+    from repro.graph.lower import forward_schedule
+    from repro.systems import Comet
+
+    timing = row.model_timing
+    return forward_schedule(
+        Comet().lower_layer(timing.moe),
+        timing.attention_us,
+        timing.num_layers,
+        timing.overlap_policy,
+    )
+
+
+RUNS = {
+    "experiment": lambda: _experiment().run(level="model"),
+    "serve": lambda: _serve().run(),
+    "fleet": lambda: _fleet().run(),
+}
+
+
+def _observed(results):
+    """What the builders read: the rows of an experiment, else the reports."""
+    return results.rows if hasattr(results, "rows") else results.reports
+
+
+def _traces(kind, results):
+    if kind == "experiment":
+        return [trace_graph_schedule(_schedule(row)) for row in results.rows]
+    builder = trace_serve_report if kind == "serve" else trace_fleet_report
+    return [builder(report) for report in results.reports]
+
+
 class TestBitIdentity:
-    def test_experiment_identical_with_obs_on_and_off(self):
-        with obs.enabled():
-            on = _experiment().run().to_json()
-        with obs.disabled():
-            off = _experiment().run().to_json()
-        assert on == off
-
-    def test_serve_identical_with_obs_on_and_off(self):
-        with obs.enabled():
-            on = _serve().run().to_json()
-        with obs.disabled():
-            off = _serve().run().to_json()
-        assert on == off
-
-    def test_fleet_identical_with_obs_on_and_off(self):
-        with obs.enabled():
-            results_on = _fleet().run()
-        with obs.disabled():
-            results_off = _fleet().run()
-        assert results_on.to_json() == results_off.to_json()
-        # full report equality, including the always-collected dispatch
-        # log and per-replica timelines the trace builders consume
-        assert results_on.reports == results_off.reports
-
-    def test_tracing_a_report_does_not_mutate_it(self):
-        results = _fleet().run()
-        before = results.reports[0]
-        trace_fleet_report(results.reports[0])
-        assert results.reports[0] == before
-        serve_results = _serve().run()
-        serve_before = serve_results.reports[0]
-        trace_serve_report(serve_results.reports[0])
-        assert serve_results.reports[0] == serve_before
+    @pytest.mark.parametrize("kind", RUNS)
+    def test_tracing_a_report_does_not_mutate_it(self, kind):
+        results = RUNS[kind]()
+        export = results.to_json()
+        before = copy.deepcopy(_observed(results))
+        tracers = _traces(kind, results)
+        assert tracers and all(tracer.events for tracer in tracers)
+        for tracer in tracers:
+            tracer.to_chrome_trace()
+        snapshot_for(results)
+        assert results.to_json() == export
+        assert _observed(results) == before
 
 
-class TestDisabledEmission:
-    def test_builders_emit_nothing_when_disabled(self):
-        serve_report = _serve().run().reports[0]
-        fleet_report = _fleet().run().reports[0]
-        with obs.disabled():
-            for tracer in (
-                trace_serve_report(serve_report),
-                trace_fleet_report(fleet_report),
-            ):
-                assert tracer.events == [] and tracer.counters == []
-                assert tracer.instants == [] and tracer.flows == []
+class TestBuilderEmission:
+    """Each builder renders exactly what its finished result holds."""
 
-    def test_graph_builder_emits_nothing_when_disabled(self):
-        from repro import MIXTRAL_8X7B, Comet, ParallelStrategy, h800_node
-        from repro.graph.lower import forward_schedule
-        from repro.runtime import run_model
+    def test_graph_builder_emits_one_span_per_node(self):
+        schedule = _schedule(RUNS["experiment"]().rows[0])
+        tracer = trace_graph_schedule(schedule)
+        assert len(tracer.events) == len(schedule.graph.nodes)
+        critical = {node.id for node in schedule.critical_path()}
+        assert len(tracer.instants) == len(critical) > 0
 
-        system = Comet()
-        cluster = h800_node()
-        strategy = ParallelStrategy(tp_size=1, ep_size=cluster.world_size)
-        timing = run_model(
-            system, MIXTRAL_8X7B, cluster, strategy, total_tokens=4096
-        )
-        schedule = forward_schedule(
-            system.lower_layer(timing.moe),
-            timing.attention_us,
-            timing.num_layers,
-            "per_layer",
-        )
-        with obs.disabled():
-            tracer = trace_graph_schedule(schedule)
-            assert tracer.events == [] and tracer.instants == []
-        with obs.enabled():
-            tracer = trace_graph_schedule(schedule)
-            assert len(tracer.events) == len(schedule.graph.nodes)
+    def test_serve_builder_emits_three_spans_and_one_arrow_per_record(self):
+        report = RUNS["serve"]().reports[0]
+        tracer = trace_serve_report(report)
+        assert report.records
+        assert len(tracer.events) == 3 * len(report.records)
+        assert len(tracer.flows) == 2 * len(report.records)
+        assert len(tracer.counters) == 3 * len(report.timeline)
 
-    def test_flag_state_round_trips(self):
-        assert obs.is_enabled()
-        previous = obs.set_enabled(False)
-        assert previous is True and not obs.is_enabled()
-        obs.set_enabled(True)
-        with obs.disabled():
-            assert not obs.is_enabled()
-            with obs.enabled():
-                assert obs.is_enabled()
-            assert not obs.is_enabled()
-        assert obs.is_enabled()
+    def test_fleet_builder_emits_one_arrow_per_served_hop_and_one_marker_per_event(self):
+        report = RUNS["fleet"]().reports[0]
+        tracer = trace_fleet_report(report)
+        served = {record.rid for record in report.records}
+        hops = sum(dispatch.rid in served for dispatch in report.dispatches)
+        assert hops and report.events
+        assert len(tracer.events) == len(tracer.flows) == 2 * hops
+        assert len(tracer.instants) == len(report.events)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import ExperimentSpec, obs
+from repro import ExperimentSpec
 from repro.fleet import FleetSpec
 from repro.obs import (
     MetricsRegistry,
@@ -19,19 +19,19 @@ from repro.serve import ServeSpec, TraceSpec
 
 class TestMetricsRegistry:
     def test_counter_accumulates(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("hits")
         registry.counter("hits", 4)
         assert registry.snapshot()["counters"] == {"hits": 5.0}
 
     def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.gauge("depth", 3)
         registry.gauge("depth", 1)
         assert registry.snapshot()["gauges"] == {"depth": 1}
 
     def test_histogram_summary(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         for value in (1.0, 2.0, 3.0, 4.0):
             registry.observe("lat", value)
         summary = registry.snapshot()["histograms"]["lat"]
@@ -40,35 +40,12 @@ class TestMetricsRegistry:
         assert summary["mean"] == 2.5
         assert {"p50", "p95", "p99"} <= set(summary)
 
-    def test_disabled_registry_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("c")
-        registry.gauge("g", 1)
-        registry.observe("h", 1)
-        snap = registry.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_default_enabled_follows_obs_flag(self):
-        with obs.disabled():
-            assert MetricsRegistry().enabled is False
-        with obs.enabled():
-            assert MetricsRegistry().enabled is True
-
-    def test_merge(self):
-        a = MetricsRegistry(enabled=True)
-        b = MetricsRegistry(enabled=True)
-        a.counter("c", 1)
-        b.counter("c", 2)
-        b.gauge("g", 9)
-        b.observe("h", 1.0)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["counters"] == {"c": 3.0}
-        assert snap["gauges"] == {"g": 9}
-        assert snap["histograms"]["h"]["count"] == 1
+    def test_fresh_registry_snapshot_is_empty(self):
+        snapshot = MetricsRegistry().snapshot()
+        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_snapshot_is_json_serialisable(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.observe("h", 1.5)
         json.dumps(registry.snapshot())
 

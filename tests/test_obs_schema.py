@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.obs import validate_chrome_trace
-from repro.obs.timeline import FlowIdAllocator, _SlotAllocator
+from repro.obs.timeline import _SlotAllocator
 from repro.sim import Tracer
 
 
@@ -148,8 +148,28 @@ class TestRoundTrip:
 
 class TestAllocators:
     def test_flow_ids_are_sequential_and_unique(self):
-        alloc = FlowIdAllocator(start=5)
-        assert [alloc.next() for _ in range(3)] == [5, 6, 7]
+        # Both request builders number their arrows 0, 1, 2, ... and give
+        # every id exactly one start and one finish end.
+        from repro.fleet import FailureEvent, FleetSpec
+        from repro.obs import trace_fleet_report, trace_serve_report
+        from repro.serve import ServeSpec, TraceSpec
+
+        trace = TraceSpec(kind="bursty", rps=60, duration_s=1.0, seed=3)
+        serve = ServeSpec.grid(traces=trace, systems="comet").run()
+        fleet = FleetSpec.grid(
+            replicas=2,
+            traces=trace,
+            failures=(FailureEvent(replica=0, fail_ms=200.0, recover_ms=600.0),),
+            systems="comet",
+        ).run()
+        for tracer in (
+            trace_serve_report(serve.reports[0]),
+            trace_fleet_report(fleet.reports[0]),
+        ):
+            starts = [f.flow_id for f in tracer.flows if f.phase == "s"]
+            finishes = [f.flow_id for f in tracer.flows if f.phase == "f"]
+            assert starts == finishes == list(range(len(starts)))
+            assert starts
 
     def test_slot_allocator_reuses_freed_slots(self):
         alloc = _SlotAllocator()

@@ -43,18 +43,17 @@ CACHING = pytest.mark.parametrize("caching", (nullcontext, _uncached), ids=("cac
 class TestBoundedCache:
     def test_hit_miss_counters(self):
         cache = perf.BoundedCache(maxsize=4, name="t")
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
+        assert cache.get_or_compute("a", lambda: 1) == 1  # miss: stored
+        assert cache.get_or_compute("a", lambda: 2) == 1  # hit
         assert cache.misses == 1 and cache.hits == 1
         assert cache.stats()["hit_rate"] == 0.5
 
     def test_lru_eviction_is_bounded(self):
         cache = perf.BoundedCache(maxsize=2, name="t")
-        cache.put("a", 1)
-        cache.put("b", 2)
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("b", lambda: 2)
         cache.get("a")  # refresh a
-        cache.put("c", 3)  # evicts b (least recently used)
+        cache.get_or_compute("c", lambda: 3)  # evicts b (least recently used)
         assert len(cache) == 2
         assert cache.evictions == 1
         assert cache.get("b") is None
@@ -62,7 +61,7 @@ class TestBoundedCache:
 
     def test_clear_resets_counters(self):
         cache = perf.BoundedCache(maxsize=2, name="t")
-        cache.put("a", 1)
+        cache.get_or_compute("a", lambda: 1)
         cache.get("a")
         cache.get("zzz")
         cache.clear()
@@ -73,7 +72,7 @@ class TestBoundedCache:
         with pytest.raises(ValueError):
             perf.BoundedCache(maxsize=0)
         with pytest.raises(ValueError):
-            perf.BoundedCache(maxsize=1).put("k", None)
+            perf.BoundedCache(maxsize=1).get_or_compute("k", lambda: None)
 
 
 class TestGetOrCompute:
@@ -523,11 +522,7 @@ class TestCacheConcurrencyHammer:
         def writer(tid):
             for i in range(400):
                 key = (tid * 7 + i) % 32
-                value = cache.get(key)
-                if value is None:
-                    cache.put(key, key + 1)
-                else:
-                    assert value == key + 1
+                assert cache.get_or_compute(key, lambda: key + 1) == key + 1
 
         def reader():
             while not stop.is_set():

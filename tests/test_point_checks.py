@@ -10,8 +10,10 @@ walk reaches each spec through the conventions roots
 (``tests/test_conventions.py``): every ``int`` or ``float`` field must
 declare a domain, reject NaN, infinities, a bool, the nearest value
 outside each bound and, if integral, a fraction with a ``ValueError``
-that names it, and accept the values at its bounds.  The CLI reports a
-rejection as ``error: ...`` (exit 2), and ``sweep`` skips the point.
+that names it, and accept the values at its bounds; ``ACCEPTED`` pins
+each domain's bounds, integrality and optionality literally.  The CLI
+reports a rejection as ``error: ...`` (exit 2), and ``sweep`` skips the
+point.
 A negative or non-integer fixed COMET division point is rejected by
 :class:`~repro.systems.comet.Comet` itself, and so is a division-point
 sweep of a layer other than the two fused kernels.
@@ -368,6 +370,121 @@ def test_domain_accepts_its_bounds(instance, name, value):
     assert getattr(dataclasses.replace(instance, **{name: value}), name) == value
 
 
+def _declared() -> dict[str, tuple[str, bool, bool]]:
+    """``Class.field`` -> (bounds in words, integral, optional) of every
+    declared domain the walk reaches."""
+    return {
+        f"{cls.__name__}.{name}": (domain.describe(), domain.integral, domain.optional)
+        for cls in REACHED
+        for name, domain in domains(cls).items()
+    }
+
+
+#: Every declared domain, pinned literally: the walk above derives its
+#: cases from the declarations, so a tightened bound (``ge=0`` to
+#: ``gt=0``) would move its own cases.  An intended change re-records
+#: the table with ``PYTHONPATH=src python tests/test_point_checks.py``.
+ACCEPTED = {
+    "AutoscalerSpec.cooldown_ms": (">= 0", False, False),
+    "AutoscalerSpec.interval_ms": ("positive", False, False),
+    "AutoscalerSpec.min_replicas": ("positive", True, False),
+    "AutoscalerSpec.scale_down_queue": (">= 0", False, False),
+    "AutoscalerSpec.scale_up_queue": ("positive", False, False),
+    "AutoscalerSpec.warmup_ms": (">= 0", False, False),
+    "BrownoutEvent.mult": ("exceed 1", False, False),
+    "BrownoutEvent.t0_ms": (">= 0", False, False),
+    "BrownoutEvent.t1_ms": ("positive", False, False),
+    "ClusterSpec.world_size": ("positive", True, False),
+    "DegradeEvent.comm_mult": ("positive", False, False),
+    "DegradeEvent.compute_mult": ("positive", False, False),
+    "DegradeEvent.replica": (">= 0", True, False),
+    "DegradeEvent.t0_ms": (">= 0", False, False),
+    "DegradeEvent.t1_ms": ("positive", False, False),
+    "FailureEvent.fail_ms": (">= 0", False, False),
+    "FailureEvent.recover_ms": ("positive", False, True),
+    "FailureEvent.replica": (">= 0", True, False),
+    "FleetScenario.bucket_tokens": ("positive", True, False),
+    "FleetScenario.max_batch_size": ("positive", True, False),
+    "FleetScenario.max_batch_tokens": ("positive", True, False),
+    "FleetScenario.router_seed": (">= 0", True, False),
+    "FleetScenario.slo_tpot_ms": ("positive", False, False),
+    "FleetScenario.slo_ttft_ms": ("positive", False, False),
+    "GpuSpec.hbm_gbps": ("positive", False, False),
+    "GpuSpec.kernel_launch_us": (">= 0", False, False),
+    "GpuSpec.mma_efficiency": ("lie in (0, 1]", False, False),
+    "GpuSpec.num_sms": ("positive", True, False),
+    "GpuSpec.smem_per_block_kb": ("positive", True, False),
+    "GpuSpec.tensor_tflops": ("positive", False, False),
+    "LinkSpec.a2a_efficiency": ("lie in (0, 1]", False, False),
+    "LinkSpec.gbps": ("positive", False, False),
+    "LinkSpec.latency_us": (">= 0", False, False),
+    "LinkSpec.per_block_gbps": ("positive", False, False),
+    "LinkSpec.per_message_us": (">= 0", False, False),
+    "LinkSpec.ring_efficiency": ("lie in (0, 1]", False, False),
+    "MigrationSpec.kv_bytes_per_token": ("positive", False, True),
+    "MigrationSpec.messages_per_seq": ("positive", True, False),
+    "MoEConfig.dtype_bytes": ("positive", True, False),
+    "MoEConfig.ffn_size": ("positive", True, False),
+    "MoEConfig.hidden_size": ("positive", True, False),
+    "MoEConfig.num_attention_heads": ("positive", True, False),
+    "MoEConfig.num_experts": ("positive", True, False),
+    "MoEConfig.num_layers": ("positive", True, False),
+    "MoEConfig.topk": ("positive", True, False),
+    "ParallelStrategy.ep_size": ("positive", True, False),
+    "ParallelStrategy.tp_size": ("positive", True, False),
+    "ReplicaSpec.count": ("positive", True, False),
+    "ResilienceSpec.backoff_ms": (">= 0", False, False),
+    "ResilienceSpec.check_interval_ms": ("positive", False, False),
+    "ResilienceSpec.health_window_ms": ("positive", False, False),
+    "ResilienceSpec.max_probations": (">= 0", True, False),
+    "ResilienceSpec.max_retries": (">= 0", True, False),
+    "ResilienceSpec.min_samples": ("positive", True, False),
+    "ResilienceSpec.probation_ms": ("positive", False, False),
+    "ResilienceSpec.queue_factor": ("exceed 1", False, True),
+    "ResilienceSpec.seed": (">= 0", True, False),
+    "ResilienceSpec.shed_factor": ("positive", False, True),
+    "ResilienceSpec.slow_factor": ("exceed 1", False, True),
+    "ResilienceSpec.timeout_ms": ("positive", False, True),
+    "Scenario.imbalance_std": (">= 0", False, False),
+    "Scenario.seed": (">= 0", True, False),
+    "Scenario.tokens": ("positive", True, False),
+    "ServeScenario.bucket_tokens": ("positive", True, False),
+    "ServeScenario.max_batch_size": ("positive", True, False),
+    "ServeScenario.max_batch_tokens": ("positive", True, False),
+    "ServeScenario.slo_tpot_ms": ("positive", False, False),
+    "ServeScenario.slo_ttft_ms": ("positive", False, False),
+    "TraceSpec.amplitude": ("lie in [0, 1]", False, False),
+    "TraceSpec.burst_dwell_s": ("positive", False, False),
+    "TraceSpec.burst_factor": (">= 0", False, False),
+    "TraceSpec.burst_fraction": ("lie in (0, 1)", False, False),
+    "TraceSpec.duration_s": ("", False, False),
+    "TraceSpec.max_output": ("positive", True, False),
+    "TraceSpec.max_prompt": ("positive", True, False),
+    "TraceSpec.output_mean": ("positive", True, False),
+    "TraceSpec.output_sigma": (">= 0", False, False),
+    "TraceSpec.prompt_mean": ("positive", True, False),
+    "TraceSpec.prompt_sigma": (">= 0", False, False),
+    "TraceSpec.rps": ("", False, False),
+    "TraceSpec.seed": (">= 0", True, False),
+    "TwoTierCluster.gpus_per_node": ("positive", True, False),
+    "TwoTierCluster.nodes": ("positive", True, False),
+}
+
+
+def test_every_declared_domain_has_a_pinned_row():
+    assert sorted(_declared()) == sorted(ACCEPTED)
+
+
+def test_every_domain_matches_its_pinned_row():
+    declared = _declared()
+    changed = {
+        name: {"pinned": row, "declared": declared[name]}
+        for name, row in ACCEPTED.items()
+        if name in declared and declared[name] != row
+    }
+    assert changed == {}
+
+
 # -- COMET division point --------------------------------------------------------
 
 
@@ -393,3 +510,8 @@ def test_division_point_sweep_covers_the_two_fused_kernels(layer):
     workload = make_workload(MIXTRAL_8X7B, h800_node(), EP8, 2048)
     with pytest.raises(ValueError, match=f"layer must be 0 or 1, got {layer}"):
         Comet().sweep_division_points(workload, layer=layer)
+
+
+if __name__ == "__main__":
+    for key, (bounds, integral, optional) in sorted(_declared().items()):
+        print(f'    "{key}": ("{bounds}", {integral}, {optional}),')

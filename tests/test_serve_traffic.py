@@ -172,8 +172,32 @@ class TestValidation:
             )
 
     def test_request_validates_tokens(self):
-        with pytest.raises(ValueError, match="output token"):
+        with pytest.raises(ValueError, match="output_tokens must be an integer >= 1"):
             Request(rid=0, arrival_ms=0.0, prompt_tokens=4, output_tokens=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param(field, value, id=f"{field}={value!r}")
+            for field, values in (
+                ("arrival_ms", (float("nan"), float("inf"), float("-inf"))),
+                ("prompt_tokens", (float("nan"), 2.5, True)),
+                ("output_tokens", (float("nan"), 2.5, True)),
+            )
+            for value in values
+        ],
+    )
+    def test_request_rejects_what_the_engines_cannot_serve(self, field, value):
+        # Each used to construct: a NaN or infinite arrival made the
+        # report's TTFT percentiles NaN, a NaN token count failed deep in
+        # the step model, and 2.5 output tokens never finished decoding.
+        fields = {"rid": 1, "arrival_ms": 1.0, "prompt_tokens": 64, "output_tokens": 4}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            Request(**{**fields, field: value})
+
+    def test_request_accepts_its_boundaries(self):
+        request = Request(rid=0, arrival_ms=0.0, prompt_tokens=1, output_tokens=1)
+        assert (request.arrival_ms, request.total_tokens) == (0.0, 2)
 
     def test_registry_lists_all_kinds(self):
         assert set(TRACE_REGISTRY.names()) == {

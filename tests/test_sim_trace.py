@@ -24,15 +24,6 @@ class TestTracer:
         tracer.record("b", "comm", "rank0/comm", 0, 2)
         assert tracer.lanes() == ["rank0/comm", "rank0/sm"]
 
-    def test_span(self):
-        tracer = Tracer()
-        tracer.record("a", "comp", "l", 2, 5)
-        tracer.record("b", "comp", "l", 1, 3)
-        assert tracer.span() == (1, 5)
-
-    def test_span_empty(self):
-        assert Tracer().span() == (0.0, 0.0)
-
     def test_busy_time_merges_overlaps_same_lane(self):
         tracer = Tracer()
         tracer.record("a", "comp", "l", 0, 10)
@@ -57,12 +48,6 @@ class TestTracer:
         tracer.record("b", "comm", "l", 4, 10)
         assert tracer.category_breakdown() == {"comm": 6.0, "comp": 4.0}
 
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.record("a", "comp", "l", 0, 1)
-        assert tracer.events == []
-
     def test_chrome_trace_structure(self):
         tracer = Tracer()
         tracer.record("tile", "comp", "rank0/sm", 1.0, 2.0, expert=3)
@@ -80,39 +65,6 @@ class TestTracer:
         tracer.save_chrome_trace(str(path))
         loaded = json.loads(path.read_text())
         assert "traceEvents" in loaded
-
-    def test_merge_with_prefix(self):
-        a, b = Tracer(), Tracer()
-        b.record("x", "comp", "sm", 0, 1)
-        a.merge(b, lane_prefix="rank1/")
-        assert a.lanes() == ["rank1/sm"]
-
-    def test_merge_respects_enabled(self):
-        a, b = Tracer(), Tracer()
-        a.enabled = False
-        b.record("x", "comp", "sm", 0, 1)
-        b.counter("q", 0.0, depth=1)
-        b.instant("hit", 0.5)
-        b.flow_begin("f", 0.0, 1)
-        a.merge(b)
-        assert a.events == [] and a.counters == []
-        assert a.instants == [] and a.flows == []
-
-    def test_merge_copies_args(self):
-        a, b = Tracer(), Tracer()
-        b.record("x", "comp", "sm", 0, 1, expert=3)
-        b.counter("q", 0.0, depth=1)
-        a.merge(b)
-        b.events[0].args["expert"] = 99
-        b.counters[0].values["depth"] = 99
-        assert a.events[0].args == {"expert": 3}
-        assert a.counters[0].values == {"depth": 1}
-
-    def test_merge_process_prefix(self):
-        a, b = Tracer(), Tracer()
-        b.record("x", "comp", "sm", 0, 1, process="replica0")
-        a.merge(b, process_prefix="fleet/")
-        assert a.events[0].process == "fleet/replica0"
 
 
 class TestTracerExtendedPhases:
@@ -175,16 +127,6 @@ class TestTracerExtendedPhases:
             if e["ph"] == "M" and e["name"] == "process_name"
         ]
         assert {e["args"]["name"] for e in named} == {"replica0"}
-
-    def test_disabled_suppresses_all_record_types(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.counter("q", 0.0, depth=1)
-        tracer.instant("i", 0.0)
-        tracer.flow_begin("f", 0.0, 1)
-        tracer.flow_end("f", 1.0, 1)
-        assert tracer.counters == [] and tracer.instants == []
-        assert tracer.flows == []
 
     def test_busy_time_separates_processes(self):
         tracer = Tracer()

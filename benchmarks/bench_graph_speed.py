@@ -22,8 +22,6 @@ Run directly (CI smoke step); ``--out`` writes the record (the committed
 one is ``BENCH_graph_speed.json``)::
 
     python benchmarks/bench_graph_speed.py [--quick] [--out PATH]
-
-or under pytest-benchmark like the other harnesses.
 """
 
 from __future__ import annotations
@@ -168,13 +166,6 @@ def _check(payload: dict) -> list[str]:
     if grid["speedup"] < target:
         failures.append(f"grid speedup {grid['speedup']:.2f}x < {target}x")
     return failures
-
-
-def test_graph_speed(run_once):
-    payload = run_once(run_benchmark, quick=True)
-    print()
-    print(json.dumps(payload, indent=2))
-    assert not _check(payload)
 
 
 def main() -> int:

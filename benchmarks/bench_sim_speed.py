@@ -33,8 +33,6 @@ Run directly (CI smoke step); ``--out`` writes the record (the committed
 one is ``BENCH_sim_speed.json``)::
 
     python benchmarks/bench_sim_speed.py [--quick] [--out PATH]
-
-or under pytest-benchmark like the other harnesses.
 """
 
 from __future__ import annotations
@@ -245,13 +243,6 @@ def _check(payload: dict) -> list[str]:
         if grid["speedup"] < GRID_TARGET:
             failures.append(f"grid speedup {grid['speedup']:.2f}x < {GRID_TARGET}x")
     return failures
-
-
-def test_sim_speed(run_once):
-    payload = run_once(run_benchmark)
-    print()
-    print(json.dumps(payload, indent=2))
-    assert not _check(payload)
 
 
 def main() -> int:

@@ -1,8 +1,10 @@
 """One command, every claim: validate the whole reproduction.
 
-Runs each figure harness and checks the qualitative claim the paper
-attaches to it (speedup bands, hiding ladder, interior optima,
-robustness sweeps, exact buffer accounting), printing a verdict table.
+Runs each figure harness and checks the claim the paper attaches to it
+(speedup bands, hiding ladder, interior optima, robustness sweeps, exact
+buffer accounting), printing a verdict table.  ``--full`` prints the
+whole ledger: the figures at their default sizes plus Fig. 9, the three
+ablations, the training step, multi-node scaling and serving goodput.
 
 Run:
     python examples/reproduce_paper.py [--full]

@@ -3,8 +3,9 @@
 Each ``fig*``/``table*`` function regenerates the corresponding result:
 it builds the paper's workload, runs the systems, and returns a
 structured result object whose ``format()`` prints the same rows/series
-the paper plots.  The ``benchmarks/`` directory wraps these runners in
-pytest-benchmark entries; EXPERIMENTS.md records paper-vs-measured.
+the paper plots.  ``validate_all`` checks every paper claim against
+them: ``quick=True`` at reduced sizes, ``quick=False`` as the full
+ledger with the paper's values and bands.
 """
 
 from repro._lazy import lazy_exports

@@ -115,7 +115,7 @@ from repro.serve.scheduler import (
     _record,
     _Sequence,
 )
-from repro.serve.traffic import Request
+from repro.serve.traffic import Request, _check_trace
 
 __all__ = ["FleetEngine"]
 
@@ -217,6 +217,7 @@ class FleetEngine:
                 f"need one cost model per replica instance: got "
                 f"{len(self.cost_models)} for {len(self._expanded)} replicas"
             )
+        _check_trace(self.trace)
         # A request is *resolved* once it completed, timed out, or was
         # shed — the run terminates when every offered request resolves.
         self._resolved = 0

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.metrics import RequestRecord, Table, TimelinePoint
 from repro.serve.policies import POLICY_REGISTRY, SchedulerPolicy
-from repro.serve.traffic import Request
+from repro.serve.traffic import Request, _check_trace
 
 __all__ = [
     "POLICY_REGISTRY",
@@ -296,6 +296,7 @@ class ContinuousBatchingScheduler:
                 f"max_batch_size must be positive, got {self.max_batch_size}"
             )
         self._policy: SchedulerPolicy = POLICY_REGISTRY.get(self.policy)
+        _check_trace(self.trace)
 
     # -- the sequential loop --------------------------------------------------
     def _run_fast(self) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,6 +78,26 @@ class Request:
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.output_tokens
+
+
+def _check_trace(trace: tuple[Request, ...]) -> None:
+    """Reject a trace whose arrivals decrease or whose request ids repeat;
+    the ``ValueError`` names the first offending request."""
+    arrivals = [request.arrival_ms for request in trace]
+    rids = [request.rid for request in trace]
+    # Increasing ids are distinct: a generated trace needs no set of them.
+    if arrivals == sorted(arrivals) and all(map(operator.lt, rids, rids[1:])):
+        return
+    seen: set[int] = set()
+    for request, last in zip(trace, [0.0, *arrivals]):
+        if request.arrival_ms < last:
+            raise ValueError(
+                f"trace arrivals must not decrease: request {request.rid} "
+                f"arrives at {request.arrival_ms} ms, after one at {last} ms"
+            )
+        if request.rid in seen:
+            raise ValueError(f"trace request ids must be distinct: {request.rid} repeats")
+        seen.add(request.rid)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Smoke tests for the figure harnesses at reduced scale.
 
-The full-scale assertions live in ``benchmarks/``; these verify the
-harness plumbing (shapes, formatting, derived statistics) quickly enough
-for the unit-test suite.
+The paper's bands live in ``validate_all`` (run in full by
+``tests/test_bench_validation.py``); these verify the harness plumbing
+(shapes, formatting, derived statistics).
 """
 
 import pytest

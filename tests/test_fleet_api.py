@@ -1,5 +1,6 @@
 """FleetSpec grid expansion, result filtering, export-schema gating,
-parallel execution, and disaggregated pools."""
+parallel execution, disaggregated pools, autoscaling and hand-built
+trace checks."""
 
 import csv
 import io
@@ -12,6 +13,8 @@ from repro.fleet import AutoscalerSpec, FailureEvent, FleetScenario, ReplicaSpec
 from repro.hw.presets import h800_node
 from repro.moe.config import MIXTRAL_8X7B
 from repro.parallel.strategy import ParallelStrategy
+from repro.serve.traffic import Request
+from repro.systems.comet import Comet
 
 TRACE = TraceSpec(kind="poisson", rps=20, duration_s=3, seed=0)
 CLUSTER = h800_node()
@@ -180,6 +183,46 @@ class TestDisaggregatedPools:
         )
         for r in report.records:
             assert r.arrival_ms <= r.first_token_ms <= r.completion_ms
+
+
+class TestAutoscaling:
+    def test_tracks_a_diurnal_cycle_with_fewer_gpus_than_static(self):
+        trace = TraceSpec(kind="diurnal", rps=150, duration_s=10, seed=1, amplitude=0.9)
+        scaler = AutoscalerSpec(
+            min_replicas=1, scale_up_queue=4.0, scale_down_queue=0.5,
+            interval_ms=500.0, warmup_ms=1000.0,
+        )
+        static, scaled = FleetSpec.grid(
+            replicas=4, autoscalers=(None, scaler), traces=trace, systems="comet"
+        ).run().reports
+        assert static.autoscaler_churn == 0
+        # The diurnal peak sits at a quarter of the horizon: every scale-up
+        # lands in the busy first half, every scale-down after the peak.
+        ups = [e.t_ms for e in scaled.events if e.kind == "up"]
+        downs = [e.t_ms for e in scaled.events if e.kind == "down"]
+        assert ups and all(t <= trace.horizon_ms / 2 for t in ups)
+        assert downs and all(t > trace.horizon_ms / 4 for t in downs)
+        assert scaled.unserved == 0
+        assert scaled.mean_active_gpus < static.mean_active_gpus
+
+
+class TestTraceOrder:
+    """The engine releases requests in tuple order, so a hand-built
+    trace must arrive in order with distinct ids."""
+
+    def run(self, trace):
+        (scenario,) = FleetSpec.grid(
+            traces=TRACE, replicas=2, routers="least_queue", systems="comet"
+        ).scenarios
+        return scenario.run_system(Comet(), trace=trace)
+
+    def test_decreasing_arrival_rejected(self):
+        with pytest.raises(ValueError, match="request 1 arrives at 10.0 ms"):
+            self.run((Request(0, 50.0, 64, 4), Request(1, 10.0, 64, 4)))
+
+    def test_repeated_rid_rejected(self):
+        with pytest.raises(ValueError, match="ids must be distinct: 0 repeats"):
+            self.run((Request(0, 10.0, 64, 4), Request(0, 10.0, 64, 4)))
 
 
 class TestSpecValidation:

@@ -238,6 +238,38 @@ class TestDegradation:
         kinds = [(e.kind, e.replica) for e in watched.events]
         assert ("probation", 0) in kinds and ("evict", 0) in kinds
         assert_conserved(watched)
+        assert blind.unserved == 0
+
+
+class TestCrashSurvival:
+    def test_retry_and_shed_raise_goodput_under_staggered_crashes(self):
+        # Two of three replicas down at once under bursty load: shedding
+        # what cannot meet the SLO beats queueing every request through
+        # the outage.
+        plan = FaultPlan(crashes=(
+            FailureEvent(replica=0, fail_ms=500.0, recover_ms=2500.0),
+            FailureEvent(replica=1, fail_ms=1000.0, recover_ms=2000.0),
+        ))
+        bare, defended = (
+            FleetSpec.grid(
+                traces=TraceSpec(kind="bursty", rps=120, duration_s=3.0, seed=3),
+                replicas=3,
+                routers="least_queue",
+                systems="comet",
+                faults=plan,
+                resilience=(
+                    None,
+                    ResilienceSpec(timeout_ms=8000.0, max_retries=2, shed_factor=0.75),
+                ),
+                slo_ttft_ms=300.0,
+            )
+            .run()
+            .reports
+        )
+        assert defended.goodput_rps > bare.goodput_rps
+        assert defended.slo_attainment > bare.slo_attainment
+        assert_conserved(defended)
+        assert bare.unserved == 0
 
 
 class TestExportGating:

@@ -153,14 +153,14 @@ class TestP2CBeatsRoundRobinHeterogeneous:
     def test_p99_ttft_strictly_lower(self):
         results = FleetSpec.grid(
             replicas=heterogeneous_pool(),
-            routers=("round_robin", "power_of_two"),
+            routers=("round_robin", "least_queue", "power_of_two"),
             traces=HETERO_TRACE,
             systems="comet",
         ).run(workers=2)
         rr = results.get("comet", router="round_robin")
         p2c = results.get("comet", router="power_of_two")
-        # Both fleets serve the entire trace...
-        assert rr.unserved == 0 and p2c.unserved == 0
+        # Every fleet serves the entire trace...
+        assert all(report.unserved == 0 for report in results.reports)
         # ...but state-aware routing steers load away from the straggler.
         assert p2c.ttft_percentiles()["p99"] < rr.ttft_percentiles()["p99"]
         assert p2c.goodput_rps >= rr.goodput_rps

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -68,6 +69,7 @@ from repro import (
     TraceSpec,
     h800_node,
     perf,
+    run_model,
 )
 from repro.fleet import AutoscalerSpec, FailureEvent
 from repro.fleet.router import ROUTER_REGISTRY, PowerOfTwo
@@ -1231,6 +1233,31 @@ def _des_case(label, value):
     return Case(label, analytic, des)
 
 
+def _built_des_case(label, build):
+    """:func:`_des_case` on a graph built once, when the case first runs."""
+    graph = functools.cache(build)
+    return Case(
+        label,
+        lambda: _des_case(label, graph()).fast(),
+        lambda: _des_case(label, graph()).oracle(),
+    )
+
+
+def _comet_model_graph(cluster, strategy, stragglers=None):
+    """COMET's 32-layer Mixtral ``cross_layer`` forward graph at 16384
+    tokens, as ``repro model`` lowers it."""
+    system = SYSTEM_REGISTRY.create("comet")
+    timing = run_model(system, MIXTRAL_8X7B, cluster, strategy, 16384)
+    phases = (
+        system.lower_layer(timing.moe)
+        if stragglers is None
+        else system.lower_rank_phases(timing.moe, stragglers)
+    )
+    return build_forward_graph(
+        phases, timing.attention_us, timing.num_layers, "cross_layer", stragglers
+    )
+
+
 def _forward(phases, policy="per_layer", stragglers=None, layers=4, attention=25.0):
     return build_forward_graph(phases, attention, layers, policy, stragglers)
 
@@ -1390,6 +1417,19 @@ DES_EXAMPLES = (
     + tuple(
         _des_case(f"folded slow rank {p}", _forward(BATCH_PHASES, p, SLOW6))
         for p in ("per_layer", "cross_layer", "shortcut")
+    )
+    + (
+        _built_des_case(
+            "comet model graph, 2-node pod TP2xEP8",
+            lambda: _comet_model_graph(TWO_NODES, ParallelStrategy(2, 8)),
+        ),
+        _built_des_case(
+            "comet model graph, 1.5x slow rank 0 on 8 ranks",
+            lambda: _comet_model_graph(
+                CLUSTER, ParallelStrategy(1, 8),
+                StragglerSpec.slow_rank(8, rank=0, compute_mult=1.5),
+            ),
+        ),
     )
 )
 

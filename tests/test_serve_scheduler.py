@@ -7,11 +7,13 @@ the MoE system timings.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MIXTRAL_8X7B, ParallelStrategy, h800_node
 from repro.serve.engine_adapter import StepCostModel
 from repro.serve.scheduler import POLICY_REGISTRY, ContinuousBatchingScheduler
-from repro.serve.traffic import Request
+from repro.serve.traffic import TRACE_REGISTRY, Request, TraceSpec
 from repro.systems import Comet, FasterMoE, Tutel
 from repro.systems.base import UnsupportedWorkload
 
@@ -117,6 +119,48 @@ class TestContinuousBatching:
         solo_tpot = solo_records[0].tpot_ms
         crowd_tpot = max(r.tpot_ms for r in crowd_records)
         assert crowd_tpot > solo_tpot
+
+
+class TestTraceOrder:
+    """The loop releases requests in tuple order, so a hand-built trace
+    must arrive in order with distinct ids."""
+
+    def test_decreasing_arrival_rejected(self):
+        with pytest.raises(ValueError, match="request 1 arrives at 10.0 ms"):
+            run_trace([request(0, 50.0), request(1, 10.0)])
+
+    def test_repeated_rid_rejected(self):
+        with pytest.raises(ValueError, match="ids must be distinct: 0 repeats"):
+            run_trace([request(0, 10.0), request(0, 10.0)])
+
+
+@given(
+    kind=st.sampled_from(sorted(k for k in TRACE_REGISTRY.names() if k != "replay")),
+    rps=st.floats(min_value=1.0, max_value=300.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    max_batch_tokens=st.integers(min_value=1, max_value=8192),
+    max_batch_size=st.integers(min_value=1, max_value=256),
+    policy=st.sampled_from(POLICY_REGISTRY.names()),
+    # Steps that cannot move the clock included.
+    base_ms=st.sampled_from((0.0, 1e-300)) | st.floats(min_value=0.01, max_value=50.0),
+    per_token_ms=st.sampled_from((0.0, 0.01)),
+)
+@settings(max_examples=40, deadline=None, database=None)
+def test_every_step_emits_a_token(
+    kind, rps, seed, max_batch_tokens, max_batch_size, policy, base_ms, per_token_ms
+):
+    """A run takes at most one step per output token, whatever a step
+    costs: an idle replica admits a waiting request (an over-budget
+    prompt alone), and every resident sequence advances one token."""
+    trace = TraceSpec(kind=kind, rps=rps, duration_s=1.0, seed=seed, output_mean=16).build()
+    _, timeline = ContinuousBatchingScheduler(
+        cost_model=LinearCostModel(base_ms, per_token_ms),
+        trace=trace,
+        max_batch_tokens=max_batch_tokens,
+        max_batch_size=max_batch_size,
+        policy=policy,
+    ).run()
+    assert len(timeline) <= sum(r.output_tokens for r in trace)
 
 
 class TestPolicies:
